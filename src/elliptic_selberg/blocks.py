@@ -26,6 +26,12 @@ continuation in the exponents.  Realizations:
   the integral at shifted exponents b + s and interpolating back to s = 0
   (the integral is analytic in b there); this is the same continuation in
   exponents that defines the integral in the first place.
+
+The p = 2 quadrature tabulates first and assembles second: each section's
+outer x nodes and inner xi nodes form one tensor, the theta factors are
+evaluated on chunks of it in a few kernel calls, and the exponent b enters
+last as exp(b * log) of the tabulated principal logs, so the shifted samples
+at kappa = 6 share one tabulation.
 """
 
 from __future__ import annotations
@@ -33,11 +39,12 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import roots_jacobi
 
-from .errors import OutOfSupportedRange, PoleProximity, UnsupportedP
+from .errors import OutOfSupportedRange, UnsupportedP
 from .quadrature import (
     EvalBudget,
     QuadratureSpec,
@@ -46,6 +53,7 @@ from .quadrature import (
     fp_power_term,
     graded_nodes,
     levels_for_exponent,
+    loop_winding,
     panel_nodes,
 )
 from .selberg import SelbergParams, selberg_value
@@ -69,6 +77,13 @@ __all__ = [
 
 # exponent offsets used to interpolate across integer corner exponents
 _SHIFT_SAMPLES = (-0.12, -0.09, -0.06, -0.03, 0.03, 0.06, 0.09, 0.12)
+# p = 2 inner geometry: radius of the xi loops, and the split between the
+# Gauss-Legendre panel and the Gauss-Jacobi tail of the corner integrals
+_INNER_RADIUS = 0.3
+_JACOBI_SPLIT = 0.6
+# inner points tabulated per kernel call: enough to amortise the per-call
+# cost, few enough to keep the transient tensors to a few megabytes
+_CHUNK_POINTS = 4096
 
 
 @dataclass(frozen=True)
@@ -100,17 +115,20 @@ class BlockValue:
 
 
 class _Kernel:
-    """Vectorized torus factors at a fixed modular point.
+    """Vectorized torus factors at a fixed modular point and block argument.
 
     Wraps the array engines of the special-function module; every method
-    accepts numpy arrays of (complex) arguments.
+    accepts numpy arrays of (complex) arguments.  theta1(lam) and
+    theta1'(0) are computed once, here.
     """
 
-    def __init__(self, pt: ModularPoint, budget: EvalBudget):
+    def __init__(self, pt: ModularPoint, lam: complex, budget: EvalBudget):
         self.pt = pt
+        self.lam = lam
         self.budget = budget
         self.trunc = DEFAULT_TRUNC
         self.theta1_prime0 = specfun.theta1(0.0, pt, d_lambda=1)
+        self.theta1_lam = specfun.theta1(lam, pt)
 
     def _t1(self, z, d_lambda=0):
         z = np.asarray(z, dtype=complex)
@@ -124,17 +142,16 @@ class _Kernel:
         """E(z)/z, analytic and 1 at z = 0."""
         return self._t1(z) / (np.asarray(z, dtype=complex) * self.theta1_prime0)
 
-    def z_sigma(self, lam: complex, z):
+    def z_sigma(self, z):
         """z * sigma_lam(z), analytic near z = 0 with value 1."""
         z = np.asarray(z, dtype=complex)
-        th_lam = specfun.theta1(lam, self.pt)
-        return (self._t1(lam - z) * self.theta1_prime0 * z
-                / (th_lam * self._t1(z)))
+        return (self._t1(self.lam - z) * self.theta1_prime0 * z
+                / (self.theta1_lam * self._t1(z)))
 
-    def sigma(self, lam: complex, z):
+    def sigma(self, z):
         z = np.asarray(z, dtype=complex)
-        th_lam = specfun.theta1(lam, self.pt)
-        return self._t1(lam - z) * self.theta1_prime0 / (th_lam * self._t1(z))
+        return (self._t1(self.lam - z) * self.theta1_prime0
+                / (self.theta1_lam * self._t1(z)))
 
     def theta(self, kappa: int, n: int, args, d_lambda=0):
         args = np.asarray(args, dtype=complex)
@@ -153,18 +170,18 @@ def _j_p1(idx: BlockIndex, lam: complex, pt: ModularPoint,
     kappa, n = idx.kappa, idx.reduced_n
     b = -2.0 / kappa
     a = b - 1.0
-    ker = _Kernel(pt, budget)
+    ker = _Kernel(pt, lam, budget)
     delta = quad.endpoint_delta
     two_over_k = 2.0 / kappa
 
     def cofactor_left(t):
         # (E(t)/t)^b * (t*sigma(t)) * theta(lam + (2/k) t); principal powers
-        return (ker.E_over_z(t) ** b * ker.z_sigma(lam, t)
+        return (ker.E_over_z(t) ** b * ker.z_sigma(t)
                 * ker.theta(kappa, n, lam + two_over_k * t))
 
     def cofactor_right(s):
         # t = 1 - s; E(1-s) = E(s), sigma_lam(1-s) = sigma_lam(-s)
-        return (ker.E_over_z(s) ** b * (-ker.z_sigma(lam, -s))
+        return (ker.E_over_z(s) ** b * (-ker.z_sigma(-s))
                 * ker.theta(kappa, n, lam + two_over_k * (1.0 - s)))
 
     # window edges; the middle part is integrated with a branch-tracked E^b
@@ -178,7 +195,7 @@ def _j_p1(idx: BlockIndex, lam: complex, pt: ModularPoint,
     ws = np.concatenate([ws1, ws2])
     evals = ker.E(ts)
     logs = continue_log(evals)  # principal at t = lo, continued rightward
-    sig = ker.sigma(lam, ts)
+    sig = ker.sigma(ts)
     th = ker.theta(kappa, n, lam + two_over_k * ts)
     middle = complex(np.sum(np.exp(b * logs) * sig * th * ws))
     # winding of E between the two endpoint anchors
@@ -197,7 +214,7 @@ def _j_p1(idx: BlockIndex, lam: complex, pt: ModularPoint,
     th0p = specfun.theta_level(kappa, n, lam, pt, d_lambda=1)
     th1 = specfun.theta_level(kappa, n, lam + two_over_k, pt)
     th1p = specfun.theta_level(kappa, n, lam + two_over_k, pt, d_lambda=1)
-    rho = specfun.theta1(lam, pt, d_lambda=1) / specfun.theta1(lam, pt)
+    rho = specfun.theta1(lam, pt, d_lambda=1) / ker.theta1_lam
     h0_l, h1_l = th0, -rho * th0 + two_over_k * th0p
     h0_r, h1_r = -th1, -(rho * th1 - two_over_k * th1p)
     if quad.subtraction_order == 0:
@@ -220,135 +237,173 @@ def _j_p1(idx: BlockIndex, lam: complex, pt: ModularPoint,
 # ---------------------------------------------------------------------------
 
 
-def _inner_corner(ker: _Kernel, lam, s_sign, mu, nu, b, g, kappa, n, x,
-                  quad: QuadratureSpec, at_one: bool) -> complex:
-    """Inner integral in ray coordinates at a collapsing corner.
+@dataclass(frozen=True)
+class _Rule:
+    """Nodes and weights for integrands whose exponent b is applied last.
 
-    Returns Xi(x) = FP int_0^1 xi^(b-1) Psi(xi) dxi so that the inner
-    integral is x^(b+g) * Xi(x).  at_one False: the diagonal factor is
-    (1-xi)^g (Gauss-Jacobi tail); at_one True: x is the distance w to 1 and
-    the diagonal factor becomes the analytic (1+xi)^g.  x may be complex
-    (outer circle nodes); all powers stay principal because every power base
-    is close to 1 on the relevant disks.
+    A node contributes weight * exp(b * log) * h(node).  The weights carry
+    every b-independent factor of the rule (1/t on the inner xi rules,
+    x^(g-1) on the corner loops); logs holds the b-dependent power on its
+    continued branch (log t for t^b, 2 log x for the corner x^(2b),
+    log(1 - x) for (1 - x)^b).  The first n_loop nodes lie on an endpoint
+    circle, whose part of the sum is divided by the loop winding of the
+    exponent.
     """
-    r = 0.3
 
-    def psi(xi, with_diag=True):
-        xi = np.asarray(xi, dtype=complex)
-        y = x * xi
-        if at_one:
-            diag = ((1.0 + xi) ** g
-                    * ker.E_over_z(x * (1.0 + xi)) ** g)
-            args = mu + nu * (1.0 - x + y)
-        else:
-            diag = ker.E_over_z(x * (1.0 - xi)) ** g
-            if with_diag:
-                diag = diag * (1.0 - xi) ** g
-            args = mu + nu * (x + y)
-        return (ker.E_over_z(y) ** b * (ker.z_sigma(lam, s_sign * y) * s_sign)
-                * diag * ker.theta(kappa, n, args))
+    nodes: np.ndarray
+    weights: np.ndarray
+    logs: np.ndarray
+    n_loop: int
 
-    total = endpoint_loop_fp(lambda xi: psi(xi), b - 1.0, r,
-                             quad.loop_nodes, ker.budget)
-    if at_one:
-        xs, ws = graded_nodes(r, 1.0, quad.graded_mesh_levels,
-                              quad.gauss_order, "right")
-        total += complex(np.sum(xs.astype(complex) ** (b - 1.0) * psi(xs) * ws))
+
+def _frozen_rule(nodes, weights, logs, n_loop) -> _Rule:
+    arrays = [np.asarray(a, dtype=complex) for a in (nodes, weights, logs)]
+    for a in arrays:
+        a.setflags(write=False)
+    return _Rule(*arrays, n_loop)
+
+
+@lru_cache(maxsize=32)
+def _inner_rule(kind: str, order: int, levels: int, loop_nodes: int,
+                g: float) -> _Rule:
+    """xi rule of the inner integral Xi = FP int_0^1 xi^(b-1) psi(xi) dxi.
+
+    kind "left" (corner x -> 0): loop, Gauss panel up to the split and a
+    Gauss-Jacobi tail whose weight absorbs (1-xi)^g; the weights carry
+    (1-xi)^g elsewhere.  kind "right" (corner x -> 1): loop and a mesh graded
+    toward xi = 1, weights carrying the analytic (1+xi)^g.  kind "half"
+    (real x in (1/2, 1)): loop and graded mesh, no diagonal factor.
+    """
+    r = _INNER_RADIUS
+    t, dt, phi = endpoint_loop_nodes(r, loop_nodes)
+    if kind == "left":
+        xc = _JACOBI_SPLIT
+        xs, ws = panel_nodes(r, xc, order * 2)
+        jac, jw = roots_jacobi(order * 2, g, 0.0)
+        xi_j = 0.5 * (xc + 1.0) + 0.5 * (1.0 - xc) * jac
+        nodes = np.concatenate([t, xs, xi_j])
+        weights = np.concatenate([dt * (1.0 - t) ** g, ws * (1.0 - xs) ** g,
+                                  ((1.0 - xc) / 2.0) ** (1.0 + g) * jw])
     else:
-        xc = 0.6
-        xs, ws = panel_nodes(r, xc, quad.gauss_order * 2)
-        total += complex(np.sum(xs.astype(complex) ** (b - 1.0) * psi(xs) * ws))
-        nodes, jw = roots_jacobi(quad.gauss_order * 2, g, 0.0)
-        xi_j = 0.5 * (xc + 1.0) + 0.5 * (1.0 - xc) * nodes
-        vals = xi_j.astype(complex) ** (b - 1.0) * psi(xi_j, with_diag=False)
-        total += ((1.0 - xc) / 2.0) ** (1.0 + g) * complex(np.sum(jw * vals))
-    return total
+        xs, ws = graded_nodes(r, 1.0, levels, order, "right")
+        nodes = np.concatenate([t, xs])
+        weights = np.concatenate([dt, ws])
+        if kind == "right":
+            weights = weights * (1.0 + nodes) ** g
+    logs = np.concatenate([math.log(r) + 1j * phi, np.log(nodes[t.size:].real)])
+    return _frozen_rule(nodes, weights / nodes, logs, t.size)
 
 
-def _inner_right_half(ker: _Kernel, lam, s_sign, mu, nu, b, g, kappa, n,
-                      x: float, quad: QuadratureSpec) -> complex:
-    """Inner integral for real x in (1/2, 1): range [0, 1-x], no diagonal hit."""
-    m = 1.0 - x
-    r = 0.3
+@lru_cache(maxsize=16)
+def _outer_rules(order: int, levels: int, loop_nodes: int, r_out: float,
+                 g: float) -> tuple:
+    """The x rules of one half shape: corner loop, left and right sections.
 
-    def psi(xi):
-        xi = np.asarray(xi, dtype=complex)
-        y = m * xi
-        return (ker.E_over_z(y) ** b * (ker.z_sigma(lam, s_sign * y) * s_sign)
-                * ker.E(x - y) ** g * ker.theta(kappa, n, mu + nu * (x + y)))
+    Corner loops (x -> 0 and, in w = 1 - x, x -> 1) carry the power
+    x^A = x^(2b) x^(g-1); the left sections carry x^(b+g) from the inner ray
+    coordinates and the right sections m^b with m = 1 - x.  The inner range
+    switches form at the kink x = 1/2, so each section is graded toward both
+    of its ends.
+    """
+    t, dt, phi = endpoint_loop_nodes(r_out, loop_nodes)
+    ell = math.log(r_out) + 1j * phi
+    corner = _frozen_rule(t, dt * np.exp((g - 1.0) * ell), 2.0 * ell, t.size)
 
-    total = endpoint_loop_fp(psi, b - 1.0, r, quad.loop_nodes, ker.budget)
-    xs, ws = graded_nodes(r, 1.0, quad.graded_mesh_levels, quad.gauss_order,
-                          "right")
-    total += complex(np.sum(xs.astype(complex) ** (b - 1.0) * psi(xs) * ws))
-    return (m ** b) * total
+    def two_graded(a, mid, b):
+        lo = graded_nodes(a, mid, levels, order, "left")
+        hi = graded_nodes(mid, b, levels, order, "right")
+        return np.concatenate([lo[0], hi[0]]), np.concatenate([lo[1], hi[1]])
+
+    xs, ws = two_graded(r_out, 0.5 * (r_out + 0.5), 0.5)
+    left = _frozen_rule(xs, ws * xs ** g, np.log(xs), 0)
+    xs, ws = two_graded(0.5, 0.5 * (0.5 + 1.0 - r_out), 1.0 - r_out)
+    right = _frozen_rule(xs, ws, np.log(1.0 - xs), 0)
+    return corner, left, right
 
 
-def _half_shape_integral(ker: _Kernel, lam, s_sign, mu, nu, b, g, kappa, n,
-                         quad: QuadratureSpec, pt: ModularPoint) -> complex:
+def _inner_integrals(ker: _Kernel, kind: str, rule: _Rule, x, s_sign, mu, nu,
+                     g, kappa, n, bs) -> np.ndarray:
+    """Xi_b(x) for every outer node x and exponent b, shape (len(bs), len(x)).
+
+    psi(xi) = (E(y)/y)^b * s y sigma(s y) * diag * theta_{kappa,n}(mu + nu (pos + y))
+    with y = x xi (corners) or (1 - x) xi (right half).  The diagonal factor
+    is (E(d)/d)^g with d = x (1 - xi) at the x -> 0 corner and d = w (1 + xi)
+    at the x -> 1 corner (x is then the distance w to 1, pos = 1 - w), and
+    E(x - y)^g on the right half; every power base stays close to 1 or on
+    the positive axis, so all powers are principal.  The x -> 0 corner's
+    (1-xi)^g and the x -> 1 corner's (1+xi)^g sit in the rule weights.
+    """
+    xi = rule.nodes
+    wind = [loop_winding(b - 1.0) for b in bs]
+    out = np.empty((len(bs), x.size), dtype=complex)
+    step = max(1, _CHUNK_POINTS // xi.size)
+    for lo in range(0, x.size, step):
+        xc = x[lo:lo + step, None]
+        if kind == "left":
+            y, d, pos = xc * xi, xc * (1.0 - xi), xc
+        elif kind == "right":
+            y, d, pos = xc * xi, xc * (1.0 + xi), 1.0 - xc
+        else:
+            y = (1.0 - xc) * xi
+            d, pos = xc - y, xc
+        th_y, th_ly, th_d = ker._t1(np.stack([y, ker.lam - s_sign * y, d]))
+        log_ez = np.log(th_y / (y * ker.theta1_prime0))
+        diag = th_d / ker.theta1_prime0
+        if kind != "half":
+            diag = diag / d
+        # (E(y)/y)^b * s y sigma(s y) * diag^g
+        #     = s theta1(lam - s y) / theta1(lam) * exp((b-1) log_ez + g log diag)
+        vals = (rule.weights * (s_sign / ker.theta1_lam) * th_ly
+                * ker.theta(kappa, n, mu + nu * (pos + y)))
+        logs = rule.logs + log_ez
+        base = g * np.log(diag) - log_ez
+        for k, b in enumerate(bs):
+            terms = vals * np.exp(b * logs + base)
+            out[k, lo:lo + step] = (terms[:, :rule.n_loop].sum(axis=1) / wind[k]
+                                    + terms[:, rule.n_loop:].sum(axis=1))
+    return out
+
+
+def _outer_integral(ker: _Kernel, rule: _Rule, sign, over_z: bool, inner,
+                    bs) -> np.ndarray:
+    """sum over the x nodes of E(x)^b sign sigma(sign x) Xi_b(x), one per b.
+
+    over_z: the loop form, with (E(x)/x)^b and the pole-free x sigma.
+    """
+    x = rule.nodes
+    th_x, th_lx = ker._t1(np.stack([x, ker.lam - sign * x]))
+    f = th_x / ker.theta1_prime0
+    if over_z:
+        f = f / x
+    log_f = np.log(f)
+    vals = rule.weights * (sign / ker.theta1_lam) * th_lx
+    logs = rule.logs + log_f
+    return np.array([np.sum(vals * np.exp(b * logs - log_f) * inner[k])
+                     for k, b in enumerate(bs)])
+
+
+def _half_shape_integral(ker: _Kernel, s_sign, mu, nu, g, kappa, n, bs,
+                         quad: QuadratureSpec, r_out: float) -> np.ndarray:
     """Integral over {0 <= y <= min(x, 1-x)} of one reflected-part integrand.
 
     Integrand: E(x)^b E(y)^b E(x-y)^g sigma(s x) sigma(s y)
     theta_{kappa,n}(mu + nu (x+y)); corners x -> 0 and x -> 1 are continued
-    via circle integrals with exponent A = 2b + g - 1.
+    via circle integrals with exponent A = 2b + g - 1.  One value per b.
     """
-    A = 2 * b + g - 1.0
-    r_out = 0.2 * min(1.0, pt.tau.imag)
+    rules = (quad.gauss_order, quad.graded_mesh_levels, quad.loop_nodes)
+    corner, left, right = _outer_rules(*rules, r_out, g)
+    wind = np.array([loop_winding(2 * b + g - 1.0) for b in bs])
 
-    def xi_at(x, at_one):
-        return np.array([
-            _inner_corner(ker, lam, s_sign, mu, nu, b, g, kappa, n, xv, quad,
-                          at_one=at_one)
-            for xv in np.atleast_1d(x)])
+    def part(kind, rule, sign, over_z):
+        inner = _inner_integrals(ker, kind, _inner_rule(kind, *rules, g),
+                                 rule.nodes, s_sign, mu, nu, g, kappa, n, bs)
+        return _outer_integral(ker, rule, sign, over_z, inner, bs)
 
-    def outer_value_left(x):
-        # F(x)/x^A for the x -> 0 corner: (E/x)^b * (x sigma(s x)) * Xi(x)
-        pole_free = s_sign * ker.z_sigma(lam, s_sign * np.asarray(x))
-        return ker.E_over_z(x) ** b * pole_free * xi_at(x, at_one=False)
-
-    def outer_value_right(w):
-        # F(1-w)/w^A; sigma(s(1-w)) = sigma(-s w) by 1-periodicity
-        pole_free = -s_sign * ker.z_sigma(lam, -s_sign * np.asarray(w))
-        return ker.E_over_z(w) ** b * pole_free * xi_at(w, at_one=True)
-
-    total = endpoint_loop_fp(outer_value_left, A, r_out, quad.loop_nodes,
-                             ker.budget)
-    total += endpoint_loop_fp(outer_value_right, A, r_out, quad.loop_nodes,
-                              ker.budget)
-
-    # real sections; the inner range switches form at the kink x = 1/2,
-    # so grade toward both ends of each section
-    lev = quad.graded_mesh_levels
-    m1 = 0.5 * (r_out + 0.5)
-    xs_l = [graded_nodes(r_out, m1, lev, quad.gauss_order, "left"),
-            graded_nodes(m1, 0.5, lev, quad.gauss_order, "right")]
-    for xs, ws in xs_l:
-        inner = xi_at(xs, at_one=False) * xs.astype(complex) ** (b + g)
-        fx = ker.E(xs) ** b * ker.sigma(lam, s_sign * xs) * inner
-        total += complex(np.sum(fx * ws))
-    m2 = 0.5 * (0.5 + 1.0 - r_out)
-    xs_r = [graded_nodes(0.5, m2, lev, quad.gauss_order, "left"),
-            graded_nodes(m2, 1.0 - r_out, lev, quad.gauss_order, "right")]
-    for xs, ws in xs_r:
-        inner = np.array([
-            _inner_right_half(ker, lam, s_sign, mu, nu, b, g, kappa, n,
-                              float(xv), quad)
-            for xv in xs])
-        fx = ker.E(xs) ** b * ker.sigma(lam, s_sign * xs) * inner
-        total += complex(np.sum(fx * ws))
-    return total
-
-
-def _j_p2_fixed_b(idx: BlockIndex, lam: float, pt: ModularPoint, b: float,
-                  quad: QuadratureSpec, budget: EvalBudget) -> complex:
-    kappa, n = idx.kappa, idx.reduced_n
-    g = 2.0 / kappa
-    ker = _Kernel(pt, budget)
-    part_lower = _half_shape_integral(ker, lam, +1.0, lam, 2.0 / kappa,
-                                      b, g, kappa, n, quad, pt)
-    part_upper = _half_shape_integral(ker, lam, -1.0, lam + 4.0 / kappa,
-                                      -2.0 / kappa, b, g, kappa, n, quad, pt)
-    return part_lower + part_upper
+    # sigma(s (1 - w)) = sigma(-s w) by 1-periodicity at the x -> 1 corner
+    return ((part("left", corner, s_sign, True)
+             + part("right", corner, -s_sign, True)) / wind
+            + part("left", left, s_sign, False)
+            + part("half", right, s_sign, False))
 
 
 def _j_p2(idx: BlockIndex, lam: complex, pt: ModularPoint,
@@ -358,7 +413,7 @@ def _j_p2(idx: BlockIndex, lam: complex, pt: ModularPoint,
             "the two-fold integral is wired for real lambda and purely "
             "imaginary tau only")
     lam = float(complex(lam).real)
-    kappa = idx.kappa
+    kappa, n = idx.kappa, idx.reduced_n
     b0 = -4.0 / kappa
     g = 2.0 / kappa
     # Branch convention for the pairwise difference factor: the ordered
@@ -368,19 +423,24 @@ def _j_p2(idx: BlockIndex, lam: complex, pt: ModularPoint,
     # pinned down empirically at two unrelated levels to 1e-15 relative.
     pair_branch = cmath.exp(-1j * math.pi * g)
     corner = 2 * b0 + g - 1.0
-    if abs(corner - round(corner)) > 0.02:
-        return pair_branch * _j_p2_fixed_b(idx, lam, pt, b0, quad, budget)
-    # integer corner exponent (kappa = 6): sample at shifted E-exponents and
-    # interpolate back; the integral is analytic in b on this neighbourhood
-    samples = []
-    for s in _SHIFT_SAMPLES:
-        samples.append(_j_p2_fixed_b(idx, lam, pt, b0 + s, quad, budget))
-    coeff_re = np.polynomial.polynomial.polyfit(
-        np.array(_SHIFT_SAMPLES), np.array([v.real for v in samples]),
-        len(_SHIFT_SAMPLES) - 1)
-    coeff_im = np.polynomial.polynomial.polyfit(
-        np.array(_SHIFT_SAMPLES), np.array([v.imag for v in samples]),
-        len(_SHIFT_SAMPLES) - 1)
+    # an integer corner exponent (kappa = 6) is crossed by sampling at
+    # shifted E-exponents and interpolating back; the integral is analytic
+    # in b on this neighbourhood
+    shifts = np.array((0.0,) if abs(corner - round(corner)) > 0.02
+                      else _SHIFT_SAMPLES)
+    bs = b0 + shifts
+    ker = _Kernel(pt, lam, budget)
+    r_out = 0.2 * min(1.0, pt.tau.imag)
+    values = (_half_shape_integral(ker, +1.0, lam, 2.0 / kappa, g, kappa, n,
+                                   bs, quad, r_out)
+              + _half_shape_integral(ker, -1.0, lam + 4.0 / kappa,
+                                     -2.0 / kappa, g, kappa, n, bs, quad, r_out))
+    if shifts.size == 1:
+        return pair_branch * complex(values[0])
+    coeff_re = np.polynomial.polynomial.polyfit(shifts, values.real,
+                                                shifts.size - 1)
+    coeff_im = np.polynomial.polynomial.polyfit(shifts, values.imag,
+                                                shifts.size - 1)
     return pair_branch * complex(coeff_re[0], coeff_im[0])
 
 

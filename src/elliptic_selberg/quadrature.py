@@ -34,6 +34,7 @@ __all__ = [
     "levels_for_exponent",
     "fp_power_term",
     "endpoint_loop_nodes",
+    "loop_winding",
     "endpoint_loop_fp",
 ]
 
@@ -181,6 +182,16 @@ def endpoint_loop_nodes(radius: float, n_nodes: int, center: complex = 0.0):
     return t, dt, phi
 
 
+def loop_winding(exponent: complex) -> complex:
+    """The divisor e^{2 pi i a} - 1 that turns a circle integral of t**a
+    into the finite part over [0, radius]; raises near integer exponents."""
+    wind = cmath.exp(2j * cmath.pi * exponent) - 1.0
+    if abs(wind) < 1e-9:
+        raise OutOfSupportedRange(
+            f"exponent {exponent} is too close to an integer for the loop formula")
+    return wind
+
+
 def endpoint_loop_fp(smooth: Callable[[np.ndarray], np.ndarray],
                      exponent: complex, radius: float, n_nodes: int,
                      budget: EvalBudget | None = None) -> complex:
@@ -191,10 +202,7 @@ def endpoint_loop_fp(smooth: Callable[[np.ndarray], np.ndarray],
     (t**a = radius**a * e^{i a phi}).  Exact in the exponent: this is the
     analytic continuation from Re exponent > -1, valid at any non-integer a.
     """
-    wind = cmath.exp(2j * cmath.pi * exponent) - 1.0
-    if abs(wind) < 1e-9:
-        raise OutOfSupportedRange(
-            f"exponent {exponent} is too close to an integer for the loop formula")
+    wind = loop_winding(exponent)
     t, dt, phi = endpoint_loop_nodes(radius, n_nodes)
     if budget is not None:
         budget.charge(t.size)

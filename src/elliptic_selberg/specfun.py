@@ -18,20 +18,38 @@ functions are lattice sums
         = sum_{j in Z} exp(2*pi*i*kappa*(j+n/(2*kappa))**2 * tau)
                      * exp(2*pi*i*kappa*(j+n/(2*kappa)) * lam).
 
-All series stop once the current term falls below tail_tolerance times the
-largest term seen so far; they raise NonConvergence at max_terms.
+The theta series fix their term count before summing.  Each term is bounded
+from Im tau and the largest |Im lam| of the argument array (|sin z| and
+|exp(i z)| are at most exp(|Im z|)), and the sum keeps every term up to and
+including the second one in a row whose bound falls below tail_tolerance
+times the largest bound before it (a Gaussian decay, as in Deconinck, Heil,
+Bobenko, van Hoeij and Schmies, "Computing Riemann theta functions", Math.
+Comp. 2004).  A count above max_terms raises NonConvergence, and a term
+bound beyond the double range raises OutOfSupportedRange.  The sums run
+as Laurent polynomials in exp(2*pi*i*lam) (exp(2*pi*i*kappa*lam) at level
+kappa) by Horner's rule; theta1 and its even lambda-derivatives keep
+sin(pi*lam) as a factor, so they stay accurate relative to their size next
+to their zeros at the integers.  The eta-type products stop once |q|**j falls below tail_tolerance,
+and raise NonConvergence at max_terms.
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .errors import BranchAmbiguity, NonConvergence, PoleProximity
+from .errors import (
+    BranchAmbiguity,
+    NonConvergence,
+    OutOfSupportedRange,
+    PoleProximity,
+)
 
 __all__ = [
     "SeriesTruncation",
@@ -54,6 +72,7 @@ __all__ = [
 ]
 
 DEFAULT_LATTICE_FLOOR = 1e-6
+_LOG_DOUBLE_MAX = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -95,17 +114,30 @@ class ModularPoint:
 def lattice_distance(lam: complex, tau: complex) -> float:
     """Distance from lam to the lattice Z + tau*Z.
 
-    The minimum is exact: lam is written as a + b*tau with real a, b and the
-    four nearest lattice points (floor/ceil of a and b) are compared.
+    The basis (1, tau) is first Lagrange-Gauss reduced to (u, v) with
+    |u| <= |v| and |Re(v conj(u))| <= |u|**2 / 2.  lam is then written as
+    a*u + b*v with real a, b, and the four corners of the reduced cell
+    around it (floor/ceil of a and b) are compared.  Without the reduction
+    the nearest point of a skewed lattice (large |Re tau| or small Im tau)
+    can lie outside the four corners.
     """
     lam = complex(lam)
-    tau = complex(tau)
-    b = lam.imag / tau.imag
-    a = lam.real - b * tau.real
+    u, v = 1.0 + 0.0j, complex(tau)
+    while True:
+        if abs(v) < abs(u):
+            u, v = v, u
+        mu = round((v * u.conjugate()).real / abs(u) ** 2)
+        if mu == 0:
+            break
+        v -= mu * u
+    # solve lam = a*u + b*v over the reals
+    det = (u.conjugate() * v).imag
+    a = (lam.conjugate() * v).imag / det
+    b = (u.conjugate() * lam).imag / det
     best = math.inf
     for m in (math.floor(a), math.floor(a) + 1):
         for n in (math.floor(b), math.floor(b) + 1):
-            best = min(best, abs(lam - (m + n * tau)))
+            best = min(best, abs(lam - (m * u + n * v)))
     return best
 
 
@@ -133,36 +165,92 @@ class EllipticArgument:
 # ---------------------------------------------------------------------------
 
 
+def _term_count(log_bound, trunc: SeriesTruncation, what: str) -> int:
+    """Number of series terms to sum, fixed before any term is computed.
+
+    log_bound(j) bounds log |term j| over the whole argument array.  The
+    count ends with the second term in a row whose bound is below
+    tail_tolerance times the largest bound so far.  A bound beyond the
+    double range raises OutOfSupportedRange instead of summing to inf/nan.
+    """
+    log_tol = math.log(trunc.tail_tolerance)
+    runmax = -math.inf
+    small_streak = 0
+    for j in range(trunc.max_terms):
+        bound = log_bound(j)
+        if bound > _LOG_DOUBLE_MAX:
+            raise OutOfSupportedRange(f"{what} has terms beyond the double range")
+        runmax = max(runmax, bound)
+        if j >= 2 and bound <= log_tol + runmax:
+            small_streak += 1
+            if small_streak >= 2:
+                return j + 1
+        else:
+            small_streak = 0
+    raise NonConvergence(f"{what} needs more than {trunc.max_terms} terms")
+
+
+def _max_abs_imag(lam: np.ndarray) -> float:
+    return float(np.max(np.abs(lam.imag))) if lam.size else 0.0
+
+
+def _horner(coefs, z):
+    """sum_j coefs[j] * z**j elementwise over z; needs two coefficients or more."""
+    acc = coefs[-1] * z + coefs[-2]
+    for c in coefs[-3::-1]:
+        acc *= z
+        acc += c
+    return acc
+
+
 def _theta1_array(lam, tau: complex, d_lambda: int = 0, d_tau: int = 0,
                   trunc: SeriesTruncation = DEFAULT_TRUNC) -> np.ndarray:
     """Vectorised sine-series evaluation of theta1 derivatives.
 
     lam may be any complex ndarray; returns an array of the same shape.
+    Term j is coef_j * sin((2j+1)*x + d_lambda*pi/2) with x = pi*lam, a
+    signed sine for even d_lambda and a signed cosine for odd d_lambda.
+    With w = exp(2ix), sin((2j+1)x) = sin(x) * sum_{|k|<=j} w**k, so a sine
+    series is sin(x) times a Laurent polynomial in w; factoring out sin(x)
+    keeps theta1 accurate relative to its size next to its zeros at the
+    integers.  A cosine series is summed as exp(ix) P(w) + exp(-ix) P(1/w)
+    with P = sum_j coef_j/2 w**j.
     """
     lam = np.asarray(lam, dtype=complex)
-    out = np.zeros_like(lam)
-    runmax = 0.0
-    small_streak = 0
-    phase_shift = d_lambda * cmath.pi / 2
-    for j in range(trunc.max_terms):
+    a = math.pi * complex(tau).imag
+    y_max = _max_abs_imag(lam)
+
+    def log_bound(j):
         half = j + 0.5
-        coef = 2.0 * (-1) ** j * cmath.exp(1j * cmath.pi * tau * half * half)
+        return (math.log(2.0) - a * half * half + 2.0 * math.pi * half * y_max
+                + d_lambda * math.log(2.0 * math.pi * half)
+                + d_tau * math.log(math.pi * half * half))
+
+    terms = _term_count(log_bound, trunc, f"theta1 series (tau={tau})")
+    sign = -1 if d_lambda % 4 >= 2 else 1
+    coefs = []
+    for j in range(terms):
+        half = j + 0.5
+        coef = sign * 2.0 * (-1) ** j * cmath.exp(1j * cmath.pi * tau * half * half)
         coef *= ((2 * j + 1) * math.pi) ** d_lambda
         if d_tau:
             coef *= (1j * cmath.pi * half * half) ** d_tau
-        term = coef * np.sin((2 * j + 1) * math.pi * lam + phase_shift)
-        out += term
-        tmax = float(np.max(np.abs(term)))
-        runmax = max(runmax, tmax)
-        if j >= 2 and tmax <= trunc.tail_tolerance * max(runmax, 1e-300):
-            small_streak += 1
-            if small_streak >= 2:
-                return out
-        else:
-            small_streak = 0
-    raise NonConvergence(
-        f"theta1 series did not settle after {trunc.max_terms} terms (tau={tau})"
-    )
+        coefs.append(coef)
+    x = math.pi * lam
+    if d_lambda % 2:
+        halves = [c / 2 for c in coefs]
+        return (np.exp(1j * x) * _horner(halves, np.exp(2j * x))
+                + np.exp(-1j * x) * _horner(halves, np.exp(-2j * x)))
+    # The Laurent coefficient of w**k is the tail sum C_|k| = sum_{j>=|k|}
+    # coef_j.  The constant one is summed as coef_0 + C_1: coef_0 then enters
+    # as it does in theta1'(0), so theta1(z) / (z theta1'(0)) tends to 1
+    # without a rounding offset.
+    tails = list(itertools.accumulate(reversed(coefs)))[::-1][1:]
+    w = np.exp(2j * x)
+    w_inv = 1.0 / w
+    laurent = coefs[0] + (tails[0] + w * _horner(tails, w)
+                          + w_inv * _horner(tails, w_inv))
+    return np.sin(x) * laurent
 
 
 def theta1(lam: complex, pt: ModularPoint, d_lambda: int = 0, d_tau: int = 0,
@@ -282,34 +370,44 @@ def phi_logderiv(kind: int, pt: ModularPoint, trunc: SeriesTruncation = DEFAULT_
 def _theta_level_array(kappa: int, n: int, lam, tau: complex, d_lambda: int = 0,
                        d_tau: int = 0,
                        trunc: SeriesTruncation = DEFAULT_TRUNC) -> np.ndarray:
-    """Vectorised lattice sum for theta_level; lam may be a complex ndarray."""
+    """Vectorised lattice sum for theta_level; lam may be a complex ndarray.
+
+    Shell j holds the exponents m = c + j and m = c - j with c = n/(2*kappa)
+    reduced to [0, 1); with u = exp(2*pi*i*kappa*lam) the sum is
+    exp(2*pi*i*kappa*c*lam) times a Laurent polynomial in u.
+    """
     lam = np.asarray(lam, dtype=complex)
     c = (n % (2 * kappa)) / (2.0 * kappa)
-    out = np.zeros_like(lam)
-    runmax = 0.0
-    small_streak = 0
-    for j in range(trunc.max_terms):
-        tmax = 0.0
-        for m in ({c} if j == 0 else {j + c, -j + c}):
-            w = 2j * cmath.pi * kappa * m
-            coef = cmath.exp(2j * cmath.pi * kappa * m * m * tau)
-            if d_lambda:
-                coef *= w ** d_lambda
-            if d_tau:
-                coef *= (2j * cmath.pi * kappa * m * m) ** d_tau
-            term = coef * np.exp(w * lam)
-            out += term
-            tmax = max(tmax, float(np.max(np.abs(term))))
-        runmax = max(runmax, tmax)
-        if j >= 2 and tmax <= trunc.tail_tolerance * max(runmax, 1e-300):
-            small_streak += 1
-            if small_streak >= 2:
-                return out
-        else:
-            small_streak = 0
-    raise NonConvergence(
-        f"theta_level({kappa},{n}) sum did not settle after {trunc.max_terms} shells"
-    )
+    two_pi_k = 2.0 * math.pi * kappa
+    a = two_pi_k * complex(tau).imag
+    y_max = _max_abs_imag(lam)
+
+    def log_m(m):
+        bound = -a * m * m + two_pi_k * abs(m) * y_max
+        if d_lambda + d_tau:
+            if m == 0:
+                return -math.inf
+            bound += (d_lambda * math.log(two_pi_k * abs(m))
+                      + d_tau * math.log(two_pi_k * m * m))
+        return bound
+
+    terms = _term_count(lambda j: max(log_m(c + j), log_m(c - j)), trunc,
+                        f"theta_level({kappa},{n}) sum")
+
+    def coef(m):
+        w = 2j * cmath.pi * kappa * m
+        value = cmath.exp(2j * cmath.pi * kappa * m * m * tau)
+        if d_lambda:
+            value *= w ** d_lambda
+        if d_tau:
+            value *= (2j * cmath.pi * kappa * m * m) ** d_tau
+        return value
+
+    u = np.exp(2j * math.pi * kappa * lam)
+    u_inv = 1.0 / u
+    total = (_horner([coef(c + j) for j in range(terms)], u)
+             + u_inv * _horner([coef(c - j) for j in range(1, terms)], u_inv))
+    return np.exp(2j * math.pi * kappa * c * lam) * total
 
 
 def theta_level(kappa: int, n: int, lam: complex, pt: ModularPoint,

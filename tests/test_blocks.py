@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from elliptic_selberg import blocks, specfun
 from elliptic_selberg.blocks import (
     BlockIndex,
     j_integral,
@@ -173,6 +174,40 @@ def test_two_fold_block_matches_closed_form():
            * theta1(LAM, PT) ** (p + 1)
            * (theta_level(2, 1, LAM, PT) + theta_level(2, 1, -LAM, PT)))
     assert abs(u.value - rhs) / abs(rhs) < 1e-6
+
+
+# Values recorded from the per-node quadrature this package used before the
+# p = 2 integrand was tabulated in tensors; the default spec is the coarse
+# pass, its refined() spec the fine one.
+P2_PINNED = {
+    (8, 4): (-2.002246852089143 - 0.8840385559530388j,
+             -2.002246852089142 - 0.8840385559530386j),
+    (6, 3): (-3.5479744556329638 + 2.274498042298444j,
+             -3.5479744556329553 + 2.2744980422984424j),
+}
+
+
+@pytest.mark.parametrize("kappa,n", sorted(P2_PINNED))
+def test_two_fold_values_are_pinned(kappa, n):
+    quad = QuadratureSpec()
+    for spec, want in zip((quad, quad.refined()), P2_PINNED[(kappa, n)]):
+        got, _ = blocks._one_value(BlockIndex(2, kappa, n), LAM, PT, spec)
+        assert abs(got - want) <= 1e-12 * abs(want)
+
+
+def test_two_fold_theta_calls_are_batched(monkeypatch):
+    # the p = 2 quadrature evaluates theta1 on whole node tensors; a per-node
+    # loop would make tens of thousands of kernel calls here
+    calls = []
+    kernel = specfun._theta1_array
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(specfun, "_theta1_array", counting)
+    j_integral(BlockIndex(2, 8, 4), LAM, PT)
+    assert 0 < len(calls) < 1000
 
 
 def test_two_fold_guard_rails():

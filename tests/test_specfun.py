@@ -18,6 +18,7 @@ from elliptic_selberg import specfun
 from elliptic_selberg.errors import (
     BranchAmbiguity,
     NonConvergence,
+    OutOfSupportedRange,
     PoleProximity,
 )
 from elliptic_selberg.specfun import (
@@ -198,6 +199,121 @@ def test_theta_level_tau_derivative_vs_finite_difference():
 
 
 # ---------------------------------------------------------------------------
+# array kernels against mpmath and brute-force lattice sums
+# ---------------------------------------------------------------------------
+
+
+def mp_theta1_terms(lam, tau, d_lambda, d_tau, terms=80):
+    """theta1 from its sine series in mpmath, and the rounding scale of that
+    sum: each |term| with |sin z| replaced by its size exp(|Im z|)."""
+    with mpmath.workdps(30):
+        lam, tau = mpmath.mpmathify(lam), mpmath.mpmathify(tau)
+        total, scale = mpmath.mpc(0), mpmath.mpf(0)
+        for j in range(terms):
+            half = j + mpmath.mpf(1) / 2
+            coef = (2 * (-1) ** j * mpmath.exp(1j * mpmath.pi * tau * half ** 2)
+                    * ((2 * j + 1) * mpmath.pi) ** d_lambda
+                    * (1j * mpmath.pi * half ** 2) ** d_tau)
+            arg = (2 * j + 1) * mpmath.pi * lam
+            total += coef * mpmath.sin(arg + d_lambda * mpmath.pi / 2)
+            scale += abs(coef) * mpmath.exp(abs(arg.imag))
+        return complex(total), float(scale)
+
+
+def mp_theta1_jtheta(lam, tau, d_lambda, d_tau):
+    """theta1 derivatives from mpmath.jtheta; d/dtau = (1/(4 pi i)) d^2/dlam^2."""
+    with mpmath.workdps(30):
+        z = mpmath.pi * mpmath.mpmathify(lam)
+        q = mpmath.exp(1j * mpmath.pi * mpmath.mpmathify(tau))
+        order = d_lambda + 2 * d_tau
+        val = mpmath.pi ** order * mpmath.jtheta(1, z, q, order)
+        return complex(val / (4j * mpmath.pi) ** d_tau)
+
+
+def mp_theta_level_terms(kappa, n, lam, tau, d_lambda, d_tau, shells=40):
+    """Brute-force lattice sum of theta_level and the sum of |terms|, in mpmath."""
+    with mpmath.workdps(30):
+        lam, tau = mpmath.mpmathify(lam), mpmath.mpmathify(tau)
+        c = mpmath.mpf(n % (2 * kappa)) / (2 * kappa)
+        total, scale = mpmath.mpc(0), mpmath.mpf(0)
+        for j in range(-shells, shells + 1):
+            m = j + c
+            term = (mpmath.exp(2j * mpmath.pi * kappa * m * m * tau
+                               + 2j * mpmath.pi * kappa * m * lam)
+                    * (2j * mpmath.pi * kappa * m) ** d_lambda
+                    * (2j * mpmath.pi * kappa * m * m) ** d_tau)
+            total += term
+            scale += abs(term)
+        return complex(total), float(scale)
+
+
+def kernel_points(tau_im, fracs):
+    """Real points in [-1, 1] and purely imaginary ones with |Im lam| <= Im tau,
+    the segment the S move evaluates on."""
+    return np.array([2 * f - 1 for f in fracs]
+                    + [1j * tau_im * (2 * f - 1) for f in fracs], dtype=complex)
+
+
+KERNEL_TAUS = dict(tau_im=st.floats(0.05, 2.0), tau_re=st.sampled_from([0.0, 1.0]),
+                   fracs=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3))
+
+
+@given(d_lambda=st.integers(0, 2), d_tau=st.integers(0, 1), **KERNEL_TAUS)
+@settings(max_examples=40, deadline=None)
+def test_theta1_array_kernel_against_mpmath(tau_im, tau_re, fracs, d_lambda, d_tau):
+    tau = complex(tau_re, tau_im)
+    lams = kernel_points(tau_im, fracs)
+    ours = specfun._theta1_array(lams, tau, d_lambda, d_tau)
+    assert ours.shape == lams.shape
+    for lam, got in zip(lams, ours):
+        series, scale = mp_theta1_terms(lam, tau, d_lambda, d_tau)
+        assert abs(series - mp_theta1_jtheta(lam, tau, d_lambda, d_tau)) <= 1e-20 * max(1, scale)
+        assert abs(got - series) <= 1e-13 * scale
+
+
+@given(kappa=st.integers(1, 8), n=st.integers(-20, 20), d_lambda=st.integers(0, 2),
+       d_tau=st.integers(0, 1), **KERNEL_TAUS)
+@settings(max_examples=40, deadline=None)
+def test_theta_level_array_kernel_against_lattice_sum(kappa, n, tau_im, tau_re, fracs,
+                                                      d_lambda, d_tau):
+    tau = complex(tau_re, tau_im)
+    lams = kernel_points(tau_im, fracs)
+    ours = specfun._theta_level_array(kappa, n, lams, tau, d_lambda, d_tau)
+    assert ours.shape == lams.shape
+    for lam, got in zip(lams, ours):
+        want, scale = mp_theta_level_terms(kappa, n, lam, tau, d_lambda, d_tau)
+        assert abs(got - want) <= 1e-13 * max(scale, 1e-300)
+
+
+def test_kernels_raise_when_the_term_count_exceeds_max_terms():
+    trunc = SeriesTruncation(max_terms=600)
+    # tiny Im tau: the Gaussian decay needs over a thousand terms
+    with pytest.raises(NonConvergence):
+        specfun._theta1_array(np.array([0.3]), 1e-5j, trunc=trunc)
+    with pytest.raises(NonConvergence):
+        specfun._theta_level_array(2, 1, np.array([0.3]), 1e-6j, trunc=trunc)
+    # a large |Im lam| anywhere in the array moves the peak term past
+    # max_terms (to j ~ |Im lam| / Im tau, and half that for level 2)
+    short = SeriesTruncation(max_terms=8)
+    lams = np.array([0.3, 0.3 + 6j])
+    with pytest.raises(NonConvergence):
+        specfun._theta1_array(lams, 0.5j, trunc=short)
+    with pytest.raises(NonConvergence):
+        specfun._theta_level_array(2, 1, lams, 0.5j, trunc=short)
+    # the same count suffices on the real line
+    assert np.isfinite(specfun._theta1_array(lams[:1], 0.5j, trunc=short)).all()
+    assert np.isfinite(specfun._theta_level_array(2, 1, lams[:1], 0.5j, trunc=short)).all()
+
+
+def test_kernels_refuse_terms_beyond_the_double_range():
+    # the count stays within max_terms here, but the peak term overflows
+    with pytest.raises(OutOfSupportedRange):
+        specfun._theta1_array(np.array([0.3, 0.3 + 20j]), 0.05j)
+    with pytest.raises(OutOfSupportedRange):
+        specfun._theta_level_array(2, 1, np.array([0.3, 0.3 + 40j]), 0.05j)
+
+
+# ---------------------------------------------------------------------------
 # eta and the phi triple
 # ---------------------------------------------------------------------------
 
@@ -336,6 +452,17 @@ def test_lattice_distance_translation_invariance(a, b, eps, tau_im):
     d0 = lattice_distance(lam, tau)
     d1 = lattice_distance(lam + a + b * tau, tau)
     assert abs(d0 - d1) < 1e-9
+
+
+@given(tau_re=st.floats(-3, 3), tau_im=st.floats(0.05, 0.5),
+       lam_re=st.floats(-2, 2), lam_im=st.floats(-1, 1))
+@settings(max_examples=200, deadline=None)
+def test_lattice_distance_matches_brute_force_on_skewed_lattices(tau_re, tau_im,
+                                                                 lam_re, lam_im):
+    tau, lam = complex(tau_re, tau_im), complex(lam_re, lam_im)
+    m, n = np.meshgrid(np.arange(-60, 61), np.arange(-30, 31))
+    brute = float(np.min(np.abs(lam - (m + n * tau))))
+    assert abs(lattice_distance(lam, tau) - brute) <= 1e-12 * max(1.0, brute)
 
 
 def test_elliptic_argument_guard():
