@@ -8,7 +8,7 @@ constant built from gamma functions.  Nothing is fitted: every quantity
 is computed independently and the two sides are compared on a lambda
 grid.
 
-Run:  python3 demos/verify_identities.py          (about 3 seconds)
+Run:  python3 demos/verify_identities.py          (about a second)
       python3 demos/verify_identities.py --full   (adds the second tau)
 """
 

@@ -27,11 +27,14 @@ continuation in the exponents.  Realizations:
   (the integral is analytic in b there); this is the same continuation in
   exponents that defines the integral in the first place.
 
-The p = 2 quadrature tabulates first and assembles second: each section's
-outer x nodes and inner xi nodes form one tensor, the theta factors are
-evaluated on chunks of it in a few kernel calls, and the exponent b enters
-last as exp(b * log) of the tabulated principal logs, so the shifted samples
-at kappa = 6 share one tabulation.
+Both quadratures tabulate first and assemble second.  At p = 1 everything
+that does not depend on lambda (the nodes, theta1 on them, the continued log
+of E and its winding) is cached per (tau, spec, window depth), and each
+lambda adds one theta1 and one level-theta call on stacked arguments.  At
+p = 2 each section's outer x nodes and inner xi nodes form one tensor, the
+theta factors are evaluated on chunks of it in a few kernel calls, and the
+exponent b enters last as exp(b * log) of the tabulated principal logs, so
+the shifted samples at kappa = 6 share one tabulation.
 """
 
 from __future__ import annotations
@@ -48,7 +51,6 @@ from .errors import OutOfSupportedRange, UnsupportedP
 from .quadrature import (
     EvalBudget,
     QuadratureSpec,
-    endpoint_loop_fp,
     endpoint_loop_nodes,
     fp_power_term,
     graded_nodes,
@@ -118,8 +120,8 @@ class _Kernel:
     """Vectorized torus factors at a fixed modular point and block argument.
 
     Wraps the array engines of the special-function module; every method
-    accepts numpy arrays of (complex) arguments.  theta1(lam) and
-    theta1'(0) are computed once, here.
+    accepts numpy arrays of (complex) arguments and charges the budget for
+    each point.  theta1(lam) and theta1'(0) are computed once, here.
     """
 
     def __init__(self, pt: ModularPoint, lam: complex, budget: EvalBudget):
@@ -135,24 +137,6 @@ class _Kernel:
         self.budget.charge(z.size)
         return specfun._theta1_array(z, self.pt.tau, d_lambda, 0, self.trunc)
 
-    def E(self, z):
-        return self._t1(z) / self.theta1_prime0
-
-    def E_over_z(self, z):
-        """E(z)/z, analytic and 1 at z = 0."""
-        return self._t1(z) / (np.asarray(z, dtype=complex) * self.theta1_prime0)
-
-    def z_sigma(self, z):
-        """z * sigma_lam(z), analytic near z = 0 with value 1."""
-        z = np.asarray(z, dtype=complex)
-        return (self._t1(self.lam - z) * self.theta1_prime0 * z
-                / (self.theta1_lam * self._t1(z)))
-
-    def sigma(self, z):
-        z = np.asarray(z, dtype=complex)
-        return (self._t1(self.lam - z) * self.theta1_prime0
-                / (self.theta1_lam * self._t1(z)))
-
     def theta(self, kappa: int, n: int, args, d_lambda=0):
         args = np.asarray(args, dtype=complex)
         self.budget.charge(args.size)
@@ -165,48 +149,127 @@ class _Kernel:
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class _P1Tables:
+    """The lambda-independent part of a p = 1 quadrature pass.
+
+    mid_*: the middle path [lo, hi] with its weights, theta1 on it, and the
+    log of E = theta1 / theta1'(0) continued rightward from the principal
+    branch at lo; k_wind is the winding of that log against the principal
+    log at the right anchor 1 - hi.  win_*: the endpoint rule, either the
+    graded window [0, delta] (subtraction) or the endpoint circle with dt
+    weights and the log of t continued from arg 0 (contour), with theta1 at
+    +node and -node in the rows of win_theta.  evals: what one pass charges
+    to the budget, the same whether or not the tables were cached: four
+    factor evaluations per middle node (E, theta1 twice in sigma, the level
+    theta), one at the right anchor, and four per endpoint node and side
+    ((E(t)/t), theta1 twice in t sigma(t), the level theta), plus one per
+    circle node and side for contours.
+    """
+
+    theta1_prime0: complex
+    mid_nodes: np.ndarray
+    mid_weights: np.ndarray
+    mid_theta: np.ndarray
+    mid_logs: np.ndarray
+    k_wind: int
+    win_nodes: np.ndarray
+    win_weights: np.ndarray
+    win_logs: np.ndarray | None
+    win_theta: np.ndarray
+    evals: int
+
+
+@lru_cache(maxsize=64)
+def _p1_tables(tau: complex, quad: QuadratureSpec, depth: int) -> _P1Tables:
+    """Tables at one (tau, spec, window depth); contours ignore the depth."""
+    pt = ModularPoint(tau)
+    theta1_prime0 = specfun.theta1(0.0, pt, d_lambda=1)
+    delta = quad.endpoint_delta
+    if quad.method == "contour":
+        r = quad.loop_radius_factor * delta
+        win, win_w, phi = endpoint_loop_nodes(r, quad.loop_nodes)
+        win_logs = math.log(r) + 1j * phi
+        lo, hi = r, 1 - r
+        win_evals = 10
+    else:
+        win, win_w = graded_nodes(0.0, delta, depth, quad.gauss_order, "left")
+        win_logs = None
+        lo, hi = delta, 1 - delta
+        win_evals = 8
+    levels = max(quad.graded_mesh_levels, 10)
+    ts1, ws1 = graded_nodes(lo, 0.5, levels, quad.gauss_order, "left")
+    ts2, ws2 = graded_nodes(0.5, hi, levels, quad.gauss_order, "right")
+    mid = np.concatenate([ts1, ts2])
+    th = specfun._theta1_array(np.append(mid, 1 - mid[-1]).astype(complex), tau)
+    mid_theta = th[:-1]
+    logs = continue_log(mid_theta / theta1_prime0)
+    princ_right = cmath.log(complex((th[-1:] / theta1_prime0)[0]))
+    k_wind = round(((logs[-1] - princ_right) / (2j * cmath.pi)).real)
+    win_theta = specfun._theta1_array(
+        np.concatenate([win, -win]).astype(complex), tau).reshape(2, -1)
+    evals = 4 * mid.size + 1 + win_evals * win.size
+    arrays = [mid, np.concatenate([ws1, ws2]), mid_theta, logs, win, win_w,
+              win_logs, win_theta]
+    for arr in arrays:
+        if arr is not None:
+            arr.setflags(write=False)
+    return _P1Tables(theta1_prime0, *arrays[:4], k_wind, *arrays[4:], evals)
+
+
 def _j_p1(idx: BlockIndex, lam: complex, pt: ModularPoint,
           quad: QuadratureSpec, budget: EvalBudget) -> complex:
+    """Middle path plus two endpoint pieces, assembled on _p1_tables.
+
+    Per lambda this takes one theta1 call on [lam - mid, lam - win,
+    lam + win], one level-theta call on the matching arguments and
+    theta1(lam); the subtraction adds theta1'(lam) and the level-theta Taylor
+    data at lam and lam + 2/kappa.  Those stay scalar calls: numpy rounds
+    products of 0-d results differently from array products, and the window
+    sums amplify a last-bit change in them to a few times 1e-12.
+    """
     kappa, n = idx.kappa, idx.reduced_n
     b = -2.0 / kappa
     a = b - 1.0
-    ker = _Kernel(pt, lam, budget)
-    delta = quad.endpoint_delta
     two_over_k = 2.0 / kappa
+    delta = quad.endpoint_delta
+    contour = quad.method == "contour"
+    depth = 0 if contour else max(quad.graded_mesh_levels,
+                                  levels_for_exponent(a + 2.0))
+    tab = _p1_tables(pt.tau, quad, depth)
+    budget.charge(tab.evals)
+    mid, win = tab.mid_nodes, tab.win_nodes
+    split = (mid.size, mid.size + win.size)
+    prime0 = tab.theta1_prime0
+    th_lam = specfun.theta1(lam, pt)
+    th_lm, th_lw, th_lw_neg = np.split(specfun._theta1_array(
+        np.concatenate([lam - mid, lam - win, lam + win]), pt.tau), split)
+    lev_m, lev_l, lev_r = np.split(specfun._theta_level_array(
+        kappa, n, np.concatenate([lam + two_over_k * mid,
+                                  lam + two_over_k * win,
+                                  lam + two_over_k * (1.0 - win)]), pt.tau),
+        split)
 
-    def cofactor_left(t):
-        # (E(t)/t)^b * (t*sigma(t)) * theta(lam + (2/k) t); principal powers
-        return (ker.E_over_z(t) ** b * ker.z_sigma(t)
-                * ker.theta(kappa, n, lam + two_over_k * t))
+    # middle: E^b on the continued log of E, times sigma and the level theta
+    sig = th_lm * prime0 / (th_lam * tab.mid_theta)
+    middle = complex(np.sum(np.exp(b * tab.mid_logs) * sig * lev_m
+                            * tab.mid_weights))
+    right_phase = cmath.exp(2j * cmath.pi * b * tab.k_wind)
 
-    def cofactor_right(s):
-        # t = 1 - s; E(1-s) = E(s), sigma_lam(1-s) = sigma_lam(-s)
-        return (ker.E_over_z(s) ** b * (-ker.z_sigma(-s))
-                * ker.theta(kappa, n, lam + two_over_k * (1.0 - s)))
+    # endpoint cofactors (E(t)/t)^b * t sigma(t) * theta(lam + (2/k) t), and
+    # at t = 1 - s, by E(1-s) = E(s) and sigma(1-s) = sigma(-s), the same
+    # with -s sigma(-s) and theta(lam + (2/k)(1 - s)); principal powers
+    th_w, th_w_neg = tab.win_theta
+    e_over_z_b = (th_w / (win * prime0)) ** b
+    cof_left = e_over_z_b * (th_lw * prime0 * win / (th_lam * th_w)) * lev_l
+    cof_right = (e_over_z_b * (-(th_lw_neg * prime0 * -win / (th_lam * th_w_neg)))
+                 * lev_r)
 
-    # window edges; the middle part is integrated with a branch-tracked E^b
-    lo, hi = (quad.loop_radius_factor * delta, 1 - quad.loop_radius_factor * delta) \
-        if quad.method == "contour" else (delta, 1 - delta)
-    mid = 0.5
-    levels = max(quad.graded_mesh_levels, 10)
-    ts1, ws1 = graded_nodes(lo, mid, levels, quad.gauss_order, "left")
-    ts2, ws2 = graded_nodes(mid, hi, levels, quad.gauss_order, "right")
-    ts = np.concatenate([ts1, ts2])
-    ws = np.concatenate([ws1, ws2])
-    evals = ker.E(ts)
-    logs = continue_log(evals)  # principal at t = lo, continued rightward
-    sig = ker.sigma(ts)
-    th = ker.theta(kappa, n, lam + two_over_k * ts)
-    middle = complex(np.sum(np.exp(b * logs) * sig * th * ws))
-    # winding of E between the two endpoint anchors
-    princ_right = cmath.log(complex(ker.E(np.array([1 - ts[-1]]))[0]))
-    k_wind = round(((logs[-1] - princ_right) / (2j * cmath.pi)).real)
-    right_phase = cmath.exp(2j * cmath.pi * b * k_wind)
-
-    if quad.method == "contour":
-        r = quad.loop_radius_factor * delta
-        left = endpoint_loop_fp(cofactor_left, a, r, quad.loop_nodes, budget)
-        right = endpoint_loop_fp(cofactor_right, a, r, quad.loop_nodes, budget)
+    if contour:
+        powers = np.exp(a * tab.win_logs)
+        wind = loop_winding(a)
+        left = complex(np.sum(powers * cof_left * tab.win_weights) / wind)
+        right = complex(np.sum(powers * cof_right * tab.win_weights) / wind)
         return left + middle + right_phase * right
 
     # subtraction method: first-order Taylor of the cofactors
@@ -214,22 +277,21 @@ def _j_p1(idx: BlockIndex, lam: complex, pt: ModularPoint,
     th0p = specfun.theta_level(kappa, n, lam, pt, d_lambda=1)
     th1 = specfun.theta_level(kappa, n, lam + two_over_k, pt)
     th1p = specfun.theta_level(kappa, n, lam + two_over_k, pt, d_lambda=1)
-    rho = specfun.theta1(lam, pt, d_lambda=1) / ker.theta1_lam
+    rho = specfun.theta1(lam, pt, d_lambda=1) / th_lam
     h0_l, h1_l = th0, -rho * th0 + two_over_k * th0p
     h0_r, h1_r = -th1, -(rho * th1 - two_over_k * th1p)
     if quad.subtraction_order == 0:
         h1_l = h1_r = 0.0
+    powers = win.astype(complex) ** a
 
     def window(cofactor, h0, h1):
-        lev = max(quad.graded_mesh_levels, levels_for_exponent(a + 2.0))
-        tw, wts = graded_nodes(0.0, delta, lev, quad.gauss_order, "left")
-        resid = cofactor(tw) - h0 - h1 * tw
-        total = complex(np.sum(tw.astype(complex) ** a * resid * wts))
-        total += h0 * fp_power_term(a, delta) + h1 * fp_power_term(a + 1, delta)
-        return total
+        resid = cofactor - h0 - h1 * win
+        total = complex(np.sum(powers * resid * tab.win_weights))
+        return total + (h0 * fp_power_term(a, delta)
+                        + h1 * fp_power_term(a + 1, delta))
 
-    return (window(cofactor_left, h0_l, h1_l) + middle
-            + right_phase * window(cofactor_right, h0_r, h1_r))
+    return (window(cof_left, h0_l, h1_l) + middle
+            + right_phase * window(cof_right, h0_r, h1_r))
 
 
 # ---------------------------------------------------------------------------

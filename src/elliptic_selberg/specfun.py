@@ -487,25 +487,34 @@ def continue_log(values: Sequence[complex]) -> np.ndarray:
     """Continuous logarithm along a path of nonzero values.
 
     The branch at the path head is the principal one; every later point picks
-    the log continuously.  Raises BranchAmbiguity when a step turns by pi or
-    more (the caller must then refine the path).
+    the log continuously: the step from point k-1 to point k adds
+    log|v_k / v_(k-1)| + i arg(v_k / v_(k-1)), and the steps are summed in
+    path order.  Raises BranchAmbiguity when a step turns by pi or more (the
+    caller must then refine the path), naming the first such index.
     """
     vals = np.asarray(values, dtype=complex)
     if vals.ndim != 1 or len(vals) == 0:
         raise ValueError("need a non-empty 1-d path of values")
     if np.any(vals == 0):
         raise BranchAmbiguity("branch tracking hit an exact zero")
-    logs = np.empty(len(vals), dtype=complex)
-    logs[0] = cmath.log(vals[0])
-    for k in range(1, len(vals)):
-        step = cmath.phase(complex(vals[k] / vals[k - 1]))
-        if abs(step) >= math.pi * (1.0 - 1e-12):
-            raise BranchAmbiguity(
-                f"consecutive path values subtend {abs(step):.6f} rad at index {k}; "
-                "refine the path"
-            )
-        logs[k] = logs[k - 1] + math.log(abs(vals[k] / vals[k - 1])) + 1j * step
-    return logs
+    ratios = vals[1:] / vals[:-1]
+    # libm's atan2 and log per step, as cmath.phase and math.log give them:
+    # numpy's SIMD log and arctan2 can differ from libm in the last bit, and
+    # these logs feed quadrature sums whose reports are compared byte for byte
+    steps = np.fromiter(map(math.atan2, ratios.imag.tolist(),
+                            ratios.real.tolist()), float, ratios.size)
+    bad = np.flatnonzero(np.abs(steps) >= math.pi * (1.0 - 1e-12))
+    if bad.size:
+        k = int(bad[0]) + 1
+        raise BranchAmbiguity(
+            f"consecutive path values subtend {abs(steps[k - 1]):.6f} rad at index {k}; "
+            "refine the path"
+        )
+    moduli = np.hypot(ratios.real, ratios.imag).tolist()
+    increments = np.empty(len(vals), dtype=complex)
+    increments[0] = cmath.log(vals[0])
+    increments[1:] = np.fromiter(map(math.log, moduli), float, ratios.size) + 1j * steps
+    return np.cumsum(increments)
 
 
 @dataclass(frozen=True)

@@ -122,16 +122,14 @@ class BasisExpansion:
 _CONDITION_LIMIT = 1e8
 
 
-def expand_in_block_basis(f, p: int, kappa: int, lambda_grid, pt: ModularPoint,
-                          quad: QuadratureSpec | None = None) -> BasisExpansion:
-    """Coordinates of f over {u_n : p+1 <= n <= kappa-p-1} by least squares.
+def _sampled_basis(p: int, kappa: int, grid: list,
+                   pt: ModularPoint, quad: QuadratureSpec | None) -> np.ndarray:
+    """The blocks u_n sampled on the grid, one column per basis label.
 
-    The residual is the root-mean-square misfit over the grid, relative to
-    the root-mean-square of f where that is nonzero.  It is reported always;
-    callers decide what size of residual they can live with.
+    Raises IllConditionedBasis when the columns are too close to dependent
+    for a least-squares fit to mean anything.
     """
     labels = basis_indices(p, kappa)
-    grid = [complex(x) for x in lambda_grid]
     if len(grid) < 2 * len(labels):
         raise ValueError(
             f"need at least {2 * len(labels)} sample points for a "
@@ -141,17 +139,38 @@ def expand_in_block_basis(f, p: int, kappa: int, lambda_grid, pt: ModularPoint,
         idx = BlockIndex(p, kappa, n)
         columns.append([u_block(idx, x, pt, quad).value for x in grid])
     mat = np.array(columns, dtype=complex).T
-    rhs = np.array([f(x, pt) for x in grid], dtype=complex)
     cond = np.linalg.cond(mat)
     if not np.isfinite(cond) or cond > _CONDITION_LIMIT:
         raise IllConditionedBasis(
             f"sampled basis matrix has condition {cond:.3e} "
             f"(limit {_CONDITION_LIMIT:.0e}); widen or move the grid")
+    return mat
+
+
+def _fit(mat: np.ndarray, f, grid: list,
+         pt: ModularPoint) -> tuple[np.ndarray, float]:
+    """Least-squares coefficients of f on the grid over the columns of mat,
+    and the root-mean-square misfit relative to the root-mean-square of f
+    (absolute when f vanishes on the grid)."""
+    rhs = np.array([f(x, pt) for x in grid], dtype=complex)
     coeffs, *_ = np.linalg.lstsq(mat, rhs, rcond=None)
     misfit = math.sqrt(float(np.mean(np.abs(mat @ coeffs - rhs) ** 2)))
     scale = math.sqrt(float(np.mean(np.abs(rhs) ** 2)))
-    residual = misfit / scale if scale > 0.0 else misfit
-    return BasisExpansion(indices=labels, coefficients=coeffs,
+    return coeffs, (misfit / scale if scale > 0.0 else misfit)
+
+
+def expand_in_block_basis(f, p: int, kappa: int, lambda_grid, pt: ModularPoint,
+                          quad: QuadratureSpec | None = None) -> BasisExpansion:
+    """Coordinates of f over {u_n : p+1 <= n <= kappa-p-1} by least squares.
+
+    The residual is the root-mean-square misfit over the grid, relative to
+    the root-mean-square of f where that is nonzero.  It is reported always;
+    callers decide what size of residual they can live with.
+    """
+    grid = [complex(x) for x in lambda_grid]
+    mat = _sampled_basis(p, kappa, grid, pt, quad)
+    coeffs, residual = _fit(mat, f, grid, pt)
+    return BasisExpansion(indices=basis_indices(p, kappa), coefficients=coeffs,
                           residual=residual)
 
 
@@ -185,9 +204,10 @@ def numeric_modular_matrices(p: int, kappa: int,
     """The (T, S) matrices extracted by transforming and re-expanding blocks.
 
     Works at tau = i, the fixed point of the inversion, so the transformed
-    functions can be expanded over the basis sampled at the same tau.  The
-    shift by one in tau is evaluated at tau = 1 + i with branch-tracked
-    quadrature.  Cost limits this to p <= 1.
+    functions can be expanded over the basis sampled at the same tau; the
+    basis is sampled once and all 2 * dim transformed blocks are fitted
+    against it.  The shift by one in tau is evaluated at tau = 1 + i with
+    branch-tracked quadrature.  Cost limits this to p <= 1.
     """
     if p > 1:
         raise UnsupportedP("numeric matrix extraction is wired for p <= 1")
@@ -197,14 +217,15 @@ def numeric_modular_matrices(p: int, kappa: int,
                          "of the inversion")
     labels = basis_indices(p, kappa)
     grid = default_lambda_grid(p, kappa) if lambda_grid is None else lambda_grid
+    grid = [complex(x) for x in grid]
+    mat = _sampled_basis(p, kappa, grid, pt, quad)
     t_cols = []
     s_cols = []
     for n in labels:
         base = BlockFunction.from_block(BlockIndex(p, kappa, n), quad)
         for which, cols in (("T", t_cols), ("S", s_cols)):
             moved = transformed_function(which, base)
-            exp = expand_in_block_basis(moved, p, kappa, grid, pt, quad)
-            cols.append(exp.coefficients)
+            cols.append(_fit(mat, moved, grid, pt)[0])
     dim = len(labels)
     return (TransformMatrix(dim=dim, entries=np.array(t_cols).T, labels=labels),
             TransformMatrix(dim=dim, entries=np.array(s_cols).T, labels=labels))

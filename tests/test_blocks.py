@@ -85,6 +85,62 @@ def test_single_fold_regression_value():
     assert abs(u.value - want) < 1e-9 * abs(want)
 
 
+# Values and budgets recorded from the per-lambda p = 1 quadrature this package
+# used before the lambda-independent factors were tabulated: the coarse
+# default spec, then its refined() spec.  tau = 1 + i is the T-transform
+# input; at tau = 0.3 + 0.4i the argument of E varies along the middle path;
+# lambda = -0.3i at tau = i is an S-transform input.  The tau values
+# alternate, so tables cached under a key that missed tau would be reused at
+# the wrong tau.
+P1_PINNED = [
+    (0.9j, 4, 2, 0.3, "subtraction",
+     (1.3487341096132424 - 1.7411719926854345j, 4737),
+     (1.3487341096544554 - 1.7411719926834688j, 7921)),
+    (1 + 1j, 4, 2, 0.3, "subtraction",
+     (1.484848764107721 + 1.1541171645695079j, 4737),
+     (1.4848487640196706 + 1.154117164568794j, 7921)),
+    (0.9j, 5, 3, 0.3, "subtraction",
+     (0.565883128685783 + 0.13419349606789974j, 4481),
+     (0.5658831286862098 + 0.1341934960673441j, 7569)),
+    (0.3 + 0.4j, 4, 2, 0.3, "subtraction",
+     (4.7139753797854675 - 1.8442021160885416j, 4737),
+     (4.71397537984639 - 1.8442021160416846j, 7921)),
+    (1j, 5, 2, -0.3j, "subtraction",
+     (-5.39854667364053 + 1.7540941453051557j, 4481),
+     (-5.398546673631424 + 1.7540941453173229j, 7569)),
+    (0.9j, 4, 2, 0.3, "contour",
+     (1.3487341095779506 - 1.7411719926494376j, 2305),
+     (1.3487341095779506 - 1.7411719926494382j, 4657)),
+]
+
+
+def test_one_fold_values_are_pinned():
+    for tau, kappa, n, lam, method, *pinned in P1_PINNED:
+        quad = QuadratureSpec(method=method)
+        for spec, (want, want_budget) in zip((quad, quad.refined()), pinned):
+            got, budget = blocks._one_value(BlockIndex(1, kappa, n),
+                                            complex(lam), ModularPoint(tau), spec)
+            assert abs(got - want) <= 1e-13 * abs(want), (tau, kappa, n, method)
+            assert budget.used == want_budget
+
+
+def test_one_fold_work_is_tabulated(monkeypatch):
+    # a warm p = 1 value needs theta1(lam), theta1'(lam) and one stacked
+    # theta1 call; everything else comes from the lambda-independent tables
+    idx, lam, spec = BlockIndex(1, 4, 2), complex(LAM), QuadratureSpec()
+    blocks._one_value(idx, lam, PT, spec)
+    calls = []
+    kernel = specfun._theta1_array
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(specfun, "_theta1_array", counting)
+    blocks._one_value(idx, lam, PT, spec)
+    assert 0 < len(calls) <= 4
+
+
 def test_dead_indices_vanish():
     scale = abs(u_block(BlockIndex(1, 5, 2), LAM, PT).value)
     for kappa, n in [(4, 1), (5, 1)]:
@@ -164,7 +220,6 @@ def test_admissible_family_is_independent():
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.slow
 def test_two_fold_block_matches_closed_form():
     p, kappa, n = 2, 8, 4
     u = u_block(BlockIndex(p, kappa, n), LAM, PT)

@@ -490,6 +490,61 @@ def test_continue_log_rejects_jumps_and_zero():
         continue_log(np.array([1.0 + 0j, 0.0 + 0j]))
 
 
+def _continue_log_loop(values):
+    """The step-by-step continuation continue_log replaced, as a reference."""
+    vals = np.asarray(values, dtype=complex)
+    if np.any(vals == 0):
+        raise BranchAmbiguity("branch tracking hit an exact zero")
+    logs = np.empty(len(vals), dtype=complex)
+    logs[0] = cmath.log(vals[0])
+    for k in range(1, len(vals)):
+        step = cmath.phase(complex(vals[k] / vals[k - 1]))
+        if abs(step) >= math.pi * (1.0 - 1e-12):
+            raise BranchAmbiguity(
+                f"consecutive path values subtend {abs(step):.6f} rad at index {k}; "
+                "refine the path"
+            )
+        logs[k] = logs[k - 1] + math.log(abs(vals[k] / vals[k - 1])) + 1j * step
+    return logs
+
+
+def _wrapping_path(seed, length, turn, spread):
+    """A path whose argument turns by up to +-turn (< pi) per step, so it
+    winds around the origin many times; moduli spread over e^(+-spread)."""
+    rng = np.random.default_rng(seed)
+    args = rng.uniform(-math.pi, math.pi) + np.cumsum(rng.uniform(-turn, turn, length))
+    return np.exp(spread * rng.standard_normal(length) + 1j * args)
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(2, 2000), st.floats(0.05, 3.0),
+       st.floats(0.0, 3.0))
+@settings(max_examples=60, deadline=None)
+def test_continue_log_matches_the_stepwise_loop(seed, length, turn, spread):
+    vals = _wrapping_path(seed, length, turn, spread)
+    want = _continue_log_loop(vals)
+    got = continue_log(vals)
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(2, 2000), st.data())
+@settings(max_examples=40, deadline=None)
+def test_continue_log_names_the_first_half_turn(seed, length, data):
+    vals = _wrapping_path(seed, length, 2.5, 1.0)
+    bad = sorted(data.draw(st.sets(st.integers(1, length - 1), min_size=1,
+                                   max_size=3)))
+    for k in bad:
+        vals[k] = -vals[k - 1] * data.draw(st.floats(0.1, 10.0))
+    with pytest.raises(BranchAmbiguity) as want:
+        _continue_log_loop(vals)
+    with pytest.raises(BranchAmbiguity) as got:
+        continue_log(vals)
+    assert f"at index {bad[0]};" in str(want.value)
+    assert f"at index {bad[0]};" in str(got.value)
+    vals[data.draw(st.integers(0, length - 1))] = 0.0
+    with pytest.raises(BranchAmbiguity, match="exact zero"):
+        continue_log(vals)
+
+
 def test_branched_pow_continuity_and_monodromy():
     th = np.linspace(0.0, 2 * np.pi, 400)
     vals = np.exp(1j * th)

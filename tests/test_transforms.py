@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from elliptic_selberg import transforms
 from elliptic_selberg.blocks import BlockIndex
 from elliptic_selberg.errors import IllConditionedBasis, UnsupportedP
 from elliptic_selberg.macdonald import modular_matrices
@@ -175,6 +176,22 @@ def test_numeric_t_matrix_is_diagonal():
     tn, _ = numeric_modular_matrices(1, 5)
     off = tn.entries - np.diag(np.diag(tn.entries))
     assert np.abs(off).max() < 1e-4
+
+
+def test_numeric_extraction_samples_the_basis_once(monkeypatch):
+    # dim basis columns on the 8-point grid, then 2 * dim transformed blocks
+    # on it: (2 + 4) * 8 u_block calls at kappa = 5, where re-expanding each
+    # transformed block from scratch would resample the basis four times
+    calls = []
+    block = transforms.u_block
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return block(*args, **kwargs)
+
+    monkeypatch.setattr(transforms, "u_block", counting)
+    numeric_modular_matrices(1, 5)
+    assert len(calls) == 48
 
 
 def test_numeric_extraction_rejects_large_p_and_wrong_tau():

@@ -121,7 +121,6 @@ def test_report_dict_is_json_stable():
     assert len(payload["lhs"]) == 2
 
 
-@pytest.mark.slow
 def test_identity_four_pairs_at_p_two():
     rep = V.verify_identity(4, 2, lambda_grid=(0.3,), tol=1e-4)
     assert rep.passed, f"rel_err={rep.rel_err}"
