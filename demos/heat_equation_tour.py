@@ -21,38 +21,32 @@ Run:  python3 demos/heat_equation_tour.py
 from elliptic_selberg.blocks import BlockIndex
 from elliptic_selberg.specfun import ModularPoint
 from elliptic_selberg.transforms import BlockFunction
-from elliptic_selberg.verify import (kzb_residual, kzb_solution_for_identity,
-                                     ode_residual, symmetric_theta_solution)
+from elliptic_selberg.verify import DEFAULT_TAU, battery, kzb_residual
+
+
+def _run_checks(prefix):
+    for check in battery()["residuals"]:
+        if check.name.startswith(prefix):
+            passed, detail = check.run()
+            status = "ok " if passed else "FAIL"
+            print(f"   [{status}] {check.name.removeprefix(prefix):34s} "
+                  f"{detail}")
 
 
 def main():
-    pt = ModularPoint(0.9j)
-
     print("1. closed forms, exact derivatives")
-    for ident in range(1, 11):
-        sol = kzb_solution_for_identity(ident, 1)
-        resid = kzb_residual(sol, 0.31, pt, mode="analytic_rhs")
-        print(f"   identity-{ident:<2d} (kappa={sol.kappa:2d}):  "
-              f"residual {resid:.1e}")
-    for level, m in ((2, 1), (4, 1), (6, 5)):
-        sol = symmetric_theta_solution(level, m)
-        resid = kzb_residual(sol, 0.27, pt, mode="analytic_rhs")
-        print(f"   sym-theta({level},{m}) alone:  residual {resid:.1e}")
+    _run_checks("heat-residual:")
 
     print()
     print("2. a quadrature block, finite differences")
     f = BlockFunction.from_block(BlockIndex(1, 5, 2))
-    resid = kzb_residual(f, 0.31, pt, mode="finite_difference", h=5e-3)
+    resid = kzb_residual(f, 0.31, ModularPoint(DEFAULT_TAU),
+                         mode="finite_difference", h=5e-3)
     print(f"   u(p=1, kappa=5, n=2):  residual {resid:.1e}")
 
     print()
     print("3. scalar-weight ODE at the two degeneration points")
-    for recipe, kappa in (("eta_power", 5), ("theta21_power", 6),
-                          ("theta4_power", 8), ("theta6_power", 10)):
-        r0 = ode_residual("del_at_0", kappa, 1, recipe, pt)
-        rt = ode_residual("del3_at_tau", kappa, 1, recipe, pt)
-        print(f"   {recipe:15s} (kappa={kappa:2d}):  "
-              f"at 0 {r0:.1e},  at tau {rt:.1e}")
+    _run_checks("ode-residual:")
 
 
 if __name__ == "__main__":

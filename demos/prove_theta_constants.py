@@ -9,22 +9,19 @@ rows of one expansion so you can see what the series objects look like.
 Run:  python3 demos/prove_theta_constants.py
 """
 
-from elliptic_selberg.qseries import (NAMED_IDENTITIES, check_series_identity,
-                                      expand_builtin, named_identity,
-                                      series_rows)
+from elliptic_selberg.qseries import expand_builtin, series_rows
+from elliptic_selberg.verify import battery
 
 
 def main():
     print("exact series proofs (Gaussian-rational coefficients)")
     print("-" * 60)
-    for name in sorted(NAMED_IDENTITIES):
-        # the lambda-dependent identity is quadratic in sizes, keep it short
-        order = 5 if name == "theta_sym_2_1_is_shifted_theta1" else 20
-        report = check_series_identity(named_identity(name, order))
-        status = "ok " if report.passed else "FAIL"
-        print(f"  [{status}] {name:38s} "
-              f"({report.terms_compared} monomials below q^{order})")
-        assert report.passed
+    for check in battery()["series"]:
+        passed, detail = check.run()
+        status = "ok " if passed else "FAIL"
+        print(f"  [{status}] {check.name.removeprefix('series:'):38s} "
+              f"({detail})")
+        assert passed
 
     print()
     print("first rows of the eta expansion (pentagonal-number sparsity):")

@@ -16,11 +16,11 @@ import sys
 import time
 
 from elliptic_selberg.specfun import ModularPoint
-from elliptic_selberg.verify import verify_identity
+from elliptic_selberg.verify import DEFAULT_TAU, SECONDARY_TAU, verify_identity
 
 
 def main(full: bool):
-    taus = (0.9j, 0.6j) if full else (0.9j,)
+    taus = (DEFAULT_TAU, SECONDARY_TAU) if full else (DEFAULT_TAU,)
     overall = True
     for tau in taus:
         print(f"tau = {tau}")

@@ -28,11 +28,11 @@ continuation in the exponents.  Realizations:
   exponents that defines the integral in the first place.
 
 Both quadratures tabulate first and assemble second.  At p = 1 everything
-that does not depend on lambda (the nodes, theta1 on them, the continued log
-of E and its winding) is cached per (tau, spec, window depth), and each
-lambda adds one theta1 and one level-theta call on stacked arguments.  At
-p = 2 each section's outer x nodes and inner xi nodes form one tensor, the
-theta factors are evaluated on chunks of it in a few kernel calls, and the
+that does not depend on lambda (the nodes, theta1 on them and the continued
+log of E) is cached per (tau, spec, window depth), and each lambda adds one
+theta1 and one level-theta call on stacked arguments.  At p = 2 each
+section's outer x nodes and inner xi nodes form one tensor, the theta
+factors are evaluated on chunks of it in a few kernel calls, and the
 exponent b enters last as exp(b * log) of the tabulated principal logs, so
 the shifted samples at kappa = 6 share one tabulation.
 """
@@ -155,14 +155,13 @@ class _P1Tables:
 
     mid_*: the middle path [lo, hi] with its weights, theta1 on it, and the
     log of E = theta1 / theta1'(0) continued rightward from the principal
-    branch at lo; k_wind is the winding of that log against the principal
-    log at the right anchor 1 - hi.  win_*: the endpoint rule, either the
-    graded window [0, delta] (subtraction) or the endpoint circle with dt
-    weights and the log of t continued from arg 0 (contour), with theta1 at
-    +node and -node in the rows of win_theta.  evals: what one pass charges
+    branch at lo.  win_*: the endpoint rule, either the graded window
+    [0, delta] (subtraction) or the endpoint circle with dt weights and the
+    log of t continued from arg 0 (contour), with theta1 at +node and -node
+    in the rows of win_theta.  evals: what one pass charges
     to the budget, the same whether or not the tables were cached: four
     factor evaluations per middle node (E, theta1 twice in sigma, the level
-    theta), one at the right anchor, and four per endpoint node and side
+    theta), one for theta1(lam), and four per endpoint node and side
     ((E(t)/t), theta1 twice in t sigma(t), the level theta), plus one per
     circle node and side for contours.
     """
@@ -172,7 +171,6 @@ class _P1Tables:
     mid_weights: np.ndarray
     mid_theta: np.ndarray
     mid_logs: np.ndarray
-    k_wind: int
     win_nodes: np.ndarray
     win_weights: np.ndarray
     win_logs: np.ndarray | None
@@ -201,11 +199,13 @@ def _p1_tables(tau: complex, quad: QuadratureSpec, depth: int) -> _P1Tables:
     ts1, ws1 = graded_nodes(lo, 0.5, levels, quad.gauss_order, "left")
     ts2, ws2 = graded_nodes(0.5, hi, levels, quad.gauss_order, "right")
     mid = np.concatenate([ts1, ts2])
-    th = specfun._theta1_array(np.append(mid, 1 - mid[-1]).astype(complex), tau)
-    mid_theta = th[:-1]
+    mid_theta = specfun._theta1_array(mid.astype(complex), tau)
+    # No winding phase is needed at the right window: for real t,
+    # E(t) = sin(pi t) / pi * prod (1 - q^n e^(2 pi i t)) (1 - q^n e^(-2 pi i t))
+    # / (1 - q^n)^2 with sin(pi t) > 0 and every t-dependent factor in the
+    # right half plane (|q^n| < 1), so the log continued along [lo, hi] ends
+    # on the principal log it starts from, and E(1 - t) = E(t).
     logs = continue_log(mid_theta / theta1_prime0)
-    princ_right = cmath.log(complex((th[-1:] / theta1_prime0)[0]))
-    k_wind = round(((logs[-1] - princ_right) / (2j * cmath.pi)).real)
     win_theta = specfun._theta1_array(
         np.concatenate([win, -win]).astype(complex), tau).reshape(2, -1)
     evals = 4 * mid.size + 1 + win_evals * win.size
@@ -214,7 +214,7 @@ def _p1_tables(tau: complex, quad: QuadratureSpec, depth: int) -> _P1Tables:
     for arr in arrays:
         if arr is not None:
             arr.setflags(write=False)
-    return _P1Tables(theta1_prime0, *arrays[:4], k_wind, *arrays[4:], evals)
+    return _P1Tables(theta1_prime0, *arrays, evals)
 
 
 def _j_p1(idx: BlockIndex, lam: complex, pt: ModularPoint,
@@ -254,7 +254,6 @@ def _j_p1(idx: BlockIndex, lam: complex, pt: ModularPoint,
     sig = th_lm * prime0 / (th_lam * tab.mid_theta)
     middle = complex(np.sum(np.exp(b * tab.mid_logs) * sig * lev_m
                             * tab.mid_weights))
-    right_phase = cmath.exp(2j * cmath.pi * b * tab.k_wind)
 
     # endpoint cofactors (E(t)/t)^b * t sigma(t) * theta(lam + (2/k) t), and
     # at t = 1 - s, by E(1-s) = E(s) and sigma(1-s) = sigma(-s), the same
@@ -270,7 +269,7 @@ def _j_p1(idx: BlockIndex, lam: complex, pt: ModularPoint,
         wind = loop_winding(a)
         left = complex(np.sum(powers * cof_left * tab.win_weights) / wind)
         right = complex(np.sum(powers * cof_right * tab.win_weights) / wind)
-        return left + middle + right_phase * right
+        return left + middle + right
 
     # subtraction method: first-order Taylor of the cofactors
     th0 = specfun.theta_level(kappa, n, lam, pt)
@@ -291,7 +290,7 @@ def _j_p1(idx: BlockIndex, lam: complex, pt: ModularPoint,
                         + h1 * fp_power_term(a + 1, delta))
 
     return (window(cof_left, h0_l, h1_l) + middle
-            + right_phase * window(cof_right, h0_r, h1_r))
+            + window(cof_right, h0_r, h1_r))
 
 
 # ---------------------------------------------------------------------------

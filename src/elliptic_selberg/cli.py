@@ -21,24 +21,20 @@ byte-identical reports.
 from __future__ import annotations
 
 import argparse
-import cmath
 import csv
 import io
 import json
-import math
 import sys
 
 import numpy as np
 
-from .blocks import BlockIndex, leading_term_constant, u_block
+from .blocks import BlockIndex, u_block
 from .errors import EllipticSelbergError
-from .macdonald import ct_inner, macdonald_basis, modular_matrices, \
-    relation_residuals
+from .macdonald import modular_matrices, relation_residuals
 from .qseries import NAMED_IDENTITIES, check_series_identity, \
     expand_builtin, named_identity, series_rows
 from .quadrature import QuadratureSpec
-from .selberg import SelbergParams, block_constant, selberg_oracle, \
-    selberg_value
+from .selberg import SelbergParams, selberg_oracle, selberg_value
 from .specfun import ModularPoint, dedekind_eta, phi, theta1, theta_level
 from .transforms import numeric_modular_matrices
 from . import verify as verify_mod
@@ -312,138 +308,14 @@ def _cmd_verify(args) -> int:
     return 0 if all(r.passed for r in reports) else 1
 
 
-# -- suite ------------------------------------------------------------------
-
-
-def _suite_series() -> list:
-    checks = []
-    for name in sorted(NAMED_IDENTITIES):
-        order = 5 if name == "theta_sym_2_1_is_shifted_theta1" else 20
-        report = check_series_identity(named_identity(name, order))
-        checks.append({"name": f"series:{name}", "passed": report.passed,
-                       "detail": f"order<{report.checked_order}, "
-                                 f"{report.terms_compared} monomials"})
-    return checks
-
-
-def _suite_specfun() -> list:
-    checks = []
-    for tau in (0.6j, 0.9j, 0.3 + 1j):
-        pt = ModularPoint(tau)
-        lhs = theta1(0.0, pt, d_lambda=1)
-        rhs = 2 * math.pi * dedekind_eta(pt) ** 3
-        ok = abs(lhs - rhs) <= 1e-12 * abs(rhs)
-        checks.append({"name": f"theta1-slope-eta-cube:tau={tau}",
-                       "passed": ok, "detail": f"resid={abs(lhs-rhs):.2e}"})
-    pt, sh, inv = (ModularPoint(0.8j), ModularPoint(1 + 0.8j),
-                   ModularPoint(-1 / 0.8j))
-    w = cmath.exp(-1j * math.pi / 24)
-    rules = [
-        ("phi1-shift", phi(1, sh), w * phi(2, pt)),
-        ("phi2-shift", phi(2, sh), w * phi(1, pt)),
-        ("phi3-shift", phi(3, sh), cmath.exp(1j * math.pi / 12) * phi(3, pt)),
-        ("phi1-inversion", phi(1, inv), phi(1, pt)),
-        ("phi2-inversion", phi(2, inv), phi(3, pt)),
-        ("phi3-inversion", phi(3, inv), phi(2, pt)),
-    ]
-    for name, lhs, rhs in rules:
-        ok = abs(lhs - rhs) <= 1e-10 * abs(rhs)
-        checks.append({"name": name, "passed": ok,
-                       "detail": f"resid={abs(lhs-rhs):.2e}"})
-    lam, tau = 0.29, 0.8j
-    pt = ModularPoint(tau)
-    for kappa in (2, 4, 5, 6):
-        n = 1 if kappa == 2 else 2
-        base = theta_level(kappa, n, lam, pt)
-        shift = theta_level(kappa, n, lam + 1, pt) - (-1) ** n * base
-        quasi = (theta_level(kappa, n, lam + tau, pt)
-                 - cmath.exp(-1j * math.pi * kappa * (lam + tau / 2))
-                 * theta_level(kappa, n + kappa, lam, pt))
-        pref = cmath.sqrt(-1j * tau / (2 * kappa)) * cmath.exp(
-            1j * math.pi * kappa * lam ** 2 / (2 * tau))
-        dual = pref * sum(
-            cmath.exp(-1j * math.pi * m * n / kappa)
-            * theta_level(kappa, m, lam, pt) for m in range(2 * kappa))
-        invres = theta_level(kappa, n, lam / tau, ModularPoint(-1 / tau)) - dual
-        worst = max(abs(shift), abs(quasi), abs(invres)) / abs(base)
-        checks.append({"name": f"theta-level-rules:kappa={kappa}",
-                       "passed": worst <= 1e-8,
-                       "detail": f"resid={worst:.2e}"})
-    return checks
-
-
-def _suite_matrices() -> list:
-    checks = []
-    for p, kappa in ((0, 3), (0, 4), (1, 4), (1, 5), (1, 6), (1, 8),
-                     (1, 10), (2, 6)):
-        tmat, smat = modular_matrices(p, kappa)
-        worst = max(relation_residuals(tmat, smat, p, kappa).values())
-        checks.append({"name": f"matrix-relations:p={p},kappa={kappa}",
-                       "passed": worst <= 1e-8,
-                       "detail": f"resid={worst:.2e}"})
-    basis = macdonald_basis(2, 7, 3)
-    worst = max(abs(ct_inner(basis.polys[m], basis.polys[n], 2, 7))
-                for m in range(4) for n in range(m))
-    checks.append({"name": "orthogonal-family:k=2,kappa=7",
-                   "passed": worst <= 1e-10, "detail": f"gram={worst:.2e}"})
-    return checks
-
-
-def _suite_identities(full: bool) -> list:
-    checks = []
-    taus = (0.9j, 0.6j) if full else (0.9j,)
-    for tau in taus:
-        for ident in range(1, 11):
-            report = verify_mod.verify_identity(
-                ident, 1, pt=ModularPoint(tau))
-            checks.append({"name": f"identity-{ident}:tau={tau}",
-                           "passed": report.passed,
-                           "detail": f"rel_err={report.rel_err:.2e}"})
-    return checks
-
-
-def _suite_residuals() -> list:
-    checks = []
-    pt = ModularPoint(0.9j)
-    for ident in range(1, 11):
-        sol = verify_mod.kzb_solution_for_identity(ident, 1)
-        resid = verify_mod.kzb_residual(sol, 0.31, pt, mode="analytic_rhs")
-        checks.append({"name": f"heat-residual:identity-{ident}",
-                       "passed": resid <= 1e-8,
-                       "detail": f"resid={resid:.2e}"})
-    for level, m in ((2, 1), (4, 1), (6, 5)):
-        sol = verify_mod.symmetric_theta_solution(level, m)
-        resid = verify_mod.kzb_residual(sol, 0.27, pt, mode="analytic_rhs")
-        checks.append({"name": f"heat-residual:sym-theta-{level}-{m}",
-                       "passed": resid <= 1e-8,
-                       "detail": f"resid={resid:.2e}"})
-    for recipe, kappa in (("eta_power", 5), ("theta21_power", 6),
-                          ("theta4_power", 8), ("theta6_power", 10)):
-        for case in ("del_at_0", "del3_at_tau"):
-            resid = verify_mod.ode_residual(case, kappa, 1, recipe, pt)
-            checks.append({"name": f"ode-residual:{recipe}:{case}",
-                           "passed": resid <= 1e-8,
-                           "detail": f"resid={resid:.2e}"})
-    return checks
-
-
-def _suite_leading_term() -> list:
-    got = leading_term_constant(1)
-    want = block_constant(1, 4, 2).value
-    resid = abs(got - want) / abs(want)
-    return [{"name": "leading-term-constant:p=1", "passed": resid <= 1e-10,
-             "detail": f"resid={resid:.2e}"}]
-
-
 def _cmd_suite(args) -> int:
-    sections = {
-        "series": _suite_series(),
-        "special-functions": _suite_specfun(),
-        "matrices": _suite_matrices(),
-        "identities": _suite_identities(args.full),
-        "residuals": _suite_residuals(),
-        "leading-term": _suite_leading_term(),
-    }
+    sections = {}
+    for section, checks in verify_mod.battery(args.full).items():
+        sections[section] = []
+        for check in checks:
+            passed, detail = check.run()
+            sections[section].append(
+                {"name": check.name, "passed": passed, "detail": detail})
     total = sum(len(v) for v in sections.values())
     failed = [c["name"] for v in sections.values() for c in v
               if not c["passed"]]

@@ -35,7 +35,6 @@ from .quadrature import (
     fp_power_term,
     graded_nodes,
     levels_for_exponent,
-    panel_nodes,
 )
 
 __all__ = [
@@ -141,12 +140,6 @@ def _oracle_p1(params: SelbergParams, quad: QuadratureSpec,
     b_exp = complex(params.beta) - 1   # endpoint exponent at t = 1
     delta = quad.endpoint_delta
 
-    def h_left(t):
-        return (1.0 - t).astype(complex) ** b_exp
-
-    def h_right(s):
-        return (1.0 - s).astype(complex) ** a_exp
-
     total = 0.0 + 0.0j
     # middle section is smooth; still grade toward both ends
     mid_levels = quad.graded_mesh_levels
@@ -163,40 +156,27 @@ def _oracle_p1(params: SelbergParams, quad: QuadratureSpec,
         vals = (ts.astype(complex) ** a_exp) * ((1.0 - ts).astype(complex) ** b_exp)
         total += complex(np.sum(vals * ws))
 
-    if a_exp.real <= 0:
-        h0 = 1.0 + 0.0j
-        h1 = -b_exp if quad.subtraction_order >= 1 else 0.0
+    # each endpoint in its own distance t to the end: t**expo * (1 - t)**other
+    for expo, other in ((a_exp, b_exp), (b_exp, a_exp)):
+        if expo.real > 0:
+            continue
         if quad.method == "contour":
             total += endpoint_loop_fp(
-                lambda t: (1.0 - t) ** b_exp, a_exp,
+                lambda t: (1.0 - t) ** other, expo,
                 delta * quad.loop_radius_factor, quad.loop_nodes, budget)
             ts, ws = graded_nodes(delta * quad.loop_radius_factor, delta,
                                   quad.graded_mesh_levels, quad.gauss_order,
                                   "left")
             budget.charge(ts.size)
             total += complex(np.sum(
-                (ts.astype(complex) ** a_exp) * ((1.0 - ts) ** b_exp) * ws))
+                (ts.astype(complex) ** expo) * ((1.0 - ts) ** other) * ws))
         else:
+            h0 = 1.0 + 0.0j
+            h1 = -other if quad.subtraction_order >= 1 else 0.0
             total += _endpoint_window_fp(
-                a_exp, h0, h1,
-                lambda t: h_left(t) - h0 - h1 * t, delta, quad, budget)
-    if b_exp.real <= 0:
-        h0 = 1.0 + 0.0j
-        h1 = -a_exp if quad.subtraction_order >= 1 else 0.0
-        if quad.method == "contour":
-            total += endpoint_loop_fp(
-                lambda s: (1.0 - s) ** a_exp, b_exp,
-                delta * quad.loop_radius_factor, quad.loop_nodes, budget)
-            ts, ws = graded_nodes(delta * quad.loop_radius_factor, delta,
-                                  quad.graded_mesh_levels, quad.gauss_order,
-                                  "left")
-            budget.charge(ts.size)
-            total += complex(np.sum(
-                (ts.astype(complex) ** b_exp) * ((1.0 - ts) ** a_exp) * ws))
-        else:
-            total += _endpoint_window_fp(
-                b_exp, h0, h1,
-                lambda s: h_right(s) - h0 - h1 * s, delta, quad, budget)
+                expo, h0, h1,
+                lambda t: (1.0 - t).astype(complex) ** other - h0 - h1 * t,
+                delta, quad, budget)
     return total
 
 
@@ -276,9 +256,10 @@ def selberg_oracle(params: SelbergParams, quad: QuadratureSpec | None = None) ->
     if complex(params.gamma).real < 0:
         raise OutOfSupportedRange("oracle needs Re gamma >= 0")
     for name, z in (("alpha", params.alpha), ("beta", params.beta)):
-        if complex(z).real <= -2:
+        if complex(z).real <= -1:
             raise OutOfSupportedRange(
-                f"Re {name} must exceed -2 for first-order subtraction; got {z}")
+                f"the endpoint exponent {name} - 1 = {complex(z) - 1} must "
+                f"have real part above -2 for first-order subtraction")
     budget = EvalBudget(quad.max_evals)
     if params.p == 1:
         return _oracle_p1(params, quad, budget)

@@ -55,16 +55,12 @@ __all__ = [
     "SeriesTruncation",
     "ModularPoint",
     "EllipticArgument",
-    "BranchedPower",
-    "SigmaE",
     "theta1",
     "dedekind_eta",
     "dedekind_eta_logderiv",
     "phi",
     "phi_logderiv",
     "theta_level",
-    "sigma_and_E",
-    "branched_pow",
     "continue_log",
     "lattice_distance",
     "DEFAULT_TRUNC",
@@ -437,49 +433,7 @@ def theta_level(kappa: int, n: int, lam: complex, pt: ModularPoint,
 
 
 # ---------------------------------------------------------------------------
-# sigma, E, rho
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SigmaE:
-    """Values of the sigma kernel and its companions at (lam, t, tau)."""
-
-    sigma: complex
-    E: complex
-    rho: complex
-    rho_prime: complex
-
-
-def sigma_and_E(lam: complex, t: complex, pt: ModularPoint,
-                trunc: SeriesTruncation = DEFAULT_TRUNC,
-                lattice_floor: float = DEFAULT_LATTICE_FLOOR) -> SigmaE:
-    """The kernel sigma_lam(t) = theta1(lam-t) theta1'(0) / (theta1(lam) theta1(t)),
-    the prime form E(t) = theta1(t)/theta1'(0), and rho = theta1'/theta1 with its
-    derivative rho' = theta1''/theta1 - rho**2, all at the same tau.
-
-    Raises PoleProximity when lam or t is within lattice_floor of Z + tau*Z
-    (sigma and rho have poles there).
-    """
-    EllipticArgument.from_lambda(lam, pt).require_off_lattice(lattice_floor, "lam")
-    EllipticArgument.from_lambda(t, pt).require_off_lattice(lattice_floor, "t")
-    th_d0 = theta1(0.0, pt, d_lambda=1, trunc=trunc)
-    th_lam = theta1(lam, pt, trunc=trunc)
-    th_t = theta1(t, pt, trunc=trunc)
-    th_lt = theta1(lam - t, pt, trunc=trunc)
-    th_dlam = theta1(lam, pt, d_lambda=1, trunc=trunc)
-    th_ddlam = theta1(lam, pt, d_lambda=2, trunc=trunc)
-    rho = th_dlam / th_lam
-    return SigmaE(
-        sigma=th_lt * th_d0 / (th_lam * th_t),
-        E=th_t / th_d0,
-        rho=rho,
-        rho_prime=th_ddlam / th_lam - rho * rho,
-    )
-
-
-# ---------------------------------------------------------------------------
-# branch-tracked powers
+# branch tracking
 # ---------------------------------------------------------------------------
 
 
@@ -515,34 +469,3 @@ def continue_log(values: Sequence[complex]) -> np.ndarray:
     increments[0] = cmath.log(vals[0])
     increments[1:] = np.fromiter(map(math.log, moduli), float, ratios.size) + 1j * steps
     return np.cumsum(increments)
-
-
-@dataclass(frozen=True)
-class BranchedPower:
-    """A power of values along a path with a continuously tracked branch."""
-
-    base_path: tuple
-    exponent: complex
-    log_branch: tuple
-    values: tuple
-
-    def __post_init__(self):
-        diffs = np.diff(np.asarray(self.log_branch, dtype=complex).imag)
-        if len(diffs) and np.max(np.abs(diffs)) >= math.pi:
-            raise BranchAmbiguity("log branch jumps by >= pi between path points")
-
-
-def branched_pow(values: Sequence[complex], exponent: complex) -> BranchedPower:
-    """values**exponent along a path, with the branch continued from the head.
-
-    At the head the principal log is used, which realises the convention
-    arg -> 0 for paths that start next to the positive real axis.
-    """
-    logs = continue_log(values)
-    powered = np.exp(complex(exponent) * logs)
-    return BranchedPower(
-        base_path=tuple(complex(v) for v in values),
-        exponent=complex(exponent),
-        log_branch=tuple(complex(v) for v in logs),
-        values=tuple(complex(v) for v in powered),
-    )

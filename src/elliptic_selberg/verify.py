@@ -1,6 +1,6 @@
 """Numeric verification harness.
 
-Three layers of checks:
+Three layers of checks, and the battery that runs them:
 
 * the ten closed-form evaluations of the regularized block integrals
   (``verify_identity``), comparing quadrature values against products of
@@ -10,7 +10,10 @@ Three layers of checks:
   either with exact series derivatives for the closed forms or with
   Richardson finite differences for arbitrary evaluators;
 * residuals of the first-order tau-ODEs that pin down the scalar weights
-  in the closed forms (``ode_residual``), at the two degeneration points.
+  in the closed forms (``ode_residual``), at the two degeneration points;
+* ``battery``, the ordered list of named checks with their stated
+  tolerances, which ``ellsel suite``, the acceptance tests and the demos
+  all run.
 
 Every report carries its inputs, so a run is reproducible from the report
 alone.  Before any quadrature runs, the exact series identities that the
@@ -22,9 +25,12 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
-from .blocks import BlockIndex, u_block
+from .blocks import BlockIndex, leading_term_constant, u_block
 from .errors import EllipticSelbergError, OutOfSupportedRange
+from .macdonald import (ct_inner, macdonald_basis, modular_matrices,
+                        relation_residuals)
 from .qseries import NAMED_IDENTITIES, check_series_identity, named_identity
 from .quadrature import QuadratureSpec
 from .selberg import block_constant
@@ -34,19 +40,26 @@ from .specfun import (ModularPoint, dedekind_eta, dedekind_eta_logderiv, phi,
 __all__ = [
     "DEFAULT_LAMBDA_GRID",
     "DEFAULT_TAU",
+    "MATRIX_CASES",
     "SECONDARY_TAU",
+    "Check",
     "ClosedFormSolution",
     "IdentityStructure",
     "VerificationReport",
+    "battery",
     "default_tolerance",
+    "heat_residual_check",
     "identity_structure",
     "kzb_residual",
     "kzb_solution_for_identity",
     "ode_recipe_value",
     "ode_residual",
+    "orthogonality_check",
+    "phi_rule_checks",
     "rhs_shift_phase",
     "rhs_value",
     "series_prerequisites",
+    "sym_theta_residual_check",
     "symmetric_theta_solution",
     "verify_identity",
 ]
@@ -575,3 +588,208 @@ def ode_residual(case: str, kappa: int, p: int, c_recipe: str,
     term3 = 2.0 * (kappa - 2 * p - 3) * sum_c_thetadot
     scale = max(abs(term1), abs(term2), abs(term3), 1e-300)
     return abs(term1 - term2 - term3) / scale
+
+
+# ---------------------------------------------------------------------------
+# the battery
+# ---------------------------------------------------------------------------
+
+# (p, kappa) pairs whose closed-form matrices are checked against the
+# transformation relations
+MATRIX_CASES = ((0, 3), (0, 4), (1, 4), (1, 5), (1, 6), (1, 8), (1, 10),
+                (2, 6))
+_ODE_RECIPES = (("eta_power", 5), ("theta21_power", 6), ("theta4_power", 8),
+                ("theta6_power", 10))
+
+
+class Check(NamedTuple):
+    """One battery check: a name and a thunk returning (passed, detail)."""
+
+    name: str
+    run: Callable[[], tuple]
+
+
+def _bounded(name: str, measure, label: str = "resid") -> Check:
+    """A check that passes when measure() -> (value, bound) has value <= bound."""
+    def run():
+        value, bound = measure()
+        return bool(value <= bound), f"{label}={value:.2e}"
+
+    return Check(name, run)
+
+
+def _series_check(name: str) -> Check:
+    """Exact proof of one named series identity (zero tolerance)."""
+    # the lambda-dependent identity is quadratic in sizes, keep it short
+    order = 5 if name == "theta_sym_2_1_is_shifted_theta1" else 20
+
+    def run():
+        report = check_series_identity(named_identity(name, order))
+        return (bool(report.passed and report.terms_compared > 0),
+                f"order<{report.checked_order}, "
+                f"{report.terms_compared} monomials")
+
+    return Check(f"series:{name}", run)
+
+
+def _theta1_slope_check(tau: complex) -> Check:
+    """theta1'(0) = 2 pi eta^3, to 1e-12 relative."""
+    def measure():
+        pt = ModularPoint(tau)
+        rhs = 2 * math.pi * dedekind_eta(pt) ** 3
+        return abs(theta1(0.0, pt, d_lambda=1) - rhs), 1e-12 * abs(rhs)
+
+    return _bounded(f"theta1-slope-eta-cube:tau={tau}", measure)
+
+
+# per rule: the image of tau, then (kind, partner kind, factor) with
+# phi_kind(image) = factor * phi_partner(tau)
+_PHI_RULES = {
+    "shift": (lambda tau: tau + 1,
+              ((1, 2, cmath.exp(-1j * math.pi / 24)),
+               (2, 1, cmath.exp(-1j * math.pi / 24)),
+               (3, 3, cmath.exp(1j * math.pi / 12)))),
+    "inversion": (lambda tau: -1 / tau, ((1, 1, 1.0), (2, 3, 1.0),
+                                         (3, 2, 1.0))),
+}
+
+
+def phi_rule_checks(tau: complex = 0.8j,
+                    rules=("shift", "inversion")) -> tuple:
+    """The phi triple under tau -> tau + 1 and tau -> -1/tau, to 1e-10.
+
+    The bound is absolute: |phi| is about 1 on the points used.
+    """
+    checks = []
+    for rule in rules:
+        image, table = _PHI_RULES[rule]
+        for kind, partner, factor in table:
+            def measure(image=image, kind=kind, partner=partner,
+                        factor=factor):
+                lhs = phi(kind, ModularPoint(image(tau)))
+                rhs = factor * phi(partner, ModularPoint(tau))
+                return abs(lhs - rhs), 1e-10
+
+            checks.append(_bounded(f"phi{kind}-{rule}", measure))
+    return tuple(checks)
+
+
+def _theta_level_rule_check(kappa: int) -> Check:
+    """Translation, quasi-periodicity and inversion of theta_{kappa,n}.
+
+    The worst of the three residuals, relative to theta_{kappa,n}(lam),
+    must stay below 1e-8.
+    """
+    def measure():
+        lam, tau = 0.29, 0.8j
+        pt = ModularPoint(tau)
+        n = 1 if kappa == 2 else 2
+        base = theta_level(kappa, n, lam, pt)
+        shift = theta_level(kappa, n, lam + 1, pt) - (-1) ** n * base
+        quasi = (theta_level(kappa, n, lam + tau, pt)
+                 - cmath.exp(-1j * math.pi * kappa * (lam + tau / 2))
+                 * theta_level(kappa, n + kappa, lam, pt))
+        pref = cmath.sqrt(-1j * tau / (2 * kappa)) * cmath.exp(
+            1j * math.pi * kappa * lam ** 2 / (2 * tau))
+        dual = pref * sum(
+            cmath.exp(-1j * math.pi * m * n / kappa)
+            * theta_level(kappa, m, lam, pt) for m in range(2 * kappa))
+        invres = (theta_level(kappa, n, lam / tau, ModularPoint(-1 / tau))
+                  - dual)
+        return max(abs(shift), abs(quasi), abs(invres)) / abs(base), 1e-8
+
+    return _bounded(f"theta-level-rules:kappa={kappa}", measure)
+
+
+def _matrix_relation_check(p: int, kappa: int) -> Check:
+    """Closed-form T and S matrices satisfy their relations to 1e-8."""
+    def measure():
+        tmat, smat = modular_matrices(p, kappa)
+        return max(relation_residuals(tmat, smat, p, kappa).values()), 1e-8
+
+    return _bounded(f"matrix-relations:p={p},kappa={kappa}", measure)
+
+
+def orthogonality_check(k: int, kappa: int, n_max: int) -> Check:
+    """Off-diagonal Gram entries of the orthogonal family vanish to 1e-10."""
+    def measure():
+        basis = macdonald_basis(k, kappa, n_max)
+        return max(abs(ct_inner(basis.polys[m], basis.polys[n], k, kappa))
+                   for m in range(n_max + 1) for n in range(m)), 1e-10
+
+    return _bounded(f"orthogonal-family:k={k},kappa={kappa}", measure,
+                    label="gram")
+
+
+def _identity_check(ident: int, tau: complex) -> Check:
+    """One p = 1 closed form against quadrature, at its default tolerance."""
+    def run():
+        report = verify_identity(ident, 1, pt=ModularPoint(tau))
+        return report.passed, f"rel_err={report.rel_err:.2e}"
+
+    return Check(f"identity-{ident}:tau={tau}", run)
+
+
+def _heat_check(name: str, solution: ClosedFormSolution, lam: float) -> Check:
+    return _bounded(name, lambda: (kzb_residual(
+        solution, lam, ModularPoint(DEFAULT_TAU), mode="analytic_rhs"), 1e-8))
+
+
+def heat_residual_check(ident: int, p: int = 1, lam: float = 0.31) -> Check:
+    """Heat-equation residual of one closed form, exact derivatives, 1e-8.
+
+    The battery runs p = 1, which its name leaves implicit.
+    """
+    name = f"heat-residual:identity-{ident}" + (f",p={p}" if p != 1 else "")
+    return _heat_check(name, kzb_solution_for_identity(ident, p), lam)
+
+
+def sym_theta_residual_check(level: int, m: int, lam: float = 0.27) -> Check:
+    """Heat-equation residual of a bare symmetrized level theta, 1e-8."""
+    return _heat_check(f"heat-residual:sym-theta-{level}-{m}",
+                       symmetric_theta_solution(level, m), lam)
+
+
+def _ode_residual_check(recipe: str, kappa: int, case: str) -> Check:
+    """Residual of the p = 1 scalar-weight tau-ODE, 1e-8."""
+    return _bounded(f"ode-residual:{recipe}:{case}", lambda: (ode_residual(
+        case, kappa, 1, recipe, ModularPoint(DEFAULT_TAU)), 1e-8))
+
+
+def _leading_term_check() -> Check:
+    """The p = 1 leading-term constant equals its block constant, 1e-10."""
+    def measure():
+        want = block_constant(1, 4, 2).value
+        return abs(leading_term_constant(1) - want) / abs(want), 1e-10
+
+    return _bounded("leading-term-constant:p=1", measure)
+
+
+def battery(full: bool = False) -> dict:
+    """The desk-scale battery: {section: (Check, ...)} in run order.
+
+    full adds the secondary tau to the identity section.  Building the
+    battery evaluates nothing; each check computes when it is run.
+    """
+    taus = (DEFAULT_TAU, SECONDARY_TAU) if full else (DEFAULT_TAU,)
+    return {
+        "series": tuple(_series_check(name)
+                        for name in sorted(NAMED_IDENTITIES)),
+        "special-functions": (
+            *(_theta1_slope_check(tau) for tau in (0.6j, 0.9j, 0.3 + 1j)),
+            *phi_rule_checks(),
+            *(_theta_level_rule_check(kappa) for kappa in (2, 4, 5, 6))),
+        "matrices": (
+            *(_matrix_relation_check(p, kappa) for p, kappa in MATRIX_CASES),
+            orthogonality_check(2, 7, 3)),
+        "identities": tuple(_identity_check(ident, tau) for tau in taus
+                            for ident in IDENTITY_IDS),
+        "residuals": (
+            *(heat_residual_check(ident) for ident in IDENTITY_IDS),
+            *(sym_theta_residual_check(level, m)
+              for level, m in ((2, 1), (4, 1), (6, 5))),
+            *(_ode_residual_check(recipe, kappa, case)
+              for recipe, kappa in _ODE_RECIPES
+              for case in ("del_at_0", "del3_at_tau"))),
+        "leading-term": (_leading_term_check(),),
+    }

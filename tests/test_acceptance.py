@@ -1,11 +1,12 @@
 """Acceptance battery.
 
-One test per contract item, tolerances pinned in the asserts.  These are
-the go/no-go checks for the package: exact series proofs, special-function
-rules, the beta-type integral against its oracle, matrix algebra, the ten
-closed-form block evaluations at two tau points (plus one three-fold run),
-lattice properties of the blocks, heat/ODE residuals, and the leading-term
-normalization.
+The go/no-go checks for the package.  Every check of ``ellsel suite
+--full`` comes from the one registry, ``verify.battery``, and runs here as
+its own case; further cases go through the same check factories with
+other parameters.  The tests below them cover what the battery does not:
+the beta-type integral against its oracle, the shift-matrix relations,
+matrices reconstructed from quadrature, a three-fold closed-form run,
+lattice properties of the blocks and the leading term at the cusp.
 """
 
 import cmath
@@ -15,85 +16,80 @@ import random
 import numpy as np
 import pytest
 
-from elliptic_selberg.blocks import (BlockIndex, leading_term_constant,
-                                     u_block)
-from elliptic_selberg.macdonald import (ct_inner, macdonald_basis,
-                                        modular_matrices, relation_residuals)
-from elliptic_selberg.qseries import NAMED_IDENTITIES, check_series_identity, \
-    named_identity
+from elliptic_selberg.blocks import BlockIndex, u_block
+from elliptic_selberg.macdonald import modular_matrices
 from elliptic_selberg.selberg import (SelbergParams, block_constant,
                                       selberg_oracle, selberg_value)
-from elliptic_selberg.specfun import (ModularPoint, dedekind_eta, phi,
-                                      theta1, theta_level)
+from elliptic_selberg.specfun import ModularPoint, theta1
 from elliptic_selberg.transforms import shift_matrices
 from elliptic_selberg import verify as V
 
 
 # ---------------------------------------------------------------------------
-# 1. exact series proofs (rational arithmetic, zero tolerance)
+# 1. the registry: series proofs, special-function rules, matrix relations,
+#    the ten closed forms at two tau, heat/ODE residuals, leading term
 # ---------------------------------------------------------------------------
 
-SERIES_ORDERS = {name: 5 if name == "theta_sym_2_1_is_shifted_theta1" else 20
-                 for name in NAMED_IDENTITIES}
+SECTIONS = V.battery(full=True)
+
+# Three families keep the case ids they had before the registry existed:
+# the series proofs by identity name, the level-theta rules by kappa and
+# the closed forms as "<identity>-<tau>".
+SERIES = SECTIONS["series"]
+LEVEL_THETA = [c for c in SECTIONS["special-functions"]
+               if c.name.startswith("theta-level-rules:")]
+CLOSED_FORMS = SECTIONS["identities"]
+BATTERY = [check for checks in SECTIONS.values() for check in checks
+           if check not in (*SERIES, *LEVEL_THETA, *CLOSED_FORMS)]
+
+EXTRA_CHECKS = [
+    *V.phi_rule_checks(0.55 + 0.8j, rules=("shift",)),
+    *V.phi_rule_checks(1j, rules=("inversion",)),
+    V.orthogonality_check(3, 10, 3),
+    V.sym_theta_residual_check(4, 3),
+    V.sym_theta_residual_check(6, 1),
+    V.heat_residual_check(1, p=1, lam=0.27),
+    V.heat_residual_check(1, p=2, lam=0.27),
+]
 
 
-@pytest.mark.parametrize("name", sorted(NAMED_IDENTITIES))
-def test_exact_series_proof(name):
-    report = check_series_identity(named_identity(name, SERIES_ORDERS[name]))
-    assert report.passed, f"first mismatch: {report.first_mismatch}"
-    assert report.terms_compared > 0
+def _run(check):
+    passed, detail = check.run()
+    assert passed, detail
+
+
+@pytest.mark.parametrize(
+    "check", SERIES, ids=lambda c: c.name.removeprefix("series:"))
+def test_exact_series_proof(check):
+    _run(check)
+
+
+@pytest.mark.parametrize(
+    "check", LEVEL_THETA,
+    ids=lambda c: c.name.removeprefix("theta-level-rules:kappa="))
+def test_level_theta_translation_and_inversion_rules(check):
+    _run(check)
+
+
+@pytest.mark.parametrize(
+    "check", CLOSED_FORMS,
+    ids=lambda c: c.name.removeprefix("identity-").replace(":tau=", "-"))
+def test_closed_form_evaluation_single_pair(check):
+    _run(check)
+
+
+@pytest.mark.parametrize("check", BATTERY, ids=lambda c: c.name)
+def test_battery_check(check):
+    _run(check)
+
+
+@pytest.mark.parametrize("check", EXTRA_CHECKS, ids=lambda c: c.name)
+def test_extra_check(check):
+    _run(check)
 
 
 # ---------------------------------------------------------------------------
-# 2. special-function rules
-# ---------------------------------------------------------------------------
-
-def test_theta1_slope_at_origin_is_eta_cubed():
-    for tau in (0.6j, 0.9j, 0.3 + 1j):
-        pt = ModularPoint(tau)
-        lhs = theta1(0.0, pt, d_lambda=1)
-        rhs = 2 * math.pi * dedekind_eta(pt) ** 3
-        assert abs(lhs - rhs) <= 1e-12 * abs(rhs), f"tau={tau}"
-
-
-def test_phi_translation_and_inversion_rules():
-    for tau in (0.8j, 0.55 + 0.8j):
-        pt = ModularPoint(tau)
-        sh = ModularPoint(tau + 1)
-        w = cmath.exp(-1j * math.pi / 24)
-        assert abs(phi(1, sh) - w * phi(2, pt)) <= 1e-10
-        assert abs(phi(2, sh) - w * phi(1, pt)) <= 1e-10
-        assert abs(phi(3, sh)
-                   - cmath.exp(1j * math.pi / 12) * phi(3, pt)) <= 1e-10
-    for tau in (1j, 0.8j):
-        pt = ModularPoint(tau)
-        inv = ModularPoint(-1 / tau)
-        assert abs(phi(1, inv) - phi(1, pt)) <= 1e-10
-        assert abs(phi(2, inv) - phi(3, pt)) <= 1e-10
-        assert abs(phi(3, inv) - phi(2, pt)) <= 1e-10
-
-
-@pytest.mark.parametrize("kappa", [2, 4, 5, 6])
-def test_level_theta_translation_and_inversion_rules(kappa):
-    lam, tau = 0.29, 0.8j
-    pt = ModularPoint(tau)
-    n = 1 if kappa == 2 else 2
-    base = theta_level(kappa, n, lam, pt)
-    shift = theta_level(kappa, n, lam + 1, pt) - (-1) ** n * base
-    quasi = (theta_level(kappa, n, lam + tau, pt)
-             - cmath.exp(-1j * math.pi * kappa * (lam + tau / 2))
-             * theta_level(kappa, n + kappa, lam, pt))
-    pref = cmath.sqrt(-1j * tau / (2 * kappa)) * cmath.exp(
-        1j * math.pi * kappa * lam ** 2 / (2 * tau))
-    dual = pref * sum(
-        cmath.exp(-1j * math.pi * m * n / kappa)
-        * theta_level(kappa, m, lam, pt) for m in range(2 * kappa))
-    invres = theta_level(kappa, n, lam / tau, ModularPoint(-1 / tau)) - dual
-    assert max(abs(shift), abs(quasi), abs(invres)) <= 1e-8 * abs(base)
-
-
-# ---------------------------------------------------------------------------
-# 3. beta-type integral: closed form vs quadrature oracle
+# 2. beta-type integral: closed form vs quadrature oracle
 # ---------------------------------------------------------------------------
 
 def test_beta_integral_matches_oracle_on_random_draws():
@@ -118,27 +114,12 @@ def test_negative_exponent_oracle_reproduces_pi():
 
 
 # ---------------------------------------------------------------------------
-# 4. matrix algebra: orthogonality and the transformation relations
+# 3. the shift matrices against the closed-form modular matrices
 # ---------------------------------------------------------------------------
 
-def test_orthogonal_family_gram_offdiagonals_vanish():
-    for k, kappa, n_max in ((2, 7, 3), (3, 10, 3)):
-        basis = macdonald_basis(k, kappa, n_max)
-        worst = max(abs(ct_inner(basis.polys[m], basis.polys[n], k, kappa))
-                    for m in range(n_max + 1) for n in range(m))
-        assert worst <= 1e-10, f"(k,kappa)=({k},{kappa}): gram={worst}"
-
-
-MATRIX_CASES = [(0, 3), (0, 4), (1, 4), (1, 5), (1, 6), (1, 8), (1, 10),
-                (2, 6)]
-
-
-@pytest.mark.parametrize("p,kappa", MATRIX_CASES)
+@pytest.mark.parametrize("p,kappa", V.MATRIX_CASES)
 def test_transformation_matrix_relations(p, kappa):
     tmat, smat = modular_matrices(p, kappa)
-    residuals = relation_residuals(tmat, smat, p, kappa)
-    assert max(residuals.values()) <= 1e-8, residuals
-
     amat, bmat = shift_matrices(p, kappa)
     A, B = amat.entries, bmat.entries
     T, S = tmat.entries, smat.entries
@@ -152,7 +133,7 @@ def test_transformation_matrix_relations(p, kappa):
 
 
 # ---------------------------------------------------------------------------
-# 5. numeric matrices reconstructed from quadrature match the closed forms
+# 4. numeric matrices reconstructed from quadrature match the closed forms
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("kappa", [4, 5])
@@ -165,18 +146,8 @@ def test_numeric_matrices_match_closed_forms(kappa):
 
 
 # ---------------------------------------------------------------------------
-# 6. the ten closed-form evaluations
+# 5. the three-fold closed form
 # ---------------------------------------------------------------------------
-
-@pytest.mark.parametrize("tau", [0.9j, 0.6j])
-@pytest.mark.parametrize("ident", range(1, 11))
-def test_closed_form_evaluation_single_pair(ident, tau):
-    kappa = V.identity_structure(ident, 1).kappa
-    tol = 1e-5 if kappa <= 6 else 1e-4
-    report = V.verify_identity(ident, 1, pt=ModularPoint(tau), tol=tol)
-    assert report.passed, (f"rel_err={report.rel_err:.3e}, "
-                           f"tol={tol}, notes={report.notes}")
-
 
 def test_closed_form_evaluation_two_pairs():
     # the three-fold integral (smallest level), one lambda, 30-minute budget
@@ -185,7 +156,7 @@ def test_closed_form_evaluation_two_pairs():
 
 
 # ---------------------------------------------------------------------------
-# 7. lattice properties of the blocks
+# 6. lattice properties of the blocks
 # ---------------------------------------------------------------------------
 
 def test_block_lattice_properties():
@@ -220,44 +191,12 @@ def test_admissible_family_has_full_rank(kappa):
 
 
 # ---------------------------------------------------------------------------
-# 8. heat-equation and tau-ODE residuals
-# ---------------------------------------------------------------------------
-
-def test_heat_equation_residuals_for_all_closed_forms():
-    pt = ModularPoint(0.9j)
-    for ident in range(1, 11):
-        sol = V.kzb_solution_for_identity(ident, 1)
-        resid = V.kzb_residual(sol, 0.31, pt, mode="analytic_rhs")
-        assert resid <= 1e-8, f"identity {ident}: {resid}"
-    # the theta1-power case on its own (two pair counts)
-    for p in (1, 2):
-        sol = V.kzb_solution_for_identity(1, p)
-        assert V.kzb_residual(sol, 0.27, pt, mode="analytic_rhs") <= 1e-8
-    # the bare symmetrized level thetas
-    for level, m in ((2, 1), (4, 1), (4, 3), (6, 1), (6, 5)):
-        sol = V.symmetric_theta_solution(level, m)
-        assert V.kzb_residual(sol, 0.27, pt, mode="analytic_rhs") <= 1e-8
-
-
-def test_tau_ode_residuals_for_all_weight_recipes():
-    pt = ModularPoint(0.9j)
-    for recipe, kappa in (("eta_power", 5), ("theta21_power", 6),
-                          ("theta4_power", 8), ("theta6_power", 10)):
-        for case in ("del_at_0", "del3_at_tau"):
-            resid = V.ode_residual(case, kappa, 1, recipe, pt)
-            assert resid <= 1e-8, f"{recipe}/{case}: {resid}"
-
-
-# ---------------------------------------------------------------------------
-# 9. leading-term normalization
+# 7. leading-term normalization
 # ---------------------------------------------------------------------------
 
 def test_leading_term_constant_consistency():
-    got = leading_term_constant(1)
-    want = block_constant(1, 4, 2).value
-    assert abs(got - want) <= 1e-10 * abs(want)
-
     # large-Im-tau ratio u/theta1^2 extrapolated toward the cusp
+    want = block_constant(1, 4, 2).value
     lam = 0.3
     ratios = []
     for tau in (2j, 3j):

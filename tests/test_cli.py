@@ -5,11 +5,13 @@ these double as integration smoke tests for the whole stack.
 """
 
 import argparse
+import importlib.util
 import json
+from pathlib import Path
 
 import pytest
 
-from elliptic_selberg import cli
+from elliptic_selberg import cli, verify
 from elliptic_selberg.blocks import BlockIndex, u_block
 from elliptic_selberg.specfun import ModularPoint, theta1
 
@@ -110,6 +112,24 @@ def test_selberg_oracle_roundtrip(capsys):
     assert payload["rel_discrepancy"] < 1e-10
 
 
+def test_negative_complex_value_needs_the_equals_form(capsys):
+    # after a space, argparse reads "-0.5+0.1i" as an option, not a value
+    with pytest.raises(SystemExit) as info:
+        cli.main(["selberg", "--p", "1", "--alpha", "1.3", "--beta",
+                  "-0.5+0.1i", "--gamma", "0.4"])
+    assert info.value.code == 2
+    code, out = run(["selberg", "--p", "1", "--alpha", "1.3",
+                     "--beta=-0.5+0.1i", "--gamma", "0.4"], capsys)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["config"]["beta"] == [-0.5, 0.1]
+    assert payload["passed"] is True
+    # an endpoint exponent past the oracle's range is a usage error
+    code, _ = run(["selberg", "--p", "1", "--alpha", "1.3", "--beta=-1.5",
+                   "--gamma", "0.4"], capsys)
+    assert code == 2
+
+
 def test_smatrix_reports_relations(capsys):
     code, out = run(["smatrix", "--p", "0", "--kappa", "3"], capsys)
     assert code == 0
@@ -204,3 +224,42 @@ def test_suite_passes_end_to_end(capsys):
     assert set(payload["sections"]) == {
         "series", "special-functions", "matrices", "identities",
         "residuals", "leading-term"}
+
+
+def test_suite_reports_a_failing_check(monkeypatch, capsys):
+    real_battery = verify.battery
+
+    def rigged(full=False):
+        # every check passes at once except the first matrix relation
+        sections = {section: [check._replace(run=lambda: (True, "ok"))
+                              for check in checks]
+                    for section, checks in real_battery(full).items()}
+        sections["matrices"][0] = sections["matrices"][0]._replace(
+            run=lambda: (False, "forced"))
+        return sections
+
+    monkeypatch.setattr(verify, "battery", rigged)
+    code, out = run(["suite"], capsys)
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["passed"] is False
+    assert payload["checks_failed"] == ["matrix-relations:p=0,kappa=3"]
+    assert payload["checks_run"] == 61
+
+
+# ---------------------------------------------------------------------------
+# demos
+# ---------------------------------------------------------------------------
+
+DEMOS = Path(__file__).resolve().parents[1] / "demos"
+DEMO_ARGS = {"prove_theta_constants": (), "heat_equation_tour": (),
+             "verify_identities": (False,)}
+
+
+@pytest.mark.parametrize("name", sorted(DEMO_ARGS))
+def test_demo_runs(name, capsys):
+    spec = importlib.util.spec_from_file_location(name, DEMOS / f"{name}.py")
+    demo = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(demo)
+    assert demo.main(*DEMO_ARGS[name]) in (None, 0)
+    assert "FAIL" not in capsys.readouterr().out

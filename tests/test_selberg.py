@@ -158,6 +158,11 @@ def test_oracle_range_guards():
         oracle(1, -2.5, 1, 0.5)
     with pytest.raises(OutOfSupportedRange):
         oracle(2, -0.5, 1, 0.5)
+    # endpoint exponents beta - 1 below -2, past first-order subtraction
+    with pytest.raises(OutOfSupportedRange, match="endpoint exponent beta"):
+        oracle(1, 1.3, -1.5, 0.4)
+    with pytest.raises(OutOfSupportedRange, match="endpoint exponent beta"):
+        oracle(1, 1.3, -1.2 + 0.1j, 0.4)
 
 
 def test_oracle_budget_guard():

@@ -25,14 +25,12 @@ from elliptic_selberg.specfun import (
     EllipticArgument,
     ModularPoint,
     SeriesTruncation,
-    branched_pow,
     continue_log,
     dedekind_eta,
     dedekind_eta_logderiv,
     lattice_distance,
     phi,
     phi_logderiv,
-    sigma_and_E,
     theta1,
     theta_level,
 )
@@ -376,8 +374,18 @@ def test_phi_kind_guard():
 
 
 # ---------------------------------------------------------------------------
-# sigma / E kernel
+# sigma kernel and prime form E, as theta1 ratios
 # ---------------------------------------------------------------------------
+
+
+def _E(t, pt):
+    """The prime form E(t) = theta1(t) / theta1'(0)."""
+    return theta1(t, pt) / theta1(0.0, pt, d_lambda=1)
+
+
+def _sigma(lam, t, pt):
+    """sigma_lam(t) = theta1(lam - t) theta1'(0) / (theta1(lam) theta1(t))."""
+    return theta1(lam - t, pt) / (theta1(lam, pt) * _E(t, pt))
 
 
 def test_sigma_small_t_limit():
@@ -385,49 +393,50 @@ def test_sigma_small_t_limit():
     pt = ModularPoint(0.9j)
     lam = 0.31
     for t in (1e-4, 1e-5):
-        se = sigma_and_E(lam, t, pt)
-        assert abs(t * se.sigma - 1) < 5e-4
-        assert abs(se.E / t - 1) < 5e-4
+        assert abs(t * _sigma(lam, t, pt) - 1) < 5e-4
+        assert abs(_E(t, pt) / t - 1) < 5e-4
 
 
-def test_sigma_shift_symmetries():
-    pt = ModularPoint(0.9j)
+@pytest.mark.parametrize("tau", TAUS)
+def test_E_and_sigma_reflect_about_one_half(tau):
+    # the p = 1 blocks evaluate the window at t = 1 through E(1 - s) = E(s)
+    # and sigma_lam(1 - s) = sigma_lam(-s); sigma is 1-periodic
+    pt = ModularPoint(tau)
     lam, t = 0.31, 0.27
-    a = sigma_and_E(lam, t, pt)
-    b = sigma_and_E(lam, t + 1, pt)
-    assert abs(a.sigma - b.sigma) < 1e-12 * abs(a.sigma)
-    # E(1-t) = E(t) and sigma_lam(1-s) = sigma_lam(-s)
-    c = sigma_and_E(lam, 1 - t, pt)
-    d = sigma_and_E(lam, -t, pt)
-    assert abs(c.E - a.E) < 1e-13
-    assert abs(c.sigma - d.sigma) < 1e-12 * abs(c.sigma)
+    a = _sigma(lam, t, pt)
+    assert abs(_sigma(lam, t + 1, pt) - a) < 1e-12 * abs(a)
+    assert abs(_E(1 - t, pt) - _E(t, pt)) < 1e-13
+    c = _sigma(lam, 1 - t, pt)
+    assert abs(c - _sigma(lam, -t, pt)) < 1e-12 * abs(c)
 
 
-def test_E_is_positive_on_unit_interval_for_imaginary_tau():
-    pt = ModularPoint(0.7j)
-    for t in np.linspace(0.05, 0.95, 19):
-        se = sigma_and_E(0.4, float(t), pt)
-        assert abs(se.E.imag) < 1e-14
-        assert se.E.real > 0
+@given(st.floats(-1.5, 1.5), st.floats(0.15, 1.0), st.floats(0.01, 0.25))
+@settings(max_examples=40, deadline=None)
+def test_E_log_returns_to_its_starting_branch(tau_re, tau_im, delta):
+    # the p = 1 blocks take principal powers of E at both windows, which
+    # needs the log of E continued along [delta, 1 - delta] not to wind
+    pt = ModularPoint(complex(tau_re, tau_im))
+    ts = np.linspace(delta, 1.0 - delta, 801).astype(complex)
+    vals = specfun._theta1_array(ts, pt.tau) / theta1(0.0, pt, d_lambda=1)
+    logs = continue_log(vals)
+    assert abs(logs[-1] - cmath.log(vals[-1])) < 1e-9
+    assert abs(logs[-1] - logs[0]) < 1e-9
 
 
 def test_rho_is_logarithmic_derivative():
+    # rho = theta1'/theta1 and rho' = theta1''/theta1 - rho**2 against
+    # central differences of log theta1 and of rho
     pt = ModularPoint(0.8j)
     lam, h = 0.37, 1e-6
-    se = sigma_and_E(lam, 0.2, pt)
+
+    def rho(x):
+        return theta1(x, pt, d_lambda=1) / theta1(x, pt)
+
     fd = (cmath.log(theta1(lam + h, pt)) - cmath.log(theta1(lam - h, pt))) / (2 * h)
-    assert abs(se.rho - fd) < 1e-7
-    fd2 = (theta1(lam + h, pt, d_lambda=1) / theta1(lam + h, pt)
-           - theta1(lam - h, pt, d_lambda=1) / theta1(lam - h, pt)) / (2 * h)
-    assert abs(se.rho_prime - fd2) < 1e-6
-
-
-def test_sigma_pole_proximity_guard():
-    pt = ModularPoint(0.9j)
-    with pytest.raises(PoleProximity):
-        sigma_and_E(0.5, 1e-9, pt)
-    with pytest.raises(PoleProximity):
-        sigma_and_E(1e-9, 0.2, pt)
+    assert abs(rho(lam) - fd) < 1e-7
+    rho_prime = theta1(lam, pt, d_lambda=2) / theta1(lam, pt) - rho(lam) ** 2
+    fd2 = (rho(lam + h) - rho(lam - h)) / (2 * h)
+    assert abs(rho_prime - fd2) < 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -543,24 +552,6 @@ def test_continue_log_names_the_first_half_turn(seed, length, data):
     vals[data.draw(st.integers(0, length - 1))] = 0.0
     with pytest.raises(BranchAmbiguity, match="exact zero"):
         continue_log(vals)
-
-
-def test_branched_pow_continuity_and_monodromy():
-    th = np.linspace(0.0, 2 * np.pi, 400)
-    vals = np.exp(1j * th)
-    bp = branched_pow(vals, -0.5)
-    # continuous branch: end value is e^{-pi i}, not the principal 1
-    assert abs(bp.values[-1] - cmath.exp(-1j * cmath.pi)) < 1e-9
-    steps = np.abs(np.diff(bp.values))
-    assert steps.max() < 0.1
-
-
-@given(st.floats(-1.5, 1.5))
-@settings(max_examples=40, deadline=None)
-def test_branched_pow_matches_principal_on_positive_reals(expo):
-    vals = np.linspace(0.5, 2.0, 7).astype(complex)
-    bp = branched_pow(vals, expo)
-    assert np.allclose(bp.values, vals.real ** expo, rtol=1e-12)
 
 
 def test_modular_point_rejects_lower_half_plane():
