@@ -1,12 +1,11 @@
 """Check the ten closed-form block evaluations by quadrature.
 
 For each identity the left side is one or two regularized simplex
-integrals (computed by adaptive graded-mesh quadrature with endpoint
-subtraction) and the right side is a product of eta/phi weights, a power
-of the odd theta, a level-theta combination, and an exact normalization
-constant built from gamma functions.  Nothing is fitted: every quantity
-is computed independently and the two sides are compared on a lambda
-grid.
+integrals (computed by graded-mesh quadrature with endpoint circles) and
+the right side is a product of eta/phi weights, a power of the odd theta,
+a level-theta combination, and an exact normalization constant built
+from gamma functions.  Nothing is fitted: every quantity is computed
+independently and the two sides are compared on a lambda grid.
 
 Run:  python3 demos/verify_identities.py          (about a second)
       python3 demos/verify_identities.py --full   (adds the second tau)

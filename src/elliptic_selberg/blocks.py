@@ -11,9 +11,8 @@ continuation in the exponents.  Realizations:
 
 * p = 0: the empty integral, exactly the level-kappa theta value.
 * p = 1: endpoint exponents a = b-1 with b = -2/kappa; continuation by
-  first-order Taylor subtraction on windows [0, delta], [1-delta, 1] plus the
-  closed-form finite parts, or by endpoint circle integrals (method
-  "contour"); both agree and realize the same continuation.
+  endpoint circle integrals at t = 0 and t = 1, whose radius stays inside
+  the disk free of the other zeros of theta1, plus the real middle path.
 * p = 2: the simplex is split along the anti-diagonal t1 + t2 = 1 and the
   upper piece is reflected by (t1, t2) -> (1 - t2, 1 - t1), which maps it
   onto the lower shape {0 <= y <= min(x, 1-x)}.  In that presentation every
@@ -29,7 +28,7 @@ continuation in the exponents.  Realizations:
 
 Both quadratures tabulate first and assemble second.  At p = 1 everything
 that does not depend on lambda (the nodes, theta1 on them and the continued
-log of E) is cached per (tau, spec, window depth), and each lambda adds one
+log of E) is cached per (tau, spec), and each lambda adds theta1(lam), one
 theta1 and one level-theta call on stacked arguments.  At p = 2 each
 section's outer x nodes and inner xi nodes form one tensor, the theta
 factors are evaluated on chunks of it in a few kernel calls, and the
@@ -52,9 +51,7 @@ from .quadrature import (
     EvalBudget,
     QuadratureSpec,
     endpoint_loop_nodes,
-    fp_power_term,
     graded_nodes,
-    levels_for_exponent,
     loop_winding,
     panel_nodes,
 )
@@ -153,17 +150,15 @@ class _Kernel:
 class _P1Tables:
     """The lambda-independent part of a p = 1 quadrature pass.
 
-    mid_*: the middle path [lo, hi] with its weights, theta1 on it, and the
-    log of E = theta1 / theta1'(0) continued rightward from the principal
-    branch at lo.  win_*: the endpoint rule, either the graded window
-    [0, delta] (subtraction) or the endpoint circle with dt weights and the
-    log of t continued from arg 0 (contour), with theta1 at +node and -node
-    in the rows of win_theta.  evals: what one pass charges
-    to the budget, the same whether or not the tables were cached: four
-    factor evaluations per middle node (E, theta1 twice in sigma, the level
-    theta), one for theta1(lam), and four per endpoint node and side
-    ((E(t)/t), theta1 twice in t sigma(t), the level theta), plus one per
-    circle node and side for contours.
+    mid_*: the middle path [r, 1 - r] with its weights, theta1 on it, and
+    the log of E = theta1 / theta1'(0) continued rightward from the principal
+    branch at r.  win_*: the endpoint circle |t| = r with dt weights and the
+    log of t continued from arg 0, with theta1 at +node and -node in the rows
+    of win_theta.  evals: what one pass charges to the budget, the same
+    whether or not the tables were cached: four factor evaluations per
+    middle node (E, theta1 twice in sigma, the level theta), one for
+    theta1(lam), and five per circle node and side ((E(t)/t), theta1 twice
+    in t sigma(t), the level theta, the power of t).
     """
 
     theta1_prime0: complex
@@ -173,70 +168,58 @@ class _P1Tables:
     mid_logs: np.ndarray
     win_nodes: np.ndarray
     win_weights: np.ndarray
-    win_logs: np.ndarray | None
+    win_logs: np.ndarray
     win_theta: np.ndarray
     evals: int
 
 
 @lru_cache(maxsize=64)
-def _p1_tables(tau: complex, quad: QuadratureSpec, depth: int) -> _P1Tables:
-    """Tables at one (tau, spec, window depth); contours ignore the depth."""
+def _p1_tables(tau: complex, quad: QuadratureSpec) -> _P1Tables:
+    """Tables at one (tau, spec).
+
+    The circle radius is loop_radius_factor times the smaller of
+    endpoint_delta and the shortest nonzero period, so the circle around an
+    endpoint encloses no other zero of theta1 and E(t)/t stays analytic and
+    nonzero inside it.
+    """
     pt = ModularPoint(tau)
     theta1_prime0 = specfun.theta1(0.0, pt, d_lambda=1)
-    delta = quad.endpoint_delta
-    if quad.method == "contour":
-        r = quad.loop_radius_factor * delta
-        win, win_w, phi = endpoint_loop_nodes(r, quad.loop_nodes)
-        win_logs = math.log(r) + 1j * phi
-        lo, hi = r, 1 - r
-        win_evals = 10
-    else:
-        win, win_w = graded_nodes(0.0, delta, depth, quad.gauss_order, "left")
-        win_logs = None
-        lo, hi = delta, 1 - delta
-        win_evals = 8
+    shortest = abs(specfun._reduced_basis(tau)[0])
+    r = quad.loop_radius_factor * min(quad.endpoint_delta, shortest)
+    win, win_w, phi = endpoint_loop_nodes(r, quad.loop_nodes)
     levels = max(quad.graded_mesh_levels, 10)
-    ts1, ws1 = graded_nodes(lo, 0.5, levels, quad.gauss_order, "left")
-    ts2, ws2 = graded_nodes(0.5, hi, levels, quad.gauss_order, "right")
+    ts1, ws1 = graded_nodes(r, 0.5, levels, quad.gauss_order, "left")
+    ts2, ws2 = graded_nodes(0.5, 1 - r, levels, quad.gauss_order, "right")
     mid = np.concatenate([ts1, ts2])
     mid_theta = specfun._theta1_array(mid.astype(complex), tau)
     # No winding phase is needed at the right window: for real t,
     # E(t) = sin(pi t) / pi * prod (1 - q^n e^(2 pi i t)) (1 - q^n e^(-2 pi i t))
     # / (1 - q^n)^2 with sin(pi t) > 0 and every t-dependent factor in the
-    # right half plane (|q^n| < 1), so the log continued along [lo, hi] ends
-    # on the principal log it starts from, and E(1 - t) = E(t).
+    # right half plane (|q^n| < 1), so the log continued along [r, 1 - r]
+    # ends on the principal log it starts from, and E(1 - t) = E(t).
     logs = continue_log(mid_theta / theta1_prime0)
     win_theta = specfun._theta1_array(
         np.concatenate([win, -win]).astype(complex), tau).reshape(2, -1)
-    evals = 4 * mid.size + 1 + win_evals * win.size
+    evals = 4 * mid.size + 1 + 10 * win.size
     arrays = [mid, np.concatenate([ws1, ws2]), mid_theta, logs, win, win_w,
-              win_logs, win_theta]
+              math.log(r) + 1j * phi, win_theta]
     for arr in arrays:
-        if arr is not None:
-            arr.setflags(write=False)
+        arr.setflags(write=False)
     return _P1Tables(theta1_prime0, *arrays, evals)
 
 
 def _j_p1(idx: BlockIndex, lam: complex, pt: ModularPoint,
           quad: QuadratureSpec, budget: EvalBudget) -> complex:
-    """Middle path plus two endpoint pieces, assembled on _p1_tables.
+    """Middle path plus two endpoint circles, assembled on _p1_tables.
 
-    Per lambda this takes one theta1 call on [lam - mid, lam - win,
-    lam + win], one level-theta call on the matching arguments and
-    theta1(lam); the subtraction adds theta1'(lam) and the level-theta Taylor
-    data at lam and lam + 2/kappa.  Those stay scalar calls: numpy rounds
-    products of 0-d results differently from array products, and the window
-    sums amplify a last-bit change in them to a few times 1e-12.
+    Per lambda this takes theta1(lam), one theta1 call on [lam - mid,
+    lam - win, lam + win] and one level-theta call on the matching arguments.
     """
     kappa, n = idx.kappa, idx.reduced_n
     b = -2.0 / kappa
     a = b - 1.0
     two_over_k = 2.0 / kappa
-    delta = quad.endpoint_delta
-    contour = quad.method == "contour"
-    depth = 0 if contour else max(quad.graded_mesh_levels,
-                                  levels_for_exponent(a + 2.0))
-    tab = _p1_tables(pt.tau, quad, depth)
+    tab = _p1_tables(pt.tau, quad)
     budget.charge(tab.evals)
     mid, win = tab.mid_nodes, tab.win_nodes
     split = (mid.size, mid.size + win.size)
@@ -264,33 +247,11 @@ def _j_p1(idx: BlockIndex, lam: complex, pt: ModularPoint,
     cof_right = (e_over_z_b * (-(th_lw_neg * prime0 * -win / (th_lam * th_w_neg)))
                  * lev_r)
 
-    if contour:
-        powers = np.exp(a * tab.win_logs)
-        wind = loop_winding(a)
-        left = complex(np.sum(powers * cof_left * tab.win_weights) / wind)
-        right = complex(np.sum(powers * cof_right * tab.win_weights) / wind)
-        return left + middle + right
-
-    # subtraction method: first-order Taylor of the cofactors
-    th0 = specfun.theta_level(kappa, n, lam, pt)
-    th0p = specfun.theta_level(kappa, n, lam, pt, d_lambda=1)
-    th1 = specfun.theta_level(kappa, n, lam + two_over_k, pt)
-    th1p = specfun.theta_level(kappa, n, lam + two_over_k, pt, d_lambda=1)
-    rho = specfun.theta1(lam, pt, d_lambda=1) / th_lam
-    h0_l, h1_l = th0, -rho * th0 + two_over_k * th0p
-    h0_r, h1_r = -th1, -(rho * th1 - two_over_k * th1p)
-    if quad.subtraction_order == 0:
-        h1_l = h1_r = 0.0
-    powers = win.astype(complex) ** a
-
-    def window(cofactor, h0, h1):
-        resid = cofactor - h0 - h1 * win
-        total = complex(np.sum(powers * resid * tab.win_weights))
-        return total + (h0 * fp_power_term(a, delta)
-                        + h1 * fp_power_term(a + 1, delta))
-
-    return (window(cof_left, h0_l, h1_l) + middle
-            + window(cof_right, h0_r, h1_r))
+    powers = np.exp(a * tab.win_logs)
+    wind = loop_winding(a)
+    left = complex(np.sum(powers * cof_left * tab.win_weights) / wind)
+    right = complex(np.sum(powers * cof_right * tab.win_weights) / wind)
+    return left + middle + right
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,12 @@
 """Quadrature toolkit: graded Gauss-Legendre meshes and endpoint loops.
 
-Endpoint-singular integrands t**a * h(t) with h analytic are handled two ways:
-
-* subtraction: integrate t**a * (h - Taylor(h)) on a mesh graded toward the
-  endpoint and add the Taylor part in closed form, delta**(a+1)/(a+1) etc.;
-* endpoint loop: the finite part of the integral over [0, r] equals
-  1/(e^{2 pi i a} - 1) times the counterclockwise circle integral of the
-  branch-tracked integrand at |t| = r, exact for any non-integer exponent.
-
-Both realize the same analytic continuation in the exponent; the loop form is
-also valid when a <= -2, where low-order subtraction stops working.
+An endpoint-singular integrand t**a * h(t) with h analytic is continued in
+the exponent by an endpoint loop: the finite part of the integral over
+[0, r] equals 1/(e^{2 pi i a} - 1) times the counterclockwise circle integral
+of the branch-tracked integrand at |t| = r, exact for any non-integer
+exponent.  fp_power_term gives the same continuation of a bare power in
+closed form, for the Taylor subtraction the simplex beta oracle uses where
+the loop divisor vanishes (a near 0).
 """
 
 from __future__ import annotations
@@ -44,19 +41,16 @@ class QuadratureSpec:
     """Knobs for the singular quadrature engines.
 
     gauss_order and graded_mesh_levels control the panel rule and the
-    geometric grading depth; subtraction_order (0 or 1) is the Taylor order of
-    the endpoint cofactor; endpoint_delta is the half-width of the subtraction
-    windows at t = 0 and t = 1.  method selects between "subtraction" and the
-    "contour" endpoint-loop realization where both are available; loop_nodes
-    and loop_radius_factor shape the circle rule (radius as a fraction of the
-    largest safe disk).  max_evals caps total integrand evaluations.
+    geometric grading depth; endpoint_delta is the half-width of the
+    endpoint windows at t = 0 and t = 1, and bounds the endpoint circles;
+    loop_nodes and loop_radius_factor shape the circle rule (radius as a
+    fraction of the largest safe disk).  max_evals caps total integrand
+    evaluations.
     """
 
     gauss_order: int = 16
     graded_mesh_levels: int = 12
-    subtraction_order: int = 1
     endpoint_delta: float = 0.1
-    method: str = "subtraction"
     loop_nodes: int = 64
     loop_radius_factor: float = 0.5
     max_evals: int = 200_000_000
@@ -64,14 +58,10 @@ class QuadratureSpec:
     def __post_init__(self):
         if self.gauss_order < 8:
             raise ValueError("gauss_order must be at least 8")
-        if self.subtraction_order not in (0, 1):
-            raise ValueError("subtraction_order must be 0 or 1")
         if not (0 < self.endpoint_delta < 0.25):
             raise ValueError("endpoint_delta must lie in (0, 1/4)")
         if self.graded_mesh_levels < 1:
             raise ValueError("graded_mesh_levels must be positive")
-        if self.method not in ("subtraction", "contour"):
-            raise ValueError("method must be 'subtraction' or 'contour'")
         if self.loop_nodes < 16:
             raise ValueError("loop_nodes must be at least 16")
         if not (0 < self.loop_radius_factor < 1):

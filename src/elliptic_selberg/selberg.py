@@ -12,10 +12,13 @@ GammaPole, a pole hit only by a denominator gamma makes the value 0.
 
 The oracle integrates the defining simplex integral directly.  For positive
 real-part exponents it uses graded Gauss meshes (depth adapted to the weakest
-endpoint exponent); exponents in (-2, 0] at an endpoint are continued by
-first-order Taylor subtraction of the smooth cofactor plus the closed-form
-finite part delta**(a+1)/(a+1) (+ the order-1 term), or equivalently by an
-endpoint circle integral when QuadratureSpec selects the contour method.
+endpoint exponent).  At p = 1 an endpoint exponent a in (-2, 0] is continued
+by the rule that keeps its digits: for Re a > -1 first-order Taylor
+subtraction of the smooth cofactor plus the closed-form finite parts
+delta**(a+1)/(a+1) and delta**(a+2)/(a+2) (the circle divisor
+e^{2 pi i a} - 1 vanishes at a = 0); for Re a <= -1 an endpoint circle
+integral (the subtracted residual's rounding, times t**a, swamps the deep
+mesh nodes there).
 """
 
 from __future__ import annotations
@@ -120,8 +123,7 @@ def _endpoint_window_fp(exponent: complex, h0: complex, h1: complex,
     """Finite part over a window [0, delta] of t**a * h(t), h analytic.
 
     resid(t) must return h(t) - (h0 + h1*t) vectorized; the subtracted part is
-    added back in closed form.  With subtraction_order 0 the linear term h1 is
-    ignored by the caller (h1 = 0 passed in).
+    added back in closed form.
     """
     levels = max(quad.graded_mesh_levels,
                  levels_for_exponent(exponent.real + 2.0))
@@ -132,6 +134,11 @@ def _endpoint_window_fp(exponent: complex, h0: complex, h1: complex,
     total += h0 * fp_power_term(exponent, delta)
     total += h1 * fp_power_term(exponent + 1, delta)
     return total
+
+
+# p = 1 endpoint exponents with real part at or below this are continued by an
+# endpoint circle, those above it (up to 0) by Taylor subtraction
+_CIRCLE_AT_OR_BELOW = -1.0
 
 
 def _oracle_p1(params: SelbergParams, quad: QuadratureSpec,
@@ -160,7 +167,7 @@ def _oracle_p1(params: SelbergParams, quad: QuadratureSpec,
     for expo, other in ((a_exp, b_exp), (b_exp, a_exp)):
         if expo.real > 0:
             continue
-        if quad.method == "contour":
+        if expo.real <= _CIRCLE_AT_OR_BELOW:
             total += endpoint_loop_fp(
                 lambda t: (1.0 - t) ** other, expo,
                 delta * quad.loop_radius_factor, quad.loop_nodes, budget)
@@ -171,8 +178,7 @@ def _oracle_p1(params: SelbergParams, quad: QuadratureSpec,
             total += complex(np.sum(
                 (ts.astype(complex) ** expo) * ((1.0 - ts) ** other) * ws))
         else:
-            h0 = 1.0 + 0.0j
-            h1 = -other if quad.subtraction_order >= 1 else 0.0
+            h0, h1 = 1.0 + 0.0j, -other
             total += _endpoint_window_fp(
                 expo, h0, h1,
                 lambda t: (1.0 - t).astype(complex) ** other - h0 - h1 * t,
@@ -245,10 +251,10 @@ def _oracle_p2(params: SelbergParams, quad: QuadratureSpec,
 def selberg_oracle(params: SelbergParams, quad: QuadratureSpec | None = None) -> complex:
     """Direct numerical evaluation of the simplex integral, p <= 2.
 
-    p=1 supports endpoint exponents with real part in (-2, 0] through
-    first-order Taylor subtraction (or the endpoint-loop contour when
-    quad.method == "contour"); p=2 requires Re alpha, Re beta > 0.  gamma must
-    have non-negative real part throughout.
+    p=1 supports endpoint exponents with real part in (-2, 0], continued by
+    first-order Taylor subtraction above -1 and by an endpoint circle from -1
+    down; p=2 requires Re alpha, Re beta > 0.  gamma must have non-negative
+    real part throughout.
     """
     quad = quad or QuadratureSpec()
     if params.p not in (1, 2):
@@ -259,7 +265,7 @@ def selberg_oracle(params: SelbergParams, quad: QuadratureSpec | None = None) ->
         if complex(z).real <= -1:
             raise OutOfSupportedRange(
                 f"the endpoint exponent {name} - 1 = {complex(z) - 1} must "
-                f"have real part above -2 for first-order subtraction")
+                f"have real part above -2")
     budget = EvalBudget(quad.max_evals)
     if params.p == 1:
         return _oracle_p1(params, quad, budget)

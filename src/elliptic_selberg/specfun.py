@@ -107,25 +107,33 @@ class ModularPoint:
         return cmath.exp(2j * cmath.pi * self.tau * c)
 
 
-def lattice_distance(lam: complex, tau: complex) -> float:
-    """Distance from lam to the lattice Z + tau*Z.
+def _reduced_basis(tau: complex) -> tuple:
+    """Lagrange-Gauss reduced basis (u, v) of the lattice Z + tau*Z.
 
-    The basis (1, tau) is first Lagrange-Gauss reduced to (u, v) with
-    |u| <= |v| and |Re(v conj(u))| <= |u|**2 / 2.  lam is then written as
-    a*u + b*v with real a, b, and the four corners of the reduced cell
-    around it (floor/ceil of a and b) are compared.  Without the reduction
-    the nearest point of a skewed lattice (large |Re tau| or small Im tau)
-    can lie outside the four corners.
+    |u| <= |v| and |Re(v conj(u))| <= |u|**2 / 2, so u is a shortest
+    nonzero period.
     """
-    lam = complex(lam)
     u, v = 1.0 + 0.0j, complex(tau)
     while True:
         if abs(v) < abs(u):
             u, v = v, u
         mu = round((v * u.conjugate()).real / abs(u) ** 2)
         if mu == 0:
-            break
+            return u, v
         v -= mu * u
+
+
+def lattice_distance(lam: complex, tau: complex) -> float:
+    """Distance from lam to the lattice Z + tau*Z.
+
+    lam is written as a*u + b*v with real a, b in the reduced basis (u, v)
+    of _reduced_basis, and the four corners of the reduced cell around it
+    (floor/ceil of a and b) are compared.  Without the reduction the nearest
+    point of a skewed lattice (large |Re tau| or small Im tau) can lie
+    outside the four corners.
+    """
+    lam = complex(lam)
+    u, v = _reduced_basis(tau)
     # solve lam = a*u + b*v over the reals
     det = (u.conjugate() * v).imag
     a = (lam.conjugate() * v).imag / det

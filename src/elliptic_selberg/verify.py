@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, NamedTuple
 
 from .blocks import BlockIndex, leading_term_constant, u_block
@@ -279,19 +279,6 @@ class VerificationReport:
         }
 
 
-def _quad_inputs(quad: QuadratureSpec) -> dict:
-    return {
-        "gauss_order": quad.gauss_order,
-        "graded_mesh_levels": quad.graded_mesh_levels,
-        "subtraction_order": quad.subtraction_order,
-        "endpoint_delta": quad.endpoint_delta,
-        "method": quad.method,
-        "loop_nodes": quad.loop_nodes,
-        "loop_radius_factor": quad.loop_radius_factor,
-        "max_evals": quad.max_evals,
-    }
-
-
 def verify_identity(ident: int, p: int, lambda_grid=None,
                     pt: ModularPoint | None = None,
                     quad: QuadratureSpec | None = None,
@@ -342,7 +329,7 @@ def verify_identity(ident: int, p: int, lambda_grid=None,
         "kappa": st.kappa,
         "tau": [pt.tau.real, pt.tau.imag],
         "lambda_grid": [complex(x).real for x in grid],
-        "quadrature": _quad_inputs(quad),
+        "quadrature": asdict(quad),
         "tolerance": tol,
     }
     return VerificationReport(

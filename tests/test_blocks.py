@@ -63,19 +63,24 @@ def test_p0_is_a_plain_theta_and_u_is_its_odd_part():
 # ---------------------------------------------------------------------------
 
 
-def test_single_fold_block_matches_closed_form_subtraction():
-    u = u_block(BlockIndex(1, 4, 2), LAM, PT)
-    want = block_constant(1, 4, 2).value * theta1(LAM, PT) ** 2
-    assert abs(u.value - want) / abs(want) < 1e-9
-    assert u.error_estimate < 1e-8
-
-
 def test_single_fold_block_matches_closed_form_contour():
-    quad = QuadratureSpec(method="contour")
-    u = u_block(BlockIndex(1, 4, 2), LAM, PT, quad)
+    # the endpoint circle (contour) is the only p = 1 continuation
+    u = u_block(BlockIndex(1, 4, 2), LAM, PT)
     want = block_constant(1, 4, 2).value * theta1(LAM, PT) ** 2
     assert abs(u.value - want) / abs(want) < 1e-12
     assert u.error_estimate < 1e-10
+
+
+@pytest.mark.parametrize("tau", [0.04j, 1 + 0.04j])
+def test_single_fold_circle_excludes_other_theta_zeros(tau):
+    # the shortest period |tau| = 0.04 is below the endpoint window 0.1: an
+    # endpoint circle of radius 0.05 would enclose the zero of theta1 at
+    # t = tau and give a wrong value with a small error estimate
+    pt = ModularPoint(tau)
+    u = u_block(BlockIndex(1, 4, 2), LAM, pt)
+    want = block_constant(1, 4, 2).value * theta1(LAM, pt) ** 2
+    assert abs(u.value - want) <= 1e-8 * abs(want)
+    assert u.error_estimate <= 1e-6 * abs(want)
 
 
 def test_single_fold_regression_value():
@@ -85,60 +90,59 @@ def test_single_fold_regression_value():
     assert abs(u.value - want) < 1e-9 * abs(want)
 
 
-# Values and budgets recorded from the per-lambda p = 1 quadrature this package
-# used before the lambda-independent factors were tabulated: the coarse
-# default spec, then its refined() spec.  tau = 1 + i is the T-transform
-# input; at tau = 0.3 + 0.4i the argument of E varies along the middle path;
-# lambda = -0.3i at tau = i is an S-transform input.  The tau values
-# alternate, so tables cached under a key that missed tau would be reused at
-# the wrong tau.
+# Values and budgets recorded from the endpoint-circle p = 1 quadrature: the
+# coarse default spec, then its refined() spec.  tau = 1 + i is the
+# T-transform input; at tau = 0.3 + 0.4i the argument of E varies along the
+# middle path; lambda = -0.3i at tau = i is an S-transform input.  The tau
+# values alternate, so tables cached under a key that missed tau would be
+# reused at the wrong tau.
 P1_PINNED = [
-    (0.9j, 4, 2, 0.3, "subtraction",
-     (1.3487341096132424 - 1.7411719926854345j, 4737),
-     (1.3487341096544554 - 1.7411719926834688j, 7921)),
-    (1 + 1j, 4, 2, 0.3, "subtraction",
-     (1.484848764107721 + 1.1541171645695079j, 4737),
-     (1.4848487640196706 + 1.154117164568794j, 7921)),
-    (0.9j, 5, 3, 0.3, "subtraction",
-     (0.565883128685783 + 0.13419349606789974j, 4481),
-     (0.5658831286862098 + 0.1341934960673441j, 7569)),
-    (0.3 + 0.4j, 4, 2, 0.3, "subtraction",
-     (4.7139753797854675 - 1.8442021160885416j, 4737),
-     (4.71397537984639 - 1.8442021160416846j, 7921)),
-    (1j, 5, 2, -0.3j, "subtraction",
-     (-5.39854667364053 + 1.7540941453051557j, 4481),
-     (-5.398546673631424 + 1.7540941453173229j, 7569)),
-    (0.9j, 4, 2, 0.3, "contour",
+    (0.9j, 4, 2, 0.3,
      (1.3487341095779506 - 1.7411719926494376j, 2305),
      (1.3487341095779506 - 1.7411719926494382j, 4657)),
+    (1 + 1j, 4, 2, 0.3,
+     (1.4848487640996109 + 1.1541171645608874j, 2305),
+     (1.4848487640996162 + 1.1541171645608874j, 4657)),
+    (0.9j, 5, 3, 0.3,
+     (0.5658831286847448 + 0.13419349606937386j, 2305),
+     (0.5658831286847448 + 0.1341934960693735j, 4657)),
+    (0.3 + 0.4j, 4, 2, 0.3,
+     (4.713975379558706 - 1.8442021159791389j, 2305),
+     (4.7139753795587005 - 1.8442021159791304j, 4657)),
+    (1j, 5, 2, -0.3j,
+     (-5.398546673663372 + 1.7540941453058636j, 2305),
+     (-5.398546673663393 + 1.7540941453058778j, 4657)),
 ]
 
 
 def test_one_fold_values_are_pinned():
-    for tau, kappa, n, lam, method, *pinned in P1_PINNED:
-        quad = QuadratureSpec(method=method)
+    quad = QuadratureSpec()
+    for tau, kappa, n, lam, *pinned in P1_PINNED:
         for spec, (want, want_budget) in zip((quad, quad.refined()), pinned):
             got, budget = blocks._one_value(BlockIndex(1, kappa, n),
                                             complex(lam), ModularPoint(tau), spec)
-            assert abs(got - want) <= 1e-13 * abs(want), (tau, kappa, n, method)
+            assert abs(got - want) <= 1e-13 * abs(want), (tau, kappa, n)
             assert budget.used == want_budget
 
 
 def test_one_fold_work_is_tabulated(monkeypatch):
-    # a warm p = 1 value needs theta1(lam), theta1'(lam) and one stacked
-    # theta1 call; everything else comes from the lambda-independent tables
+    # a warm p = 1 value needs theta1(lam), one stacked theta1 call and one
+    # stacked level-theta call; everything else comes from the
+    # lambda-independent tables
     idx, lam, spec = BlockIndex(1, 4, 2), complex(LAM), QuadratureSpec()
     blocks._one_value(idx, lam, PT, spec)
-    calls = []
-    kernel = specfun._theta1_array
+    calls = {"_theta1_array": 0, "_theta_level_array": 0}
+    for name in calls:
+        kernel = getattr(specfun, name)
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return kernel(*args, **kwargs)
+        def counting(*args, _name=name, _kernel=kernel, **kwargs):
+            calls[_name] += 1
+            return _kernel(*args, **kwargs)
 
-    monkeypatch.setattr(specfun, "_theta1_array", counting)
+        monkeypatch.setattr(specfun, name, counting)
     blocks._one_value(idx, lam, PT, spec)
-    assert 0 < len(calls) <= 4
+    assert 0 < calls["_theta1_array"] <= 2
+    assert 0 < calls["_theta_level_array"] <= 1
 
 
 def test_dead_indices_vanish():

@@ -112,6 +112,14 @@ def test_selberg_oracle_roundtrip(capsys):
     assert payload["rel_discrepancy"] < 1e-10
 
 
+def test_selberg_near_exponent_minus_two_verifies(capsys):
+    # endpoint exponent beta - 1 = -1.9 runs the oracle's endpoint circle
+    code, out = run(["selberg", "--p", "1", "--alpha", "1.3", "--beta=-0.9",
+                     "--gamma", "0.4"], capsys)
+    assert code == 0
+    assert json.loads(out)["passed"] is True
+
+
 def test_negative_complex_value_needs_the_equals_form(capsys):
     # after a space, argparse reads "-0.5+0.1i" as an option, not a value
     with pytest.raises(SystemExit) as info:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from elliptic_selberg import selberg
 from elliptic_selberg.errors import (
     GammaPole,
     OutOfSupportedRange,
@@ -108,28 +109,56 @@ def test_oracle_polynomial_case():
     assert abs(oracle(1, 2, 3, 0.7) - 1 / 12) < 1e-14
 
 
-@pytest.mark.parametrize("method", ["subtraction", "contour"])
-def test_oracle_negative_exponent_path_reproduces_pi(method):
+# The oracle picks the p = 1 endpoint rule from the exponent ("by-exponent");
+# the other cases move the switch so that every continued endpoint runs the
+# named rule, and both rules must give the continued value on their own.
+ENDPOINT_RULES = [
+    pytest.param(None, id="by-exponent"),
+    pytest.param(-2.0, id="subtraction"),
+    pytest.param(0.0, id="contour"),
+]
+
+
+@pytest.fixture(params=ENDPOINT_RULES)
+def endpoint_rule(request, monkeypatch):
+    if request.param is not None:
+        monkeypatch.setattr(selberg, "_CIRCLE_AT_OR_BELOW", request.param)
+
+
+def test_oracle_negative_exponent_path_reproduces_pi(endpoint_rule):
     # both endpoint exponents are -1/2, so this runs the continuation path
-    quad = QuadratureSpec(method=method)
-    val = oracle(1, 0.5, 0.5, 0.0, quad=quad)
+    val = oracle(1, 0.5, 0.5, 0.0)
     assert abs(val - math.pi) <= 1e-8
 
 
-@pytest.mark.parametrize("method", ["subtraction", "contour"])
-def test_oracle_continued_value_at_negative_beta_is_zero(method):
-    # closed form has Gamma(0) downstairs: the continued integral vanishes
-    quad = QuadratureSpec(method=method)
-    assert abs(oracle(1, 0.5, -0.5, 0.0, quad=quad)) <= 1e-9
+def test_oracle_continued_value_at_negative_beta_is_zero(endpoint_rule):
+    # closed form has Gamma(0) downstairs: the continued integral vanishes;
+    # exponent -1/2 at t = 0, -3/2 at t = 1
+    assert abs(oracle(1, 0.5, -0.5, 0.0)) <= 1e-9
     assert closed(1, 0.5, -0.5, 0.0) == 0.0
 
 
-@pytest.mark.parametrize("method", ["subtraction", "contour"])
-def test_oracle_block_style_beta_continuation(method):
+def test_oracle_block_style_beta_continuation(endpoint_rule):
     # the (p=1, kappa=4, n=2) parameter set: alpha=3/4, beta=-1/2, gamma=1/4
     ref = closed(1, 0.75, -0.5, 0.25)
-    val = oracle(1, 0.75, -0.5, 0.25, quad=QuadratureSpec(method=method))
+    val = oracle(1, 0.75, -0.5, 0.25)
     assert abs(val - ref) <= 1e-8 * abs(ref)
+
+
+@pytest.mark.parametrize("beta", [-0.6, -0.8, -0.9, -0.95])
+def test_oracle_keeps_digits_near_exponent_minus_two(beta):
+    # endpoint exponent beta - 1 in (-2, -1.5]: Taylor subtraction would lose
+    # up to 1e-5 here, the endpoint circle keeps full precision
+    ref = closed(1, 1.3, beta, 0.4)
+    assert abs(oracle(1, 1.3, beta, 0.4) - ref) <= 1e-12 * abs(ref)
+
+
+def test_oracle_exponent_zero_uses_subtraction():
+    # alpha = 1 puts exponent 0 at t = 0, where the circle divisor
+    # e^(2 pi i a) - 1 vanishes
+    assert oracle(1, 1, 1, 0.4) == 1.0
+    ref = closed(1, 1, -0.5, 0.4)
+    assert abs(oracle(1, 1, -0.5, 0.4) - ref) <= 1e-12 * abs(ref)
 
 
 def test_oracle_p2_unit_case_independent_mesh():
@@ -222,10 +251,6 @@ def test_quadrature_spec_validation():
         QuadratureSpec(gauss_order=4)
     with pytest.raises(ValueError):
         QuadratureSpec(endpoint_delta=0.3)
-    with pytest.raises(ValueError):
-        QuadratureSpec(subtraction_order=2)
-    with pytest.raises(ValueError):
-        QuadratureSpec(method="magic")
     fine = QuadratureSpec().refined()
     assert fine.gauss_order > QuadratureSpec().gauss_order
 

@@ -6,6 +6,7 @@ They stay fast because p = 1 blocks cost milliseconds.
 """
 
 import cmath
+import dataclasses
 import json
 import math
 
@@ -13,6 +14,7 @@ import pytest
 
 from elliptic_selberg.blocks import BlockIndex, u_block
 from elliptic_selberg.errors import EllipticSelbergError, OutOfSupportedRange
+from elliptic_selberg.quadrature import QuadratureSpec
 from elliptic_selberg.specfun import ModularPoint, dedekind_eta, phi, theta1
 from elliptic_selberg.transforms import BlockFunction, apply_transform
 from elliptic_selberg import verify as V
@@ -103,9 +105,9 @@ def test_paired_closed_forms_sum_to_twice_single_block():
 
 
 def test_report_fails_under_impossible_tolerance():
-    rep = V.verify_identity(1, 1, lambda_grid=(0.31,), tol=1e-15)
+    rep = V.verify_identity(1, 1, lambda_grid=(0.31,), tol=1e-17)
     assert not rep.passed
-    assert rep.rel_err > 1e-15
+    assert rep.rel_err > 1e-17
     assert any("quadrature" in note for note in rep.notes)
 
 
@@ -117,7 +119,8 @@ def test_report_dict_is_json_stable():
     payload = json.loads(a)
     assert payload["name"] == "identity-2"
     assert payload["inputs"]["kappa"] == 5
-    assert payload["inputs"]["quadrature"]["method"] == "subtraction"
+    assert (sorted(payload["inputs"]["quadrature"])
+            == sorted(f.name for f in dataclasses.fields(QuadratureSpec)))
     assert len(payload["lhs"]) == 2
 
 
