@@ -20,11 +20,11 @@ continuation in the exponents.  Realizations:
   collapsing corners x -> 0, x -> 1 go like x^A with A = 2b + g - 1
   (g = 2/kappa).  Fractional powers are continued with endpoint circle
   integrals; the integrable diagonal factor (x-y)^g is absorbed into a
-  Gauss-Jacobi weight.  At kappa = 6 the corner exponent A is the integer -2
-  and the circle formula degenerates, so the value is obtained by sampling
-  the integral at shifted exponents b + s and interpolating back to s = 0
-  (the integral is analytic in b there); this is the same continuation in
-  exponents that defines the integral in the first place.
+  Gauss-Jacobi weight.  At kappa = 6 the corner exponent A is the integer -2,
+  where the circle divisor and the two half shapes' summed corner-circle
+  numerators vanish together; the integral is analytic in b, and its corner
+  part is the quotient of their b-derivatives (the finite part of x^A at a
+  negative integer).
 
 Both quadratures tabulate first and assemble second.  At p = 1 everything
 that does not depend on lambda (the nodes, theta1 on them and the continued
@@ -33,7 +33,7 @@ theta1 and one level-theta call on stacked arguments.  At p = 2 each
 section's outer x nodes and inner xi nodes form one tensor, the theta
 factors are evaluated on chunks of it in a few kernel calls, and the
 exponent b enters last as exp(b * log) of the tabulated principal logs, so
-the shifted samples at kappa = 6 share one tabulation.
+the b-derivative at kappa = 6 is the same sum with a log factor.
 """
 
 from __future__ import annotations
@@ -74,8 +74,6 @@ __all__ = [
     "leading_term_constant",
 ]
 
-# exponent offsets used to interpolate across integer corner exponents
-_SHIFT_SAMPLES = (-0.12, -0.09, -0.06, -0.03, 0.03, 0.06, 0.09, 0.12)
 # p = 2 inner geometry: radius of the xi loops, and the split between the
 # Gauss-Legendre panel and the Gauss-Jacobi tail of the corner integrals
 _INNER_RADIUS = 0.3
@@ -344,8 +342,9 @@ def _outer_rules(order: int, levels: int, loop_nodes: int, r_out: float,
 
 
 def _inner_integrals(ker: _Kernel, kind: str, rule: _Rule, x, s_sign, mu, nu,
-                     g, kappa, n, bs) -> np.ndarray:
-    """Xi_b(x) for every outer node x and exponent b, shape (len(bs), len(x)).
+                     g, kappa, n, b, slope) -> np.ndarray:
+    """Xi_b(x) for every outer node x, and with slope its b-derivative as a
+    second row; shape (1 + slope, len(x)).
 
     psi(xi) = (E(y)/y)^b * s y sigma(s y) * diag * theta_{kappa,n}(mu + nu (pos + y))
     with y = x xi (corners) or (1 - x) xi (right half).  The diagonal factor
@@ -356,8 +355,8 @@ def _inner_integrals(ker: _Kernel, kind: str, rule: _Rule, x, s_sign, mu, nu,
     (1-xi)^g and the x -> 1 corner's (1+xi)^g sit in the rule weights.
     """
     xi = rule.nodes
-    wind = [loop_winding(b - 1.0) for b in bs]
-    out = np.empty((len(bs), x.size), dtype=complex)
+    wind = loop_winding(b - 1.0)
+    out = np.empty((1 + slope, x.size), dtype=complex)
     step = max(1, _CHUNK_POINTS // xi.size)
     for lo in range(0, x.size, step):
         xc = x[lo:lo + step, None]
@@ -378,17 +377,22 @@ def _inner_integrals(ker: _Kernel, kind: str, rule: _Rule, x, s_sign, mu, nu,
         vals = (rule.weights * (s_sign / ker.theta1_lam) * th_ly
                 * ker.theta(kappa, n, mu + nu * (pos + y)))
         logs = rule.logs + log_ez
-        base = g * np.log(diag) - log_ez
-        for k, b in enumerate(bs):
-            terms = vals * np.exp(b * logs + base)
-            out[k, lo:lo + step] = (terms[:, :rule.n_loop].sum(axis=1) / wind[k]
-                                    + terms[:, rule.n_loop:].sum(axis=1))
+        terms = vals * np.exp(b * logs + (g * np.log(diag) - log_ez))
+        loop = terms[:, :rule.n_loop].sum(axis=1)
+        out[0, lo:lo + step] = loop / wind + terms[:, rule.n_loop:].sum(axis=1)
+        if slope:
+            # d/db, where d/db loop_winding(b - 1) = 2 pi i (wind + 1)
+            terms = terms * logs
+            out[1, lo:lo + step] = (terms[:, :rule.n_loop].sum(axis=1) / wind
+                                    + terms[:, rule.n_loop:].sum(axis=1)
+                                    - loop * 2j * math.pi * (wind + 1.0) / wind ** 2)
     return out
 
 
 def _outer_integral(ker: _Kernel, rule: _Rule, sign, over_z: bool, inner,
-                    bs) -> np.ndarray:
-    """sum over the x nodes of E(x)^b sign sigma(sign x) Xi_b(x), one per b.
+                    b) -> np.ndarray:
+    """sum over the x nodes of E(x)^b sign sigma(sign x) Xi_b(x), and its
+    b-derivative when inner carries the slope row; shape (len(inner),).
 
     over_z: the loop form, with (E(x)/x)^b and the pole-free x sigma.
     """
@@ -400,32 +404,38 @@ def _outer_integral(ker: _Kernel, rule: _Rule, sign, over_z: bool, inner,
     log_f = np.log(f)
     vals = rule.weights * (sign / ker.theta1_lam) * th_lx
     logs = rule.logs + log_f
-    return np.array([np.sum(vals * np.exp(b * logs - log_f) * inner[k])
-                     for k, b in enumerate(bs)])
+    terms = vals * np.exp(b * logs - log_f)
+    out = [np.sum(terms * inner[0])]
+    if len(inner) > 1:
+        out.append(np.sum(terms * (logs * inner[0] + inner[1])))
+    return np.array(out)
 
 
-def _half_shape_integral(ker: _Kernel, s_sign, mu, nu, g, kappa, n, bs,
-                         quad: QuadratureSpec, r_out: float) -> np.ndarray:
+def _half_shape_integral(ker: _Kernel, s_sign, mu, nu, g, kappa, n, b, slope,
+                         quad: QuadratureSpec, r_out: float) -> tuple:
     """Integral over {0 <= y <= min(x, 1-x)} of one reflected-part integrand.
 
     Integrand: E(x)^b E(y)^b E(x-y)^g sigma(s x) sigma(s y)
     theta_{kappa,n}(mu + nu (x+y)); corners x -> 0 and x -> 1 are continued
-    via circle integrals with exponent A = 2b + g - 1.  One value per b.
+    via circle integrals with exponent A = 2b + g - 1.  Returns (corner,
+    rest): the corner loops' numerator, still to be divided by
+    loop_winding(A), with its b-derivative as a second entry when slope is
+    set, and the sum of the corner-free sections.
     """
     rules = (quad.gauss_order, quad.graded_mesh_levels, quad.loop_nodes)
     corner, left, right = _outer_rules(*rules, r_out, g)
-    wind = np.array([loop_winding(2 * b + g - 1.0) for b in bs])
 
-    def part(kind, rule, sign, over_z):
+    def part(kind, rule, sign, over_z, slope=False):
         inner = _inner_integrals(ker, kind, _inner_rule(kind, *rules, g),
-                                 rule.nodes, s_sign, mu, nu, g, kappa, n, bs)
-        return _outer_integral(ker, rule, sign, over_z, inner, bs)
+                                 rule.nodes, s_sign, mu, nu, g, kappa, n, b,
+                                 slope)
+        return _outer_integral(ker, rule, sign, over_z, inner, b)
 
     # sigma(s (1 - w)) = sigma(-s w) by 1-periodicity at the x -> 1 corner
-    return ((part("left", corner, s_sign, True)
-             + part("right", corner, -s_sign, True)) / wind
-            + part("left", left, s_sign, False)
-            + part("half", right, s_sign, False))
+    return (part("left", corner, s_sign, True, slope)
+            + part("right", corner, -s_sign, True, slope),
+            complex(part("left", left, s_sign, False)[0]
+                    + part("half", right, s_sign, False)[0]))
 
 
 def _j_p2(idx: BlockIndex, lam: complex, pt: ModularPoint,
@@ -436,34 +446,29 @@ def _j_p2(idx: BlockIndex, lam: complex, pt: ModularPoint,
             "imaginary tau only")
     lam = float(complex(lam).real)
     kappa, n = idx.kappa, idx.reduced_n
-    b0 = -4.0 / kappa
+    b = -4.0 / kappa
     g = 2.0 / kappa
     # Branch convention for the pairwise difference factor: the ordered
     # difference is taken with argument continued to -pi rather than 0
     # (one factor of exp(-i*pi*g) per pair; a single pair here).  The
-    # convention is fixed by the normalization of the closed forms and was
-    # pinned down empirically at two unrelated levels to 1e-15 relative.
+    # convention is fixed by the normalization of the closed forms; the
+    # q -> 0 limit test_pair_branch_gives_the_leading_term pins it.
     pair_branch = cmath.exp(-1j * math.pi * g)
-    corner = 2 * b0 + g - 1.0
-    # an integer corner exponent (kappa = 6) is crossed by sampling at
-    # shifted E-exponents and interpolating back; the integral is analytic
-    # in b on this neighbourhood
-    shifts = np.array((0.0,) if abs(corner - round(corner)) > 0.02
-                      else _SHIFT_SAMPLES)
-    bs = b0 + shifts
+    corner = 2 * b + g - 1.0
+    # The corner exponent -6/kappa - 1 is an integer only at kappa = 6, where
+    # W(b) = loop_winding(2b + g - 1) and N+ + N- vanish together and J takes
+    # the limit (N+' + N-') / W'(b): the finite part of x^A at a negative
+    # integer (Gel'fand and Shilov, Generalized Functions, vol. 1, ch. I, 3).
+    at_pole = kappa == 6
     ker = _Kernel(pt, lam, budget)
     r_out = 0.2 * min(1.0, pt.tau.imag)
-    values = (_half_shape_integral(ker, +1.0, lam, 2.0 / kappa, g, kappa, n,
-                                   bs, quad, r_out)
-              + _half_shape_integral(ker, -1.0, lam + 4.0 / kappa,
-                                     -2.0 / kappa, g, kappa, n, bs, quad, r_out))
-    if shifts.size == 1:
-        return pair_branch * complex(values[0])
-    coeff_re = np.polynomial.polynomial.polyfit(shifts, values.real,
-                                                shifts.size - 1)
-    coeff_im = np.polynomial.polynomial.polyfit(shifts, values.imag,
-                                                shifts.size - 1)
-    return pair_branch * complex(coeff_re[0], coeff_im[0])
+    corners, rests = zip(*(
+        _half_shape_integral(ker, s, mu, s * g, g, kappa, n, b, at_pole, quad,
+                             r_out)
+        for s, mu in ((1.0, lam), (-1.0, lam + 2 * g))))
+    value = (sum(corners)[1] / (4j * math.pi * cmath.exp(2j * math.pi * corner))
+             if at_pole else sum(corners)[0] / loop_winding(corner))
+    return pair_branch * complex(value + sum(rests))
 
 
 # ---------------------------------------------------------------------------

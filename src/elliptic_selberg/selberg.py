@@ -12,13 +12,13 @@ GammaPole, a pole hit only by a denominator gamma makes the value 0.
 
 The oracle integrates the defining simplex integral directly.  For positive
 real-part exponents it uses graded Gauss meshes (depth adapted to the weakest
-endpoint exponent).  At p = 1 an endpoint exponent a in (-2, 0] is continued
-by the rule that keeps its digits: for Re a > -1 first-order Taylor
+endpoint exponent).  At p = 1 an endpoint exponent a with Re a <= 0 is
+continued by the rule that keeps its digits: for Re a > -1 first-order Taylor
 subtraction of the smooth cofactor plus the closed-form finite parts
 delta**(a+1)/(a+1) and delta**(a+2)/(a+2) (the circle divisor
 e^{2 pi i a} - 1 vanishes at a = 0); for Re a <= -1 an endpoint circle
 integral (the subtracted residual's rounding, times t**a, swamps the deep
-mesh nodes there).
+mesh nodes there), exact at any non-integer a.
 """
 
 from __future__ import annotations
@@ -251,21 +251,16 @@ def _oracle_p2(params: SelbergParams, quad: QuadratureSpec,
 def selberg_oracle(params: SelbergParams, quad: QuadratureSpec | None = None) -> complex:
     """Direct numerical evaluation of the simplex integral, p <= 2.
 
-    p=1 supports endpoint exponents with real part in (-2, 0], continued by
-    first-order Taylor subtraction above -1 and by an endpoint circle from -1
-    down; p=2 requires Re alpha, Re beta > 0.  gamma must have non-negative
-    real part throughout.
+    p=1 continues a non-positive endpoint exponent by first-order Taylor
+    subtraction above -1 and by an endpoint circle from -1 down, where an
+    integer exponent raises OutOfSupportedRange; p=2 requires Re alpha,
+    Re beta > 0.  gamma must have non-negative real part throughout.
     """
     quad = quad or QuadratureSpec()
     if params.p not in (1, 2):
         raise OutOfSupportedRange(f"oracle supports p in {{1, 2}}, got p={params.p}")
     if complex(params.gamma).real < 0:
         raise OutOfSupportedRange("oracle needs Re gamma >= 0")
-    for name, z in (("alpha", params.alpha), ("beta", params.beta)):
-        if complex(z).real <= -1:
-            raise OutOfSupportedRange(
-                f"the endpoint exponent {name} - 1 = {complex(z) - 1} must "
-                f"have real part above -2")
     budget = EvalBudget(quad.max_evals)
     if params.p == 1:
         return _oracle_p1(params, quad, budget)

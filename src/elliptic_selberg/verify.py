@@ -40,6 +40,7 @@ from .specfun import (ModularPoint, dedekind_eta, dedekind_eta_logderiv, phi,
 __all__ = [
     "DEFAULT_LAMBDA_GRID",
     "DEFAULT_TAU",
+    "DEFAULT_TOLERANCE",
     "MATRIX_CASES",
     "SECONDARY_TAU",
     "Check",
@@ -47,7 +48,6 @@ __all__ = [
     "IdentityStructure",
     "VerificationReport",
     "battery",
-    "default_tolerance",
     "heat_residual_check",
     "identity_structure",
     "kzb_residual",
@@ -243,10 +243,8 @@ def _require_prerequisites() -> None:
 # ---------------------------------------------------------------------------
 
 
-def default_tolerance(p: int, kappa: int) -> float:
-    if p == 1 and kappa <= 6:
-        return 1e-5
-    return 1e-4
+# every identity reaches 1e-13 or better: a loss of three digits fails
+DEFAULT_TOLERANCE = 1e-10
 
 
 @dataclass(frozen=True)
@@ -294,7 +292,7 @@ def verify_identity(ident: int, p: int, lambda_grid=None,
     pt = pt or ModularPoint(DEFAULT_TAU)
     grid = tuple(lambda_grid) if lambda_grid is not None else DEFAULT_LAMBDA_GRID
     quad = quad or QuadratureSpec()
-    tol = tol if tol is not None else default_tolerance(p, st.kappa)
+    tol = tol if tol is not None else DEFAULT_TOLERANCE
 
     lhs, rhs, estimates = [], [], []
     budget = 0

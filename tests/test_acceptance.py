@@ -150,9 +150,10 @@ def test_numeric_matrices_match_closed_forms(kappa):
 # ---------------------------------------------------------------------------
 
 def test_closed_form_evaluation_two_pairs():
-    # the three-fold integral (smallest level), one lambda, 30-minute budget
-    report = V.verify_identity(1, 2, lambda_grid=(0.3,), tol=1e-4)
+    # the two-fold integral at the smallest level (kappa = 6), one lambda
+    report = V.verify_identity(1, 2, lambda_grid=(0.3,))
     assert report.passed, f"rel_err={report.rel_err:.3e}"
+    assert report.rel_err <= 1e-12
 
 
 # ---------------------------------------------------------------------------

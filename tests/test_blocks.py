@@ -235,14 +235,20 @@ def test_two_fold_block_matches_closed_form():
     assert abs(u.value - rhs) / abs(rhs) < 1e-6
 
 
-# Values recorded from the per-node quadrature this package used before the
-# p = 2 integrand was tabulated in tensors; the default spec is the coarse
-# pass, its refined() spec the fine one.
+# The default spec is the coarse pass, its refined() spec the fine one.
+# (8, 4): recorded from the per-node quadrature this package used before the
+# p = 2 integrand was tabulated in tensors.  (7, 2): recorded from the
+# eight-sample fit version, whose non-integer corner path the kappa = 6 limit
+# leaves alone.  (6, 3): the kappa = 6 limit, 1.0e-7 from the eight-sample
+# polynomial fit it replaced; its u at LAM is 4.7e-15 from the closed form
+# c theta1^3 of identity 1, the fit's was 8.8e-8.
 P2_PINNED = {
     (8, 4): (-2.002246852089143 - 0.8840385559530388j,
              -2.002246852089142 - 0.8840385559530386j),
-    (6, 3): (-3.5479744556329638 + 2.274498042298444j,
-             -3.5479744556329553 + 2.2744980422984424j),
+    (7, 2): (10.446103065461275 + 13.098998927225207j,
+             10.446103065461259 + 13.098998927225203j),
+    (6, 3): (-3.5479748066813133 + 2.274498308950914j,
+             -3.547974806681312 + 2.2744983089509136j),
 }
 
 
@@ -252,6 +258,35 @@ def test_two_fold_values_are_pinned(kappa, n):
     for spec, want in zip((quad, quad.refined()), P2_PINNED[(kappa, n)]):
         got, _ = blocks._one_value(BlockIndex(2, kappa, n), LAM, PT, spec)
         assert abs(got - want) <= 1e-12 * abs(want)
+
+
+@pytest.mark.parametrize("tau", [0.9j, 0.6j])
+@pytest.mark.parametrize("n", [1, 3])
+def test_kappa_six_corner_numerators_cancel(tau, n):
+    # at kappa = 6 the corner exponent 2b + g - 1 is -2 and loop_winding
+    # vanishes there; the value is a finite limit only because the two half
+    # shapes' corner numerators cancel at the base exponent
+    kappa, lam = 6, 0.3
+    b, g = -4.0 / kappa, 2.0 / kappa
+    pt, quad = ModularPoint(tau), QuadratureSpec()
+    ker = blocks._Kernel(pt, lam, blocks.EvalBudget(quad.max_evals))
+    r_out = 0.2 * min(1.0, tau.imag)
+    n_plus, _ = blocks._half_shape_integral(
+        ker, +1.0, lam, g, g, kappa, n, b, False, quad, r_out)
+    n_minus, _ = blocks._half_shape_integral(
+        ker, -1.0, lam + 4.0 / kappa, -g, g, kappa, n, b, False, quad, r_out)
+    assert abs(n_plus[0]) > 1.0
+    assert abs(n_plus[0] + n_minus[0]) <= 1e-12 * abs(n_plus[0])
+
+
+def test_pair_branch_gives_the_leading_term():
+    # the kappa = 6 block over theta1^3 tends to leading_term_constant(2) as
+    # q -> 0; the pair branch exp(-i pi g) sets its phase, so the opposite
+    # branch misses by O(1)
+    pt = ModularPoint(2j)
+    ratio = u_block(BlockIndex(2, 6, 3), LAM, pt).value / theta1(LAM, pt) ** 3
+    want = leading_term_constant(2)
+    assert abs(ratio - want) <= 1e-12 * abs(want)
 
 
 def test_two_fold_theta_calls_are_batched(monkeypatch):

@@ -132,10 +132,28 @@ def test_negative_complex_value_needs_the_equals_form(capsys):
     payload = json.loads(out)
     assert payload["config"]["beta"] == [-0.5, 0.1]
     assert payload["passed"] is True
-    # an endpoint exponent past the oracle's range is a usage error
-    code, _ = run(["selberg", "--p", "1", "--alpha", "1.3", "--beta=-1.5",
+    # endpoint exponent beta - 1 = -2.5 runs the endpoint circle; an integer
+    # endpoint exponent is outside the oracle's range, a usage error
+    code, out = run(["selberg", "--p", "1", "--alpha", "1.3", "--beta=-1.5",
+                     "--gamma", "0.4"], capsys)
+    assert code == 0
+    assert json.loads(out)["passed"] is True
+    code, _ = run(["selberg", "--p", "1", "--alpha", "1.3", "--beta=-1",
                    "--gamma", "0.4"], capsys)
     assert code == 2
+
+
+def test_selberg_zero_closed_form_is_matched_absolutely(capsys):
+    # Gamma(alpha + beta) = Gamma(0) downstairs: the closed form is exactly 0
+    # and the oracle's value is rounding, so no relative comparison exists
+    code, out = run(["selberg", "--p", "1", "--alpha", "0.5", "--beta=-0.5",
+                     "--gamma", "0.4"], capsys)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["value"] == [0.0, 0.0]
+    assert payload["abs_discrepancy"] <= 1e-8
+    assert "rel_discrepancy" not in payload
+    assert payload["passed"] is True
 
 
 def test_smatrix_reports_relations(capsys):

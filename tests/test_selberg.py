@@ -184,14 +184,24 @@ def test_oracle_range_guards():
     with pytest.raises(OutOfSupportedRange):
         oracle(1, 1, 1, -0.5)
     with pytest.raises(OutOfSupportedRange):
-        oracle(1, -2.5, 1, 0.5)
-    with pytest.raises(OutOfSupportedRange):
         oracle(2, -0.5, 1, 0.5)
-    # endpoint exponents beta - 1 below -2, past first-order subtraction
-    with pytest.raises(OutOfSupportedRange, match="endpoint exponent beta"):
-        oracle(1, 1.3, -1.5, 0.4)
-    with pytest.raises(OutOfSupportedRange, match="endpoint exponent beta"):
-        oracle(1, 1.3, -1.2 + 0.1j, 0.4)
+    # integer endpoint exponents beta - 1 = -2 and -1 have no circle rule
+    for beta in (-1, 0):
+        with pytest.raises(OutOfSupportedRange, match="too close to an integer"):
+            oracle(1, 1.3, beta, 0.4)
+
+
+@pytest.mark.parametrize("p,a,b,g", [
+    (1, 1.3, -1.5, 0.4),
+    (1, 1.3, -1.2 + 0.1j, 0.4),
+    (1, 1.3, -2.5, 0.4),
+    (1, -2.5, 1, 0.5),
+])
+def test_oracle_circle_below_exponent_minus_two(p, a, b, g):
+    # endpoint exponents at or below -2: the endpoint circle continues any
+    # non-integer exponent
+    ref = closed(p, a, b, g)
+    assert abs(oracle(p, a, b, g) - ref) <= 1e-11 * abs(ref)
 
 
 def test_oracle_budget_guard():

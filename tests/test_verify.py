@@ -55,11 +55,12 @@ def test_structure_rejects_bad_ids():
         V.identity_structure(1, 0)
 
 
-def test_default_tolerance_ladder():
-    assert V.default_tolerance(1, 4) == 1e-5
-    assert V.default_tolerance(1, 6) == 1e-5
-    assert V.default_tolerance(1, 8) == 1e-4
-    assert V.default_tolerance(2, 6) == 1e-4
+def test_default_tolerance_is_one_constant():
+    assert V.DEFAULT_TOLERANCE == 1e-10
+    assert "default_tolerance" not in V.__all__
+    rep = V.verify_identity(2, 1, lambda_grid=(0.27,))
+    assert rep.tolerance == V.DEFAULT_TOLERANCE
+    assert rep.inputs["tolerance"] == V.DEFAULT_TOLERANCE
 
 
 # ---------------------------------------------------------------------------
@@ -125,8 +126,9 @@ def test_report_dict_is_json_stable():
 
 
 def test_identity_four_pairs_at_p_two():
-    rep = V.verify_identity(4, 2, lambda_grid=(0.3,), tol=1e-4)
+    rep = V.verify_identity(4, 2, lambda_grid=(0.3,))
     assert rep.passed, f"rel_err={rep.rel_err}"
+    assert rep.rel_err <= 1e-12
 
 
 # ---------------------------------------------------------------------------
