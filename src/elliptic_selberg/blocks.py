@@ -30,10 +30,14 @@ Both quadratures tabulate first and assemble second.  At p = 1 everything
 that does not depend on lambda (the nodes, theta1 on them and the continued
 log of E) is cached per (tau, spec), and each lambda adds theta1(lam), one
 theta1 and one level-theta call on stacked arguments.  At p = 2 each
-section's outer x nodes and inner xi nodes form one tensor, the theta
-factors are evaluated on chunks of it in a few kernel calls, and the
-exponent b enters last as exp(b * log) of the tabulated principal logs, so
-the b-derivative at kappa = 6 is the same sum with a log factor.
+section's outer x nodes and inner xi nodes form one tensor, and one pass
+integrates the four integrands of u = J(lam) - J(-lam) (two half shapes at
+each sign of lambda) together: per chunk of the tensor, one theta1 call on
+[y, diagonal, lam - y, lam + y] serves all four, since theta1 is odd, as
+does the lambda-independent power factor; one level-theta call takes their
+four argument rows.  The exponent b enters last as exp(b * log) of the
+tabulated principal logs, so the b-derivative at kappa = 6 is the same sum
+with a log factor.
 """
 
 from __future__ import annotations
@@ -78,8 +82,9 @@ __all__ = [
 # Gauss-Legendre panel and the Gauss-Jacobi tail of the corner integrals
 _INNER_RADIUS = 0.3
 _JACOBI_SPLIT = 0.6
-# inner points tabulated per kernel call: enough to amortise the per-call
-# cost, few enough to keep the transient tensors to a few megabytes
+# (x, xi) points tabulated per chunk, each with four theta1 and four
+# level-theta arguments for the four p = 2 integrands: enough to amortise the
+# per-call cost, few enough to keep the transient tensors to a few megabytes
 _CHUNK_POINTS = 4096
 
 
@@ -116,7 +121,8 @@ class _Kernel:
 
     Wraps the array engines of the special-function module; every method
     accepts numpy arrays of (complex) arguments and charges the budget for
-    each point.  theta1(lam) and theta1'(0) are computed once, here.
+    each point.  theta1(lam) and theta1'(0) are computed once, here; the
+    p = 2 pass takes theta1 at -lam from theta1(-lam) = -theta1(lam).
     """
 
     def __init__(self, pt: ModularPoint, lam: complex, budget: EvalBudget):
@@ -341,113 +347,115 @@ def _outer_rules(order: int, levels: int, loop_nodes: int, r_out: float,
     return corner, left, right
 
 
-def _inner_integrals(ker: _Kernel, kind: str, rule: _Rule, x, s_sign, mu, nu,
-                     g, kappa, n, b, slope) -> np.ndarray:
-    """Xi_b(x) for every outer node x, and with slope its b-derivative as a
-    second row; shape (1 + slope, len(x)).
+# The p = 2 table rows: (sign sigma of lambda, half shape s) per integrand
+_SIGMA = (1.0, 1.0, -1.0, -1.0)
+_S = (1.0, -1.0, 1.0, -1.0)
 
-    psi(xi) = (E(y)/y)^b * s y sigma(s y) * diag * theta_{kappa,n}(mu + nu (pos + y))
-    with y = x xi (corners) or (1 - x) xi (right half).  The diagonal factor
-    is (E(d)/d)^g with d = x (1 - xi) at the x -> 0 corner and d = w (1 + xi)
-    at the x -> 1 corner (x is then the distance w to 1, pos = 1 - w), and
-    E(x - y)^g on the right half; every power base stays close to 1 or on
-    the positive axis, so all powers are principal.  The x -> 0 corner's
-    (1-xi)^g and the x -> 1 corner's (1+xi)^g sit in the rule weights.
+
+def _odd_rows(signs, minus, plus) -> np.ndarray:
+    """sign theta1(sigma lam - sign t) theta1(lam) / theta1(sigma lam) per
+    integrand, from minus/plus = theta1(lam -+ t) since theta1 is odd."""
+    return np.stack([sign * (minus if sign * sigma > 0 else plus)
+                     for sigma, sign in zip(_SIGMA, signs)])
+
+
+def _p2_sections(ker: _Kernel, idx: BlockIndex, quad: QuadratureSpec,
+                 slope: bool) -> tuple:
+    """Integrals over {0 <= y <= min(x, 1-x)} of the four integrands.
+
+    Half shape s at sigma lam: E(x)^b E(y)^b E(x-y)^g sigma(s x) sigma(s y)
+    theta_{kappa,n}(mu + s g (x+y)), mu = sigma lam + (1 - s) g; corners
+    x -> 0 and x -> 1 are continued via circle integrals with exponent
+    A = 2b + g - 1.  Returns (corner, rest), rows in _SIGMA/_S order: the
+    corner loops' numerator, still to be divided by loop_winding(A), with
+    its b-derivative as a second column when slope is set, and the sum of
+    the corner-free sections as a single column.
     """
-    xi = rule.nodes
-    wind = loop_winding(b - 1.0)
-    out = np.empty((1 + slope, x.size), dtype=complex)
-    step = max(1, _CHUNK_POINTS // xi.size)
-    for lo in range(0, x.size, step):
-        xc = x[lo:lo + step, None]
-        if kind == "left":
-            y, d, pos = xc * xi, xc * (1.0 - xi), xc
-        elif kind == "right":
-            y, d, pos = xc * xi, xc * (1.0 + xi), 1.0 - xc
-        else:
-            y = (1.0 - xc) * xi
-            d, pos = xc - y, xc
-        th_y, th_ly, th_d = ker._t1(np.stack([y, ker.lam - s_sign * y, d]))
-        log_ez = np.log(th_y / (y * ker.theta1_prime0))
-        diag = th_d / ker.theta1_prime0
-        if kind != "half":
-            diag = diag / d
-        # (E(y)/y)^b * s y sigma(s y) * diag^g
-        #     = s theta1(lam - s y) / theta1(lam) * exp((b-1) log_ez + g log diag)
-        vals = (rule.weights * (s_sign / ker.theta1_lam) * th_ly
-                * ker.theta(kappa, n, mu + nu * (pos + y)))
-        logs = rule.logs + log_ez
-        terms = vals * np.exp(b * logs + (g * np.log(diag) - log_ez))
-        loop = terms[:, :rule.n_loop].sum(axis=1)
-        out[0, lo:lo + step] = loop / wind + terms[:, rule.n_loop:].sum(axis=1)
-        if slope:
-            # d/db, where d/db loop_winding(b - 1) = 2 pi i (wind + 1)
-            terms = terms * logs
-            out[1, lo:lo + step] = (terms[:, :rule.n_loop].sum(axis=1) / wind
-                                    + terms[:, rule.n_loop:].sum(axis=1)
-                                    - loop * 2j * math.pi * (wind + 1.0) / wind ** 2)
-    return out
-
-
-def _outer_integral(ker: _Kernel, rule: _Rule, sign, over_z: bool, inner,
-                    b) -> np.ndarray:
-    """sum over the x nodes of E(x)^b sign sigma(sign x) Xi_b(x), and its
-    b-derivative when inner carries the slope row; shape (len(inner),).
-
-    over_z: the loop form, with (E(x)/x)^b and the pole-free x sigma.
-    """
-    x = rule.nodes
-    th_x, th_lx = ker._t1(np.stack([x, ker.lam - sign * x]))
-    f = th_x / ker.theta1_prime0
-    if over_z:
-        f = f / x
-    log_f = np.log(f)
-    vals = rule.weights * (sign / ker.theta1_lam) * th_lx
-    logs = rule.logs + log_f
-    terms = vals * np.exp(b * logs - log_f)
-    out = [np.sum(terms * inner[0])]
-    if len(inner) > 1:
-        out.append(np.sum(terms * (logs * inner[0] + inner[1])))
-    return np.array(out)
-
-
-def _half_shape_integral(ker: _Kernel, s_sign, mu, nu, g, kappa, n, b, slope,
-                         quad: QuadratureSpec, r_out: float) -> tuple:
-    """Integral over {0 <= y <= min(x, 1-x)} of one reflected-part integrand.
-
-    Integrand: E(x)^b E(y)^b E(x-y)^g sigma(s x) sigma(s y)
-    theta_{kappa,n}(mu + nu (x+y)); corners x -> 0 and x -> 1 are continued
-    via circle integrals with exponent A = 2b + g - 1.  Returns (corner,
-    rest): the corner loops' numerator, still to be divided by
-    loop_winding(A), with its b-derivative as a second entry when slope is
-    set, and the sum of the corner-free sections.
-    """
+    kappa, n, lam = idx.kappa, idx.reduced_n, ker.lam
+    b, g = -4.0 / kappa, 2.0 / kappa
+    prime0, inv_lam = ker.theta1_prime0, 1.0 / ker.theta1_lam
     rules = (quad.gauss_order, quad.graded_mesh_levels, quad.loop_nodes)
-    corner, left, right = _outer_rules(*rules, r_out, g)
+    corner, left, right = _outer_rules(*rules, 0.2 * min(1.0, ker.pt.tau.imag), g)
 
-    def part(kind, rule, sign, over_z, slope=False):
-        inner = _inner_integrals(ker, kind, _inner_rule(kind, *rules, g),
-                                 rule.nodes, s_sign, mu, nu, g, kappa, n, b,
-                                 slope)
-        return _outer_integral(ker, rule, sign, over_z, inner, b)
+    def part(kind, rule, flip, over_z, slope=False):
+        """sum over the x nodes of E(x)^b sign sigma(sign x) Xi_b(x), sign =
+        flip * s, and with slope its b-derivative; shape (4, 1 + slope).
+        over_z: the loop form, with (E(x)/x)^b and the pole-free x sigma.
+
+        Xi_b(x) = FP int_0^1 xi^(b-1) psi(xi) dxi with psi(xi) = (E(y)/y)^b
+        * s y sigma(s y) * diag * theta_{kappa,n}(mu + s g (pos + y)) and
+        y = x xi (corners) or (1 - x) xi (right half).  The diagonal factor
+        is (E(d)/d)^g with d = x (1 - xi) at the x -> 0 corner and
+        d = w (1 + xi) at the x -> 1 corner (x is then the distance w to 1,
+        pos = 1 - w), and E(x - y)^g on the right half; every power base
+        stays close to 1 or on the positive axis, so all powers are
+        principal.  The x -> 0 corner's (1-xi)^g and the x -> 1 corner's
+        (1+xi)^g sit in the rule weights.
+        """
+        x, inner = rule.nodes, _inner_rule(kind, *rules, g)
+        xi, n_loop = inner.nodes, inner.n_loop
+        wind = loop_winding(b - 1.0)
+        xi_b = np.empty((4, 1 + slope, x.size), dtype=complex)
+        step = max(1, _CHUNK_POINTS // xi.size)
+        for lo in range(0, x.size, step):
+            xc = x[lo:lo + step, None]
+            if kind == "left":
+                y, d, pos = xc * xi, xc * (1.0 - xi), xc
+            elif kind == "right":
+                y, d, pos = xc * xi, xc * (1.0 + xi), 1.0 - xc
+            else:
+                y = (1.0 - xc) * xi
+                d, pos = xc - y, xc
+            th_y, th_d, th_minus, th_plus = ker._t1(
+                np.stack([y, d, lam - y, lam + y]))
+            log_ez = np.log(th_y / (y * prime0))
+            diag = th_d / prime0
+            if kind != "half":
+                diag = diag / d
+            lev = ker.theta(kappa, n, np.stack(
+                [sigma * lam + (1.0 - s) * g + s * g * (pos + y)
+                 for sigma, s in zip(_SIGMA, _S)]))
+            # (E(y)/y)^b * s y sigma(s y) * diag^g = s theta1(sigma lam - s y)
+            #     / theta1(sigma lam) * exp((b-1) log_ez + g log diag)
+            logs = inner.logs + log_ez
+            terms = (inner.weights * inv_lam * _odd_rows(_S, th_minus, th_plus)
+                     * lev * np.exp(b * logs + (g * np.log(diag) - log_ez)))
+            loop = terms[..., :n_loop].sum(axis=-1)
+            xi_b[:, 0, lo:lo + step] = loop / wind + terms[..., n_loop:].sum(axis=-1)
+            if slope:
+                # d/db, where d/db loop_winding(b - 1) = 2 pi i (wind + 1)
+                terms = terms * logs
+                xi_b[:, 1, lo:lo + step] = (terms[..., :n_loop].sum(axis=-1) / wind
+                                            + terms[..., n_loop:].sum(axis=-1)
+                                            - loop * 2j * math.pi * (wind + 1.0) / wind ** 2)
+        th_x, th_minus, th_plus = ker._t1(np.stack([x, lam - x, lam + x]))
+        f = th_x / prime0
+        if over_z:
+            f = f / x
+        log_f = np.log(f)
+        logs = rule.logs + log_f
+        terms = (rule.weights * inv_lam
+                 * _odd_rows([flip * s for s in _S], th_minus, th_plus)
+                 * np.exp(b * logs - log_f))
+        out = [np.sum(terms * xi_b[:, 0], axis=-1)]
+        if slope:
+            out.append(np.sum(terms * (logs * xi_b[:, 0] + xi_b[:, 1]), axis=-1))
+        return np.stack(out, axis=1)
 
     # sigma(s (1 - w)) = sigma(-s w) by 1-periodicity at the x -> 1 corner
-    return (part("left", corner, s_sign, True, slope)
-            + part("right", corner, -s_sign, True, slope),
-            complex(part("left", left, s_sign, False)[0]
-                    + part("half", right, s_sign, False)[0]))
+    return (part("left", corner, 1.0, True, slope)
+            + part("right", corner, -1.0, True, slope),
+            part("left", left, 1.0, False) + part("half", right, 1.0, False))
 
 
 def _j_p2(idx: BlockIndex, lam: complex, pt: ModularPoint,
-          quad: QuadratureSpec, budget: EvalBudget) -> complex:
+          quad: QuadratureSpec, budget: EvalBudget) -> tuple:
+    """(J(lam), J(-lam)) from one tabulation of their four half shapes."""
     if abs(complex(lam).imag) > 1e-12 or abs(pt.tau.real) > 1e-12:
         raise OutOfSupportedRange(
             "the two-fold integral is wired for real lambda and purely "
             "imaginary tau only")
-    lam = float(complex(lam).real)
-    kappa, n = idx.kappa, idx.reduced_n
-    b = -4.0 / kappa
-    g = 2.0 / kappa
+    b, g = -4.0 / idx.kappa, 2.0 / idx.kappa
     # Branch convention for the pairwise difference factor: the ordered
     # difference is taken with argument continued to -pi rather than 0
     # (one factor of exp(-i*pi*g) per pair; a single pair here).  The
@@ -459,16 +467,15 @@ def _j_p2(idx: BlockIndex, lam: complex, pt: ModularPoint,
     # W(b) = loop_winding(2b + g - 1) and N+ + N- vanish together and J takes
     # the limit (N+' + N-') / W'(b): the finite part of x^A at a negative
     # integer (Gel'fand and Shilov, Generalized Functions, vol. 1, ch. I, 3).
-    at_pole = kappa == 6
-    ker = _Kernel(pt, lam, budget)
-    r_out = 0.2 * min(1.0, pt.tau.imag)
-    corners, rests = zip(*(
-        _half_shape_integral(ker, s, mu, s * g, g, kappa, n, b, at_pole, quad,
-                             r_out)
-        for s, mu in ((1.0, lam), (-1.0, lam + 2 * g))))
-    value = (sum(corners)[1] / (4j * math.pi * cmath.exp(2j * math.pi * corner))
-             if at_pole else sum(corners)[0] / loop_winding(corner))
-    return pair_branch * complex(value + sum(rests))
+    at_pole = idx.kappa == 6
+    ker = _Kernel(pt, float(complex(lam).real), budget)
+    # J(sigma lam) sums its two half shapes, rows (sigma, 1) and (sigma, -1)
+    corners, rests = (a.reshape(2, 2, -1).sum(axis=1)
+                      for a in _p2_sections(ker, idx, quad, at_pole))
+    value = (corners[:, 1] / (4j * math.pi * cmath.exp(2j * math.pi * corner))
+             if at_pole else corners[:, 0] / loop_winding(corner))
+    plus, minus = pair_branch * (value + rests[:, 0])
+    return complex(plus), complex(minus)
 
 
 # ---------------------------------------------------------------------------
@@ -487,6 +494,7 @@ def _as_lambda(lam, pt: ModularPoint) -> complex:
 
 def _one_value(idx: BlockIndex, lam, pt: ModularPoint,
                quad: QuadratureSpec) -> tuple:
+    """One pass and its budget; a p = 2 pass gives (J(lam), J(-lam))."""
     budget = EvalBudget(quad.max_evals)
     if idx.p == 0:
         return specfun.theta_level(idx.kappa, idx.reduced_n, lam, pt), budget
@@ -510,6 +518,8 @@ def j_integral(idx: BlockIndex, lam, pt: ModularPoint,
     if idx.p == 0:
         return BlockValue(value=coarse, error_estimate=0.0, budget_used=0)
     fine, budget2 = _one_value(idx, lam, pt, quad.refined())
+    if idx.p == 2:
+        coarse, fine = coarse[0], fine[0]
     return BlockValue(value=fine, error_estimate=abs(fine - coarse),
                       budget_used=budget1.used + budget2.used)
 
@@ -519,6 +529,12 @@ def u_block(idx: BlockIndex, lam, pt: ModularPoint,
     """The symmetrized combination J(lam) + (-1)^(p+1) J(-lam)."""
     quad = quad or QuadratureSpec()
     lam = _as_lambda(lam, pt)
+    if idx.p == 2:
+        (c_plus, c_minus), budget1 = _one_value(idx, lam, pt, quad)
+        (plus, minus), budget2 = _one_value(idx, lam, pt, quad.refined())
+        return BlockValue(value=plus - minus,
+                          error_estimate=abs(plus - c_plus) + abs(minus - c_minus),
+                          budget_used=budget1.used + budget2.used)
     plus = j_integral(idx, lam, pt, quad)
     minus = j_integral(idx, -lam, pt, quad)
     sign = (-1) ** (idx.p + 1)

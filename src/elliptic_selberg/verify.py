@@ -321,12 +321,16 @@ def verify_identity(ident: int, p: int, lambda_grid=None,
     notes = []
     if quad_agreement > tol:
         notes.append("coarse and refined quadrature disagree beyond tolerance")
+    points = [complex(x) for x in grid]
+    complex_grid = any(z.imag for z in points)
     inputs = {
         "identity": ident,
         "p": p,
         "kappa": st.kappa,
         "tau": [pt.tau.real, pt.tau.imag],
-        "lambda_grid": [complex(x).real for x in grid],
+        # a complex grid is echoed as [re, im] pairs, a real one as reals
+        "lambda_grid": [[z.real, z.imag] if complex_grid else z.real
+                        for z in points],
         "quadrature": asdict(quad),
         "tolerance": tol,
     }

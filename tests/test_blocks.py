@@ -235,29 +235,59 @@ def test_two_fold_block_matches_closed_form():
     assert abs(u.value - rhs) / abs(rhs) < 1e-6
 
 
-# The default spec is the coarse pass, its refined() spec the fine one.
-# (8, 4): recorded from the per-node quadrature this package used before the
-# p = 2 integrand was tabulated in tensors.  (7, 2): recorded from the
-# eight-sample fit version, whose non-integer corner path the kappa = 6 limit
-# leaves alone.  (6, 3): the kappa = 6 limit, 1.0e-7 from the eight-sample
-# polynomial fit it replaced; its u at LAM is 4.7e-15 from the closed form
-# c theta1^3 of identity 1, the fit's was 8.8e-8.
+# The default spec is the coarse pass, its refined() spec the fine one; keys
+# are (kappa, n, lambda).  (8, 4, LAM): recorded from the per-node quadrature
+# this package used before the p = 2 integrand was tabulated in tensors.
+# (7, 2, LAM): recorded from the eight-sample fit version, whose non-integer
+# corner path the kappa = 6 limit leaves alone.  (6, 3, LAM): the kappa = 6
+# limit, 1.0e-7 from the eight-sample polynomial fit it replaced; its u at LAM
+# is 4.7e-15 from the closed form c theta1^3 of identity 1, the fit's was
+# 8.8e-8.  The -LAM rows: recorded from the quadrature that tabulated J(-LAM)
+# on its own, with theta1 evaluated at -LAM - s y rather than through the
+# oddness of theta1.
 P2_PINNED = {
-    (8, 4): (-2.002246852089143 - 0.8840385559530388j,
-             -2.002246852089142 - 0.8840385559530386j),
-    (7, 2): (10.446103065461275 + 13.098998927225207j,
-             10.446103065461259 + 13.098998927225203j),
-    (6, 3): (-3.5479748066813133 + 2.274498308950914j,
-             -3.547974806681312 + 2.2744983089509136j),
+    (8, 4, LAM): (-2.002246852089143 - 0.8840385559530388j,
+                  -2.002246852089142 - 0.8840385559530386j),
+    (7, 2, LAM): (10.446103065461275 + 13.098998927225207j,
+                  10.446103065461259 + 13.098998927225203j),
+    (6, 3, LAM): (-3.5479748066813133 + 2.274498308950914j,
+                  -3.547974806681312 + 2.2744983089509136j),
+    (8, 4, -LAM): (0.8840385559530408 + 2.002246852089142j,
+                   0.88403855595304 + 2.0022468520891405j),
+    (7, 2, -LAM): (10.446103065461264 + 13.098998927225221j,
+                   10.446103065461262 + 13.098998927225201j),
+    (6, 3, -LAM): (-0.1957859130755637 + 4.20988546904866j,
+                   -0.19578591307556303 + 4.2098854690486585j),
 }
+P2_INDICES = sorted({(kappa, n) for kappa, n, _ in P2_PINNED})
 
 
-@pytest.mark.parametrize("kappa,n", sorted(P2_PINNED))
+@pytest.mark.parametrize("kappa,n", P2_INDICES)
 def test_two_fold_values_are_pinned(kappa, n):
+    # one p = 2 pass gives the pair (J(LAM), J(-LAM))
     quad = QuadratureSpec()
-    for spec, want in zip((quad, quad.refined()), P2_PINNED[(kappa, n)]):
+    pinned = zip(P2_PINNED[(kappa, n, LAM)], P2_PINNED[(kappa, n, -LAM)])
+    for spec, wants in zip((quad, quad.refined()), pinned):
         got, _ = blocks._one_value(BlockIndex(2, kappa, n), LAM, PT, spec)
-        assert abs(got - want) <= 1e-12 * abs(want)
+        for value, want in zip(got, wants):
+            assert abs(value - want) <= 1e-12 * abs(want)
+
+
+@pytest.mark.parametrize("kappa,n", P2_INDICES)
+def test_two_fold_u_block_is_the_pinned_difference(kappa, n):
+    # u = J(LAM) - J(-LAM), with the coarse-vs-refined estimate of both
+    # halves; a sign slip in the -LAM rows taken from theta1 at +LAM moves u
+    # by the size of J
+    (c_plus, f_plus), (c_minus, f_minus) = (P2_PINNED[(kappa, n, lam)]
+                                            for lam in (LAM, -LAM))
+    u = u_block(BlockIndex(2, kappa, n), LAM, PT)
+    # relative to the larger J: (7, 2) is a dead index, where u vanishes
+    scale = max(abs(f_plus), abs(f_minus))
+    assert abs(u.value - (f_plus - f_minus)) <= 1e-12 * scale
+    # the estimate is a difference of nearly equal values, so it is pinned
+    # to a few units in the last place of J (1.8e-15 at (7, 2))
+    estimate = abs(f_plus - c_plus) + abs(f_minus - c_minus)
+    assert abs(u.error_estimate - estimate) <= 1e-15 * scale
 
 
 @pytest.mark.parametrize("tau", [0.9j, 0.6j])
@@ -265,18 +295,14 @@ def test_two_fold_values_are_pinned(kappa, n):
 def test_kappa_six_corner_numerators_cancel(tau, n):
     # at kappa = 6 the corner exponent 2b + g - 1 is -2 and loop_winding
     # vanishes there; the value is a finite limit only because the two half
-    # shapes' corner numerators cancel at the base exponent
-    kappa, lam = 6, 0.3
-    b, g = -4.0 / kappa, 2.0 / kappa
+    # shapes' corner numerators cancel at the base exponent, at +lam (rows 0
+    # and 1) and at -lam (rows 2 and 3)
     pt, quad = ModularPoint(tau), QuadratureSpec()
-    ker = blocks._Kernel(pt, lam, blocks.EvalBudget(quad.max_evals))
-    r_out = 0.2 * min(1.0, tau.imag)
-    n_plus, _ = blocks._half_shape_integral(
-        ker, +1.0, lam, g, g, kappa, n, b, False, quad, r_out)
-    n_minus, _ = blocks._half_shape_integral(
-        ker, -1.0, lam + 4.0 / kappa, -g, g, kappa, n, b, False, quad, r_out)
-    assert abs(n_plus[0]) > 1.0
-    assert abs(n_plus[0] + n_minus[0]) <= 1e-12 * abs(n_plus[0])
+    ker = blocks._Kernel(pt, 0.3, blocks.EvalBudget(quad.max_evals))
+    corners, _ = blocks._p2_sections(ker, BlockIndex(2, 6, n), quad, False)
+    for n_plus, n_minus in (corners[0:2, 0], corners[2:4, 0]):
+        assert abs(n_plus) > 1.0
+        assert abs(n_plus + n_minus) <= 1e-12 * abs(n_plus)
 
 
 def test_pair_branch_gives_the_leading_term():
@@ -302,6 +328,25 @@ def test_two_fold_theta_calls_are_batched(monkeypatch):
     monkeypatch.setattr(specfun, "_theta1_array", counting)
     j_integral(BlockIndex(2, 8, 4), LAM, PT)
     assert 0 < len(calls) < 1000
+
+
+def test_two_fold_u_block_shares_one_tabulation(monkeypatch):
+    # the four integrands of a p = 2 u_block (+-lam, both half shapes) share
+    # the theta1 rows on y, the diagonal and lam -+ y; tabulating each on
+    # its own handed 11,410,088 points to theta1.  The level-theta arguments
+    # differ per integrand, so their count stays.
+    points = {"_theta1_array": 0, "_theta_level_array": 0}
+    for name, arg in (("_theta1_array", 0), ("_theta_level_array", 2)):
+        kernel = getattr(specfun, name)
+
+        def counting(*args, _name=name, _arg=arg, _kernel=kernel, **kwargs):
+            points[_name] += np.size(args[_arg])
+            return _kernel(*args, **kwargs)
+
+        monkeypatch.setattr(specfun, name, counting)
+    u_block(BlockIndex(2, 8, 4), LAM, PT)
+    assert 0 < points["_theta1_array"] <= 4_000_000
+    assert points["_theta_level_array"] == 3_795_360
 
 
 def test_two_fold_guard_rails():
@@ -338,6 +383,10 @@ def test_budget_is_enforced():
     quad = QuadratureSpec(max_evals=2000)
     with pytest.raises(QuadratureBudgetExceeded):
         u_block(BlockIndex(1, 4, 2), LAM, PT, quad)
+    # one coarse p = 2 pass at (8, 4) hands 1,538,880 points to the kernels
+    quad = QuadratureSpec(max_evals=1_000_000)
+    with pytest.raises(QuadratureBudgetExceeded):
+        u_block(BlockIndex(2, 8, 4), LAM, PT, quad)
 
 
 def test_fold_counts_beyond_two_are_rejected():

@@ -125,6 +125,16 @@ def test_report_dict_is_json_stable():
     assert len(payload["lhs"]) == 2
 
 
+def test_report_echoes_a_complex_grid():
+    # the report computes at complex lambda, so its echo keeps the imaginary
+    # parts; a real grid stays a list of reals
+    rep = V.verify_identity(4, 1, lambda_grid=(0.3 + 0.1j, 0.5 + 0.1j))
+    assert rep.passed
+    assert rep.inputs["lambda_grid"] == [[0.3, 0.1], [0.5, 0.1]]
+    real = V.verify_identity(4, 1, lambda_grid=(0.3, 0.5))
+    assert real.inputs["lambda_grid"] == [0.3, 0.5]
+
+
 def test_identity_four_pairs_at_p_two():
     rep = V.verify_identity(4, 2, lambda_grid=(0.3,))
     assert rep.passed, f"rel_err={rep.rel_err}"
