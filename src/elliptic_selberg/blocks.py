@@ -26,18 +26,24 @@ continuation in the exponents.  Realizations:
   part is the quotient of their b-derivatives (the finite part of x^A at a
   negative integer).
 
-Both quadratures tabulate first and assemble second.  At p = 1 everything
-that does not depend on lambda (the nodes, theta1 on them and the continued
-log of E) is cached per (tau, spec), and each lambda adds theta1(lam), one
-theta1 and one level-theta call on stacked arguments.  At p = 2 each
-section's outer x nodes and inner xi nodes form one tensor, and one pass
-integrates the four integrands of u = J(lam) - J(-lam) (two half shapes at
-each sign of lambda) together: per chunk of the tensor, one theta1 call on
-[y, diagonal, lam - y, lam + y] serves all four, since theta1 is odd, as
-does the lambda-independent power factor; one level-theta call takes their
-four argument rows.  The exponent b enters last as exp(b * log) of the
-tabulated principal logs, so the b-derivative at kappa = 6 is the same sum
-with a log factor.
+Both quadratures tabulate first and assemble second, on tables of
+everything that does not depend on lambda.  At p = 1 the tables (the nodes,
+theta1 on them and the continued log of E) are cached per (tau, spec), and
+each lambda adds theta1(lam), one theta1 and one level-theta call on stacked
+arguments.  At p = 2 each section's outer x nodes and inner xi nodes form
+one tensor, and the tables, cached per (tau, spec, kappa), hold the weights
+times the lambda-independent powers of E on it, one complex number per
+(x, xi) point.  One pass then integrates the four integrands of
+u = J(lam) - J(-lam) (two half shapes at each sign of lambda) together:
+per chunk of the tensor, one theta1 call on [lam - y, lam + y] serves all
+four, since theta1 is odd, and one level-theta call takes their four
+argument rows; per section, one theta1 call on [lam - x, lam + x].  The
+exponent b enters last as exp(b * log) of the principal logs, so the
+b-derivative at kappa = 6 is the same sum with the tabulated log factor.
+A warm p = 2 u_block at the default spec (coarse and refined pass) hands
+theta1 about 1.9M points and the level theta 3.8M, about 0.7 s on one
+thread of a 2-core VM; its two tables hold about 15 MB.  No scipy here:
+the Gauss-Jacobi rule of the corner tails is quadrature.gauss_jacobi.
 """
 
 from __future__ import annotations
@@ -48,7 +54,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import roots_jacobi
 
 from .errors import OutOfSupportedRange, UnsupportedP
 from .quadrature import (
@@ -59,11 +64,12 @@ from .quadrature import (
     loop_winding,
     panel_nodes,
 )
+# the Jacobi rule keeps the name perfbench/spans.py traces it under
+from .quadrature import gauss_jacobi as roots_jacobi
 from .selberg import SelbergParams, selberg_value
 from . import specfun
 from .specfun import (
     DEFAULT_LATTICE_FLOOR,
-    DEFAULT_TRUNC,
     EllipticArgument,
     ModularPoint,
     continue_log,
@@ -82,9 +88,10 @@ __all__ = [
 # Gauss-Legendre panel and the Gauss-Jacobi tail of the corner integrals
 _INNER_RADIUS = 0.3
 _JACOBI_SPLIT = 0.6
-# (x, xi) points tabulated per chunk, each with four theta1 and four
-# level-theta arguments for the four p = 2 integrands: enough to amortise the
-# per-call cost, few enough to keep the transient tensors to a few megabytes
+# (x, xi) points per chunk of a p = 2 table build (two theta1 arguments
+# each) or pass (two theta1 and four level-theta arguments each): enough to
+# amortise the per-call cost, few enough to keep the transient tensors to a
+# few megabytes
 _CHUNK_POINTS = 4096
 
 
@@ -114,35 +121,6 @@ class BlockValue:
     value: complex
     error_estimate: float
     budget_used: int
-
-
-class _Kernel:
-    """Vectorized torus factors at a fixed modular point and block argument.
-
-    Wraps the array engines of the special-function module; every method
-    accepts numpy arrays of (complex) arguments and charges the budget for
-    each point.  theta1(lam) and theta1'(0) are computed once, here; the
-    p = 2 pass takes theta1 at -lam from theta1(-lam) = -theta1(lam).
-    """
-
-    def __init__(self, pt: ModularPoint, lam: complex, budget: EvalBudget):
-        self.pt = pt
-        self.lam = lam
-        self.budget = budget
-        self.trunc = DEFAULT_TRUNC
-        self.theta1_prime0 = specfun.theta1(0.0, pt, d_lambda=1)
-        self.theta1_lam = specfun.theta1(lam, pt)
-
-    def _t1(self, z, d_lambda=0):
-        z = np.asarray(z, dtype=complex)
-        self.budget.charge(z.size)
-        return specfun._theta1_array(z, self.pt.tau, d_lambda, 0, self.trunc)
-
-    def theta(self, kappa: int, n: int, args, d_lambda=0):
-        args = np.asarray(args, dtype=complex)
-        self.budget.charge(args.size)
-        return specfun._theta_level_array(kappa, n, args, self.pt.tau,
-                                          d_lambda, 0, self.trunc)
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +325,7 @@ def _outer_rules(order: int, levels: int, loop_nodes: int, r_out: float,
     return corner, left, right
 
 
-# The p = 2 table rows: (sign sigma of lambda, half shape s) per integrand
+# The p = 2 integrand rows: (sign sigma of lambda, half shape s) per integrand
 _SIGMA = (1.0, 1.0, -1.0, -1.0)
 _S = (1.0, -1.0, 1.0, -1.0)
 
@@ -359,8 +337,113 @@ def _odd_rows(signs, minus, plus) -> np.ndarray:
                      for sigma, sign in zip(_SIGMA, signs)])
 
 
-def _p2_sections(ker: _Kernel, idx: BlockIndex, quad: QuadratureSpec,
-                 slope: bool) -> tuple:
+def _geometry(kind: str, xc: np.ndarray, xi: np.ndarray) -> tuple:
+    """(y, d, pos) on outer nodes xc (a column) and inner nodes xi (a row).
+
+    y = x xi at the corners and (1 - x) xi on the right half; d is the
+    diagonal coordinate x (1 - xi) at the x -> 0 corner, w (1 + xi) at the
+    x -> 1 corner (x is then the distance w to 1) and x - y on the right
+    half; pos + y is the level-theta argument's sum of the coordinates.
+    """
+    if kind == "left":
+        return xc * xi, xc * (1.0 - xi), xc
+    if kind == "right":
+        return xc * xi, xc * (1.0 + xi), 1.0 - xc
+    y = (1.0 - xc) * xi
+    return y, xc - y, xc
+
+
+@dataclass(frozen=True)
+class _P2Section:
+    """The lambda-independent part of one p = 2 section.
+
+    kind names the inner geometry and inner_rule its xi rule; flip is the
+    sign of x in the outer sigma.  outer holds, per outer node x, the rule
+    weight times exp(b log - log f) with f = E(x), or E(x)/x on the corner
+    loops; inner holds, per (x, xi) point, the xi weight times
+    exp(b logs + g log diag - log E(y)/y), logs = log xi + log E(y)/y.  The
+    corner sections at kappa = 6 also keep the two logs, by which the
+    b-derivative multiplies; elsewhere these are None.
+    """
+
+    kind: str
+    flip: float
+    inner_rule: _Rule
+    x: np.ndarray
+    outer: np.ndarray
+    outer_logs: np.ndarray | None
+    inner: np.ndarray
+    inner_logs: np.ndarray | None
+
+
+@dataclass(frozen=True)
+class _P2Tables:
+    """The lambda-independent part of a p = 2 pass at one (tau, spec, kappa).
+
+    sections: corner-left, corner-right, left and half, in that order.
+    evals: what one pass charges to the budget, the same whether or not the
+    tables were cached: per tabulated point theta1 on y, the diagonal and
+    lam -+ y and the four level thetas, and per outer node theta1 on x and
+    lam -+ x.
+    """
+
+    sections: tuple
+    evals: int
+
+
+@lru_cache(maxsize=4)
+def _p2_tables(tau: complex, quad: QuadratureSpec, kappa: int) -> _P2Tables:
+    """Tables at one (tau, spec, kappa), built in chunks of _CHUNK_POINTS.
+
+    Every power base (E(y)/y, E(d)/d at the corners, E(x - y) on the right
+    half, E(x) and E(x)/x) stays close to 1 or on the positive axis, so all
+    powers are principal.  The x -> 0 corner's (1-xi)^g and the x -> 1
+    corner's (1+xi)^g sit in the inner rule weights.
+    """
+    b, g = -4.0 / kappa, 2.0 / kappa
+    prime0 = specfun.theta1(0.0, ModularPoint(tau), d_lambda=1)
+    rules = (quad.gauss_order, quad.graded_mesh_levels, quad.loop_nodes)
+    corner, left, right = _outer_rules(*rules, 0.2 * min(1.0, tau.imag), g)
+    # sigma(s (1 - w)) = sigma(-s w) by 1-periodicity at the x -> 1 corner
+    layout = (("left", corner, 1.0, True), ("right", corner, -1.0, True),
+              ("left", left, 1.0, False), ("half", right, 1.0, False))
+    sections, evals = [], 0
+    for kind, rule, flip, is_corner in layout:
+        x, inner = rule.nodes, _inner_rule(kind, *rules, g)
+        slope = is_corner and kappa == 6
+        tensor = np.empty((x.size, inner.nodes.size), dtype=complex)
+        tensor_logs = np.empty_like(tensor) if slope else None
+        step = max(1, _CHUNK_POINTS // inner.nodes.size)
+        for lo in range(0, x.size, step):
+            y, d, _ = _geometry(kind, x[lo:lo + step, None], inner.nodes)
+            th_y, th_d = specfun._theta1_array(np.stack([y, d]), tau)
+            log_ez = np.log(th_y / (y * prime0))
+            diag = th_d / prime0
+            if kind != "half":
+                diag = diag / d
+            logs = inner.logs + log_ez
+            # xi^b (E(y)/y)^(b-1) diag^g with the xi weight
+            tensor[lo:lo + step] = inner.weights * np.exp(
+                b * logs + (g * np.log(diag) - log_ez))
+            if slope:
+                tensor_logs[lo:lo + step] = logs
+        f = specfun._theta1_array(x, tau) / prime0
+        if is_corner:
+            f = f / x
+        log_f = np.log(f)
+        logs = rule.logs + log_f
+        arrays = [x, rule.weights * np.exp(b * logs - log_f),
+                  logs if slope else None, tensor, tensor_logs]
+        for arr in arrays:
+            if arr is not None:
+                arr.setflags(write=False)
+        sections.append(_P2Section(kind, flip, inner, *arrays))
+        evals += 8 * tensor.size + 3 * x.size
+    return _P2Tables(tuple(sections), evals)
+
+
+def _p2_sections(tab: _P2Tables, idx: BlockIndex, lam: float,
+                 tau: complex) -> tuple:
     """Integrals over {0 <= y <= min(x, 1-x)} of the four integrands.
 
     Half shape s at sigma lam: E(x)^b E(y)^b E(x-y)^g sigma(s x) sigma(s y)
@@ -368,84 +451,60 @@ def _p2_sections(ker: _Kernel, idx: BlockIndex, quad: QuadratureSpec,
     x -> 0 and x -> 1 are continued via circle integrals with exponent
     A = 2b + g - 1.  Returns (corner, rest), rows in _SIGMA/_S order: the
     corner loops' numerator, still to be divided by loop_winding(A), with
-    its b-derivative as a second column when slope is set, and the sum of
-    the corner-free sections as a single column.
-    """
-    kappa, n, lam = idx.kappa, idx.reduced_n, ker.lam
-    b, g = -4.0 / kappa, 2.0 / kappa
-    prime0, inv_lam = ker.theta1_prime0, 1.0 / ker.theta1_lam
-    rules = (quad.gauss_order, quad.graded_mesh_levels, quad.loop_nodes)
-    corner, left, right = _outer_rules(*rules, 0.2 * min(1.0, ker.pt.tau.imag), g)
+    its b-derivative as a second column at kappa = 6, and the sum of the
+    corner-free sections as a single column.
 
-    def part(kind, rule, flip, over_z, slope=False):
+    Per chunk of a section's (x, xi) tensor this makes one theta1 call on
+    [lam - y, lam + y] and one level-theta call on the four argument rows,
+    and per section one theta1 call on [lam - x, lam + x].
+    """
+    kappa, n = idx.kappa, idx.reduced_n
+    b, g = -4.0 / kappa, 2.0 / kappa
+    inv_lam = 1.0 / specfun.theta1(lam, ModularPoint(tau))
+    wind = loop_winding(b - 1.0)
+
+    def part(sec: _P2Section) -> np.ndarray:
         """sum over the x nodes of E(x)^b sign sigma(sign x) Xi_b(x), sign =
-        flip * s, and with slope its b-derivative; shape (4, 1 + slope).
-        over_z: the loop form, with (E(x)/x)^b and the pole-free x sigma.
+        flip * s, and at kappa = 6 its b-derivative; shape (4, 1 + slope).
 
         Xi_b(x) = FP int_0^1 xi^(b-1) psi(xi) dxi with psi(xi) = (E(y)/y)^b
-        * s y sigma(s y) * diag * theta_{kappa,n}(mu + s g (pos + y)) and
-        y = x xi (corners) or (1 - x) xi (right half).  The diagonal factor
-        is (E(d)/d)^g with d = x (1 - xi) at the x -> 0 corner and
-        d = w (1 + xi) at the x -> 1 corner (x is then the distance w to 1,
-        pos = 1 - w), and E(x - y)^g on the right half; every power base
-        stays close to 1 or on the positive axis, so all powers are
-        principal.  The x -> 0 corner's (1-xi)^g and the x -> 1 corner's
-        (1+xi)^g sit in the rule weights.
+        * s y sigma(s y) * diag * theta_{kappa,n}(mu + s g (pos + y)).
         """
-        x, inner = rule.nodes, _inner_rule(kind, *rules, g)
-        xi, n_loop = inner.nodes, inner.n_loop
-        wind = loop_winding(b - 1.0)
+        x, xi, n_loop = sec.x, sec.inner_rule.nodes, sec.inner_rule.n_loop
+        slope = sec.inner_logs is not None
         xi_b = np.empty((4, 1 + slope, x.size), dtype=complex)
         step = max(1, _CHUNK_POINTS // xi.size)
         for lo in range(0, x.size, step):
-            xc = x[lo:lo + step, None]
-            if kind == "left":
-                y, d, pos = xc * xi, xc * (1.0 - xi), xc
-            elif kind == "right":
-                y, d, pos = xc * xi, xc * (1.0 + xi), 1.0 - xc
-            else:
-                y = (1.0 - xc) * xi
-                d, pos = xc - y, xc
-            th_y, th_d, th_minus, th_plus = ker._t1(
-                np.stack([y, d, lam - y, lam + y]))
-            log_ez = np.log(th_y / (y * prime0))
-            diag = th_d / prime0
-            if kind != "half":
-                diag = diag / d
-            lev = ker.theta(kappa, n, np.stack(
+            y, _, pos = _geometry(sec.kind, x[lo:lo + step, None], xi)
+            th_minus, th_plus = specfun._theta1_array(
+                np.stack([lam - y, lam + y]), tau)
+            lev = specfun._theta_level_array(kappa, n, np.stack(
                 [sigma * lam + (1.0 - s) * g + s * g * (pos + y)
-                 for sigma, s in zip(_SIGMA, _S)]))
+                 for sigma, s in zip(_SIGMA, _S)]), tau)
             # (E(y)/y)^b * s y sigma(s y) * diag^g = s theta1(sigma lam - s y)
-            #     / theta1(sigma lam) * exp((b-1) log_ez + g log diag)
-            logs = inner.logs + log_ez
-            terms = (inner.weights * inv_lam * _odd_rows(_S, th_minus, th_plus)
-                     * lev * np.exp(b * logs + (g * np.log(diag) - log_ez)))
+            #     / theta1(sigma lam) * exp((b-1) log_ez + g log diag), the
+            #     exponential tabulated in sec.inner
+            terms = (sec.inner[lo:lo + step] * inv_lam
+                     * _odd_rows(_S, th_minus, th_plus) * lev)
             loop = terms[..., :n_loop].sum(axis=-1)
             xi_b[:, 0, lo:lo + step] = loop / wind + terms[..., n_loop:].sum(axis=-1)
             if slope:
                 # d/db, where d/db loop_winding(b - 1) = 2 pi i (wind + 1)
-                terms = terms * logs
+                terms = terms * sec.inner_logs[lo:lo + step]
                 xi_b[:, 1, lo:lo + step] = (terms[..., :n_loop].sum(axis=-1) / wind
                                             + terms[..., n_loop:].sum(axis=-1)
                                             - loop * 2j * math.pi * (wind + 1.0) / wind ** 2)
-        th_x, th_minus, th_plus = ker._t1(np.stack([x, lam - x, lam + x]))
-        f = th_x / prime0
-        if over_z:
-            f = f / x
-        log_f = np.log(f)
-        logs = rule.logs + log_f
-        terms = (rule.weights * inv_lam
-                 * _odd_rows([flip * s for s in _S], th_minus, th_plus)
-                 * np.exp(b * logs - log_f))
+        th_minus, th_plus = specfun._theta1_array(np.stack([lam - x, lam + x]), tau)
+        terms = (sec.outer * inv_lam
+                 * _odd_rows([sec.flip * s for s in _S], th_minus, th_plus))
         out = [np.sum(terms * xi_b[:, 0], axis=-1)]
         if slope:
-            out.append(np.sum(terms * (logs * xi_b[:, 0] + xi_b[:, 1]), axis=-1))
+            out.append(np.sum(terms * (sec.outer_logs * xi_b[:, 0] + xi_b[:, 1]),
+                              axis=-1))
         return np.stack(out, axis=1)
 
-    # sigma(s (1 - w)) = sigma(-s w) by 1-periodicity at the x -> 1 corner
-    return (part("left", corner, 1.0, True, slope)
-            + part("right", corner, -1.0, True, slope),
-            part("left", left, 1.0, False) + part("half", right, 1.0, False))
+    corner_left, corner_right, left, half = (part(sec) for sec in tab.sections)
+    return corner_left + corner_right, left + half
 
 
 def _j_p2(idx: BlockIndex, lam: complex, pt: ModularPoint,
@@ -468,10 +527,11 @@ def _j_p2(idx: BlockIndex, lam: complex, pt: ModularPoint,
     # the limit (N+' + N-') / W'(b): the finite part of x^A at a negative
     # integer (Gel'fand and Shilov, Generalized Functions, vol. 1, ch. I, 3).
     at_pole = idx.kappa == 6
-    ker = _Kernel(pt, float(complex(lam).real), budget)
+    tab = _p2_tables(pt.tau, quad, idx.kappa)
+    budget.charge(tab.evals)
     # J(sigma lam) sums its two half shapes, rows (sigma, 1) and (sigma, -1)
-    corners, rests = (a.reshape(2, 2, -1).sum(axis=1)
-                      for a in _p2_sections(ker, idx, quad, at_pole))
+    corners, rests = (a.reshape(2, 2, -1).sum(axis=1) for a in _p2_sections(
+        tab, idx, float(complex(lam).real), pt.tau))
     value = (corners[:, 1] / (4j * math.pi * cmath.exp(2j * math.pi * corner))
              if at_pole else corners[:, 0] / loop_winding(corner))
     plus, minus = pair_branch * (value + rests[:, 0])

@@ -28,7 +28,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import loggamma
 
 from .errors import GammaPole, OutOfSupportedRange
 from .quadrature import (
@@ -107,6 +106,10 @@ def selberg_value(params: SelbergParams) -> complex:
             raise GammaPole(f"numerator Gamma({name}) = Gamma({z}) at j={j}")
     if any(_near_nonpositive_integer(z) for _, z in denominators):
         return 0.0 + 0.0j
+    # scipy loads on first use: importing the package and the series proofs
+    # need none of it
+    from scipy.special import loggamma
+
     log_total = sum(loggamma(z) for _, z in numerators)
     log_total -= sum(loggamma(z) for _, z in denominators)
     return complex(cmath.exp(log_total - math.lgamma(p + 1)))

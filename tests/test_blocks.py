@@ -290,6 +290,51 @@ def test_two_fold_u_block_is_the_pinned_difference(kappa, n):
     assert abs(u.error_estimate - estimate) <= 1e-15 * scale
 
 
+# Coarse-pass (J(LAM), J(-LAM)) at tau = 0.6i, recorded from the quadrature
+# that tabulated every pass in full, before the lambda-independent tables
+# were cached; the 0.9i values are the coarse P2_PINNED rows.
+P2_AT_06 = {
+    (8, 4): (-5.247358077668636 - 2.199663297081306j,
+             2.1996632970813095 + 5.2473580776686335j),
+}
+# tau and kappa alternate, so tables cached under a key that missed either
+# would be reused at the wrong one
+P2_ALTERNATING = [(0.9j, 8, 4), (0.6j, 8, 4), (0.9j, 8, 4), (0.9j, 7, 2),
+                  (0.9j, 8, 4)]
+
+
+def test_two_fold_tables_follow_tau_and_kappa():
+    quad = QuadratureSpec()
+    for tau, kappa, n in P2_ALTERNATING:
+        wants = (P2_AT_06[(kappa, n)] if tau == 0.6j else
+                 (P2_PINNED[(kappa, n, LAM)][0], P2_PINNED[(kappa, n, -LAM)][0]))
+        got, budget = blocks._one_value(BlockIndex(2, kappa, n), LAM,
+                                        ModularPoint(tau), quad)
+        for value, want in zip(got, wants):
+            assert abs(value - want) <= 1e-12 * abs(want), (tau, kappa, n)
+        assert budget.used == 1_538_880
+
+
+def test_two_fold_tables_are_reused(monkeypatch):
+    # a second lambda at the same (tau, spec, kappa) builds no table and
+    # hands theta1 only lam -+ y and lam -+ x: 1,903,682 points, where
+    # tabulating theta1 at y and the diagonal on every pass took 3,804,364
+    idx = BlockIndex(2, 8, 4)
+    u_block(idx, LAM, PT)
+    builds = blocks._p2_tables.cache_info().misses
+    points = [0]
+    kernel = specfun._theta1_array
+
+    def counting(*args, **kwargs):
+        points[0] += np.size(args[0])
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(specfun, "_theta1_array", counting)
+    u_block(idx, 0.41, PT)
+    assert blocks._p2_tables.cache_info().misses == builds
+    assert 0 < points[0] <= 2_000_000
+
+
 @pytest.mark.parametrize("tau", [0.9j, 0.6j])
 @pytest.mark.parametrize("n", [1, 3])
 def test_kappa_six_corner_numerators_cancel(tau, n):
@@ -297,9 +342,8 @@ def test_kappa_six_corner_numerators_cancel(tau, n):
     # vanishes there; the value is a finite limit only because the two half
     # shapes' corner numerators cancel at the base exponent, at +lam (rows 0
     # and 1) and at -lam (rows 2 and 3)
-    pt, quad = ModularPoint(tau), QuadratureSpec()
-    ker = blocks._Kernel(pt, 0.3, blocks.EvalBudget(quad.max_evals))
-    corners, _ = blocks._p2_sections(ker, BlockIndex(2, 6, n), quad, False)
+    tab = blocks._p2_tables(tau, QuadratureSpec(), 6)
+    corners, _ = blocks._p2_sections(tab, BlockIndex(2, 6, n), 0.3, tau)
     for n_plus, n_minus in (corners[0:2, 0], corners[2:4, 0]):
         assert abs(n_plus) > 1.0
         assert abs(n_plus + n_minus) <= 1e-12 * abs(n_plus)
@@ -383,10 +427,14 @@ def test_budget_is_enforced():
     quad = QuadratureSpec(max_evals=2000)
     with pytest.raises(QuadratureBudgetExceeded):
         u_block(BlockIndex(1, 4, 2), LAM, PT, quad)
-    # one coarse p = 2 pass at (8, 4) hands 1,538,880 points to the kernels
+    # one coarse p = 2 pass at (8, 4) charges 1,538,880 kernel points and a
+    # refined one 6,060,840, whether its tables are built or cached
     quad = QuadratureSpec(max_evals=1_000_000)
     with pytest.raises(QuadratureBudgetExceeded):
         u_block(BlockIndex(2, 8, 4), LAM, PT, quad)
+    blocks._p2_tables.cache_clear()
+    for _ in range(2):
+        assert u_block(BlockIndex(2, 8, 4), LAM, PT).budget_used == 7_599_720
 
 
 def test_fold_counts_beyond_two_are_rejected():

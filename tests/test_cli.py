@@ -7,6 +7,9 @@ these double as integration smoke tests for the whole stack.
 import argparse
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -19,6 +22,25 @@ from elliptic_selberg.specfun import ModularPoint, theta1
 def run(args, capsys):
     code = cli.main(args)
     return code, capsys.readouterr().out
+
+
+# ---------------------------------------------------------------------------
+# start-up
+# ---------------------------------------------------------------------------
+
+def test_import_and_series_proofs_load_no_scipy():
+    # scipy backs only selberg_value's loggamma, imported on first use, so
+    # `ellsel eval`/`series` and the series prerequisites start without it
+    code = ("import sys\n"
+            "from elliptic_selberg import cli, verify\n"
+            "assert all(verify.series_prerequisites().values())\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n")
+    src = Path(cli.__file__).resolve().parent.parent
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=str(src)))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 # ---------------------------------------------------------------------------
