@@ -28,29 +28,30 @@ continuation in the exponents.  Realizations:
 
 Both quadratures tabulate first and assemble second, on tables of
 everything that does not depend on lambda.  At p = 1 the tables (the nodes,
-theta1 on them and the continued log of E) are cached per (tau, spec), and
-each lambda adds theta1(lam), one theta1 and one level-theta call on stacked
-arguments.  At p = 2 each section's outer x nodes and inner xi nodes form
-one tensor, and the tables, cached per (tau, spec, kappa), hold the weights
-times the lambda-independent powers of E on it, one complex number per
-(x, xi) point.  One pass then integrates the four integrands of
-u = J(lam) - J(-lam) (two half shapes at each sign of lambda) together:
-per chunk of the tensor, one theta1 call on [lam - y, lam + y] serves all
-four, since theta1 is odd, and one level-theta call takes their four
-argument rows; per section, one theta1 call on [lam - x, lam + x].  The
-exponent b enters last as exp(b * log) of the principal logs, so the
-b-derivative at kappa = 6 is the same sum with the tabulated log factor.
+theta1 on them and the continued log of E) are cached per tau and rule
+shape (the spec less its budget cap), and each lambda adds theta1(lam), one
+theta1 and one level-theta call on stacked arguments.  At p = 2 each
+section's outer x nodes and inner xi nodes form one tensor, and the tables,
+cached per (tau, rule shape, kappa), hold the weights times the
+lambda-independent powers of E on it, one complex number per (x, xi) point.
+One pass then integrates the four integrands of u = J(lam) - J(-lam) (two
+half shapes at each sign of lambda) together: per chunk of the tensor, one
+theta1 call on [lam - y, lam + y] serves all four, since theta1 is odd, and
+one level-theta call takes their four argument rows; per section, one
+theta1 call on [lam - x, lam + x].  The exponent b enters last as
+exp(b * log) of the principal logs, so the b-derivative at kappa = 6 is the
+same sum with the tabulated log factor.
 A warm p = 2 u_block at the default spec (coarse and refined pass) hands
 theta1 about 1.9M points and the level theta 3.8M, about 0.7 s on one
-thread of a 2-core VM; its two tables hold about 15 MB.  No scipy here:
-the Gauss-Jacobi rule of the corner tails is quadrature.gauss_jacobi.
+thread of a 2-core VM; its two tables hold about 15 MB.  The Gauss-Jacobi
+rule of the corner tails is scipy's roots_jacobi, imported on first use.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -64,8 +65,6 @@ from .quadrature import (
     loop_winding,
     panel_nodes,
 )
-# the Jacobi rule keeps the name perfbench/spans.py traces it under
-from .quadrature import gauss_jacobi as roots_jacobi
 from .selberg import SelbergParams, selberg_value
 from . import specfun
 from .specfun import (
@@ -93,6 +92,14 @@ _JACOBI_SPLIT = 0.6
 # amortise the per-call cost, few enough to keep the transient tensors to a
 # few megabytes
 _CHUNK_POINTS = 4096
+
+
+def roots_jacobi(n: int, alpha: float, beta: float):
+    """scipy.special.roots_jacobi, imported on first use: only the p = 2
+    corner rules need it, so importing the package loads no scipy."""
+    from scipy.special import roots_jacobi
+
+    return roots_jacobi(n, alpha, beta)
 
 
 @dataclass(frozen=True)
@@ -201,7 +208,8 @@ def _j_p1(idx: BlockIndex, lam: complex, pt: ModularPoint,
     b = -2.0 / kappa
     a = b - 1.0
     two_over_k = 2.0 / kappa
-    tab = _p1_tables(pt.tau, quad)
+    # the tables do not depend on the budget cap, so it is left out of the key
+    tab = _p1_tables(pt.tau, replace(quad, max_evals=0))
     budget.charge(tab.evals)
     mid, win = tab.mid_nodes, tab.win_nodes
     split = (mid.size, mid.size + win.size)
@@ -376,24 +384,27 @@ class _P2Section:
     inner_logs: np.ndarray | None
 
 
-@dataclass(frozen=True)
-class _P2Tables:
-    """The lambda-independent part of a p = 2 pass at one (tau, spec, kappa).
-
-    sections: corner-left, corner-right, left and half, in that order.
-    evals: what one pass charges to the budget, the same whether or not the
-    tables were cached: per tabulated point theta1 on y, the diagonal and
-    lam -+ y and the four level thetas, and per outer node theta1 on x and
-    lam -+ x.
-    """
-
-    sections: tuple
-    evals: int
+def _p2_layout(tau: complex, order: int, levels: int, loop_nodes: int,
+               kappa: int) -> tuple:
+    """(kind, flip, outer rule, inner rule) of the four p = 2 sections:
+    corner-left, corner-right, left and half.  The corner sections are the
+    ones whose outer rule has loop nodes."""
+    g = 2.0 / kappa
+    rules = (order, levels, loop_nodes)
+    corner, left, right = _outer_rules(*rules, 0.2 * min(1.0, tau.imag), g)
+    # sigma(s (1 - w)) = sigma(-s w) by 1-periodicity at the x -> 1 corner
+    return tuple((kind, flip, rule, _inner_rule(kind, *rules, g))
+                 for kind, flip, rule in (("left", 1.0, corner),
+                                          ("right", -1.0, corner),
+                                          ("left", 1.0, left),
+                                          ("half", 1.0, right)))
 
 
 @lru_cache(maxsize=4)
-def _p2_tables(tau: complex, quad: QuadratureSpec, kappa: int) -> _P2Tables:
-    """Tables at one (tau, spec, kappa), built in chunks of _CHUNK_POINTS.
+def _p2_tables(tau: complex, order: int, levels: int, loop_nodes: int,
+               kappa: int) -> tuple:
+    """The four sections' tables at one tau, rule shape and kappa, built in
+    chunks of _CHUNK_POINTS.
 
     Every power base (E(y)/y, E(d)/d at the corners, E(x - y) on the right
     half, E(x) and E(x)/x) stays close to 1 or on the positive axis, so all
@@ -402,14 +413,10 @@ def _p2_tables(tau: complex, quad: QuadratureSpec, kappa: int) -> _P2Tables:
     """
     b, g = -4.0 / kappa, 2.0 / kappa
     prime0 = specfun.theta1(0.0, ModularPoint(tau), d_lambda=1)
-    rules = (quad.gauss_order, quad.graded_mesh_levels, quad.loop_nodes)
-    corner, left, right = _outer_rules(*rules, 0.2 * min(1.0, tau.imag), g)
-    # sigma(s (1 - w)) = sigma(-s w) by 1-periodicity at the x -> 1 corner
-    layout = (("left", corner, 1.0, True), ("right", corner, -1.0, True),
-              ("left", left, 1.0, False), ("half", right, 1.0, False))
-    sections, evals = [], 0
-    for kind, rule, flip, is_corner in layout:
-        x, inner = rule.nodes, _inner_rule(kind, *rules, g)
+    sections = []
+    for kind, flip, rule, inner in _p2_layout(tau, order, levels, loop_nodes,
+                                              kappa):
+        x, is_corner = rule.nodes, rule.n_loop > 0
         slope = is_corner and kappa == 6
         tensor = np.empty((x.size, inner.nodes.size), dtype=complex)
         tensor_logs = np.empty_like(tensor) if slope else None
@@ -438,11 +445,10 @@ def _p2_tables(tau: complex, quad: QuadratureSpec, kappa: int) -> _P2Tables:
             if arr is not None:
                 arr.setflags(write=False)
         sections.append(_P2Section(kind, flip, inner, *arrays))
-        evals += 8 * tensor.size + 3 * x.size
-    return _P2Tables(tuple(sections), evals)
+    return tuple(sections)
 
 
-def _p2_sections(tab: _P2Tables, idx: BlockIndex, lam: float,
+def _p2_sections(sections: tuple, idx: BlockIndex, lam: float,
                  tau: complex) -> tuple:
     """Integrals over {0 <= y <= min(x, 1-x)} of the four integrands.
 
@@ -503,7 +509,7 @@ def _p2_sections(tab: _P2Tables, idx: BlockIndex, lam: float,
                               axis=-1))
         return np.stack(out, axis=1)
 
-    corner_left, corner_right, left, half = (part(sec) for sec in tab.sections)
+    corner_left, corner_right, left, half = (part(sec) for sec in sections)
     return corner_left + corner_right, left + half
 
 
@@ -527,11 +533,17 @@ def _j_p2(idx: BlockIndex, lam: complex, pt: ModularPoint,
     # the limit (N+' + N-') / W'(b): the finite part of x^A at a negative
     # integer (Gel'fand and Shilov, Generalized Functions, vol. 1, ch. I, 3).
     at_pole = idx.kappa == 6
-    tab = _p2_tables(pt.tau, quad, idx.kappa)
-    budget.charge(tab.evals)
+    # The charge, made before any table is built and the same whether or
+    # not they are cached: per (x, xi) point theta1 on y, the diagonal and
+    # lam -+ y and the four level thetas, per outer node theta1 on x and
+    # lam -+ x.  The tables do not depend on the budget cap.
+    key = (pt.tau, quad.gauss_order, quad.graded_mesh_levels,
+           quad.loop_nodes, idx.kappa)
+    budget.charge(sum((8 * inner.nodes.size + 3) * outer.nodes.size
+                      for _, _, outer, inner in _p2_layout(*key)))
     # J(sigma lam) sums its two half shapes, rows (sigma, 1) and (sigma, -1)
     corners, rests = (a.reshape(2, 2, -1).sum(axis=1) for a in _p2_sections(
-        tab, idx, float(complex(lam).real), pt.tau))
+        _p2_tables(*key), idx, float(complex(lam).real), pt.tau))
     value = (corners[:, 1] / (4j * math.pi * cmath.exp(2j * math.pi * corner))
              if at_pole else corners[:, 0] / loop_winding(corner))
     plus, minus = pair_branch * (value + rests[:, 0])

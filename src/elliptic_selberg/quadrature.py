@@ -1,5 +1,4 @@
-"""Quadrature toolkit: graded Gauss-Legendre meshes, the Gauss-Jacobi rule
-and endpoint loops.
+"""Quadrature toolkit: graded Gauss-Legendre meshes and endpoint loops.
 
 An endpoint-singular integrand t**a * h(t) with h analytic is continued in
 the exponent by an endpoint loop: the finite part of the integral over
@@ -26,7 +25,6 @@ __all__ = [
     "QuadratureSpec",
     "EvalBudget",
     "gauss_legendre",
-    "gauss_jacobi",
     "panel_nodes",
     "graded_breakpoints",
     "graded_nodes",
@@ -99,54 +97,6 @@ def gauss_legendre(order: int):
     x.setflags(write=False)
     w.setflags(write=False)
     return x, w
-
-
-def _jacobi_poly(n: int, a: float, b: float, x: np.ndarray) -> np.ndarray:
-    """P_n^(a,b)(x) by the forward recurrence of the differences
-    d_k = P_k - P_(k-1), in units of binom(k + a, k), rescaled at the end."""
-    if n == 0:
-        return np.ones_like(x)
-    d = (a + b + 2.0) * (x - 1.0) / (2.0 * (a + 1.0))
-    p = d + 1.0
-    for k in range(1, n):
-        t = 2.0 * k + a + b
-        d = ((t * (t + 1.0) * (t + 2.0)) * (x - 1.0) * p
-             + 2.0 * k * (k + b) * (t + 2.0) * d) / (
-                 2.0 * (k + a + 1.0) * (k + a + b + 1.0) * t)
-        p = d + p
-    return math.prod((a + k) / k for k in range(1, n + 1)) * p
-
-
-def gauss_jacobi(n: int, alpha: float, beta: float):
-    """Gauss-Jacobi nodes and weights for (1 - x)^alpha (1 + x)^beta on [-1, 1].
-
-    The recipe of scipy.special.roots_jacobi in numpy: Golub-Welsch
-    eigenvalues, one Newton step, then weights 1 / (P_(n-1)(x) P_n'(x)) with
-    P_n' taken at the nodes before the Newton step, normalised to the total
-    mass mu0.  Unlike scipy, alpha = beta takes the same route.
-    """
-    a, b = float(alpha), float(beta)
-    k = np.arange(n, dtype=float)
-    s = 2.0 * k + a + b
-    with np.errstate(invalid="ignore", divide="ignore"):
-        diag = np.where(k == 0, (b - a) / (2.0 + a + b),
-                        (b * b - a * a) / (s * (s + 2.0)))
-    k = k[1:]
-    s = s[1:]
-    off = (2.0 / s * np.sqrt((k + a) * (k + b) / (s + 1.0))
-           * np.where(k == 1, 1.0, np.sqrt(k * (k + a + b) / (s - 1.0))))
-    x = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
-    dy = 0.5 * (n + a + b + 1.0) * _jacobi_poly(n - 1, a + 1.0, b + 1.0, x)
-    x = x - _jacobi_poly(n, a, b, x) / dy
-    # log-normalise both factors before the product, as the recipe does
-    fm = _jacobi_poly(n - 1, a, b, x)
-    for arr in (fm, dy):
-        logs = np.log(np.abs(arr))
-        arr /= np.exp((logs.max() + logs.min()) / 2.0)
-    w = 1.0 / (fm * dy)
-    mu0 = 2.0 ** (a + b + 1.0) * math.gamma(a + 1.0) * math.gamma(b + 1.0) / (
-        math.gamma(a + b + 2.0))
-    return x, w * (mu0 / w.sum())
 
 
 def panel_nodes(a: float, b: float, order: int):

@@ -128,7 +128,7 @@ def test_one_fold_values_are_pinned():
 def test_one_fold_work_is_tabulated(monkeypatch):
     # a warm p = 1 value needs theta1(lam), one stacked theta1 call and one
     # stacked level-theta call; everything else comes from the
-    # lambda-independent tables
+    # lambda-independent tables, which a different budget cap reuses
     idx, lam, spec = BlockIndex(1, 4, 2), complex(LAM), QuadratureSpec()
     blocks._one_value(idx, lam, PT, spec)
     calls = {"_theta1_array": 0, "_theta_level_array": 0}
@@ -140,7 +140,7 @@ def test_one_fold_work_is_tabulated(monkeypatch):
             return _kernel(*args, **kwargs)
 
         monkeypatch.setattr(specfun, name, counting)
-    blocks._one_value(idx, lam, PT, spec)
+    blocks._one_value(idx, lam, PT, QuadratureSpec(max_evals=100_000_000))
     assert 0 < calls["_theta1_array"] <= 2
     assert 0 < calls["_theta_level_array"] <= 1
 
@@ -316,9 +316,10 @@ def test_two_fold_tables_follow_tau_and_kappa():
 
 
 def test_two_fold_tables_are_reused(monkeypatch):
-    # a second lambda at the same (tau, spec, kappa) builds no table and
-    # hands theta1 only lam -+ y and lam -+ x: 1,903,682 points, where
-    # tabulating theta1 at y and the diagonal on every pass took 3,804,364
+    # a second lambda at the same (tau, rule shape, kappa), under another
+    # budget cap, builds no table and hands theta1 only lam -+ y and
+    # lam -+ x: 1,903,682 points, where tabulating theta1 at y and the
+    # diagonal on every pass took 3,804,364
     idx = BlockIndex(2, 8, 4)
     u_block(idx, LAM, PT)
     builds = blocks._p2_tables.cache_info().misses
@@ -330,7 +331,7 @@ def test_two_fold_tables_are_reused(monkeypatch):
         return kernel(*args, **kwargs)
 
     monkeypatch.setattr(specfun, "_theta1_array", counting)
-    u_block(idx, 0.41, PT)
+    u_block(idx, 0.41, PT, QuadratureSpec(max_evals=100_000_000))
     assert blocks._p2_tables.cache_info().misses == builds
     assert 0 < points[0] <= 2_000_000
 
@@ -342,7 +343,9 @@ def test_kappa_six_corner_numerators_cancel(tau, n):
     # vanishes there; the value is a finite limit only because the two half
     # shapes' corner numerators cancel at the base exponent, at +lam (rows 0
     # and 1) and at -lam (rows 2 and 3)
-    tab = blocks._p2_tables(tau, QuadratureSpec(), 6)
+    quad = QuadratureSpec()
+    tab = blocks._p2_tables(tau, quad.gauss_order, quad.graded_mesh_levels,
+                            quad.loop_nodes, 6)
     corners, _ = blocks._p2_sections(tab, BlockIndex(2, 6, n), 0.3, tau)
     for n_plus, n_minus in (corners[0:2, 0], corners[2:4, 0]):
         assert abs(n_plus) > 1.0
@@ -362,6 +365,7 @@ def test_pair_branch_gives_the_leading_term():
 def test_two_fold_theta_calls_are_batched(monkeypatch):
     # the p = 2 quadrature evaluates theta1 on whole node tensors; a per-node
     # loop would make tens of thousands of kernel calls here
+    blocks._p2_tables.cache_clear()
     calls = []
     kernel = specfun._theta1_array
 
@@ -379,6 +383,7 @@ def test_two_fold_u_block_shares_one_tabulation(monkeypatch):
     # the theta1 rows on y, the diagonal and lam -+ y; tabulating each on
     # its own handed 11,410,088 points to theta1.  The level-theta arguments
     # differ per integrand, so their count stays.
+    blocks._p2_tables.cache_clear()
     points = {"_theta1_array": 0, "_theta_level_array": 0}
     for name, arg in (("_theta1_array", 0), ("_theta_level_array", 2)):
         kernel = getattr(specfun, name)
@@ -428,11 +433,13 @@ def test_budget_is_enforced():
     with pytest.raises(QuadratureBudgetExceeded):
         u_block(BlockIndex(1, 4, 2), LAM, PT, quad)
     # one coarse p = 2 pass at (8, 4) charges 1,538,880 kernel points and a
-    # refined one 6,060,840, whether its tables are built or cached
+    # refined one 6,060,840, whether its tables are built or cached; a cap
+    # below the charge fails before any table is built
+    blocks._p2_tables.cache_clear()
     quad = QuadratureSpec(max_evals=1_000_000)
     with pytest.raises(QuadratureBudgetExceeded):
         u_block(BlockIndex(2, 8, 4), LAM, PT, quad)
-    blocks._p2_tables.cache_clear()
+    assert blocks._p2_tables.cache_info().misses == 0
     for _ in range(2):
         assert u_block(BlockIndex(2, 8, 4), LAM, PT).budget_used == 7_599_720
 

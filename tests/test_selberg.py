@@ -18,7 +18,6 @@ from elliptic_selberg.quadrature import (
     QuadratureSpec,
     endpoint_loop_fp,
     fp_power_term,
-    gauss_jacobi,
     graded_breakpoints,
     graded_nodes,
     levels_for_exponent,
@@ -280,30 +279,6 @@ def test_panel_rule_is_exact_on_polynomials():
     x, w = panel_nodes(0.25, 0.75, 8)
     val = np.sum(w * x ** 7)
     assert abs(val - (0.75 ** 8 - 0.25 ** 8) / 8) < 1e-15
-
-
-@pytest.mark.parametrize("n", [32, 44])
-@pytest.mark.parametrize("kappa", range(6, 13))
-def test_gauss_jacobi_matches_scipy_and_the_moments(n, kappa):
-    # the p = 2 corner rules use alpha = 2/kappa, beta = 0 at n = 32 and 44
-    # (coarse and refined); scipy's roots_jacobi and mpmath are test oracles
-    mpmath = pytest.importorskip("mpmath")
-    roots_jacobi = pytest.importorskip("scipy.special").roots_jacobi
-    alpha = 2.0 / kappa
-    x, w = gauss_jacobi(n, alpha, 0.0)
-    x_ref, w_ref = roots_jacobi(n, alpha, 0.0)
-    assert np.max(np.abs(x - x_ref)) <= 4e-16
-    assert np.max(np.abs(w / w_ref - 1.0)) <= 1e-14
-    # int_{-1}^{1} x^k (1 - x)^alpha dx = 2^(alpha+1) sum_j C(k, j) (-2)^j
-    # / (j + alpha + 1), an alternating sum, so in 60 digits
-    with mpmath.workdps(60):
-        a = mpmath.mpf(alpha)
-        moments = [float(2 ** (a + 1) * mpmath.fsum(
-            mpmath.binomial(k, j) * (-2) ** j / (j + a + 1) for j in range(k + 1)))
-            for k in range(2 * n)]
-    # exact through degree 2n - 1, to rounding on the scale of the total mass
-    for k, moment in enumerate(moments):
-        assert abs(np.sum(w * x ** k) - moment) <= 1e-14 * moments[0], k
 
 
 def test_graded_mesh_integrates_endpoint_power():
