@@ -26,20 +26,23 @@ continuation in the exponents.  Realizations:
   part is the quotient of their b-derivatives (the finite part of x^A at a
   negative integer).
 
-Both quadratures tabulate first and assemble second, on tables of
-everything that does not depend on lambda.  At p = 1 the tables (the nodes,
-theta1 on them and the continued log of E) are cached per tau and rule
-shape (the spec less its budget cap), and each lambda adds theta1(lam), one
-theta1 and one level-theta call on stacked arguments.  At p = 2 each
-section's outer x nodes and inner xi nodes form one tensor, and the tables,
-cached per (tau, rule shape, kappa), hold the weights times the
+Every pass gives the pair (J(lam), J(-lam)), so u_block is a coarse and a
+refined pass for every p.  Both quadratures tabulate first and assemble
+second, on tables of everything that does not depend on lambda.  At p = 1
+the tables (the endpoint circle and the middle path as rules whose weights
+and logs carry the powers of E) are cached per tau and rule shape (the spec
+less its budget cap), and a pass makes one theta1 call on [mu, mu - flip t]
+and one level-theta call on the matching arguments, with mu = lam and -lam in
+rows (flip = -1 on the t = 1 circle, taken in s = 1 - t).  At p = 2
+each section's outer x nodes and inner xi nodes form one tensor, and the
+tables, cached per (tau, rule shape, kappa), hold the weights times the
 lambda-independent powers of E on it, one complex number per (x, xi) point.
 One pass then integrates the four integrands of u = J(lam) - J(-lam) (two
 half shapes at each sign of lambda) together: per chunk of the tensor, one
 theta1 call on [lam - y, lam + y] serves all four, since theta1 is odd, and
 one level-theta call takes their four argument rows; per section, one
 theta1 call on [lam - x, lam + x].  The exponent b enters last as
-exp(b * log) of the principal logs, so the b-derivative at kappa = 6 is the
+exp(b * log) of the tabulated logs, so the b-derivative at kappa = 6 is the
 same sum with the tabulated log factor.
 A warm p = 2 u_block at the default spec (coarse and refined pass) hands
 theta1 about 1.9M points and the level theta 3.8M, about 0.7 s on one
@@ -131,121 +134,7 @@ class BlockValue:
 
 
 # ---------------------------------------------------------------------------
-# p = 1
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class _P1Tables:
-    """The lambda-independent part of a p = 1 quadrature pass.
-
-    mid_*: the middle path [r, 1 - r] with its weights, theta1 on it, and
-    the log of E = theta1 / theta1'(0) continued rightward from the principal
-    branch at r.  win_*: the endpoint circle |t| = r with dt weights and the
-    log of t continued from arg 0, with theta1 at +node and -node in the rows
-    of win_theta.  evals: what one pass charges to the budget, the same
-    whether or not the tables were cached: four factor evaluations per
-    middle node (E, theta1 twice in sigma, the level theta), one for
-    theta1(lam), and five per circle node and side ((E(t)/t), theta1 twice
-    in t sigma(t), the level theta, the power of t).
-    """
-
-    theta1_prime0: complex
-    mid_nodes: np.ndarray
-    mid_weights: np.ndarray
-    mid_theta: np.ndarray
-    mid_logs: np.ndarray
-    win_nodes: np.ndarray
-    win_weights: np.ndarray
-    win_logs: np.ndarray
-    win_theta: np.ndarray
-    evals: int
-
-
-@lru_cache(maxsize=64)
-def _p1_tables(tau: complex, quad: QuadratureSpec) -> _P1Tables:
-    """Tables at one (tau, spec).
-
-    The circle radius is loop_radius_factor times the smaller of
-    endpoint_delta and the shortest nonzero period, so the circle around an
-    endpoint encloses no other zero of theta1 and E(t)/t stays analytic and
-    nonzero inside it.
-    """
-    pt = ModularPoint(tau)
-    theta1_prime0 = specfun.theta1(0.0, pt, d_lambda=1)
-    shortest = abs(specfun._reduced_basis(tau)[0])
-    r = quad.loop_radius_factor * min(quad.endpoint_delta, shortest)
-    win, win_w, phi = endpoint_loop_nodes(r, quad.loop_nodes)
-    levels = max(quad.graded_mesh_levels, 10)
-    ts1, ws1 = graded_nodes(r, 0.5, levels, quad.gauss_order, "left")
-    ts2, ws2 = graded_nodes(0.5, 1 - r, levels, quad.gauss_order, "right")
-    mid = np.concatenate([ts1, ts2])
-    mid_theta = specfun._theta1_array(mid.astype(complex), tau)
-    # No winding phase is needed at the right window: for real t,
-    # E(t) = sin(pi t) / pi * prod (1 - q^n e^(2 pi i t)) (1 - q^n e^(-2 pi i t))
-    # / (1 - q^n)^2 with sin(pi t) > 0 and every t-dependent factor in the
-    # right half plane (|q^n| < 1), so the log continued along [r, 1 - r]
-    # ends on the principal log it starts from, and E(1 - t) = E(t).
-    logs = continue_log(mid_theta / theta1_prime0)
-    win_theta = specfun._theta1_array(
-        np.concatenate([win, -win]).astype(complex), tau).reshape(2, -1)
-    evals = 4 * mid.size + 1 + 10 * win.size
-    arrays = [mid, np.concatenate([ws1, ws2]), mid_theta, logs, win, win_w,
-              math.log(r) + 1j * phi, win_theta]
-    for arr in arrays:
-        arr.setflags(write=False)
-    return _P1Tables(theta1_prime0, *arrays, evals)
-
-
-def _j_p1(idx: BlockIndex, lam: complex, pt: ModularPoint,
-          quad: QuadratureSpec, budget: EvalBudget) -> complex:
-    """Middle path plus two endpoint circles, assembled on _p1_tables.
-
-    Per lambda this takes theta1(lam), one theta1 call on [lam - mid,
-    lam - win, lam + win] and one level-theta call on the matching arguments.
-    """
-    kappa, n = idx.kappa, idx.reduced_n
-    b = -2.0 / kappa
-    a = b - 1.0
-    two_over_k = 2.0 / kappa
-    # the tables do not depend on the budget cap, so it is left out of the key
-    tab = _p1_tables(pt.tau, replace(quad, max_evals=0))
-    budget.charge(tab.evals)
-    mid, win = tab.mid_nodes, tab.win_nodes
-    split = (mid.size, mid.size + win.size)
-    prime0 = tab.theta1_prime0
-    th_lam = specfun.theta1(lam, pt)
-    th_lm, th_lw, th_lw_neg = np.split(specfun._theta1_array(
-        np.concatenate([lam - mid, lam - win, lam + win]), pt.tau), split)
-    lev_m, lev_l, lev_r = np.split(specfun._theta_level_array(
-        kappa, n, np.concatenate([lam + two_over_k * mid,
-                                  lam + two_over_k * win,
-                                  lam + two_over_k * (1.0 - win)]), pt.tau),
-        split)
-
-    # middle: E^b on the continued log of E, times sigma and the level theta
-    sig = th_lm * prime0 / (th_lam * tab.mid_theta)
-    middle = complex(np.sum(np.exp(b * tab.mid_logs) * sig * lev_m
-                            * tab.mid_weights))
-
-    # endpoint cofactors (E(t)/t)^b * t sigma(t) * theta(lam + (2/k) t), and
-    # at t = 1 - s, by E(1-s) = E(s) and sigma(1-s) = sigma(-s), the same
-    # with -s sigma(-s) and theta(lam + (2/k)(1 - s)); principal powers
-    th_w, th_w_neg = tab.win_theta
-    e_over_z_b = (th_w / (win * prime0)) ** b
-    cof_left = e_over_z_b * (th_lw * prime0 * win / (th_lam * th_w)) * lev_l
-    cof_right = (e_over_z_b * (-(th_lw_neg * prime0 * -win / (th_lam * th_w_neg)))
-                 * lev_r)
-
-    powers = np.exp(a * tab.win_logs)
-    wind = loop_winding(a)
-    left = complex(np.sum(powers * cof_left * tab.win_weights) / wind)
-    right = complex(np.sum(powers * cof_right * tab.win_weights) / wind)
-    return left + middle + right
-
-
-# ---------------------------------------------------------------------------
-# p = 2
+# quadrature rules
 # ---------------------------------------------------------------------------
 
 
@@ -254,10 +143,10 @@ class _Rule:
     """Nodes and weights for integrands whose exponent b is applied last.
 
     A node contributes weight * exp(b * log) * h(node).  The weights carry
-    every b-independent factor of the rule (1/t on the inner xi rules,
-    x^(g-1) on the corner loops); logs holds the b-dependent power on its
-    continued branch (log t for t^b, 2 log x for the corner x^(2b),
-    log(1 - x) for (1 - x)^b).  The first n_loop nodes lie on an endpoint
+    every b-independent factor of the rule (1/t on the p = 1 circle and the
+    inner xi rules, x^(g-1) on the corner loops); logs holds the b-dependent
+    power on its continued branch (log t for t^b, 2 log x for the corner
+    x^(2b), log(1 - x) for (1 - x)^b).  The first n_loop nodes lie on an endpoint
     circle, whose part of the sum is divided by the loop winding of the
     exponent.
     """
@@ -273,6 +162,96 @@ def _frozen_rule(nodes, weights, logs, n_loop) -> _Rule:
     for a in arrays:
         a.setflags(write=False)
     return _Rule(*arrays, n_loop)
+
+
+def _two_graded(a: float, mid: float, b: float, levels: int,
+                order: int) -> tuple:
+    """Nodes and weights on [a, b], graded toward both ends from mid."""
+    lo = graded_nodes(a, mid, levels, order, "left")
+    hi = graded_nodes(mid, b, levels, order, "right")
+    return np.concatenate([lo[0], hi[0]]), np.concatenate([lo[1], hi[1]])
+
+
+# ---------------------------------------------------------------------------
+# p = 1
+# ---------------------------------------------------------------------------
+
+
+@lru_cache(maxsize=64)
+def _p1_tables(tau: complex, quad: QuadratureSpec) -> tuple:
+    """The endpoint circle and the middle path at one (tau, spec), tabulated.
+
+    The circle |t| = r (dt/t weights, logs log t continued from arg 0) and
+    the middle path [r, 1 - r] (Gauss weights, logs 0) are returned with
+    their weights divided by f and log f added to their logs, where f =
+    E(t)/t on the circle with its principal log and f = E(t) on the middle
+    path with the log continued rightward from the principal branch at r.
+    A node of either then weighs weight * exp(b log) = w f^(b-1) t^b.
+
+    The radius is loop_radius_factor times the smaller of endpoint_delta and
+    the shortest nonzero period, so the circle around an endpoint encloses
+    no other zero of theta1 and E(t)/t stays analytic and nonzero inside it.
+    """
+    prime0 = specfun.theta1(0.0, ModularPoint(tau), d_lambda=1)
+    shortest = abs(specfun._reduced_basis(tau)[0])
+    r = quad.loop_radius_factor * min(quad.endpoint_delta, shortest)
+    t, dt, phi = endpoint_loop_nodes(r, quad.loop_nodes)
+    xs, ws = _two_graded(r, 0.5, 1 - r, max(quad.graded_mesh_levels, 10),
+                         quad.gauss_order)
+    e = specfun._theta1_array(np.concatenate([t, xs]), tau) / prime0
+    f_circle, f_middle = e[:t.size] / t, e[t.size:]
+    # No winding phase is needed at the right end of the middle path: for
+    # real t, E(t) = sin(pi t) / pi * prod (1 - q^n e^(2 pi i t))
+    # (1 - q^n e^(-2 pi i t)) / (1 - q^n)^2 with sin(pi t) > 0 and every
+    # t-dependent factor in the right half plane (|q^n| < 1), so the log
+    # continued along [r, 1 - r] ends on the principal log it starts from,
+    # and E(1 - t) = E(t).
+    circle = _frozen_rule(t, dt / t / f_circle,
+                          math.log(r) + 1j * phi + np.log(f_circle), t.size)
+    middle = _frozen_rule(xs, ws / f_middle, continue_log(f_middle), 0)
+    return circle, middle
+
+
+def _j_p1(idx: BlockIndex, lam: complex, pt: ModularPoint,
+          quad: QuadratureSpec, budget: EvalBudget) -> tuple:
+    """(J(lam), J(-lam)): two endpoint circles plus the middle path.
+
+    J(mu) sums, over the nodes x of the sections (rule, flip, offset), weight
+    * exp(b log) * flip theta1(mu - flip x) / theta1(mu) * theta_{kappa,n}(mu
+    + (2/kappa) (offset + flip x)), the circle nodes' terms divided by
+    loop_winding(b - 1).  The t = 1 circle is the t = 0 circle in s = 1 - t, with flip -1 and
+    offset 1: E(1 - s) = E(s) and sigma(1 - s) = sigma(-s).  One pass makes
+    one theta1 call on [mu, mu - flip x] and one level-theta call, with
+    mu = lam and mu = -lam in rows.
+    """
+    kappa, n = idx.kappa, idx.reduced_n
+    b = -2.0 / kappa
+    # the tables do not depend on the budget cap, so it is left out of the key
+    circle, middle = _p1_tables(pt.tau, replace(quad, max_evals=0))
+    # per sign, four factor evaluations per middle node (E, theta1 twice in
+    # sigma, the level theta), one for theta1(mu), and five per circle node
+    # and end ((E(t)/t), theta1 twice in t sigma(t), the level theta, t^a)
+    budget.charge(2 * (4 * middle.nodes.size + 1 + 10 * circle.nodes.size))
+    wind = loop_winding(b - 1.0)
+    columns = []
+    for rule, flip, offset in ((circle, 1.0, 0.0), (circle, -1.0, 1.0),
+                               (middle, 1.0, 0.0)):
+        weights = flip * rule.weights * np.exp(b * rule.logs)
+        weights[:rule.n_loop] /= wind
+        columns.append((flip * rule.nodes, offset + flip * rule.nodes, weights))
+    flip_x, shift, weights = (np.concatenate(c) for c in zip(*columns))
+    mu = np.array([[lam], [-lam]])
+    th = specfun._theta1_array(np.concatenate([mu, mu - flip_x], axis=1),
+                               pt.tau)
+    lev = specfun._theta_level_array(kappa, n, mu + (2.0 / kappa) * shift,
+                                     pt.tau)
+    plus, minus = np.sum(weights * th[:, 1:] / th[:, :1] * lev, axis=1)
+    return complex(plus), complex(minus)
+
+
+# ---------------------------------------------------------------------------
+# p = 2
+# ---------------------------------------------------------------------------
 
 
 @lru_cache(maxsize=32)
@@ -320,15 +299,10 @@ def _outer_rules(order: int, levels: int, loop_nodes: int, r_out: float,
     t, dt, phi = endpoint_loop_nodes(r_out, loop_nodes)
     ell = math.log(r_out) + 1j * phi
     corner = _frozen_rule(t, dt * np.exp((g - 1.0) * ell), 2.0 * ell, t.size)
-
-    def two_graded(a, mid, b):
-        lo = graded_nodes(a, mid, levels, order, "left")
-        hi = graded_nodes(mid, b, levels, order, "right")
-        return np.concatenate([lo[0], hi[0]]), np.concatenate([lo[1], hi[1]])
-
-    xs, ws = two_graded(r_out, 0.5 * (r_out + 0.5), 0.5)
+    xs, ws = _two_graded(r_out, 0.5 * (r_out + 0.5), 0.5, levels, order)
     left = _frozen_rule(xs, ws * xs ** g, np.log(xs), 0)
-    xs, ws = two_graded(0.5, 0.5 * (0.5 + 1.0 - r_out), 1.0 - r_out)
+    xs, ws = _two_graded(0.5, 0.5 * (0.5 + 1.0 - r_out), 1.0 - r_out, levels,
+                         order)
     right = _frozen_rule(xs, ws, np.log(1.0 - xs), 0)
     return corner, left, right
 
@@ -564,17 +538,33 @@ def _as_lambda(lam, pt: ModularPoint) -> complex:
     return arg.lam
 
 
+def _j_p0(idx: BlockIndex, lam: complex, pt: ModularPoint,
+          quad: QuadratureSpec, budget: EvalBudget) -> tuple:
+    """(J(lam), J(-lam)) of the empty integral: level-theta values."""
+    return tuple(specfun.theta_level(idx.kappa, idx.reduced_n, mu, pt)
+                 for mu in (lam, -lam))
+
+
+_PASSES = {0: _j_p0, 1: _j_p1, 2: _j_p2}
+
+
 def _one_value(idx: BlockIndex, lam, pt: ModularPoint,
                quad: QuadratureSpec) -> tuple:
-    """One pass and its budget; a p = 2 pass gives (J(lam), J(-lam))."""
+    """One pass, (J(lam), J(-lam)), and its budget."""
+    if idx.p not in _PASSES:
+        raise UnsupportedP(f"p = {idx.p} is beyond the implemented range (p <= 2)")
     budget = EvalBudget(quad.max_evals)
-    if idx.p == 0:
-        return specfun.theta_level(idx.kappa, idx.reduced_n, lam, pt), budget
-    if idx.p == 1:
-        return _j_p1(idx, lam, pt, quad, budget), budget
-    if idx.p == 2:
-        return _j_p2(idx, lam, pt, quad, budget), budget
-    raise UnsupportedP(f"p = {idx.p} is beyond the implemented range (p <= 2)")
+    return _PASSES[idx.p](idx, lam, pt, quad, budget), budget
+
+
+def _two_passes(idx: BlockIndex, lam, pt: ModularPoint,
+                quad: QuadratureSpec | None) -> tuple:
+    """The requested (coarse) pass, a refined one and their summed budget."""
+    quad = quad or QuadratureSpec()
+    lam = _as_lambda(lam, pt)
+    coarse, budget1 = _one_value(idx, lam, pt, quad)
+    fine, budget2 = _one_value(idx, lam, pt, quad.refined())
+    return coarse, fine, budget1.used + budget2.used
 
 
 def j_integral(idx: BlockIndex, lam, pt: ModularPoint,
@@ -584,35 +574,19 @@ def j_integral(idx: BlockIndex, lam, pt: ModularPoint,
     The error estimate compares the requested quadrature against a refined
     one (heuristic, not a bound).  p = 0 is exact.
     """
-    quad = quad or QuadratureSpec()
-    lam = _as_lambda(lam, pt)
-    coarse, budget1 = _one_value(idx, lam, pt, quad)
-    if idx.p == 0:
-        return BlockValue(value=coarse, error_estimate=0.0, budget_used=0)
-    fine, budget2 = _one_value(idx, lam, pt, quad.refined())
-    if idx.p == 2:
-        coarse, fine = coarse[0], fine[0]
+    (coarse, _), (fine, _), used = _two_passes(idx, lam, pt, quad)
     return BlockValue(value=fine, error_estimate=abs(fine - coarse),
-                      budget_used=budget1.used + budget2.used)
+                      budget_used=used)
 
 
 def u_block(idx: BlockIndex, lam, pt: ModularPoint,
             quad: QuadratureSpec | None = None) -> BlockValue:
-    """The symmetrized combination J(lam) + (-1)^(p+1) J(-lam)."""
-    quad = quad or QuadratureSpec()
-    lam = _as_lambda(lam, pt)
-    if idx.p == 2:
-        (c_plus, c_minus), budget1 = _one_value(idx, lam, pt, quad)
-        (plus, minus), budget2 = _one_value(idx, lam, pt, quad.refined())
-        return BlockValue(value=plus - minus,
-                          error_estimate=abs(plus - c_plus) + abs(minus - c_minus),
-                          budget_used=budget1.used + budget2.used)
-    plus = j_integral(idx, lam, pt, quad)
-    minus = j_integral(idx, -lam, pt, quad)
-    sign = (-1) ** (idx.p + 1)
-    return BlockValue(value=plus.value + sign * minus.value,
-                      error_estimate=plus.error_estimate + minus.error_estimate,
-                      budget_used=plus.budget_used + minus.budget_used)
+    """The symmetrized combination J(lam) + (-1)^(p+1) J(-lam), with the
+    coarse-vs-refined estimate of both terms."""
+    (c_plus, c_minus), (plus, minus), used = _two_passes(idx, lam, pt, quad)
+    return BlockValue(value=plus + (-1) ** (idx.p + 1) * minus,
+                      error_estimate=abs(plus - c_plus) + abs(minus - c_minus),
+                      budget_used=used)
 
 
 def leading_term_constant(p: int) -> complex:

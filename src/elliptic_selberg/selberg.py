@@ -142,6 +142,9 @@ def _endpoint_window_fp(exponent: complex, h0: complex, h1: complex,
 # p = 1 endpoint exponents with real part at or below this are continued by an
 # endpoint circle, those above it (up to 0) by Taylor subtraction
 _CIRCLE_AT_OR_BELOW = -1.0
+# radius of that circle: a quarter of the unit distance to the other
+# endpoint's branch point, large enough that t^a stays moderate on it
+_CIRCLE_RADIUS = 0.25
 
 
 def _oracle_p1(params: SelbergParams, quad: QuadratureSpec,
@@ -150,12 +153,17 @@ def _oracle_p1(params: SelbergParams, quad: QuadratureSpec,
     b_exp = complex(params.beta) - 1   # endpoint exponent at t = 1
     delta = quad.endpoint_delta
 
+    def start(expo):
+        """Where the middle path leaves an endpoint with this exponent."""
+        if expo.real > 0:
+            return 0.0
+        return _CIRCLE_RADIUS if expo.real <= _CIRCLE_AT_OR_BELOW else delta
+
     total = 0.0 + 0.0j
     # middle section is smooth; still grade toward both ends
     mid_levels = quad.graded_mesh_levels
     segments = []
-    lo = delta if a_exp.real <= 0 else 0.0
-    hi = 1 - delta if b_exp.real <= 0 else 1.0
+    lo, hi = start(a_exp), 1 - start(b_exp)
     mid = 0.5 * (lo + hi)
     segments.append(graded_nodes(lo, mid, max(
         mid_levels, levels_for_exponent(a_exp.real)), quad.gauss_order, "left"))
@@ -172,14 +180,8 @@ def _oracle_p1(params: SelbergParams, quad: QuadratureSpec,
             continue
         if expo.real <= _CIRCLE_AT_OR_BELOW:
             total += endpoint_loop_fp(
-                lambda t: (1.0 - t) ** other, expo,
-                delta * quad.loop_radius_factor, quad.loop_nodes, budget)
-            ts, ws = graded_nodes(delta * quad.loop_radius_factor, delta,
-                                  quad.graded_mesh_levels, quad.gauss_order,
-                                  "left")
-            budget.charge(ts.size)
-            total += complex(np.sum(
-                (ts.astype(complex) ** expo) * ((1.0 - ts) ** other) * ws))
+                lambda t: (1.0 - t) ** other, expo, _CIRCLE_RADIUS,
+                quad.loop_nodes, budget)
         else:
             h0, h1 = 1.0 + 0.0j, -other
             total += _endpoint_window_fp(

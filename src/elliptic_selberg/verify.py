@@ -483,11 +483,15 @@ def kzb_residual(f, lam: complex, pt: ModularPoint,
 # tau-ODE residuals for the scalar weights
 # ---------------------------------------------------------------------------
 
+# recipe: (offset, positions, signs, m, c) for kappa = 2p + offset.  The
+# weight is ((2 pi)^m (c D)^(2m-1) / theta1'(0)^m)^(2(p+1)/kappa) with
+# D = sum_j s_j theta_{kappa-2p-2, j}(0) over the positions and signs, and
+# its tau-log-derivative w ((2m-1) D'/D - 3m eta'/eta).
 _RECIPES = {
-    "eta_power": (3, (0,), (1,)),
-    "theta21_power": (4, (1,), (1,)),
-    "theta4_power": (6, (0, 4), (1, -1)),
-    "theta6_power": (8, (1, 5), (1, -1)),
+    "eta_power": (3, (0,), (1,), 0.5, 1),
+    "theta21_power": (4, (1,), (1,), 1, 2),
+    "theta4_power": (6, (0, 4), (1, -1), 2, 1),
+    "theta6_power": (8, (1, 5), (1, -1), 3, 1),
 }
 
 
@@ -496,47 +500,35 @@ def _theta0(level: int, index: int, pt: ModularPoint,
     return theta_level(level, index, 0.0, pt, d_tau=d_tau)
 
 
+def _recipe(recipe: str) -> tuple:
+    if recipe not in _RECIPES:
+        raise ValueError(f"unknown recipe {recipe!r}")
+    return _RECIPES[recipe]
+
+
+def _recipe_sum(recipe: str, pt: ModularPoint, d_tau: int = 0) -> complex:
+    """D of the recipe, or its tau-derivative."""
+    offset, positions, signs, _, _ = _recipe(recipe)
+    return sum(s * _theta0(offset - 2, j, pt, d_tau=d_tau)
+               for j, s in zip(positions, signs))
+
+
 def ode_recipe_value(recipe: str, kappa: int, p: int,
                      pt: ModularPoint) -> complex:
     """The scalar tau-weight of the matching closed form, at this tau."""
-    w = 2.0 * (p + 1) / kappa
-    t1p = theta1(0.0, pt, d_lambda=1)
-    if recipe == "eta_power":
-        return _frac_power(dedekind_eta(pt), -3.0 * (p + 1) / kappa)
-    if recipe == "theta21_power":
-        return _frac_power(4.0 * math.pi * _theta0(2, 1, pt) / t1p, w)
-    if recipe == "theta4_power":
-        base = ((2 * math.pi) ** 2
-                * (_theta0(4, 0, pt) - _theta0(4, 4, pt)) ** 3 / t1p ** 2)
-        return _frac_power(base, w)
-    if recipe == "theta6_power":
-        base = ((2 * math.pi) ** 3
-                * (_theta0(6, 1, pt) - _theta0(6, 5, pt)) ** 5 / t1p ** 3)
-        return _frac_power(base, w)
-    raise ValueError(f"unknown recipe {recipe!r}")
+    *_, m, c = _recipe(recipe)
+    base = ((2 * math.pi) ** m
+            * (c * _recipe_sum(recipe, pt)) ** (2 * m - 1)
+            / theta1(0.0, pt, d_lambda=1) ** m)
+    return _frac_power(base, 2.0 * (p + 1) / kappa)
 
 
 def _recipe_logderiv(recipe: str, kappa: int, p: int,
                      pt: ModularPoint) -> complex:
+    *_, m, _ = _recipe(recipe)
     w = 2.0 * (p + 1) / kappa
-    eta_ld = dedekind_eta_logderiv(pt)
-    if recipe == "eta_power":
-        return -3.0 * (p + 1) / kappa * eta_ld
-
-    def theta_ld(level, idx):
-        return _theta0(level, idx, pt, d_tau=1)
-
-    if recipe == "theta21_power":
-        return w * (theta_ld(2, 1) / _theta0(2, 1, pt) - 3.0 * eta_ld)
-    if recipe == "theta4_power":
-        diff = _theta0(4, 0, pt) - _theta0(4, 4, pt)
-        ddot = theta_ld(4, 0) - theta_ld(4, 4)
-        return w * (3.0 * ddot / diff - 6.0 * eta_ld)
-    if recipe == "theta6_power":
-        diff = _theta0(6, 1, pt) - _theta0(6, 5, pt)
-        ddot = theta_ld(6, 1) - theta_ld(6, 5)
-        return w * (5.0 * ddot / diff - 9.0 * eta_ld)
-    raise ValueError(f"unknown recipe {recipe!r}")
+    d_dot, d = _recipe_sum(recipe, pt, d_tau=1), _recipe_sum(recipe, pt)
+    return w * ((2 * m - 1) * d_dot / d - 3 * m * dedekind_eta_logderiv(pt))
 
 
 def ode_residual(case: str, kappa: int, p: int, c_recipe: str,
@@ -548,9 +540,7 @@ def ode_residual(case: str, kappa: int, p: int, c_recipe: str,
     j -> K - j).  The recipe fixes both the weight profile over the basis
     and its logarithmic tau-derivative.
     """
-    if c_recipe not in _RECIPES:
-        raise ValueError(f"unknown recipe {c_recipe!r}")
-    offset, positions, signs = _RECIPES[c_recipe]
+    offset, positions, signs, _, _ = _recipe(c_recipe)
     if kappa != 2 * p + offset:
         raise OutOfSupportedRange(
             f"recipe {c_recipe} belongs to kappa = 2p + {offset}, "

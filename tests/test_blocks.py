@@ -90,47 +90,57 @@ def test_single_fold_regression_value():
     assert abs(u.value - want) < 1e-9 * abs(want)
 
 
-# Values and budgets recorded from the endpoint-circle p = 1 quadrature: the
-# coarse default spec, then its refined() spec.  tau = 1 + i is the
-# T-transform input; at tau = 0.3 + 0.4i the argument of E varies along the
-# middle path; lambda = -0.3i at tau = i is an S-transform input.  The tau
-# values alternate, so tables cached under a key that missed tau would be
-# reused at the wrong tau.
+# Values and per-sign budgets recorded from the endpoint-circle p = 1
+# quadrature that computed J(lam) and J(-lam) in separate passes: the coarse
+# default spec, then its refined() spec, at lam and then at -lam.  tau = 1 + i
+# is the T-transform input; at tau = 0.3 + 0.4i the argument of E varies
+# along the middle path; lambda = -0.3i at tau = i is an S-transform input.
+# The tau values alternate, so tables cached under a key that missed tau
+# would be reused at the wrong tau.
 P1_PINNED = [
     (0.9j, 4, 2, 0.3,
      (1.3487341095779506 - 1.7411719926494376j, 2305),
-     (1.3487341095779506 - 1.7411719926494382j, 4657)),
+     (1.3487341095779506 - 1.7411719926494382j, 4657),
+     (1.3487341095779528 + 1.7411719926494367j, 2305),
+     (1.3487341095779533 + 1.7411719926494367j, 4657)),
     (1 + 1j, 4, 2, 0.3,
      (1.4848487640996109 + 1.1541171645608874j, 2305),
-     (1.4848487640996162 + 1.1541171645608874j, 4657)),
+     (1.4848487640996162 + 1.1541171645608874j, 4657),
+     (-1.4848487640996102 + 1.1541171645608892j, 2305),
+     (-1.4848487640996157 + 1.1541171645608892j, 4657)),
     (0.9j, 5, 3, 0.3,
      (0.5658831286847448 + 0.13419349606937386j, 2305),
-     (0.5658831286847448 + 0.1341934960693735j, 4657)),
+     (0.5658831286847448 + 0.1341934960693735j, 4657),
+     (0.5366860258791692 + 0.22405293870730603j, 2305),
+     (0.5366860258791695 + 0.22405293870730592j, 4657)),
     (0.3 + 0.4j, 4, 2, 0.3,
      (4.713975379558706 - 1.8442021159791389j, 2305),
-     (4.7139753795587005 - 1.8442021159791304j, 4657)),
+     (4.7139753795587005 - 1.8442021159791304j, 4657),
+     (0.8208693778069087 + 4.274173472183749j, 2305),
+     (0.8208693778069143 + 4.274173472183742j, 4657)),
     (1j, 5, 2, -0.3j,
      (-5.398546673663372 + 1.7540941453058636j, 2305),
-     (-5.398546673663393 + 1.7540941453058778j, 4657)),
+     (-5.398546673663393 + 1.7540941453058778j, 4657),
+     (-0.6585255313691478 + 0.21396791561407658j, 2305),
+     (-0.6585255313691478 + 0.2139679156140767j, 4657)),
 ]
 
 
 def test_one_fold_values_are_pinned():
+    # one p = 1 pass gives the pair (J(lam), J(-lam)) and charges both signs
     quad = QuadratureSpec()
-    for tau, kappa, n, lam, *pinned in P1_PINNED:
-        for spec, (want, want_budget) in zip((quad, quad.refined()), pinned):
+    for tau, kappa, n, lam, c_plus, f_plus, c_minus, f_minus in P1_PINNED:
+        for spec, pinned in ((quad, (c_plus, c_minus)),
+                             (quad.refined(), (f_plus, f_minus))):
             got, budget = blocks._one_value(BlockIndex(1, kappa, n),
                                             complex(lam), ModularPoint(tau), spec)
-            assert abs(got - want) <= 1e-13 * abs(want), (tau, kappa, n)
-            assert budget.used == want_budget
+            for value, (want, _) in zip(got, pinned):
+                assert abs(value - want) <= 1e-13 * abs(want), (tau, kappa, n)
+            assert budget.used == sum(charge for _, charge in pinned)
 
 
-def test_one_fold_work_is_tabulated(monkeypatch):
-    # a warm p = 1 value needs theta1(lam), one stacked theta1 call and one
-    # stacked level-theta call; everything else comes from the
-    # lambda-independent tables, which a different budget cap reuses
-    idx, lam, spec = BlockIndex(1, 4, 2), complex(LAM), QuadratureSpec()
-    blocks._one_value(idx, lam, PT, spec)
+def _count_kernel_calls(monkeypatch) -> dict:
+    """Count the calls that reach the two theta array kernels from now on."""
     calls = {"_theta1_array": 0, "_theta_level_array": 0}
     for name in calls:
         kernel = getattr(specfun, name)
@@ -140,9 +150,28 @@ def test_one_fold_work_is_tabulated(monkeypatch):
             return _kernel(*args, **kwargs)
 
         monkeypatch.setattr(specfun, name, counting)
+    return calls
+
+
+def test_one_fold_work_is_tabulated(monkeypatch):
+    # a warm p = 1 pass needs one theta1 call on [+-lam, +-lam - flip x] and
+    # one level-theta call; everything else comes from the lambda-independent
+    # tables, which a different budget cap reuses
+    idx, lam, spec = BlockIndex(1, 4, 2), complex(LAM), QuadratureSpec()
+    blocks._one_value(idx, lam, PT, spec)
+    calls = _count_kernel_calls(monkeypatch)
     blocks._one_value(idx, lam, PT, QuadratureSpec(max_evals=100_000_000))
-    assert 0 < calls["_theta1_array"] <= 2
-    assert 0 < calls["_theta_level_array"] <= 1
+    assert calls == {"_theta1_array": 1, "_theta_level_array": 1}
+
+
+def test_one_fold_u_block_is_two_passes(monkeypatch):
+    # a warm p = 1 u_block is a coarse and a refined pass, each giving both
+    # J(lam) and J(-lam)
+    idx = BlockIndex(1, 5, 2)
+    u_block(idx, LAM, PT)
+    calls = _count_kernel_calls(monkeypatch)
+    u_block(idx, 0.41, PT)
+    assert calls == {"_theta1_array": 2, "_theta_level_array": 2}
 
 
 def test_dead_indices_vanish():

@@ -235,7 +235,7 @@ def test_verify_csv_has_documented_columns(capsys):
 
 def test_verify_impossible_tolerance_exits_one(capsys):
     code, out = run(["verify", "--identity", "1", "--grid", "0.31",
-                     "--tol", "1e-15"], capsys)
+                     "--tol", "1e-17"], capsys)
     assert code == 1
     assert json.loads(out)["passed"] is False
 
