@@ -31,23 +31,27 @@ refined pass for every p.  Both quadratures tabulate first and assemble
 second, on tables of everything that does not depend on lambda.  At p = 1
 the tables (the endpoint circle and the middle path as rules whose weights
 and logs carry the powers of E) are cached per tau and rule shape (the spec
-less its budget cap), and a pass makes one theta1 call on [mu, mu - flip t]
-and one level-theta call on the matching arguments, with mu = lam and -lam in
-rows (flip = -1 on the t = 1 circle, taken in s = 1 - t).  At p = 2
+less its budget cap), and a pass makes one call to each pair kernel of
+specfun, theta1 at mu - flip t and the level theta at its shifts, with
+mu = lam and -lam in rows (flip = -1 on the t = 1 circle, taken in
+s = 1 - t).  At p = 2
 each section's outer x nodes and inner xi nodes form one tensor, and the
 tables, cached per (tau, rule shape, kappa), hold the weights times the
 lambda-independent powers of E on it, one complex number per (x, xi) point.
 One pass then integrates the four integrands of u = J(lam) - J(-lam) (two
 half shapes at each sign of lambda) together: per chunk of the tensor, one
-theta1 call on [lam - y, lam + y] serves all four, since theta1 is odd, and
-one level-theta call takes their four argument rows; per section, one
-theta1 call on [lam - x, lam + x].  The exponent b enters last as
-exp(b * log) of the tabulated logs, so the b-derivative at kappa = 6 is the
-same sum with the tabulated log factor.
+theta1 pair call on y gives theta1(+-lam + y), which serves all four since
+theta1 is odd, and one level-theta pair call gives their four level
+thetas; per section, one theta1 pair call on x.  The pair kernels make one
+set of exponentials per node for both signs of lambda.  The exponent b
+enters last as exp(b * log) of the tabulated logs, so the b-derivative at
+kappa = 6 is the same sum with the tabulated log factor.
 A warm p = 2 u_block at the default spec (coarse and refined pass) hands
-theta1 about 1.9M points and the level theta 3.8M, about 0.7 s on one
-thread of a 2-core VM; its two tables hold about 15 MB.  The Gauss-Jacobi
-rule of the corner tails is scipy's roots_jacobi, imported on first use.
+the theta1 pair kernel 951,840 points and the level-theta pair kernel
+948,840, about 0.37 s on one thread of a 2-core VM (0.76 s with the array
+kernels on lam -+ y, lam -+ x and four level-theta arguments per node); its
+two tables hold about 15 MB.  The Gauss-Jacobi rule of the corner tails is
+scipy's roots_jacobi, imported on first use.
 """
 
 from __future__ import annotations
@@ -221,8 +225,8 @@ def _j_p1(idx: BlockIndex, lam: complex, pt: ModularPoint,
     + (2/kappa) (offset + flip x)), the circle nodes' terms divided by
     loop_winding(b - 1).  The t = 1 circle is the t = 0 circle in s = 1 - t, with flip -1 and
     offset 1: E(1 - s) = E(s) and sigma(1 - s) = sigma(-s).  One pass makes
-    one theta1 call on [mu, mu - flip x] and one level-theta call, with
-    mu = lam and mu = -lam in rows.
+    one call to each pair kernel, with mu = lam and mu = -lam in rows, and
+    takes the divisor theta1(mu) from the relative-accurate array kernel.
     """
     kappa, n = idx.kappa, idx.reduced_n
     b = -2.0 / kappa
@@ -240,12 +244,12 @@ def _j_p1(idx: BlockIndex, lam: complex, pt: ModularPoint,
         weights[:rule.n_loop] /= wind
         columns.append((flip * rule.nodes, offset + flip * rule.nodes, weights))
     flip_x, shift, weights = (np.concatenate(c) for c in zip(*columns))
-    mu = np.array([[lam], [-lam]])
-    th = specfun._theta1_array(np.concatenate([mu, mu - flip_x], axis=1),
-                               pt.tau)
-    lev = specfun._theta_level_array(kappa, n, mu + (2.0 / kappa) * shift,
-                                     pt.tau)
-    plus, minus = np.sum(weights * th[:, 1:] / th[:, :1] * lev, axis=1)
+    div = specfun._theta1_array(np.array([[lam], [-lam]]), pt.tau)
+    th = specfun._theta1_pair(lam, -flip_x, pt.tau)
+    # the rows (sigma, s) = (1, 1) and (-1, 1)
+    lev = specfun._theta_level_pair(kappa, n, lam, (2.0 / kappa) * shift,
+                                    pt.tau)[::2]
+    plus, minus = np.sum(weights * th / div * lev, axis=1)
     return complex(plus), complex(minus)
 
 
@@ -312,11 +316,11 @@ _SIGMA = (1.0, 1.0, -1.0, -1.0)
 _S = (1.0, -1.0, 1.0, -1.0)
 
 
-def _odd_rows(signs, minus, plus) -> np.ndarray:
-    """sign theta1(sigma lam - sign t) theta1(lam) / theta1(sigma lam) per
-    integrand, from minus/plus = theta1(lam -+ t) since theta1 is odd."""
-    return np.stack([sign * (minus if sign * sigma > 0 else plus)
-                     for sigma, sign in zip(_SIGMA, signs)])
+def _odd_rows(signs, pair) -> np.ndarray:
+    """theta1(-sigma sign lam + t) per integrand from the rows pair =
+    theta1(+-lam + t); since theta1 is odd, -sigma times it is sign
+    theta1(sigma lam - sign t) theta1(lam) / theta1(sigma lam)."""
+    return pair[[int(sigma * sign > 0) for sigma, sign in zip(_SIGMA, signs)]]
 
 
 def _geometry(kind: str, xc: np.ndarray, xi: np.ndarray) -> tuple:
@@ -434,14 +438,22 @@ def _p2_sections(sections: tuple, idx: BlockIndex, lam: float,
     its b-derivative as a second column at kappa = 6, and the sum of the
     corner-free sections as a single column.
 
-    Per chunk of a section's (x, xi) tensor this makes one theta1 call on
-    [lam - y, lam + y] and one level-theta call on the four argument rows,
-    and per section one theta1 call on [lam - x, lam + x].
+    Per chunk of a section's (x, xi) tensor this makes one theta1 pair call
+    on y and one level-theta pair call on g (pos + y), and per section one
+    theta1 pair call on x.  The s = -1 level rows are theta_{kappa,n}(sigma
+    lam - g (pos + y)) times the phase exp(4 pi i n / kappa) of the shift by
+    2 g = 4 / kappa.
     """
     kappa, n = idx.kappa, idx.reduced_n
     b, g = -4.0 / kappa, 2.0 / kappa
     inv_lam = 1.0 / specfun.theta1(lam, ModularPoint(tau))
     wind = loop_winding(b - 1.0)
+    phase = cmath.exp(4j * math.pi * n / kappa)
+    # per row, -sigma (see _odd_rows) over theta1(lam), and the inner rows'
+    # level-theta phase
+    outer_scale = np.array([-sigma * inv_lam for sigma in _SIGMA])[:, None]
+    inner_scale = np.array([-sigma * inv_lam * (phase if s < 0 else 1.0)
+                            for sigma, s in zip(_SIGMA, _S)])[:, None, None]
 
     def part(sec: _P2Section) -> np.ndarray:
         """sum over the x nodes of E(x)^b sign sigma(sign x) Xi_b(x), sign =
@@ -456,16 +468,13 @@ def _p2_sections(sections: tuple, idx: BlockIndex, lam: float,
         step = max(1, _CHUNK_POINTS // xi.size)
         for lo in range(0, x.size, step):
             y, _, pos = _geometry(sec.kind, x[lo:lo + step, None], xi)
-            th_minus, th_plus = specfun._theta1_array(
-                np.stack([lam - y, lam + y]), tau)
-            lev = specfun._theta_level_array(kappa, n, np.stack(
-                [sigma * lam + (1.0 - s) * g + s * g * (pos + y)
-                 for sigma, s in zip(_SIGMA, _S)]), tau)
+            th = specfun._theta1_pair(lam, y, tau)
+            lev = specfun._theta_level_pair(kappa, n, lam, g * (pos + y), tau)
             # (E(y)/y)^b * s y sigma(s y) * diag^g = s theta1(sigma lam - s y)
             #     / theta1(sigma lam) * exp((b-1) log_ez + g log diag), the
             #     exponential tabulated in sec.inner
-            terms = (sec.inner[lo:lo + step] * inv_lam
-                     * _odd_rows(_S, th_minus, th_plus) * lev)
+            terms = (sec.inner[lo:lo + step]
+                     * (inner_scale * _odd_rows(_S, th) * lev))
             loop = terms[..., :n_loop].sum(axis=-1)
             xi_b[:, 0, lo:lo + step] = loop / wind + terms[..., n_loop:].sum(axis=-1)
             if slope:
@@ -474,9 +483,8 @@ def _p2_sections(sections: tuple, idx: BlockIndex, lam: float,
                 xi_b[:, 1, lo:lo + step] = (terms[..., :n_loop].sum(axis=-1) / wind
                                             + terms[..., n_loop:].sum(axis=-1)
                                             - loop * 2j * math.pi * (wind + 1.0) / wind ** 2)
-        th_minus, th_plus = specfun._theta1_array(np.stack([lam - x, lam + x]), tau)
-        terms = (sec.outer * inv_lam
-                 * _odd_rows([sec.flip * s for s in _S], th_minus, th_plus))
+        terms = sec.outer * outer_scale * _odd_rows(
+            [sec.flip * s for s in _S], specfun._theta1_pair(lam, x, tau))
         out = [np.sum(terms * xi_b[:, 0], axis=-1)]
         if slope:
             out.append(np.sum(terms * (sec.outer_logs * xi_b[:, 0] + xi_b[:, 1]),

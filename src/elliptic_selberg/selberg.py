@@ -159,16 +159,20 @@ def _oracle_p1(params: SelbergParams, quad: QuadratureSpec,
             return 0.0
         return _CIRCLE_RADIUS if expo.real <= _CIRCLE_AT_OR_BELOW else delta
 
+    def levels(expo):
+        """Mesh depth toward an end: graded for the power t**expo only where
+        the path reaches the endpoint; where it meets the circle or the
+        window the integrand is smooth."""
+        if expo.real > 0:
+            return max(quad.graded_mesh_levels, levels_for_exponent(expo.real))
+        return quad.graded_mesh_levels
+
     total = 0.0 + 0.0j
-    # middle section is smooth; still grade toward both ends
-    mid_levels = quad.graded_mesh_levels
     segments = []
     lo, hi = start(a_exp), 1 - start(b_exp)
     mid = 0.5 * (lo + hi)
-    segments.append(graded_nodes(lo, mid, max(
-        mid_levels, levels_for_exponent(a_exp.real)), quad.gauss_order, "left"))
-    segments.append(graded_nodes(mid, hi, max(
-        mid_levels, levels_for_exponent(b_exp.real)), quad.gauss_order, "right"))
+    segments.append(graded_nodes(lo, mid, levels(a_exp), quad.gauss_order, "left"))
+    segments.append(graded_nodes(mid, hi, levels(b_exp), quad.gauss_order, "right"))
     for ts, ws in segments:
         budget.charge(ts.size)
         vals = (ts.astype(complex) ** a_exp) * ((1.0 - ts).astype(complex) ** b_exp)

@@ -31,6 +31,21 @@ kappa) by Horner's rule; theta1 and its even lambda-derivatives keep
 sin(pi*lam) as a factor, so they stay accurate relative to their size next
 to their zeros at the integers.  The eta-type products stop once |q|**j falls below tail_tolerance,
 and raise NonConvergence at max_terms.
+
+The block quadratures evaluate their thetas through two pass kernels,
+_theta1_pair and _theta_level_pair, which take a scalar lam and an array z
+and return the rows at +lam and -lam (and, at level kappa, at +z and -z)
+from one set of exponentials per point of z: exp(i*pi*lam) and
+exp(2*pi*i*kappa*lam) are scalars, and the per-point factors are shared by
+every row.  Their term counts and coefficients come from the same helpers
+as the array kernels, with |Im| bounded by |Im lam| + max |Im z|.  They keep
+only absolute accuracy, within a few ulps of the sum of |terms| (of each
+|term| times the size of its exponent at level kappa, as for the array
+kernel): theta1's sin(x) is formed as (e - 1/e) / 2i from e = exp(ix),
+which loses the relative accuracy next to the zeros of theta1 that
+factoring out sin(x) keeps.  The passes integrate these values against
+smooth weights, so absolute accuracy is what they need; a divisor such as
+theta1(lam) is taken from _theta1_array.
 """
 
 from __future__ import annotations
@@ -207,22 +222,15 @@ def _horner(coefs, z):
     return acc
 
 
-def _theta1_array(lam, tau: complex, d_lambda: int = 0, d_tau: int = 0,
-                  trunc: SeriesTruncation = DEFAULT_TRUNC) -> np.ndarray:
-    """Vectorised sine-series evaluation of theta1 derivatives.
+def _theta1_coefs(tau: complex, y_max: float, d_lambda: int = 0, d_tau: int = 0,
+                  trunc: SeriesTruncation = DEFAULT_TRUNC) -> list:
+    """Coefficients coef_j of the sine series of a theta1 derivative, as many
+    as arguments with |Im lam| <= y_max need.
 
-    lam may be any complex ndarray; returns an array of the same shape.
-    Term j is coef_j * sin((2j+1)*x + d_lambda*pi/2) with x = pi*lam, a
+    Term j is coef_j * sin((2j+1)*x + d_lambda*pi/2) with x = pi*lam: a
     signed sine for even d_lambda and a signed cosine for odd d_lambda.
-    With w = exp(2ix), sin((2j+1)x) = sin(x) * sum_{|k|<=j} w**k, so a sine
-    series is sin(x) times a Laurent polynomial in w; factoring out sin(x)
-    keeps theta1 accurate relative to its size next to its zeros at the
-    integers.  A cosine series is summed as exp(ix) P(w) + exp(-ix) P(1/w)
-    with P = sum_j coef_j/2 w**j.
     """
-    lam = np.asarray(lam, dtype=complex)
     a = math.pi * complex(tau).imag
-    y_max = _max_abs_imag(lam)
 
     def log_bound(j):
         half = j + 0.5
@@ -240,21 +248,65 @@ def _theta1_array(lam, tau: complex, d_lambda: int = 0, d_tau: int = 0,
         if d_tau:
             coef *= (1j * cmath.pi * half * half) ** d_tau
         coefs.append(coef)
+    return coefs
+
+
+def _sine_laurent(coefs, w, w_inv):
+    """sum_j coefs[j] sin((2j+1)x) / sin(x) at w = exp(2ix), w_inv = 1/w.
+
+    sin((2j+1)x) = sin(x) * sum_{|k|<=j} w**k, so the Laurent coefficient of
+    w**k is the tail sum C_|k| = sum_{j>=|k|} coef_j.  The constant one is
+    summed as coef_0 + C_1: coef_0 then enters as it does in theta1'(0), so
+    theta1(z) / (z theta1'(0)) tends to 1 without a rounding offset.
+    """
+    tails = list(itertools.accumulate(reversed(coefs)))[::-1][1:]
+    return coefs[0] + (tails[0] + w * _horner(tails, w)
+                       + w_inv * _horner(tails, w_inv))
+
+
+def _theta1_array(lam, tau: complex, d_lambda: int = 0, d_tau: int = 0,
+                  trunc: SeriesTruncation = DEFAULT_TRUNC) -> np.ndarray:
+    """Vectorised sine-series evaluation of theta1 derivatives.
+
+    lam may be any complex ndarray; returns an array of the same shape.  A
+    sine series is sin(x) times a Laurent polynomial in w = exp(2ix)
+    (_sine_laurent); factoring out sin(x) keeps theta1 accurate relative to
+    its size next to its zeros at the integers.  A cosine series is summed
+    as exp(ix) P(w) + exp(-ix) P(1/w) with P = sum_j coef_j/2 w**j.
+    """
+    lam = np.asarray(lam, dtype=complex)
+    coefs = _theta1_coefs(tau, _max_abs_imag(lam), d_lambda, d_tau, trunc)
     x = math.pi * lam
     if d_lambda % 2:
         halves = [c / 2 for c in coefs]
         return (np.exp(1j * x) * _horner(halves, np.exp(2j * x))
                 + np.exp(-1j * x) * _horner(halves, np.exp(-2j * x)))
-    # The Laurent coefficient of w**k is the tail sum C_|k| = sum_{j>=|k|}
-    # coef_j.  The constant one is summed as coef_0 + C_1: coef_0 then enters
-    # as it does in theta1'(0), so theta1(z) / (z theta1'(0)) tends to 1
-    # without a rounding offset.
-    tails = list(itertools.accumulate(reversed(coefs)))[::-1][1:]
     w = np.exp(2j * x)
-    w_inv = 1.0 / w
-    laurent = coefs[0] + (tails[0] + w * _horner(tails, w)
-                          + w_inv * _horner(tails, w_inv))
-    return np.sin(x) * laurent
+    return np.sin(x) * _sine_laurent(coefs, w, 1.0 / w)
+
+
+def _theta1_pair(lam: complex, z, tau: complex,
+                 trunc: SeriesTruncation = DEFAULT_TRUNC) -> np.ndarray:
+    """The rows theta1(lam + z) and theta1(-lam + z): scalar lam, array z.
+
+    A pass kernel: per point it makes one exp(i*pi*z) and one reciprocal.
+    With e = exp(ix) = exp(+-i*pi*lam) * exp(+-i*pi*z) per row, the sine
+    series is sin(x) = (e - 1/e) / 2i times _sine_laurent at w = e**2.
+    exp(i*pi*lam) and exp(-i*pi*lam) are each one cmath.exp, so lam -> -lam
+    swaps the rows bit for bit.  The accuracy is absolute, within a few
+    ulps of the row's scale (the sum of its |terms|): sin(x) formed from e
+    loses the relative accuracy that _theta1_array keeps next to the zeros
+    of theta1, so a divisor such as theta1(lam) belongs on _theta1_array.
+    """
+    z = np.asarray(z, dtype=complex)
+    lam = complex(lam)
+    coefs = _theta1_coefs(tau, abs(lam.imag) + _max_abs_imag(z), trunc=trunc)
+    arg = 1j * math.pi * lam
+    # exp(+-i*pi*lam) in rows, broadcast against z
+    ahead = np.array([cmath.exp(arg), cmath.exp(-arg)]).reshape((2,) + (1,) * z.ndim)
+    h = np.exp(1j * math.pi * z)
+    e, e_inv = ahead * h, ahead[::-1] * (1.0 / h)
+    return -0.5j * (e - e_inv) * _sine_laurent(coefs, e * e, e_inv * e_inv)
 
 
 def theta1(lam: complex, pt: ModularPoint, d_lambda: int = 0, d_tau: int = 0,
@@ -371,20 +423,20 @@ def phi_logderiv(kind: int, pt: ModularPoint, trunc: SeriesTruncation = DEFAULT_
 # ---------------------------------------------------------------------------
 
 
-def _theta_level_array(kappa: int, n: int, lam, tau: complex, d_lambda: int = 0,
-                       d_tau: int = 0,
-                       trunc: SeriesTruncation = DEFAULT_TRUNC) -> np.ndarray:
-    """Vectorised lattice sum for theta_level; lam may be a complex ndarray.
+def _theta_level_coefs(kappa: int, n: int, tau: complex, y_max: float,
+                       d_lambda: int = 0, d_tau: int = 0,
+                       trunc: SeriesTruncation = DEFAULT_TRUNC) -> tuple:
+    """(c, ahead, behind) of the level-kappa lattice sum, as many shells as
+    arguments with |Im lam| <= y_max need.
 
     Shell j holds the exponents m = c + j and m = c - j with c = n/(2*kappa)
     reduced to [0, 1); with u = exp(2*pi*i*kappa*lam) the sum is
-    exp(2*pi*i*kappa*c*lam) times a Laurent polynomial in u.
+    exp(2*pi*i*kappa*c*lam) * (H(ahead, u) + H(behind, 1/u) / u), H the
+    polynomial with those coefficients (_level_laurent).
     """
-    lam = np.asarray(lam, dtype=complex)
     c = (n % (2 * kappa)) / (2.0 * kappa)
     two_pi_k = 2.0 * math.pi * kappa
     a = two_pi_k * complex(tau).imag
-    y_max = _max_abs_imag(lam)
 
     def log_m(m):
         bound = -a * m * m + two_pi_k * abs(m) * y_max
@@ -407,11 +459,55 @@ def _theta_level_array(kappa: int, n: int, lam, tau: complex, d_lambda: int = 0,
             value *= (2j * cmath.pi * kappa * m * m) ** d_tau
         return value
 
+    return (c, [coef(c + j) for j in range(terms)],
+            [coef(c - j) for j in range(1, terms)])
+
+
+def _level_laurent(ahead, behind, u, u_inv):
+    """The Laurent polynomial of the level-kappa sum at u and u_inv = 1/u."""
+    return _horner(ahead, u) + u_inv * _horner(behind, u_inv)
+
+
+def _theta_level_array(kappa: int, n: int, lam, tau: complex, d_lambda: int = 0,
+                       d_tau: int = 0,
+                       trunc: SeriesTruncation = DEFAULT_TRUNC) -> np.ndarray:
+    """Vectorised lattice sum for theta_level; lam may be a complex ndarray."""
+    lam = np.asarray(lam, dtype=complex)
+    c, ahead, behind = _theta_level_coefs(kappa, n, tau, _max_abs_imag(lam),
+                                          d_lambda, d_tau, trunc)
     u = np.exp(2j * math.pi * kappa * lam)
-    u_inv = 1.0 / u
-    total = (_horner([coef(c + j) for j in range(terms)], u)
-             + u_inv * _horner([coef(c - j) for j in range(1, terms)], u_inv))
-    return np.exp(2j * math.pi * kappa * c * lam) * total
+    return (np.exp(2j * math.pi * kappa * c * lam)
+            * _level_laurent(ahead, behind, u, 1.0 / u))
+
+
+def _theta_level_pair(kappa: int, n: int, lam: complex, z, tau: complex,
+                      trunc: SeriesTruncation = DEFAULT_TRUNC) -> np.ndarray:
+    """The rows theta_{kappa,n}(sigma*lam + s*z) for (sigma, s) = (1, 1),
+    (1, -1), (-1, 1), (-1, -1): scalar lam, array z.
+
+    A pass kernel: per point it makes one exp(2*pi*i*kappa*z), one
+    exp(2*pi*i*kappa*c*z) and their reciprocals.  Each row's Laurent
+    variable is u = U_sigma * V**s with U_sigma = exp(2*pi*i*kappa*sigma*lam)
+    one cmath.exp and V = exp(2*pi*i*kappa*z), and its prefactor splits the
+    same way, so no row needs an exponential of its own and lam -> -lam
+    swaps the sigma rows bit for bit.  The accuracy is absolute, as for
+    _theta_level_array: each term's exponent E is formed in double
+    precision, so the error is a few ulps of the sum of |term| (1 + |E|).
+    """
+    z = np.asarray(z, dtype=complex)
+    lam = complex(lam)
+    c, ahead, behind = _theta_level_coefs(
+        kappa, n, tau, abs(lam.imag) + _max_abs_imag(z), trunc=trunc)
+    # axis 0 holds sigma and axis 1 holds s; the scalars broadcast over s and z
+    shape = (2, 1) + (1,) * z.ndim
+    arg = 2j * math.pi * kappa * lam
+    big_u = np.array([cmath.exp(arg), cmath.exp(-arg)]).reshape(shape)
+    big_pre = np.array([cmath.exp(c * arg), cmath.exp(-c * arg)]).reshape(shape)
+    v = np.exp(2j * math.pi * kappa * z)
+    pre = np.exp(2j * math.pi * kappa * c * z)
+    v_s, pre_s = np.stack([v, 1.0 / v]), np.stack([pre, 1.0 / pre])
+    laurent = _level_laurent(ahead, behind, big_u * v_s, big_u[::-1] * v_s[::-1])
+    return (pre_s * laurent * big_pre).reshape((4,) + z.shape)
 
 
 def theta_level(kappa: int, n: int, lam: complex, pt: ModularPoint,

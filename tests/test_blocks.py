@@ -139,29 +139,39 @@ def test_one_fold_values_are_pinned():
             assert budget.used == sum(charge for _, charge in pinned)
 
 
-def _count_kernel_calls(monkeypatch) -> dict:
-    """Count the calls that reach the two theta array kernels from now on."""
-    calls = {"_theta1_array": 0, "_theta_level_array": 0}
-    for name in calls:
+# The theta kernels and the position of the argument whose size counts as
+# their points: the two array kernels and the two pair kernels of the passes
+KERNEL_ARGS = {"_theta1_array": 0, "_theta_level_array": 2,
+               "_theta1_pair": 1, "_theta_level_pair": 3}
+
+
+def _count_kernels(monkeypatch) -> tuple:
+    """Count the calls and points that reach the theta kernels from now on."""
+    calls, points = dict.fromkeys(KERNEL_ARGS, 0), dict.fromkeys(KERNEL_ARGS, 0)
+    for name, arg in KERNEL_ARGS.items():
         kernel = getattr(specfun, name)
 
-        def counting(*args, _name=name, _kernel=kernel, **kwargs):
+        def counting(*args, _name=name, _arg=arg, _kernel=kernel, **kwargs):
             calls[_name] += 1
+            points[_name] += np.size(args[_arg])
             return _kernel(*args, **kwargs)
 
         monkeypatch.setattr(specfun, name, counting)
-    return calls
+    return calls, points
 
 
 def test_one_fold_work_is_tabulated(monkeypatch):
-    # a warm p = 1 pass needs one theta1 call on [+-lam, +-lam - flip x] and
-    # one level-theta call; everything else comes from the lambda-independent
+    # a warm p = 1 pass makes one call to each pair kernel, on -flip x and
+    # the level-theta shifts, and takes the divisor theta1(+-lam) from the
+    # array kernel; everything else comes from the lambda-independent
     # tables, which a different budget cap reuses
     idx, lam, spec = BlockIndex(1, 4, 2), complex(LAM), QuadratureSpec()
     blocks._one_value(idx, lam, PT, spec)
-    calls = _count_kernel_calls(monkeypatch)
+    calls, points = _count_kernels(monkeypatch)
     blocks._one_value(idx, lam, PT, QuadratureSpec(max_evals=100_000_000))
-    assert calls == {"_theta1_array": 1, "_theta_level_array": 1}
+    assert calls == {"_theta1_array": 1, "_theta_level_array": 0,
+                     "_theta1_pair": 1, "_theta_level_pair": 1}
+    assert points["_theta1_array"] == 2
 
 
 def test_one_fold_u_block_is_two_passes(monkeypatch):
@@ -169,9 +179,11 @@ def test_one_fold_u_block_is_two_passes(monkeypatch):
     # J(lam) and J(-lam)
     idx = BlockIndex(1, 5, 2)
     u_block(idx, LAM, PT)
-    calls = _count_kernel_calls(monkeypatch)
+    calls, points = _count_kernels(monkeypatch)
     u_block(idx, 0.41, PT)
-    assert calls == {"_theta1_array": 2, "_theta_level_array": 2}
+    assert calls == {"_theta1_array": 2, "_theta_level_array": 0,
+                     "_theta1_pair": 2, "_theta_level_pair": 2}
+    assert points["_theta1_array"] == 4
 
 
 def test_dead_indices_vanish():
@@ -346,23 +358,19 @@ def test_two_fold_tables_follow_tau_and_kappa():
 
 def test_two_fold_tables_are_reused(monkeypatch):
     # a second lambda at the same (tau, rule shape, kappa), under another
-    # budget cap, builds no table and hands theta1 only lam -+ y and
-    # lam -+ x: 1,903,682 points, where tabulating theta1 at y and the
-    # diagonal on every pass took 3,804,364
+    # budget cap, builds no table and hands the theta1 pair kernel only y
+    # and x (951,840 points) and the array kernel only the divisor
+    # theta1(lam) of each pass, where tabulating theta1 at y and the
+    # diagonal on every pass took 3,804,364 array points
     idx = BlockIndex(2, 8, 4)
     u_block(idx, LAM, PT)
     builds = blocks._p2_tables.cache_info().misses
-    points = [0]
-    kernel = specfun._theta1_array
-
-    def counting(*args, **kwargs):
-        points[0] += np.size(args[0])
-        return kernel(*args, **kwargs)
-
-    monkeypatch.setattr(specfun, "_theta1_array", counting)
+    _, points = _count_kernels(monkeypatch)
     u_block(idx, 0.41, PT, QuadratureSpec(max_evals=100_000_000))
     assert blocks._p2_tables.cache_info().misses == builds
-    assert 0 < points[0] <= 2_000_000
+    assert 0 < points["_theta1_pair"] <= 1_000_000
+    assert points["_theta1_array"] == 2
+    assert points["_theta_level_array"] == 0
 
 
 @pytest.mark.parametrize("tau", [0.9j, 0.6j])
@@ -392,39 +400,30 @@ def test_pair_branch_gives_the_leading_term():
 
 
 def test_two_fold_theta_calls_are_batched(monkeypatch):
-    # the p = 2 quadrature evaluates theta1 on whole node tensors; a per-node
-    # loop would make tens of thousands of kernel calls here
+    # the p = 2 quadrature evaluates theta1 on whole node tensors, through
+    # the array kernel when it builds the tables and the pair kernel in the
+    # passes; a per-node loop would make tens of thousands of kernel calls
     blocks._p2_tables.cache_clear()
-    calls = []
-    kernel = specfun._theta1_array
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return kernel(*args, **kwargs)
-
-    monkeypatch.setattr(specfun, "_theta1_array", counting)
+    calls, _ = _count_kernels(monkeypatch)
     j_integral(BlockIndex(2, 8, 4), LAM, PT)
-    assert 0 < len(calls) < 1000
+    assert 0 < calls["_theta1_array"] + calls["_theta1_pair"] < 1000
+    assert 0 < calls["_theta_level_pair"] < 1000
 
 
 def test_two_fold_u_block_shares_one_tabulation(monkeypatch):
     # the four integrands of a p = 2 u_block (+-lam, both half shapes) share
-    # the theta1 rows on y, the diagonal and lam -+ y; tabulating each on
-    # its own handed 11,410,088 points to theta1.  The level-theta arguments
-    # differ per integrand, so their count stays.
+    # one pair-kernel point per (x, xi) node for theta1 at +-lam + y and one
+    # for the level theta at its four arguments; tabulating each integrand
+    # on its own handed 11,410,088 points to theta1, and four argument rows
+    # per node handed 3,795,360 to the level theta.  The table builds take
+    # theta1 at y and the diagonal from the array kernel.
     blocks._p2_tables.cache_clear()
-    points = {"_theta1_array": 0, "_theta_level_array": 0}
-    for name, arg in (("_theta1_array", 0), ("_theta_level_array", 2)):
-        kernel = getattr(specfun, name)
-
-        def counting(*args, _name=name, _arg=arg, _kernel=kernel, **kwargs):
-            points[_name] += np.size(args[_arg])
-            return _kernel(*args, **kwargs)
-
-        monkeypatch.setattr(specfun, name, counting)
+    _, points = _count_kernels(monkeypatch)
     u_block(BlockIndex(2, 8, 4), LAM, PT)
-    assert 0 < points["_theta1_array"] <= 4_000_000
-    assert points["_theta_level_array"] == 3_795_360
+    assert points["_theta_level_pair"] == 948_840
+    assert 0 < points["_theta1_pair"] <= 1_000_000
+    assert 0 < points["_theta1_array"] <= 2_000_000
+    assert points["_theta_level_array"] == 0
 
 
 def test_two_fold_guard_rails():

@@ -15,6 +15,7 @@ from elliptic_selberg.errors import (
     QuadratureBudgetExceeded,
 )
 from elliptic_selberg.quadrature import (
+    EvalBudget,
     QuadratureSpec,
     endpoint_loop_fp,
     fp_power_term,
@@ -205,6 +206,20 @@ def test_oracle_circle_below_exponent_minus_two(p, a, b, g):
     tol = 5e-12 if b == -3.5 else 1e-13
     ref = closed(p, a, b, g)
     assert abs(oracle(p, a, b, g) - ref) <= tol * abs(ref)
+
+
+@pytest.mark.parametrize("a,b,g", [(1.3, -2.5, 0.4), (0.3, -0.7, 0.2)])
+def test_oracle_grades_only_toward_reached_endpoints(a, b, g):
+    # the middle path meets the t = 1 circle (and at alpha = 0.3 the t = 0
+    # window), where the integrand is smooth, so only an end it reaches is
+    # graded for its power; grading toward the circle for an exponent <= -1
+    # charged 4,032 and 5,648 nodes for these two
+    params = SelbergParams(1, a, b, g)
+    budget = EvalBudget(10 ** 9)
+    val = selberg._oracle_p1(params, QuadratureSpec(), budget)
+    assert budget.used <= 1000
+    ref = closed(1, a, b, g)
+    assert abs(val - ref) <= 1e-13 * abs(ref)
 
 
 def test_oracle_budget_guard():
