@@ -192,13 +192,13 @@ def _p1_tables(tau: complex, quad: QuadratureSpec) -> tuple:
     path with the log continued rightward from the principal branch at r.
     A node of either then weighs weight * exp(b log) = w f^(b-1) t^b.
 
-    The radius is loop_radius_factor times the smaller of endpoint_delta and
-    the shortest nonzero period, so the circle around an endpoint encloses
-    no other zero of theta1 and E(t)/t stays analytic and nonzero inside it.
+    The radius is half the smaller of 0.1 and the shortest nonzero period,
+    so the circle around an endpoint encloses no other zero of theta1 and
+    E(t)/t stays analytic and nonzero inside it.
     """
     prime0 = specfun.theta1(0.0, ModularPoint(tau), d_lambda=1)
     shortest = abs(specfun._reduced_basis(tau)[0])
-    r = quad.loop_radius_factor * min(quad.endpoint_delta, shortest)
+    r = 0.5 * min(0.1, shortest)
     t, dt, phi = endpoint_loop_nodes(r, quad.loop_nodes)
     xs, ws = _two_graded(r, 0.5, 1 - r, max(quad.graded_mesh_levels, 10),
                          quad.gauss_order)

@@ -1,12 +1,10 @@
 """Quadrature toolkit: graded Gauss-Legendre meshes and endpoint loops.
 
-An endpoint-singular integrand t**a * h(t) with h analytic is continued in
-the exponent by an endpoint loop: the finite part of the integral over
-[0, r] equals 1/(e^{2 pi i a} - 1) times the counterclockwise circle integral
-of the branch-tracked integrand at |t| = r, exact for any non-integer
-exponent.  fp_power_term gives the same continuation of a bare power in
-closed form, for the Taylor subtraction the simplex beta oracle uses where
-the loop divisor vanishes (a near 0).
+An endpoint-singular integrand t**a * h(t) with h analytic is either graded
+into (levels_for_exponent sets the depth for the power) or continued in the
+exponent by an endpoint loop: the finite part of the integral over [0, r]
+equals 1/(e^{2 pi i a} - 1) times the counterclockwise circle integral of
+the branch-tracked integrand at |t| = r, exact for any non-integer exponent.
 """
 
 from __future__ import annotations
@@ -29,7 +27,6 @@ __all__ = [
     "graded_breakpoints",
     "graded_nodes",
     "levels_for_exponent",
-    "fp_power_term",
     "endpoint_loop_nodes",
     "loop_winding",
     "endpoint_loop_fp",
@@ -41,31 +38,23 @@ class QuadratureSpec:
     """Knobs for the singular quadrature engines.
 
     gauss_order and graded_mesh_levels control the panel rule and the
-    geometric grading depth; endpoint_delta is the half-width of the
-    endpoint windows at t = 0 and t = 1, and bounds the endpoint circles;
-    loop_nodes and loop_radius_factor shape the circle rule (radius as a
-    fraction of the largest safe disk).  max_evals caps total integrand
-    evaluations.
+    least geometric grading depth; loop_nodes is the node count of an
+    endpoint circle.  The radii and splits are fixed by each engine.
+    max_evals caps total integrand evaluations.
     """
 
     gauss_order: int = 16
     graded_mesh_levels: int = 12
-    endpoint_delta: float = 0.1
     loop_nodes: int = 64
-    loop_radius_factor: float = 0.5
     max_evals: int = 200_000_000
 
     def __post_init__(self):
         if self.gauss_order < 8:
             raise ValueError("gauss_order must be at least 8")
-        if not (0 < self.endpoint_delta < 0.25):
-            raise ValueError("endpoint_delta must lie in (0, 1/4)")
         if self.graded_mesh_levels < 1:
             raise ValueError("graded_mesh_levels must be positive")
         if self.loop_nodes < 16:
             raise ValueError("loop_nodes must be at least 16")
-        if not (0 < self.loop_radius_factor < 1):
-            raise ValueError("loop_radius_factor must lie in (0, 1)")
 
     def refined(self) -> "QuadratureSpec":
         """A strictly finer spec, used for mesh-comparison error estimates."""
@@ -142,14 +131,6 @@ def levels_for_exponent(re_exponent: float, digits: float = 10.0,
         return cap
     needed = math.ceil(digits / (strength * math.log10(2.0)))
     return max(floor, min(cap, needed))
-
-
-def fp_power_term(exponent: complex, delta: float) -> complex:
-    """The analytically continued integral of t**a over [0, delta]."""
-    a1 = complex(exponent) + 1
-    if abs(a1) < 1e-12:
-        raise OutOfSupportedRange("exponent -1 has no power-law finite part")
-    return delta ** a1 / a1
 
 
 def endpoint_loop_nodes(radius: float, n_nodes: int, center: complex = 0.0):

@@ -10,15 +10,18 @@ Closed form (p factors, empty product = 1):
 defined by analytic continuation: a pole in a numerator gamma raises
 GammaPole, a pole hit only by a denominator gamma makes the value 0.
 
-The oracle integrates the defining simplex integral directly.  For positive
-real-part exponents it uses graded Gauss meshes (depth adapted to the weakest
-endpoint exponent).  At p = 1 an endpoint exponent a with Re a <= 0 is
-continued by the rule that keeps its digits: for Re a > -1 first-order Taylor
-subtraction of the smooth cofactor plus the closed-form finite parts
-delta**(a+1)/(a+1) and delta**(a+2)/(a+2) (the circle divisor
-e^{2 pi i a} - 1 vanishes at a = 0); for Re a <= -1 an endpoint circle
-integral (the subtracted residual's rounding, times t**a, swamps the deep
-mesh nodes there), exact at any non-integer a.
+The oracle integrates the defining simplex integral directly, on one 1-D
+endpoint rule on [0, 1] whose weights carry t**e0 (1 - t)**e1.  An end with
+Re e <= -1/2 is continued by a circle of radius 1/4 (exact at any
+non-integer exponent), any other is graded into to a 1e-15 tail.  p = 1 is
+the sum of the rule's weights, for any non-integer endpoint exponents.  p = 2
+is a tensor of two such rules in (t1, v = t2/t1), with circles at the 0 ends
+only: the parameter of smaller real part (B_2 is symmetric in alpha, beta)
+is continued wherever its exponents 2 alpha + 2 gamma - 1 and alpha - 1 are
+not integers, the other must have real part above about 0.23.  Near an even
+2 alpha + 2 gamma - 1 = -2, -4, where the closed form stays finite, the
+circle divides a vanishing integral by a vanishing winding, and the relative
+error grows as one over the distance (3e-11 at 0.05).
 """
 
 from __future__ import annotations
@@ -33,10 +36,11 @@ from .errors import GammaPole, OutOfSupportedRange
 from .quadrature import (
     EvalBudget,
     QuadratureSpec,
-    endpoint_loop_fp,
-    fp_power_term,
+    endpoint_loop_nodes,
     graded_nodes,
     levels_for_exponent,
+    loop_winding,
+    panel_nodes,
 )
 
 __all__ = [
@@ -119,161 +123,107 @@ def selberg_value(params: SelbergParams) -> complex:
 # quadrature oracle
 # ---------------------------------------------------------------------------
 
-
-def _endpoint_window_fp(exponent: complex, h0: complex, h1: complex,
-                        resid, delta: float, quad: QuadratureSpec,
-                        budget: EvalBudget) -> complex:
-    """Finite part over a window [0, delta] of t**a * h(t), h analytic.
-
-    resid(t) must return h(t) - (h0 + h1*t) vectorized; the subtracted part is
-    added back in closed form.
-    """
-    levels = max(quad.graded_mesh_levels,
-                 levels_for_exponent(exponent.real + 2.0))
-    ts, ws = graded_nodes(0.0, delta, levels, quad.gauss_order, toward="left")
-    budget.charge(ts.size)
-    vals = resid(ts) * ts.astype(complex) ** exponent
-    total = complex(np.sum(vals * ws))
-    total += h0 * fp_power_term(exponent, delta)
-    total += h1 * fp_power_term(exponent + 1, delta)
-    return total
-
-
-# p = 1 endpoint exponents with real part at or below this are continued by an
-# endpoint circle, those above it (up to 0) by Taylor subtraction
-_CIRCLE_AT_OR_BELOW = -1.0
-# radius of that circle: a quarter of the unit distance to the other
-# endpoint's branch point, large enough that t^a stays moderate on it
+# an endpoint exponent with real part at or below this is continued by a
+# circle of this radius around the end, where t^a stays moderate; any other
+# end is graded into until the innermost panel holds under 10^-digits
+_CIRCLE_AT_OR_BELOW = -0.5
 _CIRCLE_RADIUS = 0.25
+_TAIL_DIGITS = 15.0
+_MAX_LEVELS = 220
 
 
-def _oracle_p1(params: SelbergParams, quad: QuadratureSpec,
-               budget: EvalBudget) -> complex:
-    a_exp = complex(params.alpha) - 1  # endpoint exponent at t = 0
-    b_exp = complex(params.beta) - 1   # endpoint exponent at t = 1
-    delta = quad.endpoint_delta
+def _half_rule(expo: complex, quad: QuadratureSpec,
+               grade: complex | None = None):
+    """Nodes s on [0, 1/2] in the distance to one end, weights carrying s**expo.
 
-    def start(expo):
-        """Where the middle path leaves an endpoint with this exponent."""
-        if expo.real > 0:
-            return 0.0
-        return _CIRCLE_RADIUS if expo.real <= _CIRCLE_AT_OR_BELOW else delta
-
-    def levels(expo):
-        """Mesh depth toward an end: graded for the power t**expo only where
-        the path reaches the endpoint; where it meets the circle or the
-        window the integrand is smooth."""
-        if expo.real > 0:
-            return max(quad.graded_mesh_levels, levels_for_exponent(expo.real))
-        return quad.graded_mesh_levels
-
-    total = 0.0 + 0.0j
-    segments = []
-    lo, hi = start(a_exp), 1 - start(b_exp)
-    mid = 0.5 * (lo + hi)
-    segments.append(graded_nodes(lo, mid, levels(a_exp), quad.gauss_order, "left"))
-    segments.append(graded_nodes(mid, hi, levels(b_exp), quad.gauss_order, "right"))
-    for ts, ws in segments:
-        budget.charge(ts.size)
-        vals = (ts.astype(complex) ** a_exp) * ((1.0 - ts).astype(complex) ** b_exp)
-        total += complex(np.sum(vals * ws))
-
-    # each endpoint in its own distance t to the end: t**expo * (1 - t)**other
-    for expo, other in ((a_exp, b_exp), (b_exp, a_exp)):
-        if expo.real > 0:
-            continue
-        if expo.real <= _CIRCLE_AT_OR_BELOW:
-            total += endpoint_loop_fp(
-                lambda t: (1.0 - t) ** other, expo, _CIRCLE_RADIUS,
-                quad.loop_nodes, budget)
-        else:
-            h0, h1 = 1.0 + 0.0j, -other
-            total += _endpoint_window_fp(
-                expo, h0, h1,
-                lambda t: (1.0 - t).astype(complex) ** other - h0 - h1 * t,
-                delta, quad, budget)
-    return total
+    With no grade given, an end with Re expo <= -1/2 is the counterclockwise
+    circle |s| = 1/4 with its weights divided by the winding
+    e^{2 pi i expo} - 1, plus one Gauss panel out to 1/2: the finite part,
+    exact at any non-integer exponent.  Any other end is graded for the
+    power s**grade (default expo).
+    """
+    if grade is None and expo.real <= _CIRCLE_AT_OR_BELOW:
+        s, ds, phi = endpoint_loop_nodes(_CIRCLE_RADIUS, quad.loop_nodes)
+        x, wx = panel_nodes(_CIRCLE_RADIUS, 0.5, quad.gauss_order)
+        ws = ds * np.exp(expo * (math.log(_CIRCLE_RADIUS) + 1j * phi))
+        return (np.concatenate([s, x]),
+                np.concatenate([ws / loop_winding(expo), wx * x ** expo]))
+    grade = expo if grade is None else grade
+    levels = levels_for_exponent(grade.real, _TAIL_DIGITS, cap=_MAX_LEVELS + 1)
+    if levels > _MAX_LEVELS:
+        raise OutOfSupportedRange(
+            f"endpoint exponent {grade} needs a graded mesh deeper than "
+            f"{_MAX_LEVELS} levels")
+    s, ws = graded_nodes(0.0, 0.5, max(quad.graded_mesh_levels, levels),
+                         quad.gauss_order)
+    return s, ws * s.astype(complex) ** expo
 
 
-def _oracle_p2(params: SelbergParams, quad: QuadratureSpec,
+def _endpoint_rule(e0: complex, e1: complex, quad: QuadratureSpec,
+                   grade_1: complex | None = None):
+    """Rule on [0, 1] for t**e0 (1 - t)**e1 times a function analytic on it.
+
+    Returns (t, 1 - t, w), each of t and 1 - t exact on the half next to its
+    own end; w carries both powers.  Given grade_1, the 1 end takes no
+    circle and is graded for (1 - t)**grade_1.
+    """
+    s0, w0 = _half_rule(e0, quad)
+    s1, w1 = _half_rule(e1, quad, grade_1)
+    return (np.concatenate([s0, 1 - s1]), np.concatenate([1 - s0, s1]),
+            np.concatenate([w0 * (1 - s0) ** e1, w1 * (1 - s1) ** e0]))
+
+
+def _oracle_p2(a: complex, b: complex, g: complex, quad: QuadratureSpec,
                budget: EvalBudget) -> complex:
     """Iterated quadrature on 0 <= t2 <= t1 <= 1 via t2 = t1*v.
 
     The integrand factorizes as t1**(2a+2g-1) (1-t1)**(b-1) * v**(a-1)
-    (1-v)**(2g) * (1 - t1*v)**(b-1); only the last factor couples the layers.
-    Positive real parts of alpha and beta are required here.
-
-    Each of t1 and v is integrated on [0, 1/2] in the variable itself and on
-    [1/2, 1] in the distance to 1, so deeply graded meshes never lose the
-    small quantity to cancellation (1 - t1*v is reassembled from whichever
-    pieces are exact).
+    (1-v)**(2g) * ((1-t1) + t1 (1-v))**(b-1); only the last factor couples
+    the two rules, and it is analytic at t1 = 0 and v = 0 but not at the 1
+    ends, so only the 0 ends take circles.  B_2 is symmetric in a <-> b, so
+    the smaller real part is put at the 0 ends.
     """
-    a, b, g = complex(params.alpha), complex(params.beta), complex(params.gamma)
-    if a.real <= 0 or b.real <= 0:
-        raise OutOfSupportedRange(
-            "two-variable oracle needs Re alpha, Re beta > 0; "
-            "negative-exponent continuation is only wired for p=1")
-    out_exp0 = 2 * a + 2 * g - 1          # t1 -> 0
-    out_exp1 = b - 1                      # t1 -> 1
-    in_exp0 = a - 1                       # v -> 0
-    in_exp1 = 2 * g                       # v -> 1 (corner sharpens it to 2g+b-1)
-    order = quad.gauss_order
-    lev = quad.graded_mesh_levels
-
-    def half_nodes(exp_real):
-        return graded_nodes(0.0, 0.5, max(lev, levels_for_exponent(exp_real)),
-                            order, "left")
-
-    t_lo, wt_lo = half_nodes(out_exp0.real)           # t1 on [0, 1/2]
-    s_hi, ws_hi = half_nodes(out_exp1.real)           # 1-t1 on (0, 1/2]
-    v_lo, wv_lo = half_nodes(in_exp0.real)            # v on [0, 1/2]
-    u_hi, wu_hi = half_nodes(in_exp1.real + min(out_exp1.real, 0.0))  # 1-v
-    budget.charge((t_lo.size + s_hi.size) * (v_lo.size + u_hi.size))
-
-    fo_t = (t_lo.astype(complex) ** out_exp0) * ((1.0 - t_lo) ** out_exp1) * wt_lo
-    fo_s = ((1.0 - s_hi).astype(complex) ** out_exp0) * (s_hi ** out_exp1) * ws_hi
-    fi_v = (v_lo.astype(complex) ** in_exp0) * ((1.0 - v_lo) ** in_exp1) * wv_lo
-    fi_u = ((1.0 - u_hi).astype(complex) ** in_exp0) * (u_hi ** in_exp1) * wu_hi
-
-    def cross_sum(fo, fi, one_minus_tv):
-        # sum_{i,j} fo_i fi_j (1 - t_i v_j)^(b-1), chunked over the outer axis
-        total = 0.0 + 0.0j
-        chunk = 512
-        for k in range(0, fo.size, chunk):
-            sl = slice(k, k + chunk)
-            m = one_minus_tv(sl).astype(complex) ** (b - 1)
-            total += complex(fo[sl] @ (m @ fi))
-        return total
-
-    value = cross_sum(fo_t, fi_v, lambda sl: 1.0 - np.outer(t_lo[sl], v_lo))
-    value += cross_sum(fo_t, fi_u,
-                       lambda sl: (1.0 - t_lo[sl])[:, None]
-                       + np.outer(t_lo[sl], u_hi))
-    value += cross_sum(fo_s, fi_v,
-                       lambda sl: (1.0 - v_lo) + np.outer(s_hi[sl], v_lo))
-    value += cross_sum(fo_s, fi_u,
-                       lambda sl: np.outer(1.0 - s_hi[sl], u_hi)
-                       + s_hi[sl][:, None])
-    return value
+    if b.real < a.real:
+        a, b = b, a
+    if b.real <= 0:
+        raise OutOfSupportedRange("p = 2 oracle needs Re alpha or Re beta > 0")
+    t, ut, fo = _endpoint_rule(2 * a + 2 * g - 1, b - 1, quad, grade_1=b - 1)
+    # at t1 -> 1 the v -> 1 end sharpens to (1-v)**(2g+b-1)
+    v, uv, fi = _endpoint_rule(a - 1, 2 * g, quad,
+                               grade_1=2 * g + min(b.real - 1, 0.0))
+    budget.charge(t.size * v.size)
+    total = 0.0 + 0.0j
+    chunk = 512
+    for k in range(0, t.size, chunk):
+        sl = slice(k, k + chunk)
+        m = (ut[sl, None] + t[sl, None] * uv) ** (b - 1)
+        total += complex(fo[sl] @ (m @ fi))
+    return total
 
 
 def selberg_oracle(params: SelbergParams, quad: QuadratureSpec | None = None) -> complex:
     """Direct numerical evaluation of the simplex integral, p <= 2.
 
-    p=1 continues a non-positive endpoint exponent by first-order Taylor
-    subtraction above -1 and by an endpoint circle from -1 down, where an
-    integer exponent raises OutOfSupportedRange; p=2 requires Re alpha,
-    Re beta > 0.  gamma must have non-negative real part throughout.
+    Both p run on one endpoint rule: an end whose exponent has Re <= -1/2 is
+    continued by a circle, exact at any non-integer exponent (an integer one
+    raises OutOfSupportedRange); any other end is graded into to a 1e-15
+    tail.  p = 1 continues either exponent.  p = 2 continues the parameter
+    of smaller real part and grades the other, whose real part must lie
+    above about 0.23 (a graded end that needs more than the deepest mesh
+    raises OutOfSupportedRange).  gamma must have non-negative real part.
     """
     quad = quad or QuadratureSpec()
     if params.p not in (1, 2):
         raise OutOfSupportedRange(f"oracle supports p in {{1, 2}}, got p={params.p}")
-    if complex(params.gamma).real < 0:
+    a, b, g = complex(params.alpha), complex(params.beta), complex(params.gamma)
+    if g.real < 0:
         raise OutOfSupportedRange("oracle needs Re gamma >= 0")
     budget = EvalBudget(quad.max_evals)
-    if params.p == 1:
-        return _oracle_p1(params, quad, budget)
-    return _oracle_p2(params, quad, budget)
+    if params.p == 2:
+        return _oracle_p2(a, b, g, quad, budget)
+    w = _endpoint_rule(a - 1, b - 1, quad)[2]
+    budget.charge(w.size)
+    return complex(np.sum(w))
 
 
 # ---------------------------------------------------------------------------

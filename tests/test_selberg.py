@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from elliptic_selberg import selberg
@@ -15,10 +15,8 @@ from elliptic_selberg.errors import (
     QuadratureBudgetExceeded,
 )
 from elliptic_selberg.quadrature import (
-    EvalBudget,
     QuadratureSpec,
     endpoint_loop_fp,
-    fp_power_term,
     graded_breakpoints,
     graded_nodes,
     levels_for_exponent,
@@ -110,12 +108,12 @@ def test_oracle_polynomial_case():
     assert abs(oracle(1, 2, 3, 0.7) - 1 / 12) < 1e-14
 
 
-# The oracle picks the p = 1 endpoint rule from the exponent ("by-exponent");
-# the other cases move the switch so that every continued endpoint runs the
-# named rule, and both rules must give the continued value on their own.
+# The oracle continues an endpoint by a circle from its exponent
+# ("by-exponent"); "contour" moves the switch so that every endpoint with a
+# non-positive exponent runs the circle, which must give the continued value
+# on its own.
 ENDPOINT_RULES = [
     pytest.param(None, id="by-exponent"),
-    pytest.param(-2.0, id="subtraction"),
     pytest.param(0.0, id="contour"),
 ]
 
@@ -148,15 +146,15 @@ def test_oracle_block_style_beta_continuation(endpoint_rule):
 
 @pytest.mark.parametrize("beta", [-0.6, -0.8, -0.9, -0.95])
 def test_oracle_keeps_digits_near_exponent_minus_two(beta):
-    # endpoint exponent beta - 1 in (-2, -1.5]: Taylor subtraction would lose
-    # up to 1e-5 here, the endpoint circle keeps full precision
+    # endpoint exponent beta - 1 in (-2, -1.5], continued by the circle,
+    # which keeps full precision here
     ref = closed(1, 1.3, beta, 0.4)
     assert abs(oracle(1, 1.3, beta, 0.4) - ref) <= 1e-12 * abs(ref)
 
 
-def test_oracle_exponent_zero_uses_subtraction():
+def test_oracle_exponent_zero_is_graded():
     # alpha = 1 puts exponent 0 at t = 0, where the circle divisor
-    # e^(2 pi i a) - 1 vanishes
+    # e^(2 pi i a) - 1 vanishes, so that end is graded, not circled
     assert oracle(1, 1, 1, 0.4) == 1.0
     ref = closed(1, 1, -0.5, 0.4)
     assert abs(oracle(1, 1, -0.5, 0.4) - ref) <= 1e-12 * abs(ref)
@@ -192,6 +190,66 @@ def test_oracle_range_guards():
             oracle(1, 1.3, beta, 0.4)
 
 
+def test_oracle_p2_range_guards():
+    # both real parts <= 0: no end of the symmetric pair can be graded
+    with pytest.raises(OutOfSupportedRange, match="Re alpha or Re beta > 0"):
+        oracle(2, -0.3, -0.5, 0.25)
+    # a graded end with exponent -0.904 needs more than the deepest mesh;
+    # at that depth the tail left a 1.7e-7 error, now it raises, naming it
+    with pytest.raises(OutOfSupportedRange, match=r"-0\.904"):
+        oracle(2, 0.05, 0.096, 0.25)
+    # integer corner exponent 2a + 2g - 1 = -2 at B_2(2/3, -2/3, 1/6)
+    with pytest.raises(OutOfSupportedRange, match="too close to an integer"):
+        oracle(2, 2 / 3, -2 / 3, 1 / 6)
+
+
+@pytest.mark.parametrize("a,b,g", [
+    (0.05, 1, 0.25),
+    (0.0223 + 0.0645j, 2.9717 - 0.1183j, 0.1827 + 0.0764j),
+    (0.5, -0.5, 0.25),
+])
+def test_oracle_p2_near_and_below_zero_exponent(a, b, g):
+    # alpha - 1 near -1 at the 0 end, and a negative beta moved there by
+    # the alpha <-> beta symmetry: both ends are continued by circles
+    ref = closed(2, a, b, g)
+    assert abs(oracle(2, a, b, g) - ref) <= 1e-12 * abs(ref)
+
+
+def _gap(zs, integers):
+    """Distance from the nearest of zs to the nearest of integers."""
+    return min(abs(z - k) for z in zs for k in integers)
+
+
+_RE = st.floats(-2.0, 3.0, exclude_min=True, exclude_max=True)
+_IM = st.floats(-0.3, 0.3)
+
+
+@given(p=st.integers(1, 2), re_a=_RE, re_b=_RE, im_a=_IM, im_b=_IM,
+       re_g=st.floats(0.0, 1.0), im_g=st.floats(-0.2, 0.2))
+@settings(max_examples=80, deadline=None)
+def test_oracle_matches_closed_form_sweep(p, re_a, re_b, im_a, im_b, re_g,
+                                          im_g):
+    # real parts in (-2, 3), and at p = 2 the larger of them at least 0.3
+    assume(p == 1 or max(re_a, re_b) >= 0.3)
+    a, b, g = complex(re_a, im_a), complex(re_b, im_b), complex(re_g, im_g)
+    nonpositive = range(-6, 1)
+    # gamma poles, which are also the integer exponents a - 1, b - 1 and
+    # 2a + 2g - 1 = -1, -3 of the circled ends
+    assume(_gap([a, b] + [a + g, b + g] * (p - 1), nonpositive) > 1e-3)
+    # zeros of the closed form, and the integer corner exponents
+    # 2a + 2g - 1 = -2, -4 where the closed form is finite and the circle
+    # formula divides a vanishing integral by a vanishing winding: the
+    # absolute error stays near 1e-13, so the relative error grows as one
+    # over the distance (4e-10 at 0.007 from a zero, 3e-11 at 0.05 from
+    # both); from 0.1 on, the worst of 7,400 draws was 6.1e-12
+    zeros = [a + b] if p == 1 else [a + b + g, a + b + 2 * g]
+    assume(_gap(zeros, nonpositive) >= 0.1)
+    if p == 2:
+        assume(_gap([2 * a + 2 * g - 1, 2 * b + 2 * g - 1], (-2, -4)) >= 0.1)
+    ref = closed(p, a, b, g)
+    assert abs(oracle(p, a, b, g) - ref) <= 1e-11 * abs(ref)
+
+
 @pytest.mark.parametrize("p,a,b,g", [
     (1, 1.3, -1.5, 0.4),
     (1, 1.3, -1.2 + 0.1j, 0.4),
@@ -210,14 +268,11 @@ def test_oracle_circle_below_exponent_minus_two(p, a, b, g):
 
 @pytest.mark.parametrize("a,b,g", [(1.3, -2.5, 0.4), (0.3, -0.7, 0.2)])
 def test_oracle_grades_only_toward_reached_endpoints(a, b, g):
-    # the middle path meets the t = 1 circle (and at alpha = 0.3 the t = 0
-    # window), where the integrand is smooth, so only an end it reaches is
-    # graded for its power; grading toward the circle for an exponent <= -1
-    # charged 4,032 and 5,648 nodes for these two
-    params = SelbergParams(1, a, b, g)
-    budget = EvalBudget(10 ** 9)
-    val = selberg._oracle_p1(params, QuadratureSpec(), budget)
-    assert budget.used <= 1000
+    # a circled end is left at radius 1/4, where the integrand is smooth, so
+    # only an end the rule reaches is graded for its power; grading toward
+    # the circle for an exponent <= -1 charged 4,032 and 5,648 nodes for
+    # these two
+    val = oracle(1, a, b, g, quad=QuadratureSpec(max_evals=1000))
     ref = closed(1, a, b, g)
     assert abs(val - ref) <= 1e-13 * abs(ref)
 
@@ -277,8 +332,6 @@ def test_block_constant_vanishes_in_dead_range():
 def test_quadrature_spec_validation():
     with pytest.raises(ValueError):
         QuadratureSpec(gauss_order=4)
-    with pytest.raises(ValueError):
-        QuadratureSpec(endpoint_delta=0.3)
     fine = QuadratureSpec().refined()
     assert fine.gauss_order > QuadratureSpec().gauss_order
 
@@ -309,14 +362,6 @@ def test_graded_mesh_integrates_endpoint_power():
 def test_levels_for_exponent_scaling():
     assert levels_for_exponent(-0.9) > levels_for_exponent(-0.5) > 0
     assert levels_for_exponent(3.0) >= 12  # floor
-
-
-def test_fp_power_term_values():
-    assert abs(fp_power_term(-0.5, 0.1) - 2 * 0.1 ** 0.5) < 1e-15
-    # continuation below -1 flips sign: delta^(a+1)/(a+1) with a+1 < 0
-    assert fp_power_term(-1.5, 0.1).real < 0
-    with pytest.raises(OutOfSupportedRange):
-        fp_power_term(-1.0, 0.1)
 
 
 def test_endpoint_loop_matches_series_for_exponential_cofactor():
