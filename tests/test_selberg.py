@@ -194,8 +194,8 @@ def test_oracle_p2_range_guards():
     # both real parts <= 0: no end of the symmetric pair can be graded
     with pytest.raises(OutOfSupportedRange, match="Re alpha or Re beta > 0"):
         oracle(2, -0.3, -0.5, 0.25)
-    # a graded end with exponent -0.904 needs more than the deepest mesh;
-    # at that depth the tail left a 1.7e-7 error, now it raises, naming it
+    # a graded end with exponent -0.904 needs more than the deepest mesh,
+    # whose innermost panel would still hold about 2^-21 of the integral
     with pytest.raises(OutOfSupportedRange, match=r"-0\.904"):
         oracle(2, 0.05, 0.096, 0.25)
     # integer corner exponent 2a + 2g - 1 = -2 at B_2(2/3, -2/3, 1/6)
