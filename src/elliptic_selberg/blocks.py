@@ -225,7 +225,8 @@ def _j_p1(idx: BlockIndex, lam: complex, pt: ModularPoint,
     + (2/kappa) (offset + flip x)), the circle nodes' terms divided by
     loop_winding(b - 1).  The t = 1 circle is the t = 0 circle in s = 1 - t, with flip -1 and
     offset 1: E(1 - s) = E(s) and sigma(1 - s) = sigma(-s).  One pass makes
-    one call to each pair kernel, with mu = lam and mu = -lam in rows, and
+    one call to each pair kernel, with mu = lam and mu = -lam in rows (the
+    level theta on the circle and middle nodes only, every row used), and
     takes the divisor theta1(mu) from the relative-accurate array kernel.
     """
     kappa, n = idx.kappa, idx.reduced_n
@@ -238,17 +239,22 @@ def _j_p1(idx: BlockIndex, lam: complex, pt: ModularPoint,
     budget.charge(2 * (4 * middle.nodes.size + 1 + 10 * circle.nodes.size))
     wind = loop_winding(b - 1.0)
     columns = []
-    for rule, flip, offset in ((circle, 1.0, 0.0), (circle, -1.0, 1.0),
-                               (middle, 1.0, 0.0)):
+    for rule, flip in ((circle, 1.0), (circle, -1.0), (middle, 1.0)):
         weights = flip * rule.weights * np.exp(b * rule.logs)
         weights[:rule.n_loop] /= wind
-        columns.append((flip * rule.nodes, offset + flip * rule.nodes, weights))
-    flip_x, shift, weights = (np.concatenate(c) for c in zip(*columns))
+        columns.append((flip * rule.nodes, weights))
+    flip_x, weights = (np.concatenate(c) for c in zip(*columns))
     div = specfun._theta1_array(np.array([[lam], [-lam]]), pt.tau)
     th = specfun._theta1_pair(lam, -flip_x, pt.tau)
-    # the rows (sigma, s) = (1, 1) and (-1, 1)
-    lev = specfun._theta_level_pair(kappa, n, lam, (2.0 / kappa) * shift,
-                                    pt.tau)[::2]
+    # the rows s = 1 serve the t = 0 circle and the middle path; the t = 1
+    # circle takes the rows s = -1 at the same circle nodes, as
+    # theta_{kappa,n}(w + 2/kappa) = e^(2 pi i n/kappa) theta_{kappa,n}(w)
+    rows = specfun._theta_level_pair(
+        kappa, n, lam, (2.0 / kappa) * np.concatenate([circle.nodes, middle.nodes]),
+        pt.tau)
+    m = circle.nodes.size
+    lev = np.concatenate([rows[::2, :m], cmath.exp(2j * math.pi * n / kappa)
+                          * rows[1::2, :m], rows[::2, m:]], axis=1)
     plus, minus = np.sum(weights * th / div * lev, axis=1)
     return complex(plus), complex(minus)
 

@@ -15,13 +15,19 @@ builtins below have exact expansions in this ring:
 sqrt(2) is not a Gaussian rational, so the "phi3" builtin returns
 phi3/sqrt(2); named identities below carry the factor of 2 explicitly (or are
 checked in squared form), keeping every coefficient exact.
+
+Products run on an integer exponent grid: q-exponents are scaled to ints
+over the lcm of their denominators, coefficients multiply as (re, im) pairs
+of ints (Fractions only where a part is not integral), and each output
+monomial is converted back to a Fraction key and a GaussianRational once.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional
 
 from .errors import NonUnitLeading, OrderTooSmall, UnsupportedBuiltin
 
@@ -116,6 +122,35 @@ def _coerce(v) -> GaussianRational:
 GR_ZERO = GaussianRational()
 GR_ONE = GaussianRational(Fraction(1), Fraction(0))
 GR_I = GaussianRational(Fraction(0), Fraction(1))
+
+
+def _num(v: Fraction):
+    return v.numerator if v.denominator == 1 else v
+
+
+def _grid(items, den: int) -> list:
+    """(q*den, x, re, im) rows of ((q, x), coeff) items, ascending in q, with
+    the coefficient parts int where integral."""
+    return sorted((qe.numerator * (den // qe.denominator), xe, _num(c.re), _num(c.im))
+                  for (qe, xe), c in items)
+
+
+def _spread(acc: dict, left, right: list, cap: int) -> None:
+    """acc += left * right on the grid, dropping q >= cap; right ascends in q."""
+    for qa, xa, ar, ai in left:
+        for qb, xb, br, bi in right:
+            if qa + qb >= cap:
+                break
+            key = (qa + qb, xa + xb)
+            re, im = acc.get(key, (0, 0))
+            acc[key] = (re + ar * br - ai * bi, im + ar * bi + ai * br)
+
+
+def _from_grid(acc: dict, den: int, order) -> "BivariateSeries":
+    out = BivariateSeries(order=order)
+    out.coeffs = {(Fraction(qe, den), xe): GaussianRational(Fraction(re), Fraction(im))
+                  for (qe, xe), (re, im) in acc.items() if re or im}
+    return out
 
 
 class BivariateSeries:
@@ -218,19 +253,12 @@ class BivariateSeries:
         if not isinstance(other, BivariateSeries):
             return NotImplemented
         order = min(self.order + other.lead_qexp, other.order + self.lead_qexp)
-        out = BivariateSeries(order=order)
-        for (qa, xa), ca in self.coeffs.items():
-            for (qb, xb), cb in other.coeffs.items():
-                qe = qa + qb
-                if qe >= order:
-                    continue
-                key = (qe, xa + xb)
-                acc = out.coeffs.get(key, GR_ZERO) + ca * cb
-                if acc:
-                    out.coeffs[key] = acc
-                else:
-                    out.coeffs.pop(key, None)
-        return out
+        den = math.lcm(1, *{qe.denominator for c in (self.coeffs, other.coeffs)
+                            for (qe, _) in c})
+        acc = {}
+        _spread(acc, _grid(self.coeffs.items(), den), _grid(other.coeffs.items(), den),
+                math.ceil(order * den))
+        return _from_grid(acc, den, order)
 
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:
@@ -330,16 +358,18 @@ def _one(order) -> BivariateSeries:
     return BivariateSeries({(Fraction(0), 0): GR_ONE}, order=order)
 
 
-def _product(order, factor_terms: Iterable) -> BivariateSeries:
-    """Product of (1 + sum of monomials) factors, stopping once factors act above order."""
-    acc = _one(order)
-    for terms in factor_terms:
-        f = _one(order)
-        for (qe, xe, c) in terms:
-            f = f + BivariateSeries({(qe, xe): c}, order=order)
-        acc = acc * f
-        acc.order = _frac(order)  # factors are exact, no truncation loss
-    return acc
+def _product(order: Fraction, factors: list) -> BivariateSeries:
+    """Product of 1 + f over {(qe, xe): coeff} factors f with qe >= 0.
+
+    Each factor is one pass over the accumulator: every old term, read from
+    a snapshot, adds its shifts by the factor's monomials.
+    """
+    den = math.lcm(1, *(qe.denominator for f in factors for (qe, _) in f))
+    cap = math.ceil(order * den)
+    acc = {(0, 0): (1, 0)}
+    for f in factors:
+        _spread(acc, [(*key, *c) for key, c in acc.items()], _grid(f.items(), den), cap)
+    return _from_grid(acc, den, order)
 
 
 def expand_builtin(name: str, order, kappa: Optional[int] = None,
@@ -355,40 +385,31 @@ def expand_builtin(name: str, order, kappa: Optional[int] = None,
     if order <= 0:
         raise OrderTooSmall("truncation order must be positive")
     if name == "theta1":
-        out = BivariateSeries(order=order)
+        coeffs = {}
         j = 0
         while Fraction((2 * j + 1) ** 2, 8) < order:
             qe = Fraction((2 * j + 1) ** 2, 8)
             c = -GR_I if j % 2 == 0 else GR_I
-            out = out + BivariateSeries({(qe, 2 * j + 1): c, (qe, -(2 * j + 1)): -c},
-                                        order=order)
+            coeffs[(qe, 2 * j + 1)], coeffs[(qe, -(2 * j + 1))] = c, -c
             j += 1
-        out.order = order
-        return out
+        return BivariateSeries(coeffs, order=order)
     if name == "theta_level":
-        if kappa is None or n is None:
-            raise UnsupportedBuiltin("theta_level needs kappa and n")
+        if kappa is None or n is None or kappa < 1:
+            raise UnsupportedBuiltin("theta_level needs kappa >= 1 and n")
         nn = n % (2 * kappa)
-        out = BivariateSeries(order=order)
-        j = 0
-        while True:
-            added = False
-            for jj in ({0} if j == 0 else {j, -j}):
-                qe = kappa * (Fraction(2 * kappa * jj + nn, 2 * kappa)) ** 2
-                if qe < order:
-                    xe = 0 if at_lambda_zero else 2 * kappa * jj + nn
-                    out = out + BivariateSeries({(qe, xe): GR_ONE}, order=order)
-                    added = True
-            if not added and j > 0:
-                break
-            j += 1
-        out.order = order
-        return out
+        # q**(m**2/(4 kappa)) x**m with m = 2 kappa j + nn; beyond |j| = reach
+        # the exponent is at least kappa (|j| - 1)**2 >= order
+        reach = math.isqrt(math.ceil(order / kappa)) + 1
+        counts = {}
+        for m in range(nn - 2 * kappa * reach, nn + 2 * kappa * reach + 1, 2 * kappa):
+            key = (Fraction(m * m, 4 * kappa), 0 if at_lambda_zero else m)
+            counts[key] = counts.get(key, 0) + 1
+        return BivariateSeries(counts, order=order)
     if name == "eta":
         j = 1
         factors = []
         while j <= order:
-            factors.append([(Fraction(j), 0, -GR_ONE)])
+            factors.append({(Fraction(j), 0): -GR_ONE})
             j += 1
         return _product(order, factors).times_monomial(Fraction(1, 24), 0)
     if name in ("phi1", "phi2"):
@@ -396,14 +417,14 @@ def expand_builtin(name: str, order, kappa: Optional[int] = None,
         factors = []
         j = 1
         while Fraction(2 * j - 1, 2) <= order:
-            factors.append([(Fraction(2 * j - 1, 2), 0, sign)])
+            factors.append({(Fraction(2 * j - 1, 2), 0): sign})
             j += 1
         return _product(order, factors).times_monomial(Fraction(-1, 48), 0)
     if name == "phi3":
         factors = []
         j = 1
         while j <= order:
-            factors.append([(Fraction(j), 0, GR_ONE)])
+            factors.append({(Fraction(j), 0): GR_ONE})
             j += 1
         return _product(order, factors).times_monomial(Fraction(1, 24), 0)
     raise UnsupportedBuiltin(f"unknown builtin {name!r}")

@@ -599,11 +599,8 @@ def _bounded(name: str, measure, label: str = "resid") -> Check:
 
 def _series_check(name: str) -> Check:
     """Exact proof of one named series identity (zero tolerance)."""
-    # the lambda-dependent identity is quadratic in sizes, keep it short
-    order = 5 if name == "theta_sym_2_1_is_shifted_theta1" else 20
-
     def run():
-        report = check_series_identity(named_identity(name, order))
+        report = check_series_identity(named_identity(name, 20))
         return (bool(report.passed and report.terms_compared > 0),
                 f"order<{report.checked_order}, "
                 f"{report.terms_compared} monomials")

@@ -164,7 +164,9 @@ def test_one_fold_work_is_tabulated(monkeypatch):
     # a warm p = 1 pass makes one call to each pair kernel, on -flip x and
     # the level-theta shifts, and takes the divisor theta1(+-lam) from the
     # array kernel; everything else comes from the lambda-independent
-    # tables, which a different budget cap reuses
+    # tables, which a different budget cap reuses.  The level theta sees the
+    # 64 circle and 416 middle nodes once: the t = 1 circle takes the
+    # circle's s = -1 rows
     idx, lam, spec = BlockIndex(1, 4, 2), complex(LAM), QuadratureSpec()
     blocks._one_value(idx, lam, PT, spec)
     calls, points = _count_kernels(monkeypatch)
@@ -172,6 +174,7 @@ def test_one_fold_work_is_tabulated(monkeypatch):
     assert calls == {"_theta1_array": 1, "_theta_level_array": 0,
                      "_theta1_pair": 1, "_theta_level_pair": 1}
     assert points["_theta1_array"] == 2
+    assert points["_theta_level_pair"] == 480
 
 
 def test_one_fold_u_block_is_two_passes(monkeypatch):

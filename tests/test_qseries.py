@@ -6,10 +6,11 @@ numeric evaluation against the floating-point special-function engine.
 """
 
 import cmath
+import hashlib
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from elliptic_selberg import specfun
@@ -19,6 +20,7 @@ from elliptic_selberg.qseries import (
     BivariateSeries,
     GaussianRational,
     SeriesIdentity,
+    _product,
     alternation_report,
     check_series_identity,
     expand_builtin,
@@ -136,6 +138,9 @@ def test_unknown_builtin_and_missing_args():
         expand_builtin("zeta", 5)
     with pytest.raises(UnsupportedBuiltin):
         expand_builtin("theta_level", 5)
+    for kappa in (0, -2):  # -2 looped forever on an ever-negative exponent
+        with pytest.raises(UnsupportedBuiltin):
+            expand_builtin("theta_level", 5, kappa=kappa, n=1)
     with pytest.raises(OrderTooSmall):
         expand_builtin("eta", 0)
 
@@ -291,6 +296,111 @@ def test_integer_pow_guard():
 
 
 # ---------------------------------------------------------------------------
+# products against the schoolbook reference
+# ---------------------------------------------------------------------------
+
+
+def schoolbook(a: dict, b: dict, order) -> dict:
+    """Every pair of monomials multiplied in Fraction arithmetic, below order."""
+    out = {}
+    for (qa, xa), ca in a.items():
+        for (qb, xb), cb in b.items():
+            if qa + qb < order:
+                key = (qa + qb, xa + xb)
+                out[key] = out.get(key, GaussianRational()) + ca * cb
+    return {k: c for k, c in out.items() if c}
+
+
+def schoolbook_pow(s: BivariateSeries, e: Fraction) -> tuple:
+    """(order, coeffs) of s**e by the binomial series on schoolbook products."""
+    (lq, lx, _), = s.leading_terms()
+    tail = s.order - lq
+    u = {(q - lq, x - lx): c for (q, x), c in s.coeffs.items() if (q, x) != (lq, lx)}
+    out, term = {(Fraction(0), 0): ONE}, {(Fraction(0), 0): ONE}
+    coef, k = Fraction(1), 0
+    while u and k * min(q for q, _ in u) < tail:
+        k += 1
+        coef *= (e - k + 1) / k
+        term = schoolbook(term, u, tail)
+        for key, c in term.items():
+            out[key] = out.get(key, GaussianRational()) + c * coef
+    return tail + e * lq, {(q + e * lq, x + int(e * lx)): c
+                           for (q, x), c in out.items() if c}
+
+
+def assert_exact(series: BivariateSeries, order, coeffs: dict):
+    assert series.order == order
+    assert series.coeffs == coeffs
+    for (qe, xe), c in series.coeffs.items():
+        assert type(qe) is Fraction and type(xe) is int
+        assert type(c.re) is Fraction and type(c.im) is Fraction and c
+
+
+# q-exponents on the denominators of the builtins and their products
+exponent_st = st.builds(Fraction, st.integers(-6, 72), st.sampled_from([1, 8, 16, 24, 48]))
+coeff_st = st.builds(GaussianRational.of,
+                     st.fractions(min_value=-3, max_value=3, max_denominator=6),
+                     st.fractions(min_value=-3, max_value=3, max_denominator=6))
+monomials_st = st.dictionaries(st.tuples(exponent_st, st.integers(-3, 3)), coeff_st,
+                               max_size=8)
+# orders off the exponent grid too, where the last kept grid point is below
+order_st = st.builds(Fraction, st.integers(1, 72), st.sampled_from([1, 5, 8, 16]))
+series_st = st.builds(lambda c, order: BivariateSeries(c, order=order), monomials_st,
+                      order_st)
+H = Fraction(1, 2)
+
+
+@given(a=series_st, b=series_st)
+# q^(1/2) * q^(1/2) lands exactly on the order and is dropped
+@example(a=BivariateSeries({(Fraction(0), 0): ONE, (H, 1): ONE}, order=Fraction(1)),
+         b=BivariateSeries({(Fraction(0), 0): ONE, (H, -1): I}, order=Fraction(1)))
+# (1 + i q^(1/8) x)(1 - i q^(1/8) x) = 1 + q^(1/4) x^2: the q^(1/8) terms cancel
+@example(a=BivariateSeries({(Fraction(0), 0): ONE, (Fraction(1, 8), 1): I}, order=Fraction(2)),
+         b=BivariateSeries({(Fraction(0), 0): ONE, (Fraction(1, 8), 1): -I}, order=Fraction(2)))
+# (1 + q)**2 below order 3/2 keeps 2q, one grid step under the order
+@example(a=BivariateSeries({(Fraction(0), 0): ONE, (Fraction(1), 0): ONE}, order=Fraction(3, 2)),
+         b=BivariateSeries({(Fraction(0), 0): ONE, (Fraction(1), 0): ONE}, order=Fraction(3, 2)))
+@example(a=BivariateSeries(order=Fraction(3)),
+         b=BivariateSeries({(Fraction(1, 48), 2): I}, order=Fraction(5, 8)))
+@settings(max_examples=120, deadline=None)
+def test_product_matches_schoolbook(a, b):
+    order = min(a.order + b.lead_qexp, b.order + a.lead_qexp)
+    assert_exact(a * b, order, schoolbook(a.coeffs, b.coeffs, order))
+
+
+@given(factors=st.lists(st.dictionaries(
+           st.tuples(st.builds(Fraction, st.integers(0, 40), st.sampled_from([1, 8, 16, 24, 48])),
+                     st.integers(-2, 2)), coeff_st, max_size=3), max_size=6),
+       order=order_st)
+@example(factors=[{(Fraction(1, 2), 0): ONE}, {(Fraction(1, 2), 0): -ONE}], order=Fraction(1))
+@example(factors=[{(Fraction(1), 0): ONE}, {(Fraction(1), 1): I}], order=Fraction(3, 2))
+@example(factors=[], order=Fraction(3))
+@settings(max_examples=80, deadline=None)
+def test_euler_product_matches_schoolbook(factors, order):
+    want = {(Fraction(0), 0): ONE}
+    for f in factors:
+        one_plus_f = dict(f)
+        one_plus_f[(Fraction(0), 0)] = one_plus_f.get((Fraction(0), 0), GaussianRational()) + ONE
+        want = schoolbook(want, one_plus_f, order)
+    assert_exact(_product(order, factors), order, want)
+
+
+@given(lead=st.tuples(exponent_st, st.integers(-2, 2)),
+       rest=st.dictionaries(st.tuples(st.builds(Fraction, st.integers(1, 36),
+                                                st.sampled_from([8, 16, 24, 48])),
+                                      st.integers(-1, 1)), coeff_st, max_size=3),
+       tail=st.sampled_from([H, Fraction(3, 4), Fraction(1)]),
+       e=st.sampled_from([Fraction(2), Fraction(-1), Fraction(1, 2), Fraction(-3, 2), Fraction(5)]))
+@settings(max_examples=40, deadline=None)
+def test_series_pow_matches_schoolbook(lead, rest, tail, e):
+    lq, lx = lead[0], lead[1] * e.denominator
+    coeffs = {(lq + q, lx + x): c for (q, x), c in rest.items()}
+    coeffs[(lq, lx)] = ONE
+    s = BivariateSeries(coeffs, order=lq + tail)
+    assert_exact(series_pow(s, e), *schoolbook_pow(s, e))
+
+
+# ---------------------------------------------------------------------------
 # named identities and alternation
 # ---------------------------------------------------------------------------
 
@@ -342,3 +452,94 @@ def test_series_rows_are_sorted_strings():
                         order=Fraction(3))
     rows = series_rows(s)
     assert rows == [("0", 2, "1", "0"), ("1/2", -1, "0", "1")]
+
+
+# ---------------------------------------------------------------------------
+# pinned exact outputs
+# ---------------------------------------------------------------------------
+
+
+def digest(*parts) -> str:
+    return hashlib.sha256("\n".join(map(str, parts)).encode()).hexdigest()[:16]
+
+
+def builtin_digest(name, kappa, n, at_lambda_zero) -> str:
+    return digest(series_rows(expand_builtin(name, 24, kappa=kappa, n=n,
+                                             at_lambda_zero=at_lambda_zero)))
+
+
+def identity_digest(name, order) -> str:
+    identity = named_identity(name, order)
+    return digest(check_series_identity(identity), series_rows(identity.lhs),
+                  series_rows(identity.rhs))
+
+
+PIN_BUILTINS = [(name, None, None) for name in ("eta", "phi1", "phi2", "phi3", "theta1")]
+PIN_BUILTINS += [("theta_level", kappa, n) for kappa, n in
+                 [(2, 1), (4, 0), (4, 1), (4, 2), (4, 3), (4, 4), (6, 1), (6, 5)]]
+
+# sha256 prefixes of the exact outputs as the schoolbook Fraction products
+# gave them: the rows of every builtin at order 24 (at_lambda_zero only
+# reaches theta_level), and each named identity's report and both sides'
+# rows at orders 20, 24 and 48
+BUILTIN_PINS = {
+    ("eta", None, None, False): "fc0b1e0d31dc6f95",
+    ("eta", None, None, True): "fc0b1e0d31dc6f95",
+    ("phi1", None, None, False): "34a774089031a8fa",
+    ("phi1", None, None, True): "34a774089031a8fa",
+    ("phi2", None, None, False): "9a043eb350ebb884",
+    ("phi2", None, None, True): "9a043eb350ebb884",
+    ("phi3", None, None, False): "762abeb0ae085c4c",
+    ("phi3", None, None, True): "762abeb0ae085c4c",
+    ("theta1", None, None, False): "fa0083b0262d9d9e",
+    ("theta1", None, None, True): "fa0083b0262d9d9e",
+    ("theta_level", 2, 1, False): "c211fbb3a0d7d1d5",
+    ("theta_level", 2, 1, True): "f76fca2d8dcef319",
+    ("theta_level", 4, 0, False): "68371900be7f83a7",
+    ("theta_level", 4, 0, True): "00879534d6700bff",
+    ("theta_level", 4, 1, False): "7e0428b3344a63af",
+    ("theta_level", 4, 1, True): "b89b906e77f1dbcb",
+    ("theta_level", 4, 2, False): "f52a3d64a6095c0d",
+    ("theta_level", 4, 2, True): "e4554074ce50b52f",
+    ("theta_level", 4, 3, False): "eada7eeac009fc7a",
+    ("theta_level", 4, 3, True): "1518a6741e0d3979",
+    ("theta_level", 4, 4, False): "1eba8c0471616050",
+    ("theta_level", 4, 4, True): "ef611c26199ccdf6",
+    ("theta_level", 6, 1, False): "110370dccf9ada76",
+    ("theta_level", 6, 1, True): "e60e4cb21614c1d2",
+    ("theta_level", 6, 5, False): "d6fc0da34761b822",
+    ("theta_level", 6, 5, True): "42d8200239850326",
+}
+IDENTITY_PINS = {
+    ("phi_product_is_const", 20): "03723124daeddca7",
+    ("theta4_diff_times_phi1_is_eta", 20): "373a577cd6dd83d8",
+    ("theta4_even_diff_times_phi3_sq", 20): "b6882f3c48c45562",
+    ("theta4_sum_times_phi2_is_eta", 20): "cc09536b4ca220da",
+    ("theta6_diff_is_eta", 20): "a65f50fc45bb9edc",
+    ("theta_sym_2_1_is_shifted_theta1", 20): "c7c6e73a39e0592f",
+    ("two_theta21_is_eta_phi3_sq", 20): "2b5be2520988bd3d",
+    ("phi_product_is_const", 24): "b311b3d7f6a5dd68",
+    ("theta4_diff_times_phi1_is_eta", 24): "d09b378327c57ec4",
+    ("theta4_even_diff_times_phi3_sq", 24): "94d40ce82aea132c",
+    ("theta4_sum_times_phi2_is_eta", 24): "e3a8d227bc601904",
+    ("theta6_diff_is_eta", 24): "01f7da8843bb7c21",
+    ("theta_sym_2_1_is_shifted_theta1", 24): "7730fdade670a998",
+    ("two_theta21_is_eta_phi3_sq", 24): "5015d74fc9c2df25",
+    ("phi_product_is_const", 48): "35b10819bc6b32aa",
+    ("theta4_diff_times_phi1_is_eta", 48): "fda832353f7b33a2",
+    ("theta4_even_diff_times_phi3_sq", 48): "0a8ecb2a2c01a0d5",
+    ("theta4_sum_times_phi2_is_eta", 48): "31c0244f5624fe8d",
+    ("theta6_diff_is_eta", 48): "44abb0c8af5f17f2",
+    ("theta_sym_2_1_is_shifted_theta1", 48): "e99ba2aa02cd8243",
+    ("two_theta21_is_eta_phi3_sq", 48): "727e7135a8ec4207",
+}
+
+
+@pytest.mark.parametrize("key", list(BUILTIN_PINS), ids=str)
+def test_builtin_rows_are_pinned(key):
+    assert builtin_digest(*key) == BUILTIN_PINS[key]
+
+
+@pytest.mark.parametrize("key", list(IDENTITY_PINS), ids=str)
+def test_identity_reports_are_pinned(key):
+    assert identity_digest(*key) == IDENTITY_PINS[key]
