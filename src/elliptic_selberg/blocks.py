@@ -27,31 +27,27 @@ continuation in the exponents.  Realizations:
   negative integer).
 
 Every pass gives the pair (J(lam), J(-lam)), so u_block is a coarse and a
-refined pass for every p.  Both quadratures tabulate first and assemble
-second, on tables of everything that does not depend on lambda.  At p = 1
-the tables (the endpoint circle and the middle path as rules whose weights
-and logs carry the powers of E) are cached per tau and rule shape (the spec
-less its budget cap), and a pass makes one call to each pair kernel of
-specfun, theta1 at mu - flip t and the level theta at its shifts, with
-mu = lam and -lam in rows (flip = -1 on the t = 1 circle, taken in
-s = 1 - t).  At p = 2
-each section's outer x nodes and inner xi nodes form one tensor, and the
-tables, cached per (tau, rule shape, kappa), hold the weights times the
-lambda-independent powers of E on it, one complex number per (x, xi) point.
-One pass then integrates the four integrands of u = J(lam) - J(-lam) (two
-half shapes at each sign of lambda) together: per chunk of the tensor, one
-theta1 pair call on y gives theta1(+-lam + y), which serves all four since
-theta1 is odd, and one level-theta pair call gives their four level
-thetas; per section, one theta1 pair call on x.  The pair kernels make one
-set of exponentials per node for both signs of lambda.  The exponent b
-enters last as exp(b * log) of the tabulated logs, so the b-derivative at
-kappa = 6 is the same sum with the tabulated log factor.
-A warm p = 2 u_block at the default spec (coarse and refined pass) hands
-the theta1 pair kernel 951,840 points and the level-theta pair kernel
-948,840, about 0.37 s on one thread of a 2-core VM (0.76 s with the array
-kernels on lam -+ y, lam -+ x and four level-theta arguments per node); its
-two tables hold about 15 MB.  The Gauss-Jacobi rule of the corner tails is
-scipy's roots_jacobi, imported on first use.
+refined pass for every p.  lambda enters an integrand only through theta1
+at +-lam plus a node coordinate and the level theta at +-lam plus g times
+the coordinate sum.  As sums of exponentials (theta1 by its sine series)
+each is a sum of lambda phases times node exponentials, and since
+kappa g = 2 the level theta's are e^(4 pi i c t) times integer powers of
+theta1's e^(i pi t).  So a pass contracts cached moment tables (sums over
+the nodes of the weights times those exponentials) with a few phases in
+lambda and evaluates nothing per node.  The tables are keyed on the term
+counts, which follow |Im lam| + max |Im node|, and on (tau, rule shape
+(the spec less its budget cap), kappa, n), and are built from the
+lambda-independent rules: at p = 1 the endpoint circle and middle path,
+whose weights and logs carry the powers of E; at p = 2 one tensor per
+section of its outer x and inner xi nodes, holding the weights times the
+powers of E per (x, xi) point.  The exponent b enters as exp(b * log) of
+the tabulated logs, so the b-derivative at kappa = 6 is the same moment
+sum with the log factor.  A warm p = 2 u_block at the default spec takes
+under a millisecond on one thread of a 2-core VM; the first at a new
+(tau, rule shape, kappa, n) builds the tensors (0.4 s at kappa = 8, 5 MB
+coarse and 12 MB refined, not kept) and the moment tables (0.2 s).  The
+Gauss-Jacobi rule of the corner tails is scipy's roots_jacobi, imported
+on first use.
 """
 
 from __future__ import annotations
@@ -95,9 +91,9 @@ __all__ = [
 _INNER_RADIUS = 0.3
 _JACOBI_SPLIT = 0.6
 # (x, xi) points per chunk of a p = 2 table build (two theta1 arguments
-# each) or pass (two theta1 and four level-theta arguments each): enough to
-# amortise the per-call cost, few enough to keep the transient tensors to a
-# few megabytes
+# each) or moment build (about two dozen powers each): enough to amortise
+# the per-call cost, few enough to keep the transient tensors to a few
+# megabytes
 _CHUNK_POINTS = 4096
 
 
@@ -216,6 +212,74 @@ def _p1_tables(tau: complex, quad: QuadratureSpec) -> tuple:
     return circle, middle
 
 
+def _modes(tau: complex, kappa: int, n: int, lam: complex, reach: float,
+           level_reach: float) -> tuple:
+    """((odd, log d, js, c, log levels), (t1, t2)): theta1(z) = sum_p d_p
+    e^(i pi p z) over the t1 odd p > 0 and their negatives (its sine
+    series) and theta_{kappa,n}(z) = sum_j levels_j e^(2 pi i kappa (c + j)
+    z) over |j| < t2, with the terms that lam plus a node of |Im| up to
+    reach (at level kappa, g times level_reach) needs.  Logs keep a phase
+    beyond the double range finite against its small coefficient."""
+    coefs = np.array(specfun._theta1_coefs(tau, abs(lam.imag) + reach))
+    c, ahead, behind = specfun._theta_level_coefs(
+        kappa, n, tau, abs(lam.imag) + (2.0 / kappa) * level_reach)
+    with np.errstate(divide="ignore"):
+        return ((np.arange(1 - 2 * coefs.size, 2 * coefs.size, 2),
+                 np.log(np.concatenate([-coefs[::-1], coefs]) / 2j),
+                 np.arange(1 - len(ahead), len(ahead)), c,
+                 np.log(np.array(behind[::-1] + ahead))),
+                (coefs.size, len(ahead)))
+
+
+def _phases(modes: tuple, kappa: int, w: complex, mu: complex) -> tuple:
+    """d_p e^(i pi p w) and levels_j e^(2 pi i kappa (c + j) mu); each
+    depends on w or mu alone, so lam -> -lam swaps the rows bit for bit."""
+    odd, log_d, js, c, log_levels = modes
+    return (np.exp(log_d + 1j * math.pi * odd * w),
+            np.exp(log_levels + 2j * math.pi * kappa * (c + js) * mu))
+
+
+def _gather(moments: np.ndarray, odd: np.ndarray, js: np.ndarray,
+            s: int) -> np.ndarray:
+    """moments[..., p + 4 s j] as [..., p, j], the last axis of moments
+    holding the odd exponents up to max(odd) + 4 max(js)."""
+    top = odd[-1] + 4 * js[-1]
+    return moments[..., (odd[:, None] + 4 * s * js + top) // 2]
+
+
+@lru_cache(maxsize=256)
+def _p1_moments(tau: complex, quad: QuadratureSpec, kappa: int, n: int,
+                t1: int, t2: int) -> np.ndarray:
+    """The table K[p, j] with J(mu) theta1(mu) = sum_(p,j) d_p e^(i pi p mu)
+    levels_j e^(2 pi i kappa (c + j) mu) K[p, j] (_modes).
+
+    The sections (rule, flip, offset) take theta1 at mu + t and the level
+    theta at mu + g (offset - t), t = -flip x, so K[p, j] is the moment at
+    p - 4j, the node sum of weight e^(2 pi i n offset / kappa) e^(-4 pi i
+    c t) e^(i pi (p - 4j) t).
+    """
+    circle, middle = _p1_tables(tau, quad)
+    b = -2.0 / kappa
+    wind = loop_winding(b - 1.0)
+    shifts, weights = [], []
+    for rule, flip in ((circle, 1.0), (circle, -1.0), (middle, 1.0)):
+        w = flip * rule.weights * np.exp(b * rule.logs)
+        w[:rule.n_loop] /= wind
+        if flip < 0:
+            w *= cmath.exp(2j * math.pi * n / kappa)
+        shifts.append(-flip * rule.nodes)
+        weights.append(w)
+    t, w = np.concatenate(shifts), np.concatenate(weights)
+    odd, js = np.arange(1 - 2 * t1, 2 * t1, 2), np.arange(1 - t2, t2)
+    top = odd[-1] + 4 * js[-1]
+    c = (n % (2 * kappa)) / (2.0 * kappa)
+    moments = (w * np.exp(-4j * math.pi * c * t)) @ np.exp(
+        1j * math.pi * np.outer(t, np.arange(-top, top + 1, 2)))
+    table = _gather(moments, odd, js, -1)
+    table.setflags(write=False)
+    return table
+
+
 def _j_p1(idx: BlockIndex, lam: complex, pt: ModularPoint,
           quad: QuadratureSpec, budget: EvalBudget) -> tuple:
     """(J(lam), J(-lam)): two endpoint circles plus the middle path.
@@ -223,40 +287,27 @@ def _j_p1(idx: BlockIndex, lam: complex, pt: ModularPoint,
     J(mu) sums, over the nodes x of the sections (rule, flip, offset), weight
     * exp(b log) * flip theta1(mu - flip x) / theta1(mu) * theta_{kappa,n}(mu
     + (2/kappa) (offset + flip x)), the circle nodes' terms divided by
-    loop_winding(b - 1).  The t = 1 circle is the t = 0 circle in s = 1 - t, with flip -1 and
-    offset 1: E(1 - s) = E(s) and sigma(1 - s) = sigma(-s).  One pass makes
-    one call to each pair kernel, with mu = lam and mu = -lam in rows (the
-    level theta on the circle and middle nodes only, every row used), and
-    takes the divisor theta1(mu) from the relative-accurate array kernel.
+    loop_winding(b - 1).  The t = 1 circle is the t = 0 circle in s = 1 - t,
+    with flip -1 and offset 1: E(1 - s) = E(s) and sigma(1 - s) = sigma(-s).
+    A pass contracts the cached moment table (_p1_moments) with the phases
+    of mu = lam and -lam, and takes the divisor theta1(mu) from the
+    relative-accurate array kernel.
     """
     kappa, n = idx.kappa, idx.reduced_n
-    b = -2.0 / kappa
     # the tables do not depend on the budget cap, so it is left out of the key
-    circle, middle = _p1_tables(pt.tau, replace(quad, max_evals=0))
+    spec = replace(quad, max_evals=0)
+    circle, middle = _p1_tables(pt.tau, spec)
     # per sign, four factor evaluations per middle node (E, theta1 twice in
     # sigma, the level theta), one for theta1(mu), and five per circle node
     # and end ((E(t)/t), theta1 twice in t sigma(t), the level theta, t^a)
     budget.charge(2 * (4 * middle.nodes.size + 1 + 10 * circle.nodes.size))
-    wind = loop_winding(b - 1.0)
-    columns = []
-    for rule, flip in ((circle, 1.0), (circle, -1.0), (middle, 1.0)):
-        weights = flip * rule.weights * np.exp(b * rule.logs)
-        weights[:rule.n_loop] /= wind
-        columns.append((flip * rule.nodes, weights))
-    flip_x, weights = (np.concatenate(c) for c in zip(*columns))
-    div = specfun._theta1_array(np.array([[lam], [-lam]]), pt.tau)
-    th = specfun._theta1_pair(lam, -flip_x, pt.tau)
-    # the rows s = 1 serve the t = 0 circle and the middle path; the t = 1
-    # circle takes the rows s = -1 at the same circle nodes, as
-    # theta_{kappa,n}(w + 2/kappa) = e^(2 pi i n/kappa) theta_{kappa,n}(w)
-    rows = specfun._theta_level_pair(
-        kappa, n, lam, (2.0 / kappa) * np.concatenate([circle.nodes, middle.nodes]),
-        pt.tau)
-    m = circle.nodes.size
-    lev = np.concatenate([rows[::2, :m], cmath.exp(2j * math.pi * n / kappa)
-                          * rows[1::2, :m], rows[::2, m:]], axis=1)
-    plus, minus = np.sum(weights * th / div * lev, axis=1)
-    return complex(plus), complex(minus)
+    # the term counts, and so the table, follow |Im lam| + max |Im node|
+    im = float(np.max(np.abs(circle.nodes.imag)))
+    modes, counts = _modes(pt.tau, kappa, n, lam, im, im)
+    table = _p1_moments(pt.tau, spec, kappa, n, *counts)
+    div = specfun._theta1_array(np.array([lam, -lam]), pt.tau)
+    return tuple(complex(theta / d @ table @ level) for d, (theta, level) in
+                 zip(div, (_phases(modes, kappa, mu, mu) for mu in (lam, -lam))))
 
 
 # ---------------------------------------------------------------------------
@@ -317,18 +368,6 @@ def _outer_rules(order: int, levels: int, loop_nodes: int, r_out: float,
     return corner, left, right
 
 
-# The p = 2 integrand rows: (sign sigma of lambda, half shape s) per integrand
-_SIGMA = (1.0, 1.0, -1.0, -1.0)
-_S = (1.0, -1.0, 1.0, -1.0)
-
-
-def _odd_rows(signs, pair) -> np.ndarray:
-    """theta1(-sigma sign lam + t) per integrand from the rows pair =
-    theta1(+-lam + t); since theta1 is odd, -sigma times it is sign
-    theta1(sigma lam - sign t) theta1(lam) / theta1(sigma lam)."""
-    return pair[[int(sigma * sign > 0) for sigma, sign in zip(_SIGMA, signs)]]
-
-
 def _geometry(kind: str, xc: np.ndarray, xi: np.ndarray) -> tuple:
     """(y, d, pos) on outer nodes xc (a column) and inner nodes xi (a row).
 
@@ -384,11 +423,28 @@ def _p2_layout(tau: complex, order: int, levels: int, loop_nodes: int,
                                           ("half", 1.0, right)))
 
 
-@lru_cache(maxsize=4)
+@lru_cache(maxsize=16)
+def _p2_reach(tau: complex, order: int, levels: int, loop_nodes: int,
+              kappa: int) -> tuple:
+    """Max |Im| over the p = 2 nodes of the theta1 arguments x and y and of
+    the coordinate sum pos + y: they fix a pass's term counts."""
+    reach = (0.0, 0.0)
+    for kind, _, rule, inner in _p2_layout(tau, order, levels, loop_nodes,
+                                           kappa):
+        for x in np.array_split(rule.nodes, -(-rule.nodes.size
+                                              * inner.nodes.size // _CHUNK_POINTS)):
+            y, _, pos = _geometry(kind, x[:, None], inner.nodes)
+            reach = (max(reach[0], np.abs(pos.imag).max(), np.abs(y.imag).max()),
+                     max(reach[1], np.abs((pos + y).imag).max()))
+    return tuple(map(float, reach))
+
+
 def _p2_tables(tau: complex, order: int, levels: int, loop_nodes: int,
                kappa: int) -> tuple:
     """The four sections' tables at one tau, rule shape and kappa, built in
-    chunks of _CHUNK_POINTS.
+    chunks of _CHUNK_POINTS.  They are not cached: only a moment table
+    build (_p2_moments) reads them, and at kappa = 8 they hold about 5 MB
+    at the default spec and 12 MB at its refined one.
 
     Every power base (E(y)/y, E(d)/d at the corners, E(x - y) on the right
     half, E(x) and E(x)/x) stays close to 1 or on the positive axis, so all
@@ -432,78 +488,113 @@ def _p2_tables(tau: complex, order: int, levels: int, loop_nodes: int,
     return tuple(sections)
 
 
-def _p2_sections(sections: tuple, idx: BlockIndex, lam: float,
-                 tau: complex) -> tuple:
+def _inner_moments(sec: _P2Section, wind: complex, c: float,
+                   top: int) -> np.ndarray:
+    """Per outer node x, the xi sums of the inner weights (loop columns over
+    wind; then, with inner_logs, the b-derivative's) times e^(4 pi i c s y)
+    e^(i pi p y): rows (weight, s = 1, -1), columns the odd p up to top."""
+    x, xi, n_loop = sec.x, sec.inner_rule.nodes, sec.inner_rule.n_loop
+    slope = sec.inner_logs is not None
+    cols = np.ones(xi.size, dtype=complex)
+    cols[:n_loop] /= wind
+    out = np.empty((x.size, 2 + 2 * slope, top + 1), dtype=complex)
+    step, mid = max(1, _CHUNK_POINTS // xi.size), (top + 1) // 2
+    # h^p for the odd p, one contiguous (x, p, xi) block for the matmul
+    buffer = np.empty((min(step, x.size), top + 1, xi.size), dtype=complex)
+    for lo in range(0, x.size, step):
+        y = _geometry(sec.kind, x[lo:lo + step, None], xi)[0]
+        h = np.exp(1j * math.pi * y)
+        h_inv = 1.0 / h
+        z, z_inv = h * h, h_inv * h_inv
+        powers = buffer[:y.shape[0]]
+        powers[:, mid], powers[:, mid - 1] = h, h_inv
+        for k in range(1, mid):
+            np.multiply(powers[:, mid + k - 1], z, out=powers[:, mid + k])
+            np.multiply(powers[:, mid - k], z_inv, out=powers[:, mid - k - 1])
+        inner = sec.inner[lo:lo + step]
+        weights = [inner * cols]
+        if slope:
+            # d/db of the loop division by loop_winding(b - 1) is
+            # -2 pi i (wind + 1) / wind^2
+            weights.append(inner * sec.inner_logs[lo:lo + step] * cols)
+            weights[1][:, :n_loop] -= (inner[:, :n_loop] * 2j * math.pi
+                                       * (wind + 1.0) / wind ** 2)
+        q = np.exp(4j * math.pi * c * y)
+        rows = np.stack([w * f for w in weights for f in (q, 1.0 / q)], axis=1)
+        out[lo:lo + step] = rows @ powers.transpose(0, 2, 1)
+    return out
+
+
+@lru_cache(maxsize=32)
+def _p2_moments(tau: complex, order: int, levels: int, loop_nodes: int,
+                kappa: int, n: int, t1: int, t2: int) -> tuple:
+    """The tables (corner, its b-derivative, rest), each K[s, po, p, j] for
+    the half shapes s = 1, -1, of one (tau, rule shape, kappa, n) at counts
+    (t1, t2) (_modes); the b-derivative is 0 off kappa = 6.
+
+    Row (sigma, s) of _p2_rows holds theta1(w + y) flip theta1(w + flip x)
+    and the level theta at sigma lam + s g (pos + y), a sum over m = c + j
+    of e^(2 pi i kappa m sigma lam) e^(4 pi i m s pos) e^(4 pi i c s y)
+    e^(4 pi i j s y).  So K[s, po, p, j] sums over the x nodes flip outer
+    e^(i pi po flip x) e^(4 pi i m s pos) times the inner moment at p + 4 s j.
+    """
+    b = -4.0 / kappa
+    c = (n % (2 * kappa)) / (2.0 * kappa)
+    wind = loop_winding(b - 1.0)
+    odd, js = np.arange(1 - 2 * t1, 2 * t1, 2), np.arange(1 - t2, t2)
+    top = odd[-1] + 4 * js[-1]
+    tables = np.zeros((3, 2, odd.size, odd.size, js.size), dtype=complex)
+    for i, sec in enumerate(_p2_tables(tau, order, levels, loop_nodes,
+                                       kappa)):
+        moments = _inner_moments(sec, wind, c, top)
+        pos = _geometry(sec.kind, sec.x, 0.0)[2]
+        basis = sec.flip * sec.outer[:, None] * np.exp(
+            1j * math.pi * np.outer(sec.flip * sec.x, odd))
+        for k, s in enumerate((1, -1)):
+            g0, *g1 = (_gather(moments[:, r + k], odd, js, s)
+                       * np.exp(4j * math.pi * s * np.outer(pos, c + js))[:, None]
+                       for r in range(0, moments.shape[1], 2))
+            tables[2 if i > 1 else 0, k] += np.einsum("xo,xpj->opj", basis, g0)
+            if g1:
+                tables[1, k] += np.einsum("xo,xpj->opj", basis, g1[0]
+                                          + sec.outer_logs[:, None, None] * g0)
+    tables.setflags(write=False)
+    return tables
+
+
+def _p2_rows(idx: BlockIndex, lam: complex, tau: complex,
+             shape: tuple) -> np.ndarray:
     """Integrals over {0 <= y <= min(x, 1-x)} of the four integrands.
 
     Half shape s at sigma lam: E(x)^b E(y)^b E(x-y)^g sigma(s x) sigma(s y)
     theta_{kappa,n}(mu + s g (x+y)), mu = sigma lam + (1 - s) g; corners
     x -> 0 and x -> 1 are continued via circle integrals with exponent
-    A = 2b + g - 1.  Returns (corner, rest), rows in _SIGMA/_S order: the
-    corner loops' numerator, still to be divided by loop_winding(A), with
-    its b-derivative as a second column at kappa = 6, and the sum of the
-    corner-free sections as a single column.
-
-    Per chunk of a section's (x, xi) tensor this makes one theta1 pair call
-    on y and one level-theta pair call on g (pos + y), and per section one
-    theta1 pair call on x.  The s = -1 level rows are theta_{kappa,n}(sigma
-    lam - g (pos + y)) times the phase exp(4 pi i n / kappa) of the shift by
-    2 g = 4 / kappa.
+    A = 2b + g - 1.  Returns the rows (sigma, s) = (1, 1), (1, -1), (-1,
+    1), (-1, -1) with three columns: the corner loops' numerator, still to
+    be divided by loop_winding(A), its b-derivative (0 off kappa = 6) and
+    the sum of the corner-free sections.  By oddness, sigma(s x) sigma(s
+    y) is theta1(w + y) flip theta1(w + flip x) / theta1(sigma lam)^2, w =
+    -sigma s lam; the s = -1 level theta is theta_{kappa,n}(sigma lam - g
+    (pos + y)) times the phase exp(4 pi i n / kappa) of the shift by 2 g.
     """
     kappa, n = idx.kappa, idx.reduced_n
-    b, g = -4.0 / kappa, 2.0 / kappa
-    inv_lam = 1.0 / specfun.theta1(lam, ModularPoint(tau))
-    wind = loop_winding(b - 1.0)
+    # the term counts, and so the tables, follow |Im lam| + max |Im node|
+    modes, counts = _modes(tau, kappa, n, lam, *_p2_reach(tau, *shape, kappa))
+    tables = _p2_moments(tau, *shape, kappa, n, *counts)
     phase = cmath.exp(4j * math.pi * n / kappa)
-    # per row, -sigma (see _odd_rows) over theta1(lam), and the inner rows'
-    # level-theta phase
-    outer_scale = np.array([-sigma * inv_lam for sigma in _SIGMA])[:, None]
-    inner_scale = np.array([-sigma * inv_lam * (phase if s < 0 else 1.0)
-                            for sigma, s in zip(_SIGMA, _S)])[:, None, None]
-
-    def part(sec: _P2Section) -> np.ndarray:
-        """sum over the x nodes of E(x)^b sign sigma(sign x) Xi_b(x), sign =
-        flip * s, and at kappa = 6 its b-derivative; shape (4, 1 + slope).
-
-        Xi_b(x) = FP int_0^1 xi^(b-1) psi(xi) dxi with psi(xi) = (E(y)/y)^b
-        * s y sigma(s y) * diag * theta_{kappa,n}(mu + s g (pos + y)).
-        """
-        x, xi, n_loop = sec.x, sec.inner_rule.nodes, sec.inner_rule.n_loop
-        slope = sec.inner_logs is not None
-        xi_b = np.empty((4, 1 + slope, x.size), dtype=complex)
-        step = max(1, _CHUNK_POINTS // xi.size)
-        for lo in range(0, x.size, step):
-            y, _, pos = _geometry(sec.kind, x[lo:lo + step, None], xi)
-            th = specfun._theta1_pair(lam, y, tau)
-            lev = specfun._theta_level_pair(kappa, n, lam, g * (pos + y), tau)
-            # (E(y)/y)^b * s y sigma(s y) * diag^g = s theta1(sigma lam - s y)
-            #     / theta1(sigma lam) * exp((b-1) log_ez + g log diag), the
-            #     exponential tabulated in sec.inner
-            terms = (sec.inner[lo:lo + step]
-                     * (inner_scale * _odd_rows(_S, th) * lev))
-            loop = terms[..., :n_loop].sum(axis=-1)
-            xi_b[:, 0, lo:lo + step] = loop / wind + terms[..., n_loop:].sum(axis=-1)
-            if slope:
-                # d/db, where d/db loop_winding(b - 1) = 2 pi i (wind + 1)
-                terms = terms * sec.inner_logs[lo:lo + step]
-                xi_b[:, 1, lo:lo + step] = (terms[..., :n_loop].sum(axis=-1) / wind
-                                            + terms[..., n_loop:].sum(axis=-1)
-                                            - loop * 2j * math.pi * (wind + 1.0) / wind ** 2)
-        terms = sec.outer * outer_scale * _odd_rows(
-            [sec.flip * s for s in _S], specfun._theta1_pair(lam, x, tau))
-        out = [np.sum(terms * xi_b[:, 0], axis=-1)]
-        if slope:
-            out.append(np.sum(terms * (sec.outer_logs * xi_b[:, 0] + xi_b[:, 1]),
-                              axis=-1))
-        return np.stack(out, axis=1)
-
-    corner_left, corner_right, left, half = (part(sec) for sec in sections)
-    return corner_left + corner_right, left + half
+    div = specfun._theta1_array(np.array([lam, -lam]), tau)
+    rows = []
+    for sigma, d in zip((1.0, -1.0), div):
+        for k, s in enumerate((1.0, -1.0)):
+            theta, level = _phases(modes, kappa, -sigma * s * lam, sigma * lam)
+            rows.append([theta / d @ (table[k] @ level) @ (theta / d)
+                         * (phase if s < 0 else 1.0) for table in tables])
+    return np.array(rows)
 
 
 def _j_p2(idx: BlockIndex, lam: complex, pt: ModularPoint,
           quad: QuadratureSpec, budget: EvalBudget) -> tuple:
-    """(J(lam), J(-lam)) from one tabulation of their four half shapes."""
+    """(J(lam), J(-lam)) from the four half shapes' rows of one pass."""
     if abs(complex(lam).imag) > 1e-12 or abs(pt.tau.real) > 1e-12:
         raise OutOfSupportedRange(
             "the two-fold integral is wired for real lambda and purely "
@@ -525,16 +616,16 @@ def _j_p2(idx: BlockIndex, lam: complex, pt: ModularPoint,
     # not they are cached: per (x, xi) point theta1 on y, the diagonal and
     # lam -+ y and the four level thetas, per outer node theta1 on x and
     # lam -+ x.  The tables do not depend on the budget cap.
-    key = (pt.tau, quad.gauss_order, quad.graded_mesh_levels,
-           quad.loop_nodes, idx.kappa)
+    shape = (quad.gauss_order, quad.graded_mesh_levels, quad.loop_nodes)
     budget.charge(sum((8 * inner.nodes.size + 3) * outer.nodes.size
-                      for _, _, outer, inner in _p2_layout(*key)))
+                      for _, _, outer, inner in _p2_layout(pt.tau, *shape,
+                                                           idx.kappa)))
     # J(sigma lam) sums its two half shapes, rows (sigma, 1) and (sigma, -1)
-    corners, rests = (a.reshape(2, 2, -1).sum(axis=1) for a in _p2_sections(
-        _p2_tables(*key), idx, float(complex(lam).real), pt.tau))
-    value = (corners[:, 1] / (4j * math.pi * cmath.exp(2j * math.pi * corner))
-             if at_pole else corners[:, 0] / loop_winding(corner))
-    plus, minus = pair_branch * (value + rests[:, 0])
+    corners, slopes, rests = _p2_rows(idx, complex(lam).real + 0j, pt.tau,
+                                      shape).reshape(2, 2, 3).sum(axis=1).T
+    value = (slopes / (4j * math.pi * cmath.exp(2j * math.pi * corner))
+             if at_pole else corners / loop_winding(corner))
+    plus, minus = pair_branch * (value + rests)
     return complex(plus), complex(minus)
 
 

@@ -48,6 +48,7 @@ __all__ = [
     "BlockConstant",
     "selberg_value",
     "selberg_oracle",
+    "selberg_oracle_terms",
     "block_constant",
 ]
 
@@ -110,13 +111,21 @@ def selberg_value(params: SelbergParams) -> complex:
             raise GammaPole(f"numerator Gamma({name}) = Gamma({z}) at j={j}")
     if any(_near_nonpositive_integer(z) for _, z in denominators):
         return 0.0 + 0.0j
-    # scipy loads on first use: importing the package and the series proofs
-    # need none of it
+    log_total = sum(_log_gamma(z) for _, z in numerators)
+    log_total -= sum(_log_gamma(z) for _, z in denominators)
+    return complex(cmath.exp(log_total - math.lgamma(p + 1)))
+
+
+def _log_gamma(z: complex) -> complex:
+    """log Gamma(z) up to 2 pi i Z: math.lgamma (plus i pi where Gamma < 0)
+    on the real line, where every block constant lies, and scipy's loggamma,
+    imported on first use, off it."""
+    if z.imag == 0:
+        negative = z.real < 0 and math.ceil(-z.real) % 2
+        return complex(math.lgamma(z.real), math.pi if negative else 0.0)
     from scipy.special import loggamma
 
-    log_total = sum(loggamma(z) for _, z in numerators)
-    log_total -= sum(loggamma(z) for _, z in denominators)
-    return complex(cmath.exp(log_total - math.lgamma(p + 1)))
+    return complex(loggamma(z))
 
 
 # ---------------------------------------------------------------------------
@@ -192,17 +201,25 @@ def _oracle_p2(a: complex, b: complex, g: complex, quad: QuadratureSpec,
     v, uv, fi = _endpoint_rule(a - 1, 2 * g, quad,
                                grade_1=2 * g + min(b.real - 1, 0.0))
     budget.charge(t.size * v.size)
-    total = 0.0 + 0.0j
+    total, scale = 0.0 + 0.0j, 0.0
     chunk = 512
     for k in range(0, t.size, chunk):
         sl = slice(k, k + chunk)
         m = (ut[sl, None] + t[sl, None] * uv) ** (b - 1)
         total += complex(fo[sl] @ (m @ fi))
-    return total
+        scale += float(np.abs(fo[sl]) @ (np.abs(m) @ np.abs(fi)))
+    return total, scale
 
 
 def selberg_oracle(params: SelbergParams, quad: QuadratureSpec | None = None) -> complex:
-    """Direct numerical evaluation of the simplex integral, p <= 2.
+    """selberg_oracle_terms without the scale."""
+    return selberg_oracle_terms(params, quad)[0]
+
+
+def selberg_oracle_terms(params: SelbergParams,
+                         quad: QuadratureSpec | None = None) -> tuple:
+    """Direct numerical evaluation of the simplex integral, p <= 2, and the
+    rule's sum of |terms|, the scale its rounding is relative to.
 
     Both p run on one endpoint rule: an end whose exponent has Re <= -1/2 is
     continued by a circle, exact at any non-integer exponent (an integer one
@@ -223,7 +240,7 @@ def selberg_oracle(params: SelbergParams, quad: QuadratureSpec | None = None) ->
         return _oracle_p2(a, b, g, quad, budget)
     w = _endpoint_rule(a - 1, b - 1, quad)[2]
     budget.charge(w.size)
-    return complex(np.sum(w))
+    return complex(np.sum(w)), float(np.sum(np.abs(w)))
 
 
 # ---------------------------------------------------------------------------

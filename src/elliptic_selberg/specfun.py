@@ -32,20 +32,11 @@ sin(pi*lam) as a factor, so they stay accurate relative to their size next
 to their zeros at the integers.  The eta-type products stop once |q|**j falls below tail_tolerance,
 and raise NonConvergence at max_terms.
 
-The block quadratures evaluate their thetas through two pass kernels,
-_theta1_pair and _theta_level_pair, which take a scalar lam and an array z
-and return the rows at +lam and -lam (and, at level kappa, at +z and -z)
-from one set of exponentials per point of z: exp(i*pi*lam) and
-exp(2*pi*i*kappa*lam) are scalars, and the per-point factors are shared by
-every row.  Their term counts and coefficients come from the same helpers
-as the array kernels, with |Im| bounded by |Im lam| + max |Im z|.  They keep
-only absolute accuracy, within a few ulps of the sum of |terms| (of each
-|term| times the size of its exponent at level kappa, as for the array
-kernel): theta1's sin(x) is formed as (e - 1/e) / 2i from e = exp(ix),
-which loses the relative accuracy next to the zeros of theta1 that
-factoring out sin(x) keeps.  The passes integrate these values against
-smooth weights, so absolute accuracy is what they need; a divisor such as
-theta1(lam) is taken from _theta1_array.
+The block quadratures take the series coefficients from _theta1_coefs and
+_theta_level_coefs (with |Im| bounded by |Im lam| + max |Im node|) and
+sum the series themselves, contracted with lambda-independent moment
+tables of their nodes; a divisor such as theta1(lam) is taken from
+_theta1_array.
 """
 
 from __future__ import annotations
@@ -285,30 +276,6 @@ def _theta1_array(lam, tau: complex, d_lambda: int = 0, d_tau: int = 0,
     return np.sin(x) * _sine_laurent(coefs, w, 1.0 / w)
 
 
-def _theta1_pair(lam: complex, z, tau: complex,
-                 trunc: SeriesTruncation = DEFAULT_TRUNC) -> np.ndarray:
-    """The rows theta1(lam + z) and theta1(-lam + z): scalar lam, array z.
-
-    A pass kernel: per point it makes one exp(i*pi*z) and one reciprocal.
-    With e = exp(ix) = exp(+-i*pi*lam) * exp(+-i*pi*z) per row, the sine
-    series is sin(x) = (e - 1/e) / 2i times _sine_laurent at w = e**2.
-    exp(i*pi*lam) and exp(-i*pi*lam) are each one cmath.exp, so lam -> -lam
-    swaps the rows bit for bit.  The accuracy is absolute, within a few
-    ulps of the row's scale (the sum of its |terms|): sin(x) formed from e
-    loses the relative accuracy that _theta1_array keeps next to the zeros
-    of theta1, so a divisor such as theta1(lam) belongs on _theta1_array.
-    """
-    z = np.asarray(z, dtype=complex)
-    lam = complex(lam)
-    coefs = _theta1_coefs(tau, abs(lam.imag) + _max_abs_imag(z), trunc=trunc)
-    arg = 1j * math.pi * lam
-    # exp(+-i*pi*lam) in rows, broadcast against z
-    ahead = np.array([cmath.exp(arg), cmath.exp(-arg)]).reshape((2,) + (1,) * z.ndim)
-    h = np.exp(1j * math.pi * z)
-    e, e_inv = ahead * h, ahead[::-1] * (1.0 / h)
-    return -0.5j * (e - e_inv) * _sine_laurent(coefs, e * e, e_inv * e_inv)
-
-
 def theta1(lam: complex, pt: ModularPoint, d_lambda: int = 0, d_tau: int = 0,
            trunc: SeriesTruncation = DEFAULT_TRUNC) -> complex:
     """The odd Jacobi theta function theta1(lam, tau) or one of its derivatives.
@@ -478,36 +445,6 @@ def _theta_level_array(kappa: int, n: int, lam, tau: complex, d_lambda: int = 0,
     u = np.exp(2j * math.pi * kappa * lam)
     return (np.exp(2j * math.pi * kappa * c * lam)
             * _level_laurent(ahead, behind, u, 1.0 / u))
-
-
-def _theta_level_pair(kappa: int, n: int, lam: complex, z, tau: complex,
-                      trunc: SeriesTruncation = DEFAULT_TRUNC) -> np.ndarray:
-    """The rows theta_{kappa,n}(sigma*lam + s*z) for (sigma, s) = (1, 1),
-    (1, -1), (-1, 1), (-1, -1): scalar lam, array z.
-
-    A pass kernel: per point it makes one exp(2*pi*i*kappa*z), one
-    exp(2*pi*i*kappa*c*z) and their reciprocals.  Each row's Laurent
-    variable is u = U_sigma * V**s with U_sigma = exp(2*pi*i*kappa*sigma*lam)
-    one cmath.exp and V = exp(2*pi*i*kappa*z), and its prefactor splits the
-    same way, so no row needs an exponential of its own and lam -> -lam
-    swaps the sigma rows bit for bit.  The accuracy is absolute, as for
-    _theta_level_array: each term's exponent E is formed in double
-    precision, so the error is a few ulps of the sum of |term| (1 + |E|).
-    """
-    z = np.asarray(z, dtype=complex)
-    lam = complex(lam)
-    c, ahead, behind = _theta_level_coefs(
-        kappa, n, tau, abs(lam.imag) + _max_abs_imag(z), trunc=trunc)
-    # axis 0 holds sigma and axis 1 holds s; the scalars broadcast over s and z
-    shape = (2, 1) + (1,) * z.ndim
-    arg = 2j * math.pi * kappa * lam
-    big_u = np.array([cmath.exp(arg), cmath.exp(-arg)]).reshape(shape)
-    big_pre = np.array([cmath.exp(c * arg), cmath.exp(-c * arg)]).reshape(shape)
-    v = np.exp(2j * math.pi * kappa * z)
-    pre = np.exp(2j * math.pi * kappa * c * z)
-    v_s, pre_s = np.stack([v, 1.0 / v]), np.stack([pre, 1.0 / pre])
-    laurent = _level_laurent(ahead, behind, big_u * v_s, big_u[::-1] * v_s[::-1])
-    return (pre_s * laurent * big_pre).reshape((4,) + z.shape)
 
 
 def theta_level(kappa: int, n: int, lam: complex, pt: ModularPoint,

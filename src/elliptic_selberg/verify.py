@@ -697,13 +697,14 @@ def orthogonality_check(k: int, kappa: int, n_max: int) -> Check:
                     label="gram")
 
 
-def _identity_check(ident: int, tau: complex) -> Check:
-    """One p = 1 closed form against quadrature, at its default tolerance."""
+def _identity_check(ident: int, tau: complex, p: int = 1) -> Check:
+    """One closed form against quadrature, at its default tolerance."""
     def run():
-        report = verify_identity(ident, 1, pt=ModularPoint(tau))
+        report = verify_identity(ident, p, pt=ModularPoint(tau))
         return report.passed, f"rel_err={report.rel_err:.2e}"
 
-    return Check(f"identity-{ident}:tau={tau}", run)
+    # the name leaves p = 1 implicit, as heat_residual_check does
+    return Check(f"identity-{ident}{'' if p == 1 else f',p={p}'}:tau={tau}", run)
 
 
 def _heat_check(name: str, solution: ClosedFormSolution, lam: float) -> Check:
@@ -744,10 +745,11 @@ def _leading_term_check() -> Check:
 def battery(full: bool = False) -> dict:
     """The desk-scale battery: {section: (Check, ...)} in run order.
 
-    full adds the secondary tau to the identity section.  Building the
-    battery evaluates nothing; each check computes when it is run.
+    full adds the secondary tau and the ten p = 2 closed forms at the
+    default tau to the identity section.  Building the battery evaluates
+    nothing; each check computes when it is run.
     """
-    taus = (DEFAULT_TAU, SECONDARY_TAU) if full else (DEFAULT_TAU,)
+    cases = ((DEFAULT_TAU, 1), (SECONDARY_TAU, 1), (DEFAULT_TAU, 2))
     return {
         "series": tuple(_series_check(name)
                         for name in sorted(NAMED_IDENTITIES)),
@@ -758,7 +760,8 @@ def battery(full: bool = False) -> dict:
         "matrices": (
             *(_matrix_relation_check(p, kappa) for p, kappa in MATRIX_CASES),
             orthogonality_check(2, 7, 3)),
-        "identities": tuple(_identity_check(ident, tau) for tau in taus
+        "identities": tuple(_identity_check(ident, tau, p)
+                            for tau, p in cases[:3 if full else 1]
                             for ident in IDENTITY_IDS),
         "residuals": (
             *(heat_residual_check(ident) for ident in IDENTITY_IDS),

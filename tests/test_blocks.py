@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from elliptic_selberg import blocks, specfun
 from elliptic_selberg.blocks import (
@@ -20,7 +22,7 @@ from elliptic_selberg.errors import (
     QuadratureBudgetExceeded,
     UnsupportedP,
 )
-from elliptic_selberg.quadrature import QuadratureSpec
+from elliptic_selberg.quadrature import QuadratureSpec, loop_winding
 from elliptic_selberg.selberg import block_constant
 from elliptic_selberg.specfun import (
     ModularPoint,
@@ -140,9 +142,9 @@ def test_one_fold_values_are_pinned():
 
 
 # The theta kernels and the position of the argument whose size counts as
-# their points: the two array kernels and the two pair kernels of the passes
-KERNEL_ARGS = {"_theta1_array": 0, "_theta_level_array": 2,
-               "_theta1_pair": 1, "_theta_level_pair": 3}
+# their points: the two array kernels and the scalar functions
+KERNEL_ARGS = {"_theta1_array": 0, "_theta_level_array": 2, "theta1": 0,
+               "theta_level": 2}
 
 
 def _count_kernels(monkeypatch) -> tuple:
@@ -160,33 +162,163 @@ def _count_kernels(monkeypatch) -> tuple:
     return calls, points
 
 
+# Only the divisor theta1(+-lam) of a pass reaches a theta kernel once its
+# tables are cached: two points in one array-kernel call
+WARM_PASS = ({"_theta1_array": 1, "_theta_level_array": 0, "theta1": 0,
+              "theta_level": 0},
+             {"_theta1_array": 2, "_theta_level_array": 0, "theta1": 0,
+              "theta_level": 0})
+
+
 def test_one_fold_work_is_tabulated(monkeypatch):
-    # a warm p = 1 pass makes one call to each pair kernel, on -flip x and
-    # the level-theta shifts, and takes the divisor theta1(+-lam) from the
-    # array kernel; everything else comes from the lambda-independent
-    # tables, which a different budget cap reuses.  The level theta sees the
-    # 64 circle and 416 middle nodes once: the t = 1 circle takes the
-    # circle's s = -1 rows
+    # a warm p = 1 pass contracts its cached moment table with phases in
+    # lambda and takes the divisor theta1(+-lam) from the array kernel; a
+    # different budget cap reuses the tables
     idx, lam, spec = BlockIndex(1, 4, 2), complex(LAM), QuadratureSpec()
     blocks._one_value(idx, lam, PT, spec)
+    builds = blocks._p1_moments.cache_info().misses
     calls, points = _count_kernels(monkeypatch)
     blocks._one_value(idx, lam, PT, QuadratureSpec(max_evals=100_000_000))
-    assert calls == {"_theta1_array": 1, "_theta_level_array": 0,
-                     "_theta1_pair": 1, "_theta_level_pair": 1}
-    assert points["_theta1_array"] == 2
-    assert points["_theta_level_pair"] == 480
+    assert (calls, points) == WARM_PASS
+    assert blocks._p1_moments.cache_info().misses == builds
 
 
 def test_one_fold_u_block_is_two_passes(monkeypatch):
     # a warm p = 1 u_block is a coarse and a refined pass, each giving both
-    # J(lam) and J(-lam)
+    # J(lam) and J(-lam) from its divisor call alone
     idx = BlockIndex(1, 5, 2)
     u_block(idx, LAM, PT)
     calls, points = _count_kernels(monkeypatch)
     u_block(idx, 0.41, PT)
-    assert calls == {"_theta1_array": 2, "_theta_level_array": 0,
-                     "_theta1_pair": 2, "_theta_level_pair": 2}
-    assert points["_theta1_array"] == 4
+    assert calls["_theta1_array"] == 2 and points["_theta1_array"] == 4
+    assert calls["_theta_level_array"] == calls["theta1"] == 0
+
+
+@pytest.mark.parametrize("p,kappa,n", [(1, 5, 2), (2, 8, 4)])
+def test_a_lambda_grid_builds_each_moment_table_once(p, kappa, n):
+    # every real lambda has the same term counts, so the six points of the
+    # default grid share one moment table per spec (coarse and refined)
+    moments = blocks._p1_moments if p == 1 else blocks._p2_moments
+    moments.cache_clear()
+    for lam in (0.13, 0.27, 0.41, 0.55, 0.69, 0.83):
+        u_block(BlockIndex(p, kappa, n), lam, PT)
+    assert moments.cache_info().misses == 2
+    assert moments.cache_info().hits == 10
+
+
+# ---------------------------------------------------------------------------
+# the moment pass against a brute-force sum on the same tables
+# ---------------------------------------------------------------------------
+
+
+def theta1_scale(z, tau):
+    """Sum over the sine series' terms of their bound |coef_j| cosh((2j+1)
+    pi Im z), at as many terms as the kernels take for z."""
+    z = np.asarray(z, dtype=complex)
+    coefs = np.abs(specfun._theta1_coefs(tau, float(np.max(np.abs(z.imag)))))
+    orders = 2 * np.arange(coefs.size) + 1
+    return np.cosh(math.pi * np.multiply.outer(np.abs(z.imag), orders)) @ coefs
+
+
+def level_scale(kappa, n, z, tau):
+    """Sum over the lattice sum's terms m = n/(2 kappa) + j, |j| <= 12, of
+    |exp(2 pi i kappa (m^2 tau + m z))|."""
+    m = (n % (2 * kappa)) / (2 * kappa) + np.arange(-12, 13)
+    expo = 2j * math.pi * kappa * (m * m * tau + np.multiply.outer(z, m))
+    return np.sum(np.abs(np.exp(expo)), axis=-1)
+
+
+def one_fold_brute(kappa, n, mu, tau, spec):
+    """J(mu) summed node by node on the p = 1 tables with the array kernels
+    at the sections' own arguments, and the sum of |terms|."""
+    circle, middle = blocks._p1_tables(tau, spec)
+    b, g = -2.0 / kappa, 2.0 / kappa
+    div = abs(theta1(mu, ModularPoint(tau)))
+    value, scale = 0j, 0.0
+    for rule, flip, offset in ((circle, 1, 0), (circle, -1, 1), (middle, 1, 0)):
+        w = flip * rule.weights * np.exp(b * rule.logs)
+        w[:rule.n_loop] /= loop_winding(b - 1.0)
+        th_arg, lev_arg = mu - flip * rule.nodes, mu + g * (offset + flip * rule.nodes)
+        value += np.sum(w * specfun._theta1_array(th_arg, tau)
+                        * specfun._theta_level_array(kappa, n, lev_arg, tau))
+        scale += np.sum(np.abs(w) * theta1_scale(th_arg, tau)
+                        * level_scale(kappa, n, lev_arg, tau))
+    return value / theta1(mu, ModularPoint(tau)), scale / div
+
+
+@given(kappa=st.integers(4, 12), n=st.integers(0, 23),
+       tau_re=st.floats(-0.5, 0.5), tau_im=st.floats(0.5, 1.5),
+       lam_re=st.floats(0.05, 0.95), lam_frac=st.floats(-1.0, 1.0))
+@settings(max_examples=25, deadline=None)
+def test_one_fold_moment_pass_matches_brute_force(kappa, n, tau_re, tau_im,
+                                                  lam_re, lam_frac):
+    # real and complex lambda, |Im lam| <= 0.3 Im tau, over random (kappa, n)
+    tau, spec = complex(tau_re, tau_im), QuadratureSpec(max_evals=0)
+    lam = complex(lam_re, 0.3 * tau_im * lam_frac)
+    got = blocks._j_p1(BlockIndex(1, kappa, n), lam, ModularPoint(tau), spec,
+                       blocks.EvalBudget(10 ** 9))
+    for value, mu in zip(got, (lam, -lam)):
+        want, scale = one_fold_brute(kappa, n, mu, tau, spec)
+        assert abs(value - want) <= 1e-13 * scale, (value, want, scale)
+
+
+# a small rule shape: the brute-force sum evaluates every (x, xi) point
+SMALL = (8, 3, 16)
+
+
+def two_fold_brute(idx, lam, tau):
+    """The rows of blocks._p2_rows summed point by point on the p = 2
+    tensors with the array kernels, theta1 at -sigma s lam + y and at -sigma
+    flip s lam + x, and each column's sum of |terms|."""
+    kappa, n = idx.kappa, idx.reduced_n
+    b, g = -4.0 / kappa, 2.0 / kappa
+    wind = loop_winding(b - 1.0)
+    div = theta1(lam, ModularPoint(tau)) ** 2
+    rows, scales = np.zeros((4, 3), complex), np.zeros((4, 3))
+    for i, sec in enumerate(blocks._p2_tables(tau, *SMALL, kappa)):
+        n_loop = sec.inner_rule.n_loop
+        y, _, pos = blocks._geometry(sec.kind, sec.x[:, None], sec.inner_rule.nodes)
+        for row, (sigma, s) in enumerate(((1, 1), (1, -1), (-1, 1), (-1, -1))):
+            th_y = specfun._theta1_array(-sigma * s * lam + y, tau)
+            lev_arg = sigma * lam + s * g * (pos + y)
+            lev = specfun._theta_level_array(kappa, n, lev_arg, tau)
+            if s < 0:
+                lev = lev * cmath.exp(4j * math.pi * n / kappa)
+            inner = sec.inner * th_y * lev
+            inner_abs = (np.abs(sec.inner) * theta1_scale(y, tau)
+                         * level_scale(kappa, n, lev_arg, tau))
+            xi_b = inner[:, :n_loop].sum(axis=1) / wind + inner[:, n_loop:].sum(axis=1)
+            xi_abs = inner_abs.sum(axis=1) / min(1.0, abs(wind))
+            x_arg = -sigma * sec.flip * s * lam + sec.x
+            outer = sec.outer * specfun._theta1_array(x_arg, tau)
+            outer_abs = np.abs(sec.outer) * theta1_scale(x_arg, tau)
+            col = 2 if i > 1 else 0
+            rows[row, col] += np.sum(outer * xi_b) / div
+            scales[row, col] += np.sum(outer_abs * xi_abs) / abs(div)
+            if sec.inner_logs is not None:
+                logs = inner * sec.inner_logs
+                slope = (logs[:, :n_loop].sum(axis=1) / wind
+                         + logs[:, n_loop:].sum(axis=1)
+                         - inner[:, :n_loop].sum(axis=1) * 2j * math.pi
+                         * (wind + 1.0) / wind ** 2)
+                rows[row, 1] += np.sum(outer * (sec.outer_logs * xi_b + slope)) / div
+                logs_abs = (inner_abs * (np.abs(sec.inner_logs) + 2 * math.pi
+                                         * abs(wind + 1.0) / abs(wind) ** 2))
+                scales[row, 1] += np.sum(outer_abs * (
+                    np.abs(sec.outer_logs) * xi_abs
+                    + logs_abs.sum(axis=1) / min(1.0, abs(wind)))) / abs(div)
+    return rows, scales
+
+
+@given(kappa=st.integers(6, 12), n=st.integers(0, 23),
+       tau_im=st.floats(0.5, 1.5), lam=st.floats(0.05, 0.95))
+@settings(max_examples=12, deadline=None)
+def test_two_fold_moment_pass_matches_brute_force(kappa, n, tau_im, lam):
+    # real lambda over random (kappa, n), every row and column of the pass
+    idx, tau = BlockIndex(2, kappa, n), complex(0.0, tau_im)
+    got = blocks._p2_rows(idx, complex(lam), tau, SMALL)
+    want, scales = two_fold_brute(idx, lam, tau)
+    assert np.all(np.abs(got - want) <= 1e-13 * scales), (got - want) / scales
 
 
 def test_dead_indices_vanish():
@@ -373,20 +505,17 @@ def test_two_fold_tables_follow_tau_and_kappa():
 
 
 def test_two_fold_tables_are_reused(monkeypatch):
-    # a second lambda at the same (tau, rule shape, kappa), under another
-    # budget cap, builds no table and hands the theta1 pair kernel only y
-    # and x (951,840 points) and the array kernel only the divisor
-    # theta1(lam) of each pass, where tabulating theta1 at y and the
-    # diagonal on every pass took 3,804,364 array points
+    # a second lambda at the same (tau, rule shape, kappa, n), under another
+    # budget cap, builds no table and hands the array kernel only the
+    # divisor theta1(+-lam) of each pass
     idx = BlockIndex(2, 8, 4)
     u_block(idx, LAM, PT)
-    builds = blocks._p2_tables.cache_info().misses
-    _, points = _count_kernels(monkeypatch)
+    builds = blocks._p2_moments.cache_info().misses
+    calls, points = _count_kernels(monkeypatch)
+    blocks._one_value(idx, 0.41, PT, QuadratureSpec(max_evals=100_000_000))
+    assert (calls, points) == WARM_PASS
     u_block(idx, 0.41, PT, QuadratureSpec(max_evals=100_000_000))
-    assert blocks._p2_tables.cache_info().misses == builds
-    assert 0 < points["_theta1_pair"] <= 1_000_000
-    assert points["_theta1_array"] == 2
-    assert points["_theta_level_array"] == 0
+    assert blocks._p2_moments.cache_info().misses == builds
 
 
 @pytest.mark.parametrize("tau", [0.9j, 0.6j])
@@ -397,10 +526,9 @@ def test_kappa_six_corner_numerators_cancel(tau, n):
     # shapes' corner numerators cancel at the base exponent, at +lam (rows 0
     # and 1) and at -lam (rows 2 and 3)
     quad = QuadratureSpec()
-    tab = blocks._p2_tables(tau, quad.gauss_order, quad.graded_mesh_levels,
-                            quad.loop_nodes, 6)
-    corners, _ = blocks._p2_sections(tab, BlockIndex(2, 6, n), 0.3, tau)
-    for n_plus, n_minus in (corners[0:2, 0], corners[2:4, 0]):
+    corners = blocks._p2_rows(BlockIndex(2, 6, n), 0.3 + 0j, tau, (
+        quad.gauss_order, quad.graded_mesh_levels, quad.loop_nodes))[:, 0]
+    for n_plus, n_minus in (corners[0:2], corners[2:4]):
         assert abs(n_plus) > 1.0
         assert abs(n_plus + n_minus) <= 1e-12 * abs(n_plus)
 
@@ -416,30 +544,30 @@ def test_pair_branch_gives_the_leading_term():
 
 
 def test_two_fold_theta_calls_are_batched(monkeypatch):
-    # the p = 2 quadrature evaluates theta1 on whole node tensors, through
-    # the array kernel when it builds the tables and the pair kernel in the
-    # passes; a per-node loop would make tens of thousands of kernel calls
-    blocks._p2_tables.cache_clear()
+    # the p = 2 quadrature evaluates theta1 on whole node tensors when it
+    # builds the tables, and the moment tables take no theta call at all; a
+    # per-node loop would make tens of thousands of kernel calls
+    blocks._p2_moments.cache_clear()
     calls, _ = _count_kernels(monkeypatch)
     j_integral(BlockIndex(2, 8, 4), LAM, PT)
-    assert 0 < calls["_theta1_array"] + calls["_theta1_pair"] < 1000
-    assert 0 < calls["_theta_level_pair"] < 1000
+    assert 0 < calls["_theta1_array"] < 1000
+    assert calls["_theta_level_array"] == calls["theta_level"] == 0
 
 
 def test_two_fold_u_block_shares_one_tabulation(monkeypatch):
     # the four integrands of a p = 2 u_block (+-lam, both half shapes) share
-    # one pair-kernel point per (x, xi) node for theta1 at +-lam + y and one
-    # for the level theta at its four arguments; tabulating each integrand
-    # on its own handed 11,410,088 points to theta1, and four argument rows
-    # per node handed 3,795,360 to the level theta.  The table builds take
-    # theta1 at y and the diagonal from the array kernel.
-    blocks._p2_tables.cache_clear()
-    _, points = _count_kernels(monkeypatch)
+    # one tabulation per spec: theta1 at y and the diagonal per (x, xi)
+    # point and at x per outer node, 1,900,680 array points over the coarse
+    # and refined tensors, and theta1'(0) once per tensor build; the level
+    # theta nowhere.  The passes add their divisors.  Tabulating each
+    # integrand on its own handed 11,410,088 points to theta1
+    blocks._p2_moments.cache_clear()
+    calls, points = _count_kernels(monkeypatch)
     u_block(BlockIndex(2, 8, 4), LAM, PT)
-    assert points["_theta_level_pair"] == 948_840
-    assert 0 < points["_theta1_pair"] <= 1_000_000
-    assert 0 < points["_theta1_array"] <= 2_000_000
+    assert points["_theta1_array"] == 1_900_680 + 2 + 4
     assert points["_theta_level_array"] == 0
+    assert calls["theta1"] == 2 and points["theta1"] == 2
+    assert blocks._p2_moments.cache_info().misses == 2
 
 
 def test_two_fold_guard_rails():
@@ -479,11 +607,11 @@ def test_budget_is_enforced():
     # one coarse p = 2 pass at (8, 4) charges 1,538,880 kernel points and a
     # refined one 6,060,840, whether its tables are built or cached; a cap
     # below the charge fails before any table is built
-    blocks._p2_tables.cache_clear()
+    blocks._p2_moments.cache_clear()
     quad = QuadratureSpec(max_evals=1_000_000)
     with pytest.raises(QuadratureBudgetExceeded):
         u_block(BlockIndex(2, 8, 4), LAM, PT, quad)
-    assert blocks._p2_tables.cache_info().misses == 0
+    assert blocks._p2_moments.cache_info().misses == 0
     for _ in range(2):
         assert u_block(BlockIndex(2, 8, 4), LAM, PT).budget_used == 7_599_720
 

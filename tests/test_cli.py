@@ -131,7 +131,11 @@ def test_selberg_oracle_roundtrip(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["passed"] is True
-    assert payload["rel_discrepancy"] < 1e-10
+    closed, oracle = (complex(*payload[key]) for key in ("value", "oracle"))
+    assert abs(closed - oracle) < 1e-10 * abs(oracle)
+    # every term of this rule is positive, so its scale is the value
+    assert payload["discrepancy"] < 1e-10
+    assert abs(payload["oracle_scale"] - abs(oracle)) <= 1e-12 * abs(oracle)
 
 
 def test_selberg_near_exponent_minus_two_verifies(capsys):
@@ -167,15 +171,48 @@ def test_negative_complex_value_needs_the_equals_form(capsys):
 
 def test_selberg_zero_closed_form_is_matched_absolutely(capsys):
     # Gamma(alpha + beta) = Gamma(0) downstairs: the closed form is exactly 0
-    # and the oracle's value is rounding, so no relative comparison exists
+    # and the oracle's value is rounding, so no relative comparison exists;
+    # the discrepancy is taken against the oracle rule's sum of |terms|
     code, out = run(["selberg", "--p", "1", "--alpha", "0.5", "--beta=-0.5",
                      "--gamma", "0.4"], capsys)
     assert code == 0
     payload = json.loads(out)
     assert payload["value"] == [0.0, 0.0]
-    assert payload["abs_discrepancy"] <= 1e-8
+    assert abs(complex(*payload["oracle"])) <= 1e-8
+    assert payload["discrepancy"] <= 1e-8
     assert "rel_discrepancy" not in payload
     assert payload["passed"] is True
+
+
+def test_selberg_near_a_zero_is_judged_by_the_rule_scale(capsys):
+    # beta 1e-8 off the zero at alpha + beta = 0: the value is -6.3e-8 and
+    # the oracle matches it to 1.7e-15, a relative discrepancy of 2.7e-8
+    # that failed the 1e-8 bound although the match is at rounding level
+    code, out = run(["selberg", "--p", "1", "--alpha", "0.5",
+                     "--beta=-0.49999999", "--gamma", "0"], capsys)
+    payload = json.loads(out)
+    assert code == 0 and payload["passed"] is True
+    closed, oracle = (complex(*payload[key]) for key in ("value", "oracle"))
+    assert abs(closed) < 1e-7
+    assert abs(closed - oracle) <= 1e-14
+    assert payload["discrepancy"] <= 1e-14
+
+
+@pytest.mark.parametrize("args", [
+    ["--p", "1", "--alpha", "1.3", "--beta", "0.8", "--gamma", "0.4"],
+    ["--p", "2", "--alpha", "1.3+0.2i", "--beta", "0.8", "--gamma", "0.4"],
+])
+def test_selberg_closed_form_off_by_a_millionth_fails(args, capsys,
+                                                      monkeypatch):
+    # at a generic point the rule's terms do not cancel, so a closed form
+    # off by 1e-6 relative is off by about 1e-6 of the scale
+    true_value = cli.selberg_value
+    monkeypatch.setattr(cli, "selberg_value",
+                        lambda params: true_value(params) * (1 + 1e-6))
+    code, out = run(["selberg", *args], capsys)
+    payload = json.loads(out)
+    assert code == 1 and payload["passed"] is False
+    assert payload["discrepancy"] > 5e-7
 
 
 def test_smatrix_reports_relations(capsys):

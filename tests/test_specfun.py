@@ -11,16 +11,18 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from elliptic_selberg import specfun
+from elliptic_selberg import blocks, specfun
+from elliptic_selberg.blocks import BlockIndex, u_block
 from elliptic_selberg.errors import (
     BranchAmbiguity,
     NonConvergence,
     OutOfSupportedRange,
     PoleProximity,
 )
+from elliptic_selberg.quadrature import QuadratureSpec
 from elliptic_selberg.specfun import (
     EllipticArgument,
     ModularPoint,
@@ -283,17 +285,27 @@ def test_theta_level_array_kernel_against_lattice_sum(kappa, n, tau_im, tau_re, 
         assert abs(got - want) <= 1e-13 * max(scale, 1e-300)
 
 
-def test_kernels_raise_when_the_term_count_exceeds_max_terms():
+def _short_coefficients(monkeypatch, trunc):
+    """Make every series coefficient helper stop at trunc from now on."""
+    theta1_coefs, level_coefs = specfun._theta1_coefs, specfun._theta_level_coefs
+    monkeypatch.setattr(specfun, "_theta1_coefs",
+                        lambda tau, y_max, d_lambda=0, d_tau=0, trunc_=None:
+                        theta1_coefs(tau, y_max, d_lambda, d_tau, trunc))
+    monkeypatch.setattr(specfun, "_theta_level_coefs",
+                        lambda kappa, n, tau, y_max, d_lambda=0, d_tau=0, trunc_=None:
+                        level_coefs(kappa, n, tau, y_max, d_lambda, d_tau, trunc))
+
+
+def test_kernels_raise_when_the_term_count_exceeds_max_terms(monkeypatch):
     trunc = SeriesTruncation(max_terms=600)
     # tiny Im tau: the Gaussian decay needs over a thousand terms
     with pytest.raises(NonConvergence):
         specfun._theta1_array(np.array([0.3]), 1e-5j, trunc=trunc)
     with pytest.raises(NonConvergence):
         specfun._theta_level_array(2, 1, np.array([0.3]), 1e-6j, trunc=trunc)
+    # a block pass takes its coefficients from the same helpers
     with pytest.raises(NonConvergence):
-        specfun._theta1_pair(0.3, np.array([0.0]), 1e-5j, trunc=trunc)
-    with pytest.raises(NonConvergence):
-        specfun._theta_level_pair(2, 1, 0.3, np.array([0.0]), 1e-6j, trunc=trunc)
+        u_block(BlockIndex(1, 4, 2), 0.3, ModularPoint(1e-5j))
     # a large |Im lam| anywhere in the array moves the peak term past
     # max_terms (to j ~ |Im lam| / Im tau, and half that for level 2)
     short = SeriesTruncation(max_terms=8)
@@ -302,19 +314,21 @@ def test_kernels_raise_when_the_term_count_exceeds_max_terms():
         specfun._theta1_array(lams, 0.5j, trunc=short)
     with pytest.raises(NonConvergence):
         specfun._theta_level_array(2, 1, lams, 0.5j, trunc=short)
-    # the pair kernels bound |Im| by |Im lam| + max |Im z|, so a large
-    # imaginary part in either raises
-    for lam, z in ((0.0, lams), (6j, lams[:1])):
-        with pytest.raises(NonConvergence):
-            specfun._theta1_pair(lam, z, 0.5j, trunc=short)
-        with pytest.raises(NonConvergence):
-            specfun._theta_level_pair(2, 1, lam, z, 0.5j, trunc=short)
     # the same count suffices on the real line
     assert np.isfinite(specfun._theta1_array(lams[:1], 0.5j, trunc=short)).all()
     assert np.isfinite(specfun._theta_level_array(2, 1, lams[:1], 0.5j, trunc=short)).all()
-    assert np.isfinite(specfun._theta1_pair(0.0, lams[:1], 0.5j, trunc=short)).all()
-    assert np.isfinite(specfun._theta_level_pair(2, 1, 0.0, lams[:1], 0.5j,
-                                                 trunc=short)).all()
+    # the block passes bound |Im| by |Im lam| + max |Im node|: with their
+    # tables built, the short count serves a real lambda at p = 1 and p = 2
+    # and raises at a large |Im lam|
+    pt, spec = ModularPoint(0.5j), QuadratureSpec()
+    for p, kappa in ((1, 4), (2, 8)):
+        blocks._one_value(BlockIndex(p, kappa, 2), 0.3, pt, spec)
+    _short_coefficients(monkeypatch, short)
+    for p, kappa in ((1, 4), (2, 8)):
+        values, _ = blocks._one_value(BlockIndex(p, kappa, 2), 0.3, pt, spec)
+        assert np.isfinite(values).all()
+    with pytest.raises(NonConvergence):
+        blocks._one_value(BlockIndex(1, 4, 2), 0.3 + 1j, pt, spec)
 
 
 def test_kernels_refuse_terms_beyond_the_double_range():
@@ -323,119 +337,16 @@ def test_kernels_refuse_terms_beyond_the_double_range():
         specfun._theta1_array(np.array([0.3, 0.3 + 20j]), 0.05j)
     with pytest.raises(OutOfSupportedRange):
         specfun._theta_level_array(2, 1, np.array([0.3, 0.3 + 40j]), 0.05j)
-    with pytest.raises(OutOfSupportedRange):
-        specfun._theta1_pair(0.3, np.array([0.0, 20j]), 0.05j)
-    with pytest.raises(OutOfSupportedRange):
-        specfun._theta_level_pair(2, 1, 0.3 + 40j, np.array([0.0]), 0.05j)
-
-
-# ---------------------------------------------------------------------------
-# pair kernels of the block passes
-# ---------------------------------------------------------------------------
-
-# Row order of the level pair kernel: (sign of lam, sign of z)
-LEVEL_PAIR_ROWS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
-
-
-def pair_points(tau_im, lam_re, lam_frac, zs):
-    """lam with |Im lam| <= 0.3 Im tau, and z = r exp(i phi) with r up to
-    the p = 2 inner loop radius 0.3, shifted by real points x."""
-    lam = complex(lam_re, 0.3 * tau_im * lam_frac)
-    z = np.array([x + r * cmath.exp(1j * phi) for x, r, phi in zs])
-    return lam, z
-
-
-def exact_sum(a, b, sign_a=1, sign_b=1):
-    """sign_a a + sign_b b for doubles a, b, without rounding to a double."""
-    with mpmath.workdps(30):
-        return sign_a * mpmath.mpc(a) + sign_b * mpmath.mpc(b)
-
-
-def level_scale(kappa, n, arg, tau):
-    """Scale of a level-theta row: sum over its terms exp(E) of |exp(E)| (1
-    + |E|), E = 2 pi i kappa (m^2 tau + m arg).  A kernel forms each E in
-    double precision, so a term's rounding grows with |E|: at kappa = 12
-    and Im tau = 1.5, |E| reaches about 40, and both kernels then miss the
-    plain sum of |terms| by up to 4e-14 of it."""
-    m = (np.arange(-12, 13) + (n % (2 * kappa)) / (2 * kappa))[:, None]
-    e = 2j * math.pi * kappa * m * (m * tau + np.asarray(arg, dtype=complex))
-    return np.sum(np.abs(np.exp(e)) * (1 + np.abs(e)), axis=0)
-
-
-PAIR_POINTS = dict(
-    tau_re=st.floats(-1.0, 1.0), tau_im=st.floats(0.2, 1.5),
-    lam_re=st.floats(-1.0, 1.0), lam_frac=st.floats(-1.0, 1.0),
-    zs=st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(0.0, 0.3),
-                          st.floats(0.0, 2 * math.pi)), min_size=1, max_size=3))
-
-
-@given(**PAIR_POINTS)
-@settings(max_examples=40, deadline=None)
-def test_theta1_pair_kernel(tau_re, tau_im, lam_re, lam_frac, zs):
-    # rows theta1(lam + z) and theta1(-lam + z), accurate in absolute terms:
-    # within 1e-14 of the row's scale (the sum of |terms|) of mpmath's
-    # series at the exact argument and of the array kernel
-    tau = complex(tau_re, tau_im)
-    lam, z = pair_points(tau_im, lam_re, lam_frac, zs)
-    ours = specfun._theta1_pair(lam, z, tau)
-    assert ours.shape == (2,) + z.shape
-    for row, sign in zip(ours, (1, -1)):
-        array = specfun._theta1_array(sign * lam + z, tau)
-        for point, got, alt in zip(z, row, array):
-            want, scale = mp_theta1_terms(exact_sum(lam, point, sign), tau, 0, 0)
-            assert abs(got - want) <= 1e-14 * scale
-            assert abs(got - alt) <= 1e-14 * scale
-    # lam -> -lam swaps the rows bit for bit
-    assert np.array_equal(specfun._theta1_pair(-lam, z, tau), ours[::-1])
-
-
-@st.composite
-def level_indices(draw):
-    kappa = draw(st.integers(4, 12))
-    return kappa, draw(st.integers(0, 2 * kappa - 1))
-
-
-@given(index=level_indices(), **PAIR_POINTS)
-@example(index=(8, 0), tau_re=0.0, tau_im=0.9, lam_re=0.3, lam_frac=0.0,
-         zs=[(0.25, 0.3, 1.0)])
-@example(index=(8, 8), tau_re=1.0, tau_im=0.4, lam_re=-0.6, lam_frac=1.0,
-         zs=[(-1.0, 0.3, 4.0)])
-@settings(max_examples=40, deadline=None)
-def test_theta_level_pair_kernel(index, tau_re, tau_im, lam_re, lam_frac, zs):
-    # rows theta_{kappa,n}(sigma lam + s z), accurate in absolute terms:
-    # within 1e-14 of the row's scale (level_scale) of the brute-force
-    # lattice sum at the exact argument and of the array kernel
-    kappa, n = index
-    tau = complex(tau_re, tau_im)
-    lam, z = pair_points(tau_im, lam_re, lam_frac, zs)
-    ours = specfun._theta_level_pair(kappa, n, lam, z, tau)
-    assert ours.shape == (4,) + z.shape
-    for row, (sigma, s) in zip(ours, LEVEL_PAIR_ROWS):
-        args = sigma * lam + s * z
-        array = specfun._theta_level_array(kappa, n, args, tau)
-        scales = level_scale(kappa, n, args, tau)
-        for point, got, alt, scale in zip(z, row, array, scales):
-            want, _ = mp_theta_level_terms(kappa, n, exact_sum(lam, point, sigma, s),
-                                           tau, 0, 0, shells=12)
-            assert abs(got - want) <= 1e-14 * scale
-            assert abs(got - alt) <= 1e-14 * scale
-    # lam -> -lam swaps the sigma rows bit for bit
-    assert np.array_equal(specfun._theta_level_pair(kappa, n, -lam, z, tau),
-                          ours[[2, 3, 0, 1]])
-
-
-def test_theta_level_pair_kernel_covers_every_index():
-    # every n mod 2 kappa for kappa = 4..12 against the array kernel
-    tau, lam = 0.3 + 0.7j, 0.31 + 0.05j
-    z = np.array([0.0, 0.45, -0.8 + 0.2j, 0.1 - 0.3j])
-    for kappa in range(4, 13):
-        for n in range(2 * kappa):
-            ours = specfun._theta_level_pair(kappa, n, lam, z, tau)
-            for row, (sigma, s) in zip(ours, LEVEL_PAIR_ROWS):
-                args = sigma * lam + s * z
-                alt = specfun._theta_level_array(kappa, n, args, tau)
-                assert np.all(np.abs(row - alt)
-                              <= 1e-14 * level_scale(kappa, n, args, tau)), (kappa, n)
+    # a block pass refuses the same way, through theta1 at lam + 20i, and
+    # through the level theta at lam + 3i, where theta1's terms still fit;
+    # at lam + 2i, where every term fits, the pass stays finite although
+    # its phases e^(i pi p lam) alone would overflow
+    pt, spec, idx = ModularPoint(0.05j), QuadratureSpec(), BlockIndex(1, 4, 2)
+    for lam in (0.3 + 20j, 0.3 + 3j):
+        with pytest.raises(OutOfSupportedRange):
+            blocks._one_value(idx, lam, pt, spec)
+    values, _ = blocks._one_value(idx, 0.3 + 2j, pt, spec)
+    assert np.isfinite(values).all()
 
 
 # ---------------------------------------------------------------------------
@@ -596,7 +507,10 @@ def test_lattice_distance_translation_invariance(a, b, eps, tau_im):
 def test_lattice_distance_matches_brute_force_on_skewed_lattices(tau_re, tau_im,
                                                                  lam_re, lam_im):
     tau, lam = complex(tau_re, tau_im), complex(lam_re, lam_im)
-    m, n = np.meshgrid(np.arange(-60, 61), np.arange(-30, 31))
+    # |n| <= 30 covers |Im lam| / Im tau <= 20, and |m| <= 160 then covers
+    # |n Re tau| + |Re lam| <= 92 (60 missed m = 61 at n = -20, tau = 3 +
+    # 0.0508i, lam = 1 - i)
+    m, n = np.meshgrid(np.arange(-160, 161), np.arange(-30, 31))
     brute = float(np.min(np.abs(lam - (m + n * tau))))
     assert abs(lattice_distance(lam, tau) - brute) <= 1e-12 * max(1.0, brute)
 
