@@ -34,27 +34,28 @@ each is a sum of lambda phases times node exponentials, and since
 kappa g = 2 the level theta's are e^(4 pi i c t) times integer powers of
 theta1's e^(i pi t).  So a pass contracts cached moment tables (sums over
 the nodes of the weights times those exponentials) with a few phases in
-lambda and evaluates nothing per node.  The tables are keyed on the term
-counts, which follow |Im lam| + max |Im node|, and on (tau, rule shape
-(the spec less its budget cap), kappa, n), and are built from the
-lambda-independent rules: at p = 1 the endpoint circle and middle path,
-whose weights and logs carry the powers of E; at p = 2 one tensor per
-section of its outer x and inner xi nodes, holding the weights times the
-powers of E per (x, xi) point.  The exponent b enters as exp(b * log) of
-the tabulated logs, so the b-derivative at kappa = 6 is the same moment
-sum with the log factor.  A warm p = 2 u_block at the default spec takes
-under a millisecond on one thread of a 2-core VM; the first at a new
-(tau, rule shape, kappa, n) builds the tensors (0.4 s at kappa = 8, 5 MB
-coarse and 12 MB refined, not kept) and the moment tables (0.2 s).  The
-Gauss-Jacobi rule of the corner tails is scipy's roots_jacobi, imported
-on first use.
+lambda and evaluates nothing per node.  The tables are keyed on (tau,
+rule shape (the spec less its budget cap), kappa, n) and the memoised
+series coefficients, whose term counts follow |Im lam| + max |Im node|,
+and hold their logs.  They are built from lambda-independent rules: at
+p = 1 the endpoint circle and middle path, whose weights and logs carry
+the powers of E; at p = 2 one tensor per section of its outer x and
+inner xi nodes, holding the weights times the powers of E per (x, xi)
+point.  The exponent b enters as exp(b * log) of the tabulated logs, so
+the b-derivative at kappa = 6 is the same moment sum with the log factor.
+The passes of a u_block share one theta1(+-lam) call and their phases; a
+warm u_block takes about 0.1 ms at p = 1 and 0.6 ms at p = 2 on one
+thread of a 2-core VM.  The first p = 2 u_block at a new (tau, rule
+shape, kappa, n) builds the tensors (0.4 s at kappa = 8, 5 MB coarse and
+12 MB refined, not kept) and the moment tables (0.2 s).  scipy's
+roots_jacobi, the corner tails' rule, is imported on first use.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -178,8 +179,8 @@ def _two_graded(a: float, mid: float, b: float, levels: int,
 
 
 @lru_cache(maxsize=64)
-def _p1_tables(tau: complex, quad: QuadratureSpec) -> tuple:
-    """The endpoint circle and the middle path at one (tau, spec), tabulated.
+def _p1_tables(tau: complex, order: int, levels: int, loop_nodes: int) -> tuple:
+    """The endpoint circle, the middle path and max |Im| over the circle.
 
     The circle |t| = r (dt/t weights, logs log t continued from arg 0) and
     the middle path [r, 1 - r] (Gauss weights, logs 0) are returned with
@@ -195,9 +196,8 @@ def _p1_tables(tau: complex, quad: QuadratureSpec) -> tuple:
     prime0 = specfun.theta1(0.0, ModularPoint(tau), d_lambda=1)
     shortest = abs(specfun._reduced_basis(tau)[0])
     r = 0.5 * min(0.1, shortest)
-    t, dt, phi = endpoint_loop_nodes(r, quad.loop_nodes)
-    xs, ws = _two_graded(r, 0.5, 1 - r, max(quad.graded_mesh_levels, 10),
-                         quad.gauss_order)
+    t, dt, phi = endpoint_loop_nodes(r, loop_nodes)
+    xs, ws = _two_graded(r, 0.5, 1 - r, max(levels, 10), order)
     e = specfun._theta1_array(np.concatenate([t, xs]), tau) / prime0
     f_circle, f_middle = e[:t.size] / t, e[t.size:]
     # No winding phase is needed at the right end of the middle path: for
@@ -209,26 +209,26 @@ def _p1_tables(tau: complex, quad: QuadratureSpec) -> tuple:
     circle = _frozen_rule(t, dt / t / f_circle,
                           math.log(r) + 1j * phi + np.log(f_circle), t.size)
     middle = _frozen_rule(xs, ws / f_middle, continue_log(f_middle), 0)
-    return circle, middle
+    return circle, middle, float(np.max(np.abs(circle.nodes.imag)))
 
 
-def _modes(tau: complex, kappa: int, n: int, lam: complex, reach: float,
-           level_reach: float) -> tuple:
-    """((odd, log d, js, c, log levels), (t1, t2)): theta1(z) = sum_p d_p
-    e^(i pi p z) over the t1 odd p > 0 and their negatives (its sine
-    series) and theta_{kappa,n}(z) = sum_j levels_j e^(2 pi i kappa (c + j)
-    z) over |j| < t2, with the terms that lam plus a node of |Im| up to
-    reach (at level kappa, g times level_reach) needs.  Logs keep a phase
-    beyond the double range finite against its small coefficient."""
-    coefs = np.array(specfun._theta1_coefs(tau, abs(lam.imag) + reach))
-    c, ahead, behind = specfun._theta_level_coefs(
-        kappa, n, tau, abs(lam.imag) + (2.0 / kappa) * level_reach)
+def _modes(coefs: tuple, level: tuple) -> tuple:
+    """(odd, log d, js, c, log levels): theta1(z) = sum_p d_p e^(i pi p z)
+    over the odd |p| < 2 len(coefs) (its sine series) and theta_{kappa,n}(z)
+    = sum_j levels_j e^(2 pi i kappa (c + j) z) over |j| < len(ahead), level
+    = (c, ahead, behind).  Logs keep a phase beyond the double range finite
+    against its small coefficient."""
+    coefs = np.array(coefs)
+    c, ahead, behind = level
     with np.errstate(divide="ignore"):
-        return ((np.arange(1 - 2 * coefs.size, 2 * coefs.size, 2),
-                 np.log(np.concatenate([-coefs[::-1], coefs]) / 2j),
-                 np.arange(1 - len(ahead), len(ahead)), c,
-                 np.log(np.array(behind[::-1] + ahead))),
-                (coefs.size, len(ahead)))
+        odd, log_d, js, log_levels = rows = (
+            np.arange(1 - 2 * coefs.size, 2 * coefs.size, 2),
+            np.log(np.concatenate([-coefs[::-1], coefs]) / 2j),
+            np.arange(1 - len(ahead), len(ahead)),
+            np.log(np.array(behind[::-1] + ahead)))
+    for row in rows:  # a cached table hands them to every later pass
+        row.setflags(write=False)
+    return odd, log_d, js, c, log_levels
 
 
 def _phases(modes: tuple, kappa: int, w: complex, mu: complex) -> tuple:
@@ -237,6 +237,25 @@ def _phases(modes: tuple, kappa: int, w: complex, mu: complex) -> tuple:
     odd, log_d, js, c, log_levels = modes
     return (np.exp(log_d + 1j * math.pi * odd * w),
             np.exp(log_levels + 2j * math.pi * kappa * (c + js) * mu))
+
+
+def _lambda_side(moments, lam: complex, tau: complex, kappa: int, n: int,
+                 reaches: list, args: tuple) -> tuple:
+    """theta1(+-lam) from one kernel call and, per (rule shape, reach,
+    level_reach), the tables of moments at the term counts lam plus a node of
+    |Im| up to reach (at level kappa, g times level_reach) needs, with their
+    phases at each (w, mu) of args, evaluated once per distinct counts."""
+    sides, built = [], {}
+    for shape, reach, level_reach in reaches:
+        coefs = specfun._theta1_coefs(tau, abs(lam.imag) + reach)
+        level = specfun._theta_level_coefs(
+            kappa, n, tau, abs(lam.imag) + (2.0 / kappa) * level_reach)
+        modes, tables = moments(tau, *shape, kappa, n, coefs, level)
+        counts = (len(coefs), len(level[1]))
+        if counts not in built:
+            built[counts] = [_phases(modes, kappa, w, mu) for w, mu in args]
+        sides.append((tables, built[counts]))
+    return specfun._theta1_array(np.array([lam, -lam]), tau), sides
 
 
 def _gather(moments: np.ndarray, odd: np.ndarray, js: np.ndarray,
@@ -248,17 +267,17 @@ def _gather(moments: np.ndarray, odd: np.ndarray, js: np.ndarray,
 
 
 @lru_cache(maxsize=256)
-def _p1_moments(tau: complex, quad: QuadratureSpec, kappa: int, n: int,
-                t1: int, t2: int) -> np.ndarray:
-    """The table K[p, j] with J(mu) theta1(mu) = sum_(p,j) d_p e^(i pi p mu)
-    levels_j e^(2 pi i kappa (c + j) mu) K[p, j] (_modes).
+def _p1_moments(tau: complex, order: int, levels: int, loop_nodes: int,
+                kappa: int, n: int, coefs: tuple, level: tuple) -> tuple:
+    """(_modes of the series, K) with J(mu) theta1(mu) = sum_(p,j) d_p
+    e^(i pi p mu) levels_j e^(2 pi i kappa (c + j) mu) K[p, j].
 
     The sections (rule, flip, offset) take theta1 at mu + t and the level
     theta at mu + g (offset - t), t = -flip x, so K[p, j] is the moment at
     p - 4j, the node sum of weight e^(2 pi i n offset / kappa) e^(-4 pi i
     c t) e^(i pi (p - 4j) t).
     """
-    circle, middle = _p1_tables(tau, quad)
+    circle, middle, _ = _p1_tables(tau, order, levels, loop_nodes)
     b = -2.0 / kappa
     wind = loop_winding(b - 1.0)
     shifts, weights = [], []
@@ -270,44 +289,43 @@ def _p1_moments(tau: complex, quad: QuadratureSpec, kappa: int, n: int,
         shifts.append(-flip * rule.nodes)
         weights.append(w)
     t, w = np.concatenate(shifts), np.concatenate(weights)
-    odd, js = np.arange(1 - 2 * t1, 2 * t1, 2), np.arange(1 - t2, t2)
+    odd, _, js, _, _ = modes = _modes(coefs, level)
     top = odd[-1] + 4 * js[-1]
     c = (n % (2 * kappa)) / (2.0 * kappa)
     moments = (w * np.exp(-4j * math.pi * c * t)) @ np.exp(
         1j * math.pi * np.outer(t, np.arange(-top, top + 1, 2)))
     table = _gather(moments, odd, js, -1)
     table.setflags(write=False)
-    return table
+    return modes, table
 
 
-def _j_p1(idx: BlockIndex, lam: complex, pt: ModularPoint,
-          quad: QuadratureSpec, budget: EvalBudget) -> tuple:
-    """(J(lam), J(-lam)): two endpoint circles plus the middle path.
+def _j_p1(idx: BlockIndex, lam: complex, pt: ModularPoint, shapes: list,
+          budgets: list) -> list:
+    """(J(lam), J(-lam)) per rule shape: endpoint circles and middle path.
 
     J(mu) sums, over the nodes x of the sections (rule, flip, offset), weight
     * exp(b log) * flip theta1(mu - flip x) / theta1(mu) * theta_{kappa,n}(mu
     + (2/kappa) (offset + flip x)), the circle nodes' terms divided by
     loop_winding(b - 1).  The t = 1 circle is the t = 0 circle in s = 1 - t,
     with flip -1 and offset 1: E(1 - s) = E(s) and sigma(1 - s) = sigma(-s).
-    A pass contracts the cached moment table (_p1_moments) with the phases
+    A pass contracts its cached moment table (_p1_moments) with the phases
     of mu = lam and -lam, and takes the divisor theta1(mu) from the
     relative-accurate array kernel.
     """
-    kappa, n = idx.kappa, idx.reduced_n
-    # the tables do not depend on the budget cap, so it is left out of the key
-    spec = replace(quad, max_evals=0)
-    circle, middle = _p1_tables(pt.tau, spec)
-    # per sign, four factor evaluations per middle node (E, theta1 twice in
-    # sigma, the level theta), one for theta1(mu), and five per circle node
-    # and end ((E(t)/t), theta1 twice in t sigma(t), the level theta, t^a)
-    budget.charge(2 * (4 * middle.nodes.size + 1 + 10 * circle.nodes.size))
-    # the term counts, and so the table, follow |Im lam| + max |Im node|
-    im = float(np.max(np.abs(circle.nodes.imag)))
-    modes, counts = _modes(pt.tau, kappa, n, lam, im, im)
-    table = _p1_moments(pt.tau, spec, kappa, n, *counts)
-    div = specfun._theta1_array(np.array([lam, -lam]), pt.tau)
-    return tuple(complex(theta / d @ table @ level) for d, (theta, level) in
-                 zip(div, (_phases(modes, kappa, mu, mu) for mu in (lam, -lam))))
+    reaches = []
+    for shape, budget in zip(shapes, budgets):
+        circle, middle, im = _p1_tables(pt.tau, *shape)
+        # per sign, four factor evaluations per middle node (E, theta1 twice
+        # in sigma, the level theta), one for theta1(mu), five per circle node
+        # and end (E(t)/t, theta1 twice in t sigma(t), the level theta, t^a)
+        budget.charge(2 * (4 * middle.nodes.size + 1 + 10 * circle.nodes.size))
+        # the term counts, and so the table, follow |Im lam| + max |Im node|
+        reaches.append((shape, im, im))
+    div, sides = _lambda_side(_p1_moments, lam, pt.tau, idx.kappa,
+                              idx.reduced_n, reaches, ((lam, lam), (-lam, -lam)))
+    return [tuple(complex(theta / d @ table @ level)
+                  for d, (theta, level) in zip(div, phases))
+            for table, phases in sides]
 
 
 # ---------------------------------------------------------------------------
@@ -527,10 +545,10 @@ def _inner_moments(sec: _P2Section, wind: complex, c: float,
 
 @lru_cache(maxsize=32)
 def _p2_moments(tau: complex, order: int, levels: int, loop_nodes: int,
-                kappa: int, n: int, t1: int, t2: int) -> tuple:
-    """The tables (corner, its b-derivative, rest), each K[s, po, p, j] for
-    the half shapes s = 1, -1, of one (tau, rule shape, kappa, n) at counts
-    (t1, t2) (_modes); the b-derivative is 0 off kappa = 6.
+                kappa: int, n: int, coefs: tuple, level: tuple) -> tuple:
+    """(_modes of the series, the tables (corner, its b-derivative, rest)),
+    each K[s, po, p, j] for the half shapes s = 1, -1, of one (tau, rule
+    shape, kappa, n) and series; the b-derivative is 0 off kappa = 6.
 
     Row (sigma, s) of _p2_rows holds theta1(w + y) flip theta1(w + flip x)
     and the level theta at sigma lam + s g (pos + y), a sum over m = c + j
@@ -541,7 +559,7 @@ def _p2_moments(tau: complex, order: int, levels: int, loop_nodes: int,
     b = -4.0 / kappa
     c = (n % (2 * kappa)) / (2.0 * kappa)
     wind = loop_winding(b - 1.0)
-    odd, js = np.arange(1 - 2 * t1, 2 * t1, 2), np.arange(1 - t2, t2)
+    odd, _, js, _, _ = modes = _modes(coefs, level)
     top = odd[-1] + 4 * js[-1]
     tables = np.zeros((3, 2, odd.size, odd.size, js.size), dtype=complex)
     for i, sec in enumerate(_p2_tables(tau, order, levels, loop_nodes,
@@ -559,18 +577,18 @@ def _p2_moments(tau: complex, order: int, levels: int, loop_nodes: int,
                 tables[1, k] += np.einsum("xo,xpj->opj", basis, g1[0]
                                           + sec.outer_logs[:, None, None] * g0)
     tables.setflags(write=False)
-    return tables
+    return modes, tables
 
 
 def _p2_rows(idx: BlockIndex, lam: complex, tau: complex,
-             shape: tuple) -> np.ndarray:
+             shapes: list) -> np.ndarray:
     """Integrals over {0 <= y <= min(x, 1-x)} of the four integrands.
 
     Half shape s at sigma lam: E(x)^b E(y)^b E(x-y)^g sigma(s x) sigma(s y)
     theta_{kappa,n}(mu + s g (x+y)), mu = sigma lam + (1 - s) g; corners
     x -> 0 and x -> 1 are continued via circle integrals with exponent
-    A = 2b + g - 1.  Returns the rows (sigma, s) = (1, 1), (1, -1), (-1,
-    1), (-1, -1) with three columns: the corner loops' numerator, still to
+    A = 2b + g - 1.  Per rule shape, the rows (sigma, s) = (1, 1), (1, -1),
+    (-1, 1), (-1, -1) with three columns: the corner loops' numerator, to
     be divided by loop_winding(A), its b-derivative (0 off kappa = 6) and
     the sum of the corner-free sections.  By oddness, sigma(s x) sigma(s
     y) is theta1(w + y) flip theta1(w + flip x) / theta1(sigma lam)^2, w =
@@ -579,22 +597,22 @@ def _p2_rows(idx: BlockIndex, lam: complex, tau: complex,
     """
     kappa, n = idx.kappa, idx.reduced_n
     # the term counts, and so the tables, follow |Im lam| + max |Im node|
-    modes, counts = _modes(tau, kappa, n, lam, *_p2_reach(tau, *shape, kappa))
-    tables = _p2_moments(tau, *shape, kappa, n, *counts)
+    div, sides = _lambda_side(_p2_moments, lam, tau, kappa, n, [
+        (shape, *_p2_reach(tau, *shape, kappa)) for shape in shapes], tuple(
+        (-sigma * s * lam, sigma * lam) for sigma in (1.0, -1.0)
+        for s in (1.0, -1.0)))
     phase = cmath.exp(4j * math.pi * n / kappa)
-    div = specfun._theta1_array(np.array([lam, -lam]), tau)
-    rows = []
-    for sigma, d in zip((1.0, -1.0), div):
-        for k, s in enumerate((1.0, -1.0)):
-            theta, level = _phases(modes, kappa, -sigma * s * lam, sigma * lam)
-            rows.append([theta / d @ (table[k] @ level) @ (theta / d)
-                         * (phase if s < 0 else 1.0) for table in tables])
-    return np.array(rows)
+    # per rule shape, row i is (sigma, s) with sigma's divisor div[i // 2]
+    return np.array([[[theta / div[i // 2] @ (table[i % 2] @ level)
+                       @ (theta / div[i // 2]) * (phase if i % 2 else 1.0)
+                       for table in tables]
+                      for i, (theta, level) in enumerate(phases)]
+                     for tables, phases in sides])
 
 
-def _j_p2(idx: BlockIndex, lam: complex, pt: ModularPoint,
-          quad: QuadratureSpec, budget: EvalBudget) -> tuple:
-    """(J(lam), J(-lam)) from the four half shapes' rows of one pass."""
+def _j_p2(idx: BlockIndex, lam: complex, pt: ModularPoint, shapes: list,
+          budgets: list) -> list:
+    """(J(lam), J(-lam)) per rule shape from the four half shapes' rows."""
     if abs(complex(lam).imag) > 1e-12 or abs(pt.tau.real) > 1e-12:
         raise OutOfSupportedRange(
             "the two-fold integral is wired for real lambda and purely "
@@ -616,17 +634,17 @@ def _j_p2(idx: BlockIndex, lam: complex, pt: ModularPoint,
     # not they are cached: per (x, xi) point theta1 on y, the diagonal and
     # lam -+ y and the four level thetas, per outer node theta1 on x and
     # lam -+ x.  The tables do not depend on the budget cap.
-    shape = (quad.gauss_order, quad.graded_mesh_levels, quad.loop_nodes)
-    budget.charge(sum((8 * inner.nodes.size + 3) * outer.nodes.size
-                      for _, _, outer, inner in _p2_layout(pt.tau, *shape,
-                                                           idx.kappa)))
+    for shape, budget in zip(shapes, budgets):
+        budget.charge(sum((8 * inner.nodes.size + 3) * outer.nodes.size
+                          for _, _, outer, inner in _p2_layout(
+                              pt.tau, *shape, idx.kappa)))
+    rows = _p2_rows(idx, complex(lam).real + 0j, pt.tau, shapes)
     # J(sigma lam) sums its two half shapes, rows (sigma, 1) and (sigma, -1)
-    corners, slopes, rests = _p2_rows(idx, complex(lam).real + 0j, pt.tau,
-                                      shape).reshape(2, 2, 3).sum(axis=1).T
+    corners, slopes, rests = np.moveaxis(
+        rows.reshape(-1, 2, 2, 3).sum(axis=2), -1, 0)
     value = (slopes / (4j * math.pi * cmath.exp(2j * math.pi * corner))
              if at_pole else corners / loop_winding(corner))
-    plus, minus = pair_branch * (value + rests)
-    return complex(plus), complex(minus)
+    return [tuple(map(complex, pair)) for pair in pair_branch * (value + rests)]
 
 
 # ---------------------------------------------------------------------------
@@ -643,33 +661,40 @@ def _as_lambda(lam, pt: ModularPoint) -> complex:
     return arg.lam
 
 
-def _j_p0(idx: BlockIndex, lam: complex, pt: ModularPoint,
-          quad: QuadratureSpec, budget: EvalBudget) -> tuple:
+def _j_p0(idx: BlockIndex, lam: complex, pt: ModularPoint, shapes: list,
+          budgets: list) -> list:
     """(J(lam), J(-lam)) of the empty integral: level-theta values."""
-    return tuple(specfun.theta_level(idx.kappa, idx.reduced_n, mu, pt)
-                 for mu in (lam, -lam))
+    return [tuple(specfun.theta_level(idx.kappa, idx.reduced_n, mu, pt)
+                  for mu in (lam, -lam))] * len(shapes)
 
 
 _PASSES = {0: _j_p0, 1: _j_p1, 2: _j_p2}
 
 
+def _passes(idx: BlockIndex, lam, pt: ModularPoint, quads: tuple) -> tuple:
+    """Per spec, a pass (J(lam), J(-lam)) and its budget; no table depends
+    on the budget cap, and the passes share their lambda side."""
+    if idx.p not in _PASSES:
+        raise UnsupportedP(f"p = {idx.p} is beyond the implemented range (p <= 2)")
+    budgets = [EvalBudget(quad.max_evals) for quad in quads]
+    shapes = [(q.gauss_order, q.graded_mesh_levels, q.loop_nodes) for q in quads]
+    return _PASSES[idx.p](idx, lam, pt, shapes, budgets), budgets
+
+
 def _one_value(idx: BlockIndex, lam, pt: ModularPoint,
                quad: QuadratureSpec) -> tuple:
     """One pass, (J(lam), J(-lam)), and its budget."""
-    if idx.p not in _PASSES:
-        raise UnsupportedP(f"p = {idx.p} is beyond the implemented range (p <= 2)")
-    budget = EvalBudget(quad.max_evals)
-    return _PASSES[idx.p](idx, lam, pt, quad, budget), budget
+    (values,), (budget,) = _passes(idx, lam, pt, (quad,))
+    return values, budget
 
 
 def _two_passes(idx: BlockIndex, lam, pt: ModularPoint,
                 quad: QuadratureSpec | None) -> tuple:
     """The requested (coarse) pass, a refined one and their summed budget."""
     quad = quad or QuadratureSpec()
-    lam = _as_lambda(lam, pt)
-    coarse, budget1 = _one_value(idx, lam, pt, quad)
-    fine, budget2 = _one_value(idx, lam, pt, quad.refined())
-    return coarse, fine, budget1.used + budget2.used
+    (coarse, fine), budgets = _passes(idx, _as_lambda(lam, pt), pt,
+                                      (quad, quad.refined()))
+    return coarse, fine, sum(budget.used for budget in budgets)
 
 
 def j_integral(idx: BlockIndex, lam, pt: ModularPoint,

@@ -439,7 +439,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("suite", help="run the desk-scale battery")
     sub.add_argument("--full", action="store_true",
-                     help="add the secondary tau to the identity section")
+                     help="add the p = 1 closed forms at the secondary tau "
+                          "and the p = 2 ones at the default tau")
     sub.set_defaults(handler=_cmd_suite)
 
     return parser

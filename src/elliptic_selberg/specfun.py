@@ -36,7 +36,7 @@ The block quadratures take the series coefficients from _theta1_coefs and
 _theta_level_coefs (with |Im| bounded by |Im lam| + max |Im node|) and
 sum the series themselves, contracted with lambda-independent moment
 tables of their nodes; a divisor such as theta1(lam) is taken from
-_theta1_array.
+_theta1_array.  Both helpers are memoised (a failure is never stored).
 """
 
 from __future__ import annotations
@@ -46,6 +46,7 @@ import itertools
 import math
 import sys
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -113,6 +114,7 @@ class ModularPoint:
         return cmath.exp(2j * cmath.pi * self.tau * c)
 
 
+@lru_cache(maxsize=64)
 def _reduced_basis(tau: complex) -> tuple:
     """Lagrange-Gauss reduced basis (u, v) of the lattice Z + tau*Z.
 
@@ -213,8 +215,9 @@ def _horner(coefs, z):
     return acc
 
 
+@lru_cache(maxsize=256)
 def _theta1_coefs(tau: complex, y_max: float, d_lambda: int = 0, d_tau: int = 0,
-                  trunc: SeriesTruncation = DEFAULT_TRUNC) -> list:
+                  trunc: SeriesTruncation = DEFAULT_TRUNC) -> tuple:
     """Coefficients coef_j of the sine series of a theta1 derivative, as many
     as arguments with |Im lam| <= y_max need.
 
@@ -239,7 +242,7 @@ def _theta1_coefs(tau: complex, y_max: float, d_lambda: int = 0, d_tau: int = 0,
         if d_tau:
             coef *= (1j * cmath.pi * half * half) ** d_tau
         coefs.append(coef)
-    return coefs
+    return tuple(coefs)
 
 
 def _sine_laurent(coefs, w, w_inv):
@@ -390,6 +393,7 @@ def phi_logderiv(kind: int, pt: ModularPoint, trunc: SeriesTruncation = DEFAULT_
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=256)
 def _theta_level_coefs(kappa: int, n: int, tau: complex, y_max: float,
                        d_lambda: int = 0, d_tau: int = 0,
                        trunc: SeriesTruncation = DEFAULT_TRUNC) -> tuple:
@@ -426,8 +430,8 @@ def _theta_level_coefs(kappa: int, n: int, tau: complex, y_max: float,
             value *= (2j * cmath.pi * kappa * m * m) ** d_tau
         return value
 
-    return (c, [coef(c + j) for j in range(terms)],
-            [coef(c - j) for j in range(1, terms)])
+    return (c, tuple(coef(c + j) for j in range(terms)),
+            tuple(coef(c - j) for j in range(1, terms)))
 
 
 def _level_laurent(ahead, behind, u, u_inv):

@@ -185,13 +185,56 @@ def test_one_fold_work_is_tabulated(monkeypatch):
 
 def test_one_fold_u_block_is_two_passes(monkeypatch):
     # a warm p = 1 u_block is a coarse and a refined pass, each giving both
-    # J(lam) and J(-lam) from its divisor call alone
+    # J(lam) and J(-lam); the two passes share one divisor call
     idx = BlockIndex(1, 5, 2)
     u_block(idx, LAM, PT)
     calls, points = _count_kernels(monkeypatch)
     u_block(idx, 0.41, PT)
-    assert calls["_theta1_array"] == 2 and points["_theta1_array"] == 4
+    assert calls["_theta1_array"] == 1 and points["_theta1_array"] == 2
     assert calls["_theta_level_array"] == calls["theta1"] == 0
+
+
+@pytest.mark.parametrize("p,kappa,n", [(1, 5, 2), (2, 8, 4)])
+def test_a_warm_u_block_counts_no_series_terms(monkeypatch, p, kappa, n):
+    # every real lambda needs the term counts of the last one, and the
+    # memoised coefficient helpers already hold them
+    u_block(BlockIndex(p, kappa, n), LAM, PT)
+    counts = []
+    term_count = specfun._term_count
+    monkeypatch.setattr(specfun, "_term_count",
+                        lambda *args: counts.append(args) or term_count(*args))
+    u_block(BlockIndex(p, kappa, n), 0.41, PT)
+    assert counts == []
+
+
+@pytest.mark.parametrize("p,kappa,n,tau,lam,phase_sets", [
+    (1, 5, 2, 0.9j, 0.41, 1),
+    (1, 6, 3, 0.9j, 0.3 + 0.2j, 1),
+    (1, 4, 1, 0.3 + 1.1j, 0.27 - 0.25j, 1),
+    # the refined circle reaches a little further off the real axis, and at
+    # this Im lam its theta1 series needs one more term than the coarse one
+    (1, 5, 2, 0.9j, 0.3 + 0.039818j, 2),
+    (2, 8, 4, 0.9j, 0.41, 1),
+])
+def test_u_block_shares_its_lambda_side_bit_for_bit(monkeypatch, p, kappa, n,
+                                                    tau, lam, phase_sets):
+    # one divisor call, and one set of phases per distinct term counts,
+    # serve the coarse and the refined pass of a u_block, which give exactly
+    # the values, estimate and budget of the two passes made one at a time
+    idx, pt, quad = BlockIndex(p, kappa, n), ModularPoint(tau), QuadratureSpec()
+    u_block(idx, lam, pt)
+    calls, phases = [], blocks._phases
+    monkeypatch.setattr(blocks, "_phases",
+                        lambda *args: calls.append(args) or phases(*args))
+    got = u_block(idx, lam, pt)
+    # a set is (J(lam), J(-lam)) at p = 1 and the four half-shape rows at p = 2
+    assert len(calls) == phase_sets * 2 * p
+    (c_plus, c_minus), coarse = blocks._one_value(idx, complex(lam), pt, quad)
+    (plus, minus), fine = blocks._one_value(idx, complex(lam), pt,
+                                            quad.refined())
+    assert got.value == plus + (-1) ** (p + 1) * minus
+    assert got.error_estimate == abs(plus - c_plus) + abs(minus - c_minus)
+    assert got.budget_used == coarse.used + fine.used
 
 
 @pytest.mark.parametrize("p,kappa,n", [(1, 5, 2), (2, 8, 4)])
@@ -231,7 +274,9 @@ def level_scale(kappa, n, z, tau):
 def one_fold_brute(kappa, n, mu, tau, spec):
     """J(mu) summed node by node on the p = 1 tables with the array kernels
     at the sections' own arguments, and the sum of |terms|."""
-    circle, middle = blocks._p1_tables(tau, spec)
+    circle, middle, _ = blocks._p1_tables(tau, spec.gauss_order,
+                                          spec.graded_mesh_levels,
+                                          spec.loop_nodes)
     b, g = -2.0 / kappa, 2.0 / kappa
     div = abs(theta1(mu, ModularPoint(tau)))
     value, scale = 0j, 0.0
@@ -255,8 +300,9 @@ def test_one_fold_moment_pass_matches_brute_force(kappa, n, tau_re, tau_im,
     # real and complex lambda, |Im lam| <= 0.3 Im tau, over random (kappa, n)
     tau, spec = complex(tau_re, tau_im), QuadratureSpec(max_evals=0)
     lam = complex(lam_re, 0.3 * tau_im * lam_frac)
-    got = blocks._j_p1(BlockIndex(1, kappa, n), lam, ModularPoint(tau), spec,
-                       blocks.EvalBudget(10 ** 9))
+    (got,) = blocks._j_p1(BlockIndex(1, kappa, n), lam, ModularPoint(tau), [(
+        spec.gauss_order, spec.graded_mesh_levels, spec.loop_nodes)],
+        [blocks.EvalBudget(10 ** 9)])
     for value, mu in zip(got, (lam, -lam)):
         want, scale = one_fold_brute(kappa, n, mu, tau, spec)
         assert abs(value - want) <= 1e-13 * scale, (value, want, scale)
@@ -316,7 +362,7 @@ def two_fold_brute(idx, lam, tau):
 def test_two_fold_moment_pass_matches_brute_force(kappa, n, tau_im, lam):
     # real lambda over random (kappa, n), every row and column of the pass
     idx, tau = BlockIndex(2, kappa, n), complex(0.0, tau_im)
-    got = blocks._p2_rows(idx, complex(lam), tau, SMALL)
+    (got,) = blocks._p2_rows(idx, complex(lam), tau, [SMALL])
     want, scales = two_fold_brute(idx, lam, tau)
     assert np.all(np.abs(got - want) <= 1e-13 * scales), (got - want) / scales
 
@@ -526,8 +572,8 @@ def test_kappa_six_corner_numerators_cancel(tau, n):
     # shapes' corner numerators cancel at the base exponent, at +lam (rows 0
     # and 1) and at -lam (rows 2 and 3)
     quad = QuadratureSpec()
-    corners = blocks._p2_rows(BlockIndex(2, 6, n), 0.3 + 0j, tau, (
-        quad.gauss_order, quad.graded_mesh_levels, quad.loop_nodes))[:, 0]
+    corners = blocks._p2_rows(BlockIndex(2, 6, n), 0.3 + 0j, tau, [(
+        quad.gauss_order, quad.graded_mesh_levels, quad.loop_nodes)])[0][:, 0]
     for n_plus, n_minus in (corners[0:2], corners[2:4]):
         assert abs(n_plus) > 1.0
         assert abs(n_plus + n_minus) <= 1e-12 * abs(n_plus)
@@ -559,12 +605,12 @@ def test_two_fold_u_block_shares_one_tabulation(monkeypatch):
     # one tabulation per spec: theta1 at y and the diagonal per (x, xi)
     # point and at x per outer node, 1,900,680 array points over the coarse
     # and refined tensors, and theta1'(0) once per tensor build; the level
-    # theta nowhere.  The passes add their divisors.  Tabulating each
-    # integrand on its own handed 11,410,088 points to theta1
+    # theta nowhere.  The two passes add one divisor call of two points.
+    # Tabulating each integrand on its own handed 11,410,088 points to theta1
     blocks._p2_moments.cache_clear()
     calls, points = _count_kernels(monkeypatch)
     u_block(BlockIndex(2, 8, 4), LAM, PT)
-    assert points["_theta1_array"] == 1_900_680 + 2 + 4
+    assert points["_theta1_array"] == 1_900_680 + 2 + 2
     assert points["_theta_level_array"] == 0
     assert calls["theta1"] == 2 and points["theta1"] == 2
     assert blocks._p2_moments.cache_info().misses == 2

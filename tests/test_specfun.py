@@ -331,6 +331,26 @@ def test_kernels_raise_when_the_term_count_exceeds_max_terms(monkeypatch):
         blocks._one_value(BlockIndex(1, 4, 2), 0.3 + 1j, pt, spec)
 
 
+def test_memoised_coefficient_helpers_store_no_failure():
+    # the coefficient helpers are memoised over all of their arguments, but
+    # a failure is raised again on every repeated call, never served from
+    # the cache; what they do return is an immutable sequence
+    short = SeriesTruncation(max_terms=8)
+    for _ in range(3):
+        with pytest.raises(NonConvergence):
+            specfun._theta1_coefs(0.5j, 6.0, 0, 0, short)
+        with pytest.raises(NonConvergence):
+            specfun._theta_level_coefs(2, 1, 0.5j, 6.0, 0, 0, short)
+        with pytest.raises(OutOfSupportedRange):
+            specfun._theta1_coefs(0.05j, 20.0)
+        with pytest.raises(OutOfSupportedRange):
+            specfun._theta_level_coefs(2, 1, 0.05j, 40.0)
+    coefs = specfun._theta1_coefs(0.5j, 0.0)
+    _, ahead, behind = specfun._theta_level_coefs(2, 1, 0.5j, 0.0)
+    assert all(isinstance(seq, tuple) for seq in (coefs, ahead, behind))
+    assert specfun._theta1_coefs(0.5j, 0.0) is coefs
+
+
 def test_kernels_refuse_terms_beyond_the_double_range():
     # the count stays within max_terms here, but the peak term overflows
     with pytest.raises(OutOfSupportedRange):
