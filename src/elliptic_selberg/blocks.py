@@ -39,16 +39,18 @@ rule shape (the spec less its budget cap), kappa, n) and the memoised
 series coefficients, whose term counts follow |Im lam| + max |Im node|,
 and hold their logs.  They are built from lambda-independent rules: at
 p = 1 the endpoint circle and middle path, whose weights and logs carry
-the powers of E; at p = 2 one tensor per section of its outer x and
-inner xi nodes, holding the weights times the powers of E per (x, xi)
-point.  The exponent b enters as exp(b * log) of the tabulated logs, so
-the b-derivative at kappa = 6 is the same moment sum with the log factor.
-The passes of a u_block share one theta1(+-lam) call and their phases; a
-warm u_block takes about 0.1 ms at p = 1 and 0.6 ms at p = 2 on one
-thread of a 2-core VM.  The first p = 2 u_block at a new (tau, rule
-shape, kappa, n) builds the tensors (0.4 s at kappa = 8, 5 MB coarse and
-12 MB refined, not kept) and the moment tables (0.2 s).  scipy's
-roots_jacobi, the corner tails' rule, is imported on first use.
+the powers of E; at p = 2 the outer x and inner xi rules of each section,
+with the weights times the powers of E per (x, xi) point.  The exponent b
+enters as exp(b * log) of the tabulated logs, so the b-derivative at
+kappa = 6 is the same moment sum with the log factor.  The passes of a
+u_block share one theta1(+-lam) call and their phases; a warm u_block
+takes about 0.1 ms at p = 1 and 0.6 ms at p = 2 on one thread of a 2-core
+VM.  The first p = 2 u_block at a new (tau, rule shape, kappa, n) builds
+the moment tables, computing the per-point weights chunk by chunk inside
+the moment loop rather than as whole section tensors (5 MB coarse and
+12 MB refined at kappa = 8): about 0.7 s at kappa = 8 with a heap peak
+of about 7 MB.  The corner tails' Gauss-Jacobi rule comes from
+quadrature.gauss_jacobi, so the package needs no scipy.
 """
 
 from __future__ import annotations
@@ -65,6 +67,8 @@ from .quadrature import (
     EvalBudget,
     QuadratureSpec,
     endpoint_loop_nodes,
+    # blocks.roots_jacobi is the name perfbench/spans.py traces
+    gauss_jacobi as roots_jacobi,
     graded_nodes,
     loop_winding,
     panel_nodes,
@@ -96,14 +100,6 @@ _JACOBI_SPLIT = 0.6
 # the per-call cost, few enough to keep the transient tensors to a few
 # megabytes
 _CHUNK_POINTS = 4096
-
-
-def roots_jacobi(n: int, alpha: float, beta: float):
-    """scipy.special.roots_jacobi, imported on first use: only the p = 2
-    corner rules need it, so importing the package loads no scipy."""
-    from scipy.special import roots_jacobi
-
-    return roots_jacobi(n, alpha, beta)
 
 
 @dataclass(frozen=True)
@@ -404,15 +400,15 @@ def _geometry(kind: str, xc: np.ndarray, xi: np.ndarray) -> tuple:
 
 @dataclass(frozen=True)
 class _P2Section:
-    """The lambda-independent part of one p = 2 section.
+    """The lambda-independent outer part of one p = 2 section.
 
     kind names the inner geometry and inner_rule its xi rule; flip is the
     sign of x in the outer sigma.  outer holds, per outer node x, the rule
     weight times exp(b log - log f) with f = E(x), or E(x)/x on the corner
-    loops; inner holds, per (x, xi) point, the xi weight times
-    exp(b logs + g log diag - log E(y)/y), logs = log xi + log E(y)/y.  The
-    corner sections at kappa = 6 also keep the two logs, by which the
-    b-derivative multiplies; elsewhere these are None.
+    loops.  The corner sections at kappa = 6 also keep outer_logs, the logs
+    by which the b-derivative multiplies; elsewhere it is None.  The inner
+    weights per (x, xi) point are built by _inner_chunks, chunk by chunk,
+    inside the moment loop.
     """
 
     kind: str
@@ -421,8 +417,6 @@ class _P2Section:
     x: np.ndarray
     outer: np.ndarray
     outer_logs: np.ndarray | None
-    inner: np.ndarray
-    inner_logs: np.ndarray | None
 
 
 def _p2_layout(tau: complex, order: int, levels: int, loop_nodes: int,
@@ -459,68 +453,78 @@ def _p2_reach(tau: complex, order: int, levels: int, loop_nodes: int,
 
 def _p2_tables(tau: complex, order: int, levels: int, loop_nodes: int,
                kappa: int) -> tuple:
-    """The four sections' tables at one tau, rule shape and kappa, built in
-    chunks of _CHUNK_POINTS.  They are not cached: only a moment table
-    build (_p2_moments) reads them, and at kappa = 8 they hold about 5 MB
-    at the default spec and 12 MB at its refined one.
+    """theta1'(0) and the four sections' outer tables at one tau, rule shape
+    and kappa.  They are not cached: only a moment table build
+    (_p2_moments) reads them.
 
-    Every power base (E(y)/y, E(d)/d at the corners, E(x - y) on the right
-    half, E(x) and E(x)/x) stays close to 1 or on the positive axis, so all
-    powers are principal.  The x -> 0 corner's (1-xi)^g and the x -> 1
-    corner's (1+xi)^g sit in the inner rule weights.
+    Every power base (E(x) and E(x)/x here, E(y)/y, E(d)/d at the corners
+    and E(x - y) on the right half in _inner_chunks) stays close to 1 or on
+    the positive axis, so all powers are principal.
     """
-    b, g = -4.0 / kappa, 2.0 / kappa
+    b = -4.0 / kappa
     prime0 = specfun.theta1(0.0, ModularPoint(tau), d_lambda=1)
     sections = []
     for kind, flip, rule, inner in _p2_layout(tau, order, levels, loop_nodes,
                                               kappa):
         x, is_corner = rule.nodes, rule.n_loop > 0
-        slope = is_corner and kappa == 6
-        tensor = np.empty((x.size, inner.nodes.size), dtype=complex)
-        tensor_logs = np.empty_like(tensor) if slope else None
-        step = max(1, _CHUNK_POINTS // inner.nodes.size)
-        for lo in range(0, x.size, step):
-            y, d, _ = _geometry(kind, x[lo:lo + step, None], inner.nodes)
-            th_y, th_d = specfun._theta1_array(np.stack([y, d]), tau)
-            log_ez = np.log(th_y / (y * prime0))
-            diag = th_d / prime0
-            if kind != "half":
-                diag = diag / d
-            logs = inner.logs + log_ez
-            # xi^b (E(y)/y)^(b-1) diag^g with the xi weight
-            tensor[lo:lo + step] = inner.weights * np.exp(
-                b * logs + (g * np.log(diag) - log_ez))
-            if slope:
-                tensor_logs[lo:lo + step] = logs
         f = specfun._theta1_array(x, tau) / prime0
         if is_corner:
             f = f / x
         log_f = np.log(f)
         logs = rule.logs + log_f
         arrays = [x, rule.weights * np.exp(b * logs - log_f),
-                  logs if slope else None, tensor, tensor_logs]
+                  logs if is_corner and kappa == 6 else None]
         for arr in arrays:
             if arr is not None:
                 arr.setflags(write=False)
         sections.append(_P2Section(kind, flip, inner, *arrays))
-    return tuple(sections)
+    return prime0, tuple(sections)
 
 
-def _inner_moments(sec: _P2Section, wind: complex, c: float,
-                   top: int) -> np.ndarray:
+def _inner_chunks(sec: _P2Section, tau: complex, kappa: int,
+                  prime0: complex):
+    """Per chunk of _CHUNK_POINTS (x, xi) points of a section, (chunk, y,
+    weights, logs): the slice of its outer nodes, y at the points, the xi
+    weight times exp(b logs + g log diag - log E(y)/y), and logs = log xi +
+    log E(y)/y where the section keeps outer_logs (None elsewhere).
+
+    The x -> 0 corner's (1-xi)^g and the x -> 1 corner's (1+xi)^g sit in
+    the inner rule weights.
+    """
+    b, g = -4.0 / kappa, 2.0 / kappa
+    inner = sec.inner_rule
+    step = max(1, _CHUNK_POINTS // inner.nodes.size)
+    for lo in range(0, sec.x.size, step):
+        chunk = slice(lo, lo + step)
+        y, d, _ = _geometry(sec.kind, sec.x[chunk, None], inner.nodes)
+        th_y, th_d = specfun._theta1_array(np.stack([y, d]), tau)
+        log_ez = np.log(th_y / (y * prime0))
+        diag = th_d / prime0
+        if sec.kind != "half":
+            diag = diag / d
+        logs = inner.logs + log_ez
+        # xi^b (E(y)/y)^(b-1) diag^g with the xi weight
+        weights = inner.weights * np.exp(b * logs
+                                         + (g * np.log(diag) - log_ez))
+        yield chunk, y, weights, logs if sec.outer_logs is not None else None
+
+
+def _inner_moments(sec: _P2Section, tau: complex, kappa: int, prime0: complex,
+                   wind: complex, c: float, top: int) -> np.ndarray:
     """Per outer node x, the xi sums of the inner weights (loop columns over
-    wind; then, with inner_logs, the b-derivative's) times e^(4 pi i c s y)
+    wind; then, with their logs, the b-derivative's) times e^(4 pi i c s y)
     e^(i pi p y): rows (weight, s = 1, -1), columns the odd p up to top."""
-    x, xi, n_loop = sec.x, sec.inner_rule.nodes, sec.inner_rule.n_loop
-    slope = sec.inner_logs is not None
+    xi, n_loop = sec.inner_rule.nodes, sec.inner_rule.n_loop
+    slope = sec.outer_logs is not None
     cols = np.ones(xi.size, dtype=complex)
     cols[:n_loop] /= wind
-    out = np.empty((x.size, 2 + 2 * slope, top + 1), dtype=complex)
-    step, mid = max(1, _CHUNK_POINTS // xi.size), (top + 1) // 2
-    # h^p for the odd p, one contiguous (x, p, xi) block for the matmul
-    buffer = np.empty((min(step, x.size), top + 1, xi.size), dtype=complex)
-    for lo in range(0, x.size, step):
-        y = _geometry(sec.kind, x[lo:lo + step, None], xi)[0]
+    out = np.empty((sec.x.size, 2 + 2 * slope, top + 1), dtype=complex)
+    mid, buffer = (top + 1) // 2, None
+    for chunk, y, inner, logs in _inner_chunks(sec, tau, kappa, prime0):
+        # h^p for the odd p, one contiguous (x, p, xi) block for the matmul;
+        # the first chunk is the largest
+        if buffer is None:
+            buffer = np.empty((y.shape[0], top + 1, xi.size), dtype=complex)
         h = np.exp(1j * math.pi * y)
         h_inv = 1.0 / h
         z, z_inv = h * h, h_inv * h_inv
@@ -529,17 +533,16 @@ def _inner_moments(sec: _P2Section, wind: complex, c: float,
         for k in range(1, mid):
             np.multiply(powers[:, mid + k - 1], z, out=powers[:, mid + k])
             np.multiply(powers[:, mid - k], z_inv, out=powers[:, mid - k - 1])
-        inner = sec.inner[lo:lo + step]
         weights = [inner * cols]
         if slope:
             # d/db of the loop division by loop_winding(b - 1) is
             # -2 pi i (wind + 1) / wind^2
-            weights.append(inner * sec.inner_logs[lo:lo + step] * cols)
+            weights.append(inner * logs * cols)
             weights[1][:, :n_loop] -= (inner[:, :n_loop] * 2j * math.pi
                                        * (wind + 1.0) / wind ** 2)
         q = np.exp(4j * math.pi * c * y)
         rows = np.stack([w * f for w in weights for f in (q, 1.0 / q)], axis=1)
-        out[lo:lo + step] = rows @ powers.transpose(0, 2, 1)
+        out[chunk] = rows @ powers.transpose(0, 2, 1)
     return out
 
 
@@ -562,9 +565,9 @@ def _p2_moments(tau: complex, order: int, levels: int, loop_nodes: int,
     odd, _, js, _, _ = modes = _modes(coefs, level)
     top = odd[-1] + 4 * js[-1]
     tables = np.zeros((3, 2, odd.size, odd.size, js.size), dtype=complex)
-    for i, sec in enumerate(_p2_tables(tau, order, levels, loop_nodes,
-                                       kappa)):
-        moments = _inner_moments(sec, wind, c, top)
+    prime0, sections = _p2_tables(tau, order, levels, loop_nodes, kappa)
+    for i, sec in enumerate(sections):
+        moments = _inner_moments(sec, tau, kappa, prime0, wind, c, top)
         pos = _geometry(sec.kind, sec.x, 0.0)[2]
         basis = sec.flip * sec.outer[:, None] * np.exp(
             1j * math.pi * np.outer(sec.flip * sec.x, odd))

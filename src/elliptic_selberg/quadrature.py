@@ -1,10 +1,14 @@
-"""Quadrature toolkit: graded Gauss-Legendre meshes and endpoint loops.
+"""Quadrature toolkit: graded Gauss-Legendre meshes, Gauss-Jacobi rules
+and endpoint loops.
 
 An endpoint-singular integrand t**a * h(t) with h analytic is either graded
 into (levels_for_exponent sets the depth for the power) or continued in the
 exponent by an endpoint loop: the finite part of the integral over [0, r]
 equals 1/(e^{2 pi i a} - 1) times the counterclockwise circle integral of
 the branch-tracked integrand at |t| = r, exact for any non-integer exponent.
+An integrable power (1-x)^alpha (1+x)^beta can instead sit in the weight of
+a Gauss-Jacobi rule (gauss_jacobi, by Golub and Welsch, "Calculation of
+Gauss quadrature rules", Math. Comp. 23, 1969).
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ __all__ = [
     "QuadratureSpec",
     "EvalBudget",
     "gauss_legendre",
+    "gauss_jacobi",
     "panel_nodes",
     "graded_breakpoints",
     "graded_nodes",
@@ -56,8 +61,10 @@ class QuadratureSpec:
         if self.loop_nodes < 16:
             raise ValueError("loop_nodes must be at least 16")
 
+    @lru_cache(maxsize=64)
     def refined(self) -> "QuadratureSpec":
-        """A strictly finer spec, used for mesh-comparison error estimates."""
+        """A strictly finer spec, used for mesh-comparison error estimates;
+        memoised per spec."""
         return replace(self,
                        gauss_order=self.gauss_order + 6,
                        graded_mesh_levels=self.graded_mesh_levels + 8,
@@ -83,6 +90,54 @@ class EvalBudget:
 @lru_cache(maxsize=64)
 def gauss_legendre(order: int):
     x, w = np.polynomial.legendre.leggauss(order)
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
+
+
+@lru_cache(maxsize=64)
+def gauss_jacobi(n: int, alpha: float, beta: float):
+    """Gauss-Jacobi nodes/weights for (1-x)^alpha (1+x)^beta on [-1, 1].
+
+    Golub-Welsch: the nodes are the eigenvalues of the Jacobi matrix of the
+    monic recurrence, polished by two Newton steps on P_n^(alpha, beta).
+    The weights are 1 / ((1 - x^2) P_n'(x)^2) at the polished nodes, scaled
+    to sum to mu0 = 2^(alpha+beta+1) B(alpha+1, beta+1).  P_n and P_n' come
+    from the three-term recurrence and its derivative.  alpha, beta > -1.
+    """
+    a, b, k = alpha, beta, np.arange(n, dtype=float)
+    s = 2.0 * k + a + b
+    # the 0/0 at k = 0 where a + b = 0 and at k = 1 where a + b = -1 are
+    # taken at their limits
+    with np.errstate(divide="ignore", invalid="ignore"):
+        diag = np.where(s == 0.0, (b - a) / (a + b + 2.0),
+                        (b * b - a * a) / (s * (s + 2.0)))
+        k, s = k[1:], s[1:]
+        off = np.sqrt(np.where(s == 1.0, 2.0 * (1.0 + a) * (1.0 + b),
+                               4.0 * k * (k + a) * (k + b) * (k + a + b)
+                               / (s * s * (s + 1.0) * (s - 1.0))))
+    x = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+
+    def value_and_slope(x):
+        p0, p = np.ones_like(x), 0.5 * (a - b + (a + b + 2.0) * x)
+        d0, d = np.zeros_like(x), np.full_like(x, 0.5 * (a + b + 2.0))
+        for m in range(1, n):
+            t = 2.0 * m + a + b
+            lin = (t + 1.0) * t * (t + 2.0)
+            c = lin * x + (t + 1.0) * (a * a - b * b)
+            back = 2.0 * (m + a) * (m + b) * (t + 2.0)
+            den = 2.0 * (m + 1.0) * (m + a + b + 1.0) * t
+            p0, p, d0, d = (p, (c * p - back * p0) / den,
+                            d, (c * d + lin * p - back * d0) / den)
+        return p, d
+
+    for _ in range(2):
+        p, d = value_and_slope(x)
+        x = x - p / d
+    w = 1.0 / ((1.0 - x) * (1.0 + x) * value_and_slope(x)[1] ** 2)
+    mu0 = math.exp((a + b + 1.0) * math.log(2.0) + math.lgamma(a + 1.0)
+                   + math.lgamma(b + 1.0) - math.lgamma(a + b + 2.0))
+    w *= mu0 / w.sum()
     x.setflags(write=False)
     w.setflags(write=False)
     return x, w

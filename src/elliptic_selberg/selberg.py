@@ -116,16 +116,48 @@ def selberg_value(params: SelbergParams) -> complex:
     return complex(cmath.exp(log_total - math.lgamma(p + 1)))
 
 
+# Stirling's series for log Gamma(z): the coefficients B_2k / (2k (2k - 1))
+# of z^(1 - 2k), k = 1..8, used at |z| >= _STIRLING_FROM, where the first
+# omitted term is below 2e-18
+_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188,
+             -691 / 360360, 1 / 156, -3617 / 122400)
+_STIRLING_FROM = 10.0
+_HALF_LOG_2PI_OVER_E = 0.5 * (math.log(2.0 * math.pi) - 1.0)
+
+
 def _log_gamma(z: complex) -> complex:
     """log Gamma(z) up to 2 pi i Z: math.lgamma (plus i pi where Gamma < 0)
-    on the real line, where every block constant lies, and scipy's loggamma,
-    imported on first use, off it."""
+    on the real line, where every block constant lies.  Off it, reflection
+    Gamma(z) Gamma(1 - z) = pi / sin(pi z) for Re z < 1/2, with sin taken
+    at z less its nearest integer k (sin(pi z) = (-1)^k sin(pi (z - k))),
+    and Stirling's series after the upward shift Gamma(z) = Gamma(z + m) /
+    (z (z + 1) ... (z + m - 1)) to |z + m| >= _STIRLING_FROM."""
     if z.imag == 0:
         negative = z.real < 0 and math.ceil(-z.real) % 2
         return complex(math.lgamma(z.real), math.pi if negative else 0.0)
-    from scipy.special import loggamma
-
-    return complex(loggamma(z))
+    if z.real < 0.5:
+        k = round(z.real)
+        w = z - k
+        if abs(w.imag) > 10.0:
+            # sin(pi w) = (s i / 2) e^(-s i pi w) (1 - e^(2 s i pi w)), s
+            # the sign of Im w, whose last factor is within 1e-27 of 1;
+            # cmath.sin overflows beyond |Im w| of about 225
+            sign = math.copysign(1.0, w.imag)
+            log_sin = cmath.log(0.5j * sign) - 1j * sign * math.pi * w
+        else:
+            log_sin = cmath.log(cmath.sin(math.pi * w))
+        return (math.log(math.pi) - 1j * math.pi * k - _log_gamma(1.0 - z)
+                - log_sin)
+    shift = 1.0
+    while abs(z) < _STIRLING_FROM:
+        shift *= z
+        z += 1.0
+    inv2, series = 1.0 / (z * z), 0.0
+    for coef in reversed(_STIRLING):
+        series = series * inv2 + coef
+    # (z - 1/2) log z - z + log(2 pi) / 2, regrouped to round less
+    return ((z - 0.5) * (cmath.log(z) - 1.0) + _HALF_LOG_2PI_OVER_E
+            + series / z - cmath.log(shift))
 
 
 # ---------------------------------------------------------------------------

@@ -28,12 +28,19 @@ def run(args, capsys):
 # start-up
 # ---------------------------------------------------------------------------
 
-def test_import_and_series_proofs_load_no_scipy():
-    # scipy backs only selberg_value's loggamma, imported on first use, so
-    # `ellsel eval`/`series` and the series prerequisites start without it
+def test_the_package_never_imports_scipy():
+    # the package runs on numpy alone: importing it, the series proofs, a
+    # cold p = 2 u_block (its Gauss-Jacobi corner rules) at kappa = 6 and 8
+    # and the closed form at complex parameters (its log Gamma) load no scipy
     code = ("import sys\n"
             "from elliptic_selberg import cli, verify\n"
+            "from elliptic_selberg.blocks import BlockIndex, u_block\n"
+            "from elliptic_selberg.selberg import SelbergParams, selberg_value\n"
+            "from elliptic_selberg.specfun import ModularPoint\n"
             "assert all(verify.series_prerequisites().values())\n"
+            "for kappa in (6, 8):\n"
+            "    u_block(BlockIndex(2, kappa, 3), 0.3, ModularPoint(0.9j))\n"
+            "selberg_value(SelbergParams(2, 0.5 + 0.2j, 0.7, 0.25))\n"
             "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n")
     src = Path(cli.__file__).resolve().parent.parent
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,

@@ -2,6 +2,7 @@
 normalization constants and the quadrature toolkit itself."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from elliptic_selberg.errors import (
 from elliptic_selberg.quadrature import (
     QuadratureSpec,
     endpoint_loop_fp,
+    gauss_jacobi,
     graded_breakpoints,
     graded_nodes,
     levels_for_exponent,
@@ -96,6 +98,23 @@ def test_denominator_pole_gives_zero():
 def test_params_validation():
     with pytest.raises(ValueError):
         SelbergParams(-1, 1, 1, 1)
+
+
+@given(z=st.complex_numbers(max_magnitude=50.0, allow_nan=False,
+                            allow_infinity=False))
+@settings(max_examples=200, deadline=None)
+def test_log_gamma_matches_mpmath(z):
+    # Gamma(z) to the last bits the magnitude of log Gamma leaves: a double
+    # log Gamma of modulus M carries an absolute rounding error near eps M
+    # (1.4e-14 at M = 128), so the bound is 1e-14 plus 3 eps M
+    mpmath = pytest.importorskip("mpmath")
+    k = round(z.real)
+    assume(k > 0 or abs(z - k) > 1e-3)  # off the poles
+    with mpmath.workdps(40):
+        ref = mpmath.loggamma(mpmath.mpc(z.real, z.imag))
+        err = abs(mpmath.exp(mpmath.mpc(selberg._log_gamma(z)) - ref) - 1)
+        bound = 1e-14 + 3 * np.finfo(float).eps * abs(ref)
+    assert err <= bound, (z, float(err))
 
 
 # ---------------------------------------------------------------------------
@@ -329,11 +348,98 @@ def test_block_constant_vanishes_in_dead_range():
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("z", [-0.5 + 300j, 0.3 - 400j, -7.2 + 10.5j,
+                               -7.2 - 9.5j, 3 + 300j, -40.7 + 12j])
+def test_log_gamma_far_off_the_real_axis(z):
+    # past |Im z| = 10 the reflection takes log sin(pi z) from its leading
+    # exponential, where cmath.sin overflows (beyond |Im z| of about 225)
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        ref = mpmath.loggamma(mpmath.mpc(z.real, z.imag))
+        err = abs(mpmath.exp(mpmath.mpc(selberg._log_gamma(z)) - ref) - 1)
+        assert err <= 1e-14 + 3 * np.finfo(float).eps * abs(ref), float(err)
+
+
 def test_quadrature_spec_validation():
     with pytest.raises(ValueError):
         QuadratureSpec(gauss_order=4)
     fine = QuadratureSpec().refined()
     assert fine.gauss_order > QuadratureSpec().gauss_order
+    # memoised per spec: equal specs share one refined spec
+    assert QuadratureSpec().refined() is fine
+    assert QuadratureSpec(max_evals=5).refined() == replace(fine, max_evals=5)
+
+
+def golub_welsch_mp(n, alpha, beta, guesses, dps=30):
+    """The Gauss-Jacobi rule of the Jacobi matrix in dps-digit arithmetic:
+    its eigenvalues as roots of the characteristic polynomial, by Newton
+    from the guesses, and the weights mu0 v0^2 = mu0 / sum_k v_k^2 of the
+    eigenvectors v, v_0 = 1, from the matrix rows.  Newton converges
+    quadratically from a guess within 1e-15, so two steps suffice; the
+    second must be below 1e-25."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(dps):
+        a, b = mpmath.mpf(alpha), mpmath.mpf(beta)
+        diag, off = [], [mpmath.mpf(0)]
+        for k in range(n):
+            s = 2 * k + a + b
+            diag.append((b - a) / (a + b + 2) if k == 0
+                        else (b * b - a * a) / (s * (s + 2)))
+            if k:
+                off.append(mpmath.sqrt(4 * k * (k + a) * (k + b) * (k + a + b)
+                                       / (s * s * (s + 1) * (s - 1))))
+        off2 = [o * o for o in off]
+        nodes = []
+        for x in guesses:
+            x = mpmath.mpf(float(x))
+            for _ in range(2):
+                p0, p, d0, d = 1, x - diag[0], 0, 1
+                for k in range(1, n):
+                    t = x - diag[k]
+                    p0, p, d0, d = (p, t * p - off2[k] * p0,
+                                    d, p + t * d - off2[k] * d0)
+                step = p / d
+                x -= step
+            assert abs(step) < 1e-25
+            nodes.append(x)
+        mu0 = 2 ** (a + b + 1) * mpmath.beta(a + 1, b + 1)
+        weights = []
+        for x in nodes:
+            v0, v, total = 0, 1, 1
+            for k in range(n - 1):
+                v0, v = v, ((x - diag[k]) * v - off[k] * v0) / off[k + 1]
+                total += v * v
+            weights.append(mu0 / total)
+        return nodes, weights
+
+
+@pytest.mark.parametrize("n", [32, 44])
+def test_gauss_jacobi_matches_an_mpmath_rule(n):
+    # the p = 2 corner tails' rules: alpha = 2/kappa, beta = 0
+    mpmath = pytest.importorskip("mpmath")
+    for kappa in range(6, 21):
+        x, w = gauss_jacobi(n, 2.0 / kappa, 0.0)
+        nodes, weights = golub_welsch_mp(n, 2.0 / kappa, 0.0, x)
+        assert all(b - a > 1e-3 for a, b in zip(nodes, nodes[1:]))
+        for xi, wi, node, weight in zip(x, w, nodes, weights):
+            assert abs(mpmath.mpf(float(xi)) - node) <= 2e-16
+            assert abs(mpmath.mpf(float(wi)) / weight - 1) <= 1e-13
+    assert not x.flags.writeable and not w.flags.writeable
+
+
+@pytest.mark.parametrize("n,alpha,beta", [
+    (1, 0.2, 0.1), (7, 0.5, -0.3), (20, -0.5, 0.5), (12, -0.5, -0.5),
+    (9, -0.3, -0.7), (16, 0.0, 0.0), (32, 1 / 3, 0.0),
+    (44, 2 / 9, 0.0), (44, 0.1, 0.0)])
+def test_gauss_jacobi_integrates_powers_exactly(n, alpha, beta):
+    # int (1-x)^alpha (1+x)^(beta+k) dx = 2^(alpha+beta+k+1)
+    # B(alpha+1, beta+k+1), exact for k <= 2n - 1
+    mpmath = pytest.importorskip("mpmath")
+    x, w = gauss_jacobi(n, alpha, beta)
+    for k in range(2 * n):
+        want = 2 ** mpmath.mpf(alpha + beta + k + 1) * mpmath.beta(
+            alpha + 1, beta + k + 1)
+        assert abs(np.sum(w * (1.0 + x) ** k) / want - 1) <= 2e-13, k
 
 
 def test_graded_breakpoints_shape():
