@@ -35,7 +35,7 @@ kappa g = 2 the level theta's are e^(4 pi i c t) times integer powers of
 theta1's e^(i pi t).  So a pass contracts cached moment tables (sums over
 the nodes of the weights times those exponentials) with a few phases in
 lambda and evaluates nothing per node.  The tables are keyed on (tau,
-rule shape (the spec less its budget cap), kappa, n) and the memoised
+rule shape (the spec less its point cap), kappa, n) and the memoised
 series coefficients, whose term counts follow |Im lam| + max |Im node|,
 and hold their logs.  They are built from lambda-independent rules: at
 p = 1 the endpoint circle and middle path, whose weights and logs carry
@@ -51,6 +51,13 @@ the moment loop rather than as whole section tensors (5 MB coarse and
 12 MB refined at kappa = 8): about 0.7 s at kappa = 8 with a heap peak
 of about 7 MB.  The corner tails' Gauss-Jacobi rule comes from
 quadrature.gauss_jacobi, so the package needs no scipy.
+
+A pass costs the quadrature points its tables sum over, read from the
+cached rules and the same cold or warm: none at p = 0; at p = 1 the circle
+once per end plus the middle path; at p = 2 the outer times the inner
+nodes, summed over the four sections.  Before any table is built, each
+spec's count is checked against its max_evals (QuadratureSpec.check_points),
+and BlockValue.budget_used reports the count of both passes.
 """
 
 from __future__ import annotations
@@ -64,7 +71,6 @@ import numpy as np
 
 from .errors import OutOfSupportedRange, UnsupportedP
 from .quadrature import (
-    EvalBudget,
     QuadratureSpec,
     endpoint_loop_nodes,
     # blocks.roots_jacobi is the name perfbench/spans.py traces
@@ -123,7 +129,8 @@ class BlockIndex:
 
 @dataclass(frozen=True)
 class BlockValue:
-    """Numerical value with a mesh-comparison error estimate (not a bound)."""
+    """Numerical value with a mesh-comparison error estimate (not a bound)
+    and the quadrature points of its coarse and refined passes."""
 
     value: complex
     error_estimate: float
@@ -295,8 +302,8 @@ def _p1_moments(tau: complex, order: int, levels: int, loop_nodes: int,
     return modes, table
 
 
-def _j_p1(idx: BlockIndex, lam: complex, pt: ModularPoint, shapes: list,
-          budgets: list) -> list:
+def _j_p1(idx: BlockIndex, lam: complex, pt: ModularPoint,
+          shapes: list) -> list:
     """(J(lam), J(-lam)) per rule shape: endpoint circles and middle path.
 
     J(mu) sums, over the nodes x of the sections (rule, flip, offset), weight
@@ -309,12 +316,8 @@ def _j_p1(idx: BlockIndex, lam: complex, pt: ModularPoint, shapes: list,
     relative-accurate array kernel.
     """
     reaches = []
-    for shape, budget in zip(shapes, budgets):
-        circle, middle, im = _p1_tables(pt.tau, *shape)
-        # per sign, four factor evaluations per middle node (E, theta1 twice
-        # in sigma, the level theta), one for theta1(mu), five per circle node
-        # and end (E(t)/t, theta1 twice in t sigma(t), the level theta, t^a)
-        budget.charge(2 * (4 * middle.nodes.size + 1 + 10 * circle.nodes.size))
+    for shape in shapes:
+        im = _p1_tables(pt.tau, *shape)[2]
         # the term counts, and so the table, follow |Im lam| + max |Im node|
         reaches.append((shape, im, im))
     div, sides = _lambda_side(_p1_moments, lam, pt.tau, idx.kappa,
@@ -613,8 +616,8 @@ def _p2_rows(idx: BlockIndex, lam: complex, tau: complex,
                      for tables, phases in sides])
 
 
-def _j_p2(idx: BlockIndex, lam: complex, pt: ModularPoint, shapes: list,
-          budgets: list) -> list:
+def _j_p2(idx: BlockIndex, lam: complex, pt: ModularPoint,
+          shapes: list) -> list:
     """(J(lam), J(-lam)) per rule shape from the four half shapes' rows."""
     if abs(complex(lam).imag) > 1e-12 or abs(pt.tau.real) > 1e-12:
         raise OutOfSupportedRange(
@@ -633,14 +636,6 @@ def _j_p2(idx: BlockIndex, lam: complex, pt: ModularPoint, shapes: list,
     # the limit (N+' + N-') / W'(b): the finite part of x^A at a negative
     # integer (Gel'fand and Shilov, Generalized Functions, vol. 1, ch. I, 3).
     at_pole = idx.kappa == 6
-    # The charge, made before any table is built and the same whether or
-    # not they are cached: per (x, xi) point theta1 on y, the diagonal and
-    # lam -+ y and the four level thetas, per outer node theta1 on x and
-    # lam -+ x.  The tables do not depend on the budget cap.
-    for shape, budget in zip(shapes, budgets):
-        budget.charge(sum((8 * inner.nodes.size + 3) * outer.nodes.size
-                          for _, _, outer, inner in _p2_layout(
-                              pt.tau, *shape, idx.kappa)))
     rows = _p2_rows(idx, complex(lam).real + 0j, pt.tau, shapes)
     # J(sigma lam) sums its two half shapes, rows (sigma, 1) and (sigma, -1)
     corners, slopes, rests = np.moveaxis(
@@ -664,8 +659,8 @@ def _as_lambda(lam, pt: ModularPoint) -> complex:
     return arg.lam
 
 
-def _j_p0(idx: BlockIndex, lam: complex, pt: ModularPoint, shapes: list,
-          budgets: list) -> list:
+def _j_p0(idx: BlockIndex, lam: complex, pt: ModularPoint,
+          shapes: list) -> list:
     """(J(lam), J(-lam)) of the empty integral: level-theta values."""
     return [tuple(specfun.theta_level(idx.kappa, idx.reduced_n, mu, pt)
                   for mu in (lam, -lam))] * len(shapes)
@@ -674,30 +669,44 @@ def _j_p0(idx: BlockIndex, lam: complex, pt: ModularPoint, shapes: list,
 _PASSES = {0: _j_p0, 1: _j_p1, 2: _j_p2}
 
 
+def _points(idx: BlockIndex, pt: ModularPoint, shape: tuple) -> int:
+    """The quadrature points a pass at one rule shape sums over, from its
+    cached rules (see the module docstring)."""
+    if idx.p == 1:
+        circle, middle, _ = _p1_tables(pt.tau, *shape)
+        return 2 * circle.nodes.size + middle.nodes.size
+    if idx.p == 2:
+        return sum(outer.nodes.size * inner.nodes.size for _, _, outer, inner
+                   in _p2_layout(pt.tau, *shape, idx.kappa))
+    return 0
+
+
 def _passes(idx: BlockIndex, lam, pt: ModularPoint, quads: tuple) -> tuple:
-    """Per spec, a pass (J(lam), J(-lam)) and its budget; no table depends
-    on the budget cap, and the passes share their lambda side."""
+    """Per spec, a pass (J(lam), J(-lam)) and its quadrature points, every
+    count checked against its cap before any pass runs; no table depends on
+    the cap, and the passes share their lambda side."""
     if idx.p not in _PASSES:
         raise UnsupportedP(f"p = {idx.p} is beyond the implemented range (p <= 2)")
-    budgets = [EvalBudget(quad.max_evals) for quad in quads]
     shapes = [(q.gauss_order, q.graded_mesh_levels, q.loop_nodes) for q in quads]
-    return _PASSES[idx.p](idx, lam, pt, shapes, budgets), budgets
+    points = [quad.check_points(_points(idx, pt, shape))
+              for quad, shape in zip(quads, shapes)]
+    return _PASSES[idx.p](idx, lam, pt, shapes), points
 
 
 def _one_value(idx: BlockIndex, lam, pt: ModularPoint,
                quad: QuadratureSpec) -> tuple:
-    """One pass, (J(lam), J(-lam)), and its budget."""
-    (values,), (budget,) = _passes(idx, lam, pt, (quad,))
-    return values, budget
+    """One pass, (J(lam), J(-lam)), and its quadrature points."""
+    (values,), (points,) = _passes(idx, lam, pt, (quad,))
+    return values, points
 
 
 def _two_passes(idx: BlockIndex, lam, pt: ModularPoint,
                 quad: QuadratureSpec | None) -> tuple:
-    """The requested (coarse) pass, a refined one and their summed budget."""
+    """The requested (coarse) pass, a refined one and their summed points."""
     quad = quad or QuadratureSpec()
-    (coarse, fine), budgets = _passes(idx, _as_lambda(lam, pt), pt,
-                                      (quad, quad.refined()))
-    return coarse, fine, sum(budget.used for budget in budgets)
+    (coarse, fine), points = _passes(idx, _as_lambda(lam, pt), pt,
+                                     (quad, quad.refined()))
+    return coarse, fine, sum(points)
 
 
 def j_integral(idx: BlockIndex, lam, pt: ModularPoint,

@@ -82,7 +82,7 @@ def _add_quadrature_options(sub):
     sub.add_argument("--mesh-levels", type=int, default=None,
                      help="graded-mesh depth override")
     sub.add_argument("--max-evals", type=int, default=None,
-                     help="integrand evaluation budget override")
+                     help="cap on the quadrature points of one pass")
 
 
 def _quad_from_args(args) -> QuadratureSpec:
@@ -277,16 +277,11 @@ def _cmd_block(args) -> int:
 
 
 def _verify_rows(report) -> list:
-    rows = []
-    scale = max(abs(z) for z in report.rhs)
-    for lam, lhs, rhs in zip(report.inputs["lambda_grid"], report.lhs,
-                             report.rhs):
-        denom = abs(rhs) if abs(rhs) > 1e-3 * scale else scale
-        rel = abs(lhs - rhs) / denom
-        rows.append((report.name, "lambda", repr(lam), repr(lhs.real),
-                     repr(lhs.imag), repr(rhs.real), repr(rhs.imag),
-                     repr(rel), rel <= report.tolerance))
-    return rows
+    rels = verify_mod.rel_errors(report.lhs, report.rhs)
+    return [(report.name, "lambda", repr(lam), repr(lhs.real), repr(lhs.imag),
+             repr(rhs.real), repr(rhs.imag), repr(rel), rel <= report.tolerance)
+            for lam, lhs, rhs, rel in zip(report.inputs["lambda_grid"],
+                                          report.lhs, report.rhs, rels)]
 
 
 def _cmd_verify(args) -> int:

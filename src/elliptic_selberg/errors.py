@@ -32,7 +32,7 @@ class OutOfSupportedRange(EllipticSelbergError):
 
 
 class QuadratureBudgetExceeded(EllipticSelbergError):
-    """An integration run exceeded its evaluation budget."""
+    """A pass's quadrature points exceed the max_evals of its spec."""
 
 
 class UnsupportedBuiltin(EllipticSelbergError):
@@ -41,10 +41,6 @@ class UnsupportedBuiltin(EllipticSelbergError):
 
 class OrderTooSmall(EllipticSelbergError):
     """A series operation would need terms beyond the truncation order."""
-
-
-class NonUnitLeading(EllipticSelbergError):
-    """series_pow requires a leading coefficient of exactly 1."""
 
 
 class DegenerateGram(EllipticSelbergError):

@@ -86,13 +86,6 @@ class LaurentPoly:
     def evaluate(self, z: complex) -> complex:
         return sum(c * z ** m for m, c in self.coeffs.items())
 
-    def degree(self) -> int:
-        return max((abs(m) for m in self.coeffs), default=0)
-
-    def is_x_even(self, tol: float = 1e-12) -> bool:
-        return all(abs(c - self.coefficient(-m)) <= tol
-                   for m, c in self.coeffs.items())
-
     def __repr__(self):
         terms = ", ".join(f"{m}: {c:.4g}" for m, c in sorted(self.coeffs.items()))
         return f"LaurentPoly({{{terms}}})"

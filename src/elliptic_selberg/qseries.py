@@ -29,18 +29,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .errors import NonUnitLeading, OrderTooSmall, UnsupportedBuiltin
+from .errors import OrderTooSmall, UnsupportedBuiltin
 
 __all__ = [
     "GaussianRational",
     "BivariateSeries",
     "SeriesIdentity",
     "expand_builtin",
-    "series_pow",
     "check_series_identity",
     "named_identity",
     "NAMED_IDENTITIES",
-    "alternation_report",
     "series_rows",
 ]
 
@@ -107,9 +105,6 @@ class GaussianRational:
         sign = "+" if self.im > 0 else "-"
         return f"{self.re}{sign}{abs(self.im)}*i"
 
-    def to_complex(self) -> complex:
-        return complex(self.re) + 1j * complex(self.im)
-
 
 def _coerce(v) -> GaussianRational:
     if isinstance(v, GaussianRational):
@@ -174,27 +169,12 @@ class BivariateSeries:
 
     # -- basic structure ----------------------------------------------------
 
-    def copy(self) -> "BivariateSeries":
-        s = BivariateSeries(order=self.order)
-        s.coeffs = dict(self.coeffs)
-        return s
-
     @property
     def lead_qexp(self) -> Fraction:
         """Smallest q-exponent present; for an (apparently) zero series the order."""
         if not self.coeffs:
             return self.order
         return min(qe for (qe, _) in self.coeffs)
-
-    def leading_terms(self):
-        """All (qexp, xexp, coeff) at the smallest q-exponent."""
-        if not self.coeffs:
-            return []
-        lead = self.lead_qexp
-        return sorted((qe, xe, c) for (qe, xe), c in self.coeffs.items() if qe == lead)
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
 
     def __eq__(self, other):
         if not isinstance(other, BivariateSeries):
@@ -260,22 +240,6 @@ class BivariateSeries:
                 math.ceil(order * den))
         return _from_grid(acc, den, order)
 
-    def __pow__(self, k: int):
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("integer power must be a non-negative int; "
-                             "use series_pow for rational exponents")
-        result = BivariateSeries({(Fraction(0), 0): GR_ONE}, order=self.order + max(
-            (k - 1), 0) * self.lead_qexp)
-        base = self.copy()
-        kk = k
-        while kk:
-            if kk & 1:
-                result = result * base
-            kk >>= 1
-            if kk:
-                base = base * base
-        return result
-
     # -- x-variable helpers ---------------------------------------------------
 
     def x_invert(self) -> "BivariateSeries":
@@ -294,59 +258,11 @@ class BivariateSeries:
         }
         return out
 
-    def x_free(self) -> bool:
-        return all(xe == 0 for (_, xe) in self.coeffs)
-
     # -- display --------------------------------------------------------------
 
     def __repr__(self):
         n = len(self.coeffs)
         return f"BivariateSeries({n} terms, order<{self.order})"
-
-
-def series_pow(series: BivariateSeries, exponent) -> BivariateSeries:
-    """series**exponent for a rational exponent via the binomial series.
-
-    The leading monomial must have coefficient exactly 1; for a fractional
-    exponent its x-exponent times the exponent must stay an integer.  The
-    remaining factor (1 + u) with u of strictly positive q-valuation is
-    expanded binomially, which terminates below the truncation order.
-    """
-    e = _frac(exponent)
-    lead = series.leading_terms()
-    if not lead:
-        raise OrderTooSmall("cannot take a power of a series with no visible terms")
-    if len(lead) != 1:
-        raise NonUnitLeading(
-            "series_pow needs a unique leading monomial; "
-            f"found {len(lead)} terms at q-exponent {lead[0][0]}")
-    lq, lx, lc = lead[0]
-    if lc != GR_ONE:
-        raise NonUnitLeading(f"leading coefficient must be 1, got {lc}")
-    new_x = e * lx
-    if new_x.denominator != 1:
-        raise NonUnitLeading(
-            f"x-exponent {lx} times exponent {e} is not an integer")
-    tail_order = series.order - lq
-    if tail_order <= 0:
-        raise OrderTooSmall("truncation order leaves no room beyond the leading term")
-    # u = series / leading monomial - 1, valuation delta > 0
-    u = series.times_monomial(-lq, -lx)
-    u = u - BivariateSeries({(Fraction(0), 0): GR_ONE}, order=u.order)
-    out = BivariateSeries({(Fraction(0), 0): GR_ONE}, order=tail_order)
-    if not u.is_zero():
-        delta = u.lead_qexp
-        term = BivariateSeries({(Fraction(0), 0): GR_ONE}, order=tail_order)
-        coef = Fraction(1)
-        k = 0
-        while k * delta < tail_order:
-            k += 1
-            coef *= Fraction(e - (k - 1), k)
-            term = term * u
-            if term.is_zero() or coef == 0:
-                break
-            out = out + term.scale(coef)
-    return out.times_monomial(e * lq, int(new_x))
 
 
 # ---------------------------------------------------------------------------
@@ -477,44 +393,6 @@ def check_series_identity(identity: SeriesIdentity) -> SeriesCheckReport:
             break
     return SeriesCheckReport(
         name=identity.name,
-        passed=mismatch is None,
-        checked_order=order,
-        terms_compared=len(keys),
-        first_mismatch=mismatch,
-    )
-
-
-def alternation_report(name: str, plain: BivariateSeries,
-                       flipped: BivariateSeries) -> SeriesCheckReport:
-    """Check that two x-free series are related by q**(1/2) -> -q**(1/2).
-
-    Both series must have exponents in a common coset base + Z/2; the check
-    verifies coefficient-by-coefficient that flipped[base + k/2] equals
-    (-1)**k * plain[base + k/2].
-    """
-    if not (plain.x_free() and flipped.x_free()):
-        raise ValueError("alternation check needs x-free series")
-    order = min(plain.order, flipped.order)
-    keys = {qe for (qe, _) in plain.coeffs if qe < order}
-    keys |= {qe for (qe, _) in flipped.coeffs if qe < order}
-    if not keys:
-        return SeriesCheckReport(name, True, order, 0)
-    base = min(keys)
-    mismatch = None
-    for qe in sorted(keys):
-        steps = (qe - base) / Fraction(1, 2)
-        if steps.denominator != 1:
-            mismatch = (qe, 0, plain.coeffs.get((qe, 0), GR_ZERO),
-                        flipped.coeffs.get((qe, 0), GR_ZERO))
-            break
-        sign = -1 if int(steps) % 2 else 1
-        lc = plain.coeffs.get((qe, 0), GR_ZERO) * sign
-        rc = flipped.coeffs.get((qe, 0), GR_ZERO)
-        if lc != rc:
-            mismatch = (qe, 0, lc, rc)
-            break
-    return SeriesCheckReport(
-        name=name,
         passed=mismatch is None,
         checked_order=order,
         terms_compared=len(keys),

@@ -25,7 +25,6 @@ from .errors import OutOfSupportedRange, QuadratureBudgetExceeded
 
 __all__ = [
     "QuadratureSpec",
-    "EvalBudget",
     "gauss_legendre",
     "gauss_jacobi",
     "panel_nodes",
@@ -45,7 +44,7 @@ class QuadratureSpec:
     gauss_order and graded_mesh_levels control the panel rule and the
     least geometric grading depth; loop_nodes is the node count of an
     endpoint circle.  The radii and splits are fixed by each engine.
-    max_evals caps total integrand evaluations.
+    max_evals caps the quadrature points one pass sums over (check_points).
     """
 
     gauss_order: int = 16
@@ -70,21 +69,14 @@ class QuadratureSpec:
                        graded_mesh_levels=self.graded_mesh_levels + 8,
                        loop_nodes=self.loop_nodes + 32)
 
-
-class EvalBudget:
-    """Mutable counter of integrand evaluations with a hard cap."""
-
-    __slots__ = ("used", "cap")
-
-    def __init__(self, cap: int):
-        self.used = 0
-        self.cap = int(cap)
-
-    def charge(self, n: int):
-        self.used += int(n)
-        if self.used > self.cap:
+    def check_points(self, points: int) -> int:
+        """Return points, the quadrature points of one pass at this spec
+        (read from its rules before any table is built), or raise
+        QuadratureBudgetExceeded when they exceed max_evals."""
+        if points > self.max_evals:
             raise QuadratureBudgetExceeded(
-                f"integrand evaluation budget exceeded: {self.used} > {self.cap}")
+                f"quadrature points exceed the cap: {points} > {self.max_evals}")
+        return points
 
 
 @lru_cache(maxsize=64)
@@ -150,10 +142,14 @@ def panel_nodes(a: float, b: float, order: int):
     return mid + half * x, half * w
 
 
-def graded_breakpoints(a: float, b: float, levels: int, toward: str = "left",
-                       ratio: float = 0.5) -> np.ndarray:
+# each graded panel is this fraction of the next one away from the end
+_GRADING_RATIO = 0.5
+
+
+def graded_breakpoints(a: float, b: float, levels: int,
+                       toward: str = "left") -> np.ndarray:
     """Geometric breakpoints on [a, b] clustering toward one endpoint."""
-    fracs = ratio ** np.arange(levels, -1, -1, dtype=float)
+    fracs = _GRADING_RATIO ** np.arange(levels, -1, -1, dtype=float)
     fracs = np.concatenate(([0.0], fracs))
     if toward == "left":
         return a + (b - a) * fracs
@@ -163,9 +159,9 @@ def graded_breakpoints(a: float, b: float, levels: int, toward: str = "left",
 
 
 def graded_nodes(a: float, b: float, levels: int, order: int,
-                 toward: str = "left", ratio: float = 0.5):
+                 toward: str = "left"):
     """Concatenated Gauss nodes/weights on a geometrically graded mesh."""
-    bps = graded_breakpoints(a, b, levels, toward, ratio)
+    bps = graded_breakpoints(a, b, levels, toward)
     xs, ws = [], []
     for lo, hi in zip(bps[:-1], bps[1:]):
         x, w = panel_nodes(lo, hi, order)
@@ -188,8 +184,9 @@ def levels_for_exponent(re_exponent: float, digits: float = 10.0,
     return max(floor, min(cap, needed))
 
 
-def endpoint_loop_nodes(radius: float, n_nodes: int, center: complex = 0.0):
-    """Counterclockwise circle nodes anchored at arg 0, with dt weights.
+def endpoint_loop_nodes(radius: float, n_nodes: int):
+    """Counterclockwise circle |t| = radius, nodes anchored at arg 0, with dt
+    weights.
 
     Returns (t, dt_weights, phi): composite Gauss-Legendre in the angle over
     four quarter panels (the branch factor e^{i a phi} makes the integrand
@@ -203,7 +200,7 @@ def endpoint_loop_nodes(radius: float, n_nodes: int, center: complex = 0.0):
         wphis.append(w)
     phi = np.concatenate(phis)
     wphi = np.concatenate(wphis)
-    t = center + radius * np.exp(1j * phi)
+    t = radius * np.exp(1j * phi)
     dt = 1j * radius * np.exp(1j * phi) * wphi
     return t, dt, phi
 
@@ -219,8 +216,7 @@ def loop_winding(exponent: complex) -> complex:
 
 
 def endpoint_loop_fp(smooth: Callable[[np.ndarray], np.ndarray],
-                     exponent: complex, radius: float, n_nodes: int,
-                     budget: EvalBudget | None = None) -> complex:
+                     exponent: complex, radius: float, n_nodes: int) -> complex:
     """Finite part of the integral of t**exponent * smooth(t) over [0, radius].
 
     smooth must be analytic and single-valued on the closed disk |t| <= radius;
@@ -230,8 +226,6 @@ def endpoint_loop_fp(smooth: Callable[[np.ndarray], np.ndarray],
     """
     wind = loop_winding(exponent)
     t, dt, phi = endpoint_loop_nodes(radius, n_nodes)
-    if budget is not None:
-        budget.charge(t.size)
     powers = np.exp(complex(exponent) * (math.log(radius) + 1j * phi))
     total = np.sum(powers * smooth(t) * dt)
     return complex(total / wind)

@@ -34,7 +34,6 @@ import numpy as np
 
 from .errors import GammaPole, OutOfSupportedRange
 from .quadrature import (
-    EvalBudget,
     QuadratureSpec,
     endpoint_loop_nodes,
     graded_nodes,
@@ -214,8 +213,8 @@ def _endpoint_rule(e0: complex, e1: complex, quad: QuadratureSpec,
             np.concatenate([w0 * (1 - s0) ** e1, w1 * (1 - s1) ** e0]))
 
 
-def _oracle_p2(a: complex, b: complex, g: complex, quad: QuadratureSpec,
-               budget: EvalBudget) -> complex:
+def _oracle_p2(a: complex, b: complex, g: complex,
+               quad: QuadratureSpec) -> tuple:
     """Iterated quadrature on 0 <= t2 <= t1 <= 1 via t2 = t1*v.
 
     The integrand factorizes as t1**(2a+2g-1) (1-t1)**(b-1) * v**(a-1)
@@ -232,7 +231,7 @@ def _oracle_p2(a: complex, b: complex, g: complex, quad: QuadratureSpec,
     # at t1 -> 1 the v -> 1 end sharpens to (1-v)**(2g+b-1)
     v, uv, fi = _endpoint_rule(a - 1, 2 * g, quad,
                                grade_1=2 * g + min(b.real - 1, 0.0))
-    budget.charge(t.size * v.size)
+    quad.check_points(t.size * v.size)
     total, scale = 0.0 + 0.0j, 0.0
     chunk = 512
     for k in range(0, t.size, chunk):
@@ -267,11 +266,10 @@ def selberg_oracle_terms(params: SelbergParams,
     a, b, g = complex(params.alpha), complex(params.beta), complex(params.gamma)
     if g.real < 0:
         raise OutOfSupportedRange("oracle needs Re gamma >= 0")
-    budget = EvalBudget(quad.max_evals)
     if params.p == 2:
-        return _oracle_p2(a, b, g, quad, budget)
+        return _oracle_p2(a, b, g, quad)
     w = _endpoint_rule(a - 1, b - 1, quad)[2]
-    budget.charge(w.size)
+    quad.check_points(w.size)
     return complex(np.sum(w)), float(np.sum(np.abs(w)))
 
 

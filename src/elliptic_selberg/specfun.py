@@ -21,16 +21,17 @@ functions are lattice sums
 The theta series fix their term count before summing.  Each term is bounded
 from Im tau and the largest |Im lam| of the argument array (|sin z| and
 |exp(i z)| are at most exp(|Im z|)), and the sum keeps every term up to and
-including the second one in a row whose bound falls below tail_tolerance
-times the largest bound before it (a Gaussian decay, as in Deconinck, Heil,
-Bobenko, van Hoeij and Schmies, "Computing Riemann theta functions", Math.
-Comp. 2004).  A count above max_terms raises NonConvergence, and a term
-bound beyond the double range raises OutOfSupportedRange.  The sums run
-as Laurent polynomials in exp(2*pi*i*lam) (exp(2*pi*i*kappa*lam) at level
-kappa) by Horner's rule; theta1 and its even lambda-derivatives keep
-sin(pi*lam) as a factor, so they stay accurate relative to their size next
-to their zeros at the integers.  The eta-type products stop once |q|**j falls below tail_tolerance,
-and raise NonConvergence at max_terms.
+including the second one in a row whose bound falls below _TAIL_TOLERANCE
+(1e-14) times the largest bound before it (a Gaussian decay, as in
+Deconinck, Heil, Bobenko, van Hoeij and Schmies, "Computing Riemann theta
+functions", Math. Comp. 2004).  A count above _MAX_TERMS (600) raises
+NonConvergence, and a term bound beyond the double range raises
+OutOfSupportedRange.  The sums run as Laurent polynomials in
+exp(2*pi*i*lam) (exp(2*pi*i*kappa*lam) at level kappa) by Horner's rule;
+theta1 and its even lambda-derivatives keep sin(pi*lam) as a factor, so
+they stay accurate relative to their size next to their zeros at the
+integers.  The eta-type products stop once |q|**j falls below
+_TAIL_TOLERANCE, and raise NonConvergence at _MAX_TERMS.
 
 The block quadratures take the series coefficients from _theta1_coefs and
 _theta_level_coefs (with |Im| bounded by |Im lam| + max |Im node|) and
@@ -59,7 +60,6 @@ from .errors import (
 )
 
 __all__ = [
-    "SeriesTruncation",
     "ModularPoint",
     "EllipticArgument",
     "theta1",
@@ -70,29 +70,15 @@ __all__ = [
     "theta_level",
     "continue_log",
     "lattice_distance",
-    "DEFAULT_TRUNC",
     "DEFAULT_LATTICE_FLOOR",
 ]
 
 DEFAULT_LATTICE_FLOOR = 1e-6
 _LOG_DOUBLE_MAX = math.log(sys.float_info.max)
-
-
-@dataclass(frozen=True)
-class SeriesTruncation:
-    """Stopping rule for theta series and eta-type products."""
-
-    tail_tolerance: float = 1e-14
-    max_terms: int = 600
-
-    def __post_init__(self):
-        if not (0 < self.tail_tolerance < 1):
-            raise ValueError("tail_tolerance must lie in (0, 1)")
-        if self.max_terms < 8:
-            raise ValueError("max_terms must be at least 8")
-
-
-DEFAULT_TRUNC = SeriesTruncation()
+# the stopping rule of the theta series and eta-type products: a relative
+# tail tolerance and the most terms or factors summed before NonConvergence
+_TAIL_TOLERANCE = 1e-14
+_MAX_TERMS = 600
 
 
 @dataclass(frozen=True)
@@ -177,18 +163,18 @@ class EllipticArgument:
 # ---------------------------------------------------------------------------
 
 
-def _term_count(log_bound, trunc: SeriesTruncation, what: str) -> int:
+def _term_count(log_bound, what: str) -> int:
     """Number of series terms to sum, fixed before any term is computed.
 
     log_bound(j) bounds log |term j| over the whole argument array.  The
     count ends with the second term in a row whose bound is below
-    tail_tolerance times the largest bound so far.  A bound beyond the
+    _TAIL_TOLERANCE times the largest bound so far.  A bound beyond the
     double range raises OutOfSupportedRange instead of summing to inf/nan.
     """
-    log_tol = math.log(trunc.tail_tolerance)
+    log_tol = math.log(_TAIL_TOLERANCE)
     runmax = -math.inf
     small_streak = 0
-    for j in range(trunc.max_terms):
+    for j in range(_MAX_TERMS):
         bound = log_bound(j)
         if bound > _LOG_DOUBLE_MAX:
             raise OutOfSupportedRange(f"{what} has terms beyond the double range")
@@ -199,7 +185,7 @@ def _term_count(log_bound, trunc: SeriesTruncation, what: str) -> int:
                 return j + 1
         else:
             small_streak = 0
-    raise NonConvergence(f"{what} needs more than {trunc.max_terms} terms")
+    raise NonConvergence(f"{what} needs more than {_MAX_TERMS} terms")
 
 
 def _max_abs_imag(lam: np.ndarray) -> float:
@@ -216,8 +202,8 @@ def _horner(coefs, z):
 
 
 @lru_cache(maxsize=256)
-def _theta1_coefs(tau: complex, y_max: float, d_lambda: int = 0, d_tau: int = 0,
-                  trunc: SeriesTruncation = DEFAULT_TRUNC) -> tuple:
+def _theta1_coefs(tau: complex, y_max: float, d_lambda: int = 0,
+                  d_tau: int = 0) -> tuple:
     """Coefficients coef_j of the sine series of a theta1 derivative, as many
     as arguments with |Im lam| <= y_max need.
 
@@ -232,7 +218,7 @@ def _theta1_coefs(tau: complex, y_max: float, d_lambda: int = 0, d_tau: int = 0,
                 + d_lambda * math.log(2.0 * math.pi * half)
                 + d_tau * math.log(math.pi * half * half))
 
-    terms = _term_count(log_bound, trunc, f"theta1 series (tau={tau})")
+    terms = _term_count(log_bound, f"theta1 series (tau={tau})")
     sign = -1 if d_lambda % 4 >= 2 else 1
     coefs = []
     for j in range(terms):
@@ -258,8 +244,8 @@ def _sine_laurent(coefs, w, w_inv):
                        + w_inv * _horner(tails, w_inv))
 
 
-def _theta1_array(lam, tau: complex, d_lambda: int = 0, d_tau: int = 0,
-                  trunc: SeriesTruncation = DEFAULT_TRUNC) -> np.ndarray:
+def _theta1_array(lam, tau: complex, d_lambda: int = 0,
+                  d_tau: int = 0) -> np.ndarray:
     """Vectorised sine-series evaluation of theta1 derivatives.
 
     lam may be any complex ndarray; returns an array of the same shape.  A
@@ -269,7 +255,7 @@ def _theta1_array(lam, tau: complex, d_lambda: int = 0, d_tau: int = 0,
     as exp(ix) P(w) + exp(-ix) P(1/w) with P = sum_j coef_j/2 w**j.
     """
     lam = np.asarray(lam, dtype=complex)
-    coefs = _theta1_coefs(tau, _max_abs_imag(lam), d_lambda, d_tau, trunc)
+    coefs = _theta1_coefs(tau, _max_abs_imag(lam), d_lambda, d_tau)
     x = math.pi * lam
     if d_lambda % 2:
         halves = [c / 2 for c in coefs]
@@ -279,8 +265,8 @@ def _theta1_array(lam, tau: complex, d_lambda: int = 0, d_tau: int = 0,
     return np.sin(x) * _sine_laurent(coefs, w, 1.0 / w)
 
 
-def theta1(lam: complex, pt: ModularPoint, d_lambda: int = 0, d_tau: int = 0,
-           trunc: SeriesTruncation = DEFAULT_TRUNC) -> complex:
+def theta1(lam: complex, pt: ModularPoint, d_lambda: int = 0,
+           d_tau: int = 0) -> complex:
     """The odd Jacobi theta function theta1(lam, tau) or one of its derivatives.
 
     Parameters
@@ -301,30 +287,30 @@ def theta1(lam: complex, pt: ModularPoint, d_lambda: int = 0, d_tau: int = 0,
     """
     if d_lambda < 0 or d_tau < 0 or d_lambda + 2 * d_tau > 3:
         raise ValueError("need d_lambda, d_tau >= 0 with d_lambda + 2*d_tau <= 3")
-    return complex(_theta1_array(np.array(complex(lam)), pt.tau, d_lambda, d_tau, trunc))
+    return complex(_theta1_array(np.array(complex(lam)), pt.tau, d_lambda, d_tau))
 
 
-def dedekind_eta(pt: ModularPoint, trunc: SeriesTruncation = DEFAULT_TRUNC) -> complex:
+def dedekind_eta(pt: ModularPoint) -> complex:
     """Dedekind eta(tau) = q**(1/24) * prod_{j>=1} (1 - q**j)."""
     q = pt.q
     aq = abs(q)
     acc = pt.q_pow(1.0 / 24.0)
-    for j in range(1, trunc.max_terms):
+    for j in range(1, _MAX_TERMS):
         acc *= 1.0 - q ** j
-        if aq ** j < trunc.tail_tolerance and j >= 2:
+        if aq ** j < _TAIL_TOLERANCE and j >= 2:
             return acc
-    raise NonConvergence(f"eta product did not settle after {trunc.max_terms} factors")
+    raise NonConvergence(f"eta product did not settle after {_MAX_TERMS} factors")
 
 
-def dedekind_eta_logderiv(pt: ModularPoint, trunc: SeriesTruncation = DEFAULT_TRUNC) -> complex:
+def dedekind_eta_logderiv(pt: ModularPoint) -> complex:
     """d/dtau log eta(tau), term-wise from the product form."""
     q = pt.q
     aq = abs(q)
     acc = 1j * cmath.pi / 12.0
-    for j in range(1, trunc.max_terms):
+    for j in range(1, _MAX_TERMS):
         qj = q ** j
         acc += -2j * cmath.pi * j * qj / (1.0 - qj)
-        if j * aq ** j < trunc.tail_tolerance and j >= 2:
+        if j * aq ** j < _TAIL_TOLERANCE and j >= 2:
             return acc
     raise NonConvergence("eta log-derivative series did not settle")
 
@@ -332,7 +318,7 @@ def dedekind_eta_logderiv(pt: ModularPoint, trunc: SeriesTruncation = DEFAULT_TR
 _PHI_KINDS = (1, 2, 3)
 
 
-def phi(kind: int, pt: ModularPoint, trunc: SeriesTruncation = DEFAULT_TRUNC) -> complex:
+def phi(kind: int, pt: ModularPoint) -> complex:
     """Weber-type eta quotients phi_1, phi_2, phi_3.
 
         phi_1 = q**(-1/48) prod (1 + q**(j-1/2))
@@ -349,21 +335,21 @@ def phi(kind: int, pt: ModularPoint, trunc: SeriesTruncation = DEFAULT_TRUNC) ->
     aq = abs(q)
     if kind == 3:
         acc = math.sqrt(2.0) * pt.q_pow(1.0 / 24.0)
-        for j in range(1, trunc.max_terms):
+        for j in range(1, _MAX_TERMS):
             acc *= 1.0 + q ** j
-            if aq ** j < trunc.tail_tolerance and j >= 2:
+            if aq ** j < _TAIL_TOLERANCE and j >= 2:
                 return acc
     else:
         sign = 1.0 if kind == 1 else -1.0
         acc = pt.q_pow(-1.0 / 48.0)
-        for j in range(1, trunc.max_terms):
+        for j in range(1, _MAX_TERMS):
             acc *= 1.0 + sign * pt.q_pow(j - 0.5)
-            if aq ** (j - 0.5) < trunc.tail_tolerance and j >= 2:
+            if aq ** (j - 0.5) < _TAIL_TOLERANCE and j >= 2:
                 return acc
     raise NonConvergence(f"phi_{kind} product did not settle")
 
 
-def phi_logderiv(kind: int, pt: ModularPoint, trunc: SeriesTruncation = DEFAULT_TRUNC) -> complex:
+def phi_logderiv(kind: int, pt: ModularPoint) -> complex:
     """d/dtau log phi_kind(tau), term-wise from the product form."""
     if kind not in _PHI_KINDS:
         raise ValueError(f"phi kind must be one of {_PHI_KINDS}, got {kind}")
@@ -371,19 +357,19 @@ def phi_logderiv(kind: int, pt: ModularPoint, trunc: SeriesTruncation = DEFAULT_
     aq = abs(q)
     if kind == 3:
         acc = 1j * cmath.pi / 12.0
-        for j in range(1, trunc.max_terms):
+        for j in range(1, _MAX_TERMS):
             qj = q ** j
             acc += 2j * cmath.pi * j * qj / (1.0 + qj)
-            if j * aq ** j < trunc.tail_tolerance and j >= 2:
+            if j * aq ** j < _TAIL_TOLERANCE and j >= 2:
                 return acc
     else:
         sign = 1.0 if kind == 1 else -1.0
         acc = -1j * cmath.pi / 24.0
-        for j in range(1, trunc.max_terms):
+        for j in range(1, _MAX_TERMS):
             h = j - 0.5
             qh = pt.q_pow(h)
             acc += sign * 2j * cmath.pi * h * qh / (1.0 + sign * qh)
-            if j * aq ** h < trunc.tail_tolerance and j >= 2:
+            if j * aq ** h < _TAIL_TOLERANCE and j >= 2:
                 return acc
     raise NonConvergence(f"phi_{kind} log-derivative series did not settle")
 
@@ -395,8 +381,7 @@ def phi_logderiv(kind: int, pt: ModularPoint, trunc: SeriesTruncation = DEFAULT_
 
 @lru_cache(maxsize=256)
 def _theta_level_coefs(kappa: int, n: int, tau: complex, y_max: float,
-                       d_lambda: int = 0, d_tau: int = 0,
-                       trunc: SeriesTruncation = DEFAULT_TRUNC) -> tuple:
+                       d_lambda: int = 0, d_tau: int = 0) -> tuple:
     """(c, ahead, behind) of the level-kappa lattice sum, as many shells as
     arguments with |Im lam| <= y_max need.
 
@@ -418,7 +403,7 @@ def _theta_level_coefs(kappa: int, n: int, tau: complex, y_max: float,
                       + d_tau * math.log(two_pi_k * m * m))
         return bound
 
-    terms = _term_count(lambda j: max(log_m(c + j), log_m(c - j)), trunc,
+    terms = _term_count(lambda j: max(log_m(c + j), log_m(c - j)),
                         f"theta_level({kappa},{n}) sum")
 
     def coef(m):
@@ -440,20 +425,19 @@ def _level_laurent(ahead, behind, u, u_inv):
 
 
 def _theta_level_array(kappa: int, n: int, lam, tau: complex, d_lambda: int = 0,
-                       d_tau: int = 0,
-                       trunc: SeriesTruncation = DEFAULT_TRUNC) -> np.ndarray:
+                       d_tau: int = 0) -> np.ndarray:
     """Vectorised lattice sum for theta_level; lam may be a complex ndarray."""
     lam = np.asarray(lam, dtype=complex)
     c, ahead, behind = _theta_level_coefs(kappa, n, tau, _max_abs_imag(lam),
-                                          d_lambda, d_tau, trunc)
+                                          d_lambda, d_tau)
     u = np.exp(2j * math.pi * kappa * lam)
     return (np.exp(2j * math.pi * kappa * c * lam)
             * _level_laurent(ahead, behind, u, 1.0 / u))
 
 
 def theta_level(kappa: int, n: int, lam: complex, pt: ModularPoint,
-                d_lambda: int = 0, d_tau: int = 0, symmetrized: bool = False,
-                trunc: SeriesTruncation = DEFAULT_TRUNC) -> complex:
+                d_lambda: int = 0, d_tau: int = 0,
+                symmetrized: bool = False) -> complex:
     """Level-kappa theta function theta_{kappa,n}(lam, tau) or a derivative.
 
     The index n only matters modulo 2*kappa and is reduced before summing.
@@ -468,10 +452,10 @@ def theta_level(kappa: int, n: int, lam: complex, pt: ModularPoint,
     if not (0 <= d_lambda <= 2 and 0 <= d_tau <= 1):
         raise ValueError("need 0 <= d_lambda <= 2 and 0 <= d_tau <= 1")
     lam = complex(lam)
-    val = complex(_theta_level_array(kappa, n, np.array(lam), pt.tau, d_lambda, d_tau, trunc))
+    val = complex(_theta_level_array(kappa, n, np.array(lam), pt.tau, d_lambda, d_tau))
     if symmetrized:
         other = complex(
-            _theta_level_array(kappa, n, np.array(-lam), pt.tau, d_lambda, d_tau, trunc)
+            _theta_level_array(kappa, n, np.array(-lam), pt.tau, d_lambda, d_tau)
         )
         val += (-1) ** d_lambda * other
     return val

@@ -207,7 +207,10 @@ def numeric_modular_matrices(p: int, kappa: int,
     functions can be expanded over the basis sampled at the same tau; the
     basis is sampled once and all 2 * dim transformed blocks are fitted
     against it.  The shift by one in tau is evaluated at tau = 1 + i with
-    branch-tracked quadrature.  Cost limits this to p <= 1.
+    branch-tracked quadrature.  p = 2 is refused: the two-fold quadrature
+    takes real lambda at purely imaginary tau only (the guard in
+    blocks._j_p2), and the T move (tau = 1 + i) and the S move (lambda / tau)
+    leave that range.
     """
     if p > 1:
         raise UnsupportedP("numeric matrix extraction is wired for p <= 1")

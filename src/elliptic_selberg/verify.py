@@ -56,6 +56,7 @@ __all__ = [
     "ode_residual",
     "orthogonality_check",
     "phi_rule_checks",
+    "rel_errors",
     "rhs_shift_phase",
     "rhs_value",
     "series_prerequisites",
@@ -277,6 +278,14 @@ class VerificationReport:
         }
 
 
+def rel_errors(lhs, rhs) -> list:
+    """Per grid point, |lhs - rhs| relative to |rhs|, or to the largest |rhs|
+    of the grid where |rhs| is below 1e-3 of it."""
+    scale = max(abs(z) for z in rhs)
+    return [abs(a - b) / (abs(b) if abs(b) > 1e-3 * scale else scale)
+            for a, b in zip(lhs, rhs)]
+
+
 def verify_identity(ident: int, p: int, lambda_grid=None,
                     pt: ModularPoint | None = None,
                     quad: QuadratureSpec | None = None,
@@ -310,11 +319,7 @@ def verify_identity(ident: int, p: int, lambda_grid=None,
 
     scale = max(abs(z) for z in rhs)
     abs_err = max(abs(a - b) for a, b in zip(lhs, rhs))
-    rel_terms = []
-    for a, b in zip(lhs, rhs):
-        denom = abs(b) if abs(b) > 1e-3 * scale else scale
-        rel_terms.append(abs(a - b) / denom)
-    rel_err = max(rel_terms)
+    rel_err = max(rel_errors(lhs, rhs))
     quad_agreement = max(e / max(abs(b), 1e-3 * scale, 1e-300)
                          for e, b in zip(estimates, rhs))
     passed = rel_err <= tol and quad_agreement <= tol

@@ -93,53 +93,75 @@ def test_single_fold_regression_value():
     assert abs(u.value - want) < 1e-9 * abs(want)
 
 
-# Values and per-sign budgets recorded from the endpoint-circle p = 1
-# quadrature that computed J(lam) and J(-lam) in separate passes: the coarse
-# default spec, then its refined() spec, at lam and then at -lam.  tau = 1 + i
+# Values recorded from the endpoint-circle p = 1 quadrature that computed
+# J(lam) and J(-lam) in separate passes: the coarse default spec, then its
+# refined() spec, at lam and then at -lam.  tau = 1 + i
 # is the T-transform input; at tau = 0.3 + 0.4i the argument of E varies
 # along the middle path; lambda = -0.3i at tau = i is an S-transform input.
 # The tau values alternate, so tables cached under a key that missed tau
 # would be reused at the wrong tau.
 P1_PINNED = [
     (0.9j, 4, 2, 0.3,
-     (1.3487341095779506 - 1.7411719926494376j, 2305),
-     (1.3487341095779506 - 1.7411719926494382j, 4657),
-     (1.3487341095779528 + 1.7411719926494367j, 2305),
-     (1.3487341095779533 + 1.7411719926494367j, 4657)),
+     1.3487341095779506 - 1.7411719926494376j,
+     1.3487341095779506 - 1.7411719926494382j,
+     1.3487341095779528 + 1.7411719926494367j,
+     1.3487341095779533 + 1.7411719926494367j),
     (1 + 1j, 4, 2, 0.3,
-     (1.4848487640996109 + 1.1541171645608874j, 2305),
-     (1.4848487640996162 + 1.1541171645608874j, 4657),
-     (-1.4848487640996102 + 1.1541171645608892j, 2305),
-     (-1.4848487640996157 + 1.1541171645608892j, 4657)),
+     1.4848487640996109 + 1.1541171645608874j,
+     1.4848487640996162 + 1.1541171645608874j,
+     -1.4848487640996102 + 1.1541171645608892j,
+     -1.4848487640996157 + 1.1541171645608892j),
     (0.9j, 5, 3, 0.3,
-     (0.5658831286847448 + 0.13419349606937386j, 2305),
-     (0.5658831286847448 + 0.1341934960693735j, 4657),
-     (0.5366860258791692 + 0.22405293870730603j, 2305),
-     (0.5366860258791695 + 0.22405293870730592j, 4657)),
+     0.5658831286847448 + 0.13419349606937386j,
+     0.5658831286847448 + 0.1341934960693735j,
+     0.5366860258791692 + 0.22405293870730603j,
+     0.5366860258791695 + 0.22405293870730592j),
     (0.3 + 0.4j, 4, 2, 0.3,
-     (4.713975379558706 - 1.8442021159791389j, 2305),
-     (4.7139753795587005 - 1.8442021159791304j, 4657),
-     (0.8208693778069087 + 4.274173472183749j, 2305),
-     (0.8208693778069143 + 4.274173472183742j, 4657)),
+     4.713975379558706 - 1.8442021159791389j,
+     4.7139753795587005 - 1.8442021159791304j,
+     0.8208693778069087 + 4.274173472183749j,
+     0.8208693778069143 + 4.274173472183742j),
     (1j, 5, 2, -0.3j,
-     (-5.398546673663372 + 1.7540941453058636j, 2305),
-     (-5.398546673663393 + 1.7540941453058778j, 4657),
-     (-0.6585255313691478 + 0.21396791561407658j, 2305),
-     (-0.6585255313691478 + 0.2139679156140767j, 4657)),
+     -5.398546673663372 + 1.7540941453058636j,
+     -5.398546673663393 + 1.7540941453058778j,
+     -0.6585255313691478 + 0.21396791561407658j,
+     -0.6585255313691478 + 0.2139679156140767j),
 ]
 
 
+def p1_points(spec) -> int:
+    """The quadrature points of a p = 1 pass, counted from the spec: the
+    endpoint circle (four quarter panels) once per end, and the middle path
+    graded toward both ends."""
+    circle = 4 * max(8, spec.loop_nodes // 4)
+    middle = 2 * (max(spec.graded_mesh_levels, 10) + 1) * spec.gauss_order
+    return 2 * circle + middle
+
+
+def p2_points(spec) -> int:
+    """The (x, xi) points of a p = 2 pass, counted from the spec: outer
+    corner loops and graded left and right sections, against the inner
+    rules (loop, then a Gauss panel and a Gauss-Jacobi tail of twice the
+    order at the x -> 0 corner and the left section, a graded mesh
+    elsewhere)."""
+    loop = 4 * max(8, spec.loop_nodes // 4)
+    graded = (spec.graded_mesh_levels + 1) * spec.gauss_order
+    # each outer rule (corner loop, graded section) meets one inner rule of
+    # each kind (left, graded)
+    return (loop + 2 * graded) * (2 * loop + 4 * spec.gauss_order + graded)
+
+
 def test_one_fold_values_are_pinned():
-    # one p = 1 pass gives the pair (J(lam), J(-lam)) and charges both signs
+    # one p = 1 pass gives the pair (J(lam), J(-lam)) and counts its points
     quad = QuadratureSpec()
     for tau, kappa, n, lam, c_plus, f_plus, c_minus, f_minus in P1_PINNED:
         for spec, pinned in ((quad, (c_plus, c_minus)),
                              (quad.refined(), (f_plus, f_minus))):
-            got, budget = blocks._one_value(BlockIndex(1, kappa, n),
+            got, points = blocks._one_value(BlockIndex(1, kappa, n),
                                             complex(lam), ModularPoint(tau), spec)
-            for value, (want, _) in zip(got, pinned):
+            for value, want in zip(got, pinned):
                 assert abs(value - want) <= 1e-13 * abs(want), (tau, kappa, n)
-            assert budget.used == sum(charge for _, charge in pinned)
+            assert points == p1_points(spec)
 
 
 # The theta kernels and the position of the argument whose size counts as
@@ -174,7 +196,7 @@ WARM_PASS = ({"_theta1_array": 1, "_theta_level_array": 0, "theta1": 0,
 def test_one_fold_work_is_tabulated(monkeypatch):
     # a warm p = 1 pass contracts its cached moment table with phases in
     # lambda and takes the divisor theta1(+-lam) from the array kernel; a
-    # different budget cap reuses the tables
+    # different point cap reuses the tables
     idx, lam, spec = BlockIndex(1, 4, 2), complex(LAM), QuadratureSpec()
     blocks._one_value(idx, lam, PT, spec)
     builds = blocks._p1_moments.cache_info().misses
@@ -235,7 +257,7 @@ def test_u_block_shares_its_lambda_side_bit_for_bit(monkeypatch, p, kappa, n,
                                             quad.refined())
     assert got.value == plus + (-1) ** (p + 1) * minus
     assert got.error_estimate == abs(plus - c_plus) + abs(minus - c_minus)
-    assert got.budget_used == coarse.used + fine.used
+    assert got.budget_used == coarse + fine
 
 
 @pytest.mark.parametrize("p,kappa,n", [(1, 5, 2), (2, 8, 4)])
@@ -302,8 +324,7 @@ def test_one_fold_moment_pass_matches_brute_force(kappa, n, tau_re, tau_im,
     tau, spec = complex(tau_re, tau_im), QuadratureSpec(max_evals=0)
     lam = complex(lam_re, 0.3 * tau_im * lam_frac)
     (got,) = blocks._j_p1(BlockIndex(1, kappa, n), lam, ModularPoint(tau), [(
-        spec.gauss_order, spec.graded_mesh_levels, spec.loop_nodes)],
-        [blocks.EvalBudget(10 ** 9)])
+        spec.gauss_order, spec.graded_mesh_levels, spec.loop_nodes)])
     for value, mu in zip(got, (lam, -lam)):
         want, scale = one_fold_brute(kappa, n, mu, tau, spec)
         assert abs(value - want) <= 1e-13 * scale, (value, want, scale)
@@ -551,16 +572,16 @@ def test_two_fold_tables_follow_tau_and_kappa():
     for tau, kappa, n in P2_ALTERNATING:
         wants = (P2_AT_06[(kappa, n)] if tau == 0.6j else
                  (P2_PINNED[(kappa, n, LAM)][0], P2_PINNED[(kappa, n, -LAM)][0]))
-        got, budget = blocks._one_value(BlockIndex(2, kappa, n), LAM,
+        got, points = blocks._one_value(BlockIndex(2, kappa, n), LAM,
                                         ModularPoint(tau), quad)
         for value, want in zip(got, wants):
             assert abs(value - want) <= 1e-12 * abs(want), (tau, kappa, n)
-        assert budget.used == 1_538_880
+        assert points == 192_000
 
 
 def test_two_fold_tables_are_reused(monkeypatch):
     # a second lambda at the same (tau, rule shape, kappa, n), under another
-    # budget cap, builds no table and hands the array kernel only the
+    # point cap, builds no table and hands the array kernel only the
     # divisor theta1(+-lam) of each pass
     idx = BlockIndex(2, 8, 4)
     u_block(idx, LAM, PT)
@@ -671,20 +692,42 @@ def test_leading_term_constant_validation():
 # ---------------------------------------------------------------------------
 
 
+def _clear_block_caches():
+    for cached in (blocks._p1_tables, blocks._p1_moments, blocks._inner_rule,
+                   blocks._outer_rules, blocks._p2_reach, blocks._p2_moments,
+                   specfun._theta1_coefs, specfun._theta_level_coefs):
+        cached.cache_clear()
+
+
+@pytest.mark.parametrize("idx,coarse,fine", [
+    (BlockIndex(1, 5, 2), 544, 1_116),
+    (BlockIndex(2, 8, 4), 192_000, 756_840),
+], ids=["p1-kappa5", "p2-kappa8"])
+def test_budget_used_counts_the_rule_points(idx, coarse, fine):
+    # a u_block reports the quadrature points of its coarse and refined
+    # passes, counted from the spec, the same cold (every cache cleared)
+    # and warm
+    quad = QuadratureSpec()
+    count = p1_points if idx.p == 1 else p2_points
+    assert (count(quad), count(quad.refined())) == (coarse, fine)
+    _clear_block_caches()
+    for lam in (LAM, LAM, 0.41):
+        assert u_block(idx, lam, PT).budget_used == coarse + fine
+    assert u_block(BlockIndex(0, 5, 2), LAM, PT).budget_used == 0
+
+
 def test_budget_is_enforced():
-    quad = QuadratureSpec(max_evals=2000)
-    with pytest.raises(QuadratureBudgetExceeded):
-        u_block(BlockIndex(1, 4, 2), LAM, PT, quad)
-    # one coarse p = 2 pass at (8, 4) charges 1,538,880 kernel points and a
-    # refined one 6,060,840, whether its tables are built or cached; a cap
-    # below the charge fails before any table is built
-    blocks._p2_moments.cache_clear()
-    quad = QuadratureSpec(max_evals=1_000_000)
-    with pytest.raises(QuadratureBudgetExceeded):
-        u_block(BlockIndex(2, 8, 4), LAM, PT, quad)
-    assert blocks._p2_moments.cache_info().misses == 0
-    for _ in range(2):
-        assert u_block(BlockIndex(2, 8, 4), LAM, PT).budget_used == 7_599_720
+    # the cap holds each pass: between the coarse and the refined count, the
+    # refined pass fails, checked before any moment table is built
+    for idx, cap, moments in ((BlockIndex(1, 4, 2), 1_000, blocks._p1_moments),
+                              (BlockIndex(2, 8, 4), 500_000, blocks._p2_moments)):
+        moments.cache_clear()
+        quad = QuadratureSpec(max_evals=cap)
+        with pytest.raises(QuadratureBudgetExceeded, match=f"> {cap}$"):
+            u_block(idx, LAM, PT, quad)
+        assert moments.cache_info().misses == 0
+        # the coarse pass alone fits under the cap
+        assert blocks._one_value(idx, LAM, PT, quad)[1] <= cap
 
 
 def test_fold_counts_beyond_two_are_rejected():

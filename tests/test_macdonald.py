@@ -108,9 +108,10 @@ def test_k1_family_is_the_telescoping_sum(kappa):
 def test_family_invariants(k, kappa, n_max):
     basis = macdonald_basis(k, kappa, n_max)
     for n, P in enumerate(basis.polys):
-        assert P.is_x_even(1e-10)
+        # even in z -> 1/z, of degree at most n
+        assert all(abs(c - P.coefficient(-m)) <= 1e-10 for m, c in P.coeffs.items())
         assert abs(P.coefficient(n) - 1.0) < 1e-12 or n == 0
-        assert P.degree() <= n
+        assert all(abs(m) <= n for m in P.coeffs)
     for m in range(n_max + 1):
         for n in range(m):
             assert abs(ct_inner(basis.polys[m], basis.polys[n], k, kappa)) < 1e-10

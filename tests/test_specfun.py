@@ -7,6 +7,7 @@ directly.
 """
 
 import cmath
+import contextlib
 import math
 
 import numpy as np
@@ -26,7 +27,6 @@ from elliptic_selberg.quadrature import QuadratureSpec
 from elliptic_selberg.specfun import (
     EllipticArgument,
     ModularPoint,
-    SeriesTruncation,
     continue_log,
     dedekind_eta,
     dedekind_eta_logderiv,
@@ -117,10 +117,31 @@ def test_theta1_derivative_order_guard():
         theta1(0.3, pt, d_lambda=-1)
 
 
+def _clear_coefficients():
+    specfun._theta1_coefs.cache_clear()
+    specfun._theta_level_coefs.cache_clear()
+
+
+@contextlib.contextmanager
+def series_constants(**constants):
+    """specfun's series stopping constants set within a block.  The memoised
+    coefficient helpers are cleared on entry and on exit, so no count made
+    under other constants is served inside, and none made inside outlives
+    the block."""
+    with pytest.MonkeyPatch.context() as mp:
+        for name, value in constants.items():
+            mp.setattr(specfun, name, value)
+        _clear_coefficients()
+        try:
+            yield
+        finally:
+            _clear_coefficients()
+
+
 def test_nonconvergence_when_budget_too_small():
-    trunc = SeriesTruncation(tail_tolerance=1e-15, max_terms=8)
-    with pytest.raises(NonConvergence):
-        theta1(0.3, ModularPoint(0.005j), trunc=trunc)
+    with series_constants(_TAIL_TOLERANCE=1e-15, _MAX_TERMS=8):
+        with pytest.raises(NonConvergence):
+            theta1(0.3, ModularPoint(0.005j))
 
 
 # ---------------------------------------------------------------------------
@@ -285,62 +306,52 @@ def test_theta_level_array_kernel_against_lattice_sum(kappa, n, tau_im, tau_re, 
         assert abs(got - want) <= 1e-13 * max(scale, 1e-300)
 
 
-def _short_coefficients(monkeypatch, trunc):
-    """Make every series coefficient helper stop at trunc from now on."""
-    theta1_coefs, level_coefs = specfun._theta1_coefs, specfun._theta_level_coefs
-    monkeypatch.setattr(specfun, "_theta1_coefs",
-                        lambda tau, y_max, d_lambda=0, d_tau=0, trunc_=None:
-                        theta1_coefs(tau, y_max, d_lambda, d_tau, trunc))
-    monkeypatch.setattr(specfun, "_theta_level_coefs",
-                        lambda kappa, n, tau, y_max, d_lambda=0, d_tau=0, trunc_=None:
-                        level_coefs(kappa, n, tau, y_max, d_lambda, d_tau, trunc))
-
-
-def test_kernels_raise_when_the_term_count_exceeds_max_terms(monkeypatch):
-    trunc = SeriesTruncation(max_terms=600)
+def test_kernels_raise_when_the_term_count_exceeds_max_terms():
+    assert specfun._MAX_TERMS == 600
     # tiny Im tau: the Gaussian decay needs over a thousand terms
     with pytest.raises(NonConvergence):
-        specfun._theta1_array(np.array([0.3]), 1e-5j, trunc=trunc)
+        specfun._theta1_array(np.array([0.3]), 1e-5j)
     with pytest.raises(NonConvergence):
-        specfun._theta_level_array(2, 1, np.array([0.3]), 1e-6j, trunc=trunc)
+        specfun._theta_level_array(2, 1, np.array([0.3]), 1e-6j)
     # a block pass takes its coefficients from the same helpers
     with pytest.raises(NonConvergence):
         u_block(BlockIndex(1, 4, 2), 0.3, ModularPoint(1e-5j))
     # a large |Im lam| anywhere in the array moves the peak term past
     # max_terms (to j ~ |Im lam| / Im tau, and half that for level 2)
-    short = SeriesTruncation(max_terms=8)
     lams = np.array([0.3, 0.3 + 6j])
-    with pytest.raises(NonConvergence):
-        specfun._theta1_array(lams, 0.5j, trunc=short)
-    with pytest.raises(NonConvergence):
-        specfun._theta_level_array(2, 1, lams, 0.5j, trunc=short)
-    # the same count suffices on the real line
-    assert np.isfinite(specfun._theta1_array(lams[:1], 0.5j, trunc=short)).all()
-    assert np.isfinite(specfun._theta_level_array(2, 1, lams[:1], 0.5j, trunc=short)).all()
+    with series_constants(_MAX_TERMS=8):
+        with pytest.raises(NonConvergence):
+            specfun._theta1_array(lams, 0.5j)
+        with pytest.raises(NonConvergence):
+            specfun._theta_level_array(2, 1, lams, 0.5j)
+        # the same count suffices on the real line
+        assert np.isfinite(specfun._theta1_array(lams[:1], 0.5j)).all()
+        assert np.isfinite(specfun._theta_level_array(2, 1, lams[:1], 0.5j)).all()
     # the block passes bound |Im| by |Im lam| + max |Im node|: with their
     # tables built, the short count serves a real lambda at p = 1 and p = 2
     # and raises at a large |Im lam|
     pt, spec = ModularPoint(0.5j), QuadratureSpec()
     for p, kappa in ((1, 4), (2, 8)):
         blocks._one_value(BlockIndex(p, kappa, 2), 0.3, pt, spec)
-    _short_coefficients(monkeypatch, short)
-    for p, kappa in ((1, 4), (2, 8)):
-        values, _ = blocks._one_value(BlockIndex(p, kappa, 2), 0.3, pt, spec)
-        assert np.isfinite(values).all()
-    with pytest.raises(NonConvergence):
-        blocks._one_value(BlockIndex(1, 4, 2), 0.3 + 1j, pt, spec)
+    with series_constants(_MAX_TERMS=8):
+        for p, kappa in ((1, 4), (2, 8)):
+            values, _ = blocks._one_value(BlockIndex(p, kappa, 2), 0.3, pt, spec)
+            assert np.isfinite(values).all()
+        with pytest.raises(NonConvergence):
+            blocks._one_value(BlockIndex(1, 4, 2), 0.3 + 1j, pt, spec)
 
 
 def test_memoised_coefficient_helpers_store_no_failure():
     # the coefficient helpers are memoised over all of their arguments, but
     # a failure is raised again on every repeated call, never served from
     # the cache; what they do return is an immutable sequence
-    short = SeriesTruncation(max_terms=8)
+    with series_constants(_MAX_TERMS=8):
+        for _ in range(3):
+            with pytest.raises(NonConvergence):
+                specfun._theta1_coefs(0.5j, 6.0, 0, 0)
+            with pytest.raises(NonConvergence):
+                specfun._theta_level_coefs(2, 1, 0.5j, 6.0, 0, 0)
     for _ in range(3):
-        with pytest.raises(NonConvergence):
-            specfun._theta1_coefs(0.5j, 6.0, 0, 0, short)
-        with pytest.raises(NonConvergence):
-            specfun._theta_level_coefs(2, 1, 0.5j, 6.0, 0, 0, short)
         with pytest.raises(OutOfSupportedRange):
             specfun._theta1_coefs(0.05j, 20.0)
         with pytest.raises(OutOfSupportedRange):
