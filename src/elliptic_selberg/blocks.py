@@ -46,18 +46,22 @@ kappa = 6 is the same moment sum with the log factor.  The passes of a
 u_block share one theta1(+-lam) call and their phases; a warm u_block
 takes about 0.1 ms at p = 1 and 0.6 ms at p = 2 on one thread of a 2-core
 VM.  The first p = 2 u_block at a new (tau, rule shape, kappa, n) builds
-the moment tables, computing the per-point weights chunk by chunk inside
-the moment loop rather than as whole section tensors (5 MB coarse and
-12 MB refined at kappa = 8): about 0.7 s at kappa = 8 with a heap peak
-of about 7 MB.  The corner tails' Gauss-Jacobi rule comes from
-quadrature.gauss_jacobi, so the package needs no scipy.
+the moment tables on the cached p = 2 layout (_p2_layout: per (tau, rule
+shape, kappa) the four sections' rules, with every radius and split, the
+point count and the term-count reaches), computing the outer weights per
+section and the per-point inner weights chunk by chunk inside the moment
+loop rather than as whole section tensors (5 MB coarse and 12 MB refined
+at kappa = 8): about 0.7 s at kappa = 8 with a heap peak of about 7 MB.
+The corner tails' Gauss-Jacobi rule comes from quadrature.gauss_jacobi,
+so the package needs no scipy.
 
-A pass costs the quadrature points its tables sum over, read from the
-cached rules and the same cold or warm: none at p = 0; at p = 1 the circle
-once per end plus the middle path; at p = 2 the outer times the inner
-nodes, summed over the four sections.  Before any table is built, each
-spec's count is checked against its max_evals (QuadratureSpec.check_points),
-and BlockValue.budget_used reports the count of both passes.
+A pass costs the quadrature points its tables sum over, the same cold or
+warm: none at p = 0; at p = 1 the circle once per end plus the middle
+path; at p = 2 the outer times the inner nodes, summed over the four
+sections.  The counts are read from theta1-free rules (_p1_nodes, and the
+p = 2 layout), so each spec's count is checked against its max_evals
+(QuadratureSpec.check_points) before any theta1 is evaluated on a node;
+BlockValue.budget_used reports the count of both passes.
 """
 
 from __future__ import annotations
@@ -69,7 +73,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import OutOfSupportedRange, UnsupportedP
+from .errors import OutOfSupportedRange, PoleProximity, UnsupportedP
 from .quadrature import (
     QuadratureSpec,
     endpoint_loop_nodes,
@@ -83,9 +87,9 @@ from .selberg import SelbergParams, selberg_value
 from . import specfun
 from .specfun import (
     DEFAULT_LATTICE_FLOOR,
-    EllipticArgument,
     ModularPoint,
     continue_log,
+    lattice_distance,
 )
 
 __all__ = [
@@ -97,12 +101,8 @@ __all__ = [
     "leading_term_constant",
 ]
 
-# p = 2 inner geometry: radius of the xi loops, and the split between the
-# Gauss-Legendre panel and the Gauss-Jacobi tail of the corner integrals
-_INNER_RADIUS = 0.3
-_JACOBI_SPLIT = 0.6
-# (x, xi) points per chunk of a p = 2 table build (two theta1 arguments
-# each) or moment build (about two dozen powers each): enough to amortise
+# (x, xi) points per chunk of the p = 2 reach sweep or moment build (two
+# theta1 arguments and about two dozen powers each): enough to amortise
 # the per-call cost, few enough to keep the transient tensors to a few
 # megabytes
 _CHUNK_POINTS = 4096
@@ -182,25 +182,38 @@ def _two_graded(a: float, mid: float, b: float, levels: int,
 
 
 @lru_cache(maxsize=64)
-def _p1_tables(tau: complex, order: int, levels: int, loop_nodes: int) -> tuple:
-    """The endpoint circle, the middle path and max |Im| over the circle.
-
-    The circle |t| = r (dt/t weights, logs log t continued from arg 0) and
-    the middle path [r, 1 - r] (Gauss weights, logs 0) are returned with
-    their weights divided by f and log f added to their logs, where f =
-    E(t)/t on the circle with its principal log and f = E(t) on the middle
-    path with the log continued rightward from the principal branch at r.
-    A node of either then weighs weight * exp(b log) = w f^(b-1) t^b.
+def _p1_nodes(tau: complex, order: int, levels: int, loop_nodes: int) -> tuple:
+    """The theta1-free part of the p = 1 rules: the radius r, the endpoint
+    circle |t| = r as (t, dt, arg t) and the middle path [r, 1 - r] as
+    (nodes, Gauss weights).  A pass sums over the circle once per end and
+    over the middle path, so these fix its point count.
 
     The radius is half the smaller of 0.1 and the shortest nonzero period,
     so the circle around an endpoint encloses no other zero of theta1 and
     E(t)/t stays analytic and nonzero inside it.
     """
-    prime0 = specfun.theta1(0.0, ModularPoint(tau), d_lambda=1)
     shortest = abs(specfun._reduced_basis(tau)[0])
     r = 0.5 * min(0.1, shortest)
-    t, dt, phi = endpoint_loop_nodes(r, loop_nodes)
-    xs, ws = _two_graded(r, 0.5, 1 - r, max(levels, 10), order)
+    circle = endpoint_loop_nodes(r, loop_nodes)
+    middle = _two_graded(r, 0.5, 1 - r, max(levels, 10), order)
+    for a in circle + middle:  # a cached rule hands them to every later pass
+        a.setflags(write=False)
+    return r, circle, middle
+
+
+@lru_cache(maxsize=64)
+def _p1_tables(tau: complex, order: int, levels: int, loop_nodes: int) -> tuple:
+    """The endpoint circle, the middle path and max |Im| over the circle.
+
+    The circle (dt/t weights, logs log t continued from arg 0) and the
+    middle path (Gauss weights, logs 0) of _p1_nodes are returned with
+    their weights divided by f and log f added to their logs, where f =
+    E(t)/t on the circle with its principal log and f = E(t) on the middle
+    path with the log continued rightward from the principal branch at r.
+    A node of either then weighs weight * exp(b log) = w f^(b-1) t^b.
+    """
+    prime0 = specfun.theta1(0.0, ModularPoint(tau), d_lambda=1)
+    r, (t, dt, phi), (xs, ws) = _p1_nodes(tau, order, levels, loop_nodes)
     e = specfun._theta1_array(np.concatenate([t, xs]), tau) / prime0
     f_circle, f_middle = e[:t.size] / t, e[t.size:]
     # No winding phase is needed at the right end of the middle path: for
@@ -334,25 +347,24 @@ def _j_p1(idx: BlockIndex, lam: complex, pt: ModularPoint,
 
 @lru_cache(maxsize=32)
 def _inner_rule(kind: str, order: int, levels: int, loop_nodes: int,
-                g: float) -> _Rule:
+                g: float, r: float, split: float) -> _Rule:
     """xi rule of the inner integral Xi = FP int_0^1 xi^(b-1) psi(xi) dxi.
 
-    kind "left" (corner x -> 0): loop, Gauss panel up to the split and a
-    Gauss-Jacobi tail whose weight absorbs (1-xi)^g; the weights carry
-    (1-xi)^g elsewhere.  kind "right" (corner x -> 1): loop and a mesh graded
-    toward xi = 1, weights carrying the analytic (1+xi)^g.  kind "half"
-    (real x in (1/2, 1)): loop and graded mesh, no diagonal factor.
+    Every kind starts with the loop |xi| = r.  kind "left" (corner x -> 0):
+    then a Gauss panel up to split and a Gauss-Jacobi tail whose weight
+    absorbs (1-xi)^g; the weights carry (1-xi)^g elsewhere.  kind "right"
+    (corner x -> 1): then a mesh graded toward xi = 1, weights carrying the
+    analytic (1+xi)^g.  kind "half" (real x in (1/2, 1)): then a graded
+    mesh, no diagonal factor.
     """
-    r = _INNER_RADIUS
     t, dt, phi = endpoint_loop_nodes(r, loop_nodes)
     if kind == "left":
-        xc = _JACOBI_SPLIT
-        xs, ws = panel_nodes(r, xc, order * 2)
+        xs, ws = panel_nodes(r, split, order * 2)
         jac, jw = roots_jacobi(order * 2, g, 0.0)
-        xi_j = 0.5 * (xc + 1.0) + 0.5 * (1.0 - xc) * jac
+        xi_j = 0.5 * (split + 1.0) + 0.5 * (1.0 - split) * jac
         nodes = np.concatenate([t, xs, xi_j])
         weights = np.concatenate([dt * (1.0 - t) ** g, ws * (1.0 - xs) ** g,
-                                  ((1.0 - xc) / 2.0) ** (1.0 + g) * jw])
+                                  ((1.0 - split) / 2.0) ** (1.0 + g) * jw])
     else:
         xs, ws = graded_nodes(r, 1.0, levels, order, "right")
         nodes = np.concatenate([t, xs])
@@ -401,133 +413,84 @@ def _geometry(kind: str, xc: np.ndarray, xi: np.ndarray) -> tuple:
     return y, xc - y, xc
 
 
-@dataclass(frozen=True)
-class _P2Section:
-    """The lambda-independent outer part of one p = 2 section.
-
-    kind names the inner geometry and inner_rule its xi rule; flip is the
-    sign of x in the outer sigma.  outer holds, per outer node x, the rule
-    weight times exp(b log - log f) with f = E(x), or E(x)/x on the corner
-    loops.  The corner sections at kappa = 6 also keep outer_logs, the logs
-    by which the b-derivative multiplies; elsewhere it is None.  The inner
-    weights per (x, xi) point are built by _inner_chunks, chunk by chunk,
-    inside the moment loop.
-    """
-
-    kind: str
-    flip: float
-    inner_rule: _Rule
-    x: np.ndarray
-    outer: np.ndarray
-    outer_logs: np.ndarray | None
-
-
+@lru_cache(maxsize=16)
 def _p2_layout(tau: complex, order: int, levels: int, loop_nodes: int,
                kappa: int) -> tuple:
-    """(kind, flip, outer rule, inner rule) of the four p = 2 sections:
-    corner-left, corner-right, left and half.  The corner sections are the
-    ones whose outer rule has loop nodes."""
+    """(sections, points, reaches) of a p = 2 pass at one tau, rule shape
+    and kappa.
+
+    sections are the (kind, flip, outer rule, inner rule) of corner-left,
+    corner-right, left and half; the corner sections are the ones whose
+    outer rule has loop nodes.  points is the pass's count, outer times
+    inner nodes summed over the sections.  reaches is max |Im| over the
+    nodes of the theta1 arguments x and y and of the coordinate sum
+    pos + y: they fix a pass's term counts.
+    """
     g = 2.0 / kappa
     rules = (order, levels, loop_nodes)
-    corner, left, right = _outer_rules(*rules, 0.2 * min(1.0, tau.imag), g)
+    # radii of the outer corner loops and of the xi loops, and the split
+    # between the Gauss-Legendre panel and the Gauss-Jacobi tail of the
+    # corner integrals
+    r_out, r_in, split = 0.2 * min(1.0, tau.imag), 0.3, 0.6
+    corner, left, right = _outer_rules(*rules, r_out, g)
     # sigma(s (1 - w)) = sigma(-s w) by 1-periodicity at the x -> 1 corner
-    return tuple((kind, flip, rule, _inner_rule(kind, *rules, g))
-                 for kind, flip, rule in (("left", 1.0, corner),
-                                          ("right", -1.0, corner),
-                                          ("left", 1.0, left),
-                                          ("half", 1.0, right)))
-
-
-@lru_cache(maxsize=16)
-def _p2_reach(tau: complex, order: int, levels: int, loop_nodes: int,
-              kappa: int) -> tuple:
-    """Max |Im| over the p = 2 nodes of the theta1 arguments x and y and of
-    the coordinate sum pos + y: they fix a pass's term counts."""
+    sections = tuple((kind, flip, rule, _inner_rule(kind, *rules, g, r_in,
+                                                    split))
+                     for kind, flip, rule in (("left", 1.0, corner),
+                                              ("right", -1.0, corner),
+                                              ("left", 1.0, left),
+                                              ("half", 1.0, right)))
     reach = (0.0, 0.0)
-    for kind, _, rule, inner in _p2_layout(tau, order, levels, loop_nodes,
-                                           kappa):
-        for x in np.array_split(rule.nodes, -(-rule.nodes.size
-                                              * inner.nodes.size // _CHUNK_POINTS)):
-            y, _, pos = _geometry(kind, x[:, None], inner.nodes)
-            reach = (max(reach[0], np.abs(pos.imag).max(), np.abs(y.imag).max()),
-                     max(reach[1], np.abs((pos + y).imag).max()))
-    return tuple(map(float, reach))
+    for kind, _, rule, inner in sections:
+        # only loop nodes leave the real axis: the outer loop rows meet every
+        # xi node and the real rows only the xi loop, so the sweep grows
+        # with the nodes and not with their product
+        for x, xi in ((rule.nodes[:rule.n_loop], inner.nodes),
+                      (rule.nodes[rule.n_loop:], inner.nodes[:inner.n_loop])):
+            step = max(1, _CHUNK_POINTS // xi.size)
+            for lo in range(0, x.size, step):
+                y, _, pos = _geometry(kind, x[lo:lo + step, None], xi)
+                reach = (max(reach[0], np.abs(pos.imag).max(),
+                             np.abs(y.imag).max()),
+                         max(reach[1], np.abs((pos + y).imag).max()))
+    points = sum(rule.nodes.size * inner.nodes.size
+                 for _, _, rule, inner in sections)
+    return sections, points, tuple(map(float, reach))
 
 
-def _p2_tables(tau: complex, order: int, levels: int, loop_nodes: int,
-               kappa: int) -> tuple:
-    """theta1'(0) and the four sections' outer tables at one tau, rule shape
-    and kappa.  They are not cached: only a moment table build
-    (_p2_moments) reads them.
+def _inner_moments(kind: str, x: np.ndarray, inner: _Rule, tau: complex,
+                   kappa: int, prime0: complex, wind: complex, c: float,
+                   top: int, slope: bool) -> np.ndarray:
+    """Per outer node x, the xi sums of the inner weights (loop columns over
+    wind; then, with their logs, the b-derivative's) times e^(4 pi i c s y)
+    e^(i pi p y): rows (weight, s = 1, -1), columns the odd p up to top.
 
-    Every power base (E(x) and E(x)/x here, E(y)/y, E(d)/d at the corners
-    and E(x - y) on the right half in _inner_chunks) stays close to 1 or on
-    the positive axis, so all powers are principal.
-    """
-    b = -4.0 / kappa
-    prime0 = specfun.theta1(0.0, ModularPoint(tau), d_lambda=1)
-    sections = []
-    for kind, flip, rule, inner in _p2_layout(tau, order, levels, loop_nodes,
-                                              kappa):
-        x, is_corner = rule.nodes, rule.n_loop > 0
-        f = specfun._theta1_array(x, tau) / prime0
-        if is_corner:
-            f = f / x
-        log_f = np.log(f)
-        logs = rule.logs + log_f
-        arrays = [x, rule.weights * np.exp(b * logs - log_f),
-                  logs if is_corner and kappa == 6 else None]
-        for arr in arrays:
-            if arr is not None:
-                arr.setflags(write=False)
-        sections.append(_P2Section(kind, flip, inner, *arrays))
-    return prime0, tuple(sections)
-
-
-def _inner_chunks(sec: _P2Section, tau: complex, kappa: int,
-                  prime0: complex):
-    """Per chunk of _CHUNK_POINTS (x, xi) points of a section, (chunk, y,
-    weights, logs): the slice of its outer nodes, y at the points, the xi
-    weight times exp(b logs + g log diag - log E(y)/y), and logs = log xi +
-    log E(y)/y where the section keeps outer_logs (None elsewhere).
-
-    The x -> 0 corner's (1-xi)^g and the x -> 1 corner's (1+xi)^g sit in
-    the inner rule weights.
+    The inner weights per (x, xi) point, xi weight times exp(b logs + g log
+    diag - log E(y)/y) with logs = log xi + log E(y)/y, are built per chunk
+    of _CHUNK_POINTS points and dropped.  The x -> 0 corner's (1-xi)^g and
+    the x -> 1 corner's (1+xi)^g sit in the inner rule weights.
     """
     b, g = -4.0 / kappa, 2.0 / kappa
-    inner = sec.inner_rule
-    step = max(1, _CHUNK_POINTS // inner.nodes.size)
-    for lo in range(0, sec.x.size, step):
+    xi, n_loop = inner.nodes, inner.n_loop
+    cols = np.ones(xi.size, dtype=complex)
+    cols[:n_loop] /= wind
+    out = np.empty((x.size, 2 + 2 * slope, top + 1), dtype=complex)
+    step = max(1, _CHUNK_POINTS // xi.size)
+    mid = (top + 1) // 2
+    buffer = np.empty((min(step, x.size), top + 1, xi.size), dtype=complex)
+    for lo in range(0, x.size, step):
         chunk = slice(lo, lo + step)
-        y, d, _ = _geometry(sec.kind, sec.x[chunk, None], inner.nodes)
+        y, d, _ = _geometry(kind, x[chunk, None], xi)
         th_y, th_d = specfun._theta1_array(np.stack([y, d]), tau)
         log_ez = np.log(th_y / (y * prime0))
         diag = th_d / prime0
-        if sec.kind != "half":
+        if kind != "half":
             diag = diag / d
         logs = inner.logs + log_ez
         # xi^b (E(y)/y)^(b-1) diag^g with the xi weight
         weights = inner.weights * np.exp(b * logs
                                          + (g * np.log(diag) - log_ez))
-        yield chunk, y, weights, logs if sec.outer_logs is not None else None
-
-
-def _inner_moments(sec: _P2Section, tau: complex, kappa: int, prime0: complex,
-                   wind: complex, c: float, top: int) -> np.ndarray:
-    """Per outer node x, the xi sums of the inner weights (loop columns over
-    wind; then, with their logs, the b-derivative's) times e^(4 pi i c s y)
-    e^(i pi p y): rows (weight, s = 1, -1), columns the odd p up to top."""
-    xi, n_loop = sec.inner_rule.nodes, sec.inner_rule.n_loop
-    slope = sec.outer_logs is not None
-    cols = np.ones(xi.size, dtype=complex)
-    cols[:n_loop] /= wind
-    out = np.empty((sec.x.size, 2 + 2 * slope, top + 1), dtype=complex)
-    mid, buffer = (top + 1) // 2, None
-    for chunk, y, inner, logs in _inner_chunks(sec, tau, kappa, prime0):
-        # h^p for the odd p, one contiguous (x, p, xi) block for the matmul;
-        # the first chunk is the largest
-        if buffer is None:
-            buffer = np.empty((y.shape[0], top + 1, xi.size), dtype=complex)
+        # h^p for the odd p, one contiguous (x, p, xi) block for the matmul
         h = np.exp(1j * math.pi * y)
         h_inv = 1.0 / h
         z, z_inv = h * h, h_inv * h_inv
@@ -536,15 +499,15 @@ def _inner_moments(sec: _P2Section, tau: complex, kappa: int, prime0: complex,
         for k in range(1, mid):
             np.multiply(powers[:, mid + k - 1], z, out=powers[:, mid + k])
             np.multiply(powers[:, mid - k], z_inv, out=powers[:, mid - k - 1])
-        weights = [inner * cols]
+        sums = [weights * cols]
         if slope:
             # d/db of the loop division by loop_winding(b - 1) is
             # -2 pi i (wind + 1) / wind^2
-            weights.append(inner * logs * cols)
-            weights[1][:, :n_loop] -= (inner[:, :n_loop] * 2j * math.pi
-                                       * (wind + 1.0) / wind ** 2)
+            sums.append(weights * logs * cols)
+            sums[1][:, :n_loop] -= (weights[:, :n_loop] * 2j * math.pi
+                                    * (wind + 1.0) / wind ** 2)
         q = np.exp(4j * math.pi * c * y)
-        rows = np.stack([w * f for w in weights for f in (q, 1.0 / q)], axis=1)
+        rows = np.stack([w * f for w in sums for f in (q, 1.0 / q)], axis=1)
         out[chunk] = rows @ powers.transpose(0, 2, 1)
     return out
 
@@ -561,6 +524,12 @@ def _p2_moments(tau: complex, order: int, levels: int, loop_nodes: int,
     of e^(2 pi i kappa m sigma lam) e^(4 pi i m s pos) e^(4 pi i c s y)
     e^(4 pi i j s y).  So K[s, po, p, j] sums over the x nodes flip outer
     e^(i pi po flip x) e^(4 pi i m s pos) times the inner moment at p + 4 s j.
+    A section's outer weight is the x rule weight times exp(b log - log f)
+    with f = E(x), or E(x)/x on the corner loops, whose logs the
+    b-derivative also multiplies by.  Every power base (E(x) and E(x)/x
+    here, E(y)/y, E(d)/d at the corners and E(x - y) on the right half in
+    _inner_moments) stays close to 1 or on the positive axis, so all powers
+    are principal.
     """
     b = -4.0 / kappa
     c = (n % (2 * kappa)) / (2.0 * kappa)
@@ -568,12 +537,21 @@ def _p2_moments(tau: complex, order: int, levels: int, loop_nodes: int,
     odd, _, js, _, _ = modes = _modes(coefs, level)
     top = odd[-1] + 4 * js[-1]
     tables = np.zeros((3, 2, odd.size, odd.size, js.size), dtype=complex)
-    prime0, sections = _p2_tables(tau, order, levels, loop_nodes, kappa)
-    for i, sec in enumerate(sections):
-        moments = _inner_moments(sec, tau, kappa, prime0, wind, c, top)
-        pos = _geometry(sec.kind, sec.x, 0.0)[2]
-        basis = sec.flip * sec.outer[:, None] * np.exp(
-            1j * math.pi * np.outer(sec.flip * sec.x, odd))
+    prime0 = specfun.theta1(0.0, ModularPoint(tau), d_lambda=1)
+    sections = _p2_layout(tau, order, levels, loop_nodes, kappa)[0]
+    for i, (kind, flip, rule, inner) in enumerate(sections):
+        x, slope = rule.nodes, rule.n_loop > 0 and kappa == 6
+        f = specfun._theta1_array(x, tau) / prime0
+        if rule.n_loop > 0:
+            f = f / x
+        log_f = np.log(f)
+        logs = rule.logs + log_f
+        outer = rule.weights * np.exp(b * logs - log_f)
+        moments = _inner_moments(kind, x, inner, tau, kappa, prime0, wind, c,
+                                 top, slope)
+        pos = _geometry(kind, x, 0.0)[2]
+        basis = flip * outer[:, None] * np.exp(
+            1j * math.pi * np.outer(flip * x, odd))
         for k, s in enumerate((1, -1)):
             g0, *g1 = (_gather(moments[:, r + k], odd, js, s)
                        * np.exp(4j * math.pi * s * np.outer(pos, c + js))[:, None]
@@ -581,7 +559,7 @@ def _p2_moments(tau: complex, order: int, levels: int, loop_nodes: int,
             tables[2 if i > 1 else 0, k] += np.einsum("xo,xpj->opj", basis, g0)
             if g1:
                 tables[1, k] += np.einsum("xo,xpj->opj", basis, g1[0]
-                                          + sec.outer_logs[:, None, None] * g0)
+                                          + logs[:, None, None] * g0)
     tables.setflags(write=False)
     return modes, tables
 
@@ -604,7 +582,7 @@ def _p2_rows(idx: BlockIndex, lam: complex, tau: complex,
     kappa, n = idx.kappa, idx.reduced_n
     # the term counts, and so the tables, follow |Im lam| + max |Im node|
     div, sides = _lambda_side(_p2_moments, lam, tau, kappa, n, [
-        (shape, *_p2_reach(tau, *shape, kappa)) for shape in shapes], tuple(
+        (shape, *_p2_layout(tau, *shape, kappa)[2]) for shape in shapes], tuple(
         (-sigma * s * lam, sigma * lam) for sigma in (1.0, -1.0)
         for s in (1.0, -1.0)))
     phase = cmath.exp(4j * math.pi * n / kappa)
@@ -651,12 +629,13 @@ def _j_p2(idx: BlockIndex, lam: complex, pt: ModularPoint,
 
 
 def _as_lambda(lam, pt: ModularPoint) -> complex:
-    if isinstance(lam, EllipticArgument):
-        lam.require_off_lattice(DEFAULT_LATTICE_FLOOR, "block argument")
-        return lam.lam
-    arg = EllipticArgument.from_lambda(lam, pt)
-    arg.require_off_lattice(DEFAULT_LATTICE_FLOOR, "block argument")
-    return arg.lam
+    lam = complex(lam)
+    dist = lattice_distance(lam, pt.tau)
+    if dist < DEFAULT_LATTICE_FLOOR:
+        raise PoleProximity(
+            f"block argument {lam} is within {dist:.3e} of the lattice "
+            f"(floor {DEFAULT_LATTICE_FLOOR:.1e})")
+    return lam
 
 
 def _j_p0(idx: BlockIndex, lam: complex, pt: ModularPoint,
@@ -670,14 +649,14 @@ _PASSES = {0: _j_p0, 1: _j_p1, 2: _j_p2}
 
 
 def _points(idx: BlockIndex, pt: ModularPoint, shape: tuple) -> int:
-    """The quadrature points a pass at one rule shape sums over, from its
-    cached rules (see the module docstring)."""
+    """The quadrature points a pass at one rule shape sums over, read from
+    its cached rules before any theta1 is evaluated (see the module
+    docstring)."""
     if idx.p == 1:
-        circle, middle, _ = _p1_tables(pt.tau, *shape)
-        return 2 * circle.nodes.size + middle.nodes.size
+        _, (t, _, _), (xs, _) = _p1_nodes(pt.tau, *shape)
+        return 2 * t.size + xs.size
     if idx.p == 2:
-        return sum(outer.nodes.size * inner.nodes.size for _, _, outer, inner
-                   in _p2_layout(pt.tau, *shape, idx.kappa))
+        return _p2_layout(pt.tau, *shape, idx.kappa)[1]
     return 0
 
 

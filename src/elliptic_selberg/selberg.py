@@ -46,7 +46,6 @@ __all__ = [
     "SelbergParams",
     "BlockConstant",
     "selberg_value",
-    "selberg_oracle",
     "selberg_oracle_terms",
     "block_constant",
 ]
@@ -240,11 +239,6 @@ def _oracle_p2(a: complex, b: complex, g: complex,
         total += complex(fo[sl] @ (m @ fi))
         scale += float(np.abs(fo[sl]) @ (np.abs(m) @ np.abs(fi)))
     return total, scale
-
-
-def selberg_oracle(params: SelbergParams, quad: QuadratureSpec | None = None) -> complex:
-    """selberg_oracle_terms without the scale."""
-    return selberg_oracle_terms(params, quad)[0]
 
 
 def selberg_oracle_terms(params: SelbergParams,

@@ -56,12 +56,10 @@ from .errors import (
     BranchAmbiguity,
     NonConvergence,
     OutOfSupportedRange,
-    PoleProximity,
 )
 
 __all__ = [
     "ModularPoint",
-    "EllipticArgument",
     "theta1",
     "dedekind_eta",
     "dedekind_eta_logderiv",
@@ -137,25 +135,6 @@ def lattice_distance(lam: complex, tau: complex) -> float:
         for n in (math.floor(b), math.floor(b) + 1):
             best = min(best, abs(lam - (m * u + n * v)))
     return best
-
-
-@dataclass(frozen=True)
-class EllipticArgument:
-    """A lattice-aware elliptic argument: lam together with its distance to Z + tau*Z."""
-
-    lam: complex
-    lattice_dist: float
-
-    @classmethod
-    def from_lambda(cls, lam: complex, pt: ModularPoint) -> "EllipticArgument":
-        return cls(complex(lam), lattice_distance(lam, pt.tau))
-
-    def require_off_lattice(self, floor: float = DEFAULT_LATTICE_FLOOR, what: str = "argument"):
-        if self.lattice_dist < floor:
-            raise PoleProximity(
-                f"{what} {self.lam} is within {self.lattice_dist:.3e} of the lattice "
-                f"(floor {floor:.1e})"
-            )
 
 
 # ---------------------------------------------------------------------------

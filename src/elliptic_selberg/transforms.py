@@ -198,7 +198,6 @@ def shift_matrices(p: int, kappa: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def numeric_modular_matrices(p: int, kappa: int,
-                             pt: ModularPoint | None = None,
                              quad: QuadratureSpec | None = None,
                              lambda_grid=None):
     """The (T, S) matrices extracted by transforming and re-expanding blocks.
@@ -214,10 +213,7 @@ def numeric_modular_matrices(p: int, kappa: int,
     """
     if p > 1:
         raise UnsupportedP("numeric matrix extraction is wired for p <= 1")
-    pt = pt or ModularPoint(1j)
-    if abs(pt.tau - 1j) > 1e-12:
-        raise ValueError("matrix extraction needs tau = i, the fixed point "
-                         "of the inversion")
+    pt = ModularPoint(1j)
     labels = basis_indices(p, kappa)
     grid = default_lambda_grid(p, kappa) if lambda_grid is None else lambda_grid
     grid = [complex(x) for x in grid]

@@ -7,10 +7,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from elliptic_selberg import blocks, specfun
+from elliptic_selberg import blocks, cli, specfun
 from elliptic_selberg.blocks import (
     BlockIndex,
     j_integral,
@@ -335,24 +335,38 @@ SMALL = (8, 3, 16)
 
 
 def two_fold_brute(idx, lam, tau):
-    """The rows of blocks._p2_rows summed point by point on the p = 2
-    section weights with the array kernels, theta1 at -sigma s lam + y and
-    at -sigma flip s lam + x, and each column's sum of |terms|."""
+    """The rows of blocks._p2_rows summed point by point over the rules of
+    the p = 2 layout, theta1 at -sigma s lam + y and at -sigma flip s lam
+    + x, and each column's sum of |terms|.  Every weight and the kappa = 6
+    logs are built here from the rules, blocks._geometry and the array
+    kernel: outer w e^(b log) f^(b-1), f = E(x) or E(x)/x at the corner
+    loops, and inner w e^(b log) (E(y)/y)^(b-1) diag^g, diag = E(d)/d at
+    the corners and E(x - y) on the right half, all powers principal."""
     kappa, n = idx.kappa, idx.reduced_n
     b, g = -4.0 / kappa, 2.0 / kappa
     wind = loop_winding(b - 1.0)
-    div = theta1(lam, ModularPoint(tau)) ** 2
+    pt = ModularPoint(tau)
+    div, prime0 = theta1(lam, pt) ** 2, theta1(0.0, pt, d_lambda=1)
     rows, scales = np.zeros((4, 3), complex), np.zeros((4, 3))
-    prime0, sections = blocks._p2_tables(tau, *SMALL, kappa)
-    for i, sec in enumerate(sections):
-        n_loop = sec.inner_rule.n_loop
-        # the inner weights (and their logs) on every (x, xi) point, from
-        # the chunks the moment pass contracts
-        chunks = list(blocks._inner_chunks(sec, tau, kappa, prime0))
-        tensor = np.concatenate([weights for _, _, weights, _ in chunks])
-        tensor_logs = (None if sec.outer_logs is None else
-                          np.concatenate([logs for _, _, _, logs in chunks]))
-        y, _, pos = blocks._geometry(sec.kind, sec.x[:, None], sec.inner_rule.nodes)
+    for i, (kind, flip, outer_rule, inner_rule) in enumerate(
+            blocks._p2_layout(tau, *SMALL, kappa)[0]):
+        x, xi, n_loop = outer_rule.nodes, inner_rule.nodes, inner_rule.n_loop
+        corner = outer_rule.n_loop > 0
+        f = specfun._theta1_array(x, tau) / prime0
+        if corner:
+            f = f / x
+        outer_w = outer_rule.weights * np.exp(b * outer_rule.logs) * f ** (b - 1)
+        outer_logs = outer_rule.logs + np.log(f)
+        y, d, pos = blocks._geometry(kind, x[:, None], xi)
+        e_y = specfun._theta1_array(y, tau) / (y * prime0)
+        diag = specfun._theta1_array(d, tau) / prime0
+        if kind != "half":
+            diag = diag / d
+        tensor = (inner_rule.weights * np.exp(b * inner_rule.logs)
+                  * e_y ** (b - 1) * diag ** g)
+        # the kappa = 6 corner sections also carry the b-derivative's logs
+        tensor_logs = (inner_rule.logs + np.log(e_y)
+                       if corner and kappa == 6 else None)
         for row, (sigma, s) in enumerate(((1, 1), (1, -1), (-1, 1), (-1, -1))):
             th_y = specfun._theta1_array(-sigma * s * lam + y, tau)
             lev_arg = sigma * lam + s * g * (pos + y)
@@ -364,9 +378,9 @@ def two_fold_brute(idx, lam, tau):
                          * level_scale(kappa, n, lev_arg, tau))
             xi_b = inner[:, :n_loop].sum(axis=1) / wind + inner[:, n_loop:].sum(axis=1)
             xi_abs = inner_abs.sum(axis=1) / min(1.0, abs(wind))
-            x_arg = -sigma * sec.flip * s * lam + sec.x
-            outer = sec.outer * specfun._theta1_array(x_arg, tau)
-            outer_abs = np.abs(sec.outer) * theta1_scale(x_arg, tau)
+            x_arg = -sigma * flip * s * lam + x
+            outer = outer_w * specfun._theta1_array(x_arg, tau)
+            outer_abs = np.abs(outer_w) * theta1_scale(x_arg, tau)
             col = 2 if i > 1 else 0
             rows[row, col] += np.sum(outer * xi_b) / div
             scales[row, col] += np.sum(outer_abs * xi_abs) / abs(div)
@@ -376,17 +390,19 @@ def two_fold_brute(idx, lam, tau):
                          + logs[:, n_loop:].sum(axis=1)
                          - inner[:, :n_loop].sum(axis=1) * 2j * math.pi
                          * (wind + 1.0) / wind ** 2)
-                rows[row, 1] += np.sum(outer * (sec.outer_logs * xi_b + slope)) / div
+                rows[row, 1] += np.sum(outer * (outer_logs * xi_b + slope)) / div
                 logs_abs = (inner_abs * (np.abs(tensor_logs) + 2 * math.pi
                                          * abs(wind + 1.0) / abs(wind) ** 2))
                 scales[row, 1] += np.sum(outer_abs * (
-                    np.abs(sec.outer_logs) * xi_abs
+                    np.abs(outer_logs) * xi_abs
                     + logs_abs.sum(axis=1) / min(1.0, abs(wind)))) / abs(div)
     return rows, scales
 
 
 @given(kappa=st.integers(6, 12), n=st.integers(0, 23),
        tau_im=st.floats(0.5, 1.5), lam=st.floats(0.05, 0.95))
+# kappa = 6 at n = 1, where the b-derivative's inner logs move J by half
+@example(kappa=6, n=1, tau_im=0.9, lam=0.3)
 @settings(max_examples=12, deadline=None)
 def test_two_fold_moment_pass_matches_brute_force(kappa, n, tau_im, lam):
     # real lambda over random (kappa, n), every row and column of the pass
@@ -401,6 +417,25 @@ def test_dead_indices_vanish():
     for kappa, n in [(4, 1), (5, 1)]:
         dead = u_block(BlockIndex(1, kappa, n), LAM, PT).value
         assert abs(dead) < 1e-8 * scale
+
+
+# The kappa = 6 pass pair (J(LAM), J(-LAM)) at n = 1, a dead index where
+# dropping the b-derivative's inner logs moves J(LAM) to 17.28 + 12.10i,
+# recorded from the default-spec pass before the p = 2 tables were folded
+# into the moment build with
+#   PYTHONPATH=src python3 -c "from elliptic_selberg import blocks;
+#   from elliptic_selberg.blocks import BlockIndex, QuadratureSpec;
+#   from elliptic_selberg.specfun import ModularPoint;
+#   print(blocks._one_value(BlockIndex(2, 6, 1), 0.3, ModularPoint(0.9j),
+#   QuadratureSpec())[0])"
+P2_KAPPA6_N1 = (37.325928854157766 - 4.9701886760949864e-14j,
+                37.325928854157794 - 7.069322615343851e-15j)
+
+
+def test_kappa_six_pass_is_pinned_where_its_inner_logs_count():
+    got, _ = blocks._one_value(BlockIndex(2, 6, 1), LAM, PT, QuadratureSpec())
+    for value, want in zip(got, P2_KAPPA6_N1):
+        assert abs(value - want) <= 1e-12 * abs(want)
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -460,8 +495,11 @@ def test_vanishing_order_at_origin():
 
 
 def test_block_argument_rejects_lattice_points():
-    with pytest.raises(PoleProximity):
-        u_block(BlockIndex(1, 4, 2), 1e-9, PT)
+    # within the floor 1e-6 of the lattice points 0 and 1
+    for lam in (1e-9, 1.0 + 1e-9):
+        with pytest.raises(PoleProximity,
+                           match=r"^block argument .* \(floor 1.0e-06\)$"):
+            u_block(BlockIndex(1, 4, 2), lam, PT)
 
 
 # ---------------------------------------------------------------------------
@@ -649,7 +687,7 @@ def test_a_cold_two_fold_u_block_keeps_no_section_tensor():
     # the inner weights per (x, xi) point are built chunk by chunk inside
     # the moment loop and dropped; the whole tensors they replace held
     # 11.5 MB at the refined spec alone, 17.7 MB of peak heap in all
-    for cached in (blocks._p2_moments, blocks._p2_reach, blocks._inner_rule,
+    for cached in (blocks._p2_moments, blocks._p2_layout, blocks._inner_rule,
                    blocks._outer_rules):
         cached.cache_clear()
     tracemalloc.start()
@@ -660,6 +698,20 @@ def test_a_cold_two_fold_u_block_keeps_no_section_tensor():
         tracemalloc.stop()
     assert blocks._p2_moments.cache_info().misses == 2
     assert peak < 8e6, peak
+
+
+def test_two_fold_layout_is_built_once_per_tau_rule_shape_and_kappa():
+    # the point count, the term-count reaches and the moment build of both
+    # passes read one cached layout per spec; another n at the same kappa
+    # builds new moment tables on the same layouts
+    blocks._p2_layout.cache_clear()
+    u_block(BlockIndex(2, 8, 4), LAM, PT)
+    u_block(BlockIndex(2, 8, 2), 0.41, PT)
+    info = blocks._p2_layout.cache_info()
+    assert info.misses == 2 and info.currsize == 2
+    # each u_block reads each layout for its count, its reach, and (when
+    # its moment tables are not cached yet) for the moment build
+    assert info.hits >= 6
 
 
 def test_two_fold_guard_rails():
@@ -693,8 +745,9 @@ def test_leading_term_constant_validation():
 
 
 def _clear_block_caches():
-    for cached in (blocks._p1_tables, blocks._p1_moments, blocks._inner_rule,
-                   blocks._outer_rules, blocks._p2_reach, blocks._p2_moments,
+    for cached in (blocks._p1_nodes, blocks._p1_tables, blocks._p1_moments,
+                   blocks._inner_rule, blocks._outer_rules, blocks._p2_layout,
+                   blocks._p2_moments,
                    specfun._theta1_coefs, specfun._theta_level_coefs):
         cached.cache_clear()
 
@@ -728,6 +781,44 @@ def test_budget_is_enforced():
         assert moments.cache_info().misses == 0
         # the coarse pass alone fits under the cap
         assert blocks._one_value(idx, LAM, PT, quad)[1] <= cap
+
+
+# a p = 1 block whose coarse pass has 640,160 points, 640 times its cap
+OVERSIZED_P1 = ["block", "--p", "1", "--kappa", "5", "--n", "2", "--lambda",
+                "0.3", "--tau", "0.9i", "--mesh-levels", "20000",
+                "--max-evals", "1000"]
+
+
+def test_the_cap_refuses_an_oversized_one_fold_spec_before_any_theta1(
+        monkeypatch, capsys):
+    # the count comes from the theta1-free nodes, so no kernel and no
+    # continued log runs on the rule nodes of a refused pass
+    blocks._p1_tables.cache_clear()
+    calls, _ = _count_kernels(monkeypatch)
+    logs = []
+    for module in (blocks, specfun):
+        monkeypatch.setattr(module, "continue_log",
+                            lambda *args: logs.append(args))
+    quad = QuadratureSpec(graded_mesh_levels=20_000, max_evals=1_000)
+    with pytest.raises(QuadratureBudgetExceeded, match="640160 > 1000$"):
+        u_block(BlockIndex(1, 5, 2), LAM, PT, quad)
+    assert cli.main(OVERSIZED_P1) == 2
+    assert "640160 > 1000" in capsys.readouterr().err
+    assert logs == [] and calls["_theta1_array"] == calls["theta1"] == 0
+    assert blocks._p1_tables.cache_info().misses == 0
+
+
+def test_the_cap_refuses_an_oversized_two_fold_spec_after_a_linear_sweep(
+        monkeypatch):
+    # the layout's reach sweep pairs only loop nodes with every other node,
+    # so a spec of 2.1e9 points is refused after sweeping 1.0e7, not all
+    swept, geometry = [], blocks._geometry
+    monkeypatch.setattr(blocks, "_geometry", lambda kind, x, xi: swept.append(
+        np.size(x) * np.size(xi)) or geometry(kind, x, xi))
+    quad = QuadratureSpec(graded_mesh_levels=2_000, max_evals=1_000)
+    with pytest.raises(QuadratureBudgetExceeded, match="2064403968 > 1000$"):
+        u_block(BlockIndex(2, 8, 4), LAM, PT, quad)
+    assert 0 < sum(swept) < 2064403968 / 100
 
 
 def test_fold_counts_beyond_two_are_rejected():

@@ -28,7 +28,7 @@ from elliptic_selberg.selberg import (
     BlockConstant,
     SelbergParams,
     block_constant,
-    selberg_oracle,
+    selberg_oracle_terms,
     selberg_value,
 )
 
@@ -38,7 +38,7 @@ def closed(p, a, b, g):
 
 
 def oracle(p, a, b, g, **kw):
-    return selberg_oracle(SelbergParams(p, a, b, g), **kw)
+    return selberg_oracle_terms(SelbergParams(p, a, b, g), **kw)[0]
 
 
 # ---------------------------------------------------------------------------

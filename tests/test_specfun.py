@@ -21,11 +21,9 @@ from elliptic_selberg.errors import (
     BranchAmbiguity,
     NonConvergence,
     OutOfSupportedRange,
-    PoleProximity,
 )
 from elliptic_selberg.quadrature import QuadratureSpec
 from elliptic_selberg.specfun import (
-    EllipticArgument,
     ModularPoint,
     continue_log,
     dedekind_eta,
@@ -544,15 +542,6 @@ def test_lattice_distance_matches_brute_force_on_skewed_lattices(tau_re, tau_im,
     m, n = np.meshgrid(np.arange(-160, 161), np.arange(-30, 31))
     brute = float(np.min(np.abs(lam - (m + n * tau))))
     assert abs(lattice_distance(lam, tau) - brute) <= 1e-12 * max(1.0, brute)
-
-
-def test_elliptic_argument_guard():
-    pt = ModularPoint(0.9j)
-    arg = EllipticArgument.from_lambda(1.0 + 1e-9, pt)
-    with pytest.raises(PoleProximity):
-        arg.require_off_lattice(1e-6, "test point")
-    ok = EllipticArgument.from_lambda(0.3, pt)
-    ok.require_off_lattice(1e-6, "test point")
 
 
 def test_continue_log_tracks_winding():

@@ -194,11 +194,9 @@ def test_numeric_extraction_samples_the_basis_once(monkeypatch):
     assert len(calls) == 48
 
 
-def test_numeric_extraction_rejects_large_p_and_wrong_tau():
+def test_numeric_extraction_rejects_large_p():
     with pytest.raises(UnsupportedP):
         numeric_modular_matrices(2, 8)
-    with pytest.raises(ValueError):
-        numeric_modular_matrices(1, 4, pt=PT)
 
 
 def test_basis_indices_range():
