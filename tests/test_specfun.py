@@ -21,6 +21,7 @@ from elliptic_selberg.errors import (
     BranchAmbiguity,
     NonConvergence,
     OutOfSupportedRange,
+    PoleProximity,
 )
 from elliptic_selberg.quadrature import QuadratureSpec
 from elliptic_selberg.specfun import (
@@ -542,6 +543,18 @@ def test_lattice_distance_matches_brute_force_on_skewed_lattices(tau_re, tau_im,
     m, n = np.meshgrid(np.arange(-160, 161), np.arange(-30, 31))
     brute = float(np.min(np.abs(lam - (m + n * tau))))
     assert abs(lattice_distance(lam, tau) - brute) <= 1e-12 * max(1.0, brute)
+
+
+def test_elliptic_argument_guard():
+    # an argument within DEFAULT_LATTICE_FLOOR of a lattice point is refused,
+    # one farther off is evaluated
+    pt = ModularPoint(0.9j)
+    near, far = 1.0 + 1e-9, 0.3
+    assert lattice_distance(near, pt.tau) < specfun.DEFAULT_LATTICE_FLOOR
+    with pytest.raises(PoleProximity):
+        u_block(BlockIndex(1, 4, 2), near, pt)
+    assert lattice_distance(far, pt.tau) > specfun.DEFAULT_LATTICE_FLOOR
+    assert cmath.isfinite(u_block(BlockIndex(1, 4, 2), far, pt).value)
 
 
 def test_continue_log_tracks_winding():
