@@ -42,16 +42,25 @@ p = 1 the endpoint circle and middle path, whose weights and logs carry
 the powers of E; at p = 2 the outer x and inner xi rules of each section,
 with the weights times the powers of E per (x, xi) point.  The exponent b
 enters as exp(b * log) of the tabulated logs, so the b-derivative at
-kappa = 6 is the same moment sum with the log factor.  The passes of a
-u_block share one theta1(+-lam) call and their phases; a warm u_block
-takes about 0.1 ms at p = 1 and 0.6 ms at p = 2 on one thread of a 2-core
-VM.  The first p = 2 u_block at a new (tau, rule shape, kappa, n) builds
-the moment tables on the cached p = 2 layout (_p2_layout: per (tau, rule
-shape, kappa) the four sections' rules, with every radius and split, the
-point count and the term-count reaches), computing the outer weights per
-section and the per-point inner weights chunk by chunk inside the moment
-loop rather than as whole section tensors (5 MB coarse and 12 MB refined
-at kappa = 8): about 0.7 s at kappa = 8 with a heap peak of about 7 MB.
+kappa = 6 is the same moment sum with the log factor.
+
+u_block_grid runs the coarse and the refined pass once over a whole lambda
+grid; u_block and j_integral are its one-point case.  The points of a grid
+that share an |Im lam| share their term counts, so they take theta1(+-lam)
+from one kernel call and their phases from one exponential per phase row
+over a (point, mode) array, shared by both passes; only the contraction
+with the tables runs per point, so every value is bit-identical to its
+point's own u_block.  Warm, a six-point real grid takes about 0.3 ms at
+p = 1 (0.6 ms as six u_block calls), and a u_block about 0.1 ms at p = 1
+and 0.5 ms at p = 2, on one thread of a 2-core VM.  The first p = 2
+u_block at a new (tau, rule shape, kappa, n) builds the moment tables on
+the cached p = 2 layout (_p2_layout: per (tau, rule shape, kappa) the four
+sections' rules, with every radius and split, and the point count;
+_p2_reach sweeps the term-count reaches from it once a pass runs),
+computing the outer weights per section and the per-point inner weights
+chunk by chunk inside the moment loop rather than as whole section tensors
+(5 MB coarse and 12 MB refined at kappa = 8): about 0.7 s at kappa = 8
+with a heap peak of about 7 MB.
 The corner tails' Gauss-Jacobi rule comes from quadrature.gauss_jacobi,
 so the package needs no scipy.
 
@@ -60,8 +69,9 @@ warm: none at p = 0; at p = 1 the circle once per end plus the middle
 path; at p = 2 the outer times the inner nodes, summed over the four
 sections.  The counts are read from theta1-free rules (_p1_nodes, and the
 p = 2 layout), so each spec's count is checked against its max_evals
-(QuadratureSpec.check_points) before any theta1 is evaluated on a node;
-BlockValue.budget_used reports the count of both passes.
+(QuadratureSpec.check_points), once per grid, before any theta1 is
+evaluated and before the p = 2 reach sweep; BlockValue.budget_used reports
+the count of both passes at each point.
 """
 
 from __future__ import annotations
@@ -98,6 +108,7 @@ __all__ = [
     "QuadratureSpec",
     "j_integral",
     "u_block",
+    "u_block_grid",
     "leading_term_constant",
 ]
 
@@ -228,50 +239,70 @@ def _p1_tables(tau: complex, order: int, levels: int, loop_nodes: int) -> tuple:
     return circle, middle, float(np.max(np.abs(circle.nodes.imag)))
 
 
-def _modes(coefs: tuple, level: tuple) -> tuple:
-    """(odd, log d, js, c, log levels): theta1(z) = sum_p d_p e^(i pi p z)
-    over the odd |p| < 2 len(coefs) (its sine series) and theta_{kappa,n}(z)
-    = sum_j levels_j e^(2 pi i kappa (c + j) z) over |j| < len(ahead), level
-    = (c, ahead, behind).  Logs keep a phase beyond the double range finite
-    against its small coefficient."""
+def _modes(coefs: tuple, level: tuple, kappa: int) -> tuple:
+    """(odd, js, log d, i pi odd, log levels, 2 pi i kappa (c + js)):
+    theta1(z) = sum_p d_p e^(i pi p z) over the odd |p| < 2 len(coefs) (its
+    sine series) and theta_{kappa,n}(z) = sum_j levels_j e^(2 pi i kappa
+    (c + j) z) over |j| < len(ahead), level = (c, ahead, behind).  Logs keep
+    a phase beyond the double range finite against its small coefficient."""
     coefs = np.array(coefs)
     c, ahead, behind = level
+    odd = np.arange(1 - 2 * coefs.size, 2 * coefs.size, 2)
+    js = np.arange(1 - len(ahead), len(ahead))
     with np.errstate(divide="ignore"):
-        odd, log_d, js, log_levels = rows = (
-            np.arange(1 - 2 * coefs.size, 2 * coefs.size, 2),
-            np.log(np.concatenate([-coefs[::-1], coefs]) / 2j),
-            np.arange(1 - len(ahead), len(ahead)),
-            np.log(np.array(behind[::-1] + ahead)))
+        rows = (odd, js, np.log(np.concatenate([-coefs[::-1], coefs]) / 2j),
+                1j * math.pi * odd, np.log(np.array(behind[::-1] + ahead)),
+                2j * math.pi * kappa * (c + js))
     for row in rows:  # a cached table hands them to every later pass
         row.setflags(write=False)
-    return odd, log_d, js, c, log_levels
+    return rows
 
 
-def _phases(modes: tuple, kappa: int, w: complex, mu: complex) -> tuple:
-    """d_p e^(i pi p w) and levels_j e^(2 pi i kappa (c + j) mu); each
-    depends on w or mu alone, so lam -> -lam swaps the rows bit for bit."""
-    odd, log_d, js, c, log_levels = modes
-    return (np.exp(log_d + 1j * math.pi * odd * w),
-            np.exp(log_levels + 2j * math.pi * kappa * (c + js) * mu))
+def _phases(modes: tuple, w: np.ndarray, mu: np.ndarray) -> tuple:
+    """d_p e^(i pi p w) and levels_j e^(2 pi i kappa (c + j) mu), one row per
+    point of the columns w and mu; each depends on w or mu alone, so lam ->
+    -lam swaps the rows bit for bit."""
+    _, _, log_d, d_rates, log_levels, level_rates = modes
+    return (np.exp(log_d + d_rates * w),
+            np.exp(log_levels + level_rates * mu))
 
 
-def _lambda_side(moments, lam: complex, tau: complex, kappa: int, n: int,
-                 reaches: list, args: tuple) -> tuple:
-    """theta1(+-lam) from one kernel call and, per (rule shape, reach,
-    level_reach), the tables of moments at the term counts lam plus a node of
-    |Im| up to reach (at level kappa, g times level_reach) needs, with their
-    phases at each (w, mu) of args, evaluated once per distinct counts."""
-    sides, built = [], {}
-    for shape, reach, level_reach in reaches:
-        coefs = specfun._theta1_coefs(tau, abs(lam.imag) + reach)
-        level = specfun._theta_level_coefs(
-            kappa, n, tau, abs(lam.imag) + (2.0 / kappa) * level_reach)
-        modes, tables = moments(tau, *shape, kappa, n, coefs, level)
-        counts = (len(coefs), len(level[1]))
-        if counts not in built:
-            built[counts] = [_phases(modes, kappa, w, mu) for w, mu in args]
-        sides.append((tables, built[counts]))
-    return specfun._theta1_array(np.array([lam, -lam]), tau), sides
+def _lambda_side(moments, lams: list, tau: complex, kappa: int, n: int,
+                 reaches: list, args):
+    """Per point k of lams, (k, (theta1(lam), theta1(-lam)), sides): per
+    (rule shape, reach, level_reach), the tables of moments at the term
+    counts lam plus a node of |Im| up to reach (at level kappa, g times
+    level_reach) needs, with the point's phase rows at each (w, mu) of
+    args(lam).
+
+    The term counts follow |Im lam|, so the points are grouped by it: a group
+    takes theta1 at [lam..., -lam...] from one kernel call and its phases
+    from one exponential per (w, mu) row over a (point, mode) array,
+    evaluated once per distinct counts."""
+    groups = {}
+    for k, lam in enumerate(lams):
+        groups.setdefault(abs(lam.imag), []).append(k)
+    for im, ks in groups.items():
+        group = [lams[k] for k in ks]
+        div = specfun._theta1_array(np.array(group + [-lam for lam in group]),
+                                    tau)
+        # (point, row, (w, mu)) from the same scalar arithmetic per point
+        rows = np.array([args(lam) for lam in group])
+        sides, built = [], {}
+        for shape, reach, level_reach in reaches:
+            coefs = specfun._theta1_coefs(tau, im + reach)
+            level = specfun._theta_level_coefs(
+                kappa, n, tau, im + (2.0 / kappa) * level_reach)
+            modes, tables = moments(tau, *shape, kappa, n, coefs, level)
+            counts = (len(coefs), len(level[1]))
+            if counts not in built:
+                built[counts] = [_phases(modes, rows[:, r, :1], rows[:, r, 1:])
+                                 for r in range(rows.shape[1])]
+            sides.append((tables, built[counts]))
+        for i, k in enumerate(ks):
+            yield k, (div[i], div[len(ks) + i]), [
+                (tables, [(theta[i], level[i]) for theta, level in phases])
+                for tables, phases in sides]
 
 
 def _gather(moments: np.ndarray, odd: np.ndarray, js: np.ndarray,
@@ -305,7 +336,7 @@ def _p1_moments(tau: complex, order: int, levels: int, loop_nodes: int,
         shifts.append(-flip * rule.nodes)
         weights.append(w)
     t, w = np.concatenate(shifts), np.concatenate(weights)
-    odd, _, js, _, _ = modes = _modes(coefs, level)
+    odd, js, *_ = modes = _modes(coefs, level, kappa)
     top = odd[-1] + 4 * js[-1]
     c = (n % (2 * kappa)) / (2.0 * kappa)
     moments = (w * np.exp(-4j * math.pi * c * t)) @ np.exp(
@@ -315,9 +346,10 @@ def _p1_moments(tau: complex, order: int, levels: int, loop_nodes: int,
     return modes, table
 
 
-def _j_p1(idx: BlockIndex, lam: complex, pt: ModularPoint,
+def _j_p1(idx: BlockIndex, lams: list, pt: ModularPoint,
           shapes: list) -> list:
-    """(J(lam), J(-lam)) per rule shape: endpoint circles and middle path.
+    """Per rule shape, (J(lam), J(-lam)) per point of lams: endpoint circles
+    and middle path.
 
     J(mu) sums, over the nodes x of the sections (rule, flip, offset), weight
     * exp(b log) * flip theta1(mu - flip x) / theta1(mu) * theta_{kappa,n}(mu
@@ -325,19 +357,22 @@ def _j_p1(idx: BlockIndex, lam: complex, pt: ModularPoint,
     loop_winding(b - 1).  The t = 1 circle is the t = 0 circle in s = 1 - t,
     with flip -1 and offset 1: E(1 - s) = E(s) and sigma(1 - s) = sigma(-s).
     A pass contracts its cached moment table (_p1_moments) with the phases
-    of mu = lam and -lam, and takes the divisor theta1(mu) from the
-    relative-accurate array kernel.
+    of mu = lam and -lam, point by point, and takes the divisor theta1(mu)
+    from the relative-accurate array kernel.
     """
     reaches = []
     for shape in shapes:
         im = _p1_tables(pt.tau, *shape)[2]
         # the term counts, and so the table, follow |Im lam| + max |Im node|
         reaches.append((shape, im, im))
-    div, sides = _lambda_side(_p1_moments, lam, pt.tau, idx.kappa,
-                              idx.reduced_n, reaches, ((lam, lam), (-lam, -lam)))
-    return [tuple(complex(theta / d @ table @ level)
-                  for d, (theta, level) in zip(div, phases))
-            for table, phases in sides]
+    out = [[None] * len(lams) for _ in shapes]
+    for k, div, sides in _lambda_side(
+            _p1_moments, lams, pt.tau, idx.kappa, idx.reduced_n, reaches,
+            lambda lam: ((lam, lam), (-lam, -lam))):
+        for values, (table, phases) in zip(out, sides):
+            values[k] = tuple(complex(theta / d @ table @ level)
+                              for d, (theta, level) in zip(div, phases))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -416,15 +451,12 @@ def _geometry(kind: str, xc: np.ndarray, xi: np.ndarray) -> tuple:
 @lru_cache(maxsize=16)
 def _p2_layout(tau: complex, order: int, levels: int, loop_nodes: int,
                kappa: int) -> tuple:
-    """(sections, points, reaches) of a p = 2 pass at one tau, rule shape
-    and kappa.
+    """(sections, points) of a p = 2 pass at one tau, rule shape and kappa.
 
     sections are the (kind, flip, outer rule, inner rule) of corner-left,
     corner-right, left and half; the corner sections are the ones whose
     outer rule has loop nodes.  points is the pass's count, outer times
-    inner nodes summed over the sections.  reaches is max |Im| over the
-    nodes of the theta1 arguments x and y and of the coordinate sum
-    pos + y: they fix a pass's term counts.
+    inner nodes summed over the sections, read from the rules alone.
     """
     g = 2.0 / kappa
     rules = (order, levels, loop_nodes)
@@ -440,8 +472,20 @@ def _p2_layout(tau: complex, order: int, levels: int, loop_nodes: int,
                                               ("right", -1.0, corner),
                                               ("left", 1.0, left),
                                               ("half", 1.0, right)))
+    points = sum(rule.nodes.size * inner.nodes.size
+                 for _, _, rule, inner in sections)
+    return sections, points
+
+
+@lru_cache(maxsize=16)
+def _p2_reach(tau: complex, order: int, levels: int, loop_nodes: int,
+              kappa: int) -> tuple:
+    """max |Im| over the nodes of a p = 2 layout of the theta1 arguments x
+    and y and of the coordinate sum pos + y: they fix a pass's term counts.
+    Swept only once a pass runs, so the cap refuses a spec on its rules."""
     reach = (0.0, 0.0)
-    for kind, _, rule, inner in sections:
+    for kind, _, rule, inner in _p2_layout(tau, order, levels, loop_nodes,
+                                           kappa)[0]:
         # only loop nodes leave the real axis: the outer loop rows meet every
         # xi node and the real rows only the xi loop, so the sweep grows
         # with the nodes and not with their product
@@ -453,9 +497,7 @@ def _p2_layout(tau: complex, order: int, levels: int, loop_nodes: int,
                 reach = (max(reach[0], np.abs(pos.imag).max(),
                              np.abs(y.imag).max()),
                          max(reach[1], np.abs((pos + y).imag).max()))
-    points = sum(rule.nodes.size * inner.nodes.size
-                 for _, _, rule, inner in sections)
-    return sections, points, tuple(map(float, reach))
+    return tuple(map(float, reach))
 
 
 def _inner_moments(kind: str, x: np.ndarray, inner: _Rule, tau: complex,
@@ -534,7 +576,7 @@ def _p2_moments(tau: complex, order: int, levels: int, loop_nodes: int,
     b = -4.0 / kappa
     c = (n % (2 * kappa)) / (2.0 * kappa)
     wind = loop_winding(b - 1.0)
-    odd, _, js, _, _ = modes = _modes(coefs, level)
+    odd, js, *_ = modes = _modes(coefs, level, kappa)
     top = odd[-1] + 4 * js[-1]
     tables = np.zeros((3, 2, odd.size, odd.size, js.size), dtype=complex)
     prime0 = specfun.theta1(0.0, ModularPoint(tau), d_lambda=1)
@@ -564,40 +606,46 @@ def _p2_moments(tau: complex, order: int, levels: int, loop_nodes: int,
     return modes, tables
 
 
-def _p2_rows(idx: BlockIndex, lam: complex, tau: complex,
+def _p2_rows(idx: BlockIndex, lams: list, tau: complex,
              shapes: list) -> np.ndarray:
     """Integrals over {0 <= y <= min(x, 1-x)} of the four integrands.
 
     Half shape s at sigma lam: E(x)^b E(y)^b E(x-y)^g sigma(s x) sigma(s y)
     theta_{kappa,n}(mu + s g (x+y)), mu = sigma lam + (1 - s) g; corners
     x -> 0 and x -> 1 are continued via circle integrals with exponent
-    A = 2b + g - 1.  Per rule shape, the rows (sigma, s) = (1, 1), (1, -1),
-    (-1, 1), (-1, -1) with three columns: the corner loops' numerator, to
-    be divided by loop_winding(A), its b-derivative (0 off kappa = 6) and
-    the sum of the corner-free sections.  By oddness, sigma(s x) sigma(s
-    y) is theta1(w + y) flip theta1(w + flip x) / theta1(sigma lam)^2, w =
-    -sigma s lam; the s = -1 level theta is theta_{kappa,n}(sigma lam - g
-    (pos + y)) times the phase exp(4 pi i n / kappa) of the shift by 2 g.
+    A = 2b + g - 1.  Per rule shape and point of lams, the rows (sigma, s) =
+    (1, 1), (1, -1), (-1, 1), (-1, -1) with three columns: the corner loops'
+    numerator, to be divided by loop_winding(A), its b-derivative (0 off
+    kappa = 6) and the sum of the corner-free sections.  By oddness,
+    sigma(s x) sigma(s y) is theta1(w + y) flip theta1(w + flip x) /
+    theta1(sigma lam)^2, w = -sigma s lam; the s = -1 level theta is
+    theta_{kappa,n}(sigma lam - g (pos + y)) times the phase exp(4 pi i n /
+    kappa) of the shift by 2 g.
     """
     kappa, n = idx.kappa, idx.reduced_n
-    # the term counts, and so the tables, follow |Im lam| + max |Im node|
-    div, sides = _lambda_side(_p2_moments, lam, tau, kappa, n, [
-        (shape, *_p2_layout(tau, *shape, kappa)[2]) for shape in shapes], tuple(
-        (-sigma * s * lam, sigma * lam) for sigma in (1.0, -1.0)
-        for s in (1.0, -1.0)))
     phase = cmath.exp(4j * math.pi * n / kappa)
-    # per rule shape, row i is (sigma, s) with sigma's divisor div[i // 2]
-    return np.array([[[theta / div[i // 2] @ (table[i % 2] @ level)
+    out = np.empty((len(shapes), len(lams), 4, 3), dtype=complex)
+    # the term counts, and so the tables, follow |Im lam| + max |Im node|
+    for k, div, sides in _lambda_side(
+            _p2_moments, lams, tau, kappa, n,
+            [(shape, *_p2_reach(tau, *shape, kappa)) for shape in shapes],
+            lambda lam: tuple((-sigma * s * lam, sigma * lam)
+                              for sigma in (1.0, -1.0) for s in (1.0, -1.0))):
+        # per rule shape, row i is (sigma, s) with sigma's divisor div[i // 2]
+        out[:, k] = [[[theta / div[i // 2] @ (table[i % 2] @ level)
                        @ (theta / div[i // 2]) * (phase if i % 2 else 1.0)
                        for table in tables]
                       for i, (theta, level) in enumerate(phases)]
-                     for tables, phases in sides])
+                     for tables, phases in sides]
+    return out
 
 
-def _j_p2(idx: BlockIndex, lam: complex, pt: ModularPoint,
+def _j_p2(idx: BlockIndex, lams: list, pt: ModularPoint,
           shapes: list) -> list:
-    """(J(lam), J(-lam)) per rule shape from the four half shapes' rows."""
-    if abs(complex(lam).imag) > 1e-12 or abs(pt.tau.real) > 1e-12:
+    """Per rule shape, (J(lam), J(-lam)) per point of lams from the four
+    half shapes' rows."""
+    if (any(abs(lam.imag) > 1e-12 for lam in lams)
+            or abs(pt.tau.real) > 1e-12):
         raise OutOfSupportedRange(
             "the two-fold integral is wired for real lambda and purely "
             "imaginary tau only")
@@ -614,13 +662,14 @@ def _j_p2(idx: BlockIndex, lam: complex, pt: ModularPoint,
     # the limit (N+' + N-') / W'(b): the finite part of x^A at a negative
     # integer (Gel'fand and Shilov, Generalized Functions, vol. 1, ch. I, 3).
     at_pole = idx.kappa == 6
-    rows = _p2_rows(idx, complex(lam).real + 0j, pt.tau, shapes)
+    rows = _p2_rows(idx, [lam.real + 0j for lam in lams], pt.tau, shapes)
     # J(sigma lam) sums its two half shapes, rows (sigma, 1) and (sigma, -1)
     corners, slopes, rests = np.moveaxis(
         rows.reshape(-1, 2, 2, 3).sum(axis=2), -1, 0)
     value = (slopes / (4j * math.pi * cmath.exp(2j * math.pi * corner))
              if at_pole else corners / loop_winding(corner))
-    return [tuple(map(complex, pair)) for pair in pair_branch * (value + rests)]
+    pairs = (pair_branch * (value + rests)).reshape(len(shapes), len(lams), 2)
+    return [[tuple(map(complex, pair)) for pair in values] for values in pairs]
 
 
 # ---------------------------------------------------------------------------
@@ -628,21 +677,25 @@ def _j_p2(idx: BlockIndex, lam: complex, pt: ModularPoint,
 # ---------------------------------------------------------------------------
 
 
-def _as_lambda(lam, pt: ModularPoint) -> complex:
-    lam = complex(lam)
-    dist = lattice_distance(lam, pt.tau)
-    if dist < DEFAULT_LATTICE_FLOOR:
-        raise PoleProximity(
-            f"block argument {lam} is within {dist:.3e} of the lattice "
-            f"(floor {DEFAULT_LATTICE_FLOOR:.1e})")
-    return lam
+def _as_lambdas(grid, pt: ModularPoint) -> list:
+    """The grid as complex points, every one checked against the lattice
+    floor before any pass runs."""
+    lams = [complex(lam) for lam in grid]
+    for lam in lams:
+        dist = lattice_distance(lam, pt.tau)
+        if dist < DEFAULT_LATTICE_FLOOR:
+            raise PoleProximity(
+                f"block argument {lam} is within {dist:.3e} of the lattice "
+                f"(floor {DEFAULT_LATTICE_FLOOR:.1e})")
+    return lams
 
 
-def _j_p0(idx: BlockIndex, lam: complex, pt: ModularPoint,
+def _j_p0(idx: BlockIndex, lams: list, pt: ModularPoint,
           shapes: list) -> list:
-    """(J(lam), J(-lam)) of the empty integral: level-theta values."""
-    return [tuple(specfun.theta_level(idx.kappa, idx.reduced_n, mu, pt)
-                  for mu in (lam, -lam))] * len(shapes)
+    """(J(lam), J(-lam)) per point of the empty integral: level-theta
+    values, the same for every rule shape."""
+    return [[tuple(specfun.theta_level(idx.kappa, idx.reduced_n, mu, pt)
+                   for mu in (lam, -lam)) for lam in lams]] * len(shapes)
 
 
 _PASSES = {0: _j_p0, 1: _j_p1, 2: _j_p2}
@@ -660,30 +713,33 @@ def _points(idx: BlockIndex, pt: ModularPoint, shape: tuple) -> int:
     return 0
 
 
-def _passes(idx: BlockIndex, lam, pt: ModularPoint, quads: tuple) -> tuple:
-    """Per spec, a pass (J(lam), J(-lam)) and its quadrature points, every
-    count checked against its cap before any pass runs; no table depends on
-    the cap, and the passes share their lambda side."""
+def _passes(idx: BlockIndex, lams: list, pt: ModularPoint,
+            quads: tuple) -> tuple:
+    """Per spec, a pass (J(lam), J(-lam)) per complex point of lams, and the
+    pass's quadrature points, every count checked against its cap once per
+    grid before any pass runs; no table depends on the cap, and the passes
+    share their lambda side."""
     if idx.p not in _PASSES:
         raise UnsupportedP(f"p = {idx.p} is beyond the implemented range (p <= 2)")
     shapes = [(q.gauss_order, q.graded_mesh_levels, q.loop_nodes) for q in quads]
     points = [quad.check_points(_points(idx, pt, shape))
               for quad, shape in zip(quads, shapes)]
-    return _PASSES[idx.p](idx, lam, pt, shapes), points
+    return _PASSES[idx.p](idx, lams, pt, shapes), points
 
 
 def _one_value(idx: BlockIndex, lam, pt: ModularPoint,
                quad: QuadratureSpec) -> tuple:
     """One pass, (J(lam), J(-lam)), and its quadrature points."""
-    (values,), (points,) = _passes(idx, lam, pt, (quad,))
+    ((values,),), (points,) = _passes(idx, [complex(lam)], pt, (quad,))
     return values, points
 
 
-def _two_passes(idx: BlockIndex, lam, pt: ModularPoint,
+def _two_passes(idx: BlockIndex, grid, pt: ModularPoint,
                 quad: QuadratureSpec | None) -> tuple:
-    """The requested (coarse) pass, a refined one and their summed points."""
+    """The requested (coarse) pass and a refined one, (J(lam), J(-lam)) per
+    point of the grid, and their summed points."""
     quad = quad or QuadratureSpec()
-    (coarse, fine), points = _passes(idx, _as_lambda(lam, pt), pt,
+    (coarse, fine), points = _passes(idx, _as_lambdas(grid, pt), pt,
                                      (quad, quad.refined()))
     return coarse, fine, sum(points)
 
@@ -695,19 +751,34 @@ def j_integral(idx: BlockIndex, lam, pt: ModularPoint,
     The error estimate compares the requested quadrature against a refined
     one (heuristic, not a bound).  p = 0 is exact.
     """
-    (coarse, _), (fine, _), used = _two_passes(idx, lam, pt, quad)
+    ((coarse, _),), ((fine, _),), used = _two_passes(idx, (lam,), pt, quad)
     return BlockValue(value=fine, error_estimate=abs(fine - coarse),
                       budget_used=used)
+
+
+def u_block_grid(idx: BlockIndex, grid, pt: ModularPoint,
+                 quad: QuadratureSpec | None = None) -> tuple:
+    """u_block at every point of the grid, in its order.
+
+    The passes are those of u_block, run once over the grid: every point is
+    checked against the lattice floor and each spec against its cap before
+    any theta1 is evaluated, and the points sharing an |Im lam| share one
+    divisor call and one set of phases; each value is bit-identical to the
+    point's own u_block.
+    """
+    coarse, fine, used = _two_passes(idx, grid, pt, quad)
+    return tuple(BlockValue(value=plus + (-1) ** (idx.p + 1) * minus,
+                            error_estimate=(abs(plus - c_plus)
+                                            + abs(minus - c_minus)),
+                            budget_used=used)
+                 for (c_plus, c_minus), (plus, minus) in zip(coarse, fine))
 
 
 def u_block(idx: BlockIndex, lam, pt: ModularPoint,
             quad: QuadratureSpec | None = None) -> BlockValue:
     """The symmetrized combination J(lam) + (-1)^(p+1) J(-lam), with the
     coarse-vs-refined estimate of both terms."""
-    (c_plus, c_minus), (plus, minus), used = _two_passes(idx, lam, pt, quad)
-    return BlockValue(value=plus + (-1) ** (idx.p + 1) * minus,
-                      error_estimate=abs(plus - c_plus) + abs(minus - c_minus),
-                      budget_used=used)
+    return u_block_grid(idx, (lam,), pt, quad)[0]
 
 
 def leading_term_constant(p: int) -> complex:

@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .blocks import BlockIndex, u_block
+from .blocks import BlockIndex, u_block, u_block_grid
 from .errors import IllConditionedBasis, UnsupportedP
 from .macdonald import TransformMatrix
 from .quadrature import QuadratureSpec
@@ -134,10 +134,9 @@ def _sampled_basis(p: int, kappa: int, grid: list,
         raise ValueError(
             f"need at least {2 * len(labels)} sample points for a "
             f"{len(labels)}-dimensional basis, got {len(grid)}")
-    columns = []
-    for n in labels:
-        idx = BlockIndex(p, kappa, n)
-        columns.append([u_block(idx, x, pt, quad).value for x in grid])
+    columns = [[value.value for value in u_block_grid(BlockIndex(p, kappa, n),
+                                                      grid, pt, quad)]
+               for n in labels]
     mat = np.array(columns, dtype=complex).T
     cond = np.linalg.cond(mat)
     if not np.isfinite(cond) or cond > _CONDITION_LIMIT:

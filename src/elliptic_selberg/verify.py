@@ -27,7 +27,7 @@ import math
 from dataclasses import asdict, dataclass, field
 from typing import Callable, NamedTuple
 
-from .blocks import BlockIndex, leading_term_constant, u_block
+from .blocks import BlockIndex, leading_term_constant, u_block_grid
 from .errors import EllipticSelbergError, OutOfSupportedRange
 from .macdonald import (ct_inner, macdonald_basis, modular_matrices,
                         relation_residuals)
@@ -183,12 +183,21 @@ def _theta_combo(st: IdentityStructure, lam: complex, pt: ModularPoint,
     return total
 
 
+def _rhs_constant(st: IdentityStructure, p: int, pt: ModularPoint) -> complex:
+    """The lambda-free factor of a closed form: block constant times weight."""
+    return (block_constant(p, st.kappa, st.constant_index).value
+            * _weight_value(st, pt))
+
+
+def _rhs_at(st: IdentityStructure, p: int, constant: complex, lam: complex,
+            pt: ModularPoint) -> complex:
+    return constant * theta1(lam, pt) ** (p + 1) * _theta_combo(st, lam, pt)
+
+
 def rhs_value(ident: int, p: int, lam: complex, pt: ModularPoint) -> complex:
     """The closed-form side of one identity at (lam, tau)."""
     st = identity_structure(ident, p)
-    c = block_constant(p, st.kappa, st.constant_index).value
-    return (c * _weight_value(st, pt)
-            * theta1(lam, pt) ** (p + 1) * _theta_combo(st, lam, pt))
+    return _rhs_at(st, p, _rhs_constant(st, p, pt), lam, pt)
 
 
 def rhs_shift_phase(pair: tuple, p: int) -> complex:
@@ -303,19 +312,23 @@ def verify_identity(ident: int, p: int, lambda_grid=None,
     quad = quad or QuadratureSpec()
     tol = tol if tol is not None else DEFAULT_TOLERANCE
 
+    # one grid pass per block of the combination
+    terms = [(coeff, u_block_grid(BlockIndex(p, st.kappa, n), grid, pt, quad))
+             for n, coeff in st.lhs_terms]
+    constant = _rhs_constant(st, p, pt)
     lhs, rhs, estimates = [], [], []
     budget = 0
-    for lam in grid:
+    for k, lam in enumerate(grid):
         total = 0.0 + 0.0j
         est = 0.0
-        for n, coeff in st.lhs_terms:
-            val = u_block(BlockIndex(p, st.kappa, n), lam, pt, quad)
+        for coeff, values in terms:
+            val = values[k]
             total += coeff * val.value
             est += abs(coeff) * val.error_estimate
             budget += val.budget_used
         lhs.append(total)
         estimates.append(est)
-        rhs.append(rhs_value(ident, p, lam, pt))
+        rhs.append(_rhs_at(st, p, constant, lam, pt))
 
     scale = max(abs(z) for z in rhs)
     abs_err = max(abs(a - b) for a, b in zip(lhs, rhs))

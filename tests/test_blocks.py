@@ -16,6 +16,7 @@ from elliptic_selberg.blocks import (
     j_integral,
     leading_term_constant,
     u_block,
+    u_block_grid,
 )
 from elliptic_selberg.errors import (
     OutOfSupportedRange,
@@ -273,6 +274,75 @@ def test_a_lambda_grid_builds_each_moment_table_once(p, kappa, n):
 
 
 # ---------------------------------------------------------------------------
+# a whole lambda grid in one pass
+# ---------------------------------------------------------------------------
+
+
+# tau on the imaginary axis, off it, and an S-image; p = 2 takes the first
+GRID_TAUS = (0.9j, 0.6j, 1j, 0.3 + 1.1j, 1 + 1j, -1 / (0.3 + 1.1j))
+# Im lam as a fraction of Im tau: repeated and opposite |Im lam| share a
+# divisor call, distinct ones need their own term counts
+GRID_IM_FRACTIONS = (0.0, 0.0, 0.1, -0.1, 0.25, -0.25)
+
+
+def _check_grid_against_points(idx, grid, pt):
+    """u_block_grid equals u_block point by point bit for bit (value,
+    estimate and budget), and a warm grid makes one divisor call per
+    distinct |Im lam|."""
+    singles = tuple(u_block(idx, lam, pt) for lam in grid)
+    with pytest.MonkeyPatch.context() as patch:
+        calls, _ = _count_kernels(patch)
+        assert u_block_grid(idx, grid, pt) == singles, (idx, grid, pt.tau)
+    distinct = len({abs(complex(lam).imag) for lam in grid})
+    assert calls["_theta1_array"] == (distinct if idx.p else 0)
+
+
+@given(data=st.data(), p=st.integers(0, 2), kappa=st.integers(4, 10),
+       n=st.integers(0, 19), tau=st.sampled_from(GRID_TAUS),
+       points=st.lists(st.tuples(st.floats(0.05, 0.95),
+                                 st.sampled_from(GRID_IM_FRACTIONS)),
+                       min_size=1, max_size=6),
+       repeats=st.integers(0, 2))
+@example(data=None, p=1, kappa=5, n=2, tau=0.9j,
+         points=[(0.3, 0.25), (0.41, 0.0), (0.2, -0.25), (0.7, 0.1),
+                 (0.13, 0.0)], repeats=2)
+@settings(max_examples=30, deadline=None)
+def test_a_grid_pass_is_its_points_bit_for_bit(data, p, kappa, n, tau, points,
+                                               repeats):
+    # p = 2 takes real lambda at tau = 0.9i, at the pinned (kappa, n)
+    if p == 2:
+        kappa, n = P2_INDICES[kappa % len(P2_INDICES)]
+        tau, points = 0.9j, [(x, 0.0) for x, _ in points]
+    kappa = max(kappa, 2 * p + 2)
+    grid = [complex(x, frac * tau.imag) for x, frac in points]
+    grid += grid[:repeats]
+    if data is not None:  # unsorted, duplicates anywhere
+        grid = data.draw(st.permutations(grid))
+    _check_grid_against_points(BlockIndex(p, kappa, n), grid, ModularPoint(tau))
+
+
+def test_a_grid_point_at_the_lattice_refuses_the_grid(monkeypatch):
+    # every point is checked against the floor before any pass runs
+    calls, _ = _count_kernels(monkeypatch)
+    with pytest.raises(PoleProximity, match=r"^block argument \(1\+1e-09j\)"):
+        u_block_grid(BlockIndex(1, 4, 2), [0.3, 0.41 + 0.1j, 1 + 1e-9j, 0.5],
+                     PT)
+    assert calls["_theta1_array"] == calls["theta1"] == 0
+
+
+def test_a_grid_over_its_cap_is_refused_before_any_theta1(monkeypatch):
+    # one count check per spec and grid, before the divisor or any table:
+    # the refined pass of 1,116 points is over the cap of 1,000
+    blocks._p1_tables.cache_clear()
+    calls, _ = _count_kernels(monkeypatch)
+    with pytest.raises(QuadratureBudgetExceeded, match="1116 > 1000$"):
+        u_block_grid(BlockIndex(1, 5, 2), [0.3, 0.41 + 0.1j, 0.3], PT,
+                     QuadratureSpec(max_evals=1_000))
+    assert calls["_theta1_array"] == calls["theta1"] == 0
+    assert blocks._p1_tables.cache_info().misses == 0
+
+
+# ---------------------------------------------------------------------------
 # the moment pass against a brute-force sum on the same tables
 # ---------------------------------------------------------------------------
 
@@ -323,8 +393,10 @@ def test_one_fold_moment_pass_matches_brute_force(kappa, n, tau_re, tau_im,
     # real and complex lambda, |Im lam| <= 0.3 Im tau, over random (kappa, n)
     tau, spec = complex(tau_re, tau_im), QuadratureSpec(max_evals=0)
     lam = complex(lam_re, 0.3 * tau_im * lam_frac)
-    (got,) = blocks._j_p1(BlockIndex(1, kappa, n), lam, ModularPoint(tau), [(
-        spec.gauss_order, spec.graded_mesh_levels, spec.loop_nodes)])
+    ((got,),) = blocks._j_p1(BlockIndex(1, kappa, n), [lam],
+                             ModularPoint(tau), [(spec.gauss_order,
+                                                  spec.graded_mesh_levels,
+                                                  spec.loop_nodes)])
     for value, mu in zip(got, (lam, -lam)):
         want, scale = one_fold_brute(kappa, n, mu, tau, spec)
         assert abs(value - want) <= 1e-13 * scale, (value, want, scale)
@@ -407,7 +479,7 @@ def two_fold_brute(idx, lam, tau):
 def test_two_fold_moment_pass_matches_brute_force(kappa, n, tau_im, lam):
     # real lambda over random (kappa, n), every row and column of the pass
     idx, tau = BlockIndex(2, kappa, n), complex(0.0, tau_im)
-    (got,) = blocks._p2_rows(idx, complex(lam), tau, [SMALL])
+    ((got,),) = blocks._p2_rows(idx, [complex(lam)], tau, [SMALL])
     want, scales = two_fold_brute(idx, lam, tau)
     assert np.all(np.abs(got - want) <= 1e-13 * scales), (got - want) / scales
 
@@ -639,8 +711,8 @@ def test_kappa_six_corner_numerators_cancel(tau, n):
     # shapes' corner numerators cancel at the base exponent, at +lam (rows 0
     # and 1) and at -lam (rows 2 and 3)
     quad = QuadratureSpec()
-    corners = blocks._p2_rows(BlockIndex(2, 6, n), 0.3 + 0j, tau, [(
-        quad.gauss_order, quad.graded_mesh_levels, quad.loop_nodes)])[0][:, 0]
+    corners = blocks._p2_rows(BlockIndex(2, 6, n), [0.3 + 0j], tau, [(
+        quad.gauss_order, quad.graded_mesh_levels, quad.loop_nodes)])[0, 0][:, 0]
     for n_plus, n_minus in (corners[0:2], corners[2:4]):
         assert abs(n_plus) > 1.0
         assert abs(n_plus + n_minus) <= 1e-12 * abs(n_plus)
@@ -687,8 +759,8 @@ def test_a_cold_two_fold_u_block_keeps_no_section_tensor():
     # the inner weights per (x, xi) point are built chunk by chunk inside
     # the moment loop and dropped; the whole tensors they replace held
     # 11.5 MB at the refined spec alone, 17.7 MB of peak heap in all
-    for cached in (blocks._p2_moments, blocks._p2_layout, blocks._inner_rule,
-                   blocks._outer_rules):
+    for cached in (blocks._p2_moments, blocks._p2_layout, blocks._p2_reach,
+                   blocks._inner_rule, blocks._outer_rules):
         cached.cache_clear()
     tracemalloc.start()
     try:
@@ -701,17 +773,19 @@ def test_a_cold_two_fold_u_block_keeps_no_section_tensor():
 
 
 def test_two_fold_layout_is_built_once_per_tau_rule_shape_and_kappa():
-    # the point count, the term-count reaches and the moment build of both
-    # passes read one cached layout per spec; another n at the same kappa
-    # builds new moment tables on the same layouts
-    blocks._p2_layout.cache_clear()
+    # the point count, the term-count reach sweep and the moment build of
+    # both passes read one cached layout per spec; another n at the same
+    # kappa builds new moment tables on the same layouts
+    for cached in (blocks._p2_layout, blocks._p2_reach, blocks._p2_moments):
+        cached.cache_clear()
     u_block(BlockIndex(2, 8, 4), LAM, PT)
     u_block(BlockIndex(2, 8, 2), 0.41, PT)
     info = blocks._p2_layout.cache_info()
     assert info.misses == 2 and info.currsize == 2
-    # each u_block reads each layout for its count, its reach, and (when
-    # its moment tables are not cached yet) for the moment build
+    # each u_block reads each layout for its count and its moment build; the
+    # first also for the reach sweep, which is cached on its own
     assert info.hits >= 6
+    assert blocks._p2_reach.cache_info().misses == 2
 
 
 def test_two_fold_guard_rails():
@@ -747,7 +821,7 @@ def test_leading_term_constant_validation():
 def _clear_block_caches():
     for cached in (blocks._p1_nodes, blocks._p1_tables, blocks._p1_moments,
                    blocks._inner_rule, blocks._outer_rules, blocks._p2_layout,
-                   blocks._p2_moments,
+                   blocks._p2_reach, blocks._p2_moments,
                    specfun._theta1_coefs, specfun._theta_level_coefs):
         cached.cache_clear()
 
@@ -808,16 +882,58 @@ def test_the_cap_refuses_an_oversized_one_fold_spec_before_any_theta1(
     assert blocks._p1_tables.cache_info().misses == 0
 
 
-def test_the_cap_refuses_an_oversized_two_fold_spec_after_a_linear_sweep(
-        monkeypatch):
-    # the layout's reach sweep pairs only loop nodes with every other node,
-    # so a spec of 2.1e9 points is refused after sweeping 1.0e7, not all
+# a p = 2 block whose coarse pass has 2.0e11 points, 2.0e8 times its cap
+OVERSIZED_P2 = ["block", "--p", "2", "--kappa", "8", "--n", "4", "--lambda",
+                "0.3", "--tau", "0.9i", "--mesh-levels", "20000",
+                "--max-evals", "1000"]
+
+
+def _count_geometry(monkeypatch) -> list:
+    """The (x, xi) points handed to blocks._geometry from now on."""
     swept, geometry = [], blocks._geometry
     monkeypatch.setattr(blocks, "_geometry", lambda kind, x, xi: swept.append(
         np.size(x) * np.size(xi)) or geometry(kind, x, xi))
-    quad = QuadratureSpec(graded_mesh_levels=2_000, max_evals=1_000)
-    with pytest.raises(QuadratureBudgetExceeded, match="2064403968 > 1000$"):
-        u_block(BlockIndex(2, 8, 4), LAM, PT, quad)
+    return swept
+
+
+def _clear_p2_rules():
+    for cached in (blocks._p2_reach, blocks._p2_layout, blocks._inner_rule,
+                   blocks._outer_rules):
+        cached.cache_clear()
+
+
+def test_the_cap_refuses_an_oversized_two_fold_spec_before_any_theta1(
+        monkeypatch, capsys):
+    # the count comes from the rules alone: neither the term-count reach
+    # sweep (geometry on the nodes) nor any theta1 runs for a refused spec
+    swept = _count_geometry(monkeypatch)
+    calls, _ = _count_kernels(monkeypatch)
+    quad = QuadratureSpec(graded_mesh_levels=20_000, max_evals=1_000)
+    try:
+        with pytest.raises(QuadratureBudgetExceeded,
+                           match="204963859968 > 1000$"):
+            u_block(BlockIndex(2, 8, 4), LAM, PT, quad)
+        assert cli.main(OVERSIZED_P2) == 2
+    finally:
+        # hold the 20,000-level rules no longer than this test
+        _clear_p2_rules()
+    assert "204963859968 > 1000" in capsys.readouterr().err
+    assert swept == [] and calls["_theta1_array"] == calls["theta1"] == 0
+
+
+def test_the_two_fold_reach_sweep_is_linear_in_the_nodes(monkeypatch):
+    # only loop nodes leave the real axis, so the sweep pairs the loop rows
+    # with every node and the real rows with the loop only: a layout of
+    # 2.1e9 points is swept over 1.0e7, not all
+    swept = _count_geometry(monkeypatch)
+    quad = QuadratureSpec(graded_mesh_levels=2_000)
+    shape = (quad.gauss_order, quad.graded_mesh_levels, quad.loop_nodes)
+    try:
+        assert blocks._p2_layout(PT.tau, *shape, 8)[1] == 2064403968
+        assert swept == []
+        blocks._p2_reach(PT.tau, *shape, 8)
+    finally:
+        _clear_p2_rules()
     assert 0 < sum(swept) < 2064403968 / 100
 
 

@@ -179,19 +179,21 @@ def test_numeric_t_matrix_is_diagonal():
 
 
 def test_numeric_extraction_samples_the_basis_once(monkeypatch):
-    # dim basis columns on the 8-point grid, then 2 * dim transformed blocks
-    # on it: (2 + 4) * 8 u_block calls at kappa = 5, where re-expanding each
-    # transformed block from scratch would resample the basis four times
-    calls = []
-    block = transforms.u_block
+    # dim basis columns, one grid call each on the 8-point grid, then 2 * dim
+    # transformed blocks point by point: 2 grid calls of 8 points and 4 * 8
+    # u_block calls at kappa = 5, where re-expanding each transformed block
+    # from scratch would resample the basis four times
+    calls = {"u_block": [], "u_block_grid": []}
+    for name, record in calls.items():
+        block = getattr(transforms, name)
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return block(*args, **kwargs)
+        def counting(idx, lam, *args, _block=block, _record=record, **kwargs):
+            _record.append(np.size(lam))
+            return _block(idx, lam, *args, **kwargs)
 
-    monkeypatch.setattr(transforms, "u_block", counting)
+        monkeypatch.setattr(transforms, name, counting)
     numeric_modular_matrices(1, 5)
-    assert len(calls) == 48
+    assert calls == {"u_block": [1] * 32, "u_block_grid": [8, 8]}
 
 
 def test_numeric_extraction_rejects_large_p():
