@@ -48,19 +48,19 @@ u_block_grid runs the coarse and the refined pass once over a whole lambda
 grid; u_block and j_integral are its one-point case.  The points of a grid
 that share an |Im lam| share their term counts, so they take theta1(+-lam)
 from one kernel call and their phases from one exponential per phase row
-over a (point, mode) array, shared by both passes; only the contraction
-with the tables runs per point, so every value is bit-identical to its
-point's own u_block.  Warm, a six-point real grid takes about 0.3 ms at
-p = 1 (0.6 ms as six u_block calls), and a u_block about 0.1 ms at p = 1
-and 0.5 ms at p = 2, on one thread of a 2-core VM.  The first p = 2
-u_block at a new (tau, rule shape, kappa, n) builds the moment tables on
-the cached p = 2 layout (_p2_layout: per (tau, rule shape, kappa) the four
-sections' rules, with every radius and split, and the point count;
-_p2_reach sweeps the term-count reaches from it once a pass runs),
-computing the outer weights per section and the per-point inner weights
-chunk by chunk inside the moment loop rather than as whole section tensors
-(5 MB coarse and 12 MB refined at kappa = 8): about 0.7 s at kappa = 8
-with a heap peak of about 7 MB.
+over a (point, mode) array, shared by both passes, and one stacked
+contraction with the tables per rule shape; every value is bit-identical
+to its point's own u_block.  Warm, a six-point real grid takes about
+0.2 ms at p = 1 and 0.5 ms at p = 2 (kappa = 8), and a u_block about
+0.13 ms at p = 1 and 0.23 ms at p = 2, on one thread of a 2-core VM.
+The first p = 2 u_block at a new (tau, rule shape, kappa, n) builds the
+moment tables on the cached p = 2 layout (_p2_layout: per (tau, rule
+shape, kappa) the four sections' rules, with every radius and split, and
+the point count; _p2_reach sweeps the term-count reaches from it once a
+pass runs), computing the outer weights per section and the per-point
+inner weights chunk by chunk inside the moment loop rather than as whole
+section tensors (5 MB coarse and 12 MB refined at kappa = 8): about 0.7 s
+at kappa = 8 with a heap peak of about 7 MB.
 The corner tails' Gauss-Jacobi rule comes from quadrature.gauss_jacobi,
 so the package needs no scipy.
 
@@ -269,20 +269,17 @@ def _phases(modes: tuple, w: np.ndarray, mu: np.ndarray) -> tuple:
 
 def _lambda_side(moments, lams: list, tau: complex, kappa: int, n: int,
                  reaches: list, args):
-    """Per point k of lams, (k, (theta1(lam), theta1(-lam)), sides): per
-    (rule shape, reach, level_reach), the tables of moments at the term
-    counts lam plus a node of |Im| up to reach (at level kappa, g times
-    level_reach) needs, with the point's phase rows at each (w, mu) of
-    args(lam).
+    """Per group of the points of lams that share an |Im lam|, (ks, div,
+    sides): the group's indices ks into lams, theta1 at [lam..., -lam...]
+    and, per (rule shape, reach, level_reach), the tables of moments at the
+    term counts lam plus a node of |Im| up to reach (at level kappa, g times
+    level_reach) needs, with the group's (point, mode) phase rows at each
+    (w, mu) of args(lam).
 
-    The term counts follow |Im lam|, so the points are grouped by it: a group
-    takes theta1 at [lam..., -lam...] from one kernel call and its phases
-    from one exponential per (w, mu) row over a (point, mode) array,
+    The term counts follow |Im lam|, so a group takes its divisor from one
+    kernel call and its phases from one exponential per (w, mu) row,
     evaluated once per distinct counts."""
-    groups = {}
-    for k, lam in enumerate(lams):
-        groups.setdefault(abs(lam.imag), []).append(k)
-    for im, ks in groups.items():
+    for im, ks in specfun._imag_groups(lams).items():
         group = [lams[k] for k in ks]
         div = specfun._theta1_array(np.array(group + [-lam for lam in group]),
                                     tau)
@@ -299,10 +296,7 @@ def _lambda_side(moments, lams: list, tau: complex, kappa: int, n: int,
                 built[counts] = [_phases(modes, rows[:, r, :1], rows[:, r, 1:])
                                  for r in range(rows.shape[1])]
             sides.append((tables, built[counts]))
-        for i, k in enumerate(ks):
-            yield k, (div[i], div[len(ks) + i]), [
-                (tables, [(theta[i], level[i]) for theta, level in phases])
-                for tables, phases in sides]
+        yield ks, div, sides
 
 
 def _gather(moments: np.ndarray, odd: np.ndarray, js: np.ndarray,
@@ -357,8 +351,8 @@ def _j_p1(idx: BlockIndex, lams: list, pt: ModularPoint,
     loop_winding(b - 1).  The t = 1 circle is the t = 0 circle in s = 1 - t,
     with flip -1 and offset 1: E(1 - s) = E(s) and sigma(1 - s) = sigma(-s).
     A pass contracts its cached moment table (_p1_moments) with the phases
-    of mu = lam and -lam, point by point, and takes the divisor theta1(mu)
-    from the relative-accurate array kernel.
+    of mu = lam and -lam, stacked over the points of an |Im lam| group, and
+    takes the divisor theta1(mu) from the relative-accurate array kernel.
     """
     reaches = []
     for shape in shapes:
@@ -366,12 +360,16 @@ def _j_p1(idx: BlockIndex, lams: list, pt: ModularPoint,
         # the term counts, and so the table, follow |Im lam| + max |Im node|
         reaches.append((shape, im, im))
     out = [[None] * len(lams) for _ in shapes]
-    for k, div, sides in _lambda_side(
+    for ks, div, sides in _lambda_side(
             _p1_moments, lams, pt.tau, idx.kappa, idx.reduced_n, reaches,
             lambda lam: ((lam, lam), (-lam, -lam))):
         for values, (table, phases) in zip(out, sides):
-            values[k] = tuple(complex(theta / d @ table @ level)
-                              for d, (theta, level) in zip(div, phases))
+            # rows mu = lam..., -lam..., as div holds theta1(mu)
+            theta, level = (np.concatenate(rows) for rows in zip(*phases))
+            pairs = ((theta / div[:, None])[:, None] @ table
+                     @ level[:, :, None]).reshape(2, len(ks)).T.tolist()
+            for k, pair in zip(ks, pairs):
+                values[k] = tuple(pair)
     return out
 
 
@@ -626,17 +624,23 @@ def _p2_rows(idx: BlockIndex, lams: list, tau: complex,
     phase = cmath.exp(4j * math.pi * n / kappa)
     out = np.empty((len(shapes), len(lams), 4, 3), dtype=complex)
     # the term counts, and so the tables, follow |Im lam| + max |Im node|
-    for k, div, sides in _lambda_side(
+    for ks, div, sides in _lambda_side(
             _p2_moments, lams, tau, kappa, n,
             [(shape, *_p2_reach(tau, *shape, kappa)) for shape in shapes],
             lambda lam: tuple((-sigma * s * lam, sigma * lam)
                               for sigma in (1.0, -1.0) for s in (1.0, -1.0))):
-        # per rule shape, row i is (sigma, s) with sigma's divisor div[i // 2]
-        out[:, k] = [[[theta / div[i // 2] @ (table[i % 2] @ level)
-                       @ (theta / div[i // 2]) * (phase if i % 2 else 1.0)
-                       for table in tables]
-                      for i, (theta, level) in enumerate(phases)]
-                     for tables, phases in sides]
+        # row i is (sigma, s) with sigma's divisor theta1(sigma lam)
+        div = div.reshape(2, len(ks))[[0, 0, 1, 1], :, None]
+        for values, (tables, phases) in zip(out, sides):
+            theta, level = (np.stack(rows) for rows in zip(*phases))
+            theta = theta / div
+            inner = (tables[:, [0, 1, 0, 1], None]
+                     @ level[:, :, None, :, None])[..., 0]
+            rows = (theta[:, :, None] @ inner @ theta[..., None])[..., 0, 0]
+            rows = rows.transpose(2, 1, 0)
+            # the shift phase on the scalars, as numpy scalar products
+            rows[:, 1::2].flat = [z * phase for z in rows[:, 1::2].flat]
+            values[ks] = rows
     return out
 
 

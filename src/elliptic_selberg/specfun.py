@@ -171,6 +171,16 @@ def _max_abs_imag(lam: np.ndarray) -> float:
     return float(np.max(np.abs(lam.imag))) if lam.size else 0.0
 
 
+def _imag_groups(lams) -> dict:
+    """{|Im lam|: indices into lams}: the points of a group need the same
+    series term counts, so a group's kernel call gives each the value of
+    its own one-point call."""
+    groups = {}
+    for k, lam in enumerate(lams):
+        groups.setdefault(abs(lam.imag), []).append(k)
+    return groups
+
+
 def _horner(coefs, z):
     """sum_j coefs[j] * z**j elementwise over z; needs two coefficients or more."""
     acc = coefs[-1] * z + coefs[-2]

@@ -5,9 +5,11 @@ lambda by 1 and by tau, the latter with an exponential cocycle) and two
 modular moves (tau -> tau+1 and tau -> -1/tau, the latter with a Gaussian
 prefactor and a fractional power of tau).  On the span of the admissible
 block integrals these generate a finite-dimensional action whose matrices
-have closed forms; this module evaluates the operators pointwise, expands
-transformed functions back over the block basis by least squares, and
-extracts the matrices numerically.
+have closed forms; this module evaluates the operators on whole lambda
+grids, expands transformed functions back over the block basis by least
+squares, and extracts the matrices numerically with one u_block_grid call
+per basis label and per transformed block (six calls of eight points at
+kappa = 5).
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .blocks import BlockIndex, u_block, u_block_grid
+from .blocks import BlockIndex, u_block_grid
 from .errors import IllConditionedBasis, UnsupportedP
 from .macdonald import TransformMatrix
 from .quadrature import QuadratureSpec
@@ -45,21 +47,25 @@ class BlockFunction:
 
     The tag is what the modular prefactor of the tau-inversion needs; the
     evaluator itself may be a quadrature-backed block, a closed form, or a
-    linear combination.
+    linear combination.  It takes a list of complex lambda at one tau and
+    returns their values in order; a call is its one-point grid.
     """
 
-    evaluator: Callable[[complex, ModularPoint], complex]
+    evaluator: Callable[[list, ModularPoint], list]
     p: int
     kappa: int
 
+    def on_grid(self, lams, pt: ModularPoint) -> list:
+        return self.evaluator([complex(lam) for lam in lams], pt)
+
     def __call__(self, lam: complex, pt: ModularPoint) -> complex:
-        return self.evaluator(lam, pt)
+        return self.on_grid([lam], pt)[0]
 
     @classmethod
     def from_block(cls, idx: BlockIndex,
                    quad: QuadratureSpec | None = None) -> "BlockFunction":
-        def evaluate(lam, pt):
-            return u_block(idx, lam, pt, quad).value
+        def evaluate(lams, pt):
+            return [value.value for value in u_block_grid(idx, lams, pt, quad)]
 
         return cls(evaluator=evaluate, p=idx.p, kappa=idx.kappa)
 
@@ -73,36 +79,39 @@ def basis_indices(p: int, kappa: int) -> tuple[int, ...]:
 
 def apply_transform(which: str, f: BlockFunction, lam: complex,
                     pt: ModularPoint) -> complex:
-    """Evaluate (X f)(lam, tau) for X among A, B, T, S.
-
-    The tau-inversion uses the principal branch of tau**w, consistent with
-    arg(tau) in (0, pi) which ModularPoint guarantees.
-    """
-    tau = pt.tau
-    if which == "A":
-        return f(lam + 1.0, pt)
-    if which == "B":
-        phase = cmath.exp(1j * math.pi * f.kappa * (lam + tau / 2.0))
-        return phase * f(lam + tau, pt)
-    if which == "T":
-        return f(lam, ModularPoint(tau + 1.0))
-    if which == "S":
-        weight = -0.5 - f.p * (f.p + 1) / f.kappa
-        prefactor = (cmath.exp(-1j * math.pi * f.kappa * lam * lam / (2.0 * tau))
-                     * tau ** weight)
-        return prefactor * f(lam / tau, ModularPoint(-1.0 / tau))
-    raise ValueError(f"unknown transform {which!r}; expected one of "
-                     f"{TRANSFORM_NAMES}")
+    """Evaluate (X f)(lam, tau) for X among A, B, T, S: the one-point grid
+    of transformed_function."""
+    return transformed_function(which, f)(lam, pt)
 
 
 def transformed_function(which: str, f: BlockFunction) -> BlockFunction:
-    """The operator applied lazily, so transforms can be composed."""
+    """The operator applied lazily, so transforms can be composed.
+
+    A grid moves as a whole, one grid call of f: A and B shift every point,
+    T takes the grid to tau + 1 and S takes [lam / tau...] to -1/tau; the B
+    phase and the S prefactor are cmath scalars per point.  The inversion
+    uses the principal branch of tau**w, consistent with arg(tau) in (0,
+    pi) which ModularPoint guarantees.
+    """
     if which not in TRANSFORM_NAMES:
         raise ValueError(f"unknown transform {which!r}; expected one of "
                          f"{TRANSFORM_NAMES}")
 
-    def evaluate(lam, pt):
-        return apply_transform(which, f, lam, pt)
+    def evaluate(lams, pt):
+        tau = pt.tau
+        if which == "A":
+            return f.on_grid([lam + 1.0 for lam in lams], pt)
+        if which == "B":
+            moved = f.on_grid([lam + tau for lam in lams], pt)
+            return [cmath.exp(1j * math.pi * f.kappa * (lam + tau / 2.0)) * v
+                    for lam, v in zip(lams, moved)]
+        if which == "T":
+            return f.on_grid(lams, ModularPoint(tau + 1.0))
+        weight = -0.5 - f.p * (f.p + 1) / f.kappa
+        moved = f.on_grid([lam / tau for lam in lams],
+                          ModularPoint(-1.0 / tau))
+        return [cmath.exp(-1j * math.pi * f.kappa * lam * lam / (2.0 * tau))
+                * tau ** weight * v for lam, v in zip(lams, moved)]
 
     return BlockFunction(evaluator=evaluate, p=f.p, kappa=f.kappa)
 
@@ -146,12 +155,12 @@ def _sampled_basis(p: int, kappa: int, grid: list,
     return mat
 
 
-def _fit(mat: np.ndarray, f, grid: list,
+def _fit(mat: np.ndarray, f: BlockFunction, grid: list,
          pt: ModularPoint) -> tuple[np.ndarray, float]:
-    """Least-squares coefficients of f on the grid over the columns of mat,
-    and the root-mean-square misfit relative to the root-mean-square of f
-    (absolute when f vanishes on the grid)."""
-    rhs = np.array([f(x, pt) for x in grid], dtype=complex)
+    """Least-squares coefficients of f on the grid, evaluated in one grid
+    call, over the columns of mat, and the root-mean-square misfit relative
+    to the root-mean-square of f (absolute when f vanishes on the grid)."""
+    rhs = np.array(f.on_grid(grid, pt), dtype=complex)
     coeffs, *_ = np.linalg.lstsq(mat, rhs, rcond=None)
     misfit = math.sqrt(float(np.mean(np.abs(mat @ coeffs - rhs) ** 2)))
     scale = math.sqrt(float(np.mean(np.abs(rhs) ** 2)))
@@ -204,11 +213,11 @@ def numeric_modular_matrices(p: int, kappa: int,
     Works at tau = i, the fixed point of the inversion, so the transformed
     functions can be expanded over the basis sampled at the same tau; the
     basis is sampled once and all 2 * dim transformed blocks are fitted
-    against it.  The shift by one in tau is evaluated at tau = 1 + i with
-    branch-tracked quadrature.  p = 2 is refused: the two-fold quadrature
-    takes real lambda at purely imaginary tau only (the guard in
-    blocks._j_p2), and the T move (tau = 1 + i) and the S move (lambda / tau)
-    leave that range.
+    against it, each from one grid call.  The shift by one in tau is
+    evaluated at tau = 1 + i with branch-tracked quadrature.  p = 2 is
+    refused: the two-fold quadrature takes real lambda at purely imaginary
+    tau only (the guard in blocks._j_p2), and the T move (tau = 1 + i) and
+    the S move (lambda / tau) leave that range.
     """
     if p > 1:
         raise UnsupportedP("numeric matrix extraction is wired for p <= 1")

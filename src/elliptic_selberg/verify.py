@@ -5,7 +5,8 @@ Three layers of checks, and the battery that runs them:
 * the ten closed-form evaluations of the regularized block integrals
   (``verify_identity``), comparing quadrature values against products of
   eta/phi weights, a power of the odd Jacobi theta, and level-theta
-  combinations, with the normalization constants from ``selberg``;
+  combinations, with the normalization constants from ``selberg``, both
+  sides evaluated a whole lambda grid at a time;
 * residuals of the heat equation the blocks satisfy (``kzb_residual``),
   either with exact series derivatives for the closed forms or with
   Richardson finite differences for arbitrary evaluators;
@@ -27,6 +28,9 @@ import math
 from dataclasses import asdict, dataclass, field
 from typing import Callable, NamedTuple
 
+import numpy as np
+
+from . import specfun
 from .blocks import BlockIndex, leading_term_constant, u_block_grid
 from .errors import EllipticSelbergError, OutOfSupportedRange
 from .macdonald import (ct_inner, macdonald_basis, modular_matrices,
@@ -189,15 +193,34 @@ def _rhs_constant(st: IdentityStructure, p: int, pt: ModularPoint) -> complex:
             * _weight_value(st, pt))
 
 
-def _rhs_at(st: IdentityStructure, p: int, constant: complex, lam: complex,
-            pt: ModularPoint) -> complex:
-    return constant * theta1(lam, pt) ** (p + 1) * _theta_combo(st, lam, pt)
+def _rhs_grid(st: IdentityStructure, p: int, constant: complex, lams: list,
+              pt: ModularPoint) -> list:
+    """constant * theta1(lam)^(p+1) * the theta combination per complex
+    point of lams.  The points sharing an |Im lam| (and so the series' term
+    counts) make one theta1 call and one level-theta call per theta term,
+    on [lam..., -lam...] if it is symmetrized; the products are per point."""
+    out = [None] * len(lams)
+    for ks in specfun._imag_groups(lams).values():
+        group = np.array([lams[k] for k in ks])
+        combos = [0j if st.theta_terms else 1.0 + 0.0j] * len(ks)
+        for level, index, sign, symmetrized in st.theta_terms:
+            args = np.concatenate([group, -group]) if symmetrized else group
+            values = specfun._theta_level_array(level, index, args,
+                                                pt.tau).tolist()
+            for i, value in enumerate(values[:len(ks)]):
+                combos[i] += sign * (value + values[len(ks) + i]
+                                     if symmetrized else value)
+        thetas = specfun._theta1_array(group, pt.tau).tolist()
+        for k, t, combo in zip(ks, thetas, combos):
+            out[k] = constant * t ** (p + 1) * combo
+    return out
 
 
 def rhs_value(ident: int, p: int, lam: complex, pt: ModularPoint) -> complex:
-    """The closed-form side of one identity at (lam, tau)."""
+    """The closed-form side of one identity at (lam, tau): the one-point
+    grid of _rhs_grid."""
     st = identity_structure(ident, p)
-    return _rhs_at(st, p, _rhs_constant(st, p, pt), lam, pt)
+    return _rhs_grid(st, p, _rhs_constant(st, p, pt), [complex(lam)], pt)[0]
 
 
 def rhs_shift_phase(pair: tuple, p: int) -> complex:
@@ -312,23 +335,17 @@ def verify_identity(ident: int, p: int, lambda_grid=None,
     quad = quad or QuadratureSpec()
     tol = tol if tol is not None else DEFAULT_TOLERANCE
 
-    # one grid pass per block of the combination
-    terms = [(coeff, u_block_grid(BlockIndex(p, st.kappa, n), grid, pt, quad))
-             for n, coeff in st.lhs_terms]
-    constant = _rhs_constant(st, p, pt)
-    lhs, rhs, estimates = [], [], []
-    budget = 0
-    for k, lam in enumerate(grid):
-        total = 0.0 + 0.0j
-        est = 0.0
-        for coeff, values in terms:
-            val = values[k]
-            total += coeff * val.value
-            est += abs(coeff) * val.error_estimate
-            budget += val.budget_used
-        lhs.append(total)
-        estimates.append(est)
-        rhs.append(_rhs_at(st, p, constant, lam, pt))
+    # one grid pass per block of the combination, one for the closed form;
+    # a row holds a point's block values
+    coeffs = [coeff for _, coeff in st.lhs_terms]
+    rows = list(zip(*(u_block_grid(BlockIndex(p, st.kappa, n), grid, pt, quad)
+                      for n, _ in st.lhs_terms)))
+    points = [complex(x) for x in grid]
+    rhs = _rhs_grid(st, p, _rhs_constant(st, p, pt), points, pt)
+    lhs = [sum((c * v.value for c, v in zip(coeffs, row)), 0j) for row in rows]
+    estimates = [sum(abs(c) * v.error_estimate for c, v in zip(coeffs, row))
+                 for row in rows]
+    budget = sum(v.budget_used for row in rows for v in row)
 
     scale = max(abs(z) for z in rhs)
     abs_err = max(abs(a - b) for a, b in zip(lhs, rhs))
@@ -339,7 +356,6 @@ def verify_identity(ident: int, p: int, lambda_grid=None,
     notes = []
     if quad_agreement > tol:
         notes.append("coarse and refined quadrature disagree beyond tolerance")
-    points = [complex(x) for x in grid]
     complex_grid = any(z.imag for z in points)
     inputs = {
         "identity": ident,
@@ -379,8 +395,8 @@ class ClosedFormSolution:
 
     def value(self, lam: complex, pt: ModularPoint) -> complex:
         st = self.structure
-        return (_weight_value(st, pt) * theta1(lam, pt) ** (self.p + 1)
-                * _theta_combo(st, lam, pt))
+        return _rhs_grid(st, self.p, _weight_value(st, pt), [complex(lam)],
+                         pt)[0]
 
     def d_lambda2(self, lam: complex, pt: ModularPoint) -> complex:
         st = self.structure

@@ -342,6 +342,52 @@ def test_a_grid_over_its_cap_is_refused_before_any_theta1(monkeypatch):
     assert blocks._p1_tables.cache_info().misses == 0
 
 
+@pytest.mark.parametrize("p,kappa,n", [(1, 5, 2), (1, 8, 3), (2, 6, 1),
+                                       (2, 8, 4)])
+def test_the_stacked_contraction_is_the_per_point_chain(monkeypatch, p, kappa,
+                                                        n):
+    # each |Im lam| group's tables and phase rows, contracted one point, row
+    # and table at a time as the passes did before they were stacked, give
+    # the stacked values bit for bit
+    groups, side = [], blocks._lambda_side
+
+    def recording(*args):
+        for group in side(*args):
+            groups.append(group)
+            yield group
+
+    monkeypatch.setattr(blocks, "_lambda_side", recording)
+    idx, quad = BlockIndex(p, kappa, n), QuadratureSpec()
+    if p == 1:
+        pt, shapes = ModularPoint(0.3 + 1.1j), [
+            (q.gauss_order, q.graded_mesh_levels, q.loop_nodes)
+            for q in (quad, quad.refined())]
+        grid = [0.3, 0.41 + 0.1j, 0.62, 0.2 - 0.1j, 0.3, 0.5 + 0.25j]
+        got = blocks._j_p1(idx, grid, pt, shapes)
+    else:
+        pt, shapes = PT, [SMALL]
+        grid = [0.3 + 0j, 0.41 + 0j, 0.62 + 0j, 0.3 + 0j]
+        got = blocks._p2_rows(idx, grid, pt.tau, shapes)
+    phase = cmath.exp(4j * math.pi * idx.reduced_n / kappa)
+    assert sum(len(ks) for ks, _, _ in groups) == len(grid)
+    for ks, div, sides in groups:
+        m = len(ks)
+        for values, (tables, phases) in zip(got, sides):
+            for i, k in enumerate(ks):
+                if p == 1:
+                    want = tuple(complex(theta[i] / d @ tables @ level[i])
+                                 for d, (theta, level)
+                                 in zip((div[i], div[m + i]), phases))
+                    assert values[k] == want
+                    continue
+                want = [[theta[i] / div[i + m * (r // 2)]
+                         @ (table[r % 2] @ level[i])
+                         @ (theta[i] / div[i + m * (r // 2)])
+                         * (phase if r % 2 else 1.0) for table in tables]
+                        for r, (theta, level) in enumerate(phases)]
+                assert np.array_equal(values[k], np.array(want))
+
+
 # ---------------------------------------------------------------------------
 # the moment pass against a brute-force sum on the same tables
 # ---------------------------------------------------------------------------

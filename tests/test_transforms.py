@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from elliptic_selberg import transforms
+from elliptic_selberg import blocks, transforms
 from elliptic_selberg.blocks import BlockIndex
 from elliptic_selberg.errors import IllConditionedBasis, UnsupportedP
 from elliptic_selberg.macdonald import modular_matrices
@@ -179,21 +179,34 @@ def test_numeric_t_matrix_is_diagonal():
 
 
 def test_numeric_extraction_samples_the_basis_once(monkeypatch):
-    # dim basis columns, one grid call each on the 8-point grid, then 2 * dim
-    # transformed blocks point by point: 2 grid calls of 8 points and 4 * 8
-    # u_block calls at kappa = 5, where re-expanding each transformed block
-    # from scratch would resample the basis four times
+    # dim basis columns, then 2 * dim transformed blocks, each one grid call
+    # on the 8-point grid: 6 grid calls at kappa = 5 and no point-by-point
+    # block, where re-expanding each transformed block from scratch would
+    # resample the basis four times
     calls = {"u_block": [], "u_block_grid": []}
-    for name, record in calls.items():
-        block = getattr(transforms, name)
+    for module, name in ((blocks, "u_block"), (transforms, "u_block_grid")):
+        original = getattr(module, name)
 
-        def counting(idx, lam, *args, _block=block, _record=record, **kwargs):
+        def counting(idx, lam, *args, _original=original, _record=calls[name],
+                     **kwargs):
             _record.append(np.size(lam))
-            return _block(idx, lam, *args, **kwargs)
+            return _original(idx, lam, *args, **kwargs)
 
-        monkeypatch.setattr(transforms, name, counting)
-    numeric_modular_matrices(1, 5)
-    assert calls == {"u_block": [1] * 32, "u_block_grid": [8, 8]}
+        monkeypatch.setattr(module, name, counting)
+    tn, sn = numeric_modular_matrices(1, 5)
+    assert calls == {"u_block": [], "u_block_grid": [8] * 6}
+    # the grid fits are the point-by-point fits, bit for bit
+    grid = [complex(x) for x in default_lambda_grid(1, 5)]
+    mat = transforms._sampled_basis(1, 5, grid, PTI, None)
+    for which, got in (("T", tn), ("S", sn)):
+        for j, n in enumerate(basis_indices(1, 5)):
+            base = block(1, 5, n)
+            pointwise = BlockFunction(
+                evaluator=lambda lams, pt, which=which, base=base: [
+                    apply_transform(which, base, lam, pt) for lam in lams],
+                p=1, kappa=5)
+            want = transforms._fit(mat, pointwise, grid, PTI)[0]
+            assert np.array_equal(got.entries[:, j], want)
 
 
 def test_numeric_extraction_rejects_large_p():

@@ -10,7 +10,10 @@ import dataclasses
 import json
 import math
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from elliptic_selberg.blocks import BlockIndex, u_block
 from elliptic_selberg.errors import EllipticSelbergError, OutOfSupportedRange
@@ -141,6 +144,57 @@ def test_identity_four_pairs_at_p_two():
     assert rep.rel_err <= 1e-12
 
 
+# tau on the imaginary axis, off it, and an S-image
+RHS_TAUS = (0.9j, 0.6j, 0.3 + 0.9j, -1 / (0.3 + 1.1j))
+# Im lam as a fraction of Im tau: repeated and opposite |Im lam| share
+# their series term counts, distinct ones need their own
+RHS_IM_FRACTIONS = (0.0, 0.0, 0.1, -0.1, 0.25, -0.25)
+
+
+def level_scale(kappa, n, z, tau):
+    """Sum over the lattice sum's terms m = n/(2 kappa) + j, |j| <= 12, of
+    |exp(2 pi i kappa (m^2 tau + m z))|."""
+    m = (n % (2 * kappa)) / (2 * kappa) + np.arange(-12, 13)
+    return float(np.sum(np.abs(np.exp(
+        2j * math.pi * kappa * (m * m * tau + m * z)))))
+
+
+@given(data=st.data(), ident=st.integers(1, 10),
+       tau=st.sampled_from(RHS_TAUS),
+       points=st.lists(st.tuples(st.floats(0.05, 0.95),
+                                 st.sampled_from(RHS_IM_FRACTIONS)),
+                       min_size=1, max_size=6),
+       repeats=st.integers(0, 2), p=st.sampled_from([1, 1, 1, 2]))
+@example(data=None, ident=10, tau=0.3 + 0.9j,
+         points=[(0.3, 0.25), (0.41, 0.0), (0.2, -0.25), (0.7, 0.1)],
+         repeats=2, p=1)
+@settings(max_examples=60, deadline=None)
+def test_a_closed_form_grid_is_its_points(data, ident, tau, points, repeats,
+                                          p):
+    # p = 2 takes identity 4 on real lambda at 0.9i
+    if p == 2:
+        ident, tau, points = 4, 0.9j, [(x, 0.0) for x, _ in points]
+    grid = [complex(x, frac * tau.imag) for x, frac in points]
+    grid += grid[:repeats]
+    if data is not None:  # unsorted, duplicates anywhere
+        grid = data.draw(st.permutations(grid))
+    pt, st_ = ModularPoint(tau), V.identity_structure(ident, p)
+    constant = V._rhs_constant(st_, p, pt)
+    got = V._rhs_grid(st_, p, constant, grid, pt)
+    for lam, value in zip(grid, got):
+        # the one-point grid, bit for bit
+        assert value == V.rhs_value(ident, p, lam, pt)
+        # the scalar product to rounding, relative to its sum of |terms|
+        # (a level theta can vanish on the grid)
+        power = constant * theta1(lam, pt) ** (p + 1)
+        want = power * V._theta_combo(st_, lam, pt)
+        terms = sum(level_scale(level, index, z, tau)
+                    for level, index, _, symmetrized in st_.theta_terms
+                    for z in ((lam, -lam) if symmetrized else (lam,)))
+        assert abs(value - want) <= 1e-15 * abs(power) * (terms or 1.0), (
+            ident, p, tau, lam)
+
+
 # ---------------------------------------------------------------------------
 # heat-equation residuals
 # ---------------------------------------------------------------------------
@@ -246,7 +300,8 @@ def test_identity_ten_closed_form_is_modular_eigenvector():
     # square is the known involution scalar
     p, pt = 1, ModularPoint(1j)
     st = V.identity_structure(10, p)
-    f = BlockFunction(evaluator=lambda lam, mp: V.rhs_value(10, p, lam, mp),
+    f = BlockFunction(evaluator=lambda lams, mp: [V.rhs_value(10, p, lam, mp)
+                                                  for lam in lams],
                       p=p, kappa=st.kappa)
     ratios = [apply_transform("S", f, lam, pt) / f(lam, pt)
               for lam in (0.17, 0.33, 0.49, 0.61)]
