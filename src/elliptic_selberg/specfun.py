@@ -182,11 +182,14 @@ def _imag_groups(lams) -> dict:
 
 
 def _horner(coefs, z):
-    """sum_j coefs[j] * z**j elementwise over z; needs two coefficients or more."""
+    """sum_j coefs[j] * z**j elementwise over z; needs two coefficients or more.
+
+    The steps are not in place: numpy's in-place complex multiply rounds a
+    one-element array differently from a longer one, and a point's value
+    must not depend on the size of the grid it is evaluated in."""
     acc = coefs[-1] * z + coefs[-2]
     for c in coefs[-3::-1]:
-        acc *= z
-        acc += c
+        acc = acc * z + c
     return acc
 
 
