@@ -44,34 +44,32 @@ with the weights times the powers of E per (x, xi) point.  The exponent b
 enters as exp(b * log) of the tabulated logs, so the b-derivative at
 kappa = 6 is the same moment sum with the log factor.
 
-u_block_grid runs the coarse and the refined pass once over a whole lambda
-grid; u_block and j_integral are its one-point case.  The points of a grid
-that share an |Im lam| share their term counts, so they take theta1(+-lam)
-from one kernel call and their phases from one exponential per phase row
-over a (point, mode) array, shared by both passes, and one stacked
-contraction with the tables per rule shape; every value is bit-identical
-to its point's own u_block.  Warm, a six-point real grid takes about
-0.2 ms at p = 1 and 0.5 ms at p = 2 (kappa = 8), and a u_block about
-0.13 ms at p = 1 and 0.23 ms at p = 2, on one thread of a 2-core VM.
-The first p = 2 u_block at a new (tau, rule shape, kappa, n) builds the
-moment tables on the cached p = 2 layout (_p2_layout: per (tau, rule
-shape, kappa) the four sections' rules, with every radius and split, and
-the point count; _p2_reach sweeps the term-count reaches from it once a
-pass runs), computing the outer weights per section and the per-point
-inner weights chunk by chunk inside the moment loop rather than as whole
-section tensors (5 MB coarse and 12 MB refined at kappa = 8): about 0.7 s
-at kappa = 8 with a heap peak of about 7 MB.
-The corner tails' Gauss-Jacobi rule comes from quadrature.gauss_jacobi,
-so the package needs no scipy.
+u_blocks runs the coarse and the refined pass of a family of blocks once
+over a whole lambda grid; u_block_grid is its one-index case, and u_block
+and j_integral that one's one-point case.  The family shares its lambda
+side: per group of points with the same theta1 term count, one
+theta1(+-lam) call and one theta1 phase row per (w, mu) row and theta1
+count (at p = 1 every (kappa, n) shares them); a block splits the group by
+its tables' counts and adds its level phases and one stacked contraction
+per rule shape.  Every value is bit-identical to its point's own u_block.
+Warm, on one thread of a 2-core VM, a six-point real grid takes about
+0.2 ms at p = 1 and 0.5 ms at p = 2 (kappa = 8).  The first p = 2 u_block
+at a new (tau, rule shape, kappa, n) builds the moment tables on the
+cached _p2_layout (per (tau, rule shape, kappa) the four sections' rules
+and the point count; _p2_reach sweeps the term-count reaches once a pass
+runs), the per-point inner weights chunk by chunk inside the moment loop:
+about 0.7 s at kappa = 8 with a heap peak of about 7 MB.  The corner
+tails' Gauss-Jacobi rule comes from quadrature.gauss_jacobi, so the
+package needs no scipy.
 
 A pass costs the quadrature points its tables sum over, the same cold or
 warm: none at p = 0; at p = 1 the circle once per end plus the middle
 path; at p = 2 the outer times the inner nodes, summed over the four
 sections.  The counts are read from theta1-free rules (_p1_nodes, and the
 p = 2 layout), so each spec's count is checked against its max_evals
-(QuadratureSpec.check_points), once per grid, before any theta1 is
-evaluated and before the p = 2 reach sweep; BlockValue.budget_used reports
-the count of both passes at each point.
+(QuadratureSpec.check_points) once per family and layout, before any
+theta1 or p = 2 reach sweep; BlockValue.budget_used reports the count of
+both passes at each point.
 """
 
 from __future__ import annotations
@@ -109,6 +107,7 @@ __all__ = [
     "j_integral",
     "u_block",
     "u_block_grid",
+    "u_blocks",
     "leading_term_constant",
 ]
 
@@ -258,45 +257,74 @@ def _modes(coefs: tuple, level: tuple, kappa: int) -> tuple:
     return rows
 
 
-def _phases(modes: tuple, w: np.ndarray, mu: np.ndarray) -> tuple:
-    """d_p e^(i pi p w) and levels_j e^(2 pi i kappa (c + j) mu), one row per
-    point of the columns w and mu; each depends on w or mu alone, so lam ->
-    -lam swaps the rows bit for bit."""
-    _, _, log_d, d_rates, log_levels, level_rates = modes
-    return (np.exp(log_d + d_rates * w),
-            np.exp(log_levels + level_rates * mu))
+def _phases(modes: tuple, mu: np.ndarray) -> np.ndarray:
+    """levels_j e^(2 pi i kappa (c + j) mu), one row per point of the column
+    mu; lam -> -lam swaps the rows bit for bit."""
+    return np.exp(modes[4] + modes[5] * mu)
 
 
-def _lambda_side(moments, lams: list, tau: complex, kappa: int, n: int,
-                 reaches: list, args):
-    """Per group of the points of lams that share an |Im lam|, (ks, div,
-    sides): the group's indices ks into lams, theta1 at [lam..., -lam...]
-    and, per (rule shape, reach, level_reach), the tables of moments at the
-    term counts lam plus a node of |Im| up to reach (at level kappa, g times
-    level_reach) needs, with the group's (point, mode) phase rows at each
-    (w, mu) of args(lam).
+class _Side:
+    """What a family of blocks shares on one grid: its points grouped by
+    the divisor's term count, theta1 at [lam..., -lam...] per group, and a
+    memo of each group's (w, mu) rows and theta1 phase rows."""
 
-    The term counts follow |Im lam|, so a group takes its divisor from one
-    kernel call and its phases from one exponential per (w, mu) row,
-    evaluated once per distinct counts."""
-    for im, ks in specfun._imag_groups(lams).items():
-        group = [lams[k] for k in ks]
-        div = specfun._theta1_array(np.array(group + [-lam for lam in group]),
-                                    tau)
-        # (point, row, (w, mu)) from the same scalar arithmetic per point
-        rows = np.array([args(lam) for lam in group])
-        sides, built = [], {}
-        for shape, reach, level_reach in reaches:
-            coefs = specfun._theta1_coefs(tau, im + reach)
-            level = specfun._theta_level_coefs(
-                kappa, n, tau, im + (2.0 / kappa) * level_reach)
-            modes, tables = moments(tau, *shape, kappa, n, coefs, level)
-            counts = (len(coefs), len(level[1]))
-            if counts not in built:
-                built[counts] = [_phases(modes, rows[:, r, :1], rows[:, r, 1:])
-                                 for r in range(rows.shape[1])]
-            sides.append((tables, built[counts]))
-        yield ks, div, sides
+    def __init__(self, lams: list, tau: complex):
+        self.lams, self.tau, self.memo = lams, tau, {}
+        self.groups = specfun._imag_groups(
+            lams, lambda y: len(specfun._theta1_coefs(tau, y)))
+        self.divs = [specfun._theta1_array(np.array(
+            [lams[k] for k in ks] + [-lams[k] for k in ks]), tau)
+            for ks in self.groups]
+
+
+def _lambda_side(moments, side: _Side, kappa: int, n: int, reaches: list,
+                 args):
+    """Per group of the side's points that share every term count, (ks,
+    div, sides): the group's indices ks into the points, theta1 at
+    [lam..., -lam...] and, per (rule shape, reach, level_reach), the tables
+    of moments at the term counts lam plus a node of |Im| up to reach (at
+    level kappa, g times level_reach) needs, with the group's (point, mode)
+    phase rows (theta1 d_p e^(i pi p w), level) at each (w, mu) of args(lam).
+    The side holds theta1(+-lam), and the theta1 rows per theta1 count, of
+    every block; a block takes its level rows once per distinct counts."""
+    tau, memo = side.tau, side.memo
+
+    def counts(y):
+        return tuple((len(specfun._theta1_coefs(tau, y + reach)),
+                      len(specfun._theta_level_coefs(
+                          kappa, n, tau, y + (2.0 / kappa) * level_reach)[1]))
+                     for _, reach, level_reach in reaches)
+
+    for g, (ks, div) in enumerate(zip(side.groups, side.divs)):
+        group = [side.lams[k] for k in ks]
+        rows = memo.get((g, moments))
+        if rows is None:
+            # (point, row, (w, mu)) from the same scalar arithmetic per point
+            rows = memo[g, moments] = np.array([args(lam) for lam in group])
+        for sub in specfun._imag_groups(group, counts):
+            im = max(abs(group[j].imag) for j in sub)
+            # rows of the whole group as views, the common case, else copies
+            whole = len(sub) == len(ks)
+            sel = slice(None) if whole else sub
+            sides, built = [], {}
+            for shape, reach, level_reach in reaches:
+                coefs = specfun._theta1_coefs(tau, im + reach)
+                level = specfun._theta_level_coefs(
+                    kappa, n, tau, im + (2.0 / kappa) * level_reach)
+                modes, tables = moments(tau, *shape, kappa, n, coefs, level)
+                if (len(coefs), len(level[1])) not in built:
+                    thetas = memo.get((g, moments, len(coefs)))
+                    if thetas is None:
+                        thetas = memo[g, moments, len(coefs)] = [
+                            np.exp(modes[2] + modes[3] * rows[:, r, :1])
+                            for r in range(rows.shape[1])]
+                    built[len(coefs), len(level[1])] = [
+                        (theta[sel], _phases(modes, rows[sel, r, 1:]))
+                        for r, theta in enumerate(thetas)]
+                sides.append((tables, built[len(coefs), len(level[1])]))
+            yield ((ks, div, sides) if whole else
+                   ([ks[j] for j in sub],
+                    div[sub + [len(ks) + j for j in sub]], sides))
 
 
 def _gather(moments: np.ndarray, odd: np.ndarray, js: np.ndarray,
@@ -341,7 +369,7 @@ def _p1_moments(tau: complex, order: int, levels: int, loop_nodes: int,
 
 
 def _j_p1(idx: BlockIndex, lams: list, pt: ModularPoint,
-          shapes: list) -> list:
+          shapes: list, side: _Side | None = None) -> list:
     """Per rule shape, (J(lam), J(-lam)) per point of lams: endpoint circles
     and middle path.
 
@@ -351,7 +379,7 @@ def _j_p1(idx: BlockIndex, lams: list, pt: ModularPoint,
     loop_winding(b - 1).  The t = 1 circle is the t = 0 circle in s = 1 - t,
     with flip -1 and offset 1: E(1 - s) = E(s) and sigma(1 - s) = sigma(-s).
     A pass contracts its cached moment table (_p1_moments) with the phases
-    of mu = lam and -lam, stacked over the points of an |Im lam| group, and
+    of mu = lam and -lam, stacked over the points of a term-count group, and
     takes the divisor theta1(mu) from the relative-accurate array kernel.
     """
     reaches = []
@@ -361,8 +389,8 @@ def _j_p1(idx: BlockIndex, lams: list, pt: ModularPoint,
         reaches.append((shape, im, im))
     out = [[None] * len(lams) for _ in shapes]
     for ks, div, sides in _lambda_side(
-            _p1_moments, lams, pt.tau, idx.kappa, idx.reduced_n, reaches,
-            lambda lam: ((lam, lam), (-lam, -lam))):
+            _p1_moments, side or _Side(lams, pt.tau), idx.kappa, idx.reduced_n,
+            reaches, lambda lam: ((lam, lam), (-lam, -lam))):
         for values, (table, phases) in zip(out, sides):
             # rows mu = lam..., -lam..., as div holds theta1(mu)
             theta, level = (np.concatenate(rows) for rows in zip(*phases))
@@ -605,7 +633,7 @@ def _p2_moments(tau: complex, order: int, levels: int, loop_nodes: int,
 
 
 def _p2_rows(idx: BlockIndex, lams: list, tau: complex,
-             shapes: list) -> np.ndarray:
+             shapes: list, side: _Side | None = None) -> np.ndarray:
     """Integrals over {0 <= y <= min(x, 1-x)} of the four integrands.
 
     Half shape s at sigma lam: E(x)^b E(y)^b E(x-y)^g sigma(s x) sigma(s y)
@@ -625,14 +653,14 @@ def _p2_rows(idx: BlockIndex, lams: list, tau: complex,
     out = np.empty((len(shapes), len(lams), 4, 3), dtype=complex)
     # the term counts, and so the tables, follow |Im lam| + max |Im node|
     for ks, div, sides in _lambda_side(
-            _p2_moments, lams, tau, kappa, n,
+            _p2_moments, side or _Side(lams, tau), kappa, n,
             [(shape, *_p2_reach(tau, *shape, kappa)) for shape in shapes],
             lambda lam: tuple((-sigma * s * lam, sigma * lam)
                               for sigma in (1.0, -1.0) for s in (1.0, -1.0))):
         # row i is (sigma, s) with sigma's divisor theta1(sigma lam)
         div = div.reshape(2, len(ks))[[0, 0, 1, 1], :, None]
         for values, (tables, phases) in zip(out, sides):
-            theta, level = (np.stack(rows) for rows in zip(*phases))
+            theta, level = (np.array(rows) for rows in zip(*phases))
             theta = theta / div
             inner = (tables[:, [0, 1, 0, 1], None]
                      @ level[:, :, None, :, None])[..., 0]
@@ -645,14 +673,9 @@ def _p2_rows(idx: BlockIndex, lams: list, tau: complex,
 
 
 def _j_p2(idx: BlockIndex, lams: list, pt: ModularPoint,
-          shapes: list) -> list:
-    """Per rule shape, (J(lam), J(-lam)) per point of lams from the four
-    half shapes' rows."""
-    if (any(abs(lam.imag) > 1e-12 for lam in lams)
-            or abs(pt.tau.real) > 1e-12):
-        raise OutOfSupportedRange(
-            "the two-fold integral is wired for real lambda and purely "
-            "imaginary tau only")
+          shapes: list, side: _Side | None = None) -> list:
+    """Per rule shape, (J(lam), J(-lam)) per point of lams (real, checked
+    by _passes) from the four half shapes' rows."""
     b, g = -4.0 / idx.kappa, 2.0 / idx.kappa
     # Branch convention for the pairwise difference factor: the ordered
     # difference is taken with argument continued to -pi rather than 0
@@ -666,7 +689,8 @@ def _j_p2(idx: BlockIndex, lams: list, pt: ModularPoint,
     # the limit (N+' + N-') / W'(b): the finite part of x^A at a negative
     # integer (Gel'fand and Shilov, Generalized Functions, vol. 1, ch. I, 3).
     at_pole = idx.kappa == 6
-    rows = _p2_rows(idx, [lam.real + 0j for lam in lams], pt.tau, shapes)
+    real = [lam.real + 0j for lam in lams]
+    rows = _p2_rows(idx, real, pt.tau, shapes, side if real == lams else None)
     # J(sigma lam) sums its two half shapes, rows (sigma, 1) and (sigma, -1)
     corners, slopes, rests = np.moveaxis(
         rows.reshape(-1, 2, 2, 3).sum(axis=2), -1, 0)
@@ -695,7 +719,7 @@ def _as_lambdas(grid, pt: ModularPoint) -> list:
 
 
 def _j_p0(idx: BlockIndex, lams: list, pt: ModularPoint,
-          shapes: list) -> list:
+          shapes: list, side: _Side | None = None) -> list:
     """(J(lam), J(-lam)) per point of the empty integral: level-theta
     values, the same for every rule shape."""
     return [[tuple(specfun.theta_level(idx.kappa, idx.reduced_n, mu, pt)
@@ -717,35 +741,46 @@ def _points(idx: BlockIndex, pt: ModularPoint, shape: tuple) -> int:
     return 0
 
 
-def _passes(idx: BlockIndex, lams: list, pt: ModularPoint,
-            quads: tuple) -> tuple:
-    """Per spec, a pass (J(lam), J(-lam)) per complex point of lams, and the
-    pass's quadrature points, every count checked against its cap once per
-    grid before any pass runs; no table depends on the cap, and the passes
-    share their lambda side."""
-    if idx.p not in _PASSES:
-        raise UnsupportedP(f"p = {idx.p} is beyond the implemented range (p <= 2)")
+def _passes(indices: list, lams: list, pt: ModularPoint, quads: tuple) -> list:
+    """Per index, (per spec a pass (J(lam), J(-lam)) per complex point of
+    lams, per spec the pass's quadrature points).  Each count is checked
+    against its cap once per (p, p = 2 layout, spec) before any pass runs
+    (no table depends on the cap); the passes share one lambda side."""
     shapes = [(q.gauss_order, q.graded_mesh_levels, q.loop_nodes) for q in quads]
-    points = [quad.check_points(_points(idx, pt, shape))
-              for quad, shape in zip(quads, shapes)]
-    return _PASSES[idx.p](idx, lams, pt, shapes), points
+    layouts = [(idx.p, idx.kappa if idx.p == 2 else 0) for idx in indices]
+    counted = {}
+    for idx, layout in zip(indices, layouts):
+        if idx.p not in _PASSES:
+            raise UnsupportedP(
+                f"p = {idx.p} is beyond the implemented range (p <= 2)")
+        if layout not in counted:
+            counted[layout] = [quad.check_points(_points(idx, pt, shape))
+                               for quad, shape in zip(quads, shapes)]
+    ps = {p for p, _ in counted}
+    if 2 in ps and (any(abs(lam.imag) > 1e-12 for lam in lams)
+                    or abs(pt.tau.real) > 1e-12):
+        raise OutOfSupportedRange(
+            "the two-fold integral is wired for real lambda and purely "
+            "imaginary tau only")
+    side = _Side(lams, pt.tau) if ps - {0} else None
+    return [(_PASSES[idx.p](idx, lams, pt, shapes, side), counted[layout])
+            for idx, layout in zip(indices, layouts)]
 
 
 def _one_value(idx: BlockIndex, lam, pt: ModularPoint,
                quad: QuadratureSpec) -> tuple:
     """One pass, (J(lam), J(-lam)), and its quadrature points."""
-    ((values,),), (points,) = _passes(idx, [complex(lam)], pt, (quad,))
+    [([[values]], [points])] = _passes([idx], [complex(lam)], pt, (quad,))
     return values, points
 
 
-def _two_passes(idx: BlockIndex, grid, pt: ModularPoint,
-                quad: QuadratureSpec | None) -> tuple:
-    """The requested (coarse) pass and a refined one, (J(lam), J(-lam)) per
-    point of the grid, and their summed points."""
+def _two_passes(indices: list, grid, pt: ModularPoint,
+                quad: QuadratureSpec | None) -> list:
+    """Per index, the requested (coarse) pass and a refined one, (J(lam),
+    J(-lam)) per point of the grid, and their summed points."""
     quad = quad or QuadratureSpec()
-    (coarse, fine), points = _passes(idx, _as_lambdas(grid, pt), pt,
-                                     (quad, quad.refined()))
-    return coarse, fine, sum(points)
+    return [(coarse, fine, sum(points)) for (coarse, fine), points
+            in _passes(indices, _as_lambdas(grid, pt), pt, (quad, quad.refined()))]
 
 
 def j_integral(idx: BlockIndex, lam, pt: ModularPoint,
@@ -755,27 +790,38 @@ def j_integral(idx: BlockIndex, lam, pt: ModularPoint,
     The error estimate compares the requested quadrature against a refined
     one (heuristic, not a bound).  p = 0 is exact.
     """
-    ((coarse, _),), ((fine, _),), used = _two_passes(idx, (lam,), pt, quad)
+    [(((coarse, _),), ((fine, _),), used)] = _two_passes([idx], (lam,), pt, quad)
     return BlockValue(value=fine, error_estimate=abs(fine - coarse),
                       budget_used=used)
 
 
-def u_block_grid(idx: BlockIndex, grid, pt: ModularPoint,
-                 quad: QuadratureSpec | None = None) -> tuple:
-    """u_block at every point of the grid, in its order.
-
-    The passes are those of u_block, run once over the grid: every point is
-    checked against the lattice floor and each spec against its cap before
-    any theta1 is evaluated, and the points sharing an |Im lam| share one
-    divisor call and one set of phases; each value is bit-identical to the
-    point's own u_block.
-    """
-    coarse, fine, used = _two_passes(idx, grid, pt, quad)
-    return tuple(BlockValue(value=plus + (-1) ** (idx.p + 1) * minus,
+def _u_values(p: int, coarse: list, fine: list, used: int) -> tuple:
+    return tuple(BlockValue(value=plus + (-1) ** (p + 1) * minus,
                             error_estimate=(abs(plus - c_plus)
                                             + abs(minus - c_minus)),
                             budget_used=used)
                  for (c_plus, c_minus), (plus, minus) in zip(coarse, fine))
+
+
+def u_blocks(indices, grid, pt: ModularPoint,
+             quad: QuadratureSpec | None = None) -> tuple:
+    """u_block_grid at each index of a family, in order, from one pass per
+    distinct (p, kappa, n mod 2 kappa) sharing one lambda side; the grid is
+    checked against the lattice floor once, each count against its cap once
+    per (p, p = 2 layout, spec), before any theta1 is evaluated."""
+    indices = tuple(indices)
+    labels = {(idx.p, idx.kappa, idx.reduced_n): idx for idx in indices}
+    passes = dict(zip(labels, _two_passes(list(labels.values()), grid, pt,
+                                          quad)))
+    return tuple(_u_values(idx.p, *passes[idx.p, idx.kappa, idx.reduced_n])
+                 for idx in indices)
+
+
+def u_block_grid(idx: BlockIndex, grid, pt: ModularPoint,
+                 quad: QuadratureSpec | None = None) -> tuple:
+    """u_block at every point of the grid, in its order, each value
+    bit-identical to the point's own u_block."""
+    return u_blocks((idx,), grid, pt, quad)[0]
 
 
 def u_block(idx: BlockIndex, lam, pt: ModularPoint,

@@ -11,8 +11,9 @@ One executable, eight subcommands:
 * ``verify``   -- one or all of the ten closed-form evaluations
 * ``suite``    -- the whole desk-scale battery
 
-Reports are JSON (sorted keys, stable formatting) or CSV; every report
-embeds its resolved configuration so a run can be reproduced from the
+Reports are one compact line of JSON with sorted keys (``python -m
+json.tool`` indents it) or CSV; every report embeds its resolved
+configuration so a run can be reproduced from the
 output alone.  Exit codes: 0 success, 1 a verification failed, 2 usage
 error.  Execution is sequential and deterministic: identical configs give
 byte-identical reports.
@@ -25,6 +26,7 @@ import csv
 import io
 import json
 import sys
+from functools import lru_cache
 
 import numpy as np
 
@@ -118,7 +120,8 @@ def _config_echo(args, fields) -> dict:
 
 
 def _emit(args, payload: dict, rows=None, columns=_CSV_COLUMNS) -> None:
-    """Write the report: CSV rows when asked for and available, else JSON."""
+    """Write the report: CSV rows when asked for and given, else one line
+    of sorted-key JSON (json's C encoder; an indent takes the Python one)."""
     if rows is not None and getattr(args, "csv", False):
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -126,7 +129,7 @@ def _emit(args, payload: dict, rows=None, columns=_CSV_COLUMNS) -> None:
         writer.writerows(rows)
         text = buf.getvalue()
     else:
-        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        text = json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
     if args.output and args.output != "-":
         with open(args.output, "w", encoding="utf-8") as handle:
             handle.write(text)
@@ -287,21 +290,17 @@ def _verify_rows(report) -> list:
 def _cmd_verify(args) -> int:
     idents = list(range(1, 11)) if args.identity == "all" \
         else [int(args.identity)]
-    quad = _quad_from_args(args)
     pt = ModularPoint(args.tau) if args.tau is not None else None
-    reports, rows = [], []
-    for ident in idents:
-        report = verify_mod.verify_identity(
-            ident, args.p, lambda_grid=args.grid, pt=pt, quad=quad,
-            tol=args.tol)
-        reports.append(report)
-        rows.extend(_verify_rows(report))
+    reports = verify_mod.verify_identities(
+        idents, args.p, lambda_grid=args.grid, pt=pt,
+        quad=_quad_from_args(args), tol=args.tol)
     payload = {
         "config": _config_echo(args, ("identity", "p", "tau", "grid", "tol")),
         "reports": [r.as_dict() for r in reports],
         "passed": all(r.passed for r in reports),
     }
-    _emit(args, payload, rows=rows)
+    _emit(args, payload, rows=[row for r in reports for row in _verify_rows(r)]
+          if args.csv else None)
     return 0 if all(r.passed for r in reports) else 1
 
 
@@ -441,9 +440,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = lru_cache(maxsize=1)(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one ellsel command and return its exit code.  The parser is built
+    on the first call and kept, so the handlers are bound when it is first
+    built; each call parses into a fresh namespace."""
+    args = _parser().parse_args(argv)
     try:
         return args.handler(args)
     except EllipticSelbergError as exc:

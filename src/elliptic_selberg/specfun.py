@@ -171,14 +171,20 @@ def _max_abs_imag(lam: np.ndarray) -> float:
     return float(np.max(np.abs(lam.imag))) if lam.size else 0.0
 
 
-def _imag_groups(lams) -> dict:
-    """{|Im lam|: indices into lams}: the points of a group need the same
-    series term counts, so a group's kernel call gives each the value of
-    its own one-point call."""
-    groups = {}
+def _imag_groups(lams, counts) -> list:
+    """Indices into lams grouped by counts(|Im lam|), the series term counts
+    a point needs, in order of first appearance (counts is not called when
+    every point has one |Im lam|): the points of a group share every count,
+    so a group's kernel call gives each the value of its own one-point
+    call."""
+    by_imag, groups = {}, {}
     for k, lam in enumerate(lams):
-        groups.setdefault(abs(lam.imag), []).append(k)
-    return groups
+        by_imag.setdefault(abs(lam.imag), []).append(k)
+    if len(by_imag) == 1:
+        return list(by_imag.values())
+    for y, ks in by_imag.items():
+        groups.setdefault(counts(y), []).extend(ks)
+    return [sorted(ks) for ks in groups.values()]
 
 
 def _horner(coefs, z):

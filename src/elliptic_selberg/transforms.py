@@ -7,9 +7,9 @@ prefactor and a fractional power of tau).  On the span of the admissible
 block integrals these generate a finite-dimensional action whose matrices
 have closed forms; this module evaluates the operators on whole lambda
 grids, expands transformed functions back over the block basis by least
-squares, and extracts the matrices numerically with one u_block_grid call
-per basis label and per transformed block (six calls of eight points at
-kappa = 5).
+squares, and extracts the matrices numerically with one u_blocks call for
+the whole basis per grid: the sampled basis, the T-moved grid and the
+S-moved grid (three calls at any kappa, not one per block).
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .blocks import BlockIndex, u_block_grid
+from .blocks import BlockIndex, u_block_grid, u_blocks
 from .errors import IllConditionedBasis, UnsupportedP
 from .macdonald import TransformMatrix
 from .quadrature import QuadratureSpec
@@ -143,10 +143,9 @@ def _sampled_basis(p: int, kappa: int, grid: list,
         raise ValueError(
             f"need at least {2 * len(labels)} sample points for a "
             f"{len(labels)}-dimensional basis, got {len(grid)}")
-    columns = [[value.value for value in u_block_grid(BlockIndex(p, kappa, n),
-                                                      grid, pt, quad)]
-               for n in labels]
-    mat = np.array(columns, dtype=complex).T
+    columns = u_blocks([BlockIndex(p, kappa, n) for n in labels], grid, pt,
+                       quad)
+    mat = np.array([[v.value for v in col] for col in columns], dtype=complex).T
     cond = np.linalg.cond(mat)
     if not np.isfinite(cond) or cond > _CONDITION_LIMIT:
         raise IllConditionedBasis(
@@ -165,6 +164,22 @@ def _fit(mat: np.ndarray, f: BlockFunction, grid: list,
     misfit = math.sqrt(float(np.mean(np.abs(mat @ coeffs - rhs) ** 2)))
     scale = math.sqrt(float(np.mean(np.abs(rhs) ** 2)))
     return coeffs, (misfit / scale if scale > 0.0 else misfit)
+
+
+def _block_family(p: int, kappa: int, labels: tuple,
+                  quad: QuadratureSpec | None) -> list:
+    """One BlockFunction per label; the first grid call at a (grid, tau)
+    evaluates every label in one u_blocks call, which serves the others."""
+    indices, done = [BlockIndex(p, kappa, n) for n in labels], {}
+
+    def column(lams, pt, j):
+        key = (tuple(lams), pt.tau)
+        if key not in done:
+            done[key] = u_blocks(indices, lams, pt, quad)
+        return [value.value for value in done[key][j]]
+
+    return [BlockFunction(lambda lams, pt, j=j: column(lams, pt, j), p, kappa)
+            for j in range(len(labels))]
 
 
 def expand_in_block_basis(f, p: int, kappa: int, lambda_grid, pt: ModularPoint,
@@ -213,7 +228,8 @@ def numeric_modular_matrices(p: int, kappa: int,
     Works at tau = i, the fixed point of the inversion, so the transformed
     functions can be expanded over the basis sampled at the same tau; the
     basis is sampled once and all 2 * dim transformed blocks are fitted
-    against it, each from one grid call.  The shift by one in tau is
+    against it, each fit one lstsq, from one u_blocks call for the whole
+    basis per moved grid.  The shift by one in tau is
     evaluated at tau = 1 + i with branch-tracked quadrature.  p = 2 is
     refused: the two-fold quadrature takes real lambda at purely imaginary
     tau only (the guard in blocks._j_p2), and the T move (tau = 1 + i) and
@@ -228,8 +244,7 @@ def numeric_modular_matrices(p: int, kappa: int,
     mat = _sampled_basis(p, kappa, grid, pt, quad)
     t_cols = []
     s_cols = []
-    for n in labels:
-        base = BlockFunction.from_block(BlockIndex(p, kappa, n), quad)
+    for base in _block_family(p, kappa, labels, quad):
         for which, cols in (("T", t_cols), ("S", s_cols)):
             moved = transformed_function(which, base)
             cols.append(_fit(mat, moved, grid, pt)[0])

@@ -3,10 +3,11 @@
 Three layers of checks, and the battery that runs them:
 
 * the ten closed-form evaluations of the regularized block integrals
-  (``verify_identity``), comparing quadrature values against products of
-  eta/phi weights, a power of the odd Jacobi theta, and level-theta
-  combinations, with the normalization constants from ``selberg``, both
-  sides evaluated a whole lambda grid at a time;
+  (``verify_identities``, and ``verify_identity`` for one), comparing
+  quadrature values against products of eta/phi weights, a power of the
+  odd Jacobi theta, and level-theta combinations, with the normalization
+  constants from ``selberg``, both sides evaluated a whole lambda grid at
+  a time and the blocks of every identity as one family;
 * residuals of the heat equation the blocks satisfy (``kzb_residual``),
   either with exact series derivatives for the closed forms or with
   Richardson finite differences for arbitrary evaluators;
@@ -31,7 +32,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import specfun
-from .blocks import BlockIndex, leading_term_constant, u_block_grid
+from .blocks import BlockIndex, leading_term_constant, u_blocks
 from .errors import EllipticSelbergError, OutOfSupportedRange
 from .macdonald import (ct_inner, macdonald_basis, modular_matrices,
                         relation_residuals)
@@ -66,6 +67,7 @@ __all__ = [
     "series_prerequisites",
     "sym_theta_residual_check",
     "symmetric_theta_solution",
+    "verify_identities",
     "verify_identity",
 ]
 
@@ -193,27 +195,46 @@ def _rhs_constant(st: IdentityStructure, p: int, pt: ModularPoint) -> complex:
             * _weight_value(st, pt))
 
 
+def _rhs_grids(sts: list, p: int, constants: list, lams: list,
+               pt: ModularPoint) -> list:
+    """Per structure of sts, constant * theta1(lam)^(p+1) * its theta
+    combination per complex point of lams.  The points sharing the term
+    counts of every series make one theta1 call and one level-theta call per
+    distinct theta term, on [lam..., -lam...] if it is symmetrized; the
+    products are per point and structure."""
+    tau = pt.tau
+    terms = list(dict.fromkeys(term[:2] + term[3:] for st in sts
+                               for term in st.theta_terms))
+
+    def counts(y):
+        return (len(specfun._theta1_coefs(tau, y)),
+                *(len(specfun._theta_level_coefs(level, index, tau, y)[1])
+                  for level, index, _ in terms))
+
+    out = [[None] * len(lams) for _ in sts]
+    for ks in specfun._imag_groups(lams, counts):
+        group, m = np.array([lams[k] for k in ks]), len(ks)
+        thetas = specfun._theta1_array(group, tau).tolist()
+        levels = {}
+        for level, index, symmetrized in terms:
+            values = specfun._theta_level_array(level, index, np.concatenate(
+                [group, -group]) if symmetrized else group, tau).tolist()
+            levels[level, index, symmetrized] = (
+                [v + values[m + i] for i, v in enumerate(values[:m])]
+                if symmetrized else values)
+        for values, st, constant in zip(out, sts, constants):
+            for i, (k, t) in enumerate(zip(ks, thetas)):
+                combo = 0j if st.theta_terms else 1.0 + 0.0j
+                for level, index, sign, symmetrized in st.theta_terms:
+                    combo += sign * levels[level, index, symmetrized][i]
+                values[k] = constant * t ** (p + 1) * combo
+    return out
+
+
 def _rhs_grid(st: IdentityStructure, p: int, constant: complex, lams: list,
               pt: ModularPoint) -> list:
-    """constant * theta1(lam)^(p+1) * the theta combination per complex
-    point of lams.  The points sharing an |Im lam| (and so the series' term
-    counts) make one theta1 call and one level-theta call per theta term,
-    on [lam..., -lam...] if it is symmetrized; the products are per point."""
-    out = [None] * len(lams)
-    for ks in specfun._imag_groups(lams).values():
-        group = np.array([lams[k] for k in ks])
-        combos = [0j if st.theta_terms else 1.0 + 0.0j] * len(ks)
-        for level, index, sign, symmetrized in st.theta_terms:
-            args = np.concatenate([group, -group]) if symmetrized else group
-            values = specfun._theta_level_array(level, index, args,
-                                                pt.tau).tolist()
-            for i, value in enumerate(values[:len(ks)]):
-                combos[i] += sign * (value + values[len(ks) + i]
-                                     if symmetrized else value)
-        thetas = specfun._theta1_array(group, pt.tau).tolist()
-        for k, t, combo in zip(ks, thetas, combos):
-            out[k] = constant * t ** (p + 1) * combo
-    return out
+    """The one-structure case of _rhs_grids."""
+    return _rhs_grids([st], p, [constant], lams, pt)[0]
 
 
 def rhs_value(ident: int, p: int, lam: complex, pt: ModularPoint) -> complex:
@@ -318,61 +339,75 @@ def rel_errors(lhs, rhs) -> list:
             for a, b in zip(lhs, rhs)]
 
 
-def verify_identity(ident: int, p: int, lambda_grid=None,
-                    pt: ModularPoint | None = None,
-                    quad: QuadratureSpec | None = None,
-                    tol: float | None = None) -> VerificationReport:
-    """Compare the block quadrature against one closed form on a grid.
+def verify_identities(idents, p: int, lambda_grid=None,
+                      pt: ModularPoint | None = None,
+                      quad: QuadratureSpec | None = None,
+                      tol: float | None = None) -> tuple:
+    """Compare the block quadrature against each closed form of idents on
+    one grid, one report per identity in order.
 
-    The quadrature side runs coarse and refined meshes internally; the
-    report fails if the two disagree beyond tolerance even when the match
-    to the closed form looks good, to guard against lucky cancellation.
+    The quadrature side runs coarse and refined meshes internally; a report
+    fails if the two disagree beyond tolerance even when the match to the
+    closed form looks good, to guard against lucky cancellation.  The
+    distinct blocks of all the combinations run as one u_blocks family and
+    the closed forms as one _rhs_grids pass.
     """
     _require_prerequisites()
-    st = identity_structure(ident, p)
+    sts = [identity_structure(ident, p) for ident in idents]
     pt = pt or ModularPoint(DEFAULT_TAU)
     grid = tuple(lambda_grid) if lambda_grid is not None else DEFAULT_LAMBDA_GRID
     quad = quad or QuadratureSpec()
     tol = tol if tol is not None else DEFAULT_TOLERANCE
 
-    # one grid pass per block of the combination, one for the closed form;
-    # a row holds a point's block values
-    coeffs = [coeff for _, coeff in st.lhs_terms]
-    rows = list(zip(*(u_block_grid(BlockIndex(p, st.kappa, n), grid, pt, quad)
-                      for n, _ in st.lhs_terms)))
+    blocks = iter(u_blocks([BlockIndex(p, st.kappa, n) for st in sts
+                            for n, _ in st.lhs_terms], grid, pt, quad))
     points = [complex(x) for x in grid]
-    rhs = _rhs_grid(st, p, _rhs_constant(st, p, pt), points, pt)
-    lhs = [sum((c * v.value for c, v in zip(coeffs, row)), 0j) for row in rows]
-    estimates = [sum(abs(c) * v.error_estimate for c, v in zip(coeffs, row))
-                 for row in rows]
-    budget = sum(v.budget_used for row in rows for v in row)
-
-    scale = max(abs(z) for z in rhs)
-    abs_err = max(abs(a - b) for a, b in zip(lhs, rhs))
-    rel_err = max(rel_errors(lhs, rhs))
-    quad_agreement = max(e / max(abs(b), 1e-3 * scale, 1e-300)
-                         for e, b in zip(estimates, rhs))
-    passed = rel_err <= tol and quad_agreement <= tol
-    notes = []
-    if quad_agreement > tol:
-        notes.append("coarse and refined quadrature disagree beyond tolerance")
     complex_grid = any(z.imag for z in points)
-    inputs = {
-        "identity": ident,
-        "p": p,
-        "kappa": st.kappa,
-        "tau": [pt.tau.real, pt.tau.imag],
-        # a complex grid is echoed as [re, im] pairs, a real one as reals
-        "lambda_grid": [[z.real, z.imag] if complex_grid else z.real
-                        for z in points],
-        "quadrature": asdict(quad),
-        "tolerance": tol,
-    }
-    return VerificationReport(
-        name=f"identity-{ident}", inputs=inputs, lhs=tuple(lhs),
-        rhs=tuple(rhs), abs_err=abs_err, rel_err=rel_err,
-        quad_agreement=quad_agreement, budget=budget, tolerance=tol,
-        passed=passed, notes=tuple(notes))
+    quadrature = asdict(quad)  # once per run, a shallow copy per report
+    reports = []
+    for st, rhs in zip(sts, _rhs_grids(
+            sts, p, [_rhs_constant(st, p, pt) for st in sts], points, pt)):
+        # a row holds a point's block values
+        coeffs = [coeff for _, coeff in st.lhs_terms]
+        rows = list(zip(*(next(blocks) for _ in coeffs)))
+        lhs = [sum((c * v.value for c, v in zip(coeffs, row)), 0j)
+               for row in rows]
+        estimates = [sum(abs(c) * v.error_estimate for c, v in zip(coeffs, row))
+                     for row in rows]
+        budget = sum(v.budget_used for row in rows for v in row)
+
+        scale = max(abs(z) for z in rhs)
+        abs_err = max(abs(a - b) for a, b in zip(lhs, rhs))
+        rel_err = max(rel_errors(lhs, rhs))
+        quad_agreement = max(e / max(abs(b), 1e-3 * scale, 1e-300)
+                             for e, b in zip(estimates, rhs))
+        notes = (("coarse and refined quadrature disagree beyond tolerance",)
+                 if quad_agreement > tol else ())
+        inputs = {
+            "identity": st.ident,
+            "p": p,
+            "kappa": st.kappa,
+            "tau": [pt.tau.real, pt.tau.imag],
+            # a complex grid is echoed as [re, im] pairs, a real one as reals
+            "lambda_grid": [[z.real, z.imag] if complex_grid else z.real
+                            for z in points],
+            "quadrature": dict(quadrature),
+            "tolerance": tol,
+        }
+        reports.append(VerificationReport(
+            name=f"identity-{st.ident}", inputs=inputs, lhs=tuple(lhs),
+            rhs=tuple(rhs), abs_err=abs_err, rel_err=rel_err,
+            quad_agreement=quad_agreement, budget=budget, tolerance=tol,
+            passed=rel_err <= tol and quad_agreement <= tol, notes=notes))
+    return tuple(reports)
+
+
+def verify_identity(ident: int, p: int, lambda_grid=None,
+                    pt: ModularPoint | None = None,
+                    quad: QuadratureSpec | None = None,
+                    tol: float | None = None) -> VerificationReport:
+    """The one-identity case of verify_identities."""
+    return verify_identities((ident,), p, lambda_grid, pt, quad, tol)[0]
 
 
 # ---------------------------------------------------------------------------

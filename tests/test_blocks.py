@@ -285,16 +285,26 @@ GRID_TAUS = (0.9j, 0.6j, 1j, 0.3 + 1.1j, 1 + 1j, -1 / (0.3 + 1.1j))
 GRID_IM_FRACTIONS = (0.0, 0.0, 0.1, -0.1, 0.25, -0.25)
 
 
+def divisor_groups(indices, grid, tau) -> int:
+    """The distinct theta1 term counts at |Im lam| over the points of the
+    grid, each a group of the divisor theta1(+-lam), or 0 if no index has
+    p >= 1."""
+    counts = {len(specfun._theta1_coefs(tau, abs(complex(lam).imag)))
+              for lam in grid}
+    return len(counts) if any(idx.p for idx in indices) else 0
+
+
 def _check_grid_against_points(idx, grid, pt):
     """u_block_grid equals u_block point by point bit for bit (value,
     estimate and budget), and a warm grid makes one divisor call per
-    distinct |Im lam|."""
+    distinct divisor term count, at most one per distinct |Im lam|."""
     singles = tuple(u_block(idx, lam, pt) for lam in grid)
     with pytest.MonkeyPatch.context() as patch:
         calls, _ = _count_kernels(patch)
         assert u_block_grid(idx, grid, pt) == singles, (idx, grid, pt.tau)
-    distinct = len({abs(complex(lam).imag) for lam in grid})
-    assert calls["_theta1_array"] == (distinct if idx.p else 0)
+    groups = divisor_groups([idx], grid, pt.tau)
+    assert calls["_theta1_array"] == groups
+    assert groups <= len({abs(complex(lam).imag) for lam in grid})
 
 
 @given(data=st.data(), p=st.integers(0, 2), kappa=st.integers(4, 10),
@@ -319,6 +329,47 @@ def test_a_grid_pass_is_its_points_bit_for_bit(data, p, kappa, n, tau, points,
     if data is not None:  # unsorted, duplicates anywhere
         grid = data.draw(st.permutations(grid))
     _check_grid_against_points(BlockIndex(p, kappa, n), grid, ModularPoint(tau))
+
+
+@given(data=st.data(),
+       labels=st.lists(st.tuples(st.integers(0, 2), st.integers(4, 10),
+                                 st.integers(0, 19)), min_size=1, max_size=5),
+       tau=st.sampled_from(GRID_TAUS),
+       points=st.lists(st.tuples(st.floats(0.05, 0.95),
+                                 st.sampled_from(GRID_IM_FRACTIONS)),
+                       min_size=1, max_size=6),
+       repeats=st.integers(0, 2))
+# two n at one kappa share their theta1 rows but not their level phases
+@example(data=None, labels=[(1, 5, 2), (1, 5, 3), (1, 8, 3), (0, 5, 2),
+                            (1, 5, 12)],
+         tau=0.9j, points=[(0.3, 0.25), (0.41, 0.0), (0.7, -0.25)], repeats=1)
+# the refined circle needs one more theta1 term than the coarse one at Im
+# lam = 0.039818, so one group holds rows of two theta1 counts
+@example(data=None, labels=[(1, 5, 2), (1, 6, 3)], tau=0.9j,
+         points=[(0.3, 0.039818 / 0.9), (0.41, 0.0)], repeats=0)
+@example(data=None, labels=[(2, 8, 4), (1, 5, 2), (2, 6, 3), (0, 4, 1)],
+         tau=0.9j, points=[(0.3, 0.0), (0.41, 0.0), (0.3, 0.0)], repeats=2)
+@settings(max_examples=20, deadline=None)
+def test_a_family_pass_is_its_blocks_bit_for_bit(data, labels, tau, points,
+                                                 repeats):
+    # p = 2 takes real lambda at tau = 0.9i, at the pinned (kappa, n)
+    indices = []
+    for p, kappa, n in labels:
+        if p == 2:
+            kappa, n = P2_INDICES[kappa % len(P2_INDICES)]
+            tau, points = 0.9j, [(x, 0.0) for x, _ in points]
+        indices.append(BlockIndex(p, max(kappa, 2 * p + 2), n))
+    indices += indices[:repeats]
+    grid = [complex(x, frac * tau.imag) for x, frac in points]
+    if data is not None:  # unsorted, duplicates anywhere
+        grid = data.draw(st.permutations(grid + grid[:repeats]))
+    pt = ModularPoint(tau)
+    singles = tuple(u_block_grid(idx, grid, pt) for idx in indices)
+    with pytest.MonkeyPatch.context() as patch:
+        calls, _ = _count_kernels(patch)
+        assert blocks.u_blocks(indices, grid, pt) == singles, (indices, grid)
+    # one divisor call per divisor term count for the whole family
+    assert calls["_theta1_array"] == divisor_groups(indices, grid, tau)
 
 
 def test_a_grid_point_at_the_lattice_refuses_the_grid(monkeypatch):

@@ -302,6 +302,76 @@ def test_output_file_gets_valid_json(tmp_path):
     assert payload["config"]["subcommand"] == "eval"
 
 
+def test_verify_builds_csv_rows_only_for_csv(monkeypatch, capsys):
+    built, rows = [], cli._verify_rows
+    monkeypatch.setattr(cli, "_verify_rows",
+                        lambda report: built.append(report.name) or rows(report))
+    argv = ["verify", "--identity", "all", "--grid", "0.31"]
+    assert run(argv, capsys)[0] == 0
+    assert built == []
+    assert run(argv + ["--csv"], capsys)[0] == 0
+    assert built == [f"identity-{i}" for i in range(1, 11)]
+
+
+def test_a_report_is_one_compact_sorted_line(capsys):
+    code, out = run(["verify", "--identity", "2", "--grid", "0.31,0.55"],
+                    capsys)
+    assert code == 0
+    payload = json.loads(out)
+    assert out == json.dumps(payload, sort_keys=True,
+                             separators=(",", ":")) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# one parser per process
+# ---------------------------------------------------------------------------
+
+
+def test_the_parser_is_built_on_the_first_call_not_at_import():
+    # counted in a fresh interpreter: importing the cli builds no parser,
+    # the first main builds it, and later calls reuse it
+    code = ("import argparse\n"
+            "built = []\n"
+            "init = argparse.ArgumentParser.__init__\n"
+            "def counting(self, *args, **kwargs):\n"
+            "    built.append(kwargs.get('prog'))\n"
+            "    init(self, *args, **kwargs)\n"
+            "argparse.ArgumentParser.__init__ = counting\n"
+            "from elliptic_selberg import cli\n"
+            "print(len(built))\n"
+            "for _ in range(2):\n"
+            "    cli.main(['eval', '--function', 'eta', '--tau', '0.8i'])\n"
+            "    print(built.count('ellsel'))\n")
+    src = Path(cli.__file__).resolve().parent.parent
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=str(src)))
+    assert proc.returncode == 0, proc.stderr
+    assert [line for line in proc.stdout.splitlines()
+            if not line.startswith("{")] == ["0", "1", "1"]
+
+
+def test_the_cached_parser_keeps_no_state_between_calls(tmp_path, capsys):
+    # a --csv verify, then one without --csv, which must emit JSON
+    argv = ["verify", "--identity", "1", "--grid", "0.31"]
+    code, out = run(argv + ["--csv"], capsys)
+    assert code == 0 and out.startswith("name,param-key,")
+    code, out = run(argv, capsys)
+    assert code == 0 and json.loads(out)["passed"] is True
+    # an --output goes to its own call only
+    path = tmp_path / "report.json"
+    assert cli.main(["--output", str(path)] + argv) == 0
+    assert capsys.readouterr().out == ""
+    code, out = run(argv, capsys)
+    assert code == 0 and json.loads(out) == json.loads(path.read_text())
+    # a usage error, then a good call
+    with pytest.raises(SystemExit) as info:
+        cli.main(["verify", "--identity", "11"])
+    assert info.value.code == 2
+    code, out = run(argv, capsys)
+    assert code == 0 and json.loads(out)["passed"] is True
+
+
 # ---------------------------------------------------------------------------
 # suite
 # ---------------------------------------------------------------------------

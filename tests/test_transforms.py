@@ -179,22 +179,25 @@ def test_numeric_t_matrix_is_diagonal():
 
 
 def test_numeric_extraction_samples_the_basis_once(monkeypatch):
-    # dim basis columns, then 2 * dim transformed blocks, each one grid call
-    # on the 8-point grid: 6 grid calls at kappa = 5 and no point-by-point
+    # the dim basis labels in one family call on the 8-point grid, then the
+    # 2 * dim transformed blocks in one family call per moved grid: 3 calls
+    # of 2 labels at kappa = 5, and no grid call per label or point-by-point
     # block, where re-expanding each transformed block from scratch would
     # resample the basis four times
-    calls = {"u_block": [], "u_block_grid": []}
-    for module, name in ((blocks, "u_block"), (transforms, "u_block_grid")):
+    calls = {"u_block": [], "u_block_grid": [], "u_blocks": []}
+    for module, name in ((blocks, "u_block"), (transforms, "u_block_grid"),
+                         (transforms, "u_blocks")):
         original = getattr(module, name)
 
         def counting(idx, lam, *args, _original=original, _record=calls[name],
-                     **kwargs):
-            _record.append(np.size(lam))
+                     _family=name == "u_blocks", **kwargs):
+            _record.append((len(idx), np.size(lam)) if _family
+                           else np.size(lam))
             return _original(idx, lam, *args, **kwargs)
 
         monkeypatch.setattr(module, name, counting)
     tn, sn = numeric_modular_matrices(1, 5)
-    assert calls == {"u_block": [], "u_block_grid": [8] * 6}
+    assert calls == {"u_block": [], "u_block_grid": [], "u_blocks": [(2, 8)] * 3}
     # the grid fits are the point-by-point fits, bit for bit
     grid = [complex(x) for x in default_lambda_grid(1, 5)]
     mat = transforms._sampled_basis(1, 5, grid, PTI, None)

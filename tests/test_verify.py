@@ -195,6 +195,18 @@ def test_a_closed_form_grid_is_its_points(data, ident, tau, points, repeats,
             ident, p, tau, lam)
 
 
+@pytest.mark.parametrize("tau", [0.9j, 0.6j, 0.3 + 0.9j])
+def test_the_ten_identities_at_once_are_each_ones_report(tau):
+    # one family pass for the blocks of all ten combinations and one pass
+    # for their closed forms give each identity's own report, bit for bit,
+    # on a grid with a repeated point
+    pt, grid = ModularPoint(tau), (0.3, 0.41, 0.3, 0.62)
+    got = V.verify_identities(range(1, 11), 1, grid, pt)
+    assert [r.as_dict() for r in got] == [
+        V.verify_identity(i, 1, grid, pt).as_dict() for i in range(1, 11)]
+    assert all(r.passed for r in got)
+
+
 # ---------------------------------------------------------------------------
 # heat-equation residuals
 # ---------------------------------------------------------------------------
