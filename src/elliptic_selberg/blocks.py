@@ -263,31 +263,23 @@ def _phases(modes: tuple, mu: np.ndarray) -> np.ndarray:
     return np.exp(modes[4] + modes[5] * mu)
 
 
-class _Side:
-    """What a family of blocks shares on one grid: its points grouped by
-    the divisor's term count, theta1 at [lam..., -lam...] per group, and a
-    memo of each group's (w, mu) rows and theta1 phase rows."""
-
-    def __init__(self, lams: list, tau: complex):
-        self.lams, self.tau, self.memo = lams, tau, {}
-        self.groups = specfun._imag_groups(
-            lams, lambda y: len(specfun._theta1_coefs(tau, y)))
-        self.divs = [specfun._theta1_array(np.array(
-            [lams[k] for k in ks] + [-lams[k] for k in ks]), tau)
-            for ks in self.groups]
-
-
-def _lambda_side(moments, side: _Side, kappa: int, n: int, reaches: list,
-                 args):
-    """Per group of the side's points that share every term count, (ks,
-    div, sides): the group's indices ks into the points, theta1 at
-    [lam..., -lam...] and, per (rule shape, reach, level_reach), the tables
-    of moments at the term counts lam plus a node of |Im| up to reach (at
+def _lambda_side(moments, lams: list, tau: complex, kappa: int, n: int,
+                 reaches: list, args, side: dict | None = None):
+    """Per group of the points of lams that share every term count, (ks,
+    div, sides): the group's indices ks into lams, theta1 at [lam...,
+    -lam...] and, per (rule shape, reach, level_reach), the tables of
+    moments at the term counts lam plus a node of |Im| up to reach (at
     level kappa, g times level_reach) needs, with the group's (point, mode)
-    phase rows (theta1 d_p e^(i pi p w), level) at each (w, mu) of args(lam).
-    The side holds theta1(+-lam), and the theta1 rows per theta1 count, of
-    every block; a block takes its level rows once per distinct counts."""
-    tau, memo = side.tau, side.memo
+    phase rows, theta1 and level (_phases), at each (w, mu) of args(lam).
+    The blocks of a family share the side, a memo of the divisor's groups
+    with theta1(+-lam) from one kernel call each, split per block by its
+    tables' counts, and of each split group's rows and theta1 rows."""
+    side = {} if side is None else side
+    if "divisor" not in side:
+        side["divisor"] = [(ks, specfun._theta1_array(np.array(
+            [lams[k] for k in ks] + [-lams[k] for k in ks]), tau))
+            for ks in specfun._imag_groups(
+                lams, lambda y: len(specfun._theta1_coefs(tau, y)))]
 
     def counts(y):
         return tuple((len(specfun._theta1_coefs(tau, y + reach)),
@@ -295,36 +287,33 @@ def _lambda_side(moments, side: _Side, kappa: int, n: int, reaches: list,
                           kappa, n, tau, y + (2.0 / kappa) * level_reach)[1]))
                      for _, reach, level_reach in reaches)
 
-    for g, (ks, div) in enumerate(zip(side.groups, side.divs)):
-        group = [side.lams[k] for k in ks]
-        rows = memo.get((g, moments))
-        if rows is None:
-            # (point, row, (w, mu)) from the same scalar arithmetic per point
-            rows = memo[g, moments] = np.array([args(lam) for lam in group])
-        for sub in specfun._imag_groups(group, counts):
-            im = max(abs(group[j].imag) for j in sub)
-            # rows of the whole group as views, the common case, else copies
-            whole = len(sub) == len(ks)
-            sel = slice(None) if whole else sub
-            sides, built = [], {}
+    for group, div in side["divisor"]:
+        for sub in specfun._imag_groups([lams[k] for k in group], counts):
+            ks = [group[j] for j in sub]
+            key = (moments, tuple(ks))
+            if key not in side:
+                # (point, row, (w, mu)) from the same scalar arithmetic per point
+                side[key] = (div[sub + [len(group) + j for j in sub]],
+                             np.array([args(lams[k]) for k in ks]))
+            div_ks, rows = side[key]
+            # a series' coefficients follow its term count alone
+            im = abs(lams[ks[0]].imag)
+            sides = []
             for shape, reach, level_reach in reaches:
                 coefs = specfun._theta1_coefs(tau, im + reach)
                 level = specfun._theta_level_coefs(
                     kappa, n, tau, im + (2.0 / kappa) * level_reach)
                 modes, tables = moments(tau, *shape, kappa, n, coefs, level)
-                if (len(coefs), len(level[1])) not in built:
-                    thetas = memo.get((g, moments, len(coefs)))
-                    if thetas is None:
-                        thetas = memo[g, moments, len(coefs)] = [
-                            np.exp(modes[2] + modes[3] * rows[:, r, :1])
-                            for r in range(rows.shape[1])]
-                    built[len(coefs), len(level[1])] = [
-                        (theta[sel], _phases(modes, rows[sel, r, 1:]))
-                        for r, theta in enumerate(thetas)]
-                sides.append((tables, built[len(coefs), len(level[1])]))
-            yield ((ks, div, sides) if whole else
-                   ([ks[j] for j in sub],
-                    div[sub + [len(ks) + j for j in sub]], sides))
+                thetas = (key, len(coefs))
+                levels = (key, kappa, n, len(coefs), len(level[1]))
+                if thetas not in side:  # theta1 d_p e^(i pi p w)
+                    side[thetas] = [np.exp(modes[2] + modes[3] * rows[:, r, :1])
+                                    for r in range(rows.shape[1])]
+                if levels not in side:
+                    side[levels] = [_phases(modes, rows[:, r, 1:])
+                                    for r in range(rows.shape[1])]
+                sides.append((tables, list(zip(side[thetas], side[levels]))))
+            yield ks, div_ks, sides
 
 
 def _gather(moments: np.ndarray, odd: np.ndarray, js: np.ndarray,
@@ -369,7 +358,7 @@ def _p1_moments(tau: complex, order: int, levels: int, loop_nodes: int,
 
 
 def _j_p1(idx: BlockIndex, lams: list, pt: ModularPoint,
-          shapes: list, side: _Side | None = None) -> list:
+          shapes: list, side: dict | None = None) -> list:
     """Per rule shape, (J(lam), J(-lam)) per point of lams: endpoint circles
     and middle path.
 
@@ -389,8 +378,8 @@ def _j_p1(idx: BlockIndex, lams: list, pt: ModularPoint,
         reaches.append((shape, im, im))
     out = [[None] * len(lams) for _ in shapes]
     for ks, div, sides in _lambda_side(
-            _p1_moments, side or _Side(lams, pt.tau), idx.kappa, idx.reduced_n,
-            reaches, lambda lam: ((lam, lam), (-lam, -lam))):
+            _p1_moments, lams, pt.tau, idx.kappa, idx.reduced_n, reaches,
+            lambda lam: ((lam, lam), (-lam, -lam)), side):
         for values, (table, phases) in zip(out, sides):
             # rows mu = lam..., -lam..., as div holds theta1(mu)
             theta, level = (np.concatenate(rows) for rows in zip(*phases))
@@ -633,7 +622,7 @@ def _p2_moments(tau: complex, order: int, levels: int, loop_nodes: int,
 
 
 def _p2_rows(idx: BlockIndex, lams: list, tau: complex,
-             shapes: list, side: _Side | None = None) -> np.ndarray:
+             shapes: list, side: dict | None = None) -> np.ndarray:
     """Integrals over {0 <= y <= min(x, 1-x)} of the four integrands.
 
     Half shape s at sigma lam: E(x)^b E(y)^b E(x-y)^g sigma(s x) sigma(s y)
@@ -653,10 +642,11 @@ def _p2_rows(idx: BlockIndex, lams: list, tau: complex,
     out = np.empty((len(shapes), len(lams), 4, 3), dtype=complex)
     # the term counts, and so the tables, follow |Im lam| + max |Im node|
     for ks, div, sides in _lambda_side(
-            _p2_moments, side or _Side(lams, tau), kappa, n,
+            _p2_moments, lams, tau, kappa, n,
             [(shape, *_p2_reach(tau, *shape, kappa)) for shape in shapes],
             lambda lam: tuple((-sigma * s * lam, sigma * lam)
-                              for sigma in (1.0, -1.0) for s in (1.0, -1.0))):
+                              for sigma in (1.0, -1.0) for s in (1.0, -1.0)),
+            side):
         # row i is (sigma, s) with sigma's divisor theta1(sigma lam)
         div = div.reshape(2, len(ks))[[0, 0, 1, 1], :, None]
         for values, (tables, phases) in zip(out, sides):
@@ -673,9 +663,14 @@ def _p2_rows(idx: BlockIndex, lams: list, tau: complex,
 
 
 def _j_p2(idx: BlockIndex, lams: list, pt: ModularPoint,
-          shapes: list, side: _Side | None = None) -> list:
-    """Per rule shape, (J(lam), J(-lam)) per point of lams (real, checked
-    by _passes) from the four half shapes' rows."""
+          shapes: list, side: dict | None = None) -> list:
+    """Per rule shape, (J(lam), J(-lam)) per point of lams from the four
+    half shapes' rows."""
+    if (any(abs(lam.imag) > 1e-12 for lam in lams)
+            or abs(pt.tau.real) > 1e-12):
+        raise OutOfSupportedRange(
+            "the two-fold integral is wired for real lambda and purely "
+            "imaginary tau only")
     b, g = -4.0 / idx.kappa, 2.0 / idx.kappa
     # Branch convention for the pairwise difference factor: the ordered
     # difference is taken with argument continued to -pi rather than 0
@@ -719,7 +714,7 @@ def _as_lambdas(grid, pt: ModularPoint) -> list:
 
 
 def _j_p0(idx: BlockIndex, lams: list, pt: ModularPoint,
-          shapes: list, side: _Side | None = None) -> list:
+          shapes: list, side: dict | None = None) -> list:
     """(J(lam), J(-lam)) per point of the empty integral: level-theta
     values, the same for every rule shape."""
     return [[tuple(specfun.theta_level(idx.kappa, idx.reduced_n, mu, pt)
@@ -756,13 +751,7 @@ def _passes(indices: list, lams: list, pt: ModularPoint, quads: tuple) -> list:
         if layout not in counted:
             counted[layout] = [quad.check_points(_points(idx, pt, shape))
                                for quad, shape in zip(quads, shapes)]
-    ps = {p for p, _ in counted}
-    if 2 in ps and (any(abs(lam.imag) > 1e-12 for lam in lams)
-                    or abs(pt.tau.real) > 1e-12):
-        raise OutOfSupportedRange(
-            "the two-fold integral is wired for real lambda and purely "
-            "imaginary tau only")
-    side = _Side(lams, pt.tau) if ps - {0} else None
+    side = {}
     return [(_PASSES[idx.p](idx, lams, pt, shapes, side), counted[layout])
             for idx, layout in zip(indices, layouts)]
 
@@ -776,11 +765,10 @@ def _one_value(idx: BlockIndex, lam, pt: ModularPoint,
 
 def _two_passes(indices: list, grid, pt: ModularPoint,
                 quad: QuadratureSpec | None) -> list:
-    """Per index, the requested (coarse) pass and a refined one, (J(lam),
-    J(-lam)) per point of the grid, and their summed points."""
+    """Per index, ((the requested (coarse) pass, a refined one), their
+    points), each pass (J(lam), J(-lam)) per point of the grid."""
     quad = quad or QuadratureSpec()
-    return [(coarse, fine, sum(points)) for (coarse, fine), points
-            in _passes(indices, _as_lambdas(grid, pt), pt, (quad, quad.refined()))]
+    return _passes(indices, _as_lambdas(grid, pt), pt, (quad, quad.refined()))
 
 
 def j_integral(idx: BlockIndex, lam, pt: ModularPoint,
@@ -790,17 +778,10 @@ def j_integral(idx: BlockIndex, lam, pt: ModularPoint,
     The error estimate compares the requested quadrature against a refined
     one (heuristic, not a bound).  p = 0 is exact.
     """
-    [(((coarse, _),), ((fine, _),), used)] = _two_passes([idx], (lam,), pt, quad)
+    [((((coarse, _),), ((fine, _),)), points)] = _two_passes([idx], (lam,), pt,
+                                                            quad)
     return BlockValue(value=fine, error_estimate=abs(fine - coarse),
-                      budget_used=used)
-
-
-def _u_values(p: int, coarse: list, fine: list, used: int) -> tuple:
-    return tuple(BlockValue(value=plus + (-1) ** (p + 1) * minus,
-                            error_estimate=(abs(plus - c_plus)
-                                            + abs(minus - c_minus)),
-                            budget_used=used)
-                 for (c_plus, c_minus), (plus, minus) in zip(coarse, fine))
+                      budget_used=sum(points))
 
 
 def u_blocks(indices, grid, pt: ModularPoint,
@@ -811,10 +792,14 @@ def u_blocks(indices, grid, pt: ModularPoint,
     per (p, p = 2 layout, spec), before any theta1 is evaluated."""
     indices = tuple(indices)
     labels = {(idx.p, idx.kappa, idx.reduced_n): idx for idx in indices}
-    passes = dict(zip(labels, _two_passes(list(labels.values()), grid, pt,
-                                          quad)))
-    return tuple(_u_values(idx.p, *passes[idx.p, idx.kappa, idx.reduced_n])
-                 for idx in indices)
+    passes = _two_passes(list(labels.values()), grid, pt, quad)
+    values = {label: tuple(
+        BlockValue(value=plus + (-1) ** (label[0] + 1) * minus,
+                   error_estimate=abs(plus - c_plus) + abs(minus - c_minus),
+                   budget_used=sum(points))
+        for (c_plus, c_minus), (plus, minus) in zip(coarse, fine))
+        for label, ((coarse, fine), points) in zip(labels, passes)}
+    return tuple(values[idx.p, idx.kappa, idx.reduced_n] for idx in indices)
 
 
 def u_block_grid(idx: BlockIndex, grid, pt: ModularPoint,

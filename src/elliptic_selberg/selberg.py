@@ -29,6 +29,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -272,6 +273,7 @@ def selberg_oracle_terms(params: SelbergParams,
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=256)
 def block_constant(p: int, kappa: int, n: int) -> BlockConstant:
     """Normalization constant c for the block labelled (p, kappa, n).
 

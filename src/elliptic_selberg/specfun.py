@@ -173,18 +173,16 @@ def _max_abs_imag(lam: np.ndarray) -> float:
 
 def _imag_groups(lams, counts) -> list:
     """Indices into lams grouped by counts(|Im lam|), the series term counts
-    a point needs, in order of first appearance (counts is not called when
-    every point has one |Im lam|): the points of a group share every count,
-    so a group's kernel call gives each the value of its own one-point
-    call."""
+    a point needs, in order of first appearance (counts is called once per
+    distinct |Im lam|): the points of a group share every count, so a
+    group's kernel call gives each the value of its own one-point call."""
     by_imag, groups = {}, {}
     for k, lam in enumerate(lams):
-        by_imag.setdefault(abs(lam.imag), []).append(k)
-    if len(by_imag) == 1:
-        return list(by_imag.values())
-    for y, ks in by_imag.items():
-        groups.setdefault(counts(y), []).extend(ks)
-    return [sorted(ks) for ks in groups.values()]
+        y = abs(lam.imag)
+        if y not in by_imag:
+            by_imag[y] = counts(y)
+        groups.setdefault(by_imag[y], []).append(k)
+    return list(groups.values())
 
 
 def _horner(coefs, z):

@@ -131,21 +131,17 @@ class BasisExpansion:
 _CONDITION_LIMIT = 1e8
 
 
-def _sampled_basis(p: int, kappa: int, grid: list,
-                   pt: ModularPoint, quad: QuadratureSpec | None) -> np.ndarray:
-    """The blocks u_n sampled on the grid, one column per basis label.
+def _sampled_basis(family: list, grid: list, pt: ModularPoint) -> np.ndarray:
+    """The functions of a _block_family sampled on the grid, one column each.
 
     Raises IllConditionedBasis when the columns are too close to dependent
     for a least-squares fit to mean anything.
     """
-    labels = basis_indices(p, kappa)
-    if len(grid) < 2 * len(labels):
+    if len(grid) < 2 * len(family):
         raise ValueError(
-            f"need at least {2 * len(labels)} sample points for a "
-            f"{len(labels)}-dimensional basis, got {len(grid)}")
-    columns = u_blocks([BlockIndex(p, kappa, n) for n in labels], grid, pt,
-                       quad)
-    mat = np.array([[v.value for v in col] for col in columns], dtype=complex).T
+            f"need at least {2 * len(family)} sample points for a "
+            f"{len(family)}-dimensional basis, got {len(grid)}")
+    mat = np.array([f.on_grid(grid, pt) for f in family], dtype=complex).T
     cond = np.linalg.cond(mat)
     if not np.isfinite(cond) or cond > _CONDITION_LIMIT:
         raise IllConditionedBasis(
@@ -166,11 +162,13 @@ def _fit(mat: np.ndarray, f: BlockFunction, grid: list,
     return coeffs, (misfit / scale if scale > 0.0 else misfit)
 
 
-def _block_family(p: int, kappa: int, labels: tuple,
+def _block_family(p: int, kappa: int,
                   quad: QuadratureSpec | None) -> list:
-    """One BlockFunction per label; the first grid call at a (grid, tau)
-    evaluates every label in one u_blocks call, which serves the others."""
-    indices, done = [BlockIndex(p, kappa, n) for n in labels], {}
+    """One BlockFunction per basis label; the first grid call at a (grid,
+    tau) evaluates every label in one u_blocks call, which serves the
+    others."""
+    indices = [BlockIndex(p, kappa, n) for n in basis_indices(p, kappa)]
+    done = {}
 
     def column(lams, pt, j):
         key = (tuple(lams), pt.tau)
@@ -179,7 +177,7 @@ def _block_family(p: int, kappa: int, labels: tuple,
         return [value.value for value in done[key][j]]
 
     return [BlockFunction(lambda lams, pt, j=j: column(lams, pt, j), p, kappa)
-            for j in range(len(labels))]
+            for j in range(len(indices))]
 
 
 def expand_in_block_basis(f, p: int, kappa: int, lambda_grid, pt: ModularPoint,
@@ -191,7 +189,7 @@ def expand_in_block_basis(f, p: int, kappa: int, lambda_grid, pt: ModularPoint,
     callers decide what size of residual they can live with.
     """
     grid = [complex(x) for x in lambda_grid]
-    mat = _sampled_basis(p, kappa, grid, pt, quad)
+    mat = _sampled_basis(_block_family(p, kappa, quad), grid, pt)
     coeffs, residual = _fit(mat, f, grid, pt)
     return BasisExpansion(indices=basis_indices(p, kappa), coefficients=coeffs,
                           residual=residual)
@@ -241,10 +239,11 @@ def numeric_modular_matrices(p: int, kappa: int,
     labels = basis_indices(p, kappa)
     grid = default_lambda_grid(p, kappa) if lambda_grid is None else lambda_grid
     grid = [complex(x) for x in grid]
-    mat = _sampled_basis(p, kappa, grid, pt, quad)
+    family = _block_family(p, kappa, quad)
+    mat = _sampled_basis(family, grid, pt)
     t_cols = []
     s_cols = []
-    for base in _block_family(p, kappa, labels, quad):
+    for base in family:
         for which, cols in (("T", t_cols), ("S", s_cols)):
             moved = transformed_function(which, base)
             cols.append(_fit(mat, moved, grid, pt)[0])

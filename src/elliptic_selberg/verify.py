@@ -215,33 +215,25 @@ def _rhs_grids(sts: list, p: int, constants: list, lams: list,
     for ks in specfun._imag_groups(lams, counts):
         group, m = np.array([lams[k] for k in ks]), len(ks)
         thetas = specfun._theta1_array(group, tau).tolist()
-        levels = {}
-        for level, index, symmetrized in terms:
-            values = specfun._theta_level_array(level, index, np.concatenate(
-                [group, -group]) if symmetrized else group, tau).tolist()
-            levels[level, index, symmetrized] = (
-                [v + values[m + i] for i, v in enumerate(values[:m])]
-                if symmetrized else values)
+        levels = {(level, index, sym): specfun._theta_level_array(
+            level, index, np.concatenate([group, -group]) if sym else group,
+            tau).tolist() for level, index, sym in terms}
         for values, st, constant in zip(out, sts, constants):
             for i, (k, t) in enumerate(zip(ks, thetas)):
                 combo = 0j if st.theta_terms else 1.0 + 0.0j
-                for level, index, sign, symmetrized in st.theta_terms:
-                    combo += sign * levels[level, index, symmetrized][i]
+                for level, index, sign, sym in st.theta_terms:
+                    v = levels[level, index, sym]
+                    combo += sign * (v[i] + v[m + i] if sym else v[i])
                 values[k] = constant * t ** (p + 1) * combo
     return out
 
 
-def _rhs_grid(st: IdentityStructure, p: int, constant: complex, lams: list,
-              pt: ModularPoint) -> list:
-    """The one-structure case of _rhs_grids."""
-    return _rhs_grids([st], p, [constant], lams, pt)[0]
-
-
 def rhs_value(ident: int, p: int, lam: complex, pt: ModularPoint) -> complex:
     """The closed-form side of one identity at (lam, tau): the one-point
-    grid of _rhs_grid."""
+    grid of _rhs_grids."""
     st = identity_structure(ident, p)
-    return _rhs_grid(st, p, _rhs_constant(st, p, pt), [complex(lam)], pt)[0]
+    return _rhs_grids([st], p, [_rhs_constant(st, p, pt)], [complex(lam)],
+                      pt)[0][0]
 
 
 def rhs_shift_phase(pair: tuple, p: int) -> complex:
@@ -430,8 +422,8 @@ class ClosedFormSolution:
 
     def value(self, lam: complex, pt: ModularPoint) -> complex:
         st = self.structure
-        return _rhs_grid(st, self.p, _weight_value(st, pt), [complex(lam)],
-                         pt)[0]
+        return _rhs_grids([st], self.p, [_weight_value(st, pt)],
+                          [complex(lam)], pt)[0][0]
 
     def d_lambda2(self, lam: complex, pt: ModularPoint) -> complex:
         st = self.structure

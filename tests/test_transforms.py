@@ -200,7 +200,8 @@ def test_numeric_extraction_samples_the_basis_once(monkeypatch):
     assert calls == {"u_block": [], "u_block_grid": [], "u_blocks": [(2, 8)] * 3}
     # the grid fits are the point-by-point fits, bit for bit
     grid = [complex(x) for x in default_lambda_grid(1, 5)]
-    mat = transforms._sampled_basis(1, 5, grid, PTI, None)
+    mat = transforms._sampled_basis(transforms._block_family(1, 5, None),
+                                    grid, PTI)
     for which, got in (("T", tn), ("S", sn)):
         for j, n in enumerate(basis_indices(1, 5)):
             base = block(1, 5, n)

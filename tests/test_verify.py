@@ -180,7 +180,7 @@ def test_a_closed_form_grid_is_its_points(data, ident, tau, points, repeats,
         grid = data.draw(st.permutations(grid))
     pt, st_ = ModularPoint(tau), V.identity_structure(ident, p)
     constant = V._rhs_constant(st_, p, pt)
-    got = V._rhs_grid(st_, p, constant, grid, pt)
+    got = V._rhs_grids([st_], p, [constant], grid, pt)[0]
     for lam, value in zip(grid, got):
         # the one-point grid, bit for bit
         assert value == V.rhs_value(ident, p, lam, pt)
