@@ -34,7 +34,9 @@ each is a sum of lambda phases times node exponentials, and since
 kappa g = 2 the level theta's are e^(4 pi i c t) times integer powers of
 theta1's e^(i pi t).  So a pass contracts cached moment tables (sums over
 the nodes of the weights times those exponentials) with a few phases in
-lambda and evaluates nothing per node.  The tables are keyed on (tau,
+lambda and evaluates nothing per node; at p = 2 the tables fold in the
+series coefficients, so a pass is one exponential sum in lambda per
+rule shape.  The tables are keyed on (tau,
 rule shape (the spec less its point cap), kappa, n) and the memoised
 series coefficients, whose term counts follow |Im lam| + max |Im node|,
 and hold their logs.  They are built from lambda-independent rules: at
@@ -48,12 +50,13 @@ u_blocks runs the coarse and the refined pass of a family of blocks once
 over a whole lambda grid; u_block_grid is its one-index case, and u_block
 and j_integral that one's one-point case.  The family shares its lambda
 side: per group of points with the same theta1 term count, one
-theta1(+-lam) call and one theta1 phase row per (w, mu) row and theta1
-count (at p = 1 every (kappa, n) shares them); a block splits the group by
-its tables' counts and adds its level phases and one stacked contraction
-per rule shape.  Every value is bit-identical to its point's own u_block.
-Warm, on one thread of a 2-core VM, a six-point real grid takes about
-0.2 ms at p = 1 and 0.5 ms at p = 2 (kappa = 8).  The first p = 2 u_block
+theta1(+-lam) call, which a block splits by its tables' counts.  At p = 1
+a block adds the theta1 phase rows per theta1 count (every (kappa, n)
+shares them), its level phases and one stacked contraction per rule
+shape; at p = 2 one exp of i pi nu (+-lam) and one matmul per rule shape.
+Every value is bit-identical to its point's own u_block.  Warm, on one
+thread of a loaded 2-core VM, a six-point real grid takes about 0.27 ms
+at p = 1 and 0.2 ms at p = 2 (kappa = 8).  The first p = 2 u_block
 at a new (tau, rule shape, kappa, n) builds the moment tables on the
 cached _p2_layout (per (tau, rule shape, kappa) the four sections' rules
 and the point count; _p2_reach sweeps the term-count reaches once a pass
@@ -264,16 +267,14 @@ def _phases(modes: tuple, mu: np.ndarray) -> np.ndarray:
 
 
 def _lambda_side(moments, lams: list, tau: complex, kappa: int, n: int,
-                 reaches: list, args, side: dict | None = None):
+                 reaches: list, side: dict | None = None):
     """Per group of the points of lams that share every term count, (ks,
-    div, sides): the group's indices ks into lams, theta1 at [lam...,
-    -lam...] and, per (rule shape, reach, level_reach), the tables of
-    moments at the term counts lam plus a node of |Im| up to reach (at
-    level kappa, g times level_reach) needs, with the group's (point, mode)
-    phase rows, theta1 and level (_phases), at each (w, mu) of args(lam).
-    The blocks of a family share the side, a memo of the divisor's groups
-    with theta1(+-lam) from one kernel call each, split per block by its
-    tables' counts, and of each split group's rows and theta1 rows."""
+    div, tables): the group's indices ks into lams, theta1 at [lam...,
+    -lam...] and, per (rule shape, reach, level_reach), moments at the term
+    counts lam plus a node of |Im| up to reach (at level kappa, g times
+    level_reach) needs.  The blocks of a family share side, a memo of the
+    divisor's groups with theta1(+-lam) from one kernel call each, which
+    each block splits by its tables' counts."""
     side = {} if side is None else side
     if "divisor" not in side:
         side["divisor"] = [(ks, specfun._theta1_array(np.array(
@@ -290,30 +291,14 @@ def _lambda_side(moments, lams: list, tau: complex, kappa: int, n: int,
     for group, div in side["divisor"]:
         for sub in specfun._imag_groups([lams[k] for k in group], counts):
             ks = [group[j] for j in sub]
-            key = (moments, tuple(ks))
-            if key not in side:
-                # (point, row, (w, mu)) from the same scalar arithmetic per point
-                side[key] = (div[sub + [len(group) + j for j in sub]],
-                             np.array([args(lams[k]) for k in ks]))
-            div_ks, rows = side[key]
             # a series' coefficients follow its term count alone
             im = abs(lams[ks[0]].imag)
-            sides = []
-            for shape, reach, level_reach in reaches:
-                coefs = specfun._theta1_coefs(tau, im + reach)
-                level = specfun._theta_level_coefs(
-                    kappa, n, tau, im + (2.0 / kappa) * level_reach)
-                modes, tables = moments(tau, *shape, kappa, n, coefs, level)
-                thetas = (key, len(coefs))
-                levels = (key, kappa, n, len(coefs), len(level[1]))
-                if thetas not in side:  # theta1 d_p e^(i pi p w)
-                    side[thetas] = [np.exp(modes[2] + modes[3] * rows[:, r, :1])
-                                    for r in range(rows.shape[1])]
-                if levels not in side:
-                    side[levels] = [_phases(modes, rows[:, r, 1:])
-                                    for r in range(rows.shape[1])]
-                sides.append((tables, list(zip(side[thetas], side[levels]))))
-            yield ks, div_ks, sides
+            yield ks, div[sub + [len(group) + j for j in sub]], [
+                moments(tau, *shape, kappa, n,
+                        specfun._theta1_coefs(tau, im + reach),
+                        specfun._theta_level_coefs(
+                            kappa, n, tau, im + (2.0 / kappa) * level_reach))
+                for shape, reach, level_reach in reaches]
 
 
 def _gather(moments: np.ndarray, odd: np.ndarray, js: np.ndarray,
@@ -371,6 +356,7 @@ def _j_p1(idx: BlockIndex, lams: list, pt: ModularPoint,
     of mu = lam and -lam, stacked over the points of a term-count group, and
     takes the divisor theta1(mu) from the relative-accurate array kernel.
     """
+    side = {} if side is None else side
     reaches = []
     for shape in shapes:
         im = _p1_tables(pt.tau, *shape)[2]
@@ -379,10 +365,24 @@ def _j_p1(idx: BlockIndex, lams: list, pt: ModularPoint,
     out = [[None] * len(lams) for _ in shapes]
     for ks, div, sides in _lambda_side(
             _p1_moments, lams, pt.tau, idx.kappa, idx.reduced_n, reaches,
-            lambda lam: ((lam, lam), (-lam, -lam)), side):
-        for values, (table, phases) in zip(out, sides):
+            side):
+        # the family's memo: columns lam and -lam, theta1 rows per theta1
+        # count (every (kappa, n) shares them), level rows per (kappa, n)
+        key = ("p = 1", tuple(ks))
+        if key not in side:
+            column = np.array([[lams[k]] for k in ks])
+            side[key] = [column, -column]
+        for values, (modes, table) in zip(out, sides):
+            thetas = (key, modes[0].size)
+            levels = (*thetas, idx.kappa, idx.reduced_n, modes[1].size)
+            if thetas not in side:  # theta1 d_p e^(i pi p mu)
+                side[thetas] = [np.exp(modes[2] + modes[3] * mu)
+                                for mu in side[key]]
+            if levels not in side:
+                side[levels] = [_phases(modes, mu) for mu in side[key]]
             # rows mu = lam..., -lam..., as div holds theta1(mu)
-            theta, level = (np.concatenate(rows) for rows in zip(*phases))
+            theta, level = (np.concatenate(side[rows])
+                            for rows in (thetas, levels))
             pairs = ((theta / div[:, None])[:, None] @ table
                      @ level[:, :, None]).reshape(2, len(ks)).T.tolist()
             for k, pair in zip(ks, pairs):
@@ -572,26 +572,29 @@ def _inner_moments(kind: str, x: np.ndarray, inner: _Rule, tau: complex,
 @lru_cache(maxsize=32)
 def _p2_moments(tau: complex, order: int, levels: int, loop_nodes: int,
                 kappa: int, n: int, coefs: tuple, level: tuple) -> tuple:
-    """(_modes of the series, the tables (corner, its b-derivative, rest)),
-    each K[s, po, p, j] for the half shapes s = 1, -1, of one (tau, rule
-    shape, kappa, n) and series; the b-derivative is 0 off kappa = 6.
+    """(i pi nu, F): row (sigma, s) of _p2_rows times theta1(sigma lam)^2
+    is sum_nu F[nu, (s, column)] e^(i pi nu sigma lam), columns (corner,
+    its b-derivative, rest), for one (tau, rule shape, kappa, n) and series;
+    the b-derivative is 0 off kappa = 6.
 
-    Row (sigma, s) of _p2_rows holds theta1(w + y) flip theta1(w + flip x)
-    and the level theta at sigma lam + s g (pos + y), a sum over m = c + j
-    of e^(2 pi i kappa m sigma lam) e^(4 pi i m s pos) e^(4 pi i c s y)
-    e^(4 pi i j s y).  So K[s, po, p, j] sums over the x nodes flip outer
-    e^(i pi po flip x) e^(4 pi i m s pos) times the inner moment at p + 4 s j.
-    A section's outer weight is the x rule weight times exp(b log - log f)
-    with f = E(x), or E(x)/x on the corner loops, whose logs the
-    b-derivative also multiplies by.  Every power base (E(x) and E(x)/x
-    here, E(y)/y, E(d)/d at the corners and E(x - y) on the right half in
-    _inner_moments) stays close to 1 or on the positive axis, so all powers
-    are principal.
+    Row (sigma, s) holds theta1(w + y) flip theta1(w + flip x), w = -sigma
+    s lam, and the level theta at sigma lam + s g (pos + y), a sum over m =
+    c + j of e^(2 pi i kappa m sigma lam) e^(4 pi i m s pos) e^(4 pi i c s
+    y) e^(4 pi i j s y).  So K[s, po, p, j], the x node sum of flip outer
+    e^(i pi po flip x) e^(4 pi i m s pos) times the inner moment at p + 4 s
+    j, enters F at nu = -s (po + p) + 2 kappa (c + j), an integer of the
+    parity of n, times d_po d_p levels_j (at s = -1 also the level theta's
+    shift phase exp(4 pi i n / kappa)).  A section's outer weight is the x
+    rule weight times exp(b log - log f) with f = E(x), or E(x)/x on the
+    corner loops, whose logs the b-derivative also multiplies by.  Every
+    power base (E(x) and E(x)/x here, E(y)/y, E(d)/d at the corners and
+    E(x - y) on the right half in _inner_moments) stays close to 1 or on the
+    positive axis, so all powers are principal.
     """
     b = -4.0 / kappa
     c = (n % (2 * kappa)) / (2.0 * kappa)
     wind = loop_winding(b - 1.0)
-    odd, js, *_ = modes = _modes(coefs, level, kappa)
+    odd, js, *_ = _modes(coefs, level, kappa)
     top = odd[-1] + 4 * js[-1]
     tables = np.zeros((3, 2, odd.size, odd.size, js.size), dtype=complex)
     prime0 = specfun.theta1(0.0, ModularPoint(tau), d_lambda=1)
@@ -617,8 +620,21 @@ def _p2_moments(tau: complex, order: int, levels: int, loop_nodes: int,
             if g1:
                 tables[1, k] += np.einsum("xo,xpj->opj", basis, g1[0]
                                           + logs[:, None, None] * g0)
-    tables.setflags(write=False)
-    return modes, tables
+    d = np.concatenate([-np.array(coefs[::-1]), coefs]) / 2j
+    terms = tables * np.multiply.outer(np.outer(d, d), level[2][::-1]
+                                       + level[1])
+    span = odd[-1] + kappa * js[-1]
+    freqs = np.zeros((2 * span + 1, 6), dtype=complex)
+    for k, s in enumerate((1, -1)):
+        # nu = n + 2 m, m = -s (po + p) / 2 + kappa j, offset by span
+        m = -s * (odd[:, None, None] + odd[:, None]) // 2 + kappa * js + span
+        np.add.at(freqs[:, 3 * k:3 * k + 3], m.ravel(),
+                  terms[:, k].reshape(3, -1).T)
+    freqs[:, 3:] *= cmath.exp(4j * math.pi * n / kappa)
+    rates = 1j * math.pi * (n % (2 * kappa) + 2 * np.arange(-span, span + 1))
+    for a in (rates, freqs):  # a cached table hands them to every later pass
+        a.setflags(write=False)
+    return rates, freqs
 
 
 def _p2_rows(idx: BlockIndex, lams: list, tau: complex,
@@ -635,30 +651,25 @@ def _p2_rows(idx: BlockIndex, lams: list, tau: complex,
     sigma(s x) sigma(s y) is theta1(w + y) flip theta1(w + flip x) /
     theta1(sigma lam)^2, w = -sigma s lam; the s = -1 level theta is
     theta_{kappa,n}(sigma lam - g (pos + y)) times the phase exp(4 pi i n /
-    kappa) of the shift by 2 g.
+    kappa) of the shift by 2 g.  Since kappa g = 2, a row times theta1(sigma
+    lam)^2 is one exponential sum (_p2_moments): one exp of i pi nu sigma lam
+    per term-count group, shared by the rule shapes, and a matmul per shape.
     """
-    kappa, n = idx.kappa, idx.reduced_n
-    phase = cmath.exp(4j * math.pi * n / kappa)
     out = np.empty((len(shapes), len(lams), 4, 3), dtype=complex)
     # the term counts, and so the tables, follow |Im lam| + max |Im node|
     for ks, div, sides in _lambda_side(
-            _p2_moments, lams, tau, kappa, n,
-            [(shape, *_p2_reach(tau, *shape, kappa)) for shape in shapes],
-            lambda lam: tuple((-sigma * s * lam, sigma * lam)
-                              for sigma in (1.0, -1.0) for s in (1.0, -1.0)),
+            _p2_moments, lams, tau, idx.kappa, idx.reduced_n,
+            [(shape, *_p2_reach(tau, *shape, idx.kappa)) for shape in shapes],
             side):
-        # row i is (sigma, s) with sigma's divisor theta1(sigma lam)
-        div = div.reshape(2, len(ks))[[0, 0, 1, 1], :, None]
-        for values, (tables, phases) in zip(out, sides):
-            theta, level = (np.array(rows) for rows in zip(*phases))
-            theta = theta / div
-            inner = (tables[:, [0, 1, 0, 1], None]
-                     @ level[:, :, None, :, None])[..., 0]
-            rows = (theta[:, :, None] @ inner @ theta[..., None])[..., 0, 0]
-            rows = rows.transpose(2, 1, 0)
-            # the shift phase on the scalars, as numpy scalar products
-            rows[:, 1::2].flat = [z * phase for z in rows[:, 1::2].flat]
-            values[ks] = rows
+        # sigma lam = lam, -lam per point, with div's theta1(sigma lam)
+        mu = np.array([(lams[k], -lams[k]) for k in ks]).reshape(-1, 1)
+        div = div.reshape(2, -1).T.reshape(-1, 1)
+        waves = {}
+        for values, (rates, freqs) in zip(out, sides):
+            if rates.size not in waves:
+                waves[rates.size] = np.exp(rates * mu)
+            values[ks] = (waves[rates.size] @ freqs / div / div).reshape(
+                len(ks), 4, 3)
     return out
 
 

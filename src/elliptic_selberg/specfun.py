@@ -283,7 +283,8 @@ def theta1(lam: complex, pt: ModularPoint, d_lambda: int = 0,
     """
     if d_lambda < 0 or d_tau < 0 or d_lambda + 2 * d_tau > 3:
         raise ValueError("need d_lambda, d_tau >= 0 with d_lambda + 2*d_tau <= 3")
-    return complex(_theta1_array(np.array(complex(lam)), pt.tau, d_lambda, d_tau))
+    # a one-element array rounds like the same point inside a grid
+    return complex(_theta1_array(np.array([complex(lam)]), pt.tau, d_lambda, d_tau)[0])
 
 
 def dedekind_eta(pt: ModularPoint) -> complex:
@@ -448,11 +449,12 @@ def theta_level(kappa: int, n: int, lam: complex, pt: ModularPoint,
     if not (0 <= d_lambda <= 2 and 0 <= d_tau <= 1):
         raise ValueError("need 0 <= d_lambda <= 2 and 0 <= d_tau <= 1")
     lam = complex(lam)
-    val = complex(_theta_level_array(kappa, n, np.array(lam), pt.tau, d_lambda, d_tau))
+    # one-element arrays round like the same points inside a grid
+    val = complex(_theta_level_array(kappa, n, np.array([lam]), pt.tau,
+                                     d_lambda, d_tau)[0])
     if symmetrized:
-        other = complex(
-            _theta_level_array(kappa, n, np.array(-lam), pt.tau, d_lambda, d_tau)
-        )
+        other = complex(_theta_level_array(kappa, n, np.array([-lam]), pt.tau,
+                                           d_lambda, d_tau)[0])
         val += (-1) ** d_lambda * other
     return val
 

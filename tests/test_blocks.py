@@ -231,6 +231,20 @@ def test_a_warm_u_block_counts_no_series_terms(monkeypatch, p, kappa, n):
     assert counts == []
 
 
+class CountingExp:
+    """numpy, with every exp call recorded in calls."""
+
+    def __init__(self, calls):
+        self.calls = calls
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def exp(self, *args):
+        self.calls.append(args)
+        return np.exp(*args)
+
+
 @pytest.mark.parametrize("p,kappa,n,tau,lam,phase_sets", [
     (1, 5, 2, 0.9j, 0.41, 1),
     (1, 6, 3, 0.9j, 0.3 + 0.2j, 1),
@@ -250,9 +264,13 @@ def test_u_block_shares_its_lambda_side_bit_for_bit(monkeypatch, p, kappa, n,
     calls, phases = [], blocks._phases
     monkeypatch.setattr(blocks, "_phases",
                         lambda *args: calls.append(args) or phases(*args))
+    if p == 2:
+        monkeypatch.setattr(blocks, "np", CountingExp(calls))
     got = u_block(idx, lam, pt)
-    # a set is (J(lam), J(-lam)) at p = 1 and the four half-shape rows at p = 2
-    assert len(calls) == phase_sets * 2 * p
+    # a set is the level rows at lam and at -lam at p = 1, and at p = 2 one
+    # exp of i pi nu sigma lam for both signs of sigma (numpy's exp as blocks
+    # calls it; a warm p = 2 pass calls no other)
+    assert len(calls) == phase_sets * (2 if p == 1 else 1)
     (c_plus, c_minus), coarse = blocks._one_value(idx, complex(lam), pt, quad)
     (plus, minus), fine = blocks._one_value(idx, complex(lam), pt,
                                             quad.refined())
@@ -316,6 +334,11 @@ def _check_grid_against_points(idx, grid, pt):
 @example(data=None, p=1, kappa=5, n=2, tau=0.9j,
          points=[(0.3, 0.25), (0.41, 0.0), (0.2, -0.25), (0.7, 0.1),
                  (0.13, 0.0)], repeats=2)
+# kappa = 8, n = 4 on 64 points: one exp and one matmul per rule shape
+# over the grid round each point as its one-point pass does
+@example(data=None, p=2, kappa=8, n=4, tau=0.9j,
+         points=[(0.05 + 0.9 * ((37 * k) % 64) / 63, 0.0) for k in range(64)],
+         repeats=0)
 @settings(max_examples=30, deadline=None)
 def test_a_grid_pass_is_its_points_bit_for_bit(data, p, kappa, n, tau, points,
                                                repeats):
@@ -397,9 +420,10 @@ def test_a_grid_over_its_cap_is_refused_before_any_theta1(monkeypatch):
                                        (2, 8, 4)])
 def test_the_stacked_contraction_is_the_per_point_chain(monkeypatch, p, kappa,
                                                         n):
-    # each |Im lam| group's tables and phase rows, contracted one point, row
-    # and table at a time as the passes did before they were stacked, give
-    # the stacked values bit for bit
+    # each |Im lam| group's tables, contracted with one point's phases at a
+    # time, give the stacked values bit for bit: at p = 1 the theta1 and
+    # level rows of lam and of -lam, at p = 2 the one-point exponential sum
+    # over the group's frequency table
     groups, side = [], blocks._lambda_side
 
     def recording(*args):
@@ -419,24 +443,27 @@ def test_the_stacked_contraction_is_the_per_point_chain(monkeypatch, p, kappa,
         pt, shapes = PT, [SMALL]
         grid = [0.3 + 0j, 0.41 + 0j, 0.62 + 0j, 0.3 + 0j]
         got = blocks._p2_rows(idx, grid, pt.tau, shapes)
-    phase = cmath.exp(4j * math.pi * idx.reduced_n / kappa)
     assert sum(len(ks) for ks, _, _ in groups) == len(grid)
     for ks, div, sides in groups:
         m = len(ks)
-        for values, (tables, phases) in zip(got, sides):
+        for values, side_of_shape in zip(got, sides):
             for i, k in enumerate(ks):
-                if p == 1:
-                    want = tuple(complex(theta[i] / d @ tables @ level[i])
-                                 for d, (theta, level)
-                                 in zip((div[i], div[m + i]), phases))
+                column = np.array([[complex(grid[k])]])
+                if p == 1:  # the series' modes and table at mu = lam, -lam
+                    modes, table = side_of_shape
+                    want = tuple(complex(
+                        np.exp(modes[2] + modes[3] * mu)[0] / d @ table
+                        @ blocks._phases(modes, mu)[0])
+                        for d, mu in ((div[i], column), (div[m + i], -column)))
                     assert values[k] == want
                     continue
-                want = [[theta[i] / div[i + m * (r // 2)]
-                         @ (table[r % 2] @ level[i])
-                         @ (theta[i] / div[i + m * (r // 2)])
-                         * (phase if r % 2 else 1.0) for table in tables]
-                        for r, (theta, level) in enumerate(phases)]
-                assert np.array_equal(values[k], np.array(want))
+                # the exponential sum's i pi nu and frequency table, rows
+                # (sigma, s) at sigma lam = lam, -lam
+                rates, freqs = side_of_shape
+                divs = div[[i, m + i], None]
+                want = (np.exp(rates * np.concatenate([column, -column]))
+                        @ freqs / divs / divs)
+                assert np.array_equal(values[k], want.reshape(4, 3))
 
 
 # ---------------------------------------------------------------------------

@@ -305,6 +305,31 @@ def test_theta_level_array_kernel_against_lattice_sum(kappa, n, tau_im, tau_re, 
         assert abs(got - want) <= 1e-13 * max(scale, 1e-300)
 
 
+@given(tau_re=st.floats(-1.0, 1.0), tau_im=st.floats(0.3, 1.5),
+       res=st.lists(st.floats(-1.0, 1.0), min_size=5, max_size=5),
+       signs=st.lists(st.sampled_from((-1, 1)), min_size=5, max_size=5),
+       frac=st.floats(0.0, 0.3), kappa=st.integers(1, 10),
+       n=st.integers(-20, 20),
+       orders=st.sampled_from([(0, 0), (1, 0), (2, 0), (0, 1), (1, 1)]))
+@settings(max_examples=40, deadline=None)
+def test_a_scalar_theta_is_its_grid_value_bit_for_bit(tau_re, tau_im, res,
+                                                      signs, frac, kappa, n,
+                                                      orders):
+    # the five points share |Im lam|, and so every term count: each scalar
+    # theta1 and theta_level value is its element of the array call
+    tau = complex(tau_re, tau_im)
+    pt = ModularPoint(tau)
+    lams = np.array([complex(x, s * frac * tau_im) for x, s in zip(res, signs)])
+    theta1s = specfun._theta1_array(lams, tau, *orders)
+    levels, mirrored = (specfun._theta_level_array(kappa, n, z, tau, *orders)
+                        for z in (lams, -lams))
+    for k, lam in enumerate(lams):
+        assert theta1(lam, pt, *orders) == theta1s[k]
+        assert theta_level(kappa, n, lam, pt, *orders) == levels[k]
+        assert theta_level(kappa, n, lam, pt, *orders, symmetrized=True) == (
+            levels[k] + (-1) ** orders[0] * mirrored[k])
+
+
 def test_kernels_raise_when_the_term_count_exceeds_max_terms():
     assert specfun._MAX_TERMS == 600
     # tiny Im tau: the Gaussian decay needs over a thousand terms
