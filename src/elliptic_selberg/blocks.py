@@ -35,16 +35,17 @@ kappa g = 2 the level theta's are e^(4 pi i c t) times integer powers of
 theta1's e^(i pi t).  So a pass contracts cached moment tables (sums over
 the nodes of the weights times those exponentials) with a few phases in
 lambda and evaluates nothing per node; at p = 2 the tables fold in the
-series coefficients, so a pass is one exponential sum in lambda per
-rule shape.  The tables are keyed on (tau,
-rule shape (the spec less its point cap), kappa, n) and the memoised
-series coefficients, whose term counts follow |Im lam| + max |Im node|,
-and hold their logs.  They are built from lambda-independent rules: at
-p = 1 the endpoint circle and middle path, whose weights and logs carry
-the powers of E; at p = 2 the outer x and inner xi rules of each section,
-with the weights times the powers of E per (x, xi) point.  The exponent b
-enters as exp(b * log) of the tabulated logs, so the b-derivative at
-kappa = 6 is the same moment sum with the log factor.
+series coefficients, the two half shapes, the corner winding and the pair
+branch, so a pass is the divisor theta1(+-lam)^2 and one exponential sum
+in lambda per rule shape.  The tables are keyed on (tau, rule shape (the
+spec less its point cap), kappa, n) and the memoised series coefficients,
+whose term counts follow |Im lam| + max |Im node|, and hold their logs.
+They are built from lambda-independent rules: at p = 1 the endpoint circle
+and middle path, whose weights and logs carry the powers of E; at p = 2
+the outer x and inner xi rules of each section, with the weights times the
+powers of E per (x, xi) point.  The exponent b enters as exp(b * log) of
+the tabulated logs, so the b-derivative at kappa = 6 is the same moment
+sum with the log factor.
 
 u_blocks runs the coarse and the refined pass of a family of blocks once
 over a whole lambda grid; u_block_grid is its one-index case, and u_block
@@ -53,10 +54,10 @@ side: per group of points with the same theta1 term count, one
 theta1(+-lam) call, which a block splits by its tables' counts.  At p = 1
 a block adds the theta1 phase rows per theta1 count (every (kappa, n)
 shares them), its level phases and one stacked contraction per rule
-shape; at p = 2 one exp of i pi nu (+-lam) and one matmul per rule shape.
+shape; at p = 2 one exp of i pi nu (+-lam) and one product per rule shape.
 Every value is bit-identical to its point's own u_block.  Warm, on one
 thread of a loaded 2-core VM, a six-point real grid takes about 0.27 ms
-at p = 1 and 0.2 ms at p = 2 (kappa = 8).  The first p = 2 u_block
+at p = 1 and 0.12 ms at p = 2 (kappa = 8).  The first p = 2 u_block
 at a new (tau, rule shape, kappa, n) builds the moment tables on the
 cached _p2_layout (per (tau, rule shape, kappa) the four sections' rules
 and the point count; _p2_reach sweeps the term-count reaches once a pass
@@ -572,43 +573,47 @@ def _inner_moments(kind: str, x: np.ndarray, inner: _Rule, tau: complex,
 @lru_cache(maxsize=32)
 def _p2_moments(tau: complex, order: int, levels: int, loop_nodes: int,
                 kappa: int, n: int, coefs: tuple, level: tuple) -> tuple:
-    """(i pi nu, F): row (sigma, s) of _p2_rows times theta1(sigma lam)^2
-    is sum_nu F[nu, (s, column)] e^(i pi nu sigma lam), columns (corner,
-    its b-derivative, rest), for one (tau, rule shape, kappa, n) and series;
-    the b-derivative is 0 off kappa = 6.
+    """(i pi nu, freqs) with J(mu) theta1(mu)^2 = sum_nu freqs[nu] e^(i pi nu
+    mu) at mu = lam and -lam, for one (tau, rule shape, kappa, n) and series.
 
-    Row (sigma, s) holds theta1(w + y) flip theta1(w + flip x), w = -sigma
-    s lam, and the level theta at sigma lam + s g (pos + y), a sum over m =
-    c + j of e^(2 pi i kappa m sigma lam) e^(4 pi i m s pos) e^(4 pi i c s
-    y) e^(4 pi i j s y).  So K[s, po, p, j], the x node sum of flip outer
-    e^(i pi po flip x) e^(4 pi i m s pos) times the inner moment at p + 4 s
-    j, enters F at nu = -s (po + p) + 2 kappa (c + j), an integer of the
-    parity of n, times d_po d_p levels_j (at s = -1 also the level theta's
-    shift phase exp(4 pi i n / kappa)).  A section's outer weight is the x
-    rule weight times exp(b log - log f) with f = E(x), or E(x)/x on the
-    corner loops, whose logs the b-derivative also multiplies by.  Every
-    power base (E(x) and E(x)/x here, E(y)/y, E(d)/d at the corners and
-    E(x - y) on the right half in _inner_moments) stays close to 1 or on the
-    positive axis, so all powers are principal.
+    J(mu) sums two half shapes s = 1, -1 over {0 <= y <= min(x, 1-x)}: E(x)^b
+    E(y)^b E(x-y)^g sigma(s x) sigma(s y) theta_{kappa,n}(mu + (1 - s) g + s g
+    (x+y)), the corners x -> 0 and x -> 1 continued via circle integrals
+    with exponent A = 2b + g - 1.  By oddness, sigma(s x) sigma(s y) is
+    theta1(w + y) flip theta1(w + flip x) / theta1(mu)^2, w = -s mu, and the
+    s = -1 level theta is theta_{kappa,n}(mu - g (pos + y)) times the phase
+    exp(4 pi i n / kappa) of the shift by 2 g: a sum over m = c + j of e^(2
+    pi i kappa m mu) e^(4 pi i m s pos) e^(4 pi i c s y) e^(4 pi i j s y).
+    So K[s, po, p, j], the x node sum of flip outer e^(i pi po flip x) e^(4
+    pi i m s pos) times the inner moment at p + 4 s j, enters freqs at nu =
+    -s (po + p) + 2 kappa (c + j), an integer of the parity of n, times d_po
+    d_p levels_j, the corner loops' part over their winding.  A section's
+    outer weight is the x rule weight times exp(b log - log f)
+    with f = E(x), or E(x)/x on the corner loops, whose logs the
+    b-derivative also multiplies by.  Every power base (E(x) and E(x)/x
+    here, E(y)/y, E(d)/d at the corners and E(x - y) on the right half in
+    _inner_moments) stays close to 1 or on the positive axis, so all powers
+    are principal.  At kappa = 8 and tau = 0.9i, freqs holds 71 numbers.
     """
-    b = -4.0 / kappa
+    b, g = -4.0 / kappa, 2.0 / kappa
     c = (n % (2 * kappa)) / (2.0 * kappa)
     wind = loop_winding(b - 1.0)
     odd, js, *_ = _modes(coefs, level, kappa)
     top = odd[-1] + 4 * js[-1]
-    tables = np.zeros((3, 2, odd.size, odd.size, js.size), dtype=complex)
+    # per (corner loops, corner-free sections) and s
+    tables = np.zeros((2, 2, odd.size, odd.size, js.size), dtype=complex)
     prime0 = specfun.theta1(0.0, ModularPoint(tau), d_lambda=1)
     sections = _p2_layout(tau, order, levels, loop_nodes, kappa)[0]
-    for i, (kind, flip, rule, inner) in enumerate(sections):
-        x, slope = rule.nodes, rule.n_loop > 0 and kappa == 6
+    for kind, flip, rule, inner in sections:
+        x, corner_loop = rule.nodes, rule.n_loop > 0
         f = specfun._theta1_array(x, tau) / prime0
-        if rule.n_loop > 0:
+        if corner_loop:
             f = f / x
         log_f = np.log(f)
         logs = rule.logs + log_f
         outer = rule.weights * np.exp(b * logs - log_f)
         moments = _inner_moments(kind, x, inner, tau, kappa, prime0, wind, c,
-                                 top, slope)
+                                 top, corner_loop and kappa == 6)
         pos = _geometry(kind, x, 0.0)[2]
         basis = flip * outer[:, None] * np.exp(
             1j * math.pi * np.outer(flip * x, odd))
@@ -616,94 +621,71 @@ def _p2_moments(tau: complex, order: int, levels: int, loop_nodes: int,
             g0, *g1 = (_gather(moments[:, r + k], odd, js, s)
                        * np.exp(4j * math.pi * s * np.outer(pos, c + js))[:, None]
                        for r in range(0, moments.shape[1], 2))
-            tables[2 if i > 1 else 0, k] += np.einsum("xo,xpj->opj", basis, g0)
-            if g1:
-                tables[1, k] += np.einsum("xo,xpj->opj", basis, g1[0]
-                                          + logs[:, None, None] * g0)
+            # at kappa = 6 the corner loops enter by their b-derivative only
+            tables[0 if corner_loop else 1, k] += np.einsum(
+                "xo,xpj->opj", basis, g1[0] + logs[:, None, None] * g0 if g1
+                else g0)
     d = np.concatenate([-np.array(coefs[::-1]), coefs]) / 2j
     terms = tables * np.multiply.outer(np.outer(d, d), level[2][::-1]
                                        + level[1])
     span = odd[-1] + kappa * js[-1]
-    freqs = np.zeros((2 * span + 1, 6), dtype=complex)
+    sums = np.zeros((2, 2 * span + 1, 2), dtype=complex)
     for k, s in enumerate((1, -1)):
         # nu = n + 2 m, m = -s (po + p) / 2 + kappa j, offset by span
         m = -s * (odd[:, None, None] + odd[:, None]) // 2 + kappa * js + span
-        np.add.at(freqs[:, 3 * k:3 * k + 3], m.ravel(),
-                  terms[:, k].reshape(3, -1).T)
-    freqs[:, 3:] *= cmath.exp(4j * math.pi * n / kappa)
+        np.add.at(sums[k], m.ravel(), terms[:, k].reshape(2, -1).T)
+    # J sums its half shapes, s = -1 with the level theta's shift phase
+    corners, rests = (sums[0] + cmath.exp(4j * math.pi * n / kappa)
+                      * sums[1]).T
+    # The corner numerator is divided by W(b) = loop_winding(A).  A = -6/kappa
+    # - 1 is an integer only at kappa = 6, where W(b) and N+ + N- vanish
+    # together and J takes the limit (N+' + N-') / W'(b), W'(b) = 4 pi i
+    # e^(2 pi i A): the finite part of x^A at a negative integer (Gel'fand
+    # and Shilov, Generalized Functions, vol. 1, ch. I, 3).
+    corner = 2 * b + g - 1.0
+    corner_wind = (4j * math.pi * cmath.exp(2j * math.pi * corner)
+                   if kappa == 6 else loop_winding(corner))
+    # Branch convention for the pairwise difference factor: the ordered
+    # difference is taken with argument continued to -pi rather than 0
+    # (one factor of exp(-i*pi*g) per pair; a single pair here).  The
+    # convention is fixed by the normalization of the closed forms; the
+    # q -> 0 limit test_pair_branch_gives_the_leading_term pins it.
+    freqs = cmath.exp(-1j * math.pi * g) * (corners / corner_wind + rests)
     rates = 1j * math.pi * (n % (2 * kappa) + 2 * np.arange(-span, span + 1))
     for a in (rates, freqs):  # a cached table hands them to every later pass
         a.setflags(write=False)
     return rates, freqs
 
 
-def _p2_rows(idx: BlockIndex, lams: list, tau: complex,
-             shapes: list, side: dict | None = None) -> np.ndarray:
-    """Integrals over {0 <= y <= min(x, 1-x)} of the four integrands.
-
-    Half shape s at sigma lam: E(x)^b E(y)^b E(x-y)^g sigma(s x) sigma(s y)
-    theta_{kappa,n}(mu + s g (x+y)), mu = sigma lam + (1 - s) g; corners
-    x -> 0 and x -> 1 are continued via circle integrals with exponent
-    A = 2b + g - 1.  Per rule shape and point of lams, the rows (sigma, s) =
-    (1, 1), (1, -1), (-1, 1), (-1, -1) with three columns: the corner loops'
-    numerator, to be divided by loop_winding(A), its b-derivative (0 off
-    kappa = 6) and the sum of the corner-free sections.  By oddness,
-    sigma(s x) sigma(s y) is theta1(w + y) flip theta1(w + flip x) /
-    theta1(sigma lam)^2, w = -sigma s lam; the s = -1 level theta is
-    theta_{kappa,n}(sigma lam - g (pos + y)) times the phase exp(4 pi i n /
-    kappa) of the shift by 2 g.  Since kappa g = 2, a row times theta1(sigma
-    lam)^2 is one exponential sum (_p2_moments): one exp of i pi nu sigma lam
-    per term-count group, shared by the rule shapes, and a matmul per shape.
-    """
-    out = np.empty((len(shapes), len(lams), 4, 3), dtype=complex)
-    # the term counts, and so the tables, follow |Im lam| + max |Im node|
-    for ks, div, sides in _lambda_side(
-            _p2_moments, lams, tau, idx.kappa, idx.reduced_n,
-            [(shape, *_p2_reach(tau, *shape, idx.kappa)) for shape in shapes],
-            side):
-        # sigma lam = lam, -lam per point, with div's theta1(sigma lam)
-        mu = np.array([(lams[k], -lams[k]) for k in ks]).reshape(-1, 1)
-        div = div.reshape(2, -1).T.reshape(-1, 1)
-        waves = {}
-        for values, (rates, freqs) in zip(out, sides):
-            if rates.size not in waves:
-                waves[rates.size] = np.exp(rates * mu)
-            values[ks] = (waves[rates.size] @ freqs / div / div).reshape(
-                len(ks), 4, 3)
-    return out
-
-
 def _j_p2(idx: BlockIndex, lams: list, pt: ModularPoint,
           shapes: list, side: dict | None = None) -> list:
-    """Per rule shape, (J(lam), J(-lam)) per point of lams from the four
-    half shapes' rows."""
+    """Per rule shape, (J(lam), J(-lam)) per point of lams: per term-count
+    group one exp of i pi nu (+-lam), shared by the rule shapes whose nu
+    agree, one product with each shape's cached freqs (_p2_moments) and two
+    divisions by the family's divisor theta1(+-lam)."""
     if (any(abs(lam.imag) > 1e-12 for lam in lams)
             or abs(pt.tau.real) > 1e-12):
         raise OutOfSupportedRange(
             "the two-fold integral is wired for real lambda and purely "
             "imaginary tau only")
-    b, g = -4.0 / idx.kappa, 2.0 / idx.kappa
-    # Branch convention for the pairwise difference factor: the ordered
-    # difference is taken with argument continued to -pi rather than 0
-    # (one factor of exp(-i*pi*g) per pair; a single pair here).  The
-    # convention is fixed by the normalization of the closed forms; the
-    # q -> 0 limit test_pair_branch_gives_the_leading_term pins it.
-    pair_branch = cmath.exp(-1j * math.pi * g)
-    corner = 2 * b + g - 1.0
-    # The corner exponent -6/kappa - 1 is an integer only at kappa = 6, where
-    # W(b) = loop_winding(2b + g - 1) and N+ + N- vanish together and J takes
-    # the limit (N+' + N-') / W'(b): the finite part of x^A at a negative
-    # integer (Gel'fand and Shilov, Generalized Functions, vol. 1, ch. I, 3).
-    at_pole = idx.kappa == 6
     real = [lam.real + 0j for lam in lams]
-    rows = _p2_rows(idx, real, pt.tau, shapes, side if real == lams else None)
-    # J(sigma lam) sums its two half shapes, rows (sigma, 1) and (sigma, -1)
-    corners, slopes, rests = np.moveaxis(
-        rows.reshape(-1, 2, 2, 3).sum(axis=2), -1, 0)
-    value = (slopes / (4j * math.pi * cmath.exp(2j * math.pi * corner))
-             if at_pole else corners / loop_winding(corner))
-    pairs = (pair_branch * (value + rests)).reshape(len(shapes), len(lams), 2)
-    return [[tuple(map(complex, pair)) for pair in values] for values in pairs]
+    out = [[None] * len(lams) for _ in shapes]
+    # the term counts, and so the tables, follow |Im lam| + max |Im node|
+    for ks, div, sides in _lambda_side(
+            _p2_moments, real, pt.tau, idx.kappa, idx.reduced_n,
+            [(shape, *_p2_reach(pt.tau, *shape, idx.kappa))
+             for shape in shapes], side if real == lams else None):
+        # mu = lam..., -lam..., as div holds theta1(mu)
+        mu = np.array([real[k] for k in ks] + [-real[k] for k in ks])[:, None]
+        waves = {}
+        for values, (rates, freqs) in zip(out, sides):
+            if rates.size not in waves:
+                waves[rates.size] = np.exp(rates * mu)
+            pairs = (waves[rates.size] @ freqs / div / div).reshape(
+                2, len(ks)).T.tolist()
+            for k, pair in zip(ks, pairs):
+                values[k] = tuple(pair)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -765,13 +747,6 @@ def _passes(indices: list, lams: list, pt: ModularPoint, quads: tuple) -> list:
     side = {}
     return [(_PASSES[idx.p](idx, lams, pt, shapes, side), counted[layout])
             for idx, layout in zip(indices, layouts)]
-
-
-def _one_value(idx: BlockIndex, lam, pt: ModularPoint,
-               quad: QuadratureSpec) -> tuple:
-    """One pass, (J(lam), J(-lam)), and its quadrature points."""
-    [([[values]], [points])] = _passes([idx], [complex(lam)], pt, (quad,))
-    return values, points
 
 
 def _two_passes(indices: list, grid, pt: ModularPoint,

@@ -152,14 +152,20 @@ def p2_points(spec) -> int:
     return (loop + 2 * graded) * (2 * loop + 4 * spec.gauss_order + graded)
 
 
+def one_value(idx, lam, pt, quad) -> tuple:
+    """One pass, (J(lam), J(-lam)), and its quadrature points."""
+    [([[values]], [points])] = blocks._passes([idx], [complex(lam)], pt, (quad,))
+    return values, points
+
+
 def test_one_fold_values_are_pinned():
     # one p = 1 pass gives the pair (J(lam), J(-lam)) and counts its points
     quad = QuadratureSpec()
     for tau, kappa, n, lam, c_plus, f_plus, c_minus, f_minus in P1_PINNED:
         for spec, pinned in ((quad, (c_plus, c_minus)),
                              (quad.refined(), (f_plus, f_minus))):
-            got, points = blocks._one_value(BlockIndex(1, kappa, n),
-                                            complex(lam), ModularPoint(tau), spec)
+            got, points = one_value(BlockIndex(1, kappa, n), complex(lam),
+                                    ModularPoint(tau), spec)
             for value, want in zip(got, pinned):
                 assert abs(value - want) <= 1e-13 * abs(want), (tau, kappa, n)
             assert points == p1_points(spec)
@@ -199,10 +205,10 @@ def test_one_fold_work_is_tabulated(monkeypatch):
     # lambda and takes the divisor theta1(+-lam) from the array kernel; a
     # different point cap reuses the tables
     idx, lam, spec = BlockIndex(1, 4, 2), complex(LAM), QuadratureSpec()
-    blocks._one_value(idx, lam, PT, spec)
+    one_value(idx, lam, PT, spec)
     builds = blocks._p1_moments.cache_info().misses
     calls, points = _count_kernels(monkeypatch)
-    blocks._one_value(idx, lam, PT, QuadratureSpec(max_evals=100_000_000))
+    one_value(idx, lam, PT, QuadratureSpec(max_evals=100_000_000))
     assert (calls, points) == WARM_PASS
     assert blocks._p1_moments.cache_info().misses == builds
 
@@ -271,9 +277,8 @@ def test_u_block_shares_its_lambda_side_bit_for_bit(monkeypatch, p, kappa, n,
     # exp of i pi nu sigma lam for both signs of sigma (numpy's exp as blocks
     # calls it; a warm p = 2 pass calls no other)
     assert len(calls) == phase_sets * (2 if p == 1 else 1)
-    (c_plus, c_minus), coarse = blocks._one_value(idx, complex(lam), pt, quad)
-    (plus, minus), fine = blocks._one_value(idx, complex(lam), pt,
-                                            quad.refined())
+    (c_plus, c_minus), coarse = one_value(idx, complex(lam), pt, quad)
+    (plus, minus), fine = one_value(idx, complex(lam), pt, quad.refined())
     assert got.value == plus + (-1) ** (p + 1) * minus
     assert got.error_estimate == abs(plus - c_plus) + abs(minus - c_minus)
     assert got.budget_used == coarse + fine
@@ -423,7 +428,7 @@ def test_the_stacked_contraction_is_the_per_point_chain(monkeypatch, p, kappa,
     # each |Im lam| group's tables, contracted with one point's phases at a
     # time, give the stacked values bit for bit: at p = 1 the theta1 and
     # level rows of lam and of -lam, at p = 2 the one-point exponential sum
-    # over the group's frequency table
+    # over the group's frequency vector at lam and -lam
     groups, side = [], blocks._lambda_side
 
     def recording(*args):
@@ -442,7 +447,7 @@ def test_the_stacked_contraction_is_the_per_point_chain(monkeypatch, p, kappa,
     else:
         pt, shapes = PT, [SMALL]
         grid = [0.3 + 0j, 0.41 + 0j, 0.62 + 0j, 0.3 + 0j]
-        got = blocks._p2_rows(idx, grid, pt.tau, shapes)
+        got = blocks._j_p2(idx, grid, pt, shapes)
     assert sum(len(ks) for ks, _, _ in groups) == len(grid)
     for ks, div, sides in groups:
         m = len(ks)
@@ -457,13 +462,13 @@ def test_the_stacked_contraction_is_the_per_point_chain(monkeypatch, p, kappa,
                         for d, mu in ((div[i], column), (div[m + i], -column)))
                     assert values[k] == want
                     continue
-                # the exponential sum's i pi nu and frequency table, rows
-                # (sigma, s) at sigma lam = lam, -lam
+                # the exponential sum's i pi nu and frequency vector at
+                # lam, -lam
                 rates, freqs = side_of_shape
-                divs = div[[i, m + i], None]
+                divs = div[[i, m + i]]
                 want = (np.exp(rates * np.concatenate([column, -column]))
                         @ freqs / divs / divs)
-                assert np.array_equal(values[k], want.reshape(4, 3))
+                assert values[k] == tuple(want.tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -530,10 +535,13 @@ def test_one_fold_moment_pass_matches_brute_force(kappa, n, tau_re, tau_im,
 SMALL = (8, 3, 16)
 
 
-def two_fold_brute(idx, lam, tau):
-    """The rows of blocks._p2_rows summed point by point over the rules of
-    the p = 2 layout, theta1 at -sigma s lam + y and at -sigma flip s lam
-    + x, and each column's sum of |terms|.  Every weight and the kappa = 6
+def two_fold_brute(idx, lam, tau, shape=SMALL, corners_only=False):
+    """Rows (sigma, s) of the half shapes' integrals at sigma lam, columns
+    (corner loops' numerator, its b-derivative at kappa = 6, the corner-free
+    sections), summed point by point over the rules of the p = 2 layout at
+    one rule shape, theta1 at -sigma s lam + y and at -sigma flip s lam + x,
+    and each column's sum of |terms|; with corners_only, the corner sections
+    (whose outer rule has loop nodes) alone.  Every weight and the kappa = 6
     logs are built here from the rules, blocks._geometry and the array
     kernel: outer w e^(b log) f^(b-1), f = E(x) or E(x)/x at the corner
     loops, and inner w e^(b log) (E(y)/y)^(b-1) diag^g, diag = E(d)/d at
@@ -544,10 +552,12 @@ def two_fold_brute(idx, lam, tau):
     pt = ModularPoint(tau)
     div, prime0 = theta1(lam, pt) ** 2, theta1(0.0, pt, d_lambda=1)
     rows, scales = np.zeros((4, 3), complex), np.zeros((4, 3))
-    for i, (kind, flip, outer_rule, inner_rule) in enumerate(
-            blocks._p2_layout(tau, *SMALL, kappa)[0]):
+    for kind, flip, outer_rule, inner_rule in blocks._p2_layout(
+            tau, *shape, kappa)[0]:
         x, xi, n_loop = outer_rule.nodes, inner_rule.nodes, inner_rule.n_loop
         corner = outer_rule.n_loop > 0
+        if corners_only and not corner:
+            continue
         f = specfun._theta1_array(x, tau) / prime0
         if corner:
             f = f / x
@@ -577,7 +587,7 @@ def two_fold_brute(idx, lam, tau):
             x_arg = -sigma * flip * s * lam + x
             outer = outer_w * specfun._theta1_array(x_arg, tau)
             outer_abs = np.abs(outer_w) * theta1_scale(x_arg, tau)
-            col = 2 if i > 1 else 0
+            col = 0 if corner else 2
             rows[row, col] += np.sum(outer * xi_b) / div
             scales[row, col] += np.sum(outer_abs * xi_abs) / abs(div)
             if tensor_logs is not None:
@@ -595,17 +605,34 @@ def two_fold_brute(idx, lam, tau):
     return rows, scales
 
 
+def fold_half_shapes(kappa, rows, scales):
+    """(J(lam), J(-lam)) from two_fold_brute's rows, and their sums of
+    |terms| folded the same way in absolute values: the pair branch e^(-i
+    pi g) times the sum over s of the corner numerator over W(b) =
+    loop_winding(2b + g - 1) plus the corner-free sections; at kappa = 6,
+    where W(b) vanishes, the b-derivative over W'(b) = 4 pi i e^(2 pi i
+    (2b + g - 1)) in place of the numerator over W(b)."""
+    b, g = -4.0 / kappa, 2.0 / kappa
+    corner = 2 * b + g - 1.0
+    col, wind = ((1, 4j * math.pi * cmath.exp(2j * math.pi * corner))
+                 if kappa == 6 else (0, loop_winding(corner)))
+    values = (rows[:, col] / wind + rows[:, 2]).reshape(2, 2).sum(axis=1)
+    sizes = (scales[:, col] / abs(wind) + scales[:, 2]).reshape(2, 2).sum(axis=1)
+    return cmath.exp(-1j * math.pi * g) * values, sizes
+
+
 @given(kappa=st.integers(6, 12), n=st.integers(0, 23),
        tau_im=st.floats(0.5, 1.5), lam=st.floats(0.05, 0.95))
 # kappa = 6 at n = 1, where the b-derivative's inner logs move J by half
 @example(kappa=6, n=1, tau_im=0.9, lam=0.3)
 @settings(max_examples=12, deadline=None)
 def test_two_fold_moment_pass_matches_brute_force(kappa, n, tau_im, lam):
-    # real lambda over random (kappa, n), every row and column of the pass
+    # real lambda over random (kappa, n), both entries of the pass pair
     idx, tau = BlockIndex(2, kappa, n), complex(0.0, tau_im)
-    ((got,),) = blocks._p2_rows(idx, [complex(lam)], tau, [SMALL])
-    want, scales = two_fold_brute(idx, lam, tau)
-    assert np.all(np.abs(got - want) <= 1e-13 * scales), (got - want) / scales
+    ((got,),) = blocks._j_p2(idx, [complex(lam)], ModularPoint(tau), [SMALL])
+    want, scales = fold_half_shapes(kappa, *two_fold_brute(idx, lam, tau))
+    assert np.all(np.abs(np.array(got) - want) <= 1e-13 * scales), (
+        (np.array(got) - want) / scales)
 
 
 def test_dead_indices_vanish():
@@ -622,14 +649,14 @@ def test_dead_indices_vanish():
 #   PYTHONPATH=src python3 -c "from elliptic_selberg import blocks;
 #   from elliptic_selberg.blocks import BlockIndex, QuadratureSpec;
 #   from elliptic_selberg.specfun import ModularPoint;
-#   print(blocks._one_value(BlockIndex(2, 6, 1), 0.3, ModularPoint(0.9j),
-#   QuadratureSpec())[0])"
+#   print(blocks._passes([BlockIndex(2, 6, 1)], [0.3 + 0j],
+#   ModularPoint(0.9j), (QuadratureSpec(),))[0][0][0][0])"
 P2_KAPPA6_N1 = (37.325928854157766 - 4.9701886760949864e-14j,
                 37.325928854157794 - 7.069322615343851e-15j)
 
 
 def test_kappa_six_pass_is_pinned_where_its_inner_logs_count():
-    got, _ = blocks._one_value(BlockIndex(2, 6, 1), LAM, PT, QuadratureSpec())
+    got, _ = one_value(BlockIndex(2, 6, 1), LAM, PT, QuadratureSpec())
     for value, want in zip(got, P2_KAPPA6_N1):
         assert abs(value - want) <= 1e-12 * abs(want)
 
@@ -640,7 +667,7 @@ def test_two_fold_dead_indices_vanish_at_the_integer_corner(n):
     # the kappa = 6 limit's b-derivative needs the winding term of its
     # corner loops to keep that (without it u reaches a quarter to a half of
     # J), a term that vanishes at n = 3
-    value, _ = blocks._one_value(BlockIndex(2, 6, n), LAM, PT, QuadratureSpec())
+    value, _ = one_value(BlockIndex(2, 6, n), LAM, PT, QuadratureSpec())
     u = u_block(BlockIndex(2, 6, n), LAM, PT).value
     assert abs(u) <= 1e-12 * abs(value[0])
 
@@ -764,7 +791,7 @@ def test_two_fold_values_are_pinned(kappa, n):
     quad = QuadratureSpec()
     pinned = zip(P2_PINNED[(kappa, n, LAM)], P2_PINNED[(kappa, n, -LAM)])
     for spec, wants in zip((quad, quad.refined()), pinned):
-        got, _ = blocks._one_value(BlockIndex(2, kappa, n), LAM, PT, spec)
+        got, _ = one_value(BlockIndex(2, kappa, n), LAM, PT, spec)
         for value, want in zip(got, wants):
             assert abs(value - want) <= 1e-12 * abs(want)
 
@@ -806,8 +833,8 @@ def test_two_fold_tables_follow_tau_and_kappa():
     for tau, kappa, n in P2_ALTERNATING:
         wants = (P2_AT_06[(kappa, n)] if tau == 0.6j else
                  (P2_PINNED[(kappa, n, LAM)][0], P2_PINNED[(kappa, n, -LAM)][0]))
-        got, points = blocks._one_value(BlockIndex(2, kappa, n), LAM,
-                                        ModularPoint(tau), quad)
+        got, points = one_value(BlockIndex(2, kappa, n), LAM,
+                                ModularPoint(tau), quad)
         for value, want in zip(got, wants):
             assert abs(value - want) <= 1e-12 * abs(want), (tau, kappa, n)
         assert points == 192_000
@@ -821,7 +848,7 @@ def test_two_fold_tables_are_reused(monkeypatch):
     u_block(idx, LAM, PT)
     builds = blocks._p2_moments.cache_info().misses
     calls, points = _count_kernels(monkeypatch)
-    blocks._one_value(idx, 0.41, PT, QuadratureSpec(max_evals=100_000_000))
+    one_value(idx, 0.41, PT, QuadratureSpec(max_evals=100_000_000))
     assert (calls, points) == WARM_PASS
     u_block(idx, 0.41, PT, QuadratureSpec(max_evals=100_000_000))
     assert blocks._p2_moments.cache_info().misses == builds
@@ -833,11 +860,13 @@ def test_kappa_six_corner_numerators_cancel(tau, n):
     # at kappa = 6 the corner exponent 2b + g - 1 is -2 and loop_winding
     # vanishes there; the value is a finite limit only because the two half
     # shapes' corner numerators cancel at the base exponent, at +lam (rows 0
-    # and 1) and at -lam (rows 2 and 3)
+    # and 1) and at -lam (rows 2 and 3), summed point by point on the
+    # default rule shape
     quad = QuadratureSpec()
-    corners = blocks._p2_rows(BlockIndex(2, 6, n), [0.3 + 0j], tau, [(
-        quad.gauss_order, quad.graded_mesh_levels, quad.loop_nodes)])[0, 0][:, 0]
-    for n_plus, n_minus in (corners[0:2], corners[2:4]):
+    rows, _ = two_fold_brute(BlockIndex(2, 6, n), 0.3, tau, (
+        quad.gauss_order, quad.graded_mesh_levels, quad.loop_nodes),
+        corners_only=True)
+    for n_plus, n_minus in (rows[0:2, 0], rows[2:4, 0]):
         assert abs(n_plus) > 1.0
         assert abs(n_plus + n_minus) <= 1e-12 * abs(n_plus)
 
@@ -978,7 +1007,7 @@ def test_budget_is_enforced():
             u_block(idx, LAM, PT, quad)
         assert moments.cache_info().misses == 0
         # the coarse pass alone fits under the cap
-        assert blocks._one_value(idx, LAM, PT, quad)[1] <= cap
+        assert one_value(idx, LAM, PT, quad)[1] <= cap
 
 
 # a p = 1 block whose coarse pass has 640,160 points, 640 times its cap

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from elliptic_selberg import blocks, specfun
+from elliptic_selberg import specfun
 from elliptic_selberg.blocks import BlockIndex, u_block
 from elliptic_selberg.errors import (
     BranchAmbiguity,
@@ -35,6 +35,7 @@ from elliptic_selberg.specfun import (
     theta1,
     theta_level,
 )
+from test_blocks import one_value
 
 mpmath = pytest.importorskip("mpmath")
 
@@ -356,13 +357,13 @@ def test_kernels_raise_when_the_term_count_exceeds_max_terms():
     # and raises at a large |Im lam|
     pt, spec = ModularPoint(0.5j), QuadratureSpec()
     for p, kappa in ((1, 4), (2, 8)):
-        blocks._one_value(BlockIndex(p, kappa, 2), 0.3, pt, spec)
+        one_value(BlockIndex(p, kappa, 2), 0.3, pt, spec)
     with series_constants(_MAX_TERMS=8):
         for p, kappa in ((1, 4), (2, 8)):
-            values, _ = blocks._one_value(BlockIndex(p, kappa, 2), 0.3, pt, spec)
+            values, _ = one_value(BlockIndex(p, kappa, 2), 0.3, pt, spec)
             assert np.isfinite(values).all()
         with pytest.raises(NonConvergence):
-            blocks._one_value(BlockIndex(1, 4, 2), 0.3 + 1j, pt, spec)
+            one_value(BlockIndex(1, 4, 2), 0.3 + 1j, pt, spec)
 
 
 def test_memoised_coefficient_helpers_store_no_failure():
@@ -399,8 +400,8 @@ def test_kernels_refuse_terms_beyond_the_double_range():
     pt, spec, idx = ModularPoint(0.05j), QuadratureSpec(), BlockIndex(1, 4, 2)
     for lam in (0.3 + 20j, 0.3 + 3j):
         with pytest.raises(OutOfSupportedRange):
-            blocks._one_value(idx, lam, pt, spec)
-    values, _ = blocks._one_value(idx, 0.3 + 2j, pt, spec)
+            one_value(idx, lam, pt, spec)
+    values, _ = one_value(idx, 0.3 + 2j, pt, spec)
     assert np.isfinite(values).all()
 
 
