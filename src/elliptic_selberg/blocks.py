@@ -51,20 +51,21 @@ u_blocks runs the coarse and the refined pass of a family of blocks once
 over a whole lambda grid; u_block_grid is its one-index case, and u_block
 and j_integral that one's one-point case.  The family shares its lambda
 side: per group of points with the same theta1 term count, one
-theta1(+-lam) call, which a block splits by its tables' counts.  At p = 1
-a block adds the theta1 phase rows per theta1 count (every (kappa, n)
-shares them), its level phases and one stacked contraction per rule
-shape; at p = 2 one exp of i pi nu (+-lam) and one product per rule shape.
-Every value is bit-identical to its point's own u_block.  Warm, on one
-thread of a loaded 2-core VM, a six-point real grid takes about 0.27 ms
-at p = 1 and 0.12 ms at p = 2 (kappa = 8).  The first p = 2 u_block
-at a new (tau, rule shape, kappa, n) builds the moment tables on the
-cached _p2_layout (per (tau, rule shape, kappa) the four sections' rules
-and the point count; _p2_reach sweeps the term-count reaches once a pass
-runs), the per-point inner weights chunk by chunk inside the moment loop:
-about 0.7 s at kappa = 8 with a heap peak of about 7 MB.  The corner
-tails' Gauss-Jacobi rule comes from quadrature.gauss_jacobi, so the
-package needs no scipy.
+theta1(+-lam) call.  Its p = 1 blocks make one pass over groups that share
+every block's term counts: per group and rule shape one exp for the theta1
+rows and one for the level rows of all the blocks, then a contraction per
+block; a p = 2 block adds one exp of i pi nu (+-lam) and one product per
+rule shape.  Every value is bit-identical to its point's own u_block.
+Warm, on one thread of a loaded 2-core VM, a six-point real grid takes
+about 0.27 ms at p = 1 and 0.12 ms at p = 2 (kappa = 8), the twelve p = 1
+blocks of the ten closed forms 0.9 ms (1.6 ms a pass per block).  The
+first p = 2 u_block at a new (tau, rule shape, kappa, n) builds the moment
+tables on the cached _p2_layout (per (tau, rule shape, kappa) the four
+sections' rules and the point count; _p2_reach sweeps the term-count
+reaches once a pass runs), the per-point inner weights chunk by chunk
+inside the moment loop: about 0.7 s at kappa = 8 with a heap peak of
+about 7 MB.  The corner tails' Gauss-Jacobi rule comes from
+quadrature.gauss_jacobi, so the package needs no scipy.
 
 A pass costs the quadrature points its tables sum over, the same cold or
 warm: none at p = 0; at p = 1 the circle once per end plus the middle
@@ -261,45 +262,15 @@ def _modes(coefs: tuple, level: tuple, kappa: int) -> tuple:
     return rows
 
 
-def _phases(modes: tuple, mu: np.ndarray) -> np.ndarray:
-    """levels_j e^(2 pi i kappa (c + j) mu), one row per point of the column
-    mu; lam -> -lam swaps the rows bit for bit."""
-    return np.exp(modes[4] + modes[5] * mu)
-
-
-def _lambda_side(moments, lams: list, tau: complex, kappa: int, n: int,
-                 reaches: list, side: dict | None = None):
-    """Per group of the points of lams that share every term count, (ks,
-    div, tables): the group's indices ks into lams, theta1 at [lam...,
-    -lam...] and, per (rule shape, reach, level_reach), moments at the term
-    counts lam plus a node of |Im| up to reach (at level kappa, g times
-    level_reach) needs.  The blocks of a family share side, a memo of the
-    divisor's groups with theta1(+-lam) from one kernel call each, which
-    each block splits by its tables' counts."""
-    side = {} if side is None else side
+def _divisor(lams: list, tau: complex, side: dict) -> list:
+    """(ks, theta1 at [lam..., -lam...]) per group ks of the points of lams
+    sharing the theta1 term count, memoised in side for a family's passes."""
     if "divisor" not in side:
         side["divisor"] = [(ks, specfun._theta1_array(np.array(
             [lams[k] for k in ks] + [-lams[k] for k in ks]), tau))
-            for ks in specfun._imag_groups(
+            for _, ks in specfun._imag_groups(
                 lams, lambda y: len(specfun._theta1_coefs(tau, y)))]
-
-    def counts(y):
-        return tuple((len(specfun._theta1_coefs(tau, y + reach)),
-                      len(specfun._theta_level_coefs(
-                          kappa, n, tau, y + (2.0 / kappa) * level_reach)[1]))
-                     for _, reach, level_reach in reaches)
-
-    for group, div in side["divisor"]:
-        for sub in specfun._imag_groups([lams[k] for k in group], counts):
-            ks = [group[j] for j in sub]
-            # a series' coefficients follow its term count alone
-            im = abs(lams[ks[0]].imag)
-            yield ks, div[sub + [len(group) + j for j in sub]], [
-                moments(tau, *shape, kappa, n,
-                        specfun._theta1_coefs(tau, im + reach),
-                        specfun._theta_level_coefs(
-                            kappa, n, tau, im + (2.0 / kappa) * level_reach))
-                for shape, reach, level_reach in reaches]
+    return side["divisor"]
 
 
 def _gather(moments: np.ndarray, odd: np.ndarray, js: np.ndarray,
@@ -343,51 +314,70 @@ def _p1_moments(tau: complex, order: int, levels: int, loop_nodes: int,
     return modes, table
 
 
-def _j_p1(idx: BlockIndex, lams: list, pt: ModularPoint,
-          shapes: list, side: dict | None = None) -> list:
-    """Per rule shape, (J(lam), J(-lam)) per point of lams: endpoint circles
-    and middle path.
+@lru_cache(maxsize=128)
+def _p1_stack(tau: complex, shape: tuple, labels: tuple,
+              counts: tuple) -> tuple:
+    """The p = 1 tables (_p1_moments) of labels (kappa, n) at one (tau, rule
+    shape) and term counts (theta1's, then each level series'): (log d, i
+    pi odd) of the theta1 rows, the labels' log levels and rates 2 pi i
+    kappa (c + j) concatenated, and per label (lo, hi, its table)."""
+    coefs = specfun._theta1_series(tau, counts[0])
+    tables = [_p1_moments(tau, *shape, kappa, n, coefs,
+                          specfun._theta_level_series(kappa, n, tau, terms))
+              for (kappa, n), terms in zip(labels, counts[1:])]
+    rows = [np.concatenate([modes[k] for modes, _ in tables]) for k in (4, 5)]
+    for row in rows:  # a cached table hands them to every later pass
+        row.setflags(write=False)
+    ends = np.cumsum([modes[5].size for modes, _ in tables]).tolist()
+    return (*tables[0][0][2:4], *rows, [(end - modes[5].size, end, table)
+                                        for end, (modes, table)
+                                        in zip(ends, tables)])
+
+
+def _j_p1_family(indices: list, lams: list, pt: ModularPoint, shapes: list,
+                 side: dict) -> np.ndarray:
+    """J(lam) and J(-lam) of every p = 1 index per rule shape and point of
+    lams, as an array (index, rule shape, sign, point): endpoint circles and
+    middle path.
 
     J(mu) sums, over the nodes x of the sections (rule, flip, offset), weight
     * exp(b log) * flip theta1(mu - flip x) / theta1(mu) * theta_{kappa,n}(mu
     + (2/kappa) (offset + flip x)), the circle nodes' terms divided by
     loop_winding(b - 1).  The t = 1 circle is the t = 0 circle in s = 1 - t,
     with flip -1 and offset 1: E(1 - s) = E(s) and sigma(1 - s) = sigma(-s).
-    A pass contracts its cached moment table (_p1_moments) with the phases
-    of mu = lam and -lam, stacked over the points of a term-count group, and
-    takes the divisor theta1(mu) from the relative-accurate array kernel.
+    Per group of points sharing every term count, and per rule shape, one
+    exp gives the theta1 rows and one the level rows of every index
+    (_p1_stack) at mu = lam..., -lam..., and each index contracts its
+    table with them, over theta1(mu) from the family's divisor.
     """
-    side = {} if side is None else side
-    reaches = []
-    for shape in shapes:
-        im = _p1_tables(pt.tau, *shape)[2]
-        # the term counts, and so the table, follow |Im lam| + max |Im node|
-        reaches.append((shape, im, im))
-    out = [[None] * len(lams) for _ in shapes]
-    for ks, div, sides in _lambda_side(
-            _p1_moments, lams, pt.tau, idx.kappa, idx.reduced_n, reaches,
-            side):
-        # the family's memo: columns lam and -lam, theta1 rows per theta1
-        # count (every (kappa, n) shares them), level rows per (kappa, n)
-        key = ("p = 1", tuple(ks))
-        if key not in side:
-            column = np.array([[lams[k]] for k in ks])
-            side[key] = [column, -column]
-        for values, (modes, table) in zip(out, sides):
-            thetas = (key, modes[0].size)
-            levels = (*thetas, idx.kappa, idx.reduced_n, modes[1].size)
-            if thetas not in side:  # theta1 d_p e^(i pi p mu)
-                side[thetas] = [np.exp(modes[2] + modes[3] * mu)
-                                for mu in side[key]]
-            if levels not in side:
-                side[levels] = [_phases(modes, mu) for mu in side[key]]
-            # rows mu = lam..., -lam..., as div holds theta1(mu)
-            theta, level = (np.concatenate(side[rows])
-                            for rows in (thetas, levels))
-            pairs = ((theta / div[:, None])[:, None] @ table
-                     @ level[:, :, None]).reshape(2, len(ks)).T.tolist()
-            for k, pair in zip(ks, pairs):
-                values[k] = tuple(pair)
+    tau = pt.tau
+    labels = tuple((idx.kappa, idx.reduced_n) for idx in indices)
+    # the term counts, and so the tables, follow |Im lam| + max |Im node|
+    reaches = [_p1_tables(tau, *shape)[2] for shape in shapes]
+
+    def counts(y):
+        return tuple((len(specfun._theta1_coefs(tau, y + reach)), *(
+            len(specfun._theta_level_coefs(kappa, n, tau,
+                                           y + (2.0 / kappa) * reach)[1])
+            for kappa, n in labels)) for reach in reaches)
+
+    out = np.empty((len(labels), len(shapes), 2, len(lams)), dtype=complex)
+    for group, div in _divisor(lams, tau, side):
+        for key, sub in specfun._imag_groups([lams[k] for k in group], counts):
+            ks = [group[j] for j in sub]
+            mu = np.array([lams[k] for k in ks] + [-lams[k] for k in ks])[:, None]
+            part = div[sub + [len(group) + j for j in sub]]
+            # a slice assigns in a fraction of a list index's time
+            columns = (slice(ks[0], ks[-1] + 1)
+                       if ks[-1] - ks[0] + 1 == len(ks) else ks)
+            for s, (shape, shape_counts) in enumerate(zip(shapes, key)):
+                log_d, odd, log_levels, rates, parts = _p1_stack(
+                    tau, shape, labels, shape_counts)
+                theta = (np.exp(log_d + odd * mu) / part[:, None])[:, None]
+                level = np.exp(log_levels + rates * mu)
+                for values, (lo, hi, table) in zip(out, parts):
+                    values[s][:, columns] = (
+                        theta @ table @ level[:, lo:hi, None]).reshape(2, -1)
     return out
 
 
@@ -658,33 +648,34 @@ def _p2_moments(tau: complex, order: int, levels: int, loop_nodes: int,
 
 
 def _j_p2(idx: BlockIndex, lams: list, pt: ModularPoint,
-          shapes: list, side: dict | None = None) -> list:
-    """Per rule shape, (J(lam), J(-lam)) per point of lams: per term-count
-    group one exp of i pi nu (+-lam), shared by the rule shapes whose nu
-    agree, one product with each shape's cached freqs (_p2_moments) and two
-    divisions by the family's divisor theta1(+-lam)."""
+          shapes: list, side: dict) -> np.ndarray:
+    """J(lam) and J(-lam) as an array (rule shape, sign, point): one exp of
+    i pi nu (+-lam), shared by the rule shapes whose nu agree, one product
+    with each shape's cached freqs (_p2_moments) and two divisions by the
+    family's divisor theta1(+-lam)."""
     if (any(abs(lam.imag) > 1e-12 for lam in lams)
             or abs(pt.tau.real) > 1e-12):
         raise OutOfSupportedRange(
             "the two-fold integral is wired for real lambda and purely "
             "imaginary tau only")
+    tau, kappa, n = pt.tau, idx.kappa, idx.reduced_n
     real = [lam.real + 0j for lam in lams]
-    out = [[None] * len(lams) for _ in shapes]
-    # the term counts, and so the tables, follow |Im lam| + max |Im node|
-    for ks, div, sides in _lambda_side(
-            _p2_moments, real, pt.tau, idx.kappa, idx.reduced_n,
-            [(shape, *_p2_reach(pt.tau, *shape, idx.kappa))
-             for shape in shapes], side if real == lams else None):
-        # mu = lam..., -lam..., as div holds theta1(mu)
-        mu = np.array([real[k] for k in ks] + [-real[k] for k in ks])[:, None]
+    # at Im lam = 0 the term counts, and so the tables, follow max |Im node|
+    sides = [_p2_moments(tau, *shape, kappa, n,
+                         specfun._theta1_coefs(tau, reach),
+                         specfun._theta_level_coefs(
+                             kappa, n, tau, (2.0 / kappa) * level_reach))
+             for shape in shapes
+             for reach, level_reach in [_p2_reach(tau, *shape, kappa)]]
+    out = np.empty((len(shapes), 2, len(lams)), dtype=complex)
+    # real points share one divisor group, in order
+    for _, div in _divisor(real, tau, side if real == lams else {}):
+        mu = np.array(real + [-lam for lam in real])[:, None]
         waves = {}
         for values, (rates, freqs) in zip(out, sides):
             if rates.size not in waves:
                 waves[rates.size] = np.exp(rates * mu)
-            pairs = (waves[rates.size] @ freqs / div / div).reshape(
-                2, len(ks)).T.tolist()
-            for k, pair in zip(ks, pairs):
-                values[k] = tuple(pair)
+            values[:] = (waves[rates.size] @ freqs / div / div).reshape(2, -1)
     return out
 
 
@@ -707,14 +698,15 @@ def _as_lambdas(grid, pt: ModularPoint) -> list:
 
 
 def _j_p0(idx: BlockIndex, lams: list, pt: ModularPoint,
-          shapes: list, side: dict | None = None) -> list:
-    """(J(lam), J(-lam)) per point of the empty integral: level-theta
-    values, the same for every rule shape."""
-    return [[tuple(specfun.theta_level(idx.kappa, idx.reduced_n, mu, pt)
-                   for mu in (lam, -lam)) for lam in lams]] * len(shapes)
+          shapes: list, side: dict | None = None) -> np.ndarray:
+    """J(lam) and J(-lam) of the empty integral as an array (rule shape,
+    sign, point): level-theta values, the same for every rule shape."""
+    signs = [[specfun.theta_level(idx.kappa, idx.reduced_n, mu, pt)
+              for mu in mus] for mus in (lams, [-lam for lam in lams])]
+    return np.array([signs] * len(shapes), dtype=complex)
 
 
-_PASSES = {0: _j_p0, 1: _j_p1, 2: _j_p2}
+_PASSES = {0: _j_p0, 2: _j_p2}
 
 
 def _points(idx: BlockIndex, pt: ModularPoint, shape: tuple) -> int:
@@ -730,29 +722,32 @@ def _points(idx: BlockIndex, pt: ModularPoint, shape: tuple) -> int:
 
 
 def _passes(indices: list, lams: list, pt: ModularPoint, quads: tuple) -> list:
-    """Per index, (per spec a pass (J(lam), J(-lam)) per complex point of
-    lams, per spec the pass's quadrature points).  Each count is checked
-    against its cap once per (p, p = 2 layout, spec) before any pass runs
-    (no table depends on the cap); the passes share one lambda side."""
+    """Per index, (J(lam) and J(-lam) as an array (spec, sign, complex
+    point of lams), per spec the pass's quadrature points).  Each count is
+    checked against its cap once per (p, p = 2 layout, spec) before any pass
+    runs (no table depends on the cap); the passes share one lambda side,
+    and the p = 1 indices make one family pass."""
     shapes = [(q.gauss_order, q.graded_mesh_levels, q.loop_nodes) for q in quads]
     layouts = [(idx.p, idx.kappa if idx.p == 2 else 0) for idx in indices]
     counted = {}
     for idx, layout in zip(indices, layouts):
-        if idx.p not in _PASSES:
+        if idx.p > 2:
             raise UnsupportedP(
                 f"p = {idx.p} is beyond the implemented range (p <= 2)")
         if layout not in counted:
             counted[layout] = [quad.check_points(_points(idx, pt, shape))
                                for quad, shape in zip(quads, shapes)]
     side = {}
-    return [(_PASSES[idx.p](idx, lams, pt, shapes, side), counted[layout])
+    ones = [idx for idx in indices if idx.p == 1]
+    family = iter(_j_p1_family(ones, lams, pt, shapes, side) if ones else ())
+    return [(next(family) if idx.p == 1
+             else _PASSES[idx.p](idx, lams, pt, shapes, side), counted[layout])
             for idx, layout in zip(indices, layouts)]
 
 
 def _two_passes(indices: list, grid, pt: ModularPoint,
                 quad: QuadratureSpec | None) -> list:
-    """Per index, ((the requested (coarse) pass, a refined one), their
-    points), each pass (J(lam), J(-lam)) per point of the grid."""
+    """_passes at the requested (coarse) spec and a refined one."""
     quad = quad or QuadratureSpec()
     return _passes(indices, _as_lambdas(grid, pt), pt, (quad, quad.refined()))
 
@@ -764,28 +759,36 @@ def j_integral(idx: BlockIndex, lam, pt: ModularPoint,
     The error estimate compares the requested quadrature against a refined
     one (heuristic, not a bound).  p = 0 is exact.
     """
-    [((((coarse, _),), ((fine, _),)), points)] = _two_passes([idx], (lam,), pt,
-                                                            quad)
+    [(both, points)] = _two_passes([idx], (lam,), pt, quad)
+    (coarse, _), (fine, _) = both[:, :, 0].tolist()
     return BlockValue(value=fine, error_estimate=abs(fine - coarse),
                       budget_used=sum(points))
 
 
+def _family_values(indices, grid, pt: ModularPoint,
+                   quad: QuadratureSpec | None) -> list:
+    """Per index of a family, in order, (values, estimates, points): its u
+    values and coarse-vs-refined estimates on the grid as lists of Python
+    scalars, and the points of both passes, from one _passes call."""
+    keys = [(idx.p, idx.kappa, idx.reduced_n) for idx in indices]
+    family = dict(zip(keys, indices))
+    for label, (both, points) in zip(list(family), _two_passes(
+            list(family.values()), grid, pt, quad)):
+        (c_plus, c_minus), (plus, minus) = both.tolist()
+        sign = (-1) ** (label[0] + 1)
+        family[label] = ([a + sign * b for a, b in zip(plus, minus)],
+                         [abs(a - c) + abs(b - d) for a, b, c, d
+                          in zip(plus, minus, c_plus, c_minus)], sum(points))
+    return [family[key] for key in keys]
+
+
 def u_blocks(indices, grid, pt: ModularPoint,
              quad: QuadratureSpec | None = None) -> tuple:
-    """u_block_grid at each index of a family, in order, from one pass per
-    distinct (p, kappa, n mod 2 kappa) sharing one lambda side; the grid is
-    checked against the lattice floor once, each count against its cap once
-    per (p, p = 2 layout, spec), before any theta1 is evaluated."""
-    indices = tuple(indices)
-    labels = {(idx.p, idx.kappa, idx.reduced_n): idx for idx in indices}
-    passes = _two_passes(list(labels.values()), grid, pt, quad)
-    values = {label: tuple(
-        BlockValue(value=plus + (-1) ** (label[0] + 1) * minus,
-                   error_estimate=abs(plus - c_plus) + abs(minus - c_minus),
-                   budget_used=sum(points))
-        for (c_plus, c_minus), (plus, minus) in zip(coarse, fine))
-        for label, ((coarse, fine), points) in zip(labels, passes)}
-    return tuple(values[idx.p, idx.kappa, idx.reduced_n] for idx in indices)
+    """u_block_grid at each index of a family, in order (_family_values)."""
+    return tuple([tuple([BlockValue(value, estimate, points)
+                         for value, estimate in zip(values, estimates)])
+                  for values, estimates, points in _family_values(
+                      tuple(indices), grid, pt, quad)])
 
 
 def u_block_grid(idx: BlockIndex, grid, pt: ModularPoint,

@@ -168,21 +168,22 @@ def _term_count(log_bound, what: str) -> int:
 
 
 def _max_abs_imag(lam: np.ndarray) -> float:
-    return float(np.max(np.abs(lam.imag))) if lam.size else 0.0
+    # the method skips np.max's dispatch, a few microseconds a kernel call
+    return float(np.abs(lam.imag).max()) if lam.size else 0.0
 
 
 def _imag_groups(lams, counts) -> list:
-    """Indices into lams grouped by counts(|Im lam|), the series term counts
-    a point needs, in order of first appearance (counts is called once per
-    distinct |Im lam|): the points of a group share every count, so a
-    group's kernel call gives each the value of its own one-point call."""
+    """(counts, indices into lams) per group of the points by counts(|Im
+    lam|), the series term counts a point needs, in order of first
+    appearance (one counts call per distinct |Im lam|): a group's kernel
+    call gives each point the value of its own one-point call."""
     by_imag, groups = {}, {}
     for k, lam in enumerate(lams):
         y = abs(lam.imag)
         if y not in by_imag:
             by_imag[y] = counts(y)
         groups.setdefault(by_imag[y], []).append(k)
-    return list(groups.values())
+    return list(groups.items())
 
 
 def _horner(coefs, z):
@@ -215,6 +216,13 @@ def _theta1_coefs(tau: complex, y_max: float, d_lambda: int = 0,
                 + d_tau * math.log(math.pi * half * half))
 
     terms = _term_count(log_bound, f"theta1 series (tau={tau})")
+    return _theta1_series(tau, terms, d_lambda, d_tau)
+
+
+@lru_cache(maxsize=256)
+def _theta1_series(tau: complex, terms: int, d_lambda: int = 0,
+                   d_tau: int = 0) -> tuple:
+    """The first terms coefficients of _theta1_coefs' series."""
     sign = -1 if d_lambda % 4 >= 2 else 1
     coefs = []
     for j in range(terms):
@@ -402,6 +410,14 @@ def _theta_level_coefs(kappa: int, n: int, tau: complex, y_max: float,
 
     terms = _term_count(lambda j: max(log_m(c + j), log_m(c - j)),
                         f"theta_level({kappa},{n}) sum")
+    return _theta_level_series(kappa, n, tau, terms, d_lambda, d_tau)
+
+
+@lru_cache(maxsize=256)
+def _theta_level_series(kappa: int, n: int, tau: complex, terms: int,
+                        d_lambda: int = 0, d_tau: int = 0) -> tuple:
+    """_theta_level_coefs' (c, ahead, behind) at terms shells."""
+    c = (n % (2 * kappa)) / (2.0 * kappa)
 
     def coef(m):
         w = 2j * cmath.pi * kappa * m
@@ -421,15 +437,39 @@ def _level_laurent(ahead, behind, u, u_inv):
     return _horner(ahead, u) + u_inv * _horner(behind, u_inv)
 
 
-def _theta_level_array(kappa: int, n: int, lam, tau: complex, d_lambda: int = 0,
+@lru_cache(maxsize=64)
+def _level_rows(rows: tuple, tau: complex, counts: tuple, d_lambda: int,
+                d_tau: int) -> tuple:
+    """Per (kappa, n) of rows at its shell count, as columns: 2 pi i kappa,
+    2 pi i kappa c, and the Horner coefficients ahead and behind, each
+    zero-padded at the top to the longest row."""
+    top = max(counts)
+    cols = [np.array(col)[:, None] for col in zip(*(
+        (2j * math.pi * kappa, 2j * math.pi * kappa * c)
+        + ahead + (0j,) * (top - terms) + behind + (0j,) * (top - terms)
+        for (kappa, n), terms in zip(rows, counts)
+        for c, ahead, behind in [_theta_level_series(kappa, n, tau, terms,
+                                                     d_lambda, d_tau)]))]
+    for col in cols:  # handed to every later call
+        col.setflags(write=False)
+    return cols[0], cols[1], cols[2:2 + top], cols[2 + top:]
+
+
+def _theta_level_array(kappa, n, lam, tau: complex, d_lambda: int = 0,
                        d_tau: int = 0) -> np.ndarray:
-    """Vectorised lattice sum for theta_level; lam may be a complex ndarray."""
-    lam = np.asarray(lam, dtype=complex)
-    c, ahead, behind = _theta_level_coefs(kappa, n, tau, _max_abs_imag(lam),
-                                          d_lambda, d_tau)
-    u = np.exp(2j * math.pi * kappa * lam)
-    return (np.exp(2j * math.pi * kappa * c * lam)
-            * _level_laurent(ahead, behind, u, 1.0 / u))
+    """Vectorised lattice sum for theta_level; lam may be a complex ndarray.
+    With equal-length tuples kappa and n, one row per (kappa, n) over the
+    flattened lam, each bit for bit its own one-row call: a shorter row's
+    zero padding leaves its Horner steps exact (0 u + c = c)."""
+    z = np.asarray(lam, dtype=complex).reshape(1, -1)
+    rows = tuple(zip(kappa, n)) if isinstance(kappa, tuple) else ((kappa, n),)
+    y = _max_abs_imag(z)
+    rates, shifts, ahead, behind = _level_rows(rows, tau, tuple(
+        len(_theta_level_coefs(k, m, tau, y, d_lambda, d_tau)[1])
+        for k, m in rows), d_lambda, d_tau)
+    u = np.exp(rates * z)
+    values = np.exp(shifts * z) * _level_laurent(ahead, behind, u, 1.0 / u)
+    return values if isinstance(kappa, tuple) else values.reshape(np.shape(lam))
 
 
 def theta_level(kappa: int, n: int, lam: complex, pt: ModularPoint,

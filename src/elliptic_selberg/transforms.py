@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .blocks import BlockIndex, u_block_grid, u_blocks
+from .blocks import BlockIndex, _family_values, u_block_grid
 from .errors import IllConditionedBasis, UnsupportedP
 from .macdonald import TransformMatrix
 from .quadrature import QuadratureSpec
@@ -173,8 +173,8 @@ def _block_family(p: int, kappa: int,
     def column(lams, pt, j):
         key = (tuple(lams), pt.tau)
         if key not in done:
-            done[key] = u_blocks(indices, lams, pt, quad)
-        return [value.value for value in done[key][j]]
+            done[key] = _family_values(indices, lams, pt, quad)
+        return done[key][j][0]
 
     return [BlockFunction(lambda lams, pt, j=j: column(lams, pt, j), p, kappa)
             for j in range(len(indices))]

@@ -27,12 +27,13 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import asdict, dataclass, field
+from functools import lru_cache
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import specfun
-from .blocks import BlockIndex, leading_term_constant, u_blocks
+from .blocks import BlockIndex, _family_values, leading_term_constant
 from .errors import EllipticSelbergError, OutOfSupportedRange
 from .macdonald import (ct_inner, macdonald_basis, modular_matrices,
                         relation_residuals)
@@ -189,6 +190,7 @@ def _theta_combo(st: IdentityStructure, lam: complex, pt: ModularPoint,
     return total
 
 
+@lru_cache(maxsize=64)
 def _rhs_constant(st: IdentityStructure, p: int, pt: ModularPoint) -> complex:
     """The lambda-free factor of a closed form: block constant times weight."""
     return (block_constant(p, st.kappa, st.constant_index).value
@@ -199,30 +201,30 @@ def _rhs_grids(sts: list, p: int, constants: list, lams: list,
                pt: ModularPoint) -> list:
     """Per structure of sts, constant * theta1(lam)^(p+1) * its theta
     combination per complex point of lams.  The points sharing the term
-    counts of every series make one theta1 call and one level-theta call per
-    distinct theta term, on [lam..., -lam...] if it is symmetrized; the
-    products are per point and structure."""
+    counts of every series make one theta1 call and one level-theta call,
+    whose rows are the distinct (level, index) of the theta terms on [lam...,
+    -lam...]; the products are per point and structure."""
     tau = pt.tau
-    terms = list(dict.fromkeys(term[:2] + term[3:] for st in sts
+    rows = tuple(dict.fromkeys(term[:2] for st in sts
                                for term in st.theta_terms))
 
     def counts(y):
         return (len(specfun._theta1_coefs(tau, y)),
                 *(len(specfun._theta_level_coefs(level, index, tau, y)[1])
-                  for level, index, _ in terms))
+                  for level, index in rows))
 
     out = [[None] * len(lams) for _ in sts]
-    for ks in specfun._imag_groups(lams, counts):
+    for _, ks in specfun._imag_groups(lams, counts):
         group, m = np.array([lams[k] for k in ks]), len(ks)
         thetas = specfun._theta1_array(group, tau).tolist()
-        levels = {(level, index, sym): specfun._theta_level_array(
-            level, index, np.concatenate([group, -group]) if sym else group,
-            tau).tolist() for level, index, sym in terms}
+        levels = dict(zip(rows, specfun._theta_level_array(
+            *zip(*rows), np.concatenate([group, -group]), tau).tolist()
+            if rows else ()))
         for values, st, constant in zip(out, sts, constants):
             for i, (k, t) in enumerate(zip(ks, thetas)):
                 combo = 0j if st.theta_terms else 1.0 + 0.0j
                 for level, index, sign, sym in st.theta_terms:
-                    v = levels[level, index, sym]
+                    v = levels[level, index]
                     combo += sign * (v[i] + v[m + i] if sym else v[i])
                 values[k] = constant * t ** (p + 1) * combo
     return out
@@ -326,9 +328,13 @@ class VerificationReport:
 def rel_errors(lhs, rhs) -> list:
     """Per grid point, |lhs - rhs| relative to |rhs|, or to the largest |rhs|
     of the grid where |rhs| is below 1e-3 of it."""
-    scale = max(abs(z) for z in rhs)
-    return [abs(a - b) / (abs(b) if abs(b) > 1e-3 * scale else scale)
-            for a, b in zip(lhs, rhs)]
+    return _relative(lhs, rhs, [abs(b) for b in rhs])
+
+
+def _relative(lhs, rhs, sizes) -> list:  # rel_errors, given sizes |rhs|
+    scale = max(sizes)
+    return [abs(a - b) / (size if size > 1e-3 * scale else scale)
+            for a, b, size in zip(lhs, rhs, sizes)]
 
 
 def verify_identities(idents, p: int, lambda_grid=None,
@@ -342,7 +348,7 @@ def verify_identities(idents, p: int, lambda_grid=None,
     fails if the two disagree beyond tolerance even when the match to the
     closed form looks good, to guard against lucky cancellation.  The
     distinct blocks of all the combinations run as one u_blocks family and
-    the closed forms as one _rhs_grids pass.
+    the closed forms as one _rhs_grids pass; |rhs| is taken once per point.
     """
     _require_prerequisites()
     sts = [identity_structure(ident, p) for ident in idents]
@@ -351,28 +357,29 @@ def verify_identities(idents, p: int, lambda_grid=None,
     quad = quad or QuadratureSpec()
     tol = tol if tol is not None else DEFAULT_TOLERANCE
 
-    blocks = iter(u_blocks([BlockIndex(p, st.kappa, n) for st in sts
-                            for n, _ in st.lhs_terms], grid, pt, quad))
+    blocks = iter(_family_values([BlockIndex(p, st.kappa, n) for st in sts
+                                  for n, _ in st.lhs_terms], grid, pt, quad))
     points = [complex(x) for x in grid]
     complex_grid = any(z.imag for z in points)
     quadrature = asdict(quad)  # once per run, a shallow copy per report
     reports = []
     for st, rhs in zip(sts, _rhs_grids(
             sts, p, [_rhs_constant(st, p, pt) for st in sts], points, pt)):
-        # a row holds a point's block values
         coeffs = [coeff for _, coeff in st.lhs_terms]
-        rows = list(zip(*(next(blocks) for _ in coeffs)))
-        lhs = [sum((c * v.value for c, v in zip(coeffs, row)), 0j)
-               for row in rows]
-        estimates = [sum(abs(c) * v.error_estimate for c, v in zip(coeffs, row))
-                     for row in rows]
-        budget = sum(v.budget_used for row in rows for v in row)
+        values, errors, budgets = zip(*(next(blocks) for _ in coeffs))
+        # a row holds a point's block values or estimates
+        lhs = [sum((c * v for c, v in zip(coeffs, row)), 0j)
+               for row in zip(*values)]
+        estimates = [sum(abs(c) * e for c, e in zip(coeffs, row))
+                     for row in zip(*errors)]
+        budget = len(rhs) * sum(budgets)
 
-        scale = max(abs(z) for z in rhs)
+        sizes = [abs(b) for b in rhs]
+        scale = max(sizes)
         abs_err = max(abs(a - b) for a, b in zip(lhs, rhs))
-        rel_err = max(rel_errors(lhs, rhs))
-        quad_agreement = max(e / max(abs(b), 1e-3 * scale, 1e-300)
-                             for e, b in zip(estimates, rhs))
+        rel_err = max(_relative(lhs, rhs, sizes))
+        quad_agreement = max(e / max(size, 1e-3 * scale, 1e-300)
+                             for e, size in zip(estimates, sizes))
         notes = (("coarse and refined quadrature disagree beyond tolerance",)
                  if quad_agreement > tol else ())
         inputs = {

@@ -154,8 +154,8 @@ def p2_points(spec) -> int:
 
 def one_value(idx, lam, pt, quad) -> tuple:
     """One pass, (J(lam), J(-lam)), and its quadrature points."""
-    [([[values]], [points])] = blocks._passes([idx], [complex(lam)], pt, (quad,))
-    return values, points
+    [(values, [points])] = blocks._passes([idx], [complex(lam)], pt, (quad,))
+    return tuple(values[0, :, 0].tolist()), points
 
 
 def test_one_fold_values_are_pinned():
@@ -262,21 +262,27 @@ class CountingExp:
 ])
 def test_u_block_shares_its_lambda_side_bit_for_bit(monkeypatch, p, kappa, n,
                                                     tau, lam, phase_sets):
-    # one divisor call, and one set of phases per distinct term counts,
-    # serve the coarse and the refined pass of a u_block, which give exactly
-    # the values, estimate and budget of the two passes made one at a time
+    # one divisor call, and a fixed number of exps, serve the coarse and the
+    # refined pass of a u_block, which give exactly the values, estimate and
+    # budget of the two passes made one at a time; phase_sets counts the
+    # rule shapes' distinct series (theta1's at p = 1, nu at p = 2)
     idx, pt, quad = BlockIndex(p, kappa, n), ModularPoint(tau), QuadratureSpec()
     u_block(idx, lam, pt)
-    calls, phases = [], blocks._phases
-    monkeypatch.setattr(blocks, "_phases",
-                        lambda *args: calls.append(args) or phases(*args))
-    if p == 2:
-        monkeypatch.setattr(blocks, "np", CountingExp(calls))
+    calls = []
+    monkeypatch.setattr(blocks, "np", CountingExp(calls))
     got = u_block(idx, lam, pt)
-    # a set is the level rows at lam and at -lam at p = 1, and at p = 2 one
-    # exp of i pi nu sigma lam for both signs of sigma (numpy's exp as blocks
-    # calls it; a warm p = 2 pass calls no other)
-    assert len(calls) == phase_sets * (2 if p == 1 else 1)
+    # numpy's exp as blocks calls it (a warm pass calls no other): at p = 1
+    # per rule shape one for the theta1 rows and one for the level rows at
+    # lam and -lam, at p = 2 one of i pi nu sigma lam for both signs of
+    # sigma per distinct nu
+    if p == 1:
+        assert len({len(specfun._theta1_coefs(
+            tau, abs(complex(lam).imag) + blocks._p1_tables(
+                tau, q.gauss_order, q.graded_mesh_levels, q.loop_nodes)[2]))
+            for q in (quad, quad.refined())}) == phase_sets
+        assert len(calls) == 2 * 2
+    else:
+        assert len(calls) == phase_sets
     (c_plus, c_minus), coarse = one_value(idx, complex(lam), pt, quad)
     (plus, minus), fine = one_value(idx, complex(lam), pt, quad.refined())
     assert got.value == plus + (-1) ** (p + 1) * minus
@@ -284,16 +290,34 @@ def test_u_block_shares_its_lambda_side_bit_for_bit(monkeypatch, p, kappa, n,
     assert got.budget_used == coarse + fine
 
 
+def test_a_one_fold_family_makes_two_exps_per_rule_shape(monkeypatch):
+    # the twelve p = 1 labels of the ten closed forms on the default real
+    # grid: one term-count group, and per rule shape one exp for the theta1
+    # rows and one for the level rows of every label
+    indices = [BlockIndex(1, kappa, n) for kappa, n in (
+        (4, 2), (5, 2), (5, 3), (6, 2), (6, 3), (6, 4), (8, 2), (8, 3),
+        (8, 5), (8, 6), (10, 3), (10, 7))]
+    grid = (0.13, 0.27, 0.41, 0.55, 0.69, 0.83)
+    want = blocks.u_blocks(indices, grid, PT)
+    calls = []
+    monkeypatch.setattr(blocks, "np", CountingExp(calls))
+    assert blocks.u_blocks(indices, grid, PT) == want
+    assert len(calls) == 2 * 2
+
+
 @pytest.mark.parametrize("p,kappa,n", [(1, 5, 2), (2, 8, 4)])
 def test_a_lambda_grid_builds_each_moment_table_once(p, kappa, n):
     # every real lambda has the same term counts, so the six points of the
-    # default grid share one moment table per spec (coarse and refined)
+    # default grid share one moment table per spec (coarse and refined); at
+    # p = 1 the later points read them from the family memo
     moments = blocks._p1_moments if p == 1 else blocks._p2_moments
+    memo = blocks._p1_stack if p == 1 else moments
     moments.cache_clear()
+    memo.cache_clear()
     for lam in (0.13, 0.27, 0.41, 0.55, 0.69, 0.83):
         u_block(BlockIndex(p, kappa, n), lam, PT)
-    assert moments.cache_info().misses == 2
-    assert moments.cache_info().hits == 10
+    assert moments.cache_info().misses == memo.cache_info().misses == 2
+    assert memo.cache_info().hits == 10
 
 
 # ---------------------------------------------------------------------------
@@ -377,6 +401,13 @@ def test_a_grid_pass_is_its_points_bit_for_bit(data, p, kappa, n, tau, points,
          points=[(0.3, 0.039818 / 0.9), (0.41, 0.0)], repeats=0)
 @example(data=None, labels=[(2, 8, 4), (1, 5, 2), (2, 6, 3), (0, 4, 1)],
          tau=0.9j, points=[(0.3, 0.0), (0.41, 0.0), (0.3, 0.0)], repeats=2)
+# the S-moved grid lam / tau of numeric_modular_matrices at tau = i:
+# pure-imaginary points up to |Im| 0.88, where the family's term-count
+# groups are finer than each label's own
+@example(data=None, labels=[(1, 4, 2), (1, 5, 2), (1, 5, 3), (1, 8, 3),
+                            (1, 10, 3)],
+         tau=1j, points=[(0.0, -(0.11 + 0.11 * k)) for k in range(8)],
+         repeats=0)
 @settings(max_examples=20, deadline=None)
 def test_a_family_pass_is_its_blocks_bit_for_bit(data, labels, tau, points,
                                                  repeats):
@@ -423,52 +454,47 @@ def test_a_grid_over_its_cap_is_refused_before_any_theta1(monkeypatch):
 
 @pytest.mark.parametrize("p,kappa,n", [(1, 5, 2), (1, 8, 3), (2, 6, 1),
                                        (2, 8, 4)])
-def test_the_stacked_contraction_is_the_per_point_chain(monkeypatch, p, kappa,
-                                                        n):
-    # each |Im lam| group's tables, contracted with one point's phases at a
-    # time, give the stacked values bit for bit: at p = 1 the theta1 and
-    # level rows of lam and of -lam, at p = 2 the one-point exponential sum
-    # over the group's frequency vector at lam and -lam
-    groups, side = [], blocks._lambda_side
-
-    def recording(*args):
-        for group in side(*args):
-            groups.append(group)
-            yield group
-
-    monkeypatch.setattr(blocks, "_lambda_side", recording)
+def test_the_stacked_contraction_is_the_per_point_chain(p, kappa, n):
+    # the stacked values are, bit for bit, each point's own chain: at p = 1
+    # its own series' modes and table with the theta1 and level rows of lam
+    # and of -lam, at p = 2 the one-point exponential sum over its frequency
+    # vector at lam and -lam
     idx, quad = BlockIndex(p, kappa, n), QuadratureSpec()
     if p == 1:
         pt, shapes = ModularPoint(0.3 + 1.1j), [
             (q.gauss_order, q.graded_mesh_levels, q.loop_nodes)
             for q in (quad, quad.refined())]
         grid = [0.3, 0.41 + 0.1j, 0.62, 0.2 - 0.1j, 0.3, 0.5 + 0.25j]
-        got = blocks._j_p1(idx, grid, pt, shapes)
-    else:
-        pt, shapes = PT, [SMALL]
-        grid = [0.3 + 0j, 0.41 + 0j, 0.62 + 0j, 0.3 + 0j]
-        got = blocks._j_p2(idx, grid, pt, shapes)
-    assert sum(len(ks) for ks, _, _ in groups) == len(grid)
-    for ks, div, sides in groups:
-        m = len(ks)
-        for values, side_of_shape in zip(got, sides):
-            for i, k in enumerate(ks):
-                column = np.array([[complex(grid[k])]])
-                if p == 1:  # the series' modes and table at mu = lam, -lam
-                    modes, table = side_of_shape
-                    want = tuple(complex(
-                        np.exp(modes[2] + modes[3] * mu)[0] / d @ table
-                        @ blocks._phases(modes, mu)[0])
-                        for d, mu in ((div[i], column), (div[m + i], -column)))
-                    assert values[k] == want
-                    continue
-                # the exponential sum's i pi nu and frequency vector at
-                # lam, -lam
-                rates, freqs = side_of_shape
-                divs = div[[i, m + i]]
-                want = (np.exp(rates * np.concatenate([column, -column]))
-                        @ freqs / divs / divs)
-                assert values[k] == tuple(want.tolist())
+        got = blocks._j_p1_family([BlockIndex(1, 6, 2), idx], grid, pt, shapes,
+                                  {})[1]
+        for values, shape in zip(got, shapes):
+            reach = blocks._p1_tables(pt.tau, *shape)[2]
+            for k, lam in enumerate(grid):
+                im, column = abs(lam.imag), np.array([[complex(lam)]])
+                modes, table = blocks._p1_moments(
+                    pt.tau, *shape, kappa, n, specfun._theta1_coefs(
+                        pt.tau, im + reach), specfun._theta_level_coefs(
+                        kappa, n, pt.tau, im + (2.0 / kappa) * reach))
+                divs = specfun._theta1_array(np.array([lam, -lam]), pt.tau)
+                want = [complex(np.exp(modes[2] + modes[3] * mu)[0] / d @ table
+                                @ np.exp(modes[4] + modes[5] * mu)[0])
+                        for d, mu in zip(divs, (column, -column))]
+                assert values[:, k].tolist() == want
+        return
+    # p = 2 takes real lambda, whose term counts follow max |Im node|
+    grid = [0.3 + 0j, 0.41 + 0j, 0.62 + 0j, 0.3 + 0j]
+    got = blocks._j_p2(idx, grid, PT, [SMALL], {})[0]
+    reach, level_reach = blocks._p2_reach(PT.tau, *SMALL, kappa)
+    rates, freqs = blocks._p2_moments(
+        PT.tau, *SMALL, kappa, n, specfun._theta1_coefs(PT.tau, reach),
+        specfun._theta_level_coefs(kappa, n, PT.tau,
+                                   (2.0 / kappa) * level_reach))
+    for k, lam in enumerate(grid):
+        # the exponential sum's i pi nu and frequency vector at lam, -lam
+        divs = specfun._theta1_array(np.array([lam, -lam]), PT.tau)
+        want = (np.exp(rates * np.array([[lam], [-lam]])) @ freqs / divs
+                / divs)
+        assert got[:, k].tolist() == want.tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -522,11 +548,11 @@ def test_one_fold_moment_pass_matches_brute_force(kappa, n, tau_re, tau_im,
     # real and complex lambda, |Im lam| <= 0.3 Im tau, over random (kappa, n)
     tau, spec = complex(tau_re, tau_im), QuadratureSpec(max_evals=0)
     lam = complex(lam_re, 0.3 * tau_im * lam_frac)
-    ((got,),) = blocks._j_p1(BlockIndex(1, kappa, n), [lam],
-                             ModularPoint(tau), [(spec.gauss_order,
-                                                  spec.graded_mesh_levels,
-                                                  spec.loop_nodes)])
-    for value, mu in zip(got, (lam, -lam)):
+    got = blocks._j_p1_family([BlockIndex(1, kappa, n)], [lam],
+                              ModularPoint(tau), [(spec.gauss_order,
+                                                   spec.graded_mesh_levels,
+                                                   spec.loop_nodes)], {})
+    for value, mu in zip(got[0, 0, :, 0], (lam, -lam)):
         want, scale = one_fold_brute(kappa, n, mu, tau, spec)
         assert abs(value - want) <= 1e-13 * scale, (value, want, scale)
 
@@ -629,7 +655,8 @@ def fold_half_shapes(kappa, rows, scales):
 def test_two_fold_moment_pass_matches_brute_force(kappa, n, tau_im, lam):
     # real lambda over random (kappa, n), both entries of the pass pair
     idx, tau = BlockIndex(2, kappa, n), complex(0.0, tau_im)
-    ((got,),) = blocks._j_p2(idx, [complex(lam)], ModularPoint(tau), [SMALL])
+    got = blocks._j_p2(idx, [complex(lam)], ModularPoint(tau), [SMALL],
+                       {})[0, :, 0]
     want, scales = fold_half_shapes(kappa, *two_fold_brute(idx, lam, tau))
     assert np.all(np.abs(np.array(got) - want) <= 1e-13 * scales), (
         (np.array(got) - want) / scales)
@@ -650,7 +677,7 @@ def test_dead_indices_vanish():
 #   from elliptic_selberg.blocks import BlockIndex, QuadratureSpec;
 #   from elliptic_selberg.specfun import ModularPoint;
 #   print(blocks._passes([BlockIndex(2, 6, 1)], [0.3 + 0j],
-#   ModularPoint(0.9j), (QuadratureSpec(),))[0][0][0][0])"
+#   ModularPoint(0.9j), (QuadratureSpec(),))[0][0][0, :, 0].tolist())"
 P2_KAPPA6_N1 = (37.325928854157766 - 4.9701886760949864e-14j,
                 37.325928854157794 - 7.069322615343851e-15j)
 
@@ -973,9 +1000,10 @@ def test_leading_term_constant_validation():
 
 def _clear_block_caches():
     for cached in (blocks._p1_nodes, blocks._p1_tables, blocks._p1_moments,
-                   blocks._inner_rule, blocks._outer_rules, blocks._p2_layout,
-                   blocks._p2_reach, blocks._p2_moments,
-                   specfun._theta1_coefs, specfun._theta_level_coefs):
+                   blocks._p1_stack, blocks._inner_rule, blocks._outer_rules,
+                   blocks._p2_layout, blocks._p2_reach, blocks._p2_moments,
+                   specfun._theta1_coefs, specfun._theta1_series,
+                   specfun._theta_level_coefs, specfun._theta_level_series):
         cached.cache_clear()
 
 

@@ -184,20 +184,21 @@ def test_numeric_extraction_samples_the_basis_once(monkeypatch):
     # of 2 labels at kappa = 5, and no grid call per label or point-by-point
     # block, where re-expanding each transformed block from scratch would
     # resample the basis four times
-    calls = {"u_block": [], "u_block_grid": [], "u_blocks": []}
+    calls = {"u_block": [], "u_block_grid": [], "_family_values": []}
     for module, name in ((blocks, "u_block"), (transforms, "u_block_grid"),
-                         (transforms, "u_blocks")):
+                         (transforms, "_family_values")):
         original = getattr(module, name)
 
         def counting(idx, lam, *args, _original=original, _record=calls[name],
-                     _family=name == "u_blocks", **kwargs):
+                     _family=name == "_family_values", **kwargs):
             _record.append((len(idx), np.size(lam)) if _family
                            else np.size(lam))
             return _original(idx, lam, *args, **kwargs)
 
         monkeypatch.setattr(module, name, counting)
     tn, sn = numeric_modular_matrices(1, 5)
-    assert calls == {"u_block": [], "u_block_grid": [], "u_blocks": [(2, 8)] * 3}
+    assert calls == {"u_block": [], "u_block_grid": [],
+                     "_family_values": [(2, 8)] * 3}
     # the grid fits are the point-by-point fits, bit for bit
     grid = [complex(x) for x in default_lambda_grid(1, 5)]
     mat = transforms._sampled_basis(transforms._block_family(1, 5, None),

@@ -168,6 +168,11 @@ def level_scale(kappa, n, z, tau):
 @example(data=None, ident=10, tau=0.3 + 0.9j,
          points=[(0.3, 0.25), (0.41, 0.0), (0.2, -0.25), (0.7, 0.1)],
          repeats=2, p=1)
+# all ten closed forms in one call (ident 0): identity 1 has no theta term,
+# and the level rows of the others are zero-padded to the longest
+@example(data=None, ident=0, tau=0.3 + 0.9j,
+         points=[(0.3, 0.25), (0.41, 0.0), (0.2, -0.25), (0.7, 0.1)],
+         repeats=2, p=1)
 @settings(max_examples=60, deadline=None)
 def test_a_closed_form_grid_is_its_points(data, ident, tau, points, repeats,
                                           p):
@@ -178,9 +183,19 @@ def test_a_closed_form_grid_is_its_points(data, ident, tau, points, repeats,
     grid += grid[:repeats]
     if data is not None:  # unsorted, duplicates anywhere
         grid = data.draw(st.permutations(grid))
-    pt, st_ = ModularPoint(tau), V.identity_structure(ident, p)
-    constant = V._rhs_constant(st_, p, pt)
-    got = V._rhs_grids([st_], p, [constant], grid, pt)[0]
+    pt = ModularPoint(tau)
+    idents = [ident] if ident else list(range(1, 11))
+    sts = [V.identity_structure(i, p) for i in idents]
+    constants = [V._rhs_constant(st_, p, pt) for st_ in sts]
+    for ident, st_, constant, got in zip(
+            idents, sts, constants, V._rhs_grids(sts, p, constants, grid, pt)):
+        check_closed_form_grid(ident, p, st_, constant, got, grid, pt)
+
+
+def check_closed_form_grid(ident, p, st_, constant, got, grid, pt):
+    """Each value of one closed form's grid is its one-point grid bit for
+    bit, and the scalar product to rounding."""
+    tau = pt.tau
     for lam, value in zip(grid, got):
         # the one-point grid, bit for bit
         assert value == V.rhs_value(ident, p, lam, pt)
