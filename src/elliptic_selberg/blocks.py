@@ -49,22 +49,23 @@ sum with the log factor.
 
 u_blocks runs the coarse and the refined pass of a family of blocks once
 over a whole lambda grid; u_block_grid is its one-index case, and u_block
-and j_integral that one's one-point case.  The family shares its lambda
-side: per group of points with the same theta1 term count, one
-theta1(+-lam) call.  Its p = 1 blocks make one pass over groups that share
-every block's term counts: per group and rule shape one exp for the theta1
-rows and one for the level rows of all the blocks, then a contraction per
-block; a p = 2 block adds one exp of i pi nu (+-lam) and one product per
-rule shape.  Every value is bit-identical to its point's own u_block.
-Warm, on one thread of a loaded 2-core VM, a six-point real grid takes
-about 0.27 ms at p = 1 and 0.12 ms at p = 2 (kappa = 8), the twelve p = 1
-blocks of the ten closed forms 0.9 ms (1.6 ms a pass per block).  The
-first p = 2 u_block at a new (tau, rule shape, kappa, n) builds the moment
-tables on the cached _p2_layout (per (tau, rule shape, kappa) the four
-sections' rules and the point count; _p2_reach sweeps the term-count
+and j_integral that one's one-point case.  Each fold count makes one pass
+over its blocks.  The p = 1 pass groups the points by their term counts
+(the divisor theta1's, then every block's tables') and per group makes one
+theta1(+-lam) divisor call, and per rule shape one exp for the theta1 rows
+and one for the level rows of all the blocks, then a contraction per
+block.  The p = 2 pass, whose real points share one term count, makes one
+divisor call, one exp of i pi nu (+-lam) per distinct nu vector and one
+product per block and rule shape.  Every value is bit-identical to its
+point's own u_block.  Warm, on one thread of a 2-core VM (best of 15 runs),
+a six-point real grid takes about 0.11 ms at p = 1 and 0.09 ms at p = 2
+(kappa = 8), and the twelve p = 1 blocks of the ten closed forms 0.36 ms.
+The first p = 2 u_block at a new (tau, rule shape, kappa, n) builds the
+moment tables on the cached _p2_layout (per (tau, rule shape, kappa) the
+four sections' rules and the point count; _p2_reach sweeps the term-count
 reaches once a pass runs), the per-point inner weights chunk by chunk
-inside the moment loop: about 0.7 s at kappa = 8 with a heap peak of
-about 7 MB.  The corner tails' Gauss-Jacobi rule comes from
+inside the moment loop: about 0.7 s at kappa = 8 with a heap peak of about
+7 MB.  The corner tails' Gauss-Jacobi rule comes from
 quadrature.gauss_jacobi, so the package needs no scipy.
 
 A pass costs the quadrature points its tables sum over, the same cold or
@@ -262,17 +263,6 @@ def _modes(coefs: tuple, level: tuple, kappa: int) -> tuple:
     return rows
 
 
-def _divisor(lams: list, tau: complex, side: dict) -> list:
-    """(ks, theta1 at [lam..., -lam...]) per group ks of the points of lams
-    sharing the theta1 term count, memoised in side for a family's passes."""
-    if "divisor" not in side:
-        side["divisor"] = [(ks, specfun._theta1_array(np.array(
-            [lams[k] for k in ks] + [-lams[k] for k in ks]), tau))
-            for _, ks in specfun._imag_groups(
-                lams, lambda y: len(specfun._theta1_coefs(tau, y)))]
-    return side["divisor"]
-
-
 def _gather(moments: np.ndarray, odd: np.ndarray, js: np.ndarray,
             s: int) -> np.ndarray:
     """moments[..., p + 4 s j] as [..., p, j], the last axis of moments
@@ -334,21 +324,21 @@ def _p1_stack(tau: complex, shape: tuple, labels: tuple,
                                         in zip(ends, tables)])
 
 
-def _j_p1_family(indices: list, lams: list, pt: ModularPoint, shapes: list,
-                 side: dict) -> np.ndarray:
-    """J(lam) and J(-lam) of every p = 1 index per rule shape and point of
-    lams, as an array (index, rule shape, sign, point): endpoint circles and
-    middle path.
+def _j_p1(indices: list, lams: list, pt: ModularPoint,
+          shapes: list) -> np.ndarray:
+    """J(lam) and J(-lam) of p = 1 indices as an array (index, rule shape,
+    sign, point): endpoint circles and middle path.
 
     J(mu) sums, over the nodes x of the sections (rule, flip, offset), weight
     * exp(b log) * flip theta1(mu - flip x) / theta1(mu) * theta_{kappa,n}(mu
     + (2/kappa) (offset + flip x)), the circle nodes' terms divided by
     loop_winding(b - 1).  The t = 1 circle is the t = 0 circle in s = 1 - t,
     with flip -1 and offset 1: E(1 - s) = E(s) and sigma(1 - s) = sigma(-s).
-    Per group of points sharing every term count, and per rule shape, one
+    The points are grouped by their term counts (the divisor's theta1, then
+    each rule shape's theta1 and level series).  Per group one call gives
+    the divisor theta1(mu) at mu = lam..., -lam..., and per rule shape one
     exp gives the theta1 rows and one the level rows of every index
-    (_p1_stack) at mu = lam..., -lam..., and each index contracts its
-    table with them, over theta1(mu) from the family's divisor.
+    (_p1_stack), each index contracting its table with them.
     """
     tau = pt.tau
     labels = tuple((idx.kappa, idx.reduced_n) for idx in indices)
@@ -356,28 +346,26 @@ def _j_p1_family(indices: list, lams: list, pt: ModularPoint, shapes: list,
     reaches = [_p1_tables(tau, *shape)[2] for shape in shapes]
 
     def counts(y):
-        return tuple((len(specfun._theta1_coefs(tau, y + reach)), *(
-            len(specfun._theta_level_coefs(kappa, n, tau,
-                                           y + (2.0 / kappa) * reach)[1])
-            for kappa, n in labels)) for reach in reaches)
+        return (len(specfun._theta1_coefs(tau, y)), *(
+            (len(specfun._theta1_coefs(tau, y + reach)), *(
+                len(specfun._theta_level_coefs(kappa, n, tau,
+                                               y + (2.0 / kappa) * reach)[1])
+                for kappa, n in labels)) for reach in reaches))
 
     out = np.empty((len(labels), len(shapes), 2, len(lams)), dtype=complex)
-    for group, div in _divisor(lams, tau, side):
-        for key, sub in specfun._imag_groups([lams[k] for k in group], counts):
-            ks = [group[j] for j in sub]
-            mu = np.array([lams[k] for k in ks] + [-lams[k] for k in ks])[:, None]
-            part = div[sub + [len(group) + j for j in sub]]
-            # a slice assigns in a fraction of a list index's time
-            columns = (slice(ks[0], ks[-1] + 1)
-                       if ks[-1] - ks[0] + 1 == len(ks) else ks)
-            for s, (shape, shape_counts) in enumerate(zip(shapes, key)):
-                log_d, odd, log_levels, rates, parts = _p1_stack(
-                    tau, shape, labels, shape_counts)
-                theta = (np.exp(log_d + odd * mu) / part[:, None])[:, None]
-                level = np.exp(log_levels + rates * mu)
-                for values, (lo, hi, table) in zip(out, parts):
-                    values[s][:, columns] = (
-                        theta @ table @ level[:, lo:hi, None]).reshape(2, -1)
+    for (_, *key), ks in specfun._imag_groups(lams, counts):
+        mu = np.array([lams[k] for k in ks] + [-lams[k] for k in ks])[:, None]
+        div = specfun._theta1_array(mu[:, 0], tau)[:, None]
+        group = np.empty((len(labels), len(shapes), 2, len(ks)), dtype=complex)
+        for s, (shape, shape_counts) in enumerate(zip(shapes, key)):
+            log_d, odd, log_levels, rates, parts = _p1_stack(
+                tau, shape, labels, shape_counts)
+            theta = (np.exp(log_d + odd * mu) / div)[:, None]
+            level = np.exp(log_levels + rates * mu)
+            for values, (lo, hi, table) in zip(group[:, s], parts):
+                values[:] = (theta @ table
+                             @ level[:, lo:hi, None]).reshape(2, -1)
+        out[..., ks] = group
     return out
 
 
@@ -647,35 +635,41 @@ def _p2_moments(tau: complex, order: int, levels: int, loop_nodes: int,
     return rates, freqs
 
 
-def _j_p2(idx: BlockIndex, lams: list, pt: ModularPoint,
-          shapes: list, side: dict) -> np.ndarray:
-    """J(lam) and J(-lam) as an array (rule shape, sign, point): one exp of
-    i pi nu (+-lam), shared by the rule shapes whose nu agree, one product
-    with each shape's cached freqs (_p2_moments) and two divisions by the
-    family's divisor theta1(+-lam)."""
+def _j_p2(indices: list, lams: list, pt: ModularPoint,
+          shapes: list) -> np.ndarray:
+    """J(lam) and J(-lam) of p = 2 indices as an array (index, rule shape,
+    sign, point): one divisor call theta1(+-lam) for every index, one exp of
+    i pi nu (+-lam) per distinct nu vector, and per index and rule shape one
+    product with its cached freqs (_p2_moments) and two divisions by the
+    divisor."""
     if (any(abs(lam.imag) > 1e-12 for lam in lams)
             or abs(pt.tau.real) > 1e-12):
         raise OutOfSupportedRange(
             "the two-fold integral is wired for real lambda and purely "
             "imaginary tau only")
-    tau, kappa, n = pt.tau, idx.kappa, idx.reduced_n
+    tau = pt.tau
     real = [lam.real + 0j for lam in lams]
-    # at Im lam = 0 the term counts, and so the tables, follow max |Im node|
-    sides = [_p2_moments(tau, *shape, kappa, n,
-                         specfun._theta1_coefs(tau, reach),
-                         specfun._theta_level_coefs(
-                             kappa, n, tau, (2.0 / kappa) * level_reach))
-             for shape in shapes
-             for reach, level_reach in [_p2_reach(tau, *shape, kappa)]]
-    out = np.empty((len(shapes), 2, len(lams)), dtype=complex)
-    # real points share one divisor group, in order
-    for _, div in _divisor(real, tau, side if real == lams else {}):
-        mu = np.array(real + [-lam for lam in real])[:, None]
-        waves = {}
-        for values, (rates, freqs) in zip(out, sides):
-            if rates.size not in waves:
-                waves[rates.size] = np.exp(rates * mu)
-            values[:] = (waves[rates.size] @ freqs / div / div).reshape(2, -1)
+    mu = np.array(real + [-lam for lam in real])[:, None]
+    # real points share one divisor term count
+    div = specfun._theta1_array(mu[:, 0], tau)
+    waves = {}
+    out = np.empty((len(indices), len(shapes), 2, len(lams)), dtype=complex)
+    for values, idx in zip(out, indices):
+        kappa, n = idx.kappa, idx.reduced_n
+        for row, shape in zip(values, shapes):
+            # at Im lam = 0 the term counts, and so the tables, follow max
+            # |Im node|
+            reach, level_reach = _p2_reach(tau, *shape, kappa)
+            rates, freqs = _p2_moments(
+                tau, *shape, kappa, n, specfun._theta1_coefs(tau, reach),
+                specfun._theta_level_coefs(kappa, n, tau,
+                                           (2.0 / kappa) * level_reach))
+            # rates = i pi (n + 2 (-span..span)): its first entry and size
+            # fix the vector
+            key = (rates[0], rates.size)
+            if key not in waves:
+                waves[key] = np.exp(rates * mu)
+            row[:] = (waves[key] @ freqs / div / div).reshape(2, -1)
     return out
 
 
@@ -697,16 +691,14 @@ def _as_lambdas(grid, pt: ModularPoint) -> list:
     return lams
 
 
-def _j_p0(idx: BlockIndex, lams: list, pt: ModularPoint,
-          shapes: list, side: dict | None = None) -> np.ndarray:
-    """J(lam) and J(-lam) of the empty integral as an array (rule shape,
-    sign, point): level-theta values, the same for every rule shape."""
-    signs = [[specfun.theta_level(idx.kappa, idx.reduced_n, mu, pt)
-              for mu in mus] for mus in (lams, [-lam for lam in lams])]
-    return np.array([signs] * len(shapes), dtype=complex)
-
-
-_PASSES = {0: _j_p0, 2: _j_p2}
+def _j_p0(indices: list, lams: list, pt: ModularPoint,
+          shapes: list) -> np.ndarray:
+    """J(lam) and J(-lam) of the empty integral as an array (index, rule
+    shape, sign, point): level-theta values, the same for every rule shape."""
+    signs = [[[specfun.theta_level(idx.kappa, idx.reduced_n, mu, pt)
+               for mu in mus] for mus in (lams, [-lam for lam in lams])]
+             for idx in indices]
+    return np.array([[pair] * len(shapes) for pair in signs], dtype=complex)
 
 
 def _points(idx: BlockIndex, pt: ModularPoint, shape: tuple) -> int:
@@ -725,8 +717,8 @@ def _passes(indices: list, lams: list, pt: ModularPoint, quads: tuple) -> list:
     """Per index, (J(lam) and J(-lam) as an array (spec, sign, complex
     point of lams), per spec the pass's quadrature points).  Each count is
     checked against its cap once per (p, p = 2 layout, spec) before any pass
-    runs (no table depends on the cap); the passes share one lambda side,
-    and the p = 1 indices make one family pass."""
+    runs (no table depends on the cap); then each fold count makes one pass
+    over its indices."""
     shapes = [(q.gauss_order, q.graded_mesh_levels, q.loop_nodes) for q in quads]
     layouts = [(idx.p, idx.kappa if idx.p == 2 else 0) for idx in indices]
     counted = {}
@@ -737,12 +729,14 @@ def _passes(indices: list, lams: list, pt: ModularPoint, quads: tuple) -> list:
         if layout not in counted:
             counted[layout] = [quad.check_points(_points(idx, pt, shape))
                                for quad, shape in zip(quads, shapes)]
-    side = {}
-    ones = [idx for idx in indices if idx.p == 1]
-    family = iter(_j_p1_family(ones, lams, pt, shapes, side) if ones else ())
-    return [(next(family) if idx.p == 1
-             else _PASSES[idx.p](idx, lams, pt, shapes, side), counted[layout])
-            for idx, layout in zip(indices, layouts)]
+    out = [None] * len(indices)
+    for p, j_pass in enumerate((_j_p0, _j_p1, _j_p2)):
+        ks = [k for k, idx in enumerate(indices) if idx.p == p]
+        if ks:
+            for k, values in zip(ks, j_pass([indices[k] for k in ks], lams,
+                                            pt, shapes)):
+                out[k] = (values, counted[layouts[k]])
+    return out
 
 
 def _two_passes(indices: list, grid, pt: ModularPoint,

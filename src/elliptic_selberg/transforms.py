@@ -30,7 +30,6 @@ from .specfun import ModularPoint
 __all__ = [
     "BasisExpansion",
     "BlockFunction",
-    "apply_transform",
     "basis_indices",
     "expand_in_block_basis",
     "numeric_modular_matrices",
@@ -75,13 +74,6 @@ def basis_indices(p: int, kappa: int) -> tuple[int, ...]:
     if kappa < 2 * p + 2:
         raise ValueError("kappa must be at least 2p+2")
     return tuple(range(p + 1, kappa - p))
-
-
-def apply_transform(which: str, f: BlockFunction, lam: complex,
-                    pt: ModularPoint) -> complex:
-    """Evaluate (X f)(lam, tau) for X among A, B, T, S: the one-point grid
-    of transformed_function."""
-    return transformed_function(which, f)(lam, pt)
 
 
 def transformed_function(which: str, f: BlockFunction) -> BlockFunction:

@@ -354,6 +354,8 @@ def verify_identities(idents, p: int, lambda_grid=None,
     sts = [identity_structure(ident, p) for ident in idents]
     pt = pt or ModularPoint(DEFAULT_TAU)
     grid = tuple(lambda_grid) if lambda_grid is not None else DEFAULT_LAMBDA_GRID
+    if not grid:
+        raise ValueError("the lambda grid is empty")
     quad = quad or QuadratureSpec()
     tol = tol if tol is not None else DEFAULT_TOLERANCE
 

@@ -333,18 +333,33 @@ GRID_IM_FRACTIONS = (0.0, 0.0, 0.1, -0.1, 0.25, -0.25)
 
 
 def divisor_groups(indices, grid, tau) -> int:
-    """The distinct theta1 term counts at |Im lam| over the points of the
-    grid, each a group of the divisor theta1(+-lam), or 0 if no index has
-    p >= 1."""
-    counts = {len(specfun._theta1_coefs(tau, abs(complex(lam).imag)))
-              for lam in grid}
-    return len(counts) if any(idx.p for idx in indices) else 0
+    """The divisor theta1(+-lam) calls of a family at the default spec: one
+    per group of the grid's points that share every term count of the p = 1
+    pass (the divisor's theta1 at |Im lam|, then per rule shape theta1's and
+    each p = 1 label's level series at |Im lam| plus the shape's reach), and
+    one for the p = 2 pass, whose real points share one count."""
+    quad = QuadratureSpec()
+    reaches = [blocks._p1_tables(tau, q.gauss_order, q.graded_mesh_levels,
+                                 q.loop_nodes)[2]
+               for q in (quad, quad.refined())]
+    ones = {(idx.kappa, idx.reduced_n) for idx in indices if idx.p == 1}
+
+    def counts(y):
+        return (len(specfun._theta1_coefs(tau, y)),
+                *(len(specfun._theta1_coefs(tau, y + reach))
+                  for reach in reaches),
+                *(len(specfun._theta_level_coefs(
+                    kappa, n, tau, y + (2.0 / kappa) * reach)[1])
+                  for kappa, n in ones for reach in reaches))
+
+    groups = {counts(abs(complex(lam).imag)) for lam in grid} if ones else ()
+    return len(groups) + any(idx.p == 2 for idx in indices)
 
 
 def _check_grid_against_points(idx, grid, pt):
     """u_block_grid equals u_block point by point bit for bit (value,
     estimate and budget), and a warm grid makes one divisor call per
-    distinct divisor term count, at most one per distinct |Im lam|."""
+    term-count group, at most one per distinct |Im lam|."""
     singles = tuple(u_block(idx, lam, pt) for lam in grid)
     with pytest.MonkeyPatch.context() as patch:
         calls, _ = _count_kernels(patch)
@@ -427,7 +442,7 @@ def test_a_family_pass_is_its_blocks_bit_for_bit(data, labels, tau, points,
     with pytest.MonkeyPatch.context() as patch:
         calls, _ = _count_kernels(patch)
         assert blocks.u_blocks(indices, grid, pt) == singles, (indices, grid)
-    # one divisor call per divisor term count for the whole family
+    # one divisor call per term-count group of each fold count's pass
     assert calls["_theta1_array"] == divisor_groups(indices, grid, tau)
 
 
@@ -465,8 +480,7 @@ def test_the_stacked_contraction_is_the_per_point_chain(p, kappa, n):
             (q.gauss_order, q.graded_mesh_levels, q.loop_nodes)
             for q in (quad, quad.refined())]
         grid = [0.3, 0.41 + 0.1j, 0.62, 0.2 - 0.1j, 0.3, 0.5 + 0.25j]
-        got = blocks._j_p1_family([BlockIndex(1, 6, 2), idx], grid, pt, shapes,
-                                  {})[1]
+        got = blocks._j_p1([BlockIndex(1, 6, 2), idx], grid, pt, shapes)[1]
         for values, shape in zip(got, shapes):
             reach = blocks._p1_tables(pt.tau, *shape)[2]
             for k, lam in enumerate(grid):
@@ -483,7 +497,7 @@ def test_the_stacked_contraction_is_the_per_point_chain(p, kappa, n):
         return
     # p = 2 takes real lambda, whose term counts follow max |Im node|
     grid = [0.3 + 0j, 0.41 + 0j, 0.62 + 0j, 0.3 + 0j]
-    got = blocks._j_p2(idx, grid, PT, [SMALL], {})[0]
+    got = blocks._j_p2([idx], grid, PT, [SMALL])[0, 0]
     reach, level_reach = blocks._p2_reach(PT.tau, *SMALL, kappa)
     rates, freqs = blocks._p2_moments(
         PT.tau, *SMALL, kappa, n, specfun._theta1_coefs(PT.tau, reach),
@@ -495,6 +509,26 @@ def test_the_stacked_contraction_is_the_per_point_chain(p, kappa, n):
         want = (np.exp(rates * np.array([[lam], [-lam]])) @ freqs / divs
                 / divs)
         assert got[:, k].tolist() == want.tolist()
+
+
+def test_a_two_fold_pass_shares_an_exp_only_where_nu_agrees(monkeypatch):
+    # (8, 3) and (8, 5) of identities 5 and 6 have nu vectors of one length
+    # but of different n: a pass over both makes one exp per index, and
+    # each index's values are those of its own pass bit for bit
+    indices, grid = [BlockIndex(2, 8, 3), BlockIndex(2, 8, 5)], [0.3, 0.41]
+    singles = [blocks._j_p2([idx], grid, PT, [SMALL])[0] for idx in indices]
+    reach, level_reach = blocks._p2_reach(PT.tau, *SMALL, 8)
+    sizes = {blocks._p2_moments(
+        PT.tau, *SMALL, 8, idx.n, specfun._theta1_coefs(PT.tau, reach),
+        specfun._theta_level_coefs(8, idx.n, PT.tau, 0.25 * level_reach))[0].size
+        for idx in indices}
+    assert sizes == {71}
+    calls = []
+    monkeypatch.setattr(blocks, "np", CountingExp(calls))
+    got = blocks._j_p2(indices, grid, PT, [SMALL])
+    assert len(calls) == 2
+    for values, want in zip(got, singles):
+        assert values.tolist() == want.tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -548,10 +582,9 @@ def test_one_fold_moment_pass_matches_brute_force(kappa, n, tau_re, tau_im,
     # real and complex lambda, |Im lam| <= 0.3 Im tau, over random (kappa, n)
     tau, spec = complex(tau_re, tau_im), QuadratureSpec(max_evals=0)
     lam = complex(lam_re, 0.3 * tau_im * lam_frac)
-    got = blocks._j_p1_family([BlockIndex(1, kappa, n)], [lam],
-                              ModularPoint(tau), [(spec.gauss_order,
-                                                   spec.graded_mesh_levels,
-                                                   spec.loop_nodes)], {})
+    got = blocks._j_p1([BlockIndex(1, kappa, n)], [lam], ModularPoint(tau),
+                       [(spec.gauss_order, spec.graded_mesh_levels,
+                         spec.loop_nodes)])
     for value, mu in zip(got[0, 0, :, 0], (lam, -lam)):
         want, scale = one_fold_brute(kappa, n, mu, tau, spec)
         assert abs(value - want) <= 1e-13 * scale, (value, want, scale)
@@ -655,8 +688,8 @@ def fold_half_shapes(kappa, rows, scales):
 def test_two_fold_moment_pass_matches_brute_force(kappa, n, tau_im, lam):
     # real lambda over random (kappa, n), both entries of the pass pair
     idx, tau = BlockIndex(2, kappa, n), complex(0.0, tau_im)
-    got = blocks._j_p2(idx, [complex(lam)], ModularPoint(tau), [SMALL],
-                       {})[0, :, 0]
+    got = blocks._j_p2([idx], [complex(lam)], ModularPoint(tau),
+                       [SMALL])[0, 0, :, 0]
     want, scales = fold_half_shapes(kappa, *two_fold_brute(idx, lam, tau))
     assert np.all(np.abs(np.array(got) - want) <= 1e-13 * scales), (
         (np.array(got) - want) / scales)

@@ -115,6 +115,12 @@ def test_series_proof_passes(capsys):
     assert payload["terms_compared"] > 0
 
 
+def test_verify_refuses_an_empty_grid(capsys):
+    code = cli.main(["verify", "--identity", "4", "--grid", ","])
+    assert code == 2
+    assert capsys.readouterr().err == "error: the lambda grid is empty\n"
+
+
 def test_series_needs_exactly_one_mode(capsys):
     code, _ = run(["series", "--name", "theta6_diff_is_eta",
                    "--expand", "eta"], capsys)

@@ -14,7 +14,6 @@ from elliptic_selberg.macdonald import modular_matrices
 from elliptic_selberg.specfun import ModularPoint
 from elliptic_selberg.transforms import (
     BlockFunction,
-    apply_transform,
     basis_indices,
     default_lambda_grid,
     expand_in_block_basis,
@@ -39,17 +38,17 @@ def block(p, kappa, n):
 
 def test_shift_by_one_multiplies_by_index_parity():
     f = block(1, 5, 2)
-    got = apply_transform("A", f, LAM, PT)
+    got = transformed_function("A", f)(LAM, PT)
     want = f(LAM, PT)
     assert abs(got - want) < 1e-9 * abs(want)
     g = block(1, 5, 3)
-    assert abs(apply_transform("A", g, LAM, PT) + g(LAM, PT)) \
+    assert abs(transformed_function("A", g)(LAM, PT) + g(LAM, PT)) \
         < 1e-9 * abs(g(LAM, PT))
 
 
 def test_shift_by_tau_swaps_the_index():
     f = block(1, 5, 2)
-    got = apply_transform("B", f, LAM, PT)
+    got = transformed_function("B", f)(LAM, PT)
     want = -cmath.exp(2j * math.pi * 2 / 5) * block(1, 5, 3)(LAM, PT)
     assert abs(got - want) < 1e-9 * abs(want)
 
@@ -98,8 +97,6 @@ def test_transformed_block_keeps_the_block_properties():
 
 def test_unknown_transform_is_rejected():
     f = block(1, 4, 2)
-    with pytest.raises(ValueError):
-        apply_transform("Q", f, LAM, PT)
     with pytest.raises(ValueError):
         transformed_function("Q", f)
 
@@ -208,7 +205,7 @@ def test_numeric_extraction_samples_the_basis_once(monkeypatch):
             base = block(1, 5, n)
             pointwise = BlockFunction(
                 evaluator=lambda lams, pt, which=which, base=base: [
-                    apply_transform(which, base, lam, pt) for lam in lams],
+                    transformed_function(which, base)(lam, pt) for lam in lams],
                 p=1, kappa=5)
             want = transforms._fit(mat, pointwise, grid, PTI)[0]
             assert np.array_equal(got.entries[:, j], want)

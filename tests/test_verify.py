@@ -19,7 +19,7 @@ from elliptic_selberg.blocks import BlockIndex, u_block
 from elliptic_selberg.errors import EllipticSelbergError, OutOfSupportedRange
 from elliptic_selberg.quadrature import QuadratureSpec
 from elliptic_selberg.specfun import ModularPoint, dedekind_eta, phi, theta1
-from elliptic_selberg.transforms import BlockFunction, apply_transform
+from elliptic_selberg.transforms import BlockFunction, transformed_function
 from elliptic_selberg import verify as V
 
 PT = ModularPoint(0.9j)
@@ -56,6 +56,17 @@ def test_structure_rejects_bad_ids():
         V.identity_structure(11, 1)
     with pytest.raises(OutOfSupportedRange):
         V.identity_structure(1, 0)
+
+
+def test_an_empty_grid_is_refused_before_any_pass(monkeypatch):
+    # the grid names itself, rather than failing later in the report's max
+    def no_pass(*args):
+        raise AssertionError("a block pass ran")
+
+    monkeypatch.setattr(V, "_family_values", no_pass)
+    for grid in ((), []):
+        with pytest.raises(ValueError, match="^the lambda grid is empty$"):
+            V.verify_identities((4,), 1, lambda_grid=grid)
 
 
 def test_default_tolerance_is_one_constant():
@@ -330,7 +341,7 @@ def test_identity_ten_closed_form_is_modular_eigenvector():
     f = BlockFunction(evaluator=lambda lams, mp: [V.rhs_value(10, p, lam, mp)
                                                   for lam in lams],
                       p=p, kappa=st.kappa)
-    ratios = [apply_transform("S", f, lam, pt) / f(lam, pt)
+    ratios = [transformed_function("S", f)(lam, pt) / f(lam, pt)
               for lam in (0.17, 0.33, 0.49, 0.61)]
     assert max(abs(r - ratios[0]) for r in ratios) < 1e-9
     assert abs(abs(ratios[0]) - 1) < 1e-9
