@@ -8,8 +8,9 @@ block integrals these generate a finite-dimensional action whose matrices
 have closed forms; this module evaluates the operators on whole lambda
 grids, expands transformed functions back over the block basis by least
 squares, and extracts the matrices numerically with one u_blocks call for
-the whole basis per grid: the sampled basis, the T-moved grid and the
-S-moved grid (three calls at any kappa, not one per block).
+the whole basis per distinct tau and one least-squares solve: at tau = i
+the sampled basis and the S-moved grid share a call and the T-moved grid
+has its own (two calls at any kappa, not one per block).
 """
 
 from __future__ import annotations
@@ -76,34 +77,44 @@ def basis_indices(p: int, kappa: int) -> tuple[int, ...]:
     return tuple(range(p + 1, kappa - p))
 
 
+def _move(which: str, p: int, kappa: int, lams: list, tau: complex) -> tuple:
+    """Operator `which` at (lams, tau) as f on a moved grid at a moved tau,
+    times per-point cmath factors (None for none): A and B shift every
+    point, with the B phase; T takes tau to tau + 1; S takes [lam / tau...]
+    to -1/tau with the prefactor, on the principal branch of tau**w
+    (arg(tau) in (0, pi), which ModularPoint guarantees)."""
+    if which == "A":
+        return [lam + 1.0 for lam in lams], tau, None
+    if which == "B":
+        return ([lam + tau for lam in lams], tau,
+                [cmath.exp(1j * math.pi * kappa * (lam + tau / 2.0))
+                 for lam in lams])
+    if which == "T":
+        return lams, tau + 1.0, None
+    weight = -0.5 - p * (p + 1) / kappa
+    return ([lam / tau for lam in lams], -1.0 / tau,
+            [cmath.exp(-1j * math.pi * kappa * lam * lam / (2.0 * tau))
+             * tau ** weight for lam in lams])
+
+
+def _scaled(values: list, factors) -> list:
+    """Values times their per-point factors, as Python complex products."""
+    return values if factors is None else [c * v for c, v
+                                           in zip(factors, values)]
+
+
 def transformed_function(which: str, f: BlockFunction) -> BlockFunction:
     """The operator applied lazily, so transforms can be composed.
 
-    A grid moves as a whole, one grid call of f: A and B shift every point,
-    T takes the grid to tau + 1 and S takes [lam / tau...] to -1/tau; the B
-    phase and the S prefactor are cmath scalars per point.  The inversion
-    uses the principal branch of tau**w, consistent with arg(tau) in (0,
-    pi) which ModularPoint guarantees.
+    A grid moves as a whole, one grid call of f (see _move).
     """
     if which not in TRANSFORM_NAMES:
         raise ValueError(f"unknown transform {which!r}; expected one of "
                          f"{TRANSFORM_NAMES}")
 
     def evaluate(lams, pt):
-        tau = pt.tau
-        if which == "A":
-            return f.on_grid([lam + 1.0 for lam in lams], pt)
-        if which == "B":
-            moved = f.on_grid([lam + tau for lam in lams], pt)
-            return [cmath.exp(1j * math.pi * f.kappa * (lam + tau / 2.0)) * v
-                    for lam, v in zip(lams, moved)]
-        if which == "T":
-            return f.on_grid(lams, ModularPoint(tau + 1.0))
-        weight = -0.5 - f.p * (f.p + 1) / f.kappa
-        moved = f.on_grid([lam / tau for lam in lams],
-                          ModularPoint(-1.0 / tau))
-        return [cmath.exp(-1j * math.pi * f.kappa * lam * lam / (2.0 * tau))
-                * tau ** weight * v for lam, v in zip(lams, moved)]
+        grid, tau, factors = _move(which, f.p, f.kappa, lams, pt.tau)
+        return _scaled(f.on_grid(grid, ModularPoint(tau)), factors)
 
     return BlockFunction(evaluator=evaluate, p=f.p, kappa=f.kappa)
 
@@ -123,53 +134,41 @@ class BasisExpansion:
 _CONDITION_LIMIT = 1e8
 
 
-def _sampled_basis(family: list, grid: list, pt: ModularPoint) -> np.ndarray:
-    """The functions of a _block_family sampled on the grid, one column each.
-
-    Raises IllConditionedBasis when the columns are too close to dependent
-    for a least-squares fit to mean anything.
-    """
-    if len(grid) < 2 * len(family):
+def _sampled(p: int, kappa: int, requests: list,
+             quad: QuadratureSpec | None) -> list:
+    """Per (grid, tau, factors) request, the basis labels' values on the
+    grid times the factors, one list per label, from one _family_values
+    call per distinct tau; a first grid shorter than 2 * dim is refused
+    before any call."""
+    indices = [BlockIndex(p, kappa, n) for n in basis_indices(p, kappa)]
+    if len(requests[0][0]) < 2 * len(indices):
         raise ValueError(
-            f"need at least {2 * len(family)} sample points for a "
-            f"{len(family)}-dimensional basis, got {len(grid)}")
-    mat = np.array([f.on_grid(grid, pt) for f in family], dtype=complex).T
-    cond = np.linalg.cond(mat)
-    if not np.isfinite(cond) or cond > _CONDITION_LIMIT:
+            f"need at least {2 * len(indices)} sample points for a "
+            f"{len(indices)}-dimensional basis, got {len(requests[0][0])}")
+    merged = {}
+    for lams, tau, _ in requests:
+        merged.setdefault(tau, []).extend(lams)
+    rows = {tau: [values for values, _, _ in _family_values(
+        indices, lams, ModularPoint(tau), quad)] for tau, lams in merged.items()}
+    out = []
+    for lams, tau, factors in requests:
+        out.append([_scaled(row[:len(lams)], factors) for row in rows[tau]])
+        rows[tau] = [row[len(lams):] for row in rows[tau]]
+    return out
+
+
+def _fit(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Least-squares coefficients of rhs (a vector, or one column per
+    function) over the columns of mat.  Raises IllConditionedBasis when the
+    singular values lstsq returns put the condition of mat over the limit:
+    its columns are too close to dependent for a fit to mean anything."""
+    coeffs, _, _, sv = np.linalg.lstsq(mat, rhs, rcond=None)
+    cond = sv[0] / sv[-1] if sv[-1] > 0.0 else math.inf
+    if not cond <= _CONDITION_LIMIT:
         raise IllConditionedBasis(
             f"sampled basis matrix has condition {cond:.3e} "
             f"(limit {_CONDITION_LIMIT:.0e}); widen or move the grid")
-    return mat
-
-
-def _fit(mat: np.ndarray, f: BlockFunction, grid: list,
-         pt: ModularPoint) -> tuple[np.ndarray, float]:
-    """Least-squares coefficients of f on the grid, evaluated in one grid
-    call, over the columns of mat, and the root-mean-square misfit relative
-    to the root-mean-square of f (absolute when f vanishes on the grid)."""
-    rhs = np.array(f.on_grid(grid, pt), dtype=complex)
-    coeffs, *_ = np.linalg.lstsq(mat, rhs, rcond=None)
-    misfit = math.sqrt(float(np.mean(np.abs(mat @ coeffs - rhs) ** 2)))
-    scale = math.sqrt(float(np.mean(np.abs(rhs) ** 2)))
-    return coeffs, (misfit / scale if scale > 0.0 else misfit)
-
-
-def _block_family(p: int, kappa: int,
-                  quad: QuadratureSpec | None) -> list:
-    """One BlockFunction per basis label; the first grid call at a (grid,
-    tau) evaluates every label in one u_blocks call, which serves the
-    others."""
-    indices = [BlockIndex(p, kappa, n) for n in basis_indices(p, kappa)]
-    done = {}
-
-    def column(lams, pt, j):
-        key = (tuple(lams), pt.tau)
-        if key not in done:
-            done[key] = _family_values(indices, lams, pt, quad)
-        return done[key][j][0]
-
-    return [BlockFunction(lambda lams, pt, j=j: column(lams, pt, j), p, kappa)
-            for j in range(len(indices))]
+    return coeffs
 
 
 def expand_in_block_basis(f, p: int, kappa: int, lambda_grid, pt: ModularPoint,
@@ -181,10 +180,14 @@ def expand_in_block_basis(f, p: int, kappa: int, lambda_grid, pt: ModularPoint,
     callers decide what size of residual they can live with.
     """
     grid = [complex(x) for x in lambda_grid]
-    mat = _sampled_basis(_block_family(p, kappa, quad), grid, pt)
-    coeffs, residual = _fit(mat, f, grid, pt)
+    [basis] = _sampled(p, kappa, [(grid, pt.tau, None)], quad)
+    mat = np.array(basis, dtype=complex).T
+    rhs = np.array(f.on_grid(grid, pt), dtype=complex)
+    coeffs = _fit(mat, rhs)
+    misfit = math.sqrt(float(np.mean(np.abs(mat @ coeffs - rhs) ** 2)))
+    scale = math.sqrt(float(np.mean(np.abs(rhs) ** 2)))
     return BasisExpansion(indices=basis_indices(p, kappa), coefficients=coeffs,
-                          residual=residual)
+                          residual=misfit / scale if scale > 0.0 else misfit)
 
 
 def default_lambda_grid(p: int, kappa: int) -> np.ndarray:
@@ -216,29 +219,23 @@ def numeric_modular_matrices(p: int, kappa: int,
     """The (T, S) matrices extracted by transforming and re-expanding blocks.
 
     Works at tau = i, the fixed point of the inversion, so the transformed
-    functions can be expanded over the basis sampled at the same tau; the
-    basis is sampled once and all 2 * dim transformed blocks are fitted
-    against it, each fit one lstsq, from one u_blocks call for the whole
-    basis per moved grid.  The shift by one in tau is
-    evaluated at tau = 1 + i with branch-tracked quadrature.  p = 2 is
-    refused: the two-fold quadrature takes real lambda at purely imaginary
-    tau only (the guard in blocks._j_p2), and the T move (tau = 1 + i) and
-    the S move (lambda / tau) leave that range.
+    functions can be expanded over the basis sampled at the same tau.  One
+    u_blocks call for the whole basis per distinct tau (_sampled): the
+    basis grid with the S-moved grid lam / tau at i, the T-moved grid at
+    1 + i (branch-tracked quadrature); then one lstsq fits all 2 * dim
+    moved blocks.  p = 2 is refused: the two-fold quadrature takes real
+    lambda at purely imaginary tau only (the guard in blocks._j_p2), and
+    the T and S moves leave that range.
     """
     if p > 1:
         raise UnsupportedP("numeric matrix extraction is wired for p <= 1")
-    pt = ModularPoint(1j)
-    labels = basis_indices(p, kappa)
     grid = default_lambda_grid(p, kappa) if lambda_grid is None else lambda_grid
     grid = [complex(x) for x in grid]
-    family = _block_family(p, kappa, quad)
-    mat = _sampled_basis(family, grid, pt)
-    t_cols = []
-    s_cols = []
-    for base in family:
-        for which, cols in (("T", t_cols), ("S", s_cols)):
-            moved = transformed_function(which, base)
-            cols.append(_fit(mat, moved, grid, pt)[0])
-    dim = len(labels)
-    return (TransformMatrix(dim=dim, entries=np.array(t_cols).T, labels=labels),
-            TransformMatrix(dim=dim, entries=np.array(s_cols).T, labels=labels))
+    basis, t_moved, s_moved = _sampled(p, kappa, [(grid, 1j, None)] + [
+        _move(which, p, kappa, grid, 1j) for which in ("T", "S")], quad)
+    coeffs = _fit(np.array(basis, dtype=complex).T,
+                  np.array(t_moved + s_moved, dtype=complex).T)
+    dim = len(basis)
+    labels = basis_indices(p, kappa)
+    return (TransformMatrix(dim=dim, entries=coeffs[:, :dim], labels=labels),
+            TransformMatrix(dim=dim, entries=coeffs[:, dim:], labels=labels))

@@ -416,13 +416,19 @@ def test_a_grid_pass_is_its_points_bit_for_bit(data, p, kappa, n, tau, points,
          points=[(0.3, 0.039818 / 0.9), (0.41, 0.0)], repeats=0)
 @example(data=None, labels=[(2, 8, 4), (1, 5, 2), (2, 6, 3), (0, 4, 1)],
          tau=0.9j, points=[(0.3, 0.0), (0.41, 0.0), (0.3, 0.0)], repeats=2)
-# the S-moved grid lam / tau of numeric_modular_matrices at tau = i:
-# pure-imaginary points up to |Im| 0.88, where the family's term-count
-# groups are finer than each label's own
+# an S-moved grid lam / tau at tau = i alone: pure-imaginary points up to
+# |Im| 0.88, where the family's term-count groups are finer than each
+# label's own
 @example(data=None, labels=[(1, 4, 2), (1, 5, 2), (1, 5, 3), (1, 8, 3),
                             (1, 10, 3)],
          tau=1j, points=[(0.0, -(0.11 + 0.11 * k)) for k in range(8)],
          repeats=0)
+# the one call numeric_modular_matrices makes at tau = i: the 8-point basis
+# grid followed by its S image lam / tau, real and pure-imaginary points
+# in one family pass
+@example(data=None, labels=[(1, 4, 2), (1, 5, 2), (1, 5, 3)], tau=1j,
+         points=[(0.11 + 0.11 * k, 0.0) for k in range(8)]
+         + [(0.0, -(0.11 + 0.11 * k)) for k in range(8)], repeats=0)
 @settings(max_examples=20, deadline=None)
 def test_a_family_pass_is_its_blocks_bit_for_bit(data, labels, tau, points,
                                                  repeats):

@@ -175,12 +175,9 @@ def test_numeric_t_matrix_is_diagonal():
     assert np.abs(off).max() < 1e-4
 
 
-def test_numeric_extraction_samples_the_basis_once(monkeypatch):
-    # the dim basis labels in one family call on the 8-point grid, then the
-    # 2 * dim transformed blocks in one family call per moved grid: 3 calls
-    # of 2 labels at kappa = 5, and no grid call per label or point-by-point
-    # block, where re-expanding each transformed block from scratch would
-    # resample the basis four times
+def _count_family_calls(monkeypatch):
+    # (labels, points) per family call of transforms, and the points of
+    # every grid call or point-by-point block
     calls = {"u_block": [], "u_block_grid": [], "_family_values": []}
     for module, name in ((blocks, "u_block"), (transforms, "u_block_grid"),
                          (transforms, "_family_values")):
@@ -193,22 +190,63 @@ def test_numeric_extraction_samples_the_basis_once(monkeypatch):
             return _original(idx, lam, *args, **kwargs)
 
         monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def _assert_pointwise_fits(tn, sn, kappa, grid):
+    # each column is its own lstsq of the transformed block, evaluated
+    # point by point, over the basis sampled point by point
+    labels = basis_indices(1, kappa)
+    mat = np.array([[block(1, kappa, n)(lam, PTI) for n in labels]
+                    for lam in grid], dtype=complex)
+    for which, got in (("T", tn), ("S", sn)):
+        for j, n in enumerate(labels):
+            moved = transformed_function(which, block(1, kappa, n))
+            rhs = np.array([moved(lam, PTI) for lam in grid], dtype=complex)
+            want = transforms._fit(mat, rhs)
+            assert np.array_equal(got.entries[:, j], want), (which, n)
+
+
+def test_numeric_extraction_samples_the_basis_once(monkeypatch):
+    # one family call of the dim basis labels per distinct tau: at tau = i
+    # the 8-point basis grid and its S image lam / tau in one 16-point call,
+    # the T-moved grid at 1 + i in another; no grid call per label or
+    # point-by-point block, where re-expanding each transformed block from
+    # scratch would resample the basis four times
+    calls = _count_family_calls(monkeypatch)
     tn, sn = numeric_modular_matrices(1, 5)
     assert calls == {"u_block": [], "u_block_grid": [],
-                     "_family_values": [(2, 8)] * 3}
-    # the grid fits are the point-by-point fits, bit for bit
-    grid = [complex(x) for x in default_lambda_grid(1, 5)]
-    mat = transforms._sampled_basis(transforms._block_family(1, 5, None),
-                                    grid, PTI)
-    for which, got in (("T", tn), ("S", sn)):
-        for j, n in enumerate(basis_indices(1, 5)):
-            base = block(1, 5, n)
-            pointwise = BlockFunction(
-                evaluator=lambda lams, pt, which=which, base=base: [
-                    transformed_function(which, base)(lam, pt) for lam in lams],
-                p=1, kappa=5)
-            want = transforms._fit(mat, pointwise, grid, PTI)[0]
-            assert np.array_equal(got.entries[:, j], want)
+                     "_family_values": [(2, 16), (2, 8)]}
+    # the one multi-column solve is the per-column point-by-point fits,
+    # bit for bit
+    monkeypatch.undo()
+    _assert_pointwise_fits(tn, sn, 5,
+                           [complex(x) for x in default_lambda_grid(1, 5)])
+
+
+@pytest.mark.parametrize("kappa", [4, 5, 7])
+def test_numeric_extraction_on_a_grid_that_meets_its_s_image(kappa):
+    # 0.3i / i = 0.3 and 0.15i / i = 0.15: the merged call at tau = i holds
+    # those points twice, once as basis points and once as S-moved points
+    grid = [0.3, 0.3j, 0.41 + 0.1j, 0.15, 0.2 + 0.2j, 0.63, 0.15j,
+            0.74 - 0.05j, 0.45 + 0.3j]
+    tn, sn = numeric_modular_matrices(1, kappa, lambda_grid=grid)
+    _assert_pointwise_fits(tn, sn, kappa, grid)
+    ta, sa = modular_matrices(1, kappa)
+    assert np.abs(tn.entries - ta.entries).max() < 1e-5
+    assert np.abs(sn.entries - sa.entries).max() < 1e-5
+
+
+def test_numeric_extraction_guards_its_grid(monkeypatch):
+    calls = _count_family_calls(monkeypatch)
+    # kappa = 7 has dim 4: seven points are refused before any block pass
+    with pytest.raises(ValueError, match="need at least 8 sample points"):
+        numeric_modular_matrices(1, 7, lambda_grid=[0.1 * k for k in
+                                                    range(1, 8)])
+    assert calls["_family_values"] == []
+    # one repeated point: a rank-one sample matrix
+    with pytest.raises(IllConditionedBasis):
+        numeric_modular_matrices(1, 5, lambda_grid=[0.31] * 8)
 
 
 def test_numeric_extraction_rejects_large_p():
