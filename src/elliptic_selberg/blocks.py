@@ -30,36 +30,39 @@ Every pass gives the pair (J(lam), J(-lam)), so u_block is a coarse and a
 refined pass for every p.  lambda enters an integrand only through theta1
 at +-lam plus a node coordinate and the level theta at +-lam plus g times
 the coordinate sum.  As sums of exponentials (theta1 by its sine series)
-each is a sum of lambda phases times node exponentials, and since
-kappa g = 2 the level theta's are e^(4 pi i c t) times integer powers of
-theta1's e^(i pi t).  So a pass contracts cached moment tables (sums over
-the nodes of the weights times those exponentials) with a few phases in
-lambda and evaluates nothing per node; at p = 2 the tables fold in the
-series coefficients, the two half shapes, the corner winding and the pair
-branch, so a pass is the divisor theta1(+-lam)^2 and one exponential sum
-in lambda per rule shape.  The tables are keyed on (tau, rule shape (the
-spec less its point cap), kappa, n) and the memoised series coefficients,
-whose term counts follow |Im lam| + max |Im node|, and hold their logs.
-They are built from lambda-independent rules: at p = 1 the endpoint circle
-and middle path, whose weights and logs carry the powers of E; at p = 2
-the outer x and inner xi rules of each section, with the weights times the
-powers of E per (x, xi) point.  The exponent b enters as exp(b * log) of
-the tabulated logs, so the b-derivative at kappa = 6 is the same moment
-sum with the log factor.
+each is a sum of lambda phases times node exponentials, and since kappa g
+= 2 the level theta's are e^(4 pi i c t) times integer powers of theta1's
+e^(i pi t).  So at p >= 1, J(mu) theta1(mu)^p = sum_nu f_nu e^(i pi nu mu)
+over integers nu of one parity, f a cached vector: the node sums of the
+weights times those exponentials, folded with the series coefficients (at
+p = 2 also with the half shapes, the corner winding and the pair branch),
+keyed on (tau, rule shape (the spec less its point cap), kappa, n) and the
+series' term counts.  The vectors are built from lambda-independent rules:
+at p = 1 the endpoint circle and middle path, whose weights and logs carry
+the powers of E; at p = 2 the outer x and inner xi rules of each section,
+with the weights times the powers of E per (x, xi) point.  The exponent b
+enters as exp(b * log) of the tabulated logs, so the b-derivative at
+kappa = 6 is the same moment sum with the log factor.
+
+The sums are taken in the strip |Im lam| <= Im tau / 2, where their terms
+fit the double range: as the theta1 ratios' e^(2 pi i k sum t) cancel the
+level theta's e^(-i pi kappa g k sum t), J_{kappa,n}(lam + k tau) = e^(-i
+pi kappa (k lam + k^2 tau / 2)) J_{kappa,n+k kappa}(lam) node by node.  So
+lam is folded to lam - k tau, k = round(Im lam / Im tau), with the partner
+label n + k kappa and that phase, and -lam to -(lam - k tau) with the same
+ones; a phase beyond the double range raises OutOfSupportedRange.  Real
+points take the term counts of |Im lam| = 0, complex ones the strip edge's.
 
 u_blocks runs the coarse and the refined pass of a family of blocks once
-over a whole lambda grid; u_block_grid is its one-index case, and u_block
-and j_integral that one's one-point case.  Each fold count makes one pass
-over its blocks.  The p = 1 pass groups the points by their term counts
-(the divisor theta1's, then every block's tables') and per group makes one
-theta1(+-lam) divisor call, and per rule shape one exp for the theta1 rows
-and one for the level rows of all the blocks, then a contraction per
-block.  The p = 2 pass, whose real points share one term count, makes one
-divisor call, one exp of i pi nu (+-lam) per distinct nu vector and one
-product per block and rule shape.  Every value is bit-identical to its
-point's own u_block.  Warm, on one thread of a 2-core VM (best of 15 runs),
-a six-point real grid takes about 0.11 ms at p = 1 and 0.09 ms at p = 2
-(kappa = 8), and the twelve p = 1 blocks of the ten closed forms 0.36 ms.
+over a whole lambda grid (u_block_grid, u_block and j_integral are its
+one-index and one-point cases).  p = 0 takes the level theta; every other
+fold count makes one pass (_j_sum): per group of points of one divisor
+term count, realness and parity of k one divisor call theta1(+-lam), one
+exp of i pi nu (+-lam) over the nu of the blocks' partners at every rule
+shape, and one product per block and shape, each value bit-identical to
+its point's own u_block.  Warm (one thread of a 2-core VM, best of 15 runs), a six-point
+real grid takes about 0.10 ms at p = 1 and 0.11 ms at p = 2 (kappa = 8),
+and the twelve p = 1 blocks of the ten closed forms 0.31 ms.
 The first p = 2 u_block at a new (tau, rule shape, kappa, n) builds the
 moment tables on the cached _p2_layout (per (tau, rule shape, kappa) the
 four sections' rules and the point count; _p2_reach sweeps the term-count
@@ -244,129 +247,55 @@ def _p1_tables(tau: complex, order: int, levels: int, loop_nodes: int) -> tuple:
     return circle, middle, float(np.max(np.abs(circle.nodes.imag)))
 
 
-def _modes(coefs: tuple, level: tuple, kappa: int) -> tuple:
-    """(odd, js, log d, i pi odd, log levels, 2 pi i kappa (c + js)):
-    theta1(z) = sum_p d_p e^(i pi p z) over the odd |p| < 2 len(coefs) (its
-    sine series) and theta_{kappa,n}(z) = sum_j levels_j e^(2 pi i kappa
-    (c + j) z) over |j| < len(ahead), level = (c, ahead, behind).  Logs keep
-    a phase beyond the double range finite against its small coefficient."""
-    coefs = np.array(coefs)
-    c, ahead, behind = level
-    odd = np.arange(1 - 2 * coefs.size, 2 * coefs.size, 2)
+def _series(coefs: tuple, level: tuple) -> tuple:
+    """(odd, js, d, levels): theta1(z) = sum_p d_p e^(i pi p z) over the odd
+    |p| < 2 len(coefs) (its sine series) and theta_{kappa,n}(z) = sum_j
+    levels_j e^(2 pi i kappa (c + j) z) over |j| < len(ahead), level = (c,
+    ahead, behind)."""
+    _, ahead, behind = level
+    odd = np.arange(1 - 2 * len(coefs), 2 * len(coefs), 2)
     js = np.arange(1 - len(ahead), len(ahead))
-    with np.errstate(divide="ignore"):
-        rows = (odd, js, np.log(np.concatenate([-coefs[::-1], coefs]) / 2j),
-                1j * math.pi * odd, np.log(np.array(behind[::-1] + ahead)),
-                2j * math.pi * kappa * (c + js))
-    for row in rows:  # a cached table hands them to every later pass
-        row.setflags(write=False)
-    return rows
-
-
-def _gather(moments: np.ndarray, odd: np.ndarray, js: np.ndarray,
-            s: int) -> np.ndarray:
-    """moments[..., p + 4 s j] as [..., p, j], the last axis of moments
-    holding the odd exponents up to max(odd) + 4 max(js)."""
-    top = odd[-1] + 4 * js[-1]
-    return moments[..., (odd[:, None] + 4 * s * js + top) // 2]
+    d = np.concatenate([-np.array(coefs[::-1]), coefs]) / 2j
+    return odd, js, d, np.array(behind[::-1] + ahead)
 
 
 @lru_cache(maxsize=256)
 def _p1_moments(tau: complex, order: int, levels: int, loop_nodes: int,
                 kappa: int, n: int, coefs: tuple, level: tuple) -> tuple:
-    """(_modes of the series, K) with J(mu) theta1(mu) = sum_(p,j) d_p
-    e^(i pi p mu) levels_j e^(2 pi i kappa (c + j) mu) K[p, j].
-
-    The sections (rule, flip, offset) take theta1 at mu + t and the level
-    theta at mu + g (offset - t), t = -flip x, so K[p, j] is the moment at
-    p - 4j, the node sum of weight e^(2 pi i n offset / kappa) e^(-4 pi i
-    c t) e^(i pi (p - 4j) t).
-    """
-    circle, middle, _ = _p1_tables(tau, order, levels, loop_nodes)
-    b = -2.0 / kappa
-    wind = loop_winding(b - 1.0)
-    shifts, weights = [], []
-    for rule, flip in ((circle, 1.0), (circle, -1.0), (middle, 1.0)):
-        w = flip * rule.weights * np.exp(b * rule.logs)
-        w[:rule.n_loop] /= wind
-        if flip < 0:
-            w *= cmath.exp(2j * math.pi * n / kappa)
-        shifts.append(-flip * rule.nodes)
-        weights.append(w)
-    t, w = np.concatenate(shifts), np.concatenate(weights)
-    odd, js, *_ = modes = _modes(coefs, level, kappa)
-    top = odd[-1] + 4 * js[-1]
-    c = (n % (2 * kappa)) / (2.0 * kappa)
-    moments = (w * np.exp(-4j * math.pi * c * t)) @ np.exp(
-        1j * math.pi * np.outer(t, np.arange(-top, top + 1, 2)))
-    table = _gather(moments, odd, js, -1)
-    table.setflags(write=False)
-    return modes, table
-
-
-@lru_cache(maxsize=128)
-def _p1_stack(tau: complex, shape: tuple, labels: tuple,
-              counts: tuple) -> tuple:
-    """The p = 1 tables (_p1_moments) of labels (kappa, n) at one (tau, rule
-    shape) and term counts (theta1's, then each level series'): (log d, i
-    pi odd) of the theta1 rows, the labels' log levels and rates 2 pi i
-    kappa (c + j) concatenated, and per label (lo, hi, its table)."""
-    coefs = specfun._theta1_series(tau, counts[0])
-    tables = [_p1_moments(tau, *shape, kappa, n, coefs,
-                          specfun._theta_level_series(kappa, n, tau, terms))
-              for (kappa, n), terms in zip(labels, counts[1:])]
-    rows = [np.concatenate([modes[k] for modes, _ in tables]) for k in (4, 5)]
-    for row in rows:  # a cached table hands them to every later pass
-        row.setflags(write=False)
-    ends = np.cumsum([modes[5].size for modes, _ in tables]).tolist()
-    return (*tables[0][0][2:4], *rows, [(end - modes[5].size, end, table)
-                                        for end, (modes, table)
-                                        in zip(ends, tables)])
-
-
-def _j_p1(indices: list, lams: list, pt: ModularPoint,
-          shapes: list) -> np.ndarray:
-    """J(lam) and J(-lam) of p = 1 indices as an array (index, rule shape,
-    sign, point): endpoint circles and middle path.
+    """(lo, f) with J(mu) theta1(mu) = sum_k f[k] e^(i pi (lo + 2k) mu) for
+    one (tau, rule shape, kappa, n) and series.
 
     J(mu) sums, over the nodes x of the sections (rule, flip, offset), weight
     * exp(b log) * flip theta1(mu - flip x) / theta1(mu) * theta_{kappa,n}(mu
     + (2/kappa) (offset + flip x)), the circle nodes' terms divided by
     loop_winding(b - 1).  The t = 1 circle is the t = 0 circle in s = 1 - t,
     with flip -1 and offset 1: E(1 - s) = E(s) and sigma(1 - s) = sigma(-s).
-    The points are grouped by their term counts (the divisor's theta1, then
-    each rule shape's theta1 and level series).  Per group one call gives
-    the divisor theta1(mu) at mu = lam..., -lam..., and per rule shape one
-    exp gives the theta1 rows and one the level rows of every index
-    (_p1_stack), each index contracting its table with them.
+    So the sections take theta1 at mu + t and the level theta at mu + g
+    (offset - t), t = -flip x.  With K[p, j] the moment at
+    p - 4j, the node sum of weight e^(2 pi i n offset / kappa) e^(-4 pi i c
+    t) e^(i pi (p - 4j) t), f at nu = p + n + 2 kappa j sums d_p levels_j
+    K[p, j] (_series), so the integers nu have the parity of n + 1.
     """
-    tau = pt.tau
-    labels = tuple((idx.kappa, idx.reduced_n) for idx in indices)
-    # the term counts, and so the tables, follow |Im lam| + max |Im node|
-    reaches = [_p1_tables(tau, *shape)[2] for shape in shapes]
-
-    def counts(y):
-        return (len(specfun._theta1_coefs(tau, y)), *(
-            (len(specfun._theta1_coefs(tau, y + reach)), *(
-                len(specfun._theta_level_coefs(kappa, n, tau,
-                                               y + (2.0 / kappa) * reach)[1])
-                for kappa, n in labels)) for reach in reaches))
-
-    out = np.empty((len(labels), len(shapes), 2, len(lams)), dtype=complex)
-    for (_, *key), ks in specfun._imag_groups(lams, counts):
-        mu = np.array([lams[k] for k in ks] + [-lams[k] for k in ks])[:, None]
-        div = specfun._theta1_array(mu[:, 0], tau)[:, None]
-        group = np.empty((len(labels), len(shapes), 2, len(ks)), dtype=complex)
-        for s, (shape, shape_counts) in enumerate(zip(shapes, key)):
-            log_d, odd, log_levels, rates, parts = _p1_stack(
-                tau, shape, labels, shape_counts)
-            theta = (np.exp(log_d + odd * mu) / div)[:, None]
-            level = np.exp(log_levels + rates * mu)
-            for values, (lo, hi, table) in zip(group[:, s], parts):
-                values[:] = (theta @ table
-                             @ level[:, lo:hi, None]).reshape(2, -1)
-        out[..., ks] = group
-    return out
+    circle, middle, _ = _p1_tables(tau, order, levels, loop_nodes)
+    b = -2.0 / kappa
+    loop = circle.weights * np.exp(b * circle.logs) / loop_winding(b - 1.0)
+    # t = -flip x on the t = 0 circle, the t = 1 circle and the middle path
+    t = np.concatenate([-circle.nodes, circle.nodes, -middle.nodes])
+    w = np.concatenate([loop, -loop * cmath.exp(2j * math.pi * n / kappa),
+                        middle.weights * np.exp(b * middle.logs)])
+    odd, js, d, level_coefs = _series(coefs, level)
+    top = odd[-1] + 4 * js[-1]
+    c = (n % (2 * kappa)) / (2.0 * kappa)
+    moments = (w * np.exp(-4j * math.pi * c * t)) @ np.exp(
+        1j * math.pi * np.outer(t, np.arange(-top, top + 1, 2)))
+    span = odd[-1] + 2 * kappa * js[-1]
+    freqs = np.zeros(span + 1, dtype=complex)
+    # K[p, j] enters at nu = p + n + 2 kappa j, offset by span - n, halved
+    np.add.at(freqs, (odd[:, None] + odd[-1]) // 2 + kappa * (js + js[-1]),
+              moments[(odd[:, None] - 4 * js + top) // 2]
+              * np.outer(d, level_coefs))
+    freqs.setflags(write=False)  # a cached table hands it to every later pass
+    return n % (2 * kappa) - span, freqs
 
 
 # ---------------------------------------------------------------------------
@@ -551,8 +480,8 @@ def _inner_moments(kind: str, x: np.ndarray, inner: _Rule, tau: complex,
 @lru_cache(maxsize=32)
 def _p2_moments(tau: complex, order: int, levels: int, loop_nodes: int,
                 kappa: int, n: int, coefs: tuple, level: tuple) -> tuple:
-    """(i pi nu, freqs) with J(mu) theta1(mu)^2 = sum_nu freqs[nu] e^(i pi nu
-    mu) at mu = lam and -lam, for one (tau, rule shape, kappa, n) and series.
+    """(lo, freqs) with J(mu) theta1(mu)^2 = sum_k freqs[k] e^(i pi (lo + 2k)
+    mu), for one (tau, rule shape, kappa, n) and series.
 
     J(mu) sums two half shapes s = 1, -1 over {0 <= y <= min(x, 1-x)}: E(x)^b
     E(y)^b E(x-y)^g sigma(s x) sigma(s y) theta_{kappa,n}(mu + (1 - s) g + s g
@@ -576,7 +505,7 @@ def _p2_moments(tau: complex, order: int, levels: int, loop_nodes: int,
     b, g = -4.0 / kappa, 2.0 / kappa
     c = (n % (2 * kappa)) / (2.0 * kappa)
     wind = loop_winding(b - 1.0)
-    odd, js, *_ = _modes(coefs, level, kappa)
+    odd, js, d, level_coefs = _series(coefs, level)
     top = odd[-1] + 4 * js[-1]
     # per (corner loops, corner-free sections) and s
     tables = np.zeros((2, 2, odd.size, odd.size, js.size), dtype=complex)
@@ -596,16 +525,16 @@ def _p2_moments(tau: complex, order: int, levels: int, loop_nodes: int,
         basis = flip * outer[:, None] * np.exp(
             1j * math.pi * np.outer(flip * x, odd))
         for k, s in enumerate((1, -1)):
-            g0, *g1 = (_gather(moments[:, r + k], odd, js, s)
+            # the inner moments at p + 4 s j as [x, p, j]
+            cols = (odd[:, None] + 4 * s * js + top) // 2
+            g0, *g1 = (moments[:, r + k][:, cols]
                        * np.exp(4j * math.pi * s * np.outer(pos, c + js))[:, None]
                        for r in range(0, moments.shape[1], 2))
             # at kappa = 6 the corner loops enter by their b-derivative only
             tables[0 if corner_loop else 1, k] += np.einsum(
                 "xo,xpj->opj", basis, g1[0] + logs[:, None, None] * g0 if g1
                 else g0)
-    d = np.concatenate([-np.array(coefs[::-1]), coefs]) / 2j
-    terms = tables * np.multiply.outer(np.outer(d, d), level[2][::-1]
-                                       + level[1])
+    terms = tables * np.multiply.outer(np.outer(d, d), level_coefs)
     span = odd[-1] + kappa * js[-1]
     sums = np.zeros((2, 2 * span + 1, 2), dtype=complex)
     for k, s in enumerate((1, -1)):
@@ -629,48 +558,8 @@ def _p2_moments(tau: complex, order: int, levels: int, loop_nodes: int,
     # convention is fixed by the normalization of the closed forms; the
     # q -> 0 limit test_pair_branch_gives_the_leading_term pins it.
     freqs = cmath.exp(-1j * math.pi * g) * (corners / corner_wind + rests)
-    rates = 1j * math.pi * (n % (2 * kappa) + 2 * np.arange(-span, span + 1))
-    for a in (rates, freqs):  # a cached table hands them to every later pass
-        a.setflags(write=False)
-    return rates, freqs
-
-
-def _j_p2(indices: list, lams: list, pt: ModularPoint,
-          shapes: list) -> np.ndarray:
-    """J(lam) and J(-lam) of p = 2 indices as an array (index, rule shape,
-    sign, point): one divisor call theta1(+-lam) for every index, one exp of
-    i pi nu (+-lam) per distinct nu vector, and per index and rule shape one
-    product with its cached freqs (_p2_moments) and two divisions by the
-    divisor."""
-    if (any(abs(lam.imag) > 1e-12 for lam in lams)
-            or abs(pt.tau.real) > 1e-12):
-        raise OutOfSupportedRange(
-            "the two-fold integral is wired for real lambda and purely "
-            "imaginary tau only")
-    tau = pt.tau
-    real = [lam.real + 0j for lam in lams]
-    mu = np.array(real + [-lam for lam in real])[:, None]
-    # real points share one divisor term count
-    div = specfun._theta1_array(mu[:, 0], tau)
-    waves = {}
-    out = np.empty((len(indices), len(shapes), 2, len(lams)), dtype=complex)
-    for values, idx in zip(out, indices):
-        kappa, n = idx.kappa, idx.reduced_n
-        for row, shape in zip(values, shapes):
-            # at Im lam = 0 the term counts, and so the tables, follow max
-            # |Im node|
-            reach, level_reach = _p2_reach(tau, *shape, kappa)
-            rates, freqs = _p2_moments(
-                tau, *shape, kappa, n, specfun._theta1_coefs(tau, reach),
-                specfun._theta_level_coefs(kappa, n, tau,
-                                           (2.0 / kappa) * level_reach))
-            # rates = i pi (n + 2 (-span..span)): its first entry and size
-            # fix the vector
-            key = (rates[0], rates.size)
-            if key not in waves:
-                waves[key] = np.exp(rates * mu)
-            row[:] = (waves[key] @ freqs / div / div).reshape(2, -1)
-    return out
+    freqs.setflags(write=False)  # a cached table hands it to every later pass
+    return n % (2 * kappa) - 2 * span, freqs
 
 
 # ---------------------------------------------------------------------------
@@ -679,11 +568,10 @@ def _j_p2(indices: list, lams: list, pt: ModularPoint,
 
 
 def _as_lambdas(grid, pt: ModularPoint) -> list:
-    """The grid as complex points, every one checked against the lattice
-    floor before any pass runs."""
+    """The grid as complex points, all checked against the lattice floor in
+    one call before any pass runs."""
     lams = [complex(lam) for lam in grid]
-    for lam in lams:
-        dist = lattice_distance(lam, pt.tau)
+    for lam, dist in zip(lams, lattice_distance(lams, pt.tau).tolist()):
         if dist < DEFAULT_LATTICE_FLOOR:
             raise PoleProximity(
                 f"block argument {lam} is within {dist:.3e} of the lattice "
@@ -699,6 +587,76 @@ def _j_p0(indices: list, lams: list, pt: ModularPoint,
                for mu in mus] for mus in (lams, [-lam for lam in lams])]
              for idx in indices]
     return np.array([[pair] * len(shapes) for pair in signs], dtype=complex)
+
+
+@lru_cache(maxsize=128)
+def _sum_vectors(p: int, tau: complex, shapes: tuple, labels: tuple,
+                 y: float) -> tuple:
+    """(i pi nu over all their nu, per label and rule shape (its columns, its
+    f)): the vectors (_p1_moments, _p2_moments) of p-fold labels (kappa, n)
+    at tau and the shapes, with the term counts of |Im lam| <= y plus the
+    nodes' theta1 reach (2/kappa times their level reach, level series)."""
+    vectors = [(_p1_moments if p == 1 else _p2_moments)(
+        tau, *shape, kappa, n, specfun._theta1_coefs(tau, y + reach),
+        specfun._theta_level_coefs(kappa, n, tau,
+                                   y + (2.0 / kappa) * level_reach))
+        for kappa, n in labels for shape in shapes for reach, level_reach in [
+            (_p1_tables(tau, *shape)[2],) * 2 if p == 1
+            else _p2_reach(tau, *shape, kappa)]]
+    lo = min(first for first, _ in vectors)
+    step = 1 + (len({first % 2 for first, _ in vectors}) == 1)
+    rates = 1j * math.pi * np.arange(lo, max(
+        first + 2 * f.size - 1 for first, f in vectors), step)
+    rates.setflags(write=False)  # a cached table hands it to every later pass
+    return rates, [(slice((first - lo) // step, (first - lo + 2 * f.size - 2)
+                          // step + 1, 2 // step), f) for first, f in vectors]
+
+
+def _j_sum(indices: list, lams: list, pt: ModularPoint,
+           shapes: list) -> np.ndarray:
+    """J(lam) and J(-lam) of indices of one p >= 1 as an array (index, rule
+    shape, sign, point): the exponential sums of the module docstring at the
+    folded points, per group of the divisor's term count, realness and
+    parity of the fold."""
+    tau, p = pt.tau, indices[0].p
+    if p == 2:
+        if any(abs(lam.imag) > 1e-12 for lam in lams) or abs(tau.real) > 1e-12:
+            raise OutOfSupportedRange("the two-fold integral is wired for "
+                                      "real lambda and purely imaginary tau "
+                                      "only")
+        lams = [lam.real + 0j for lam in lams]
+    shifts = [round(lam.imag / tau.imag) for lam in lams]
+    folded = [lam - k * tau if k else lam for lam, k in zip(lams, shifts)]
+    groups = {}
+    for k, lam in enumerate(folded):
+        groups.setdefault((len(specfun._theta1_coefs(tau, abs(lam.imag))),
+                           lam.imag != 0, shifts[k] % 2), []).append(k)
+    labels = [(idx.kappa, idx.reduced_n) for idx in indices]
+    out = np.empty((len(labels), len(shapes), 2, len(lams)), dtype=complex)
+    for (_, edge, parity), ks in groups.items():
+        # the partner labels (kappa, n + k kappa); complex points take the
+        # counts of the strip's edge
+        rates, parts = _sum_vectors(p, tau, tuple(shapes), tuple(
+            (kappa, (n + parity * kappa) % (2 * kappa)) for kappa, n in labels),
+            edge * tau.imag / 2)
+        mu = np.array([folded[k] for k in ks] + [-folded[k] for k in ks])
+        waves = np.exp(rates * mu[:, None])
+        # a strided view would round the products differently
+        sums = np.array([np.ascontiguousarray(waves[:, cols]) @ f
+                         for cols, f in parts])
+        div = specfun._theta1_array(mu, tau)
+        for _ in range(p):
+            sums = sums / div
+        out[..., ks] = sums.reshape(len(labels), len(shapes), 2, -1)
+    moved = [k for k, shift in enumerate(shifts) if shift]
+    if moved:
+        phases = np.array([[-1j * math.pi * kappa * (
+            shifts[k] * folded[k] + shifts[k] ** 2 * tau / 2) for k in moved]
+            for kappa, _ in labels])
+        if phases.real.max() > specfun._LOG_DOUBLE_MAX:
+            raise OutOfSupportedRange("a fold phase leaves the double range")
+        out[..., moved] *= np.exp(phases)[:, None, None]
+    return out
 
 
 def _points(idx: BlockIndex, pt: ModularPoint, shape: tuple) -> int:
@@ -730,7 +688,7 @@ def _passes(indices: list, lams: list, pt: ModularPoint, quads: tuple) -> list:
             counted[layout] = [quad.check_points(_points(idx, pt, shape))
                                for quad, shape in zip(quads, shapes)]
     out = [None] * len(indices)
-    for p, j_pass in enumerate((_j_p0, _j_p1, _j_p2)):
+    for p, j_pass in enumerate((_j_p0, _j_sum, _j_sum)):
         ks = [k for k, idx in enumerate(indices) if idx.p == p]
         if ks:
             for k, values in zip(ks, j_pass([indices[k] for k in ks], lams,

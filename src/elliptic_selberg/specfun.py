@@ -34,10 +34,11 @@ integers.  The eta-type products stop once |q|**j falls below
 _TAIL_TOLERANCE, and raise NonConvergence at _MAX_TERMS.
 
 The block quadratures take the series coefficients from _theta1_coefs and
-_theta_level_coefs (with |Im| bounded by |Im lam| + max |Im node|) and
-sum the series themselves, contracted with lambda-independent moment
-tables of their nodes; a divisor such as theta1(lam) is taken from
-_theta1_array.  Both helpers are memoised (a failure is never stored).
+_theta_level_coefs (with |Im| bounded by |Im lam| + max |Im node|, lam
+folded into |Im lam| <= Im tau / 2) and fold them with lambda-independent
+moment tables of their nodes into exponential sums in lambda; a divisor
+such as theta1(lam) is taken from _theta1_array.  Both helpers are
+memoised (a failure is never stored).
 """
 
 from __future__ import annotations
@@ -115,8 +116,9 @@ def _reduced_basis(tau: complex) -> tuple:
         v -= mu * u
 
 
-def lattice_distance(lam: complex, tau: complex) -> float:
-    """Distance from lam to the lattice Z + tau*Z.
+def lattice_distance(lam, tau: complex):
+    """Distance from lam to the lattice Z + tau*Z: a float, or with an array
+    lam an array of the distances of its elements, each its scalar call's.
 
     lam is written as a*u + b*v with real a, b in the reduced basis (u, v)
     of _reduced_basis, and the four corners of the reduced cell around it
@@ -124,17 +126,20 @@ def lattice_distance(lam: complex, tau: complex) -> float:
     point of a skewed lattice (large |Re tau| or small Im tau) can lie
     outside the four corners.
     """
-    lam = complex(lam)
     u, v = _reduced_basis(tau)
-    # solve lam = a*u + b*v over the reals
     det = (u.conjugate() * v).imag
-    a = (lam.conjugate() * v).imag / det
-    b = (u.conjugate() * lam).imag / det
-    best = math.inf
-    for m in (math.floor(a), math.floor(a) + 1):
-        for n in (math.floor(b), math.floor(b) + 1):
-            best = min(best, abs(lam - (m * u + n * v)))
-    return best
+
+    def one(z):
+        # solve z = a*u + b*v over the reals
+        m = math.floor((z.conjugate() * v).imag / det)
+        n = math.floor((u.conjugate() * z).imag / det)
+        return min(abs(z - (m * u + n * v)), abs(z - ((m + 1) * u + n * v)),
+                   abs(z - (m * u + (n + 1) * v)),
+                   abs(z - ((m + 1) * u + (n + 1) * v)))
+
+    z = np.asarray(lam, dtype=complex)
+    dist = [one(w) for w in z.ravel().tolist()]
+    return np.array(dist).reshape(z.shape) if z.ndim else dist[0]
 
 
 # ---------------------------------------------------------------------------
@@ -489,14 +494,14 @@ def theta_level(kappa: int, n: int, lam: complex, pt: ModularPoint,
     if not (0 <= d_lambda <= 2 and 0 <= d_tau <= 1):
         raise ValueError("need 0 <= d_lambda <= 2 and 0 <= d_tau <= 1")
     lam = complex(lam)
-    # one-element arrays round like the same points inside a grid
-    val = complex(_theta_level_array(kappa, n, np.array([lam]), pt.tau,
-                                     d_lambda, d_tau)[0])
+    # one-element arrays round like the same points inside a grid; lam and
+    # -lam share |Im lam| and so every term count
+    vals = _theta_level_array(kappa, n, np.array([lam, -lam] if symmetrized
+                                                 else [lam]), pt.tau,
+                              d_lambda, d_tau).tolist()
     if symmetrized:
-        other = complex(_theta_level_array(kappa, n, np.array([-lam]), pt.tau,
-                                           d_lambda, d_tau)[0])
-        val += (-1) ** d_lambda * other
-    return val
+        return vals[0] + (-1) ** d_lambda * vals[1]
+    return vals[0]
 
 
 # ---------------------------------------------------------------------------

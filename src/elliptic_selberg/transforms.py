@@ -224,8 +224,8 @@ def numeric_modular_matrices(p: int, kappa: int,
     basis grid with the S-moved grid lam / tau at i, the T-moved grid at
     1 + i (branch-tracked quadrature); then one lstsq fits all 2 * dim
     moved blocks.  p = 2 is refused: the two-fold quadrature takes real
-    lambda at purely imaginary tau only (the guard in blocks._j_p2), and
-    the T and S moves leave that range.
+    lambda at purely imaginary tau only (the p = 2 guard in blocks._j_sum),
+    and the T and S moves leave that range.
     """
     if p > 1:
         raise UnsupportedP("numeric matrix extraction is wired for p <= 1")

@@ -7,7 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from elliptic_selberg import blocks, cli, specfun
@@ -201,7 +201,7 @@ WARM_PASS = ({"_theta1_array": 1, "_theta_level_array": 0, "theta1": 0,
 
 
 def test_one_fold_work_is_tabulated(monkeypatch):
-    # a warm p = 1 pass contracts its cached moment table with phases in
+    # a warm p = 1 pass sums its cached frequency vector against phases in
     # lambda and takes the divisor theta1(+-lam) from the array kernel; a
     # different point cap reuses the tables
     idx, lam, spec = BlockIndex(1, 4, 2), complex(LAM), QuadratureSpec()
@@ -255,9 +255,9 @@ class CountingExp:
     (1, 5, 2, 0.9j, 0.41, 1),
     (1, 6, 3, 0.9j, 0.3 + 0.2j, 1),
     (1, 4, 1, 0.3 + 1.1j, 0.27 - 0.25j, 1),
-    # the refined circle reaches a little further off the real axis, and at
-    # this Im lam its theta1 series needs one more term than the coarse one
-    (1, 5, 2, 0.9j, 0.3 + 0.039818j, 2),
+    # folded by tau onto the partner label (5, 7), with one exp for its fold
+    # phase
+    (1, 5, 2, 0.9j, 0.3 + 1.1j, 2),
     (2, 8, 4, 0.9j, 0.41, 1),
 ])
 def test_u_block_shares_its_lambda_side_bit_for_bit(monkeypatch, p, kappa, n,
@@ -265,24 +265,16 @@ def test_u_block_shares_its_lambda_side_bit_for_bit(monkeypatch, p, kappa, n,
     # one divisor call, and a fixed number of exps, serve the coarse and the
     # refined pass of a u_block, which give exactly the values, estimate and
     # budget of the two passes made one at a time; phase_sets counts the
-    # rule shapes' distinct series (theta1's at p = 1, nu at p = 2)
+    # exps of the one group and of the fold phases of a folded point
     idx, pt, quad = BlockIndex(p, kappa, n), ModularPoint(tau), QuadratureSpec()
     u_block(idx, lam, pt)
     calls = []
     monkeypatch.setattr(blocks, "np", CountingExp(calls))
     got = u_block(idx, lam, pt)
-    # numpy's exp as blocks calls it (a warm pass calls no other): at p = 1
-    # per rule shape one for the theta1 rows and one for the level rows at
-    # lam and -lam, at p = 2 one of i pi nu sigma lam for both signs of
-    # sigma per distinct nu
-    if p == 1:
-        assert len({len(specfun._theta1_coefs(
-            tau, abs(complex(lam).imag) + blocks._p1_tables(
-                tau, q.gauss_order, q.graded_mesh_levels, q.loop_nodes)[2]))
-            for q in (quad, quad.refined())}) == phase_sets
-        assert len(calls) == 2 * 2
-    else:
-        assert len(calls) == phase_sets
+    # numpy's exp as blocks calls it (a warm pass calls no other): one of i
+    # pi nu sigma lam for both signs of sigma over the nu of both rule
+    # shapes, and one of the fold phases
+    assert len(calls) == phase_sets
     (c_plus, c_minus), coarse = one_value(idx, complex(lam), pt, quad)
     (plus, minus), fine = one_value(idx, complex(lam), pt, quad.refined())
     assert got.value == plus + (-1) ** (p + 1) * minus
@@ -290,10 +282,10 @@ def test_u_block_shares_its_lambda_side_bit_for_bit(monkeypatch, p, kappa, n,
     assert got.budget_used == coarse + fine
 
 
-def test_a_one_fold_family_makes_two_exps_per_rule_shape(monkeypatch):
+def test_a_one_fold_family_makes_one_exp_per_nu_grid(monkeypatch):
     # the twelve p = 1 labels of the ten closed forms on the default real
-    # grid: one term-count group, and per rule shape one exp for the theta1
-    # rows and one for the level rows of every label
+    # grid: one term-count group, and one exp over the nu of every label
+    # (both parities, as n takes both) and both rule shapes
     indices = [BlockIndex(1, kappa, n) for kappa, n in (
         (4, 2), (5, 2), (5, 3), (6, 2), (6, 3), (6, 4), (8, 2), (8, 3),
         (8, 5), (8, 6), (10, 3), (10, 7))]
@@ -302,22 +294,22 @@ def test_a_one_fold_family_makes_two_exps_per_rule_shape(monkeypatch):
     calls = []
     monkeypatch.setattr(blocks, "np", CountingExp(calls))
     assert blocks.u_blocks(indices, grid, PT) == want
-    assert len(calls) == 2 * 2
+    assert len(calls) == 1 and calls[0][0].shape[-1] == 143
 
 
 @pytest.mark.parametrize("p,kappa,n", [(1, 5, 2), (2, 8, 4)])
 def test_a_lambda_grid_builds_each_moment_table_once(p, kappa, n):
     # every real lambda has the same term counts, so the six points of the
-    # default grid share one moment table per spec (coarse and refined); at
-    # p = 1 the later points read them from the family memo
+    # default grid share one moment table per spec (coarse and refined); the
+    # later points read both from the family memo
     moments = blocks._p1_moments if p == 1 else blocks._p2_moments
-    memo = blocks._p1_stack if p == 1 else moments
+    memo = blocks._sum_vectors
     moments.cache_clear()
     memo.cache_clear()
     for lam in (0.13, 0.27, 0.41, 0.55, 0.69, 0.83):
         u_block(BlockIndex(p, kappa, n), lam, PT)
-    assert moments.cache_info().misses == memo.cache_info().misses == 2
-    assert memo.cache_info().hits == 10
+    assert moments.cache_info().misses == 2
+    assert memo.cache_info().misses == 1 and memo.cache_info().hits == 5
 
 
 # ---------------------------------------------------------------------------
@@ -328,38 +320,32 @@ def test_a_lambda_grid_builds_each_moment_table_once(p, kappa, n):
 # tau on the imaginary axis, off it, and an S-image; p = 2 takes the first
 GRID_TAUS = (0.9j, 0.6j, 1j, 0.3 + 1.1j, 1 + 1j, -1 / (0.3 + 1.1j))
 # Im lam as a fraction of Im tau: repeated and opposite |Im lam| share a
-# divisor call, distinct ones need their own term counts
-GRID_IM_FRACTIONS = (0.0, 0.0, 0.1, -0.1, 0.25, -0.25)
+# divisor call, distinct ones may need their own term counts; beyond 1/2
+# the points are folded by k tau, k = 1, -1 and 3
+GRID_IM_FRACTIONS = (0.0, 0.0, 0.1, -0.1, 0.25, -0.25, 0.8, -1.3, 2.6)
 
 
 def divisor_groups(indices, grid, tau) -> int:
-    """The divisor theta1(+-lam) calls of a family at the default spec: one
-    per group of the grid's points that share every term count of the p = 1
-    pass (the divisor's theta1 at |Im lam|, then per rule shape theta1's and
-    each p = 1 label's level series at |Im lam| plus the shape's reach), and
-    one for the p = 2 pass, whose real points share one count."""
-    quad = QuadratureSpec()
-    reaches = [blocks._p1_tables(tau, q.gauss_order, q.graded_mesh_levels,
-                                 q.loop_nodes)[2]
-               for q in (quad, quad.refined())]
-    ones = {(idx.kappa, idx.reduced_n) for idx in indices if idx.p == 1}
+    """The divisor theta1(+-lam) calls of a family: one per group of the
+    grid's points that, folded into the strip |Im| <= Im tau / 2 as lam - k
+    tau, share the divisor's term count at their folded |Im lam|, realness
+    (the p = 1 vectors take the counts of |Im lam| = 0 or of the strip's
+    edge) and the parity of k (which picks the partner labels), and one for
+    the p = 2 pass, whose real points share one count."""
+    def key(lam):
+        k = round(lam.imag / tau.imag)
+        y = abs((lam - k * tau).imag)
+        return len(specfun._theta1_coefs(tau, y)), y > 0, k % 2
 
-    def counts(y):
-        return (len(specfun._theta1_coefs(tau, y)),
-                *(len(specfun._theta1_coefs(tau, y + reach))
-                  for reach in reaches),
-                *(len(specfun._theta_level_coefs(
-                    kappa, n, tau, y + (2.0 / kappa) * reach)[1])
-                  for kappa, n in ones for reach in reaches))
-
-    groups = {counts(abs(complex(lam).imag)) for lam in grid} if ones else ()
+    groups = ({key(complex(lam)) for lam in grid}
+              if any(idx.p == 1 for idx in indices) else ())
     return len(groups) + any(idx.p == 2 for idx in indices)
 
 
 def _check_grid_against_points(idx, grid, pt):
     """u_block_grid equals u_block point by point bit for bit (value,
-    estimate and budget), and a warm grid makes one divisor call per
-    term-count group, at most one per distinct |Im lam|."""
+    estimate and budget), and a warm grid makes one divisor call per group
+    of divisor_groups, at most one per distinct |Im lam|."""
     singles = tuple(u_block(idx, lam, pt) for lam in grid)
     with pytest.MonkeyPatch.context() as patch:
         calls, _ = _count_kernels(patch)
@@ -406,19 +392,19 @@ def test_a_grid_pass_is_its_points_bit_for_bit(data, p, kappa, n, tau, points,
                                  st.sampled_from(GRID_IM_FRACTIONS)),
                        min_size=1, max_size=6),
        repeats=st.integers(0, 2))
-# two n at one kappa share their theta1 rows but not their level phases
+# two n at one kappa, with nu of both parities: one exp over every nu
 @example(data=None, labels=[(1, 5, 2), (1, 5, 3), (1, 8, 3), (0, 5, 2),
                             (1, 5, 12)],
          tau=0.9j, points=[(0.3, 0.25), (0.41, 0.0), (0.7, -0.25)], repeats=1)
-# the refined circle needs one more theta1 term than the coarse one at Im
-# lam = 0.039818, so one group holds rows of two theta1 counts
+# a complex point near the real axis takes the strip edge's term counts,
+# where at its own |Im lam| the refined circle needed one more theta1 term
 @example(data=None, labels=[(1, 5, 2), (1, 6, 3)], tau=0.9j,
          points=[(0.3, 0.039818 / 0.9), (0.41, 0.0)], repeats=0)
 @example(data=None, labels=[(2, 8, 4), (1, 5, 2), (2, 6, 3), (0, 4, 1)],
          tau=0.9j, points=[(0.3, 0.0), (0.41, 0.0), (0.3, 0.0)], repeats=2)
 # an S-moved grid lam / tau at tau = i alone: pure-imaginary points up to
-# |Im| 0.88, where the family's term-count groups are finer than each
-# label's own
+# |Im| 0.88, those beyond 0.5 folded by tau onto the partner labels, a
+# group of their own
 @example(data=None, labels=[(1, 4, 2), (1, 5, 2), (1, 5, 3), (1, 8, 3),
                             (1, 10, 3)],
          tau=1j, points=[(0.0, -(0.11 + 0.11 * k)) for k in range(8)],
@@ -473,66 +459,99 @@ def test_a_grid_over_its_cap_is_refused_before_any_theta1(monkeypatch):
     assert blocks._p1_tables.cache_info().misses == 0
 
 
+def one_fold_table(tau, shape, kappa, n, odd, js):
+    """K[p, j] of the (p, j) contraction J(mu) theta1(mu) = sum_(p,j) d_p
+    e^(i pi p mu) levels_j e^(2 pi i kappa (c + j) mu) K[p, j]: the node sum
+    over the p = 1 sections of the weight e^(2 pi i n offset / kappa) e^(-4
+    pi i c t) e^(i pi (p - 4j) t), t = -flip x."""
+    circle, middle, _ = blocks._p1_tables(tau, *shape)
+    b, c = -2.0 / kappa, n / (2.0 * kappa)
+    nodes, weights = [], []
+    for rule, flip in ((circle, 1.0), (circle, -1.0), (middle, 1.0)):
+        w = flip * rule.weights * np.exp(b * rule.logs)
+        w[:rule.n_loop] /= loop_winding(b - 1.0)
+        if flip < 0:
+            w *= cmath.exp(2j * math.pi * n / kappa)
+        nodes.append(-flip * rule.nodes)
+        weights.append(w)
+    t, w = np.concatenate(nodes), np.concatenate(weights)
+    # the moments at the exponents p - 4j, gathered as the pass used to
+    top = odd[-1] + 4 * js[-1]
+    moments = (w * np.exp(-4j * math.pi * c * t)) @ np.exp(
+        1j * math.pi * np.outer(t, np.arange(-top, top + 1, 2)))
+    return moments[(odd[:, None] - 4 * js + top) // 2]
+
+
 @pytest.mark.parametrize("p,kappa,n", [(1, 5, 2), (1, 8, 3), (2, 6, 1),
                                        (2, 8, 4)])
 def test_the_stacked_contraction_is_the_per_point_chain(p, kappa, n):
-    # the stacked values are, bit for bit, each point's own chain: at p = 1
-    # its own series' modes and table with the theta1 and level rows of lam
-    # and of -lam, at p = 2 the one-point exponential sum over its frequency
-    # vector at lam and -lam
+    # the stacked values of a family pass are, bit for bit, each point's own
+    # chain: the one-point exponential sum over its frequency vector at lam
+    # and -lam, divided p times by theta1 there; at p = 1 that sum is the
+    # contraction of the theta1 and level rows with the (p, j) moment table
+    # to 1e-14 of its sum of |terms|, the limit the exp rounding allows: a
+    # term's exp rounds its argument i pi nu mu, |nu| up to about 90, where
+    # the rows round i pi p mu and 2 pi i kappa (c + j) mu, and over 500
+    # random in-strip cases the two differed by up to 6.8e-15 of it
     idx, quad = BlockIndex(p, kappa, n), QuadratureSpec()
     if p == 1:
         pt, shapes = ModularPoint(0.3 + 1.1j), [
             (q.gauss_order, q.graded_mesh_levels, q.loop_nodes)
             for q in (quad, quad.refined())]
         grid = [0.3, 0.41 + 0.1j, 0.62, 0.2 - 0.1j, 0.3, 0.5 + 0.25j]
-        got = blocks._j_p1([BlockIndex(1, 6, 2), idx], grid, pt, shapes)[1]
-        for values, shape in zip(got, shapes):
-            reach = blocks._p1_tables(pt.tau, *shape)[2]
-            for k, lam in enumerate(grid):
-                im, column = abs(lam.imag), np.array([[complex(lam)]])
-                modes, table = blocks._p1_moments(
-                    pt.tau, *shape, kappa, n, specfun._theta1_coefs(
-                        pt.tau, im + reach), specfun._theta_level_coefs(
-                        kappa, n, pt.tau, im + (2.0 / kappa) * reach))
-                divs = specfun._theta1_array(np.array([lam, -lam]), pt.tau)
-                want = [complex(np.exp(modes[2] + modes[3] * mu)[0] / d @ table
-                                @ np.exp(modes[4] + modes[5] * mu)[0])
-                        for d, mu in zip(divs, (column, -column))]
-                assert values[:, k].tolist() == want
-        return
-    # p = 2 takes real lambda, whose term counts follow max |Im node|
-    grid = [0.3 + 0j, 0.41 + 0j, 0.62 + 0j, 0.3 + 0j]
-    got = blocks._j_p2([idx], grid, PT, [SMALL])[0, 0]
-    reach, level_reach = blocks._p2_reach(PT.tau, *SMALL, kappa)
-    rates, freqs = blocks._p2_moments(
-        PT.tau, *SMALL, kappa, n, specfun._theta1_coefs(PT.tau, reach),
-        specfun._theta_level_coefs(kappa, n, PT.tau,
-                                   (2.0 / kappa) * level_reach))
-    for k, lam in enumerate(grid):
-        # the exponential sum's i pi nu and frequency vector at lam, -lam
-        divs = specfun._theta1_array(np.array([lam, -lam]), PT.tau)
-        want = (np.exp(rates * np.array([[lam], [-lam]])) @ freqs / divs
-                / divs)
-        assert got[:, k].tolist() == want.tolist()
+    else:
+        # p = 2 takes real lambda, whose term counts follow max |Im node|
+        pt, shapes, grid = PT, [SMALL], [0.3, 0.41, 0.62, 0.3]
+    got = blocks._j_sum([BlockIndex(p, 2 * p + 4, 2), idx],
+                        [complex(lam) for lam in grid], pt, shapes)[1]
+    moments = blocks._p1_moments if p == 1 else blocks._p2_moments
+    for values, shape in zip(got, shapes):
+        reach, level_reach = ((blocks._p1_tables(pt.tau, *shape)[2],) * 2
+                              if p == 1 else blocks._p2_reach(pt.tau, *shape,
+                                                              kappa))
+        for k, lam in enumerate(grid):
+            # a complex point takes the counts of the strip's edge
+            mu = np.array([lam, -lam], dtype=complex)
+            y = pt.tau.imag / 2 if complex(lam).imag else 0.0
+            coefs = specfun._theta1_coefs(pt.tau, y + reach)
+            level = specfun._theta_level_coefs(
+                kappa, n, pt.tau, y + (2.0 / kappa) * level_reach)
+            first, freqs = moments(pt.tau, *shape, kappa, n, coefs, level)
+            sums = np.exp(1j * math.pi * np.arange(
+                first, first + 2 * freqs.size, 2) * mu[:, None]) @ freqs
+            want = sums
+            for _ in range(p):
+                want = want / specfun._theta1_array(mu, pt.tau)
+            assert values[:, k].tolist() == want.tolist()
+            if p == 1:
+                odd, js, d, levels = blocks._series(coefs, level)
+                rows = (np.exp(1j * math.pi * np.multiply.outer(mu, odd)) * d,
+                        np.exp(1j * math.pi * np.multiply.outer(
+                            mu, n + 2 * kappa * js)) * levels)
+                terms = (rows[0][:, :, None] * rows[1][:, None, :]
+                         * one_fold_table(pt.tau, shape, kappa, n, odd, js))
+                assert np.all(np.abs(terms.sum(axis=(1, 2)) - sums)
+                              <= 1e-14 * np.abs(terms).sum(axis=(1, 2)))
 
 
-def test_a_two_fold_pass_shares_an_exp_only_where_nu_agrees(monkeypatch):
+def test_a_two_fold_pass_shares_one_exp_over_its_nu_grid(monkeypatch):
     # (8, 3) and (8, 5) of identities 5 and 6 have nu vectors of one length
-    # but of different n: a pass over both makes one exp per index, and
-    # each index's values are those of its own pass bit for bit
-    indices, grid = [BlockIndex(2, 8, 3), BlockIndex(2, 8, 5)], [0.3, 0.41]
-    singles = [blocks._j_p2([idx], grid, PT, [SMALL])[0] for idx in indices]
+    # but of different first nu: a pass over both makes one exp over the nu
+    # both cover, and each index's values are those of its own pass bit for
+    # bit (a contiguous copy of its columns of the shared exp)
+    indices = [BlockIndex(2, 8, 3), BlockIndex(2, 8, 5)]
+    grid = [0.3 + 0j, 0.41 + 0j]
+    singles = [blocks._j_sum([idx], grid, PT, [SMALL])[0] for idx in indices]
     reach, level_reach = blocks._p2_reach(PT.tau, *SMALL, 8)
-    sizes = {blocks._p2_moments(
+    vectors = [blocks._p2_moments(
         PT.tau, *SMALL, 8, idx.n, specfun._theta1_coefs(PT.tau, reach),
-        specfun._theta_level_coefs(8, idx.n, PT.tau, 0.25 * level_reach))[0].size
-        for idx in indices}
-    assert sizes == {71}
+        specfun._theta_level_coefs(8, idx.n, PT.tau, 0.25 * level_reach))
+        for idx in indices]
+    assert [(first, f.size) for first, f in vectors] == [(-67, 71), (-65, 71)]
     calls = []
     monkeypatch.setattr(blocks, "np", CountingExp(calls))
-    got = blocks._j_p2(indices, grid, PT, [SMALL])
-    assert len(calls) == 2
+    got = blocks._j_sum(indices, grid, PT, [SMALL])
+    assert len(calls) == 1 and calls[0][0].shape == (4, 72)
     for values, want in zip(got, singles):
         assert values.tolist() == want.tolist()
 
@@ -582,15 +601,23 @@ def one_fold_brute(kappa, n, mu, tau, spec):
 @given(kappa=st.integers(4, 12), n=st.integers(0, 23),
        tau_re=st.floats(-0.5, 0.5), tau_im=st.floats(0.5, 1.5),
        lam_re=st.floats(0.05, 0.95), lam_frac=st.floats(-1.0, 1.0))
+# folded by tau and by -3 tau, and one in the strip
+@example(kappa=10, n=4, tau_re=0.0, tau_im=0.9, lam_re=0.85, lam_frac=0.3)
+@example(kappa=7, n=3, tau_re=0.3, tau_im=1.1, lam_re=0.4, lam_frac=-0.95)
+@example(kappa=5, n=2, tau_re=0.0, tau_im=0.9, lam_re=0.3, lam_frac=0.1)
 @settings(max_examples=25, deadline=None)
 def test_one_fold_moment_pass_matches_brute_force(kappa, n, tau_re, tau_im,
                                                   lam_re, lam_frac):
-    # real and complex lambda, |Im lam| <= 0.3 Im tau, over random (kappa, n)
+    # real and complex lambda, |Im lam| <= 3 Im tau, over random (kappa, n):
+    # the pass folds lam into the strip |Im| <= Im tau / 2, the brute-force
+    # sum takes the nodes at lam itself
     tau, spec = complex(tau_re, tau_im), QuadratureSpec(max_evals=0)
-    lam = complex(lam_re, 0.3 * tau_im * lam_frac)
-    got = blocks._j_p1([BlockIndex(1, kappa, n)], [lam], ModularPoint(tau),
-                       [(spec.gauss_order, spec.graded_mesh_levels,
-                         spec.loop_nodes)])
+    lam, pt = complex(lam_re, 3 * tau_im * lam_frac), ModularPoint(tau)
+    # a lattice point (lam = tau + m is in range) is a pole of J
+    assume(specfun.lattice_distance(lam, tau) >= specfun.DEFAULT_LATTICE_FLOOR)
+    got = blocks._j_sum([BlockIndex(1, kappa, n)], [lam], pt,
+                        [(spec.gauss_order, spec.graded_mesh_levels,
+                          spec.loop_nodes)])
     for value, mu in zip(got[0, 0, :, 0], (lam, -lam)):
         want, scale = one_fold_brute(kappa, n, mu, tau, spec)
         assert abs(value - want) <= 1e-13 * scale, (value, want, scale)
@@ -693,9 +720,9 @@ def fold_half_shapes(kappa, rows, scales):
 @settings(max_examples=12, deadline=None)
 def test_two_fold_moment_pass_matches_brute_force(kappa, n, tau_im, lam):
     # real lambda over random (kappa, n), both entries of the pass pair
-    idx, tau = BlockIndex(2, kappa, n), complex(0.0, tau_im)
-    got = blocks._j_p2([idx], [complex(lam)], ModularPoint(tau),
-                       [SMALL])[0, 0, :, 0]
+    idx, pt = BlockIndex(2, kappa, n), ModularPoint(complex(0.0, tau_im))
+    got = blocks._j_sum([idx], [complex(lam)], pt, [SMALL])[0, 0, :, 0]
+    tau = pt.tau
     want, scales = fold_half_shapes(kappa, *two_fold_brute(idx, lam, tau))
     assert np.all(np.abs(np.array(got) - want) <= 1e-13 * scales), (
         (np.array(got) - want) / scales)
@@ -952,6 +979,7 @@ def test_two_fold_theta_calls_are_batched(monkeypatch):
     # builds the tables, and the moment tables take no theta call at all; a
     # per-node loop would make tens of thousands of kernel calls
     blocks._p2_moments.cache_clear()
+    blocks._sum_vectors.cache_clear()
     calls, _ = _count_kernels(monkeypatch)
     j_integral(BlockIndex(2, 8, 4), LAM, PT)
     assert 0 < calls["_theta1_array"] < 1000
@@ -966,6 +994,7 @@ def test_two_fold_u_block_shares_one_tabulation(monkeypatch):
     # theta nowhere.  The two passes add one divisor call of two points.
     # Tabulating each integrand on its own handed 11,410,088 points to theta1
     blocks._p2_moments.cache_clear()
+    blocks._sum_vectors.cache_clear()
     calls, points = _count_kernels(monkeypatch)
     u_block(BlockIndex(2, 8, 4), LAM, PT)
     assert points["_theta1_array"] == 1_900_680 + 2 + 2
@@ -978,8 +1007,8 @@ def test_a_cold_two_fold_u_block_keeps_no_section_tensor():
     # the inner weights per (x, xi) point are built chunk by chunk inside
     # the moment loop and dropped; the whole tensors they replace held
     # 11.5 MB at the refined spec alone, 17.7 MB of peak heap in all
-    for cached in (blocks._p2_moments, blocks._p2_layout, blocks._p2_reach,
-                   blocks._inner_rule, blocks._outer_rules):
+    for cached in (blocks._p2_moments, blocks._sum_vectors, blocks._p2_layout,
+                   blocks._p2_reach, blocks._inner_rule, blocks._outer_rules):
         cached.cache_clear()
     tracemalloc.start()
     try:
@@ -995,7 +1024,8 @@ def test_two_fold_layout_is_built_once_per_tau_rule_shape_and_kappa():
     # the point count, the term-count reach sweep and the moment build of
     # both passes read one cached layout per spec; another n at the same
     # kappa builds new moment tables on the same layouts
-    for cached in (blocks._p2_layout, blocks._p2_reach, blocks._p2_moments):
+    for cached in (blocks._p2_layout, blocks._p2_reach, blocks._p2_moments,
+                   blocks._sum_vectors):
         cached.cache_clear()
     u_block(BlockIndex(2, 8, 4), LAM, PT)
     u_block(BlockIndex(2, 8, 2), 0.41, PT)
@@ -1039,7 +1069,7 @@ def test_leading_term_constant_validation():
 
 def _clear_block_caches():
     for cached in (blocks._p1_nodes, blocks._p1_tables, blocks._p1_moments,
-                   blocks._p1_stack, blocks._inner_rule, blocks._outer_rules,
+                   blocks._sum_vectors, blocks._inner_rule, blocks._outer_rules,
                    blocks._p2_layout, blocks._p2_reach, blocks._p2_moments,
                    specfun._theta1_coefs, specfun._theta1_series,
                    specfun._theta_level_coefs, specfun._theta_level_series):

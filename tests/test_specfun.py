@@ -331,6 +331,21 @@ def test_a_scalar_theta_is_its_grid_value_bit_for_bit(tau_re, tau_im, res,
             levels[k] + (-1) ** orders[0] * mirrored[k])
 
 
+def test_a_symmetrized_level_theta_is_its_two_values_bit_for_bit():
+    # one kernel call on [lam, -lam] gives each value of its own one-point
+    # call: the two share |Im lam|, and so every term count
+    rng = np.random.default_rng(7)
+    for _ in range(1500):
+        kappa, n = int(rng.integers(1, 11)), int(rng.integers(-20, 21))
+        pt = ModularPoint(complex(rng.uniform(-1, 1), rng.uniform(0.3, 1.5)))
+        lam = complex(rng.uniform(-1, 1), rng.uniform(-0.5, 0.5) * pt.tau.imag)
+        orders = [(0, 0), (1, 0), (2, 0), (0, 1), (1, 1)][rng.integers(5)]
+        plus, minus = (complex(specfun._theta_level_array(
+            kappa, n, np.array([z]), pt.tau, *orders)[0]) for z in (lam, -lam))
+        assert theta_level(kappa, n, lam, pt, *orders, symmetrized=True) == (
+            plus + (-1) ** orders[0] * minus)
+
+
 def test_kernels_raise_when_the_term_count_exceeds_max_terms():
     assert specfun._MAX_TERMS == 600
     # tiny Im tau: the Gaussian decay needs over a thousand terms
@@ -352,9 +367,10 @@ def test_kernels_raise_when_the_term_count_exceeds_max_terms():
         # the same count suffices on the real line
         assert np.isfinite(specfun._theta1_array(lams[:1], 0.5j)).all()
         assert np.isfinite(specfun._theta_level_array(2, 1, lams[:1], 0.5j)).all()
-    # the block passes bound |Im| by |Im lam| + max |Im node|: with their
-    # tables built, the short count serves a real lambda at p = 1 and p = 2
-    # and raises at a large |Im lam|
+    # the block passes bound |Im| by |Im lam| + max |Im node| with lam
+    # folded into the strip |Im lam| <= Im tau / 2: with their tables built,
+    # the short count serves a real lambda at p = 1 and p = 2, and at p = 1
+    # lam + 2 tau, which the kernels refuse at this count
     pt, spec = ModularPoint(0.5j), QuadratureSpec()
     for p, kappa in ((1, 4), (2, 8)):
         one_value(BlockIndex(p, kappa, 2), 0.3, pt, spec)
@@ -363,7 +379,9 @@ def test_kernels_raise_when_the_term_count_exceeds_max_terms():
             values, _ = one_value(BlockIndex(p, kappa, 2), 0.3, pt, spec)
             assert np.isfinite(values).all()
         with pytest.raises(NonConvergence):
-            one_value(BlockIndex(1, 4, 2), 0.3 + 1j, pt, spec)
+            specfun._theta1_array(np.array([0.3 + 1j]), pt.tau)
+        values, _ = one_value(BlockIndex(1, 4, 2), 0.3 + 1j, pt, spec)
+        assert np.isfinite(values).all()
 
 
 def test_memoised_coefficient_helpers_store_no_failure():
@@ -393,10 +411,10 @@ def test_kernels_refuse_terms_beyond_the_double_range():
         specfun._theta1_array(np.array([0.3, 0.3 + 20j]), 0.05j)
     with pytest.raises(OutOfSupportedRange):
         specfun._theta_level_array(2, 1, np.array([0.3, 0.3 + 40j]), 0.05j)
-    # a block pass refuses the same way, through theta1 at lam + 20i, and
-    # through the level theta at lam + 3i, where theta1's terms still fit;
-    # at lam + 2i, where every term fits, the pass stays finite although
-    # its phases e^(i pi p lam) alone would overflow
+    # a block pass folds lam into the strip |Im| <= Im tau / 2 by k tau
+    # and refuses lam + 20i and lam + 3i, whose fold phases e^(-i pi kappa
+    # (k lam_r + k^2 tau / 2)) leave the double range; at lam + 2i the
+    # phase fits and the pass stays finite
     pt, spec, idx = ModularPoint(0.05j), QuadratureSpec(), BlockIndex(1, 4, 2)
     for lam in (0.3 + 20j, 0.3 + 3j):
         with pytest.raises(OutOfSupportedRange):
@@ -569,6 +587,16 @@ def test_lattice_distance_matches_brute_force_on_skewed_lattices(tau_re, tau_im,
     m, n = np.meshgrid(np.arange(-160, 161), np.arange(-30, 31))
     brute = float(np.min(np.abs(lam - (m + n * tau))))
     assert abs(lattice_distance(lam, tau) - brute) <= 1e-12 * max(1.0, brute)
+    # the array case: lam and lam / 2 in one call, as a column; each
+    # element is its scalar call's float
+    points = np.array([[lam], [lam / 2]])
+    brutes = np.min(np.abs(points[..., None, None] - (m + n * tau)),
+                    axis=(2, 3))
+    got = lattice_distance(points, tau)
+    assert got.shape == (2, 1)
+    assert np.all(np.abs(got - brutes) <= 1e-12 * np.maximum(1.0, brutes))
+    assert got.ravel().tolist() == [lattice_distance(lam, tau),
+                                    lattice_distance(lam / 2, tau)]
 
 
 def test_elliptic_argument_guard():
