@@ -55,14 +55,16 @@ points take the term counts of |Im lam| = 0, complex ones the strip edge's.
 
 u_blocks runs the coarse and the refined pass of a family of blocks once
 over a whole lambda grid (u_block_grid, u_block and j_integral are its
-one-index and one-point cases).  p = 0 takes the level theta; every other
-fold count makes one pass (_j_sum): per group of points of one divisor
-term count, realness and parity of k one divisor call theta1(+-lam), one
-exp of i pi nu (+-lam) over the nu of the blocks' partners at every rule
-shape, and one product per block and shape, each value bit-identical to
-its point's own u_block.  Warm (one thread of a 2-core VM, best of 15 runs), a six-point
-real grid takes about 0.10 ms at p = 1 and 0.11 ms at p = 2 (kappa = 8),
-and the twelve p = 1 blocks of the ten closed forms 0.31 ms.
+one-index and one-point cases), on a plan of its lambda-free part built
+once per (indices, tau, spec) (_family_plan).  p = 0 takes the level
+theta; every other fold count makes one pass (_j_sum): per group of points
+of one divisor term count, realness and parity of k one divisor call
+theta1(+-lam), one exp of i pi nu (+-lam) over the nu of the blocks'
+partners at every rule shape, and one product per block and shape, each
+value bit-identical to its point's own u_block.  Warm (one thread of a
+2-core VM, best of 15 runs), a six-point real grid takes about 0.07 ms at
+p = 1 and 0.08 ms at p = 2 (kappa = 8), the twelve p = 1 blocks of the ten
+closed forms 0.26 ms.
 The first p = 2 u_block at a new (tau, rule shape, kappa, n) builds the
 moment tables on the cached _p2_layout (per (tau, rule shape, kappa) the
 four sections' rules and the point count; _p2_reach sweeps the term-count
@@ -76,7 +78,7 @@ warm: none at p = 0; at p = 1 the circle once per end plus the middle
 path; at p = 2 the outer times the inner nodes, summed over the four
 sections.  The counts are read from theta1-free rules (_p1_nodes, and the
 p = 2 layout), so each spec's count is checked against its max_evals
-(QuadratureSpec.check_points) once per family and layout, before any
+(QuadratureSpec.check_points) once per family plan and layout, before any
 theta1 or p = 2 reach sweep; BlockValue.budget_used reports the count of
 both passes at each point.
 """
@@ -102,12 +104,7 @@ from .quadrature import (
 )
 from .selberg import SelbergParams, selberg_value
 from . import specfun
-from .specfun import (
-    DEFAULT_LATTICE_FLOOR,
-    ModularPoint,
-    continue_log,
-    lattice_distance,
-)
+from .specfun import DEFAULT_LATTICE_FLOOR, ModularPoint, continue_log
 
 __all__ = [
     "BlockIndex",
@@ -571,7 +568,7 @@ def _as_lambdas(grid, pt: ModularPoint) -> list:
     """The grid as complex points, all checked against the lattice floor in
     one call before any pass runs."""
     lams = [complex(lam) for lam in grid]
-    for lam, dist in zip(lams, lattice_distance(lams, pt.tau).tolist()):
+    for lam, dist in zip(lams, specfun._lattice_distances(lams, pt.tau)):
         if dist < DEFAULT_LATTICE_FLOOR:
             raise PoleProximity(
                 f"block argument {lam} is within {dist:.3e} of the lattice "
@@ -632,7 +629,9 @@ def _j_sum(indices: list, lams: list, pt: ModularPoint,
         groups.setdefault((len(specfun._theta1_coefs(tau, abs(lam.imag))),
                            lam.imag != 0, shifts[k] % 2), []).append(k)
     labels = [(idx.kappa, idx.reduced_n) for idx in indices]
-    out = np.empty((len(labels), len(shapes), 2, len(lams)), dtype=complex)
+    # one group holds every point in order and needs no gather
+    out = (None if len(groups) == 1 else
+           np.empty((len(labels), len(shapes), 2, len(lams)), dtype=complex))
     for (_, edge, parity), ks in groups.items():
         # the partner labels (kappa, n + k kappa); complex points take the
         # counts of the strip's edge
@@ -647,7 +646,11 @@ def _j_sum(indices: list, lams: list, pt: ModularPoint,
         div = specfun._theta1_array(mu, tau)
         for _ in range(p):
             sums = sums / div
-        out[..., ks] = sums.reshape(len(labels), len(shapes), 2, -1)
+        sums = sums.reshape(len(labels), len(shapes), 2, -1)
+        if out is None:
+            out = sums
+        else:
+            out[..., ks] = sums
     moved = [k for k, shift in enumerate(shifts) if shift]
     if moved:
         phases = np.array([[-1j * math.pi * kappa * (
@@ -671,37 +674,44 @@ def _points(idx: BlockIndex, pt: ModularPoint, shape: tuple) -> int:
     return 0
 
 
-def _passes(indices: list, lams: list, pt: ModularPoint, quads: tuple) -> list:
-    """Per index, (J(lam) and J(-lam) as an array (spec, sign, complex
-    point of lams), per spec the pass's quadrature points).  Each count is
-    checked against its cap once per (p, p = 2 layout, spec) before any pass
-    runs (no table depends on the cap); then each fold count makes one pass
-    over its indices."""
-    shapes = [(q.gauss_order, q.graded_mesh_levels, q.loop_nodes) for q in quads]
-    layouts = [(idx.p, idx.kappa if idx.p == 2 else 0) for idx in indices]
-    counted = {}
-    for idx, layout in zip(indices, layouts):
+@lru_cache(maxsize=64)
+def _family_plan(indices: tuple, pt: ModularPoint,
+                 quad: QuadratureSpec) -> tuple:
+    """(shapes, folds, where): the rule shapes of quad and quad.refined();
+    per fold count p, (p, its distinct indices, their points of both
+    passes); each index's position among them.  p > 2 and the caps are
+    checked on the way, before any table is built (module docstring); an
+    lru_cache keeps no exception, so a refused family is refused each call."""
+    quads = (quad, quad.refined())
+    shapes = tuple((q.gauss_order, q.graded_mesh_levels, q.loop_nodes)
+                   for q in quads)
+    family, counted, folds = {}, {}, {}
+    for idx in indices:
+        family.setdefault((idx.p, idx.kappa, idx.reduced_n), idx)
+    for idx in family.values():
         if idx.p > 2:
             raise UnsupportedP(
                 f"p = {idx.p} is beyond the implemented range (p <= 2)")
+        layout = (idx.p, idx.kappa if idx.p == 2 else 0)
         if layout not in counted:
-            counted[layout] = [quad.check_points(_points(idx, pt, shape))
-                               for quad, shape in zip(quads, shapes)]
-    out = [None] * len(indices)
-    for p, j_pass in enumerate((_j_p0, _j_sum, _j_sum)):
-        ks = [k for k, idx in enumerate(indices) if idx.p == p]
-        if ks:
-            for k, values in zip(ks, j_pass([indices[k] for k in ks], lams,
-                                            pt, shapes)):
-                out[k] = (values, counted[layouts[k]])
-    return out
+            counted[layout] = sum(q.check_points(_points(idx, pt, shape))
+                                  for q, shape in zip(quads, shapes))
+        folds.setdefault(idx.p, []).append((idx, counted[layout]))
+    folds = tuple((p, *zip(*fold)) for p, fold in sorted(folds.items()))
+    labels = sorted(family, key=lambda label: label[0])  # as in folds
+    return shapes, folds, tuple(labels.index((idx.p, idx.kappa, idx.reduced_n))
+                                for idx in indices)
 
 
-def _two_passes(indices: list, grid, pt: ModularPoint,
-                quad: QuadratureSpec | None) -> list:
-    """_passes at the requested (coarse) spec and a refined one."""
-    quad = quad or QuadratureSpec()
-    return _passes(indices, _as_lambdas(grid, pt), pt, (quad, quad.refined()))
+def _two_passes(indices: tuple, grid, pt: ModularPoint,
+                quad: QuadratureSpec | None) -> tuple:
+    """(where, per distinct index (p, J(+-lam) as an array (spec, sign,
+    point), points)): the lattice check, the plan, one pass per fold count."""
+    lams = _as_lambdas(grid, pt)
+    shapes, folds, where = _family_plan(indices, pt, quad or QuadratureSpec())
+    return where, [(p, values, points) for p, fold, counts in folds
+                   for values, points in zip((_j_sum if p else _j_p0)(
+                       fold, lams, pt, shapes), counts)]
 
 
 def j_integral(idx: BlockIndex, lam, pt: ModularPoint,
@@ -711,27 +721,27 @@ def j_integral(idx: BlockIndex, lam, pt: ModularPoint,
     The error estimate compares the requested quadrature against a refined
     one (heuristic, not a bound).  p = 0 is exact.
     """
-    [(both, points)] = _two_passes([idx], (lam,), pt, quad)
+    _, [(_, both, points)] = _two_passes((idx,), (lam,), pt, quad)
     (coarse, _), (fine, _) = both[:, :, 0].tolist()
     return BlockValue(value=fine, error_estimate=abs(fine - coarse),
-                      budget_used=sum(points))
+                      budget_used=points)
 
 
-def _family_values(indices, grid, pt: ModularPoint,
+def _family_values(indices: tuple, grid, pt: ModularPoint,
                    quad: QuadratureSpec | None) -> list:
     """Per index of a family, in order, (values, estimates, points): its u
     values and coarse-vs-refined estimates on the grid as lists of Python
-    scalars, and the points of both passes, from one _passes call."""
-    keys = [(idx.p, idx.kappa, idx.reduced_n) for idx in indices]
-    family = dict(zip(keys, indices))
-    for label, (both, points) in zip(list(family), _two_passes(
-            list(family.values()), grid, pt, quad)):
+    scalars, and the points of both passes; all but lambda is planned once
+    per (indices, tau, spec) by _family_plan."""
+    where, passes = _two_passes(indices, grid, pt, quad)
+    rows = []
+    for p, both, points in passes:
         (c_plus, c_minus), (plus, minus) = both.tolist()
-        sign = (-1) ** (label[0] + 1)
-        family[label] = ([a + sign * b for a, b in zip(plus, minus)],
-                         [abs(a - c) + abs(b - d) for a, b, c, d
-                          in zip(plus, minus, c_plus, c_minus)], sum(points))
-    return [family[key] for key in keys]
+        sign = (-1) ** (p + 1)
+        rows.append(([a + sign * b for a, b in zip(plus, minus)],
+                     [abs(a - c) + abs(b - d) for a, b, c, d
+                      in zip(plus, minus, c_plus, c_minus)], points))
+    return [rows[k] for k in where]
 
 
 def u_blocks(indices, grid, pt: ModularPoint,

@@ -126,6 +126,13 @@ def lattice_distance(lam, tau: complex):
     point of a skewed lattice (large |Re tau| or small Im tau) can lie
     outside the four corners.
     """
+    z = np.asarray(lam, dtype=complex)
+    dist = _lattice_distances(z.ravel().tolist(), tau)
+    return np.array(dist).reshape(z.shape) if z.ndim else dist[0]
+
+
+def _lattice_distances(lams, tau: complex) -> list:
+    """lattice_distance of each Python complex of lams, as floats."""
     u, v = _reduced_basis(tau)
     det = (u.conjugate() * v).imag
 
@@ -137,9 +144,7 @@ def lattice_distance(lam, tau: complex):
                    abs(z - (m * u + (n + 1) * v)),
                    abs(z - ((m + 1) * u + (n + 1) * v)))
 
-    z = np.asarray(lam, dtype=complex)
-    dist = [one(w) for w in z.ravel().tolist()]
-    return np.array(dist).reshape(z.shape) if z.ndim else dist[0]
+    return [one(z) for z in lams]
 
 
 # ---------------------------------------------------------------------------
@@ -173,8 +178,11 @@ def _term_count(log_bound, what: str) -> int:
 
 
 def _max_abs_imag(lam: np.ndarray) -> float:
-    # the method skips np.max's dispatch, a few microseconds a kernel call
-    return float(np.abs(lam.imag).max()) if lam.size else 0.0
+    # a few points as Python floats skip numpy's reduction set-up, and the
+    # method skips np.max's dispatch, a microsecond or more a kernel call
+    if lam.size <= 8:
+        return max(map(abs, lam.imag.ravel().tolist()), default=0.0)
+    return float(np.abs(lam.imag).max())
 
 
 def _imag_groups(lams, counts) -> list:
@@ -196,7 +204,10 @@ def _horner(coefs, z):
 
     The steps are not in place: numpy's in-place complex multiply rounds a
     one-element array differently from a longer one, and a point's value
-    must not depend on the size of the grid it is evaluated in."""
+    must not depend on the size of the grid it is evaluated in; the kernels'
+    one Horner over stacked [z; 1/z] relies on it.  Their products name both
+    operands: numpy's complex multiply is not commutative bit for bit, and
+    runs a * (a temporary of 16,384+ elements) as temporary *= a."""
     acc = coefs[-1] * z + coefs[-2]
     for c in coefs[-3::-1]:
         acc = acc * z + c
@@ -240,17 +251,18 @@ def _theta1_series(tau: complex, terms: int, d_lambda: int = 0,
     return tuple(coefs)
 
 
-def _sine_laurent(coefs, w, w_inv):
-    """sum_j coefs[j] sin((2j+1)x) / sin(x) at w = exp(2ix), w_inv = 1/w.
-
-    sin((2j+1)x) = sin(x) * sum_{|k|<=j} w**k, so the Laurent coefficient of
-    w**k is the tail sum C_|k| = sum_{j>=|k|} coef_j.  The constant one is
-    summed as coef_0 + C_1: coef_0 then enters as it does in theta1'(0), so
-    theta1(z) / (z theta1'(0)) tends to 1 without a rounding offset.
-    """
-    tails = list(itertools.accumulate(reversed(coefs)))[::-1][1:]
-    return coefs[0] + (tails[0] + w * _horner(tails, w)
-                       + w_inv * _horner(tails, w_inv))
+@lru_cache(maxsize=256)
+def _theta1_laurent(tau: complex, y_max: float, d_lambda: int = 0,
+                    d_tau: int = 0) -> tuple:
+    """_theta1_coefs as _theta1_array sums them: a cosine series' halves
+    coef_j / 2, or a sine series' coef_0 and tails C_k = sum_{j>=k} coef_j.
+    As sin((2j+1)x) = sin(x) sum_{|k|<=j} w**k, w = exp(2ix), C_|k| is the
+    coefficient of w**k; its constant is summed as coef_0 + C_1, coef_0 as
+    in theta1'(0), so theta1(z) / (z theta1'(0)) -> 1 without rounding."""
+    coefs = _theta1_coefs(tau, y_max, d_lambda, d_tau)
+    if d_lambda % 2:
+        return tuple(c / 2 for c in coefs)
+    return coefs[0], tuple(itertools.accumulate(reversed(coefs)))[::-1][1:]
 
 
 def _theta1_array(lam, tau: complex, d_lambda: int = 0,
@@ -259,19 +271,26 @@ def _theta1_array(lam, tau: complex, d_lambda: int = 0,
 
     lam may be any complex ndarray; returns an array of the same shape.  A
     sine series is sin(x) times a Laurent polynomial in w = exp(2ix)
-    (_sine_laurent); factoring out sin(x) keeps theta1 accurate relative to
-    its size next to its zeros at the integers.  A cosine series is summed
-    as exp(ix) P(w) + exp(-ix) P(1/w) with P = sum_j coef_j/2 w**j.
+    (_theta1_laurent); factoring out sin(x) keeps theta1 accurate relative
+    to its size next to its zeros at the integers.  A cosine series is
+    summed as exp(ix) P(w) + exp(-ix) P(1/w) with P = sum_j coef_j/2 w**j.
+    Either way w and 1/w make one Horner.
     """
     lam = np.asarray(lam, dtype=complex)
-    coefs = _theta1_coefs(tau, _max_abs_imag(lam), d_lambda, d_tau)
-    x = math.pi * lam
+    laurent = _theta1_laurent(tau, _max_abs_imag(lam), d_lambda, d_tau)
+    x = math.pi * lam.ravel()
     if d_lambda % 2:
-        halves = [c / 2 for c in coefs]
-        return (np.exp(1j * x) * _horner(halves, np.exp(2j * x))
-                + np.exp(-1j * x) * _horner(halves, np.exp(-2j * x)))
+        h = _horner(laurent, np.exp(np.concatenate([2j * x, -2j * x])))
+        e = np.exp(np.concatenate([1j * x, -1j * x]))
+        return (e[:x.size] * h[:x.size]
+                + e[x.size:] * h[x.size:]).reshape(lam.shape)
+    constant, tails = laurent
     w = np.exp(2j * x)
-    return np.sin(x) * _sine_laurent(coefs, w, 1.0 / w)
+    z = np.concatenate([w, 1.0 / w])
+    h = _horner(tails, z)
+    h = z * h
+    return (np.sin(x) * (constant + (tails[0] + h[:x.size] + h[x.size:]))
+            ).reshape(lam.shape)
 
 
 def theta1(lam: complex, pt: ModularPoint, d_lambda: int = 0,
@@ -398,7 +417,7 @@ def _theta_level_coefs(kappa: int, n: int, tau: complex, y_max: float,
     Shell j holds the exponents m = c + j and m = c - j with c = n/(2*kappa)
     reduced to [0, 1); with u = exp(2*pi*i*kappa*lam) the sum is
     exp(2*pi*i*kappa*c*lam) * (H(ahead, u) + H(behind, 1/u) / u), H the
-    polynomial with those coefficients (_level_laurent).
+    polynomial with those coefficients (_theta_level_array).
     """
     c = (n % (2 * kappa)) / (2.0 * kappa)
     two_pi_k = 2.0 * math.pi * kappa
@@ -437,27 +456,25 @@ def _theta_level_series(kappa: int, n: int, tau: complex, terms: int,
             tuple(coef(c - j) for j in range(1, terms)))
 
 
-def _level_laurent(ahead, behind, u, u_inv):
-    """The Laurent polynomial of the level-kappa sum at u and u_inv = 1/u."""
-    return _horner(ahead, u) + u_inv * _horner(behind, u_inv)
-
-
 @lru_cache(maxsize=64)
 def _level_rows(rows: tuple, tau: complex, counts: tuple, d_lambda: int,
                 d_tau: int) -> tuple:
-    """Per (kappa, n) of rows at its shell count, as columns: 2 pi i kappa,
-    2 pi i kappa c, and the Horner coefficients ahead and behind, each
-    zero-padded at the top to the longest row."""
+    """Per (kappa, n) of rows at its shell count, as stacked columns: 2 pi i
+    kappa c over 2 pi i kappa, and per power the Horner coefficients ahead
+    over behind, each zero-padded at the top to the longest row's ahead (0 u
+    + c = c leaves the padded steps exact)."""
     top = max(counts)
-    cols = [np.array(col)[:, None] for col in zip(*(
-        (2j * math.pi * kappa, 2j * math.pi * kappa * c)
-        + ahead + (0j,) * (top - terms) + behind + (0j,) * (top - terms)
-        for (kappa, n), terms in zip(rows, counts)
-        for c, ahead, behind in [_theta_level_series(kappa, n, tau, terms,
-                                                     d_lambda, d_tau)]))]
+    series = [(2j * math.pi * kappa, terms, _theta_level_series(
+        kappa, n, tau, terms, d_lambda, d_tau))
+        for (kappa, n), terms in zip(rows, counts)]
+    cols = [np.array(col)[:, None] for col in zip(
+        *[(rate * c,) + ahead + (0j,) * (top - terms)
+          for rate, terms, (c, ahead, _) in series],
+        *[(rate,) + behind + (0j,) * (top - terms + 1)
+          for rate, terms, (_, _, behind) in series])]
     for col in cols:  # handed to every later call
         col.setflags(write=False)
-    return cols[0], cols[1], cols[2:2 + top], cols[2 + top:]
+    return cols[0], cols[1:]
 
 
 def _theta_level_array(kappa, n, lam, tau: complex, d_lambda: int = 0,
@@ -465,15 +482,21 @@ def _theta_level_array(kappa, n, lam, tau: complex, d_lambda: int = 0,
     """Vectorised lattice sum for theta_level; lam may be a complex ndarray.
     With equal-length tuples kappa and n, one row per (kappa, n) over the
     flattened lam, each bit for bit its own one-row call: a shorter row's
-    zero padding leaves its Horner steps exact (0 u + c = c)."""
+    zero padding leaves its Horner steps exact (0 u + c = c).  u and 1/u
+    make one Horner (_theta_level_coefs)."""
     z = np.asarray(lam, dtype=complex).reshape(1, -1)
     rows = tuple(zip(kappa, n)) if isinstance(kappa, tuple) else ((kappa, n),)
     y = _max_abs_imag(z)
-    rates, shifts, ahead, behind = _level_rows(rows, tau, tuple(
+    rates, coefs = _level_rows(rows, tau, tuple(
         len(_theta_level_coefs(k, m, tau, y, d_lambda, d_tau)[1])
         for k, m in rows), d_lambda, d_tau)
-    u = np.exp(rates * z)
-    values = np.exp(shifts * z) * _level_laurent(ahead, behind, u, 1.0 / u)
+    r = len(rows)
+    phases = np.empty((3 * r, z.size), dtype=complex)  # [u^c; u; 1/u]
+    np.exp(rates * z, out=phases[:2 * r])
+    np.divide(1.0, phases[r:2 * r], out=phases[2 * r:])
+    h = _horner(coefs, phases[r:])
+    h = h[:r] + phases[2 * r:] * h[r:]
+    values = phases[:r] * h
     return values if isinstance(kappa, tuple) else values.reshape(np.shape(lam))
 
 

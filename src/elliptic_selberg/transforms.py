@@ -140,7 +140,7 @@ def _sampled(p: int, kappa: int, requests: list,
     grid times the factors, one list per label, from one _family_values
     call per distinct tau; a first grid shorter than 2 * dim is refused
     before any call."""
-    indices = [BlockIndex(p, kappa, n) for n in basis_indices(p, kappa)]
+    indices = tuple(BlockIndex(p, kappa, n) for n in basis_indices(p, kappa))
     if len(requests[0][0]) < 2 * len(indices):
         raise ValueError(
             f"need at least {2 * len(indices)} sample points for a "

@@ -191,13 +191,30 @@ def _theta_combo(st: IdentityStructure, lam: complex, pt: ModularPoint,
 
 
 @lru_cache(maxsize=64)
-def _rhs_constant(st: IdentityStructure, p: int, pt: ModularPoint) -> complex:
-    """The lambda-free factor of a closed form: block constant times weight."""
-    return (block_constant(p, st.kappa, st.constant_index).value
-            * _weight_value(st, pt))
+def _identity_plan(idents: tuple, p: int) -> tuple:
+    """(structures, blocks, coefficients, rows) of idents at p, raising as
+    identity_structure does in their order: each combination's blocks and
+    coefficients, and the distinct (level, index) of the theta terms."""
+    sts = tuple(identity_structure(ident, p) for ident in idents)
+    return (sts, tuple(BlockIndex(p, st.kappa, n) for st in sts
+                       for n, _ in st.lhs_terms),
+            tuple(tuple(coeff for _, coeff in st.lhs_terms) for st in sts),
+            tuple(dict.fromkeys(term[:2] for st in sts
+                                for term in st.theta_terms)))
 
 
-def _rhs_grids(sts: list, p: int, constants: list, lams: list,
+@lru_cache(maxsize=64)
+def _verify_plan(idents: tuple, p: int, pt: ModularPoint,
+                 quad: QuadratureSpec) -> tuple:
+    """(constants, spec): per identity of idents the lambda-free factor of
+    its closed form, block constant times weight, and the spec's fields as
+    (name, value) pairs, which every report echoes."""
+    return (tuple(block_constant(p, st.kappa, st.constant_index).value
+                  * _weight_value(st, pt) for st in _identity_plan(idents, p)[0]),
+            tuple(asdict(quad).items()))
+
+
+def _rhs_grids(sts: list, rows: tuple, p: int, constants: list, lams: list,
                pt: ModularPoint) -> list:
     """Per structure of sts, constant * theta1(lam)^(p+1) * its theta
     combination per complex point of lams.  The points sharing the term
@@ -205,8 +222,6 @@ def _rhs_grids(sts: list, p: int, constants: list, lams: list,
     whose rows are the distinct (level, index) of the theta terms on [lam...,
     -lam...]; the products are per point and structure."""
     tau = pt.tau
-    rows = tuple(dict.fromkeys(term[:2] for st in sts
-                               for term in st.theta_terms))
 
     def counts(y):
         return (len(specfun._theta1_coefs(tau, y)),
@@ -215,11 +230,11 @@ def _rhs_grids(sts: list, p: int, constants: list, lams: list,
 
     out = [[None] * len(lams) for _ in sts]
     for _, ks in specfun._imag_groups(lams, counts):
-        group, m = np.array([lams[k] for k in ks]), len(ks)
-        thetas = specfun._theta1_array(group, tau).tolist()
+        m = len(ks)
+        both = np.array([lams[k] for k in ks] + [-lams[k] for k in ks])
+        thetas = specfun._theta1_array(both[:m], tau).tolist()
         levels = dict(zip(rows, specfun._theta_level_array(
-            *zip(*rows), np.concatenate([group, -group]), tau).tolist()
-            if rows else ()))
+            *zip(*rows), both, tau).tolist() if rows else ()))
         for values, st, constant in zip(out, sts, constants):
             for i, (k, t) in enumerate(zip(ks, thetas)):
                 combo = 0j if st.theta_terms else 1.0 + 0.0j
@@ -233,9 +248,9 @@ def _rhs_grids(sts: list, p: int, constants: list, lams: list,
 def rhs_value(ident: int, p: int, lam: complex, pt: ModularPoint) -> complex:
     """The closed-form side of one identity at (lam, tau): the one-point
     grid of _rhs_grids."""
-    st = identity_structure(ident, p)
-    return _rhs_grids([st], p, [_rhs_constant(st, p, pt)], [complex(lam)],
-                      pt)[0][0]
+    sts, _, _, rows = _identity_plan((ident,), p)
+    constants = _verify_plan((ident,), p, pt, QuadratureSpec())[0]
+    return _rhs_grids(sts, rows, p, constants, [complex(lam)], pt)[0][0]
 
 
 def rhs_shift_phase(pair: tuple, p: int) -> complex:
@@ -349,9 +364,12 @@ def verify_identities(idents, p: int, lambda_grid=None,
     closed form looks good, to guard against lucky cancellation.  The
     distinct blocks of all the combinations run as one u_blocks family and
     the closed forms as one _rhs_grids pass; |rhs| is taken once per point.
+    All but lambda is planned once, each part at its step so that errors
+    come in order: _identity_plan, the blocks' plan, then _verify_plan.
     """
     _require_prerequisites()
-    sts = [identity_structure(ident, p) for ident in idents]
+    idents = tuple(idents)
+    sts, family, coefficients, rows = _identity_plan(idents, p)
     pt = pt or ModularPoint(DEFAULT_TAU)
     grid = tuple(lambda_grid) if lambda_grid is not None else DEFAULT_LAMBDA_GRID
     if not grid:
@@ -359,15 +377,13 @@ def verify_identities(idents, p: int, lambda_grid=None,
     quad = quad or QuadratureSpec()
     tol = tol if tol is not None else DEFAULT_TOLERANCE
 
-    blocks = iter(_family_values([BlockIndex(p, st.kappa, n) for st in sts
-                                  for n, _ in st.lhs_terms], grid, pt, quad))
+    blocks = iter(_family_values(family, grid, pt, quad))
+    constants, quadrature = _verify_plan(idents, p, pt, quad)
     points = [complex(x) for x in grid]
     complex_grid = any(z.imag for z in points)
-    quadrature = asdict(quad)  # once per run, a shallow copy per report
     reports = []
-    for st, rhs in zip(sts, _rhs_grids(
-            sts, p, [_rhs_constant(st, p, pt) for st in sts], points, pt)):
-        coeffs = [coeff for _, coeff in st.lhs_terms]
+    for st, coeffs, rhs in zip(sts, coefficients, _rhs_grids(
+            sts, rows, p, constants, points, pt)):
         values, errors, budgets = zip(*(next(blocks) for _ in coeffs))
         # a row holds a point's block values or estimates
         lhs = [sum((c * v for c, v in zip(coeffs, row)), 0j)
@@ -431,7 +447,8 @@ class ClosedFormSolution:
 
     def value(self, lam: complex, pt: ModularPoint) -> complex:
         st = self.structure
-        return _rhs_grids([st], self.p, [_weight_value(st, pt)],
+        rows = tuple(dict.fromkeys(term[:2] for term in st.theta_terms))
+        return _rhs_grids([st], rows, self.p, [_weight_value(st, pt)],
                           [complex(lam)], pt)[0][0]
 
     def d_lambda2(self, lam: complex, pt: ModularPoint) -> complex:

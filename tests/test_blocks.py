@@ -153,9 +153,12 @@ def p2_points(spec) -> int:
 
 
 def one_value(idx, lam, pt, quad) -> tuple:
-    """One pass, (J(lam), J(-lam)), and its quadrature points."""
-    [(values, [points])] = blocks._passes([idx], [complex(lam)], pt, (quad,))
-    return tuple(values[0, :, 0].tolist()), points
+    """One pass, (J(lam), J(-lam)), and its quadrature points, checked
+    against the spec's cap."""
+    shape = (quad.gauss_order, quad.graded_mesh_levels, quad.loop_nodes)
+    points = quad.check_points(blocks._points(idx, pt, shape))
+    values = blocks._j_sum([idx], [complex(lam)], pt, [shape])
+    return tuple(values[0, 0, :, 0].tolist()), points
 
 
 def test_one_fold_values_are_pinned():
@@ -1068,10 +1071,11 @@ def test_leading_term_constant_validation():
 
 
 def _clear_block_caches():
-    for cached in (blocks._p1_nodes, blocks._p1_tables, blocks._p1_moments,
-                   blocks._sum_vectors, blocks._inner_rule, blocks._outer_rules,
-                   blocks._p2_layout, blocks._p2_reach, blocks._p2_moments,
-                   specfun._theta1_coefs, specfun._theta1_series,
+    for cached in (blocks._family_plan, blocks._p1_nodes, blocks._p1_tables,
+                   blocks._p1_moments, blocks._sum_vectors, blocks._inner_rule,
+                   blocks._outer_rules, blocks._p2_layout, blocks._p2_reach,
+                   blocks._p2_moments, specfun._theta1_coefs,
+                   specfun._theta1_series, specfun._theta1_laurent,
                    specfun._theta_level_coefs, specfun._theta_level_series):
         cached.cache_clear()
 
@@ -1088,8 +1092,11 @@ def test_budget_used_counts_the_rule_points(idx, coarse, fine):
     count = p1_points if idx.p == 1 else p2_points
     assert (count(quad), count(quad.refined())) == (coarse, fine)
     _clear_block_caches()
+    assert blocks._family_plan.cache_info().currsize == 0
     for lam in (LAM, LAM, 0.41):
         assert u_block(idx, lam, PT).budget_used == coarse + fine
+    # one plan of the family serves every point
+    assert blocks._family_plan.cache_info().misses == 1
     assert u_block(BlockIndex(0, 5, 2), LAM, PT).budget_used == 0
 
 

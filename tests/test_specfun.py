@@ -346,6 +346,27 @@ def test_a_symmetrized_level_theta_is_its_two_values_bit_for_bit():
             plus + (-1) ** orders[0] * minus)
 
 
+@pytest.mark.parametrize("d_lambda", [0, 1])
+def test_a_kernel_value_does_not_depend_on_the_call_size(d_lambda):
+    # past 16,384 elements numpy runs a * (a temporary) as temporary *= a,
+    # and its complex multiply is not commutative bit for bit; the kernels
+    # name their operands, so 16,384 points in one call, and three level
+    # rows on 6,000 points, are the same points in calls of 500, bit for bit
+    lams = np.random.default_rng(29).uniform(-1.0, 1.0, 16_384) + 0.1j
+    rows = ((2, 1), (4, 1), (6, 5))
+    whole = (specfun._theta1_array(lams, 0.9j, d_lambda),
+             specfun._theta_level_array(*zip(*rows), lams[:6_000], 0.9j,
+                                        d_lambda))
+    parts = (np.concatenate([specfun._theta1_array(lams[k:k + 500], 0.9j,
+                                                   d_lambda)
+                             for k in range(0, lams.size, 500)]),
+             np.concatenate([specfun._theta_level_array(
+                 *zip(*rows), lams[k:k + 500], 0.9j, d_lambda)
+                 for k in range(0, 6_000, 500)], axis=1))
+    for got, want in zip(whole, parts):
+        assert got.tobytes() == want.tobytes()
+
+
 def test_kernels_raise_when_the_term_count_exceeds_max_terms():
     assert specfun._MAX_TERMS == 600
     # tiny Im tau: the Gaussian decay needs over a thousand terms

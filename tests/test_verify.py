@@ -9,14 +9,18 @@ import cmath
 import dataclasses
 import json
 import math
+import random
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from elliptic_selberg import blocks
 from elliptic_selberg.blocks import BlockIndex, u_block
-from elliptic_selberg.errors import EllipticSelbergError, OutOfSupportedRange
+from elliptic_selberg.errors import (EllipticSelbergError, OutOfSupportedRange,
+                                     PoleProximity, QuadratureBudgetExceeded,
+                                     UnsupportedP)
 from elliptic_selberg.quadrature import QuadratureSpec
 from elliptic_selberg.specfun import ModularPoint, dedekind_eta, phi, theta1
 from elliptic_selberg.transforms import BlockFunction, transformed_function
@@ -67,6 +71,57 @@ def test_an_empty_grid_is_refused_before_any_pass(monkeypatch):
     for grid in ((), []):
         with pytest.raises(ValueError, match="^the lambda grid is empty$"):
             V.verify_identities((4,), 1, lambda_grid=grid)
+
+
+PLANS = (V._identity_plan, V._verify_plan, blocks._family_plan)
+
+
+def test_errors_come_in_the_order_of_the_steps():
+    # the structures (each identity in order, its id then p), the empty
+    # grid, the lattice floor, then the block family's fold counts and caps:
+    # each plan is built at its step, so none raises ahead of an earlier one
+    with pytest.raises(OutOfSupportedRange, match="p = 0"):
+        V.verify_identities((4,), 0, lambda_grid=())
+    with pytest.raises(ValueError, match="got 11$"):
+        V.verify_identities((4, 11), 1, lambda_grid=())
+    with pytest.raises(PoleProximity):
+        V.verify_identities((4,), 3, lambda_grid=(1e-9,))
+    with pytest.raises(UnsupportedP):
+        V.verify_identities((4,), 3, lambda_grid=(0.3,))
+    # the refined pass of the kappa = 6 block counts 1,116 points: the cap
+    # refuses the spec on every call, and no plan of it is kept
+    capped = QuadratureSpec(max_evals=1_000)
+    plans = [plan.cache_info().currsize for plan in PLANS]
+    for _ in range(2):
+        with pytest.raises(PoleProximity):
+            V.verify_identity(4, 1, (0.3, 1e-9), PT, capped)
+        with pytest.raises(QuadratureBudgetExceeded, match="1116 > 1000$"):
+            V.verify_identity(4, 1, (0.3,), PT, capped)
+    assert [plan.cache_info().currsize for plan in PLANS] == plans
+
+
+def test_the_plans_hold_nothing_of_lambda():
+    # fifty seeded grids, real and complex (folded by up to one tau), at
+    # one (identity, p, tau, spec) build each plan once; a report after
+    # them, on the first grid or the last, is the report of plans freshly
+    # built for it, byte for byte
+    rng = random.Random(29)
+    grids = [tuple(complex(round(rng.uniform(0.05, 0.95), 4),
+                           round(rng.choice((0.0, 1.0)) * rng.uniform(
+                               -1.3, 1.3) * PT.tau.imag, 4))
+                   for _ in range(rng.randint(1, 6))) for _ in range(50)]
+    for plan in PLANS:
+        plan.cache_clear()
+    for grid in grids:
+        V.verify_identity(5, 1, grid, PT)
+    for plan in PLANS:
+        info = plan.cache_info()
+        assert (info.currsize, info.misses) == (1, 1), plan
+    for grid in (grids[0], grids[-1]):
+        warm = repr(V.verify_identity(5, 1, grid, PT).as_dict())
+        for plan in PLANS:
+            plan.cache_clear()
+        assert repr(V.verify_identity(5, 1, grid, PT).as_dict()) == warm
 
 
 def test_default_tolerance_is_one_constant():
@@ -196,10 +251,11 @@ def test_a_closed_form_grid_is_its_points(data, ident, tau, points, repeats,
         grid = data.draw(st.permutations(grid))
     pt = ModularPoint(tau)
     idents = [ident] if ident else list(range(1, 11))
-    sts = [V.identity_structure(i, p) for i in idents]
-    constants = [V._rhs_constant(st_, p, pt) for st_ in sts]
+    sts, _, _, rows = V._identity_plan(tuple(idents), p)
+    constants = V._verify_plan(tuple(idents), p, pt, QuadratureSpec())[0]
     for ident, st_, constant, got in zip(
-            idents, sts, constants, V._rhs_grids(sts, p, constants, grid, pt)):
+            idents, sts, constants,
+            V._rhs_grids(sts, rows, p, constants, grid, pt)):
         check_closed_form_grid(ident, p, st_, constant, got, grid, pt)
 
 
