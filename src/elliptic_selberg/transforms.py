@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from .blocks import BlockIndex, _family_values, u_block_grid
-from .errors import IllConditionedBasis, UnsupportedP
+from .errors import IllConditionedBasis
 from .macdonald import TransformMatrix
 from .quadrature import QuadratureSpec
 from .specfun import ModularPoint
@@ -223,12 +223,9 @@ def numeric_modular_matrices(p: int, kappa: int,
     u_blocks call for the whole basis per distinct tau (_sampled): the
     basis grid with the S-moved grid lam / tau at i, the T-moved grid at
     1 + i (branch-tracked quadrature); then one lstsq fits all 2 * dim
-    moved blocks.  p = 2 is refused: the two-fold quadrature takes real
-    lambda at purely imaginary tau only (the p = 2 guard in blocks._j_sum),
-    and the T and S moves leave that range.
+    moved blocks.  p = 2 takes the same route: the S-moved points beyond
+    |Im| 1/2 fold onto partner labels inside the block pass.
     """
-    if p > 1:
-        raise UnsupportedP("numeric matrix extraction is wired for p <= 1")
     grid = default_lambda_grid(p, kappa) if lambda_grid is None else lambda_grid
     grid = [complex(x) for x in grid]
     basis, t_moved, s_moved = _sampled(p, kappa, [(grid, 1j, None)] + [

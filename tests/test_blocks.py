@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from elliptic_selberg import blocks, cli, specfun
+from elliptic_selberg import blocks, cli, specfun, verify
 from elliptic_selberg.blocks import (
     BlockIndex,
     j_integral,
@@ -19,7 +19,6 @@ from elliptic_selberg.blocks import (
     u_block_grid,
 )
 from elliptic_selberg.errors import (
-    OutOfSupportedRange,
     PoleProximity,
     QuadratureBudgetExceeded,
     UnsupportedP,
@@ -320,8 +319,11 @@ def test_a_lambda_grid_builds_each_moment_table_once(p, kappa, n):
 # ---------------------------------------------------------------------------
 
 
-# tau on the imaginary axis, off it, and an S-image; p = 2 takes the first
+# tau on the imaginary axis, off it, and an S-image
 GRID_TAUS = (0.9j, 0.6j, 1j, 0.3 + 1.1j, 1 + 1j, -1 / (0.3 + 1.1j))
+# p = 2 takes one tau on the axis and one off it, at the pinned (kappa, n),
+# so that few cold moment builds serve every example
+P2_TAUS = (0.9j, 0.3 + 1.1j)
 # Im lam as a fraction of Im tau: repeated and opposite |Im lam| share a
 # divisor call, distinct ones may need their own term counts; beyond 1/2
 # the points are folded by k tau, k = 1, -1 and 3
@@ -332,17 +334,16 @@ def divisor_groups(indices, grid, tau) -> int:
     """The divisor theta1(+-lam) calls of a family: one per group of the
     grid's points that, folded into the strip |Im| <= Im tau / 2 as lam - k
     tau, share the divisor's term count at their folded |Im lam|, realness
-    (the p = 1 vectors take the counts of |Im lam| = 0 or of the strip's
-    edge) and the parity of k (which picks the partner labels), and one for
-    the p = 2 pass, whose real points share one count."""
+    (the vectors take the counts of |Im lam| = 0 or of the strip's
+    edge) and the parity of k (which picks the partner labels), per fold
+    count p >= 1 of the family, each of which makes its own pass."""
     def key(lam):
         k = round(lam.imag / tau.imag)
         y = abs((lam - k * tau).imag)
         return len(specfun._theta1_coefs(tau, y)), y > 0, k % 2
 
-    groups = ({key(complex(lam)) for lam in grid}
-              if any(idx.p == 1 for idx in indices) else ())
-    return len(groups) + any(idx.p == 2 for idx in indices)
+    folds = {idx.p for idx in indices} - {0}
+    return len(folds) * len({key(complex(lam)) for lam in grid})
 
 
 def _check_grid_against_points(idx, grid, pt):
@@ -375,10 +376,9 @@ def _check_grid_against_points(idx, grid, pt):
 @settings(max_examples=30, deadline=None)
 def test_a_grid_pass_is_its_points_bit_for_bit(data, p, kappa, n, tau, points,
                                                repeats):
-    # p = 2 takes real lambda at tau = 0.9i, at the pinned (kappa, n)
     if p == 2:
         kappa, n = P2_INDICES[kappa % len(P2_INDICES)]
-        tau, points = 0.9j, [(x, 0.0) for x, _ in points]
+        tau = P2_TAUS[GRID_TAUS.index(tau) % len(P2_TAUS)]
     kappa = max(kappa, 2 * p + 2)
     grid = [complex(x, frac * tau.imag) for x, frac in points]
     grid += grid[:repeats]
@@ -421,12 +421,11 @@ def test_a_grid_pass_is_its_points_bit_for_bit(data, p, kappa, n, tau, points,
 @settings(max_examples=20, deadline=None)
 def test_a_family_pass_is_its_blocks_bit_for_bit(data, labels, tau, points,
                                                  repeats):
-    # p = 2 takes real lambda at tau = 0.9i, at the pinned (kappa, n)
     indices = []
     for p, kappa, n in labels:
         if p == 2:
             kappa, n = P2_INDICES[kappa % len(P2_INDICES)]
-            tau, points = 0.9j, [(x, 0.0) for x, _ in points]
+            tau = P2_TAUS[GRID_TAUS.index(tau) % len(P2_TAUS)]
         indices.append(BlockIndex(p, max(kappa, 2 * p + 2), n))
     indices += indices[:repeats]
     grid = [complex(x, frac * tau.imag) for x, frac in points]
@@ -497,14 +496,12 @@ def test_the_stacked_contraction_is_the_per_point_chain(p, kappa, n):
     # the rows round i pi p mu and 2 pi i kappa (c + j) mu, and over 500
     # random in-strip cases the two differed by up to 6.8e-15 of it
     idx, quad = BlockIndex(p, kappa, n), QuadratureSpec()
-    if p == 1:
-        pt, shapes = ModularPoint(0.3 + 1.1j), [
-            (q.gauss_order, q.graded_mesh_levels, q.loop_nodes)
-            for q in (quad, quad.refined())]
-        grid = [0.3, 0.41 + 0.1j, 0.62, 0.2 - 0.1j, 0.3, 0.5 + 0.25j]
-    else:
-        # p = 2 takes real lambda, whose term counts follow max |Im node|
-        pt, shapes, grid = PT, [SMALL], [0.3, 0.41, 0.62, 0.3]
+    pt, grid = ModularPoint(0.3 + 1.1j), [0.3, 0.41 + 0.1j, 0.62, 0.2 - 0.1j,
+                                          0.3, 0.5 + 0.25j]
+    # the small rule shape keeps the p = 2 moment builds cheap
+    shapes = [SMALL] if p == 2 else [
+        (q.gauss_order, q.graded_mesh_levels, q.loop_nodes)
+        for q in (quad, quad.refined())]
     got = blocks._j_sum([BlockIndex(p, 2 * p + 4, 2), idx],
                         [complex(lam) for lam in grid], pt, shapes)[1]
     moments = blocks._p1_moments if p == 1 else blocks._p2_moments
@@ -630,6 +627,24 @@ def test_one_fold_moment_pass_matches_brute_force(kappa, n, tau_re, tau_im,
 SMALL = (8, 3, 16)
 
 
+def power_bases(kind, outer_rule, inner_rule, tau, prime0):
+    """(f, E(y)/y, diag, y, pos) of one section of the p = 2 layout, built
+    from its rules, blocks._geometry and the array kernel: f = E(x), or
+    E(x)/x on the corner loops, per outer node x; per (x, xi) point the
+    coordinates y and pos and diag = E(d)/d at the corners, E(x - y) on the
+    right half."""
+    x = outer_rule.nodes
+    f = specfun._theta1_array(x, tau) / prime0
+    if outer_rule.n_loop:
+        f = f / x
+    y, d, pos = blocks._geometry(kind, x[:, None], inner_rule.nodes)
+    e_y = specfun._theta1_array(y, tau) / (y * prime0)
+    diag = specfun._theta1_array(d, tau) / prime0
+    if kind != "half":
+        diag = diag / d
+    return f, e_y, diag, y, pos
+
+
 def two_fold_brute(idx, lam, tau, shape=SMALL, corners_only=False):
     """Rows (sigma, s) of the half shapes' integrals at sigma lam, columns
     (corner loops' numerator, its b-derivative at kappa = 6, the corner-free
@@ -637,10 +652,9 @@ def two_fold_brute(idx, lam, tau, shape=SMALL, corners_only=False):
     one rule shape, theta1 at -sigma s lam + y and at -sigma flip s lam + x,
     and each column's sum of |terms|; with corners_only, the corner sections
     (whose outer rule has loop nodes) alone.  Every weight and the kappa = 6
-    logs are built here from the rules, blocks._geometry and the array
-    kernel: outer w e^(b log) f^(b-1), f = E(x) or E(x)/x at the corner
-    loops, and inner w e^(b log) (E(y)/y)^(b-1) diag^g, diag = E(d)/d at
-    the corners and E(x - y) on the right half, all powers principal."""
+    logs are built here from the rules and power_bases: outer w e^(b log)
+    f^(b-1) and inner w e^(b log) (E(y)/y)^(b-1) diag^g, all powers
+    principal (test_two_fold_power_bases_stay_in_the_right_half_plane)."""
     kappa, n = idx.kappa, idx.reduced_n
     b, g = -4.0 / kappa, 2.0 / kappa
     wind = loop_winding(b - 1.0)
@@ -649,33 +663,28 @@ def two_fold_brute(idx, lam, tau, shape=SMALL, corners_only=False):
     rows, scales = np.zeros((4, 3), complex), np.zeros((4, 3))
     for kind, flip, outer_rule, inner_rule in blocks._p2_layout(
             tau, *shape, kappa)[0]:
-        x, xi, n_loop = outer_rule.nodes, inner_rule.nodes, inner_rule.n_loop
+        x, n_loop = outer_rule.nodes, inner_rule.n_loop
         corner = outer_rule.n_loop > 0
         if corners_only and not corner:
             continue
-        f = specfun._theta1_array(x, tau) / prime0
-        if corner:
-            f = f / x
+        f, e_y, diag, y, pos = power_bases(kind, outer_rule, inner_rule, tau,
+                                           prime0)
         outer_w = outer_rule.weights * np.exp(b * outer_rule.logs) * f ** (b - 1)
         outer_logs = outer_rule.logs + np.log(f)
-        y, d, pos = blocks._geometry(kind, x[:, None], xi)
-        e_y = specfun._theta1_array(y, tau) / (y * prime0)
-        diag = specfun._theta1_array(d, tau) / prime0
-        if kind != "half":
-            diag = diag / d
         tensor = (inner_rule.weights * np.exp(b * inner_rule.logs)
                   * e_y ** (b - 1) * diag ** g)
         # the kappa = 6 corner sections also carry the b-derivative's logs
         tensor_logs = (inner_rule.logs + np.log(e_y)
                        if corner and kappa == 6 else None)
         for row, (sigma, s) in enumerate(((1, 1), (1, -1), (-1, 1), (-1, -1))):
-            th_y = specfun._theta1_array(-sigma * s * lam + y, tau)
+            y_arg = -sigma * s * lam + y
+            th_y = specfun._theta1_array(y_arg, tau)
             lev_arg = sigma * lam + s * g * (pos + y)
             lev = specfun._theta_level_array(kappa, n, lev_arg, tau)
             if s < 0:
                 lev = lev * cmath.exp(4j * math.pi * n / kappa)
             inner = tensor * th_y * lev
-            inner_abs = (np.abs(tensor) * theta1_scale(y, tau)
+            inner_abs = (np.abs(tensor) * theta1_scale(y_arg, tau)
                          * level_scale(kappa, n, lev_arg, tau))
             xi_b = inner[:, :n_loop].sum(axis=1) / wind + inner[:, n_loop:].sum(axis=1)
             xi_abs = inner_abs.sum(axis=1) / min(1.0, abs(wind))
@@ -717,18 +726,55 @@ def fold_half_shapes(kappa, rows, scales):
 
 
 @given(kappa=st.integers(6, 12), n=st.integers(0, 23),
-       tau_im=st.floats(0.5, 1.5), lam=st.floats(0.05, 0.95))
+       tau_re=st.floats(-1.0, 1.0), tau_im=st.floats(0.5, 1.5),
+       lam_re=st.floats(0.05, 0.95), lam_frac=st.floats(-0.5, 0.5))
 # kappa = 6 at n = 1, where the b-derivative's inner logs move J by half
-@example(kappa=6, n=1, tau_im=0.9, lam=0.3)
+@example(kappa=6, n=1, tau_re=0.0, tau_im=0.9, lam_re=0.3, lam_frac=0.0)
+# off the axis, on the strip's edge and inside it
+@example(kappa=8, n=4, tau_re=0.3, tau_im=0.9, lam_re=0.41, lam_frac=0.5)
+@example(kappa=6, n=3, tau_re=-0.7, tau_im=0.5, lam_re=0.2, lam_frac=-0.2)
 @settings(max_examples=12, deadline=None)
-def test_two_fold_moment_pass_matches_brute_force(kappa, n, tau_im, lam):
-    # real lambda over random (kappa, n), both entries of the pass pair
-    idx, pt = BlockIndex(2, kappa, n), ModularPoint(complex(0.0, tau_im))
-    got = blocks._j_sum([idx], [complex(lam)], pt, [SMALL])[0, 0, :, 0]
-    tau = pt.tau
+def test_two_fold_moment_pass_matches_brute_force(kappa, n, tau_re, tau_im,
+                                                  lam_re, lam_frac):
+    # real and complex lambda in the strip |Im lam| <= Im tau / 2, where the
+    # pass folds nothing, over random tau and (kappa, n), both entries of
+    # the pass pair; folded points are checked against the closed forms
+    # (test_two_fold_verifies_off_the_axis): at k = 3 the brute-force sum
+    # itself loses digits
+    tau = complex(tau_re, tau_im)
+    idx, pt = BlockIndex(2, kappa, n), ModularPoint(tau)
+    lam = complex(lam_re, lam_frac * tau_im)
+    # a lattice point (lam = 0 or 1) is a pole of J
+    assume(specfun.lattice_distance(lam, tau) >= specfun.DEFAULT_LATTICE_FLOOR)
+    got = blocks._j_sum([idx], [lam], pt, [SMALL])[0, 0, :, 0]
     want, scales = fold_half_shapes(kappa, *two_fold_brute(idx, lam, tau))
     assert np.all(np.abs(np.array(got) - want) <= 1e-13 * scales), (
         (np.array(got) - want) / scales)
+
+
+@pytest.mark.parametrize("tau,inside", [
+    (0.2j, True), (0.5 + 0.2j, True), (-0.7 + 0.5j, True), (0.3 + 0.9j, True),
+    (0.5 + 0.3j, True), (0.5 + 0.15j, False)])
+def test_two_fold_power_bases_stay_in_the_right_half_plane(tau, inside):
+    # the p = 2 pass takes every power on its principal branch, which is its
+    # continuation along the rules while the base keeps Re > 0: each base
+    # starts at 1 (E(x)/x, E(y)/y, E(d)/d) or on the positive axis (E(x) at
+    # small x, E(x - y) at small x - y), and the right half plane holds no
+    # branch cut.
+    # The smallest cos arg over the bases of both rule shapes reads 0.815,
+    # 0.739, 0.876, 0.945 and 0.925 at the taus inside; at 0.5 + 0.15i it
+    # falls to -0.28, where identity 4's report already fails
+    # (test_the_coarse_refined_check_marks_the_two_fold_floor_in_im_tau)
+    pt, quad = ModularPoint(tau), QuadratureSpec()
+    prime0 = theta1(0.0, pt, d_lambda=1)
+    lowest = min(
+        float(np.min(base.real / np.abs(base)))
+        for spec in (quad, quad.refined())
+        for kind, _, outer, inner in blocks._p2_layout(
+            tau, spec.gauss_order, spec.graded_mesh_levels, spec.loop_nodes,
+            8)[0]
+        for base in power_bases(kind, outer, inner, tau, prime0)[:3])
+    assert (lowest > 0.0) is inside, lowest
 
 
 def test_dead_indices_vanish():
@@ -1040,11 +1086,41 @@ def test_two_fold_layout_is_built_once_per_tau_rule_shape_and_kappa():
     assert blocks._p2_reach.cache_info().misses == 2
 
 
-def test_two_fold_guard_rails():
-    with pytest.raises(OutOfSupportedRange):
-        u_block(BlockIndex(2, 8, 4), 0.3 + 0.2j, PT)
-    with pytest.raises(OutOfSupportedRange):
-        u_block(BlockIndex(2, 8, 4), 0.3, ModularPoint(0.4 + 0.9j))
+@pytest.mark.parametrize("ident,tau,grid", [
+    (4, 0.3 + 0.9j, (0.3, 0.41 + 0.1j)),
+    (1, 0.3 + 0.9j, (0.3, 0.41 + 0.1j)),
+    (4, -0.7 + 0.5j, (0.2 + 0.05j,)),
+    (7, 1 + 0.9j, (0.3 + 0.2j,)),
+    (8, 0.9j, (0.3 + 0.45j, 0.55 - 1.2j)),
+    (10, 0.2 + 0.7j, None),
+    # three periods out, folded by 3 tau onto the partner label
+    (4, 0.9j, (0.3 + 2.7j,)),
+])
+def test_two_fold_verifies_off_the_axis(ident, tau, grid):
+    # complex lambda, folded or not, and tau off the imaginary axis take the
+    # route p = 1 takes: one exponential-sum pass on the folded points
+    rep = verify.verify_identity(ident, 2, lambda_grid=grid,
+                                 pt=ModularPoint(tau))
+    assert rep.rel_err <= 1e-13 and rep.quad_agreement <= 1e-13, (
+        rep.rel_err, rep.quad_agreement)
+
+
+@pytest.mark.parametrize("tau,passes", [(0.15j, False), (0.5 + 0.15j, False),
+                                        (0.2j, True), (0.5 + 0.2j, True)])
+def test_the_coarse_refined_check_marks_the_two_fold_floor_in_im_tau(tau,
+                                                                     passes):
+    # the p = 2 rules lose digits as Im tau falls, whatever Re tau: identity
+    # 4 on lambda = 0.3 reads rel_err 2.0e-5 at 0.15i and 1.3e-8 at 0.5 +
+    # 0.15i, and its report fails there through the block's own estimate,
+    # which covers the error; at 0.2i and 0.5 + 0.2i both pass
+    pt = ModularPoint(tau)
+    rep = verify.verify_identity(4, 2, lambda_grid=(0.3,), pt=pt)
+    u = u_block(BlockIndex(2, 8, 4), 0.3, pt)
+    assert rep.passed is passes
+    assert (rep.quad_agreement <= rep.tolerance) is passes
+    assert rep.quad_agreement == pytest.approx(
+        u.error_estimate / abs(u.value), rel=1e-3)
+    assert rep.rel_err <= rep.quad_agreement
 
 
 # ---------------------------------------------------------------------------

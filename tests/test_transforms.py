@@ -9,7 +9,7 @@ import pytest
 
 from elliptic_selberg import blocks, transforms
 from elliptic_selberg.blocks import BlockIndex
-from elliptic_selberg.errors import IllConditionedBasis, UnsupportedP
+from elliptic_selberg.errors import IllConditionedBasis
 from elliptic_selberg.macdonald import modular_matrices
 from elliptic_selberg.specfun import ModularPoint
 from elliptic_selberg.transforms import (
@@ -249,9 +249,26 @@ def test_numeric_extraction_guards_its_grid(monkeypatch):
         numeric_modular_matrices(1, 5, lambda_grid=[0.31] * 8)
 
 
-def test_numeric_extraction_rejects_large_p():
-    with pytest.raises(UnsupportedP):
-        numeric_modular_matrices(2, 8)
+def test_numeric_two_fold_modular_matrices_match_closed_forms():
+    # kappa = 7 is the smallest kappa with two p = 2 labels; the T and S
+    # moves take its basis to 1 + i and to the S-moved grid lam / i, folded
+    # onto the partner labels beyond |Im| 0.5
+    tn, sn = numeric_modular_matrices(2, 7)
+    ta, sa = modular_matrices(2, 7)
+    assert tn.labels == ta.labels == (3, 4)
+    assert np.abs(tn.entries - ta.entries).max() <= 1e-12
+    assert np.abs(sn.entries - sa.entries).max() <= 1e-12
+
+
+def test_numeric_two_fold_shift_matrices_match_closed_forms():
+    # each shifted p = 2 block re-expanded over the basis at 0.9i: the B
+    # move lam + tau folds back onto the partner label
+    a, b = shift_matrices(2, 7)
+    for which, want in (("A", a), ("B", b)):
+        got = np.array([expand_in_block_basis(
+            transformed_function(which, block(2, 7, n)), 2, 7,
+            default_lambda_grid(2, 7), PT).coefficients for n in want.labels]).T
+        assert np.abs(got - want.entries).max() <= 1e-12, which
 
 
 def test_basis_indices_range():

@@ -242,9 +242,6 @@ def level_scale(kappa, n, z, tau):
 @settings(max_examples=60, deadline=None)
 def test_a_closed_form_grid_is_its_points(data, ident, tau, points, repeats,
                                           p):
-    # p = 2 takes identity 4 on real lambda at 0.9i
-    if p == 2:
-        ident, tau, points = 4, 0.9j, [(x, 0.0) for x, _ in points]
     grid = [complex(x, frac * tau.imag) for x, frac in points]
     grid += grid[:repeats]
     if data is not None:  # unsorted, duplicates anywhere
