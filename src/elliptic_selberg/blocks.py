@@ -371,7 +371,7 @@ def _geometry(kind: str, xc: np.ndarray, xi: np.ndarray) -> tuple:
     return y, xc - y, xc
 
 
-@lru_cache(maxsize=16)
+@lru_cache(maxsize=64)
 def _p2_layout(tau: complex, order: int, levels: int, loop_nodes: int,
                kappa: int) -> tuple:
     """(sections, points) of a p = 2 pass at one tau, rule shape and kappa.
@@ -400,7 +400,7 @@ def _p2_layout(tau: complex, order: int, levels: int, loop_nodes: int,
     return sections, points
 
 
-@lru_cache(maxsize=16)
+@lru_cache(maxsize=64)
 def _p2_reach(tau: complex, order: int, levels: int, loop_nodes: int,
               kappa: int) -> tuple:
     """max |Im| over the nodes of a p = 2 layout of the theta1 arguments x
@@ -477,7 +477,7 @@ def _inner_moments(kind: str, x: np.ndarray, inner: _Rule, tau: complex,
     return out
 
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=128)
 def _p2_moments(tau: complex, order: int, levels: int, loop_nodes: int,
                 kappa: int, n: int, coefs: tuple, level: tuple) -> tuple:
     """(lo, freqs) with J(mu) theta1(mu)^2 = sum_k freqs[k] e^(i pi (lo + 2k)
@@ -591,7 +591,7 @@ def _j_p0(indices: list, lams: list, pt: ModularPoint,
     return np.array([[pair] * len(shapes) for pair in signs], dtype=complex)
 
 
-@lru_cache(maxsize=128)
+@lru_cache(maxsize=256)
 def _sum_vectors(p: int, tau: complex, shapes: tuple, labels: tuple,
                  y: float) -> tuple:
     """(i pi nu over all their nu, per label and rule shape (its columns, its

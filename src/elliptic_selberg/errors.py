@@ -44,7 +44,7 @@ class OrderTooSmall(EllipticSelbergError):
 
 
 class DegenerateGram(EllipticSelbergError):
-    """Gram-Schmidt hit a (numerically) zero squared norm."""
+    """The orthogonal family hit a (numerically) zero squared norm."""
 
 
 class UnsupportedP(EllipticSelbergError):

@@ -6,9 +6,18 @@ eps = e^{i pi / kappa}.  The constant-term pairing
 
     <f, g> = (1/2) * CT( f * g * prod_{j=0}^{k-1} (1 - eps^{2j} z^2)(1 - eps^{2j} z^{-2}) )
 
-is bilinear (no conjugation); Gram-Schmidt on the x-even monomial chain
-{1, z + 1/z, z^2 + 1/z^2, ...} produces the orthogonal family P_n with unit
-leading coefficient.
+is bilinear (no conjugation).  Its orthogonal family with unit leading
+coefficient is Rogers' continuous q-ultraspherical family at q = eps^2,
+beta = q^k (Askey and Ismail, "A generalization of ultraspherical
+polynomials", 1983; Gasper and Rahman, Basic Hypergeometric Series, 7.4):
+
+    P_n = sum_{j=0..n} r_j r_{n-j} / r_n z^{n-2j},
+    r_j = prod_{i<j} sin(pi (k+i)/kappa) / sin(pi (i+1)/kappa),
+
+real since the phases of each 1 - q^m = -2i sin(pi m/kappa) e^{i pi m/kappa}
+cancel; k = 0 is the limit z^n + z^{-n}.  The pairing checks the formula:
+DegenerateGram holds where a squared norm falls below 1e-12 (first at
+n = kappa - 2k + 1 for small kappa) or r_n vanishes.
 """
 
 from __future__ import annotations
@@ -47,23 +56,10 @@ class LaurentPoly:
                 if c != 0:
                     self.coeffs[int(m)] = c
 
-    @classmethod
-    def even_monomial(cls, m: int) -> "LaurentPoly":
-        """z**m + z**-m for m >= 1, or 1 for m = 0."""
-        if m == 0:
-            return cls({0: 1.0})
-        return cls({m: 1.0, -m: 1.0})
-
     def __add__(self, other):
         out = dict(self.coeffs)
         for m, c in other.coeffs.items():
             out[m] = out.get(m, 0.0) + c
-        return LaurentPoly(out)
-
-    def __sub__(self, other):
-        out = dict(self.coeffs)
-        for m, c in other.coeffs.items():
-            out[m] = out.get(m, 0.0) - c
         return LaurentPoly(out)
 
     def scale(self, c: complex) -> "LaurentPoly":
@@ -93,7 +89,8 @@ class LaurentPoly:
 
 @dataclass(frozen=True)
 class MacdonaldBasis:
-    """Orthogonal family P_0 ... P_N for parameter k at eps = e^{i pi/kappa}."""
+    """Rogers' family P_0 ... P_N (the module's formula) for parameter k at
+    eps = e^{i pi/kappa}, each P_n's norm checked by the pairing."""
 
     k: int
     kappa: int
@@ -135,29 +132,29 @@ def ct_inner(f: LaurentPoly, g: LaurentPoly, k: int, kappa: int) -> complex:
 
 @lru_cache(maxsize=64)
 def _basis_upto(k: int, kappa: int, n_max: int) -> MacdonaldBasis:
-    polys = []
-    norms = []
+    polys, r = [], [1.0]
     for n in range(n_max + 1):
-        p = LaurentPoly.even_monomial(n)
-        for j in range(n):
-            proj = ct_inner(p, polys[j], k, kappa) / norms[j]
-            p = p - polys[j].scale(proj)
-        lead = p.coefficient(n)
-        if abs(lead) < 1e-12:
+        if n:
+            r.append(r[-1] * math.sin(math.pi * (k + n - 1) / kappa)
+                     / math.sin(math.pi * n / kappa))
+        if k and abs(r[n]) < 1e-12:
             raise DegenerateGram(
-                f"leading coefficient collapsed at n={n} (k={k}, kappa={kappa})")
-        p = p.scale(1.0 / lead)
-        sq = ct_inner(p, p, k, kappa)
-        if abs(sq) < 1e-12:
+                f"vanishing r_n at n={n} (k={k}, kappa={kappa})")
+        # k = 0 takes the limit z^n + z^-n
+        p = LaurentPoly({n: 1.0, -n: 1.0} if k == 0 else
+                        {n - 2 * j: r[j] * r[n - j] / r[n]
+                         for j in range(n + 1)})
+        if abs(ct_inner(p, p, k, kappa)) < 1e-12:
             raise DegenerateGram(
                 f"vanishing squared norm at n={n} (k={k}, kappa={kappa})")
         polys.append(p)
-        norms.append(sq)
     return MacdonaldBasis(k=k, kappa=kappa, polys=tuple(polys))
 
 
 def macdonald_basis(k: int, kappa: int, n_max: int) -> MacdonaldBasis:
-    """Gram-Schmidt family P_0..P_n_max; raises DegenerateGram on collapse."""
+    """Rogers' family P_0..P_n_max by the module's formula; raises
+    DegenerateGram where ct_inner gives a P_n squared norm below 1e-12 (one
+    pairing per polynomial) or r_n vanishes, never at k = 0."""
     if k < 0 or kappa < 1 or n_max < 0:
         raise ValueError("need k >= 0, kappa >= 1, n_max >= 0")
     return _basis_upto(k, kappa, n_max)

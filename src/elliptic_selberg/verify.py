@@ -663,7 +663,7 @@ def ode_residual(case: str, kappa: int, p: int, c_recipe: str,
 # (p, kappa) pairs whose closed-form matrices are checked against the
 # transformation relations
 MATRIX_CASES = ((0, 3), (0, 4), (1, 4), (1, 5), (1, 6), (1, 8), (1, 10),
-                (2, 6))
+                (2, 6), (4, 16), (6, 20))
 _ODE_RECIPES = (("eta_power", 5), ("theta21_power", 6), ("theta4_power", 8),
                 ("theta6_power", 10))
 
@@ -846,7 +846,7 @@ def battery(full: bool = False) -> dict:
             *(_theta_level_rule_check(kappa) for kappa in (2, 4, 5, 6))),
         "matrices": (
             *(_matrix_relation_check(p, kappa) for p, kappa in MATRIX_CASES),
-            orthogonality_check(2, 7, 3)),
+            orthogonality_check(2, 7, 3), orthogonality_check(5, 16, 6)),
         "identities": tuple(_identity_check(ident, tau, p)
                             for tau, p in cases[:3 if full else 1]
                             for ident in IDENTITY_IDS),

@@ -237,6 +237,23 @@ def test_smatrix_reports_relations(capsys):
     assert max(payload["relation_residuals"].values()) < 1e-10
 
 
+def test_modular_reports_and_holds_its_relations(capsys):
+    code, out = run(["modular", "--p", "1", "--kappa", "6"], capsys)
+    payload = json.loads(out)
+    code_s, out_s = run(["smatrix", "--p", "1", "--kappa", "6"], capsys)
+    closed = json.loads(out_s)
+    assert code == code_s == 0 and payload["passed"] is True
+    for key in ("t_matrix", "s_matrix", "relation_residuals"):
+        assert payload[key] == closed[key]
+    # far past the battery's cases the closed form loses its relations,
+    # and modular fails on them as smatrix does
+    for sub in ("modular", "smatrix"):
+        code, out = run([sub, "--p", "14", "--kappa", "44"], capsys)
+        payload = json.loads(out)
+        assert code == 1 and payload["passed"] is False
+        assert max(payload["relation_residuals"].values()) > 1e-8
+
+
 def test_block_matches_library(capsys):
     code, out = run(["block", "--p", "1", "--kappa", "4", "--n", "2",
                      "--lambda", "0.3", "--tau", "0.9i"], capsys)
@@ -269,6 +286,16 @@ def test_verify_all_on_a_single_point(capsys):
     payload = json.loads(out)
     assert len(payload["reports"]) == 10
     assert payload["passed"] is True
+
+
+def test_verify_takes_a_complex_grid(capsys):
+    code, out = run(["verify", "--identity", "4", "--p", "2", "--tau",
+                     "0.3+0.9i", "--grid", "0.41+0.1i"], capsys)
+    assert code == 0
+    payload = json.loads(out)
+    want = verify.verify_identity(4, 2, [0.41 + 0.1j], ModularPoint(0.3 + 0.9j))
+    assert payload["reports"] == [json.loads(json.dumps(want.as_dict()))]
+    assert payload["config"]["grid"] == [[0.41, 0.1]]
 
 
 def test_verify_csv_has_documented_columns(capsys):
@@ -412,7 +439,7 @@ def test_suite_reports_a_failing_check(monkeypatch, capsys):
     payload = json.loads(out)
     assert payload["passed"] is False
     assert payload["checks_failed"] == ["matrix-relations:p=0,kappa=3"]
-    assert payload["checks_run"] == 61
+    assert payload["checks_run"] == 64
 
 
 # ---------------------------------------------------------------------------

@@ -104,7 +104,8 @@ def test_k1_family_is_the_telescoping_sum(kappa):
         assert all(abs(P.coefficient(m) - 1.0) < 1e-10 for m in want)
 
 
-@pytest.mark.parametrize("k,kappa,n_max", [(2, 7, 3), (3, 10, 3), (2, 9, 5)])
+@pytest.mark.parametrize("k,kappa,n_max", [(2, 7, 3), (3, 10, 3), (2, 9, 5),
+                                           (0, 6, 4)])
 def test_family_invariants(k, kappa, n_max):
     basis = macdonald_basis(k, kappa, n_max)
     for n, P in enumerate(basis.polys):
@@ -128,13 +129,16 @@ def test_p0_poly_is_one():
     assert P.coeffs == {0: 1.0}
 
 
-def test_degenerate_gram_is_detected_not_regularized():
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_degenerate_gram_is_detected_not_regularized(k):
     # the pairing collapses at n = kappa - 2k + 1; one step beyond the range
     # the matrix construction uses
+    kappa = 2 * k + 1
+    n = kappa - 2 * k + 1
     with pytest.raises(DegenerateGram):
-        macdonald_basis(2, 5, 2)
-    basis = macdonald_basis(2, 5, 1)  # still fine one index earlier
-    assert len(basis.polys) == 2
+        macdonald_basis(k, kappa, n)
+    basis = macdonald_basis(k, kappa, n - 1)  # still fine one index earlier
+    assert len(basis.polys) == n
 
 
 def test_basis_argument_validation():
@@ -177,6 +181,14 @@ def test_modular_relations(p, kappa):
     res = relation_residuals(T, S, p, kappa)
     assert res["s_squared"] <= 1e-8
     assert res["st_cubed"] <= 1e-8
+
+
+@pytest.mark.parametrize("p", range(7))
+def test_modular_relations_hold_to_rounding(p):
+    # the explicit family keeps S to rounding well past the RELATION_SET
+    for kappa in range(2 * p + 2, 2 * p + 9):
+        T, S = modular_matrices(p, kappa)
+        assert max(relation_residuals(T, S, p, kappa).values()) <= 1e-12
 
 
 def test_s_matrix_hand_value_p1_kappa4():
