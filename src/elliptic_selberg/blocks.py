@@ -50,21 +50,21 @@ level theta's e^(-i pi kappa g k sum t), J_{kappa,n}(lam + k tau) = e^(-i
 pi kappa (k lam + k^2 tau / 2)) J_{kappa,n+k kappa}(lam) node by node.  So
 lam is folded to lam - k tau, k = round(Im lam / Im tau), with the partner
 label n + k kappa and that phase, and -lam to -(lam - k tau) with the same
-ones; a phase beyond the double range raises OutOfSupportedRange.  Real
-points take the term counts of |Im lam| = 0, complex ones the strip edge's.
-Every p takes every lambda and tau; Im tau bounds the accuracy (at p = 2
-the coarse-vs-refined estimate of u_{8,4}(0.3) is 1.4e-4 of it at tau =
-0.15i and 7.4e-8 at 0.5 + 0.15i, 2.2e-11 at 0.2i and 1.4e-13 at 0.5 + 0.2i).
+ones; a phase beyond the double range raises OutOfSupportedRange.  Every
+point takes the term counts of the strip's edge |Im lam| = Im tau / 2, which
+bound the series over the whole strip.  Every p takes every lambda and tau;
+Im tau bounds the accuracy (at p = 2 the coarse-vs-refined estimate of
+u_{8,4}(0.3) is 1.4e-4 of it at tau = 0.15i and 7.4e-8 at 0.5 + 0.15i,
+2.2e-11 at 0.2i and 1.4e-13 at 0.5 + 0.2i).
 
 u_blocks runs the coarse and the refined pass of a family of blocks once
 over a whole lambda grid (u_block_grid, u_block and j_integral are its
 one-index and one-point cases), on a plan of its lambda-free part built
 once per (indices, tau, spec) (_family_plan).  p = 0 takes the level
-theta; every other fold count makes one pass (_j_sum): per group of points
-of one divisor term count, realness and parity of k one divisor call
-theta1(+-lam), one exp of i pi nu (+-lam) over the nu of the blocks'
-partners at every rule shape, and one product per block and shape, each
-value bit-identical to its point's own u_block.  Warm (one thread of a
+theta; every other fold count makes one pass (_j_sum): per parity of k one
+divisor call theta1(+-lam), one exp of i pi nu (+-lam) over the nu of the
+blocks' partners at every rule shape, and one product per block and shape,
+each value bit-identical to its point's own u_block.  Warm (one thread of a
 2-core VM, best of 15 runs), a six-point real grid takes about 0.07 ms at
 p = 1 and 0.08 ms at p = 2 (kappa = 8), the twelve p = 1 blocks of the ten
 closed forms 0.26 ms.
@@ -592,12 +592,13 @@ def _j_p0(indices: list, lams: list, pt: ModularPoint,
 
 
 @lru_cache(maxsize=256)
-def _sum_vectors(p: int, tau: complex, shapes: tuple, labels: tuple,
-                 y: float) -> tuple:
+def _sum_vectors(p: int, tau: complex, shapes: tuple, labels: tuple) -> tuple:
     """(i pi nu over all their nu, per label and rule shape (its columns, its
     f)): the vectors (_p1_moments, _p2_moments) of p-fold labels (kappa, n)
-    at tau and the shapes, with the term counts of |Im lam| <= y plus the
-    nodes' theta1 reach (2/kappa times their level reach, level series)."""
+    at tau and the shapes, with the term counts of the strip's edge y = Im
+    tau / 2 plus the nodes' theta1 reach (2/kappa times their level reach,
+    level series), which serve every point of the strip."""
+    y = tau.imag / 2
     vectors = [(_p1_moments if p == 1 else _p2_moments)(
         tau, *shape, kappa, n, specfun._theta1_coefs(tau, y + reach),
         specfun._theta_level_coefs(kappa, n, tau,
@@ -618,31 +619,27 @@ def _j_sum(indices: list, lams: list, pt: ModularPoint,
            shapes: list) -> np.ndarray:
     """J(lam) and J(-lam) of indices of one p >= 1 as an array (index, rule
     shape, sign, point): the exponential sums of the module docstring at the
-    folded points, per group of the divisor's term count, realness and
-    parity of the fold."""
+    folded points, per parity of the fold, every point with the strip
+    edge's term counts in the vectors and the divisor."""
     tau, p = pt.tau, indices[0].p
     shifts = [round(lam.imag / tau.imag) for lam in lams]
     folded = [lam - k * tau if k else lam for lam, k in zip(lams, shifts)]
-    groups = {}
-    for k, lam in enumerate(folded):
-        groups.setdefault((len(specfun._theta1_coefs(tau, abs(lam.imag))),
-                           lam.imag != 0, shifts[k] % 2), []).append(k)
+    parities = dict.fromkeys(shift % 2 for shift in shifts)
     labels = [(idx.kappa, idx.reduced_n) for idx in indices]
     # one group holds every point in order and needs no gather
-    out = (None if len(groups) == 1 else
+    out = (None if len(parities) == 1 else
            np.empty((len(labels), len(shapes), 2, len(lams)), dtype=complex))
-    for (_, edge, parity), ks in groups.items():
-        # the partner labels (kappa, n + k kappa); complex points take the
-        # counts of the strip's edge
+    for parity in parities:
+        ks = [k for k, shift in enumerate(shifts) if shift % 2 == parity]
+        # the partner labels (kappa, n + k kappa)
         rates, parts = _sum_vectors(p, tau, tuple(shapes), tuple(
-            (kappa, (n + parity * kappa) % (2 * kappa)) for kappa, n in labels),
-            edge * tau.imag / 2)
+            (kappa, (n + parity * kappa) % (2 * kappa)) for kappa, n in labels))
         mu = np.array([folded[k] for k in ks] + [-folded[k] for k in ks])
         waves = np.exp(rates * mu[:, None])
         # a strided view would round the products differently
         sums = np.array([np.ascontiguousarray(waves[:, cols]) @ f
                          for cols, f in parts])
-        div = specfun._theta1_array(mu, tau)
+        div = specfun._theta1_array(mu, tau, y_max=tau.imag / 2)
         for _ in range(p):
             sums = sums / div
         sums = sums.reshape(len(labels), len(shapes), 2, -1)

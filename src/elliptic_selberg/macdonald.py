@@ -16,8 +16,8 @@ polynomials", 1983; Gasper and Rahman, Basic Hypergeometric Series, 7.4):
 
 real since the phases of each 1 - q^m = -2i sin(pi m/kappa) e^{i pi m/kappa}
 cancel; k = 0 is the limit z^n + z^{-n}.  The pairing checks the formula:
-DegenerateGram holds where a squared norm falls below 1e-12 (first at
-n = kappa - 2k + 1 for small kappa) or r_n vanishes.
+DegenerateGram holds where a squared norm is below 1e-12 sum |coefficient|^2
+(first at n = kappa - 2k + 1 for k >= 2) or r_n vanishes.
 """
 
 from __future__ import annotations
@@ -144,7 +144,8 @@ def _basis_upto(k: int, kappa: int, n_max: int) -> MacdonaldBasis:
         p = LaurentPoly({n: 1.0, -n: 1.0} if k == 0 else
                         {n - 2 * j: r[j] * r[n - j] / r[n]
                          for j in range(n + 1)})
-        if abs(ct_inner(p, p, k, kappa)) < 1e-12:
+        if abs(ct_inner(p, p, k, kappa)) < 1e-12 * sum(
+                abs(c) ** 2 for c in p.coeffs.values()):
             raise DegenerateGram(
                 f"vanishing squared norm at n={n} (k={k}, kappa={kappa})")
         polys.append(p)
@@ -153,8 +154,8 @@ def _basis_upto(k: int, kappa: int, n_max: int) -> MacdonaldBasis:
 
 def macdonald_basis(k: int, kappa: int, n_max: int) -> MacdonaldBasis:
     """Rogers' family P_0..P_n_max by the module's formula; raises
-    DegenerateGram where ct_inner gives a P_n squared norm below 1e-12 (one
-    pairing per polynomial) or r_n vanishes, never at k = 0."""
+    DegenerateGram where a P_n squared norm (one ct_inner per polynomial) is
+    below 1e-12 sum |coefficient|^2 or r_n vanishes, never at k = 0."""
     if k < 0 or kappa < 1 or n_max < 0:
         raise ValueError("need k >= 0, kappa >= 1, n_max >= 0")
     return _basis_upto(k, kappa, n_max)

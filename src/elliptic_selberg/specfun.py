@@ -265,19 +265,21 @@ def _theta1_laurent(tau: complex, y_max: float, d_lambda: int = 0,
     return coefs[0], tuple(itertools.accumulate(reversed(coefs)))[::-1][1:]
 
 
-def _theta1_array(lam, tau: complex, d_lambda: int = 0,
-                  d_tau: int = 0) -> np.ndarray:
+def _theta1_array(lam, tau: complex, d_lambda: int = 0, d_tau: int = 0, *,
+                  y_max: float | None = None) -> np.ndarray:
     """Vectorised sine-series evaluation of theta1 derivatives.
 
-    lam may be any complex ndarray; returns an array of the same shape.  A
-    sine series is sin(x) times a Laurent polynomial in w = exp(2ix)
-    (_theta1_laurent); factoring out sin(x) keeps theta1 accurate relative
-    to its size next to its zeros at the integers.  A cosine series is
-    summed as exp(ix) P(w) + exp(-ix) P(1/w) with P = sum_j coef_j/2 w**j.
-    Either way w and 1/w make one Horner.
+    lam may be any complex ndarray; returns an array of the same shape,
+    summed with the term counts of |Im lam| <= y_max (by default max |Im
+    lam| over the array).  A sine series is sin(x) times a Laurent
+    polynomial in w = exp(2ix) (_theta1_laurent); factoring out sin(x) keeps
+    theta1 accurate relative to its size next to its zeros at the integers.
+    A cosine series is summed as exp(ix) P(w) + exp(-ix) P(1/w) with P =
+    sum_j coef_j/2 w**j.  Either way w and 1/w make one Horner.
     """
     lam = np.asarray(lam, dtype=complex)
-    laurent = _theta1_laurent(tau, _max_abs_imag(lam), d_lambda, d_tau)
+    laurent = _theta1_laurent(tau, _max_abs_imag(lam) if y_max is None
+                              else y_max, d_lambda, d_tau)
     x = math.pi * lam.ravel()
     if d_lambda % 2:
         h = _horner(laurent, np.exp(np.concatenate([2j * x, -2j * x])))

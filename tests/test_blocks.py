@@ -228,8 +228,8 @@ def test_one_fold_u_block_is_two_passes(monkeypatch):
 
 @pytest.mark.parametrize("p,kappa,n", [(1, 5, 2), (2, 8, 4)])
 def test_a_warm_u_block_counts_no_series_terms(monkeypatch, p, kappa, n):
-    # every real lambda needs the term counts of the last one, and the
-    # memoised coefficient helpers already hold them
+    # every lambda takes the strip edge's term counts, and the memoised
+    # coefficient helpers already hold them
     u_block(BlockIndex(p, kappa, n), LAM, PT)
     counts = []
     term_count = specfun._term_count
@@ -286,8 +286,9 @@ def test_u_block_shares_its_lambda_side_bit_for_bit(monkeypatch, p, kappa, n,
 
 def test_a_one_fold_family_makes_one_exp_per_nu_grid(monkeypatch):
     # the twelve p = 1 labels of the ten closed forms on the default real
-    # grid: one term-count group, and one exp over the nu of every label
-    # (both parities, as n takes both) and both rule shapes
+    # grid: one fold-parity group, and one exp over the nu of every label
+    # (both parities, as n takes both) and both rule shapes, at the strip
+    # edge's term counts
     indices = [BlockIndex(1, kappa, n) for kappa, n in (
         (4, 2), (5, 2), (5, 3), (6, 2), (6, 3), (6, 4), (8, 2), (8, 3),
         (8, 5), (8, 6), (10, 3), (10, 7))]
@@ -296,22 +297,33 @@ def test_a_one_fold_family_makes_one_exp_per_nu_grid(monkeypatch):
     calls = []
     monkeypatch.setattr(blocks, "np", CountingExp(calls))
     assert blocks.u_blocks(indices, grid, PT) == want
-    assert len(calls) == 1 and calls[0][0].shape[-1] == 143
+    assert len(calls) == 1 and calls[0][0].shape[-1] == 147
 
 
 @pytest.mark.parametrize("p,kappa,n", [(1, 5, 2), (2, 8, 4)])
 def test_a_lambda_grid_builds_each_moment_table_once(p, kappa, n):
-    # every real lambda has the same term counts, so the six points of the
-    # default grid share one moment table per spec (coarse and refined); the
-    # later points read both from the family memo
+    # every lambda of the strip takes the strip edge's term counts, so the
+    # six points of a grid of real and complex points share one moment
+    # table per spec (coarse and refined); the later points read both from
+    # the family memo
     moments = blocks._p1_moments if p == 1 else blocks._p2_moments
     memo = blocks._sum_vectors
     moments.cache_clear()
     memo.cache_clear()
-    for lam in (0.13, 0.27, 0.41, 0.55, 0.69, 0.83):
+    for lam in (0.13, 0.27 + 0.1j, 0.41, 0.55 - 0.2j, 0.69 + 0.4j, 0.83):
         u_block(BlockIndex(p, kappa, n), lam, PT)
     assert moments.cache_info().misses == 2
     assert memo.cache_info().misses == 1 and memo.cache_info().hits == 5
+
+
+@pytest.mark.parametrize("tau", [0.9j, 0.3 + 1.1j])
+@pytest.mark.parametrize("p,kappa,n", [(1, 5, 2), (2, 8, 4)])
+def test_a_block_is_continuous_onto_the_real_axis(p, kappa, n, tau):
+    # a real lambda and one a hair off the axis take the same series (the
+    # strip edge's term counts) and give the same bits
+    idx, pt = BlockIndex(p, kappa, n), ModularPoint(tau)
+    for lam in (0.3, 0.62):
+        assert u_block(idx, lam + 1e-300j, pt) == u_block(idx, lam, pt)
 
 
 # ---------------------------------------------------------------------------
@@ -324,26 +336,20 @@ GRID_TAUS = (0.9j, 0.6j, 1j, 0.3 + 1.1j, 1 + 1j, -1 / (0.3 + 1.1j))
 # p = 2 takes one tau on the axis and one off it, at the pinned (kappa, n),
 # so that few cold moment builds serve every example
 P2_TAUS = (0.9j, 0.3 + 1.1j)
-# Im lam as a fraction of Im tau: repeated and opposite |Im lam| share a
-# divisor call, distinct ones may need their own term counts; beyond 1/2
-# the points are folded by k tau, k = 1, -1 and 3
+# Im lam as a fraction of Im tau: points of one parity of k share a divisor
+# call, where beyond 1/2 the points are folded by k tau, k = 1, -1 and 3
 GRID_IM_FRACTIONS = (0.0, 0.0, 0.1, -0.1, 0.25, -0.25, 0.8, -1.3, 2.6)
 
 
 def divisor_groups(indices, grid, tau) -> int:
-    """The divisor theta1(+-lam) calls of a family: one per group of the
-    grid's points that, folded into the strip |Im| <= Im tau / 2 as lam - k
-    tau, share the divisor's term count at their folded |Im lam|, realness
-    (the vectors take the counts of |Im lam| = 0 or of the strip's
-    edge) and the parity of k (which picks the partner labels), per fold
-    count p >= 1 of the family, each of which makes its own pass."""
-    def key(lam):
-        k = round(lam.imag / tau.imag)
-        y = abs((lam - k * tau).imag)
-        return len(specfun._theta1_coefs(tau, y)), y > 0, k % 2
-
+    """The divisor theta1(+-lam) calls of a family: one per parity of k (it
+    picks the partner labels) among the grid's points folded into the strip
+    |Im| <= Im tau / 2 as lam - k tau, every point with the strip edge's
+    term counts, per fold count p >= 1 of the family, each of which makes
+    its own pass."""
     folds = {idx.p for idx in indices} - {0}
-    return len(folds) * len({key(complex(lam)) for lam in grid})
+    return len(folds) * len({round(complex(lam).imag / tau.imag) % 2
+                             for lam in grid})
 
 
 def _check_grid_against_points(idx, grid, pt):
@@ -399,8 +405,9 @@ def test_a_grid_pass_is_its_points_bit_for_bit(data, p, kappa, n, tau, points,
 @example(data=None, labels=[(1, 5, 2), (1, 5, 3), (1, 8, 3), (0, 5, 2),
                             (1, 5, 12)],
          tau=0.9j, points=[(0.3, 0.25), (0.41, 0.0), (0.7, -0.25)], repeats=1)
-# a complex point near the real axis takes the strip edge's term counts,
-# where at its own |Im lam| the refined circle needed one more theta1 term
+# a complex point near the real axis takes the strip edge's term counts, as
+# the real one does, where at its own |Im lam| the refined circle needed
+# one more theta1 term
 @example(data=None, labels=[(1, 5, 2), (1, 6, 3)], tau=0.9j,
          points=[(0.3, 0.039818 / 0.9), (0.41, 0.0)], repeats=0)
 @example(data=None, labels=[(2, 8, 4), (1, 5, 2), (2, 6, 3), (0, 4, 1)],
@@ -436,7 +443,7 @@ def test_a_family_pass_is_its_blocks_bit_for_bit(data, labels, tau, points,
     with pytest.MonkeyPatch.context() as patch:
         calls, _ = _count_kernels(patch)
         assert blocks.u_blocks(indices, grid, pt) == singles, (indices, grid)
-    # one divisor call per term-count group of each fold count's pass
+    # one divisor call per fold parity of each fold count's pass
     assert calls["_theta1_array"] == divisor_groups(indices, grid, tau)
 
 
@@ -510,9 +517,9 @@ def test_the_stacked_contraction_is_the_per_point_chain(p, kappa, n):
                               if p == 1 else blocks._p2_reach(pt.tau, *shape,
                                                               kappa))
         for k, lam in enumerate(grid):
-            # a complex point takes the counts of the strip's edge
+            # every point takes the counts of the strip's edge
             mu = np.array([lam, -lam], dtype=complex)
-            y = pt.tau.imag / 2 if complex(lam).imag else 0.0
+            y = pt.tau.imag / 2
             coefs = specfun._theta1_coefs(pt.tau, y + reach)
             level = specfun._theta_level_coefs(
                 kappa, n, pt.tau, y + (2.0 / kappa) * level_reach)
@@ -521,7 +528,7 @@ def test_the_stacked_contraction_is_the_per_point_chain(p, kappa, n):
                 first, first + 2 * freqs.size, 2) * mu[:, None]) @ freqs
             want = sums
             for _ in range(p):
-                want = want / specfun._theta1_array(mu, pt.tau)
+                want = want / specfun._theta1_array(mu, pt.tau, y_max=y)
             assert values[:, k].tolist() == want.tolist()
             if p == 1:
                 odd, js, d, levels = blocks._series(coefs, level)
@@ -543,9 +550,11 @@ def test_a_two_fold_pass_shares_one_exp_over_its_nu_grid(monkeypatch):
     grid = [0.3 + 0j, 0.41 + 0j]
     singles = [blocks._j_sum([idx], grid, PT, [SMALL])[0] for idx in indices]
     reach, level_reach = blocks._p2_reach(PT.tau, *SMALL, 8)
+    edge = PT.tau.imag / 2
     vectors = [blocks._p2_moments(
-        PT.tau, *SMALL, 8, idx.n, specfun._theta1_coefs(PT.tau, reach),
-        specfun._theta_level_coefs(8, idx.n, PT.tau, 0.25 * level_reach))
+        PT.tau, *SMALL, 8, idx.n, specfun._theta1_coefs(PT.tau, edge + reach),
+        specfun._theta_level_coefs(8, idx.n, PT.tau,
+                                   edge + 0.25 * level_reach))
         for idx in indices]
     assert [(first, f.size) for first, f in vectors] == [(-67, 71), (-65, 71)]
     calls = []

@@ -129,16 +129,24 @@ def test_p0_poly_is_one():
     assert P.coeffs == {0: 1.0}
 
 
-@pytest.mark.parametrize("k", [2, 3, 4])
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
 def test_degenerate_gram_is_detected_not_regularized(k):
-    # the pairing collapses at n = kappa - 2k + 1; one step beyond the range
-    # the matrix construction uses
-    kappa = 2 * k + 1
-    n = kappa - 2 * k + 1
-    with pytest.raises(DegenerateGram):
-        macdonald_basis(k, kappa, n)
-    basis = macdonald_basis(k, kappa, n - 1)  # still fine one index earlier
-    assert len(basis.polys) == n
+    # the pairing collapses at n = kappa - 2k + 1, one step beyond the range
+    # the matrix construction uses, at every kappa from 2k + 1 to 2k + 11:
+    # the norm relative to the squared coefficients reads <= 2.3e-14 there
+    # and >= 8.3e-7 below it
+    for kappa in range(2 * k + 1, 2 * k + 12):
+        n = kappa - 2 * k + 1
+        with pytest.raises(DegenerateGram, match=f"squared norm at n={n} "):
+            macdonald_basis(k, kappa, n)
+        basis = macdonald_basis(k, kappa, n - 1)  # still fine one index earlier
+        assert len(basis.polys) == n
+
+
+def test_the_one_parameter_family_never_degenerates():
+    # no k = 1 norm falls under the relative test up to n = kappa
+    for kappa in range(3, 14):
+        assert len(macdonald_basis(1, kappa, kappa).polys) == kappa + 1
 
 
 def test_basis_argument_validation():
